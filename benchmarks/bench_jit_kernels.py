@@ -58,13 +58,13 @@ from repro.graphs import gnp_random_graph  # noqa: E402
 from repro.graphs import kernels, kernels_jit  # noqa: E402
 from repro.graphs.coloring import (  # noqa: E402
     _first_free_points,
-    _poly_digits,
+    _linial_field,
+    _poly_evals,
     distance2_coloring,
 )
 from repro.graphs.power import square_graph  # noqa: E402
 from repro.hashing.families import make_color_family  # noqa: E402
 from repro.hashing.kwise import make_family  # noqa: E402
-from repro.hashing.primes import next_prime  # noqa: E402
 from repro.mpc.partition import chunk_items_by_group  # noqa: E402
 
 BASELINE_PATH = (
@@ -210,24 +210,8 @@ def _lowdeg_case(g, S, repeats):
 def _linial_case(g, repeats):
     """The Linial clash kernel on G^2: first free evaluation point per node."""
     g2 = square_graph(g)
-    colors = np.arange(g2.n, dtype=np.int64)
-    palette = max(g2.n, 1)
-    delta = g2.max_degree()
-    # Same q/d search as coloring._linial_step.
-    q = next_prime(max(delta + 2, 3))
-    while True:
-        d = 0
-        while q ** (d + 1) < palette:
-            d += 1
-        if q > d * delta:
-            break
-        q = next_prime(q + 1)
-    coeffs = _poly_digits(colors, q, d)
-    xs = np.arange(q, dtype=np.int64)
-    vander = np.ones((q, d + 1), dtype=np.int64)
-    for j in range(1, d + 1):
-        vander[:, j] = (vander[:, j - 1] * xs) % q
-    evals = (coeffs @ vander.T) % q
+    q, d = _linial_field(g2.max_degree(), max(g2.n, 1))
+    _, evals = _poly_evals(np.arange(g2.n, dtype=np.int64), q, d)
     return _case(
         "linial_first_free",
         lambda: _first_free_points(g2, evals, q),

@@ -39,23 +39,19 @@ __all__ = ["CongestContext", "bfs_depth"]
 
 
 def bfs_depth(g: Graph) -> int:
-    """Max BFS-tree depth over connected components (eccentricity of the
-    per-component BFS roots; an upper bound within 2x of the diameter)."""
+    """Max BFS-tree depth over connected components, each tree rooted at its
+    component's lowest id.  A BFS tree's depth is its root's eccentricity, so
+    ``depth <= D <= 2 * depth`` for a component of diameter ``D``: a lower
+    bound on the diameter, within a factor of 2."""
     if g.n == 0 or g.m == 0:
         return 0
     a = adjacency_matrix(g)
-    n_comp, labels = csgraph.connected_components(a, directed=False)
-    depth = 0
-    for comp in range(n_comp):
-        members = np.nonzero(labels == comp)[0]
-        if members.size <= 1:
-            continue
-        dist = csgraph.shortest_path(
-            a, method="BF", unweighted=True, indices=int(members[0])
-        )
-        finite = dist[np.isfinite(dist)]
-        depth = max(depth, int(finite.max(initial=0)))
-    return depth
+    _, labels = csgraph.connected_components(a, directed=False)
+    roots = np.unique(labels, return_index=True)[1]
+    # One multi-source search: roots share no component, so each node's
+    # nearest root is its own component's.
+    dist = csgraph.dijkstra(a, indices=roots, unweighted=True, min_only=True)
+    return int(dist.max())
 
 
 @dataclass

@@ -32,11 +32,11 @@ import math
 import numpy as np
 
 from ..derand.strategies import resolve_seed_backend, select_seed_batch
-from ..graphs.coloring import distance2_coloring
+from ..graphs.coloring import linial_coloring
 from ..graphs.graph import Graph
 from ..graphs.kernels import segment_any_block_fn, segment_min_block_fn
 from ..graphs.linegraph import line_graph
-from ..graphs.power import ball_sizes
+from ..graphs.power import ball_sizes, square_graph
 from ..hashing.families import make_color_family
 from ..mpc.context import MPCContext
 from ..obs import trace as _obs
@@ -106,7 +106,12 @@ def lowdeg_mis(
         )
 
     # ---------------- preprocessing (O(log log n) rounds) ---------------- #
-    coloring = distance2_coloring(graph)
+    # One G^2 gives both the distance-2 coloring and the r = 2 ball sizes
+    # (a node's G^2 degree); it is dropped before the phases to bound memory.
+    square = square_graph(graph)
+    coloring = linial_coloring(square)
+    ball2_sizes = square.degrees()
+    del square
     # Linial rounds exchange current colors over every edge (both directions).
     ctx.ledger.charge(
         "coloring",
@@ -123,8 +128,9 @@ def lowdeg_mis(
         if int(sizes.max(initial=0)) + 1 <= ctx.S:
             break
         ell -= 1
+    else:
+        sizes = ball2_sizes
     r = 2 * ell
-    sizes = ball_sizes(graph, r)
     ctx.space.observe_loads(sizes + 1, "r-hop ball gather")
     # Volume: every ball member is one word shipped to the node's machine.
     ctx.charge_gather_rhop(r, "preprocess_gather", words=int(sizes.sum()))

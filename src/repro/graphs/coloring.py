@@ -82,14 +82,28 @@ def greedy_coloring(g: Graph) -> ColoringResult:
     return ColoringResult(colors=colors, num_colors=max(num, 1), iterations=0)
 
 
-def _poly_digits(values: np.ndarray, q: int, degree: int) -> np.ndarray:
-    """Base-q digit matrix: row v = coefficients of v's color polynomial."""
-    digits = np.empty((values.size, degree + 1), dtype=np.int64)
-    rem = values.astype(np.int64).copy()
-    for j in range(degree + 1):
-        digits[:, j] = rem % q
-        rem //= q
-    return digits
+def _linial_field(delta: int, palette: int) -> tuple[int, int]:
+    """``(q, d)`` of one reduction step from a ``palette``-coloring: the
+    smallest prime ``q > d * delta`` whose degree-``d`` polynomials
+    (``q^(d+1) >= palette``) encode every color.  The new palette is ``q^2``."""
+    q = next_prime(max(delta + 2, 3))
+    while True:
+        d = 0
+        while q ** (d + 1) < palette:
+            d += 1
+        if q > d * delta:
+            return q, d
+        q = next_prime(q + 1)
+
+
+def _poly_evals(colors: np.ndarray, q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(coeffs, evals)``: row v of ``coeffs`` (n, d+1) holds the base-q
+    digits of v's color, the coefficients of ``p_v``; ``evals[v, x] =
+    p_v(x)`` for every x in GF(q).  No power exceeds ``q^d < palette``."""
+    powers = range(d + 1)
+    coeffs = np.stack([colors.astype(np.int64) // q**j % q for j in powers], axis=1)
+    vander = np.stack([np.arange(q, dtype=np.int64) ** j % q for j in powers], axis=1)
+    return coeffs, coeffs @ vander.T % q
 
 
 #: Evaluation points processed per vectorised block; bounds the transient
@@ -101,23 +115,8 @@ def _linial_step(
     g: Graph, colors: np.ndarray, palette: int, *, backend: str | None = None
 ) -> tuple[np.ndarray, int]:
     """One Linial reduction round: palette ``K -> q^2``."""
-    delta = g.max_degree()
-    # degree d with q^{d+1} >= K and q > d * Delta: search the smallest q.
-    q = next_prime(max(delta + 2, 3))
-    while True:
-        d = 0
-        while q ** (d + 1) < palette:
-            d += 1
-        if q > d * delta:
-            break
-        q = next_prime(q + 1)
-    coeffs = _poly_digits(colors, q, d)  # (n, d+1)
-    # Evaluate all polynomials at all x in GF(q): vandermonde (q, d+1).
-    xs = np.arange(q, dtype=np.int64)
-    vander = np.ones((q, d + 1), dtype=np.int64)
-    for j in range(1, d + 1):
-        vander[:, j] = (vander[:, j - 1] * xs) % q
-    evals = (coeffs @ vander.T) % q  # (n, q): evals[v, x] = p_v(x)
+    q, d = _linial_field(g.max_degree(), palette)
+    coeffs, evals = _poly_evals(colors, q, d)  # evals: (n, q)
     resolved = resolve_backend(backend)
     if resolved == "jit":
         # Compiled clash kernel: per node, scan evaluation points until one
@@ -237,23 +236,20 @@ def linial_coloring(g: Graph, *, compact: bool = True) -> ColoringResult:
 
     Starts from the trivial n-coloring (ids) and applies reduction rounds
     until the palette stops shrinking (``O(log* n)`` rounds), reaching
-    ``O(Delta^2 log^2 Delta)`` colors.  With ``compact=True`` the palette is
-    finally renumbered to consecutive ints (a local bookkeeping step, free in
-    the models).
+    ``O(Delta^2 log^2 Delta)`` colors.  The new palette ``q^2`` depends only
+    on ``(Delta, palette)``, so a round that would not shrink it is never
+    evaluated; its check still counts in ``iterations``, which the round
+    ledger bills.  With ``compact=True`` the palette is finally renumbered
+    to consecutive ints (a local bookkeeping step, free in the models).
     """
-    colors = np.arange(g.n, dtype=np.int64)
-    palette = max(g.n, 1)
-    iterations = 0
     if g.m == 0:
         return ColoringResult(np.zeros(g.n, dtype=np.int64), 1, 0)
-    while True:
-        new_colors, new_palette = _linial_step(g, colors, palette)
+    colors = np.arange(g.n, dtype=np.int64)
+    palette, delta, iterations = max(g.n, 1), g.max_degree(), 1
+    # Each evaluated round strictly shrinks the palette, so this terminates.
+    while _linial_field(delta, palette)[0] ** 2 < palette:
+        colors, palette = _linial_step(g, colors, palette)
         iterations += 1
-        if new_palette >= palette:
-            break
-        colors, palette = new_colors, new_palette
-        if iterations > 64:  # safety: log* n is tiny; never trips legitimately
-            raise RuntimeError("Linial reduction failed to converge")
     if compact:
         uniq, inv = np.unique(colors, return_inverse=True)
         colors = inv.astype(np.int64)
@@ -270,8 +266,4 @@ def distance2_coloring(g: Graph) -> ColoringResult:
     hash of the color is a hash of the node as far as Luby's (2-hop-local)
     analysis is concerned.
     """
-    g2 = square_graph(g)
-    res = linial_coloring(g2)
-    return ColoringResult(
-        colors=res.colors, num_colors=res.num_colors, iterations=res.iterations
-    )
+    return linial_coloring(square_graph(g))

@@ -38,20 +38,14 @@ def line_graph(g: Graph, *, max_edges: int | None = 50_000_000) -> Graph:
             f"line graph would have {expected} edges (> cap {max_edges}); "
             "raise max_edges explicitly if intended"
         )
-    pairs_u: list[np.ndarray] = []
-    pairs_v: list[np.ndarray] = []
-    for v in range(g.n):
-        eids = g.incident_edge_ids(v)
-        k = eids.size
-        if k < 2:
-            continue
-        iu = np.triu_indices(k, k=1)
-        pairs_u.append(eids[iu[0]])
-        pairs_v.append(eids[iu[1]])
-    if not pairs_u:
-        return Graph.empty(g.m)
-    edges = np.stack([np.concatenate(pairs_u), np.concatenate(pairs_v)], axis=1)
-    return Graph.from_edges(g.m, edges)
+    # Pair every arc with each later arc of its CSR row, all rows in one
+    # pass: the edge-id pairs meeting at that row's node.
+    arcs = np.arange(g.indices.size, dtype=np.int64)
+    later = np.repeat(g.indptr[1:], np.diff(g.indptr)) - arcs - 1
+    first = np.repeat(arcs, later)
+    step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
+    eids = g.arc_edge_ids
+    return Graph.from_edges(g.m, np.stack([eids[first], eids[first + step]], axis=1))
 
 
 def matching_from_line_mis(g: Graph, line_mis_mask: np.ndarray) -> np.ndarray:

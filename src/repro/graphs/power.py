@@ -41,9 +41,14 @@ def square_graph(g: Graph) -> Graph:
     """
     a = adjacency_matrix(g)
     reach2 = (a @ a).astype(bool) + a
-    reach2 = sp.triu(reach2.tocoo(), k=1).tocoo()
-    edges = np.stack([reach2.row.astype(np.int64), reach2.col.astype(np.int64)], axis=1)
-    return Graph.from_edges(g.n, edges)
+    reach2.sum_duplicates()  # canonical CSR: sorted, duplicate-free rows
+    rows = np.repeat(np.arange(g.n, dtype=reach2.indices.dtype), np.diff(reach2.indptr))
+    upper = reach2.indices > rows
+    # A canonical CSR's row-major upper triangle already is the sorted,
+    # duplicate-free u < v edge list, so it skips from_edges' sort.
+    return Graph._from_canonical(
+        g.n, rows[upper].astype(np.int64), reach2.indices[upper].astype(np.int64)
+    )
 
 
 def r_hop_balls(g: Graph, r: int, *, max_ball: int | None = None) -> list[np.ndarray]:

@@ -289,24 +289,10 @@ def test_linial_step_jit_matches_both_numpy_paths(gseed):
     else:
         # Resolver would degrade to csr; exercise the kernel body directly
         # through the same branch _linial_step takes when numba is present.
-        from repro.graphs.coloring import _poly_digits
-        from repro.hashing.primes import next_prime
+        from repro.graphs.coloring import _linial_field, _poly_evals
 
-        delta = g.max_degree()
-        q = next_prime(max(delta + 2, 3))
-        while True:
-            d = 0
-            while q ** (d + 1) < palette:
-                d += 1
-            if q > d * delta:
-                break
-            q = next_prime(q + 1)
-        coeffs = _poly_digits(colors, q, d)
-        xs = np.arange(q, dtype=np.int64)
-        vander = np.ones((q, d + 1), dtype=np.int64)
-        for j in range(1, d + 1):
-            vander[:, j] = (vander[:, j - 1] * xs) % q
-        evals = (coeffs @ vander.T) % q
+        q, d = _linial_field(g.max_degree(), palette)
+        _, evals = _poly_evals(colors, q, d)
         x_of = kernels_jit.linial_first_free(evals, g.indices, g.indptr)
         jit = (x_of * q + evals[np.arange(g.n), x_of], q * q)
     assert jit[1] == csr[1]

@@ -1,0 +1,199 @@
+"""Reference oracles for the graph-transform layer.
+
+``bfs_depth``, ``line_graph``, ``square_graph`` and ``linial_coloring`` are
+pinned against small pure-Python and networkx references over the graph
+families that stress their edge cases: empty graphs, isolated nodes, stars,
+complete graphs, many small components and relabelled copies.  The
+low-degree driver is pinned to build ``G^2`` once per solve.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, deque
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import repro.core.lowdeg as lowdeg
+import repro.graphs.coloring as coloring
+import repro.graphs.power as power
+from repro.congest import bfs_depth
+from repro.core import Params, lowdeg_maximal_matching, lowdeg_mis, phases_per_stage
+from repro.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    gnp_random_graph,
+    line_graph,
+    linial_coloring,
+    path_graph,
+    square_graph,
+    star_graph,
+)
+from repro.verify import verify_matching_pairs, verify_mis_nodes
+
+#: The per-step kernel as imported, before any test wraps it.
+LINIAL_STEP = coloring._linial_step
+
+
+def _disjoint_union(parts: list[Graph]) -> Graph:
+    offset, edges = 0, [np.empty((0, 2), dtype=np.int64)]
+    for part in parts:
+        edges.append(part.edge_array() + offset)
+        offset += part.n
+    return Graph.from_edges(offset, np.concatenate(edges))
+
+
+@st.composite
+def graph_families(draw) -> Graph:
+    kind = draw(
+        st.sampled_from(["empty", "isolated", "star", "complete", "components", "random"])
+    )
+    if kind == "empty":
+        g = Graph.empty(draw(st.integers(0, 6)))
+    elif kind == "isolated":
+        core = draw(st.integers(2, 8))
+        pair = st.tuples(st.integers(0, core - 1), st.integers(0, core - 1))
+        g = Graph.from_edges(core + draw(st.integers(1, 6)), draw(st.lists(pair, max_size=20)))
+    elif kind == "star":
+        g = star_graph(draw(st.integers(1, 16)))
+    elif kind == "complete":
+        g = complete_graph(draw(st.integers(1, 9)))
+    elif kind == "components":
+        # Many small low-degree pieces: n far above Delta^2, so Linial
+        # evaluates reduction steps before its terminal check.
+        makers = (path_graph, cycle_graph, star_graph, complete_graph)
+        spec = st.tuples(st.integers(0, 3), st.integers(1, 4))
+        parts = draw(st.lists(spec, min_size=1, max_size=90))
+        g = _disjoint_union([makers[k](size) for k, size in parts])
+    else:
+        n = draw(st.integers(1, 24))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        g = Graph.from_edges(n, draw(st.lists(pair, max_size=60)))
+    if g.n and draw(st.booleans()):
+        perm = np.asarray(draw(st.permutations(range(g.n))), dtype=np.int64)
+        g = g.relabel(perm, g.n)
+    return g
+
+
+def bfs_depth_reference(g: Graph) -> int:
+    """Max over components of the BFS eccentricity of the lowest id."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in zip(g.edges_u.tolist(), g.edges_v.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [-1] * g.n
+    depth = 0
+    for root in range(g.n):  # ascending: a component is first met at its lowest id
+        if dist[root] >= 0:
+            continue
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    depth = max(depth, dist[y])
+                    queue.append(y)
+    return depth
+
+
+def linial_reference(g: Graph) -> tuple[np.ndarray, int, int]:
+    """Linial's loop evaluating every step, the terminal one included."""
+    if g.m == 0:
+        return np.zeros(g.n, dtype=np.int64), 1, 0
+    colors, palette, iterations = np.arange(g.n, dtype=np.int64), max(g.n, 1), 0
+    while True:
+        new_colors, new_palette = LINIAL_STEP(g, colors, palette)
+        iterations += 1
+        if new_palette >= palette:
+            break
+        colors, palette = new_colors, new_palette
+    uniq, inv = np.unique(colors, return_inverse=True)
+    return inv.astype(np.int64), int(uniq.size), iterations
+
+
+@given(graph_families())
+def test_bfs_depth_matches_python_bfs(g):
+    assert bfs_depth(g) == bfs_depth_reference(g)
+
+
+@given(graph_families())
+def test_square_graph_is_networkx_power(g):
+    want = nx.power(g.to_networkx(), 2) if g.n else nx.Graph()
+    assert square_graph(g) == Graph.from_edges(g.n, list(want.edges()))
+
+
+@given(graph_families())
+def test_line_graph_is_networkx_line_graph(g):
+    eid = {(u, v): e for e, (u, v) in enumerate(g.edge_array().tolist())}
+    want = nx.line_graph(g.to_networkx())
+    pairs = [(eid[tuple(sorted(a))], eid[tuple(sorted(b))]) for a, b in want.edges()]
+    assert line_graph(g) == Graph.from_edges(g.m, pairs)
+
+
+@given(graph_families())
+def test_linial_matches_every_step_reference(g):
+    colors, num_colors, iterations = linial_reference(g)
+    calls = Counter()
+
+    def counting_step(*args, **kwargs):
+        calls["step"] += 1
+        return LINIAL_STEP(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_linial_step", counting_step)
+        res = linial_coloring(g)
+    assert np.array_equal(res.colors, colors)
+    assert (res.num_colors, res.iterations) == (num_colors, iterations)
+    assert calls["step"] == max(iterations - 1, 0)
+
+
+def test_component_family_reaches_a_reduction_step():
+    """The property above covers evaluated steps, not only the check."""
+    assert linial_coloring(_disjoint_union([path_graph(3)] * 100)).iterations >= 2
+
+
+@pytest.fixture
+def transform_calls(monkeypatch) -> Counter:
+    """Counts ``square_graph`` / ``ball_sizes`` calls through every binding."""
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (power, coloring, lowdeg):
+        for name in ("square_graph", "ball_sizes"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return calls
+
+
+def test_lowdeg_mis_builds_one_square(transform_calls):
+    g = gnp_random_graph(300, 0.02, seed=1)
+    assert phases_per_stage(g.n, g.max_degree(), Params()) == 1
+    assert verify_mis_nodes(g, lowdeg_mis(g).independent_set)
+    assert transform_calls == Counter(square_graph=1)
+
+
+def test_lowdeg_matching_builds_one_square(transform_calls):
+    g = gnp_random_graph(300, 0.02, seed=2)
+    assert verify_matching_pairs(g, lowdeg_maximal_matching(g).pairs)
+    assert transform_calls == Counter(square_graph=1)
+
+
+def test_lowdeg_multi_phase_stages_measure_wider_balls(transform_calls):
+    params = Params(eps=1.0, delta=1.0)
+    g = cycle_graph(200)
+    assert phases_per_stage(g.n, g.max_degree(), params) > 1
+    assert verify_mis_nodes(g, lowdeg_mis(g, params).independent_set)
+    assert transform_calls["square_graph"] == 1
+    assert transform_calls["ball_sizes"] >= 1
