@@ -26,23 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..derand.estimators import certified_slacks
 from ..derand.strategies import (
     SeedSelection,
-    resolve_seed_backend,
     resolve_seed_workers,
     select_seed_batch,
 )
-from ..graphs.kernels import (
-    HAS_SCIPY,
-    group_order_indptr,
-    segment_count_2d,
-    segment_sum_2d,
-)
+from ..graphs.kernels import group_order_indptr
 from ..hashing.kwise import KWiseHashFamily
 from ..mpc.partition import MachineGrouping
 from ..obs import trace as _obs
+from ..obs.metrics import METRICS
 from .params import Params
 
 __all__ = [
@@ -101,19 +97,6 @@ class MachineGroupSpec:
             minlength=self.grouping.num_machines,
         )
 
-    def sampled_totals(self, sampled_mask_of_item: np.ndarray) -> np.ndarray:
-        """Per-machine sampled weight under a boolean per-item mask."""
-        w = (
-            self.weights
-            if self.weights is not None
-            else np.ones(self.grouping.num_items, dtype=np.float64)
-        )
-        return np.bincount(
-            self.grouping.machine_of_item,
-            weights=w * sampled_mask_of_item,
-            minlength=self.grouping.num_machines,
-        )
-
 
 def node_level_spec(
     name: str,
@@ -161,109 +144,120 @@ class StageSearchOutcome:
     certified_lambdas: tuple[np.ndarray, ...] = ()
 
 
-#: Seed-block size from which the sparse item-to-machine incidence is built.
-_INCIDENCE_MIN_BLOCK = 16
+#: A weighted machine's sparse-product sum decides its window verdict only
+#: when it clears the bound by this multiple of the rounding bound
+#: ``gamma_k * W``; cells inside the band are re-summed the reference way.
+#: Two sums each within ``gamma_k * W`` of the exact one differ by at most
+#: twice that, so 4 leaves a factor-2 safety margin.
+_ROUNDING_BAND = 4.0
 
 
-def _build_incidence(indptr: np.ndarray, n_items: int):
-    """Sparse 0/1 machine-by-item matrix (CSR) for machine-sorted items.
+class _MachineStack:
+    """The machines of several groups stacked over the stage's distinct ids.
 
-    Stored as ``(machines, items)`` so the per-chunk product is a plain
-    ``csr @ dense`` with a C-contiguous right-hand side -- scipy's
-    dense-times-sparse fallback would silently ravel-copy the seed block
-    on every call.
+    ``matrix`` is the sparse ``(machines, distinct ids)`` incidence -- int32
+    ones for counted groups, the item weights for summed ones -- so one
+    product with a seed block's ``(ids, S)`` indicator yields every
+    machine's sampled total.  ``mu`` / ``base`` and the ``up`` / ``lo``
+    window flags are concatenated per machine in the same row order.
     """
-    import scipy.sparse as sp
 
-    n_machines = indptr.size - 1
-    return sp.csr_matrix(
-        (
-            np.ones(n_items, dtype=np.int32),
-            (
-                np.repeat(np.arange(n_machines, dtype=np.int64), np.diff(indptr)),
-                np.arange(n_items, dtype=np.int64),
-            ),
-        ),
-        shape=(n_machines, n_items),
-    )
+    def __init__(self, parts: list, n_ids: int, weighted: bool) -> None:
+        groups = [g for g, _, _, _ in parts]
+        machines = [g.grouping.num_machines for g in groups]
+        offsets = np.concatenate([[0], np.cumsum(machines)])
+        rows = np.concatenate(
+            [g.grouping.machine_of_item + off for g, off in zip(groups, offsets)]
+        )
+        data = (
+            np.concatenate([g.weights for g in groups], dtype=np.float64)
+            if weighted
+            else np.ones(rows.size, dtype=np.int32)
+        )
+        self.matrix = sp.csr_matrix(
+            (data, (rows, np.concatenate([c for _, c, _, _ in parts]))),
+            shape=(int(offsets[-1]), n_ids),
+        )
+        self.mu = np.concatenate([mu for _, _, mu, _ in parts])
+        self.base = np.concatenate([base for _, _, _, base in parts])
+        self.up = np.repeat([g.check_upper for g in groups], machines)
+        self.lo = np.repeat([g.check_lower for g in groups], machines)
+        self.any_up, self.any_lo = bool(self.up.any()), bool(self.lo.any())
+        if weighted:
+            # Any summation order of k terms lands within gamma * sum|w| of
+            # the exact sum, gamma = k u / (1 - k u) (k, not k - 1: a hair
+            # wider than the textbook bound, and nonzero for k = 1).
+            ku = np.concatenate([g.grouping.loads for g in groups]) * 2.0**-53
+            w_abs = np.bincount(rows, weights=np.abs(data), minlength=ku.size)
+            self.margin = _ROUNDING_BAND * ku / (1.0 - ku) * w_abs
+            self._parts = parts
+            self._segments = None
 
+    def within(self, got: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """(machines, S) bool ``lo <= got <= hi`` per row, skipping a side
+        no machine of the stack checks (its bounds are all infinite)."""
+        ok = got <= hi[:, None] if self.any_up else None
+        if self.any_lo:
+            above = got >= lo[:, None]
+            ok = above if ok is None else np.logical_and(ok, above, out=ok)
+        return np.ones(got.shape, dtype=bool) if ok is None else ok
 
-def _goodness_counts(
-    family: KWiseHashFamily,
-    threshold: int,
-    prepared: list[list],
-    kappa: float,
-    seeds: np.ndarray,
-) -> np.ndarray:
-    """float64[S]: per-seed count of good machines across all groups.
+    def reference_sums(
+        self, rows: np.ndarray, cols: np.ndarray, sampled: np.ndarray
+    ) -> np.ndarray:
+        """Sampled weight of machine ``rows[i]`` under block seed ``cols[i]``.
 
-    ``prepared`` holds per-group ``(unit_sorted, w_sorted, indptr,
-    incidence, mu, base, check_upper, check_lower)`` -- items pre-permuted
-    into machine order so the per-machine sampled totals are one exact
-    integer reduction along the seed axis (the hash is evaluated directly
-    at the permuted unit ids; elementwise evaluation commutes with the
-    permutation).  ``incidence`` is the sparse item-to-machine 0/1 matrix
-    when scipy is available (sampled counts become one int mat-mat
-    product); otherwise a prefix-sum segment counter runs over ``indptr``.
-    Weighted groups sum float64 via ``reduceat``.  Rows reduce
-    independently, so a single-seed call is bit-identical to the
-    corresponding row of a block call (the batched/scalar parity the
-    strategy layer relies on).
-    """
-    good = np.zeros(np.atleast_1d(np.asarray(seeds)).shape[0], dtype=np.float64)
-    for grp in prepared:
-        unit_sorted, w_sorted, indptr, incidence, mu, base, up, lo = grp
-        sampled = family.indicator_batch(seeds, unit_sorted, threshold)
-        lam = kappa * base
-        if w_sorted is not None:
-            got = segment_sum_2d(w_sorted[None, :] * sampled, indptr)
-            ok = np.ones(got.shape, dtype=bool)
-            if up:
-                ok &= got <= mu[None, :] + lam[None, :] + 1e-9
-            if lo:
-                ok &= got >= mu[None, :] - lam[None, :] - 1e-9
-        else:
-            # The sparse incidence pays off on long scans; short scans
-            # (the abundant-good-seeds common case) never build it.  Both
-            # count paths are exact integers, so the choice cannot change
-            # any outcome.
-            if (
-                incidence is None
-                and sampled.shape[0] >= _INCIDENCE_MIN_BLOCK
-                and HAS_SCIPY
-                and unit_sorted.size
-            ):
-                incidence = grp[3] = _build_incidence(indptr, unit_sorted.size)
-            if incidence is not None:
-                # (machines, S) counts; the transposed layout keeps both
-                # matmul operands contiguous (order="C" matters: a plain
-                # astype of the transposed view stays F-ordered and scipy
-                # would ravel-copy it on every call).
-                got_t = incidence @ sampled.T.astype(np.int32, order="C")
-            else:
-                got_t = segment_count_2d(sampled, indptr).T
-            # Integer counts against integer window bounds: identical
-            # outcomes to the float comparisons, without casting the whole
-            # block to float64.
-            ok = np.ones(got_t.shape, dtype=bool)
-            if up:
-                hi_bound = np.floor(mu + lam + 1e-9).astype(np.int32)
-                ok &= got_t <= hi_bound[:, None]
-            if lo:
-                lo_bound = np.ceil(mu - lam - 1e-9).astype(np.int32)
-                ok &= got_t >= lo_bound[:, None]
-            good += ok.sum(axis=0)
-            continue
-        good += ok.sum(axis=1)
-    return good
+        Summed exactly as the per-item reference does: the machine's items
+        in stable machine order, unsampled items contributing ``0.0``, one
+        ``reduceat`` per machine -- the float rounding the window verdicts
+        are defined by.  Only cells inside the rounding band come here.
+        """
+        if self._segments is None:
+            w_sorted, c_sorted = [], []
+            for g, item_cols, _, _ in self._parts:
+                order, _ = group_order_indptr(
+                    g.grouping.machine_of_item, g.grouping.num_machines
+                )
+                w_sorted.append(g.weights[order])
+                c_sorted.append(item_cols[order])
+            loads = np.concatenate([g.grouping.loads for g, *_ in self._parts])
+            self._segments = (
+                np.concatenate(w_sorted),
+                np.concatenate(c_sorted),
+                np.concatenate([[0], np.cumsum(loads)]),
+            )
+        w_sorted, c_sorted, indptr = self._segments
+        lo = indptr[rows]
+        sizes = indptr[rows + 1] - lo
+        starts = np.cumsum(sizes) - sizes
+        pos = np.arange(int(sizes.sum())) - np.repeat(starts - lo, sizes)
+        values = w_sorted[pos] * sampled[np.repeat(cols, sizes), c_sorted[pos]]
+        sums = np.zeros(rows.size, dtype=np.float64)
+        nonempty = sizes > 0
+        if values.size:
+            sums[nonempty] = np.add.reduceat(values, starts[nonempty])
+        return sums
 
 
 class StageGoodness:
     """Batched all-machines-good counting kernel for one stage search.
 
-    Precomputes, per group, the stable machine sort order, CSR offsets and
-    sorted weights, then counts good machines for a whole seed block with
-    one ``evaluate_batch`` + one 2-D segment reduction per group.
+    Built once per stage: the stage's distinct unit ids, and the machines
+    of every group stacked into two sparse incidences over them (counted
+    and weighted groups).  A seed block then hashes each distinct id once
+    (``indicator_batch`` on the ids, not on every item) and gets every
+    machine's sampled total from one sparse product per incidence.
+
+    Counted groups are exact int32 counts against integer window bounds.
+    Weighted groups (the type-B retention windows) sum float64; their
+    verdicts are defined by the per-machine ``reduceat`` order, which the
+    product does not follow.  Both sums lie within ``gamma_k * W`` of the
+    exact one, so a product sum farther than :data:`_ROUNDING_BAND` times
+    that from each checked bound gives the reference verdict; the few
+    cells inside the band are re-summed the reference way.  Counts are
+    therefore bit-identical to hashing and reducing every item per machine
+    (pinned by the oracle tests), and rows reduce independently, so a
+    single-seed call equals the matching row of a block call.
     """
 
     def __init__(
@@ -276,65 +270,80 @@ class StageGoodness:
     ) -> None:
         self.family = family
         self.threshold = threshold
-        self.prepared: list[list] = []
-        for g, mu, base in zip(groups, mus, base_slacks):
-            order, indptr = group_order_indptr(
-                g.grouping.machine_of_item, g.grouping.num_machines
-            )
-            self.prepared.append(
-                [
-                    g.unit_ids[order],
-                    g.weights[order] if g.weights is not None else None,
-                    indptr,
-                    None,  # incidence: built lazily on the first long scan
-                    mu,
-                    base,
-                    g.check_upper,
-                    g.check_lower,
-                ]
-            )
+        # Distinct ids by presence mask: O(items + max id), no sort.
+        top = max((int(g.unit_ids.max(initial=-1)) for g in groups), default=-1)
+        present = np.zeros(top + 1, dtype=bool)
+        for g in groups:
+            present[g.unit_ids] = True
+        self.ids = np.flatnonzero(present)
+        col_of = np.cumsum(present, dtype=np.int64) - 1
+        parts = [
+            (g, col_of[g.unit_ids], mu, base)
+            for g, mu, base in zip(groups, mus, base_slacks)
+            if g.grouping.num_machines
+        ]
+        counted = [p for p in parts if p[0].weights is None]
+        summed = [p for p in parts if p[0].weights is not None]
+        n_ids = int(self.ids.size)
+        self.counted = _MachineStack(counted, n_ids, False) if counted else None
+        self.summed = _MachineStack(summed, n_ids, True) if summed else None
 
     def counts(self, seeds: np.ndarray, kappa: float) -> np.ndarray:
         """float64[S] good-machine counts for a seed block at slack ``kappa``."""
-        return _goodness_counts(
-            self.family, self.threshold, self.prepared, kappa, seeds
-        )
+        seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+        good = np.zeros(seeds.size, dtype=np.float64)
+        sampled = self.family.indicator_batch(seeds, self.ids, self.threshold)
+        stack = self.counted
+        if stack is not None:
+            # (machines, S) int32 counts; order="C" keeps scipy from
+            # ravel-copying the transposed indicator on every call.
+            got = stack.matrix @ sampled.T.astype(np.int32, order="C")
+            lam = kappa * stack.base
+            hi = np.where(
+                stack.up, np.floor(stack.mu + lam + 1e-9), np.iinfo(np.int32).max
+            ).astype(np.int32)
+            lo = np.where(
+                stack.lo, np.ceil(stack.mu - lam - 1e-9), np.iinfo(np.int32).min
+            ).astype(np.int32)
+            good += np.count_nonzero(stack.within(got, hi, lo), axis=0)
+        stack = self.summed
+        if stack is not None:
+            got = stack.matrix @ sampled.T.astype(np.float64, order="C")
+            lam = kappa * stack.base
+            hi = np.where(stack.up, stack.mu + lam + 1e-9, np.inf)
+            lo = np.where(stack.lo, stack.mu - lam - 1e-9, -np.inf)
+            # The window shrunk / grown by the margin, each edge rounded
+            # outward so the float arithmetic cannot eat into it: inside
+            # the shrunk window the reference sum passes, outside the grown
+            # one it fails, and only the band between is re-summed.
+            m = stack.margin
+            sure = stack.within(
+                got, np.nextafter(hi - m, -np.inf), np.nextafter(lo + m, np.inf)
+            )
+            maybe = stack.within(
+                got, np.nextafter(hi + m, np.inf), np.nextafter(lo - m, -np.inf)
+            )
+            good += np.count_nonzero(sure, axis=0)
+            band = maybe > sure
+            if band.any():
+                rows, cols = np.nonzero(band)
+                exact = stack.reference_sums(rows, cols, sampled)
+                ok = (exact <= hi[rows]) & (exact >= lo[rows])
+                good += np.bincount(cols, weights=ok, minlength=seeds.size)
+        return good
 
     def payload(self, kappa: float) -> dict:
-        """Picklable payload for :func:`stage_goodness_kernel` workers.
-
-        Incidences are force-built first: each worker evaluates many seed
-        blocks against the shipped payload, and lazily rebuilding the
-        sparse matrix per block would waste the pool's time.
-        """
-        if HAS_SCIPY:
-            for grp in self.prepared:
-                if grp[1] is None and grp[3] is None and grp[0].size:
-                    grp[3] = _build_incidence(grp[2], grp[0].size)
-        return {
-            "q": self.family.q,
-            "k": self.family.k,
-            "threshold": self.threshold,
-            "kappa": kappa,
-            "groups": self.prepared,
-        }
+        """Picklable payload for :func:`stage_goodness_kernel` workers."""
+        return {"goodness": self, "kappa": kappa}
 
 
 def stage_goodness_kernel(payload: dict, seeds: np.ndarray) -> np.ndarray:
     """Top-level (picklable) goodness kernel for the parallel seed scan.
 
-    Reconstructs the hash family from ``(q, k)`` and runs the exact same
-    counting code as :meth:`StageGoodness.counts`, so worker-evaluated seed
-    blocks are bit-identical to in-process ones.
+    Runs :meth:`StageGoodness.counts` on the shipped stage, so worker-
+    evaluated seed blocks are bit-identical to in-process ones.
     """
-    family = KWiseHashFamily(q=payload["q"], k=payload["k"])
-    return _goodness_counts(
-        family,
-        payload["threshold"],
-        payload["groups"],
-        payload["kappa"],
-        seeds,
-    )
+    return payload["goodness"].counts(seeds, payload["kappa"])
 
 
 def run_stage_seed_search(
@@ -378,11 +387,6 @@ def run_stage_seed_search(
 
     goodness = StageGoodness(family, threshold, groups, mus, base_slacks)
     workers = resolve_seed_workers(params.seed_scan_workers)
-    # The jit seed backend swaps the per-chunk numpy counting kernel for
-    # one fused compiled loop (serial scans only: the process pool ships
-    # the numpy payload).  Bit-identical counts either way, so the
-    # selection outcome cannot depend on the resolved backend.
-    use_jit = workers <= 1 and resolve_seed_backend(params.seed_backend) == "jit"
 
     kappa = float(max(n, 2) ** (0.1 * params.delta_value))
     escalations = 0
@@ -423,15 +427,9 @@ def run_stage_seed_search(
                 workers=workers,
             )
         else:
-            if use_jit:
-                from ..derand.seed_jit import make_stage_objective
-
-                objective = make_stage_objective(goodness, kap)
-            else:
-                objective = lambda seeds: goodness.counts(seeds, kap)  # noqa: E731
             sel = select_seed_batch(
                 family.size,
-                objective,
+                lambda seeds: goodness.counts(seeds, kap),
                 strategy="scan",
                 target=float(total_machines),
                 max_trials=params.max_scan_trials,
@@ -456,6 +454,9 @@ def run_stage_seed_search(
                 lambdas=tuple(lam),
                 certified_lambdas=certified,
             ))
+        # Degraded modes are never silent: one count per scan that ends
+        # without an all-good seed, one per slack escalation.
+        METRICS.inc("stage.scan_exhausted")
         escalations += 1
         if escalations > params.max_slack_escalations:
             fidelity.append(
@@ -475,6 +476,7 @@ def run_stage_seed_search(
                 lambdas=tuple(lam),
                 certified_lambdas=certified,
             ))
+        METRICS.inc("stage.slack_escalations")
         fidelity.append(
             f"stage slack escalated to kappa={kappa * params.slack_escalation:.3f}"
         )

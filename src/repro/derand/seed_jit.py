@@ -1,30 +1,17 @@
-"""Fused JIT seed-scan objectives (the ``jit`` seed backend).
+"""Fused JIT seed-scan objective (the ``jit`` seed backend).
 
 The batched seed engine in :mod:`repro.derand.strategies` evaluates
-objectives chunk by chunk through numpy kernels: one ``(S, N)`` hash grid
-per chunk, then 2-D segment reductions.  This module builds
-:data:`~repro.derand.strategies.BatchObjective` closures over the compiled
-loops in :mod:`repro.graphs.kernels_jit` that fuse the stacked-Horner
-k-wise hash evaluation *into* the reduction -- one pass over
-``(seed_chunk x items)`` with incremental per-seed hash stepping and no
-``(S, N)`` intermediate:
+objectives chunk by chunk through numpy kernels.  :func:`make_lowdeg_objective`
+builds the :data:`~repro.derand.strategies.BatchObjective` closure over the
+compiled loop in :mod:`repro.graphs.kernels_jit` that fuses the Luby-step
+select/reduce of one low-degree phase (:func:`repro.core.lowdeg.lowdeg_mis`):
+color-hash keys, local-minimum candidate mask, and the covered-degree
+objective in three O(n + arcs) passes over reusable scratch, with no
+``(S, n)`` key grid.
 
-* :func:`make_stage_objective` -- the all-machines-good count of one
-  sparsification stage search (:class:`repro.core.stage.StageGoodness`),
-  bit-identical to ``StageGoodness.counts`` by construction: integer
-  sampled counts against the same integer window bounds.  Weighted groups
-  (float64 ``reduceat`` accumulation, whose summation order a sequential
-  loop would not replicate exactly) stay on the numpy path per group and
-  the two contributions are summed -- good-machine counts are small-int
-  float adds, so mixing paths cannot change any outcome.
-* :func:`make_lowdeg_objective` -- the fused Luby-step select/reduce of one
-  low-degree phase (:func:`repro.core.lowdeg.lowdeg_mis`): color-hash keys,
-  local-minimum candidate mask, and the covered-degree objective in three
-  O(n + arcs) passes over reusable scratch.
-
-Both builders assume the caller resolved the ``jit`` seed backend (numba
-present); without numba the closures still run through the plain-Python
-kernel bodies, which is how the parity suite exercises them everywhere.
+The builder assumes the caller resolved the ``jit`` seed backend (numba
+present); without numba the closure still runs through the plain-Python
+kernel body, which is how the parity suite exercises it everywhere.
 """
 
 from __future__ import annotations
@@ -33,69 +20,7 @@ import numpy as np
 
 from ..graphs import kernels_jit
 
-__all__ = ["make_stage_objective", "make_lowdeg_objective"]
-
-
-def make_stage_objective(goodness, kappa: float):
-    """Fused :data:`BatchObjective` twin of ``StageGoodness.counts``.
-
-    ``goodness`` is a :class:`repro.core.stage.StageGoodness`; ``kappa`` is
-    the current slack multiplier (the window bounds bake it in, so the
-    builder is re-invoked per escalation -- it only redoes cheap bound
-    arithmetic).
-    """
-    family = goodness.family
-    q = np.uint64(family.q)
-    threshold = np.uint64(goodness.threshold)
-    run = kernels_jit.kernel("stage_goodness")
-    fused = []
-    weighted = []
-    for grp in goodness.prepared:
-        unit_sorted, w_sorted, indptr, _inc, mu, base, up, lo = grp
-        if w_sorted is None:
-            lam = kappa * base
-            # Same integer windows as the numpy count path (int64 vs its
-            # int32 is immaterial: the values are machine loads).
-            hi_bound = np.floor(mu + lam + 1e-9).astype(np.int64)
-            lo_bound = np.ceil(mu - lam - 1e-9).astype(np.int64)
-            fused.append((
-                np.ascontiguousarray(unit_sorted, dtype=np.uint64),
-                np.ascontiguousarray(indptr, dtype=np.int64),
-                hi_bound,
-                lo_bound,
-                bool(up),
-                bool(lo),
-            ))
-        else:
-            weighted.append(grp)
-
-    def objective(seeds: np.ndarray) -> np.ndarray:
-        seed_arr = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-        good = np.zeros(seed_arr.size, dtype=np.float64)
-        if fused:
-            coeffs = np.ascontiguousarray(
-                family._stacked_coefficients(seed_arr)
-            )
-            # fresh[s]: seed s needs a fresh Horner base -- run start, a
-            # non-contiguous jump, or a digit-0 rollover (digit 0 holds the
-            # linear coefficient, so h_{s+1}(x) = h_s(x) + x mod q inside a
-            # run; see KWiseHashFamily._evaluate_contiguous).
-            fresh = np.empty(seed_arr.size, dtype=bool)
-            fresh[0] = True
-            fresh[1:] = np.diff(seed_arr) != 1
-            fresh |= seed_arr % family.q == 0
-            for units, indptr, hi_bound, lo_bound, up, lo in fused:
-                run(coeffs, q, threshold, fresh, units, indptr, hi_bound,
-                    lo_bound, up, lo, good)
-        if weighted:
-            from ..core.stage import _goodness_counts
-
-            good += _goodness_counts(
-                family, goodness.threshold, weighted, kappa, seed_arr
-            )
-        return good
-
-    return objective
+__all__ = ["make_lowdeg_objective"]
 
 
 def make_lowdeg_objective(

@@ -55,7 +55,6 @@ __all__ = [
     "segment_min_2d",
     "segment_min_block_fn",
     "segment_sum",
-    "segment_sum_2d",
 ]
 
 BACKENDS = ("csr", "legacy", "jit")
@@ -182,17 +181,6 @@ def segment_min_2d(values: np.ndarray, indptr: np.ndarray, fill) -> np.ndarray:
         return out
     nonempty = indptr[:-1] < indptr[1:]
     out[:, nonempty] = np.minimum.reduceat(values, indptr[:-1][nonempty], axis=1)
-    return out
-
-
-def segment_sum_2d(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment sum along axis 1 (0 when empty); rows reduce independently."""
-    n = indptr.size - 1
-    out = np.zeros((values.shape[0], n), dtype=values.dtype)
-    if values.shape[1] == 0 or n == 0:
-        return out
-    nonempty = indptr[:-1] < indptr[1:]
-    out[:, nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], axis=1)
     return out
 
 

@@ -12,10 +12,9 @@ compiled loops:
   padded table;
 * :func:`linial_first_free` -- the Linial clash kernel: per node, the first
   evaluation point no neighbour collides on (early exit per ``x``);
-* the stage-goodness and Luby/lowdeg phase loops consumed by
-  :mod:`repro.derand.seed_jit`, which fuse the stacked-Horner k-wise hash
-  evaluation *into* the segment reduction so no ``(S, N)`` indicator matrix
-  is ever built.
+* the low-degree Luby phase loop consumed by :mod:`repro.derand.seed_jit`,
+  which fuses the color-hash keys into the neighbourhood select/reduce so
+  no ``(S, n)`` key grid is ever built.
 
 Gating follows the scipy pattern in :mod:`repro.graphs.kernels`: numba is
 probed lazily, and when it is missing or import-broken the backend resolvers
@@ -170,56 +169,6 @@ def _linial_first_free(evals, indices, indptr, out):
     return missing
 
 
-def _stage_goodness(coeffs, q, threshold, fresh, units, indptr, hi_bound,
-                    lo_bound, check_up, check_lo, good):
-    """Fused stage-goodness count for one unweighted machine group.
-
-    For each machine ``i`` and unit id ``x`` of the machine, sampled counts
-    are accumulated per seed; ``good[s]`` gains 1 iff machine ``i``'s count
-    lies in the integer window ``[lo_bound[i], hi_bound[i]]`` (each side
-    gated by its flag) -- the same integer comparisons as the numpy count
-    path, so the totals match bit-for-bit.
-
-    The inner seed loop uses the same incremental identity as the numpy
-    contiguous-run fast path: seed digit 0 holds the linear coefficient, so
-    ``h_{s+1}(x) = h_s(x) + x (mod q)`` until the digit rolls over.
-    ``fresh[s]`` marks seeds needing a fresh Horner base (run starts /
-    rollovers), precomputed by the caller from the seed block; values stay
-    in ``[0, q)`` so the reduction is one compare-and-subtract.  One pass
-    over ``(items x seed_chunk)`` with an O(seed_chunk) cache-resident
-    count scratch -- no ``(S, N)`` hash or indicator grid.
-    """
-    k = coeffs.shape[0]
-    S = coeffs.shape[1]
-    cnt = np.zeros(S, dtype=np.int64)
-    for i in range(indptr.shape[0] - 1):
-        for s in range(S):
-            cnt[s] = 0
-        for j in range(indptr[i], indptr[i + 1]):
-            x = units[j]
-            step = x if k >= 2 else np.uint64(1)
-            h = np.uint64(0)
-            for s in range(S):
-                if fresh[s]:
-                    h = coeffs[k - 1, s]
-                    for a in range(k - 2, -1, -1):
-                        h = (h * x + coeffs[a, s]) % q
-                else:
-                    h = h + step
-                    if h >= q:
-                        h -= q
-                if h < threshold:
-                    cnt[s] += 1
-        for s in range(S):
-            ok = True
-            if check_up and cnt[s] > hi_bound[i]:
-                ok = False
-            if check_lo and cnt[s] < lo_bound[i]:
-                ok = False
-            if ok:
-                good[s] += 1.0
-
-
 def _lowdeg_phase(coeffs, q, colors_live, live, indices, indptr, deg_sel,
                   stride, maxkey, key, imask, out):
     """Fused lowdeg/Luby phase objective: select keys, local minima, reduce.
@@ -273,7 +222,6 @@ _BODIES = {
     "segment_any_block": _segment_any_block,
     "segment_count": _segment_count,
     "linial_first_free": _linial_first_free,
-    "stage_goodness": _stage_goodness,
     "lowdeg_phase": _lowdeg_phase,
 }
 

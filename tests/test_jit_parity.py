@@ -24,16 +24,13 @@ from hypothesis import strategies as st
 
 from repro.core.lowdeg import _a_set_weight, lowdeg_mis
 from repro.core.params import Params
-from repro.core.stage import MachineGroupSpec, StageGoodness
-from repro.derand.seed_jit import make_lowdeg_objective, make_stage_objective
+from repro.derand.seed_jit import make_lowdeg_objective
 from repro.derand.strategies import resolve_seed_backend
 from repro.graphs import gnp_random_graph
 from repro.graphs import kernels, kernels_jit
 from repro.graphs.coloring import _linial_step, distance2_coloring
 from repro.graphs.kernels import kernel_backend_scope, resolve_backend
 from repro.hashing.families import make_color_family
-from repro.hashing.kwise import KWiseHashFamily
-from repro.mpc.partition import chunk_items_by_group
 from repro.obs.metrics import METRICS
 
 HAS_NUMBA = kernels_jit.available()
@@ -147,68 +144,6 @@ def test_segment_builders_dispatch_through_switchboard():
 
 
 # --------------------------------------------------------------------- #
-# Fused stage seed-scan objective
-# --------------------------------------------------------------------- #
-
-
-def _stage_goodness(rng, k, q=257):
-    fam = KWiseHashFamily(q=q, k=k)
-
-    def spec(n_items, n_groups, weights=None, up=True, lo=True):
-        groups = np.sort(rng.integers(0, n_groups, size=n_items))
-        units = rng.integers(0, q, size=n_items).astype(np.int64)
-        return MachineGroupSpec(
-            name=f"g{n_groups}",
-            grouping=chunk_items_by_group(groups, 8),
-            unit_ids=units,
-            weights=weights,
-            check_upper=up,
-            check_lower=lo,
-        )
-
-    specs = [
-        spec(120, 11, up=True, lo=False),
-        spec(90, 7, up=True, lo=True),
-        spec(80, 5, weights=rng.random(80), up=True, lo=False),
-        spec(60, 6, up=False, lo=True),
-    ]
-    mus, bases = [], []
-    for s in specs:
-        nm = s.grouping.num_machines
-        mus.append(rng.random(nm) * 4.0)
-        bases.append(rng.random(nm) * 3.0 + 0.5)
-    return StageGoodness(fam, 77, specs, mus, bases), fam
-
-
-@pytest.mark.parametrize("k", [1, 2, 4])
-@pytest.mark.parametrize("kappa", [1.0, 1.5])
-def test_stage_objective_matches_counts(k, kappa):
-    rng = np.random.default_rng(5 + k)
-    goodness, fam = _stage_goodness(rng, k)
-    fused = make_stage_objective(goodness, kappa)
-    blocks = [
-        np.arange(1, 120),  # contiguous run
-        np.arange(250, 270) % fam.size,  # spans a digit-0 rollover (q=257)
-        rng.integers(0, fam.size, size=60),  # arbitrary block
-        np.array([3]),  # scalar
-    ]
-    for seeds in blocks:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        assert np.array_equal(goodness.counts(seeds, kappa), fused(seeds))
-
-
-@given(st.integers(0, 2**31), st.integers(2, 40))
-@settings(max_examples=25)
-def test_stage_objective_property(seed, block):
-    rng = np.random.default_rng(seed)
-    goodness, fam = _stage_goodness(rng, 3)
-    fused = make_stage_objective(goodness, 1.0)
-    start = int(rng.integers(0, fam.size - block))
-    seeds = np.arange(start, start + block, dtype=np.int64)
-    assert np.array_equal(goodness.counts(seeds, 1.0), fused(seeds))
-
-
-# --------------------------------------------------------------------- #
 # Fused low-degree Luby phase objective
 # --------------------------------------------------------------------- #
 
@@ -314,19 +249,6 @@ def test_lowdeg_mis_end_to_end_jit_identical():
     assert np.array_equal(base.independent_set, jit.independent_set)
     assert base.iterations == jit.iterations
     assert base.rounds == jit.rounds
-
-
-@needs_numba
-def test_stage_solve_end_to_end_jit_identical():
-    from repro.core.matching import deterministic_maximal_matching
-
-    g = gnp_random_graph(120, 0.06, seed=17)
-    base = deterministic_maximal_matching(g, Params())
-    jit = deterministic_maximal_matching(
-        g, Params(kernel_backend="jit", seed_backend="jit")
-    )
-    assert np.array_equal(base.pairs, jit.pairs)
-    assert base.iterations == jit.iterations
 
 
 def test_jit_backend_solve_never_errors_without_numba():

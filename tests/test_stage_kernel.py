@@ -1,0 +1,270 @@
+"""The sparse stage-goodness kernel against the per-item reference it replaced.
+
+:class:`repro.core.stage.StageGoodness` hashes each distinct unit id once per
+seed block and counts machines with sparse products; weighted windows go
+through a rounding filter with an exact ``reduceat`` fallback.  The oracle
+below is the straightforward kernel: hash every item, sort items by machine,
+and reduce each machine's segment (integer counts for unweighted groups, a
+float64 ``reduceat`` for weighted ones).  Good-machine counts must agree
+exactly for every seed block and slack.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Params
+from repro.core import stage as stage_mod
+from repro.core.matching import deterministic_maximal_matching
+from repro.core.stage import (
+    MachineGroupSpec,
+    StageGoodness,
+    node_level_spec,
+    stage_goodness_kernel,
+)
+from repro.graphs import gnp_random_graph
+from repro.graphs.kernels import group_order_indptr, segment_count_2d
+from repro.hashing.kwise import KWiseHashFamily
+from repro.mpc.partition import chunk_items_by_group
+from repro.obs.metrics import METRICS
+
+Q = 257  # digit 0 of the seed rolls over every 257 seeds
+THRESHOLD = 77
+KAPPAS = (1.0, 1.5, 3.375)
+
+
+def segment_sum_2d(values, indptr):
+    """Per-machine float64 sums along axis 1: one ``reduceat`` per segment."""
+    out = np.zeros((values.shape[0], indptr.size - 1), dtype=values.dtype)
+    nonempty = indptr[:-1] < indptr[1:]
+    if values.shape[1]:
+        out[:, nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], axis=1)
+    return out
+
+
+def reference_counts(family, threshold, groups, mus, bases, kappa, seeds):
+    """float64[S] good machines: hash every item, reduce per machine."""
+    good = np.zeros(seeds.size, dtype=np.float64)
+    for g, mu, base in zip(groups, mus, bases):
+        order, indptr = group_order_indptr(
+            g.grouping.machine_of_item, g.grouping.num_machines
+        )
+        sampled = family.indicator_batch(seeds, g.unit_ids[order], threshold)
+        lam = kappa * base
+        ok = np.ones((seeds.size, g.grouping.num_machines), dtype=bool)
+        if g.weights is not None:
+            got = segment_sum_2d(g.weights[order][None, :] * sampled, indptr)
+            if g.check_upper:
+                ok &= got <= mu[None, :] + lam[None, :] + 1e-9
+            if g.check_lower:
+                ok &= got >= mu[None, :] - lam[None, :] - 1e-9
+        else:
+            got = segment_count_2d(sampled, indptr)
+            if g.check_upper:
+                ok &= got <= np.floor(mu + lam + 1e-9).astype(np.int32)[None, :]
+            if g.check_lower:
+                ok &= got >= np.ceil(mu - lam - 1e-9).astype(np.int32)[None, :]
+        good += ok.sum(axis=1)
+    return good
+
+
+def random_stage(rng, k):
+    """A stage with every group shape the samplers produce, and then some.
+
+    Ids come from one small pool, so groups share ids and a machine can
+    hold the same id twice; windows are upper-only, lower-only or
+    two-sided; one group is empty; chunk and node-level groupings mix.
+    """
+    family = KWiseHashFamily(q=Q, k=k)
+    pool = rng.choice(Q, size=int(rng.integers(1, 60)), replace=False)
+    sides = [(True, False), (False, True), (True, True)]
+    groups = []
+    for i in range(int(rng.integers(2, 6))):
+        n_items = 0 if i == 1 else int(rng.integers(1, 150))
+        nodes = np.sort(rng.integers(0, int(rng.integers(1, 12)), size=n_items))
+        units = rng.choice(pool, size=n_items).astype(np.int64)
+        weights = rng.random(n_items) if rng.random() < 0.5 else None
+        up, lo = sides[int(rng.integers(0, 3))]
+        if rng.random() < 0.3:
+            groups.append(node_level_spec(
+                f"g{i}/node", nodes, units, weights=weights,
+                check_upper=up, check_lower=lo,
+            ))
+        else:
+            groups.append(MachineGroupSpec(
+                name=f"g{i}",
+                grouping=chunk_items_by_group(nodes, int(rng.integers(1, 9))),
+                unit_ids=units, weights=weights, check_upper=up, check_lower=lo,
+            ))
+    p = THRESHOLD / Q
+    mus = [p * g.weight_totals() for g in groups]
+    bases = [rng.random(g.grouping.num_machines) * 2.0 + 0.2 for g in groups]
+    return family, groups, mus, bases
+
+
+def seed_blocks(rng, family):
+    """Contiguous, digit-0 rollover, arbitrary, and single-seed blocks."""
+    start = int(rng.integers(1, family.size - 80))
+    roll = int(rng.integers(1, min(family.size // Q, 50) + 1)) * Q
+    blocks = [
+        np.arange(start, start + int(rng.integers(2, 80))),
+        np.arange(roll - 7, min(roll + 13, family.size)),
+        rng.integers(0, family.size, size=int(rng.integers(2, 60))),
+        np.array([int(rng.integers(0, family.size))]),
+    ]
+    return [b.astype(np.int64) for b in blocks if b.size]
+
+
+def check_against_reference(rng, k, kappas) -> int:
+    """Assert the kernel matches the oracle on every block kind and slack.
+
+    Returns the number of weighted (machine, seed) cells evaluated.
+    """
+    family, groups, mus, bases = random_stage(rng, k)
+    goodness = StageGoodness(family, THRESHOLD, groups, mus, bases)
+    weighted = sum(g.grouping.num_machines for g in groups if g.weights is not None)
+    cells = 0
+    for seeds in seed_blocks(rng, family):
+        for kappa in kappas:
+            want = reference_counts(
+                family, THRESHOLD, groups, mus, bases, kappa, seeds
+            )
+            assert np.array_equal(goodness.counts(seeds, kappa), want)
+            # Rows reduce independently: one seed equals its row of the block.
+            assert goodness.counts(seeds[-1:], kappa)[0] == want[-1]
+            cells += weighted * (seeds.size + 1)
+    return cells
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_counts_match_reference(kappa, k):
+    check_against_reference(np.random.default_rng(5 + k), k, [kappa])
+
+
+@given(st.integers(0, 2**31), st.sampled_from([1, 2, 4]))
+@settings(max_examples=40)
+def test_counts_match_reference_property(seed, k):
+    check_against_reference(np.random.default_rng(seed), k, KAPPAS)
+
+
+@given(st.integers(0, 2**31), st.sampled_from([1, 2, 4]))
+@settings(max_examples=15)
+def test_exact_fallback_matches_reference(seed, k):
+    """A band so wide that every weighted cell is re-summed the reference way."""
+    seen = []
+    original = stage_mod._MachineStack.reference_sums
+
+    def spy(self, rows, cols, sampled):
+        seen.append(rows.size)
+        return original(self, rows, cols, sampled)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage_mod, "_ROUNDING_BAND", 1e300)
+        mp.setattr(stage_mod._MachineStack, "reference_sums", spy)
+        cells = check_against_reference(np.random.default_rng(seed), k, KAPPAS)
+    assert sum(seen) == cells
+
+
+@given(st.integers(0, 2**31), st.sampled_from([1, 2, 4]))
+@settings(max_examples=15)
+def test_reference_sums_are_the_reduceat_sums_bit_for_bit(seed, k):
+    """The fallback re-sums a machine exactly as the per-item oracle does."""
+    rng = np.random.default_rng(seed)
+    family, groups, mus, bases = random_stage(rng, k)
+    weighted = [g for g in groups if g.weights is not None and g.unit_ids.size]
+    if not weighted:
+        return
+    goodness = StageGoodness(family, THRESHOLD, groups, mus, bases)
+    for seeds in seed_blocks(rng, family):
+        want = []
+        for g in weighted:
+            order, indptr = group_order_indptr(
+                g.grouping.machine_of_item, g.grouping.num_machines
+            )
+            sampled = family.indicator_batch(seeds, g.unit_ids[order], THRESHOLD)
+            want.append(segment_sum_2d(g.weights[order][None, :] * sampled, indptr))
+        want = np.concatenate(want, axis=1)
+        rows, cols = np.nonzero(np.ones(want.T.shape, dtype=bool))
+        got = goodness.summed.reference_sums(
+            rows, cols, family.indicator_batch(seeds, goodness.ids, THRESHOLD)
+        )
+        assert got.tobytes() == want.T[rows, cols].tobytes()
+
+
+def straddling_machine(rng, family, seeds, n=64):
+    """One weighted machine, a seed and a ``mu`` whose lower bound lies
+    strictly between the product's sum and the reference sum, more than an
+    ulp from either: the verdicts differ unless the band sends the cell to
+    the exact fallback."""
+    units = np.arange(n)[::-1].copy()  # the product sums in the other order
+    grouping = chunk_items_by_group(np.zeros(n, dtype=np.int64), n)
+    for _ in range(100):
+        weights = rng.random(n) * 10.0 ** rng.integers(-6, 1, size=n)
+        spec = MachineGroupSpec(
+            name="B", grouping=grouping, unit_ids=units, weights=weights,
+            check_upper=False, check_lower=True,
+        )
+        zero = [np.zeros(1)]
+        goodness = StageGoodness(family, THRESHOLD, [spec], zero, zero)
+        sampled = family.indicator_batch(seeds, goodness.ids, THRESHOLD)
+        product = (goodness.summed.matrix @ sampled.T.astype(np.float64))[0]
+        reference = segment_sum_2d(
+            weights[None, :] * family.indicator_batch(seeds, units, THRESHOLD),
+            np.array([0, n]),
+        )[:, 0]
+        for j in np.nonzero(product != reference)[0]:
+            low, high = sorted((product[j], reference[j]))
+            mu = high + 1e-9
+            for _ in range(64):  # the bound is mu - lam - 1e-9 with lam = 0
+                bound = mu - 0.0 - 1e-9
+                below, above = np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)
+                if low < below and above < high:
+                    return spec, int(j), mu
+                mu = np.nextafter(mu, -np.inf)
+    pytest.fail("no seed whose product and reference sums straddle a bound")
+
+
+def test_bound_between_product_and_reference_sum_takes_the_fallback():
+    family = KWiseHashFamily(q=Q, k=2)
+    seeds = np.arange(1, 257, dtype=np.int64)
+    spec, j, mu = straddling_machine(np.random.default_rng(0), family, seeds)
+    mus, bases = [np.array([mu])], [np.zeros(1)]
+    one = seeds[j : j + 1]
+    goodness = StageGoodness(family, THRESHOLD, [spec], mus, bases)
+    want = reference_counts(family, THRESHOLD, [spec], mus, bases, 1.0, one)
+    assert np.array_equal(goodness.counts(one, 1.0), want)
+
+
+def test_worker_payload_runs_the_same_kernel():
+    rng = np.random.default_rng(3)
+    family, groups, mus, bases = random_stage(rng, 4)
+    goodness = StageGoodness(family, THRESHOLD, groups, mus, bases)
+    shipped = pickle.loads(pickle.dumps(goodness.payload(1.5)))
+    seeds = np.arange(1, 65, dtype=np.int64)
+    assert np.array_equal(
+        stage_goodness_kernel(shipped, seeds), goodness.counts(seeds, 1.5)
+    )
+
+
+def test_stage_degradation_counters_match_records():
+    """Every exhausted scan and every slack escalation is counted."""
+    g = gnp_random_graph(400, 0.1, seed=1)
+    before = METRICS.export()
+    res = deterministic_maximal_matching(g, Params())
+    after = METRICS.export()
+    stages = [s for r in res.records for s in r.stages]
+    assert stages[0].escalations >= 1  # this input's first stage escalates
+
+    def delta(name):
+        return after.get(name, 0) - before.get(name, 0)
+
+    assert delta("stage.scan_exhausted") == sum(s.escalations for s in stages)
+    assert delta("stage.slack_escalations") == sum(
+        s.escalations - (not s.all_good) for s in stages
+    )
