@@ -32,11 +32,11 @@ import math
 import numpy as np
 
 from ..derand.strategies import resolve_seed_backend, select_seed_batch
-from ..graphs.coloring import linial_coloring
+from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
 from ..graphs.kernels import segment_any_block_fn, segment_min_block_fn
 from ..graphs.linegraph import line_graph
-from ..graphs.power import ball_sizes, square_graph
+from ..graphs.power import ball_sizes, hop_pattern
 from ..hashing.families import make_color_family
 from ..mpc.context import MPCContext
 from ..obs import trace as _obs
@@ -106,11 +106,10 @@ def lowdeg_mis(
         )
 
     # ---------------- preprocessing (O(log log n) rounds) ---------------- #
-    # One G^2 gives both the distance-2 coloring and the r = 2 ball sizes
-    # (a node's G^2 degree); it is dropped before the phases to bound memory.
-    square = square_graph(graph)
-    coloring = linial_coloring(square)
-    ball2_sizes = square.degrees()
+    # The two-hop pattern's row counts are the r = 2 ball sizes.
+    square = hop_pattern(graph)
+    coloring = distance2_coloring(graph, square=square)
+    ball2_sizes = np.diff(square.indptr).astype(np.int64)
     del square
     # Linial rounds exchange current colors over every edge (both directions).
     ctx.ledger.charge(

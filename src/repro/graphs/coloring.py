@@ -17,7 +17,9 @@ squares ``log`` of the palette downward; ``O(log* n)`` iterations reach a
 palette of size ``O(Delta^2 log^2 Delta)``.
 
 For the Section-5 pipeline we color ``G^2`` (max degree ``<= Delta^2``),
-yielding the ``O(Delta^4)``-ish distance-2 palette the paper needs.
+yielding the ``O(Delta^4)``-ish distance-2 palette the paper needs.  The
+reduction only reads each node's arcs (``indptr`` / ``indices``, in any order
+within a row), so it colors ``G^2``'s unsorted two-hop pattern as it is.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..hashing.primes import next_prime
 from .graph import Graph
 from .kernels import resolve_backend
-from .power import square_graph
+from .power import hop_pattern, square_graph
 
 __all__ = [
     "ColoringResult",
@@ -39,6 +42,10 @@ __all__ = [
     "validate_coloring",
     "validate_distance2_coloring",
 ]
+
+
+#: What Linial colors: a graph, or a ``hop_pattern`` CSR of one.
+Arcs = Graph | sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -112,10 +119,11 @@ _LINIAL_BLOCK_ELEMS = 1 << 25
 
 
 def _linial_step(
-    g: Graph, colors: np.ndarray, palette: int, *, backend: str | None = None
+    g: Arcs, colors: np.ndarray, palette: int, *, backend: str | None = None
 ) -> tuple[np.ndarray, int]:
     """One Linial reduction round: palette ``K -> q^2``."""
-    q, d = _linial_field(g.max_degree(), palette)
+    n = g.indptr.size - 1
+    q, d = _linial_field(int(np.diff(g.indptr).max(initial=0)), palette)
     coeffs, evals = _poly_evals(colors, q, d)  # evals: (n, q)
     resolved = resolve_backend(backend)
     if resolved == "jit":
@@ -126,11 +134,11 @@ def _linial_step(
         from .kernels_jit import linial_first_free
 
         x_of = linial_first_free(evals, g.indices, g.indptr)
-        return x_of * q + evals[np.arange(g.n), x_of], q * q
+        return x_of * q + evals[np.arange(n), x_of], q * q
     if resolved == "legacy":
-        new_colors = np.empty(g.n, dtype=np.int64)
-        for v in range(g.n):
-            nbrs = g.neighbors(v)
+        new_colors = np.empty(n, dtype=np.int64)
+        for v in range(n):
+            nbrs = g.indices[g.indptr[v] : g.indptr[v + 1]]
             if nbrs.size == 0:
                 new_colors[v] = 0 * q + evals[v, 0]
                 continue
@@ -146,7 +154,7 @@ def _linial_step(
         x_of = _first_free_points_linear(g, coeffs, q)
     else:
         x_of = _first_free_points(g, evals, q)
-    return x_of * q + evals[np.arange(g.n), x_of], q * q
+    return x_of * q + evals[np.arange(n), x_of], q * q
 
 
 def _mod_inverse(a: np.ndarray, q: int) -> np.ndarray:
@@ -163,7 +171,7 @@ def _mod_inverse(a: np.ndarray, q: int) -> np.ndarray:
     return result
 
 
-def _first_free_points_linear(g: Graph, coeffs: np.ndarray, q: int) -> np.ndarray:
+def _first_free_points_linear(g: Arcs, coeffs: np.ndarray, q: int) -> np.ndarray:
     """Degree-1 specialisation of :func:`_first_free_points`.
 
     ``p_v - p_u`` is linear, so each arc clashes on at most the single root
@@ -171,10 +179,10 @@ def _first_free_points_linear(g: Graph, coeffs: np.ndarray, q: int) -> np.ndarra
     an (n, q) table and take each row's first free column.  O(arcs log q)
     for the batched inverses instead of O(arcs * q) comparisons.
     """
-    arc_src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    arc_src = np.repeat(np.arange(g.indptr.size - 1, dtype=np.int64), np.diff(g.indptr))
     arc_dst = g.indices
     da1 = (coeffs[arc_src, 1] - coeffs[arc_dst, 1]) % q
-    clash = np.zeros((g.n, q), dtype=bool)
+    clash = np.zeros((g.indptr.size - 1, q), dtype=bool)
     rooted = da1 != 0  # equal slopes never collide (intercepts differ)
     if rooted.any():
         da0 = (coeffs[arc_dst, 0] - coeffs[arc_src, 0]) % q
@@ -183,7 +191,7 @@ def _first_free_points_linear(g: Graph, coeffs: np.ndarray, q: int) -> np.ndarra
     return np.argmax(~clash, axis=1).astype(np.int64)
 
 
-def _first_free_points(g: Graph, evals: np.ndarray, q: int) -> np.ndarray:
+def _first_free_points(g: Arcs, evals: np.ndarray, q: int) -> np.ndarray:
     """int64[n]: smallest x with ``p_v(x) != p_u(x)`` for all neighbours u.
 
     Vectorised over blocks of evaluation points: each block compares the
@@ -194,9 +202,9 @@ def _first_free_points(g: Graph, evals: np.ndarray, q: int) -> np.ndarray:
     in the first block, so total work stays near one pass over the arcs.
     Isolated nodes resolve at ``x = 0``.
     """
-    n = g.n
+    n = g.indptr.size - 1
     x_of = np.zeros(n, dtype=np.int64)
-    unresolved = g.degrees() > 0  # isolated nodes take x = 0 immediately
+    unresolved = np.diff(g.indptr) > 0  # isolated nodes take x = 0 immediately
     arc_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
     arc_dst = g.indices
     # Evaluations live in [0, q); comparing narrow integers quarters the
@@ -231,7 +239,7 @@ def _first_free_points(g: Graph, evals: np.ndarray, q: int) -> np.ndarray:
     return x_of
 
 
-def linial_coloring(g: Graph, *, compact: bool = True) -> ColoringResult:
+def linial_coloring(g: Arcs, *, compact: bool = True) -> ColoringResult:
     """Linial's deterministic coloring of ``g``.
 
     Starts from the trivial n-coloring (ids) and applies reduction rounds
@@ -242,10 +250,11 @@ def linial_coloring(g: Graph, *, compact: bool = True) -> ColoringResult:
     ledger bills.  With ``compact=True`` the palette is finally renumbered
     to consecutive ints (a local bookkeeping step, free in the models).
     """
-    if g.m == 0:
-        return ColoringResult(np.zeros(g.n, dtype=np.int64), 1, 0)
-    colors = np.arange(g.n, dtype=np.int64)
-    palette, delta, iterations = max(g.n, 1), g.max_degree(), 1
+    n = g.indptr.size - 1
+    if g.indices.size == 0:
+        return ColoringResult(np.zeros(n, dtype=np.int64), 1, 0)
+    colors = np.arange(n, dtype=np.int64)
+    palette, delta, iterations = max(n, 1), int(np.diff(g.indptr).max()), 1
     # Each evaluated round strictly shrinks the palette, so this terminates.
     while _linial_field(delta, palette)[0] ** 2 < palette:
         colors, palette = _linial_step(g, colors, palette)
@@ -254,16 +263,17 @@ def linial_coloring(g: Graph, *, compact: bool = True) -> ColoringResult:
         uniq, inv = np.unique(colors, return_inverse=True)
         colors = inv.astype(np.int64)
         palette = int(uniq.size)
-    if not validate_coloring(g, colors):
+    if np.any(np.repeat(colors, np.diff(g.indptr)) == colors[g.indices]):
         raise AssertionError("Linial coloring produced a monochromatic edge")
     return ColoringResult(colors=colors, num_colors=palette, iterations=iterations)
 
 
-def distance2_coloring(g: Graph) -> ColoringResult:
+def distance2_coloring(g: Graph, *, square: sp.csr_matrix | None = None) -> ColoringResult:
     """``O(Delta^4)``-ish coloring of ``G^2`` -- the Section-5 renaming step.
 
     Any two nodes of ``g`` within distance 2 receive distinct colors, so a
     hash of the color is a hash of the node as far as Luby's (2-hop-local)
-    analysis is concerned.
+    analysis is concerned.  Colors ``hop_pattern(g)``, or ``square`` when
+    the caller already built that pattern.
     """
-    return linial_coloring(square_graph(g))
+    return linial_coloring(hop_pattern(g) if square is None else square)

@@ -327,7 +327,8 @@ class Graph:
         return int(self.degrees().max(initial=0))
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Read-only view of v's neighbour ids (sorted by insertion order)."""
+        """Read-only view of v's neighbour ids: higher ids ascending, then
+        lower ids ascending (the row order ``_from_canonical`` builds)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def incident_edge_ids(self, v: int) -> np.ndarray:

@@ -70,16 +70,18 @@ def verify_matching_pairs(g: Graph, pairs: np.ndarray) -> bool:
     """Validate an (k, 2) endpoint-pair matching against ``g``:
     every pair is an edge, pairwise disjoint, and maximal."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    # Every pair must be an actual edge.
-    edge_set = {
-        (int(a), int(b)) for a, b in zip(g.edges_u.tolist(), g.edges_v.tolist())
-    }
-    for a, b in pairs.tolist():
-        lo, hi = (a, b) if a < b else (b, a)
-        if (lo, hi) not in edge_set:
-            return False
-    # Disjointness.
     flat = pairs.ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= g.n):
+        return False
+    # Every pair must be an actual edge, in either orientation.  Canonical
+    # edges are sorted by the key u * n + v, so a binary search finds each.
+    n = np.int64(g.n)
+    key = pairs.min(axis=1) * n + pairs.max(axis=1)
+    edge_key = g.edges_u * n + g.edges_v
+    pos = np.minimum(np.searchsorted(edge_key, key), max(g.m - 1, 0))
+    if key.size and (g.m == 0 or np.any(edge_key[pos] != key)):
+        return False
+    # Disjointness.
     if np.unique(flat).size != flat.size:
         return False
     # Maximality: every edge touches a matched node.

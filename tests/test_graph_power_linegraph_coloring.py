@@ -187,3 +187,5 @@ def test_validate_coloring_detects_violation():
     g = path_graph(3)
     assert not validate_coloring(g, np.array([0, 0, 1]))
     assert validate_coloring(g, np.array([0, 1, 0]))
+    # Proper on G, but nodes 0 and 2 share neighbour 1.
+    assert not validate_distance2_coloring(g, np.array([0, 1, 0]))

@@ -1,10 +1,12 @@
 """Reference oracles for the graph-transform layer.
 
-``bfs_depth``, ``line_graph``, ``square_graph`` and ``linial_coloring`` are
-pinned against small pure-Python and networkx references over the graph
-families that stress their edge cases: empty graphs, isolated nodes, stars,
-complete graphs, many small components and relabelled copies.  The
-low-degree driver is pinned to build ``G^2`` once per solve.
+``bfs_depth``, ``line_graph``, ``square_graph``, ``hop_pattern``,
+``linial_coloring`` and ``distance2_coloring`` are pinned against small
+pure-Python and networkx references over the graph families that stress
+their edge cases: empty graphs, isolated nodes, stars, complete graphs, many
+small components and relabelled copies.  The low-degree and colour-compressed
+drivers are pinned to build ``G^2``'s two-hop pattern once per solve and the
+canonical ``G^2`` graph never.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.congest.mis_congest as mis_congest
 import repro.core.lowdeg as lowdeg
 import repro.graphs.coloring as coloring
 import repro.graphs.power as power
-from repro.congest import bfs_depth
+from repro.congest import bfs_depth, congest_mis
 from repro.core import Params, lowdeg_maximal_matching, lowdeg_mis, phases_per_stage
 from repro.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    distance2_coloring,
     gnp_random_graph,
+    hop_pattern,
     line_graph,
     linial_coloring,
     path_graph,
@@ -137,6 +142,24 @@ def test_line_graph_is_networkx_line_graph(g):
 
 
 @given(graph_families())
+def test_hop_pattern_rows_are_networkx_power_neighbourhoods(g):
+    pattern = hop_pattern(g)
+    want = nx.power(g.to_networkx(), 2) if g.n else nx.Graph()
+    for v in range(g.n):
+        row = pattern.indices[pattern.indptr[v] : pattern.indptr[v + 1]].tolist()
+        assert len(row) == len(set(row))
+        assert set(row) == set(want.neighbors(v))  # no diagonal: v not in N(v)
+    assert np.array_equal(np.diff(pattern.indptr), square_graph(g).degrees())
+
+
+@given(graph_families())
+def test_distance2_coloring_is_linial_on_square_graph(g):
+    got, want = distance2_coloring(g), linial_coloring(square_graph(g))
+    assert np.array_equal(got.colors, want.colors)
+    assert (got.num_colors, got.iterations) == (want.num_colors, want.iterations)
+
+
+@given(graph_families())
 def test_linial_matches_every_step_reference(g):
     colors, num_colors, iterations = linial_reference(g)
     calls = Counter()
@@ -154,13 +177,18 @@ def test_linial_matches_every_step_reference(g):
 
 
 def test_component_family_reaches_a_reduction_step():
-    """The property above covers evaluated steps, not only the check."""
-    assert linial_coloring(_disjoint_union([path_graph(3)] * 100)).iterations >= 2
+    """The properties above cover evaluated steps, not only the check."""
+    g = _disjoint_union([path_graph(3)] * 100)
+    assert linial_coloring(g).iterations >= 2
+    got, want = distance2_coloring(g), linial_coloring(square_graph(g))
+    assert got.iterations == want.iterations >= 2
+    assert np.array_equal(got.colors, want.colors)
 
 
 @pytest.fixture
 def transform_calls(monkeypatch) -> Counter:
-    """Counts ``square_graph`` / ``ball_sizes`` calls through every binding."""
+    """Counts transform calls through every binding; ``hop_pattern`` calls
+    at r = 2 (the two-hop pattern) count apart from wider ones."""
     calls: Counter = Counter()
 
     def counted(name, fn):
@@ -170,24 +198,37 @@ def transform_calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    for mod in (power, coloring, lowdeg):
-        for name in ("square_graph", "ball_sizes"):
+    def counted_pattern(fn):
+        def wrapper(g, r=2):
+            calls["hop_pattern(r=2)" if r == 2 else "hop_pattern(r>2)"] += 1
+            return fn(g, r)
+
+        return wrapper
+
+    for mod in (power, coloring, lowdeg, mis_congest):
+        for name in ("square_graph", "ball_sizes", "distance2_coloring"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        if hasattr(mod, "hop_pattern"):
+            monkeypatch.setattr(mod, "hop_pattern", counted_pattern(mod.hop_pattern))
     return calls
+
+
+#: One two-hop pattern feeds the coloring; no canonical G^2 is built.
+ONE_PATTERN = Counter({"hop_pattern(r=2)": 1, "distance2_coloring": 1})
 
 
 def test_lowdeg_mis_builds_one_square(transform_calls):
     g = gnp_random_graph(300, 0.02, seed=1)
     assert phases_per_stage(g.n, g.max_degree(), Params()) == 1
     assert verify_mis_nodes(g, lowdeg_mis(g).independent_set)
-    assert transform_calls == Counter(square_graph=1)
+    assert transform_calls == ONE_PATTERN
 
 
 def test_lowdeg_matching_builds_one_square(transform_calls):
     g = gnp_random_graph(300, 0.02, seed=2)
     assert verify_matching_pairs(g, lowdeg_maximal_matching(g).pairs)
-    assert transform_calls == Counter(square_graph=1)
+    assert transform_calls == ONE_PATTERN
 
 
 def test_lowdeg_multi_phase_stages_measure_wider_balls(transform_calls):
@@ -195,5 +236,16 @@ def test_lowdeg_multi_phase_stages_measure_wider_balls(transform_calls):
     g = cycle_graph(200)
     assert phases_per_stage(g.n, g.max_degree(), params) > 1
     assert verify_mis_nodes(g, lowdeg_mis(g, params).independent_set)
-    assert transform_calls["square_graph"] == 1
-    assert transform_calls["ball_sizes"] >= 1
+    balls = transform_calls["ball_sizes"]
+    assert balls >= 1
+    # Each r = 2 * ell ball measure goes through the same helper.
+    assert transform_calls == ONE_PATTERN + Counter(
+        {"ball_sizes": balls, "hop_pattern(r>2)": balls}
+    )
+
+
+def test_congest_color_compressed_builds_one_square(transform_calls):
+    g = gnp_random_graph(300, 0.02, seed=3)
+    res = congest_mis(g, mode="color-compressed")
+    assert verify_mis_nodes(g, res.independent_set)
+    assert transform_calls == ONE_PATTERN

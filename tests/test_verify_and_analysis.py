@@ -70,6 +70,63 @@ def test_verify_matching_pairs_rejects_overlap():
     assert not verify_matching_pairs(g, np.array([[0, 1], [1, 2]]))
 
 
+def verify_matching_pairs_reference(g: Graph, pairs) -> bool:
+    """The set-based checker: every pair in a Python set of all m edges,
+    pairwise disjoint, and maximal."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    edge_set = set(zip(g.edges_u.tolist(), g.edges_v.tolist()))
+    for a, b in pairs.tolist():
+        if (min(a, b), max(a, b)) not in edge_set:
+            return False
+    flat = pairs.ravel()
+    if np.unique(flat).size != flat.size:
+        return False
+    saturated = np.zeros(g.n, dtype=bool)
+    saturated[flat] = True
+    return bool(np.all(saturated[g.edges_u] | saturated[g.edges_v]))
+
+
+@st.composite
+def graphs_with_pair_sets(draw):
+    """A small graph plus pairs built from its greedy maximal matching:
+    some dropped, some reversed, plus extras that may be non-edges,
+    self-pairs, negative or out-of-range ids, or repeat an endpoint."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=30)) if n else []
+    g = Graph.from_edges(n, edges)
+    matched: set[int] = set()
+    pairs = []
+    for u, v in g.edge_array().tolist():
+        if u not in matched and v not in matched:
+            matched |= {u, v}
+            pairs.append([v, u] if draw(st.booleans()) else [u, v])
+    pairs = [p for p in pairs if draw(st.integers(0, 5))]  # drop ~1 in 6
+    extra_id = st.integers(-2, n + 2)
+    pairs += draw(st.lists(st.lists(extra_id, min_size=2, max_size=2), max_size=2))
+    if pairs and draw(st.booleans()):
+        pairs.append(list(draw(st.sampled_from(pairs))))  # a repeated pair
+    order = draw(st.permutations(range(len(pairs))))
+    return g, np.array([pairs[i] for i in order], dtype=np.int64).reshape(-1, 2)
+
+
+@given(graphs_with_pair_sets())
+def test_verify_matching_pairs_matches_set_reference(case):
+    g, pairs = case
+    assert verify_matching_pairs(g, pairs) == verify_matching_pairs_reference(g, pairs)
+
+
+def test_verify_matching_pairs_rejects_bad_ids_without_raising():
+    g = path_graph(4)
+    # (-1, 5) has the key -1 * 4 + 5 = 1 of the real edge (0, 1).
+    for bad in ([[0, 4]], [[-1, 0]], [[2, 2]], [[3, 2], [0, 99]], [[-1, 5], [2, 3]]):
+        assert not verify_matching_pairs(g, np.array(bad))
+    assert verify_matching_pairs(g, np.array([[1, 0], [3, 2]]))
+    assert not verify_matching_pairs(g, np.empty((0, 2), dtype=np.int64))
+    assert verify_matching_pairs(Graph.empty(3), np.empty((0, 2), dtype=np.int64))
+    assert not verify_matching_pairs(Graph.empty(3), np.array([[0, 1]]))
+
+
 def test_verify_mis_nodes_rejects_out_of_range():
     g = path_graph(4)
     assert not verify_mis_nodes(g, np.array([7]))
