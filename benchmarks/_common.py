@@ -19,7 +19,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 # --------------------------------------------------------------------- #
-# Shared two-backend comparison harness (bench_kernels, bench_seed_search)
+# Shared two-path comparison harness (bench_seed_search, bench_round_engine)
 # --------------------------------------------------------------------- #
 
 

@@ -1,11 +1,12 @@
-"""Batched vs scalar seed-search engine: timing, parity, regression gate.
+"""Seed blocks vs one seed per call: timing, parity, regression gate.
 
 For each case the bench runs the same natively-batched objective through
-the ``scalar`` seed backend (one seed per objective call -- the serial
-behaviour of the pre-batching engine) and the ``batched`` backend (seed
-blocks with geometric ramp + early exit), asserts the two
+the seed engine twice: "scalar" with ``chunk_size=1`` (one seed per
+objective call -- the serial behaviour of the pre-batching engine) and
+"batched" with the default block size (seed blocks with geometric ramp +
+early exit).  It asserts the two
 :class:`~repro.derand.strategies.SeedSelection` outcomes are *identical*
-(the backends are bit-equivalent by design) and reports the speedup.
+(the block size never changes the outcome) and reports the speedup.
 
 Cases
 -----
@@ -17,7 +18,7 @@ Cases
 ``stage_best_of``   best-of-prefix on the same objective
 ``lowdeg_e2e``      end-to-end ``lowdeg_mis`` with stressed targets (every
                     phase exhausts its scan budget, so seed scanning
-                    dominates), scalar vs batched backend
+                    dominates), ``seed_chunk=1`` vs the default
 
 Modes
 -----
@@ -110,16 +111,16 @@ def _stage_scan_case(n, avg_deg, seed, max_trials, repeats):
         start=1,
     )
 
-    def run(backend):
-        # fresh goodness state per backend is unnecessary: counts are pure
+    def run(chunk):
+        # fresh goodness state per run is unnecessary: counts are pure
         return select_seed_batch(
-            family.size, lambda s: goodness.counts(s, 1.0), backend=backend, **kw
+            family.size, lambda s: goodness.counts(s, 1.0), chunk_size=chunk, **kw
         )
 
     return _case(
         "stage_scan",
-        lambda: run("scalar"),
-        lambda: run("batched"),
+        lambda: run(1),
+        lambda: run(None),
         lambda a, b: a == b,
         repeats,
         {**meta, "trials": max_trials},
@@ -134,15 +135,15 @@ def _stage_enum_case(name, strategy, n, avg_deg, seed, repeats, **extra):
     )
     kw = dict(strategy=strategy, target=total + 1.0, **extra)
 
-    def run(backend):
+    def run(chunk):
         return select_seed_batch(
-            family.size, lambda s: goodness.counts(s, 1.0), backend=backend, **kw
+            family.size, lambda s: goodness.counts(s, 1.0), chunk_size=chunk, **kw
         )
 
     return _case(
         name,
-        lambda: run("scalar"),
-        lambda: run("batched"),
+        lambda: run(1),
+        lambda: run(None),
         lambda a, b: a == b,
         repeats,
         meta,
@@ -153,8 +154,8 @@ def _lowdeg_e2e_case(n, repeats):
     g = random_regular_graph(n, 4, seed=7)
     # Stressed targets: every phase misses and exhausts max_scan_trials, so
     # the run is seed-scan-bound -- the regime the batched engine targets.
-    def run(backend):
-        return lowdeg_mis(g, Params(target_safety=2000.0, seed_backend=backend))
+    def run(chunk):
+        return lowdeg_mis(g, Params(target_safety=2000.0, seed_chunk=chunk))
 
     def same(a, b):
         return (
@@ -167,8 +168,8 @@ def _lowdeg_e2e_case(n, repeats):
 
     return _case(
         "lowdeg_e2e",
-        lambda: run("scalar"),
-        lambda: run("batched"),
+        lambda: run(1),
+        lambda: run(None),
         same,
         repeats,
         {"n": g.n, "m": g.m},

@@ -7,7 +7,7 @@ the color-seed bits actually used by the Section-5 driver, the id-seed bits
 the general path would need, and the scan trials the batched seed-search
 engine spent per phase (total across phases / phase count) -- the trial
 column documents that the O(1)-expected-trials behaviour survives the
-seed-block engine (the scans are driven through ``seed_backend='batched'``).
+seed-block engine.
 """
 
 from repro.analysis import render_table, seed_bits_ids
@@ -24,7 +24,7 @@ def _trials_per_phase(res) -> float:
 
 
 def run():
-    params = Params(seed_backend="batched")  # the seed-block engine
+    params = Params()
     rows = []
     for n in [500, 2000, 8000]:
         g = cycle_graph(n)  # Delta = 2: the friendliest Linial regime

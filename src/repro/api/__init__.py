@@ -14,7 +14,7 @@ Pieces:
 
 * :class:`SolveRequest` / :class:`SolveResult` — the typed envelope
   (:mod:`repro.api.envelope`);
-* :class:`ExecutionConfig` — every backend knob in one record with
+* :class:`ExecutionConfig` — every execution knob in one record with
   environment fallback (:mod:`repro.api.config`);
 * :data:`REGISTRY` — the ``(problem, model)`` solver registry with
   capability metadata (:mod:`repro.api.registry`); built-in entries are
@@ -33,7 +33,6 @@ import time
 from dataclasses import replace
 
 from ..graphs.graph import Graph
-from ..graphs.kernels import kernel_backend_scope
 from ..obs import METRICS
 from ..obs import trace as _trace
 from .config import ExecutionConfig
@@ -69,8 +68,7 @@ def solve(request: SolveRequest, *, graph: Graph | None = None) -> SolveResult:
     The input graph comes from ``request.graph`` (or the ``graph`` keyword,
     which wins when both are given).  The request's
     :class:`ExecutionConfig` is applied to the effective
-    :class:`~repro.core.params.Params` and — for the kernel backend, which
-    call sites resolve ambiently — scoped around the solver call.
+    :class:`~repro.core.params.Params`.
     """
     g = graph if graph is not None else request.graph
     if g is None:
@@ -81,8 +79,7 @@ def solve(request: SolveRequest, *, graph: Graph | None = None) -> SolveResult:
         # Parity contract: with tracing off this is byte-for-byte the
         # pre-observability solve path.
         t0 = time.perf_counter()
-        with kernel_backend_scope(params.kernel_backend):
-            result = entry.fn(g, request, params)
+        result = entry.fn(g, request, params)
         return replace(result, wall_time=time.perf_counter() - t0)
     return _solve_traced(entry, g, request, params)
 
@@ -100,10 +97,8 @@ def _solve_traced(entry, g: Graph, request: SolveRequest, params: Params):
             n=g.n,
             m=g.m,
             eps=request.eps,
-            kernel_backend=params.kernel_backend or "auto",
         ) as sp:
-            with kernel_backend_scope(params.kernel_backend):
-                result = entry.fn(g, request, params)
+            result = entry.fn(g, request, params)
             if sp is not None:
                 sp.set(
                     rounds=result.rounds,

@@ -1,25 +1,27 @@
-"""Consolidated execution configuration (every backend knob, one record).
+"""Consolidated execution configuration (every execution knob, one record).
 
-Before this module, the backend switches grown over the performance PRs
-lived in four places: ``REPRO_KERNEL_BACKEND`` (vectorized CSR kernels),
-``REPRO_SEED_BACKEND`` / ``REPRO_SEED_CHUNK`` / ``REPRO_SEED_WORKERS``
-(batched seed search), ``REPRO_ENGINE_BACKEND`` (columnar round core), and
-ad-hoc ``os.environ`` reads at call sites.  :class:`ExecutionConfig` is the
-single typed record for all of them, plus the CONGEST
-``pipeline_seed_fix`` ablation flag:
+:class:`ExecutionConfig` is the single typed record for the knobs that
+change how a solve executes but never what it returns: the engine round
+core (``REPRO_ENGINE_BACKEND``), the seed-scan block size and worker count
+(``REPRO_SEED_CHUNK`` / ``REPRO_SEED_WORKERS``), the graph store directory
+(``REPRO_GRAPH_STORE``), plus the CONGEST ``pipeline_seed_fix`` ablation
+flag:
 
 * every field defaults to ``None`` = "inherit" (environment variable, then
   the built-in default), so an empty config is always safe;
 * :meth:`ExecutionConfig.from_env` snapshots the current environment into
-  explicit values;
+  explicit values (an empty variable counts as unset);
 * :meth:`ExecutionConfig.apply` threads the config into a frozen
   :class:`~repro.core.params.Params`, which is how the knobs reach the
   solver call sites (``repro.api.solve`` applies the request's config this
-  way, and additionally scopes the kernel backend through
-  :func:`repro.graphs.kernels.kernel_backend_scope`).
+  way).
 
 The environment variables stay honored for processes that never touch the
-facade; this module is the one place their names are spelled.
+facade: the resolvers at the call sites
+(:func:`~repro.derand.strategies.resolve_seed_chunk`,
+:func:`~repro.derand.strategies.resolve_seed_workers`,
+:func:`~repro.models.plane.resolve_engine_backend`) read them too, with
+the same empty-means-unset rule.
 """
 
 from __future__ import annotations
@@ -28,16 +30,12 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from ..core.params import Params
-from ..derand.strategies import SEED_BACKENDS
-from ..graphs.kernels import BACKENDS as KERNEL_BACKENDS
 from ..models.plane import ENGINE_BACKENDS
 
 __all__ = ["ExecutionConfig"]
 
 #: field name -> (environment variable, parser)
 _ENV_SPEC = {
-    "kernel_backend": ("REPRO_KERNEL_BACKEND", str),
-    "seed_backend": ("REPRO_SEED_BACKEND", str),
     "engine_backend": ("REPRO_ENGINE_BACKEND", str),
     "seed_chunk": ("REPRO_SEED_CHUNK", int),
     "seed_scan_workers": ("REPRO_SEED_WORKERS", int),
@@ -48,21 +46,11 @@ _ENV_SPEC = {
     "graph_store": ("REPRO_GRAPH_STORE", str),
 }
 
-# Canonical choice tuples live with their resolvers; referenced here so a
-# new backend registers once.
-_CHOICES = {
-    "kernel_backend": KERNEL_BACKENDS,
-    "seed_backend": SEED_BACKENDS,
-    "engine_backend": ENGINE_BACKENDS,
-}
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """All execution-backend knobs; ``None`` fields inherit env/defaults."""
+    """All execution knobs; ``None`` fields inherit env/defaults."""
 
-    kernel_backend: str | None = None  # csr | legacy | jit
-    seed_backend: str | None = None  # batched | scalar | jit
     engine_backend: str | None = None  # columnar | legacy
     seed_chunk: int | None = None  # seeds per objective block
     seed_scan_workers: int | None = None  # > 1 enables the parallel stage scan
@@ -74,12 +62,11 @@ class ExecutionConfig:
     graph_store: str | None = None
 
     def __post_init__(self) -> None:
-        for name, choices in _CHOICES.items():
-            value = getattr(self, name)
-            if value is not None and value not in choices:
-                raise ValueError(
-                    f"unknown {name} {value!r}; expected one of {choices}"
-                )
+        if self.engine_backend not in (None, *ENGINE_BACKENDS):
+            raise ValueError(
+                f"unknown engine_backend {self.engine_backend!r}; "
+                f"expected one of {ENGINE_BACKENDS}"
+            )
         if self.seed_chunk is not None and self.seed_chunk < 1:
             raise ValueError("seed_chunk must be >= 1")
         if self.seed_scan_workers is not None and self.seed_scan_workers < 0:
@@ -119,12 +106,7 @@ class ExecutionConfig:
     def apply(self, params: Params) -> Params:
         """Thread the non-``None`` knobs into a :class:`Params` copy."""
         updates: dict = {}
-        for name in (
-            "kernel_backend",
-            "seed_backend",
-            "engine_backend",
-            "seed_chunk",
-        ):
+        for name in ("engine_backend", "seed_chunk"):
             value = getattr(self, name)
             if value is not None:
                 updates[name] = value
@@ -138,8 +120,6 @@ class ExecutionConfig:
     def from_params(params: Params) -> "ExecutionConfig":
         """Extract the execution knobs a :class:`Params` carries."""
         return ExecutionConfig(
-            kernel_backend=params.kernel_backend,
-            seed_backend=params.seed_backend,
             engine_backend=params.engine_backend,
             seed_chunk=params.seed_chunk,
             seed_scan_workers=params.seed_scan_workers or None,

@@ -451,7 +451,6 @@ def _solve_mis_cclique(
         graph,
         charge_mode=request.option("charge_mode", "ours"),
         max_scan_trials=params.max_scan_trials,
-        seed_backend=params.seed_backend,
         seed_chunk=params.seed_chunk,
     )
     verified = bool(verify_mis_nodes(graph, cc.solution))
@@ -499,7 +498,6 @@ def _solve_matching_cclique(
         graph,
         charge_mode=request.option("charge_mode", "ours"),
         max_scan_trials=params.max_scan_trials,
-        seed_backend=params.seed_backend,
         seed_chunk=params.seed_chunk,
     )
     verified = bool(verify_matching_pairs(graph, cc.solution))
@@ -558,7 +556,6 @@ def _solve_mis_congest(
         mode=request.option("mode", "color-compressed"),
         max_scan_trials=params.max_scan_trials,
         pipeline_seed_fix=params.congest_pipeline_seed_fix,
-        seed_backend=params.seed_backend,
         seed_chunk=params.seed_chunk,
     )
     verified = bool(verify_mis_nodes(graph, cg.independent_set))
@@ -606,7 +603,6 @@ def _solve_matching_congest(
         mode=request.option("mode", "color-compressed"),
         max_scan_trials=params.max_scan_trials,
         pipeline_seed_fix=params.congest_pipeline_seed_fix,
-        seed_backend=params.seed_backend,
         seed_chunk=params.seed_chunk,
     )
     # The legacy record holds *edge ids* of the input graph (the line-graph

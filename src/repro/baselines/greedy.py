@@ -2,18 +2,10 @@
 
 Greedy MIS/matching by increasing node/edge id: the classical linear-time
 constructions whose outputs are maximal by induction.  Used by the test
-suite as independent ground truth and by benchmarks for solution-quality
-comparisons (matching size, MIS size).
-
-The opt-in ``backend="csr"`` kernels compute the *same* lexicographically-
-first solutions by iterated local minima: a node (edge) is decided once its
-id is smaller than every undecided neighbour's (every adjacent undecided
-edge's), which is the classical parallel-greedy fixed point -- each round
-settles all current id-local-minima at once with whole-array kernels.
-Identical output to the sequential scan by induction on id; typically
-O(log n) rounds of O(m) work on random graphs, but O(n) rounds on
-adversarial id orderings like paths -- which is why, uniquely among the
-backend-switched solvers, the sequential scan remains the default here.
+suite as independent ground truth, by benchmarks for solution-quality
+comparisons (matching size, MIS size), and by
+:func:`~repro.cclique.mis_cc.cc_maximal_matching` on the remainder it
+collects onto one machine.
 """
 
 from __future__ import annotations
@@ -21,38 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.kernels import (
-    neighbor_count_toward,
-    neighbor_min,
-    resolve_backend,
-    segment_min,
-)
 
 __all__ = ["greedy_matching", "greedy_mis"]
 
 
-def greedy_mis(g: Graph, *, backend: str | None = None) -> np.ndarray:
-    """Lexicographically-first MIS; returns sorted node ids.
-
-    Unlike the Luby-style solvers, the *sequential scan* stays the default
-    here: the parallel local-minima kernel settles one node per round on
-    adversarial id orderings (paths), degrading to O(n * m).  Pass
-    ``backend="csr"`` explicitly to use the round-based kernel.
-    """
-    if backend is None or resolve_backend(backend) == "legacy":
-        return _greedy_mis_legacy(g)
-    ids = np.arange(g.n, dtype=np.int64)
-    taken = np.zeros(g.n, dtype=bool)
-    decided = np.zeros(g.n, dtype=bool)
-    while not decided.all():
-        nbr_min_id = neighbor_min(g, ids, exclude=decided, fill=np.int64(g.n))
-        winners = ~decided & (ids < nbr_min_id)
-        taken |= winners
-        decided |= winners | (neighbor_count_toward(g, winners) > 0)
-    return np.nonzero(taken)[0].astype(np.int64)
-
-
-def _greedy_mis_legacy(g: Graph) -> np.ndarray:
+def greedy_mis(g: Graph) -> np.ndarray:
+    """Lexicographically-first MIS; returns sorted node ids."""
     taken = np.zeros(g.n, dtype=bool)
     blocked = np.zeros(g.n, dtype=bool)
     for v in range(g.n):
@@ -64,33 +30,8 @@ def _greedy_mis_legacy(g: Graph) -> np.ndarray:
     return np.nonzero(taken)[0].astype(np.int64)
 
 
-def greedy_matching(g: Graph, *, backend: str | None = None) -> np.ndarray:
-    """Lexicographically-first maximal matching; returns (k, 2) pairs.
-
-    Sequential by default for the same reason as :func:`greedy_mis`; pass
-    ``backend="csr"`` explicitly for the round-based kernel.
-    """
-    if backend is None or resolve_backend(backend) == "legacy":
-        return _greedy_matching_legacy(g)
-    eids = np.arange(g.m, dtype=np.int64)
-    alive = np.ones(g.m, dtype=bool)
-    in_matching = np.zeros(g.m, dtype=bool)
-    used = np.zeros(g.n, dtype=bool)
-    eid_vals = np.empty(g.m, dtype=np.int64)
-    while alive.any():
-        np.copyto(eid_vals, eids)
-        eid_vals[~alive] = g.m
-        node_min = segment_min(eid_vals[g.arc_edge_ids], g.indptr, np.int64(g.m))
-        winners = alive & (eids == node_min[g.edges_u]) & (eids == node_min[g.edges_v])
-        in_matching |= winners
-        used[g.edges_u[winners]] = True
-        used[g.edges_v[winners]] = True
-        alive &= ~(used[g.edges_u] | used[g.edges_v])
-    chosen = np.nonzero(in_matching)[0]
-    return np.stack([g.edges_u[chosen], g.edges_v[chosen]], axis=1)
-
-
-def _greedy_matching_legacy(g: Graph) -> np.ndarray:
+def greedy_matching(g: Graph) -> np.ndarray:
+    """Lexicographically-first maximal matching; returns (k, 2) pairs."""
     used = np.zeros(g.n, dtype=bool)
     pairs: list[tuple[int, int]] = []
     for u, v in zip(g.edges_u.tolist(), g.edges_v.tolist()):

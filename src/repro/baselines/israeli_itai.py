@@ -14,12 +14,13 @@ paper's introduction cites as the O(log n) randomized yardstick:
 Matched nodes are removed; in expectation a constant fraction of edges
 disappears per round.
 
-The CSR backend (default) replaces the per-iteration rebuild with an
-alive-edge mask plus the same amortized compaction the Luby solvers use,
+Instead of rebuilding the residual graph every iteration, the solver keeps
+an alive-edge mask plus the same amortized compaction the Luby solvers use,
 and resolves each node's random proposal with the
 :func:`~repro.graphs.kernels.alive_arc_select` kernel, whose arc order
-matches the rebuilt graph's CSR order -- so both backends consume the
-identical RNG stream and return the identical matching.
+matches the rebuilt graph's CSR order -- so it consumes the RNG stream
+exactly as the rebuild formulation does and returns the same matching (the
+reference solver in ``tests/test_kernels_equivalence.py`` pins this).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.kernels import alive_arc_select, alive_edge_degrees, resolve_backend
+from ..graphs.kernels import alive_arc_select, alive_edge_degrees
 from .luby import BaselineResult, _maybe_compact_flagged
 
 __all__ = ["israeli_itai_matching"]
@@ -38,10 +39,7 @@ def israeli_itai_matching(
     seed: int,
     *,
     max_iterations: int = 10_000,
-    backend: str | None = None,
 ) -> BaselineResult:
-    if resolve_backend(backend) == "legacy":
-        return _israeli_itai_legacy(g, seed, max_iterations)
     rng = np.random.default_rng(seed)
     cur = g
     alive_e = np.ones(cur.m, dtype=bool)
@@ -101,64 +99,6 @@ def israeli_itai_matching(
         solution=sol,
         iterations=it,
         rounds=2 * it,  # two communication steps per iteration
-        edge_trace=tuple(trace),
-        algorithm="israeli_itai",
-    )
-
-
-def _israeli_itai_legacy(g: Graph, seed: int, max_iterations: int) -> BaselineResult:
-    rng = np.random.default_rng(seed)
-    pairs: list[np.ndarray] = []
-    cur = g
-    trace: list[int] = []
-    it = 0
-    while cur.m > 0:
-        it += 1
-        if it > max_iterations:
-            raise RuntimeError("Israeli-Itai failed to converge")
-        trace.append(cur.m)
-
-        # Step 1: each live node proposes a uniform incident edge.
-        deg = cur.degrees()
-        live = np.nonzero(deg > 0)[0]
-        proposal = np.full(g.n, -1, dtype=np.int64)
-        offsets = (rng.random(live.size) * deg[live]).astype(np.int64)
-        proposal[live] = cur.arc_edge_ids[cur.indptr[live] + offsets]
-
-        # Step 2: edges proposed by both endpoints are strong candidates;
-        # otherwise a node accepts one random incoming proposal.
-        eu, ev = cur.edges_u, cur.edges_v
-        both = (proposal[eu] == np.arange(cur.m)) & (
-            proposal[ev] == np.arange(cur.m)
-        )
-        one_sided = (
-            (proposal[eu] == np.arange(cur.m)) | (proposal[ev] == np.arange(cur.m))
-        ) & ~both
-        candidates = np.nonzero(both | one_sided)[0]
-        if candidates.size == 0:
-            continue
-        # Conflict resolution: random priority per candidate edge, each node
-        # keeps its best candidate, edge wins if best at both ends.
-        prio = rng.permutation(candidates.size)
-        best = np.full(g.n, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(best, eu[candidates], prio)
-        np.minimum.at(best, ev[candidates], prio)
-        win = (best[eu[candidates]] == prio) & (best[ev[candidates]] == prio)
-        eids = candidates[win]
-        if eids.size == 0:
-            continue
-        pairs.append(np.stack([eu[eids], ev[eids]], axis=1))
-        kill = np.zeros(g.n, dtype=bool)
-        kill[eu[eids]] = True
-        kill[ev[eids]] = True
-        cur = cur.remove_vertices(kill)
-    sol = (
-        np.concatenate(pairs, axis=0) if pairs else np.empty((0, 2), dtype=np.int64)
-    )
-    return BaselineResult(
-        solution=sol,
-        iterations=it,
-        rounds=2 * it,
         edge_trace=tuple(trace),
         algorithm="israeli_itai",
     )

@@ -17,17 +17,13 @@ deterministic algorithms:
 Round accounting: one charged round per iteration (each Luby iteration is
 O(1) MPC rounds for a randomized algorithm; no seed search is needed).
 
-Backends
---------
-Each solver takes ``backend="csr" | "legacy" | None`` (``None`` resolves via
-``REPRO_KERNEL_BACKEND``, default ``"csr"``).  The legacy path rebuilds the
-residual graph every iteration (an O(m log m) canonicalisation sort) and
-aggregates with ``np.minimum.at`` scatters; the CSR path runs against the
-*original* graph's CSR arrays with an alive-edge mask, using the reduceat /
-sparse mat-vec kernels of :mod:`repro.graphs.kernels`.  Both paths draw the
-identical RNG stream and return bit-identical results -- the CSR kernels
-use only order-free exact reductions -- which the property tests and the
-``bench_kernels`` gate verify.
+Implementation: every solver runs against the *original* graph's CSR
+arrays with an alive-edge mask (compacted once most edges are dead), using
+the reduceat / sparse mat-vec kernels of :mod:`repro.graphs.kernels`
+instead of rebuilding the residual graph each iteration.  The kernels use
+only order-free exact reductions, so each solver returns exactly what the
+rebuild-every-iteration formulation returns for the same seed; the
+reference solvers in ``tests/test_kernels_equivalence.py`` pin that.
 """
 
 from __future__ import annotations
@@ -37,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.kernels import (
-    alive_edge_degrees,
-    neighbor_min,
-    resolve_backend,
-    segment_min,
-    segment_sum,
-)
+from ..graphs.kernels import alive_edge_degrees, neighbor_min, segment_min, segment_sum
 from ..hashing.kwise import make_family
 
 __all__ = [
@@ -100,11 +90,8 @@ def luby_mis_randomized(
     seed: int,
     *,
     max_iterations: int = 10_000,
-    backend: str | None = None,
 ) -> BaselineResult:
     """Textbook Luby MIS with fresh uniform randomness each iteration."""
-    if resolve_backend(backend) == "legacy":
-        return _luby_mis_randomized_legacy(g, seed, max_iterations)
     rng = np.random.default_rng(seed)
     in_mis = np.zeros(g.n, dtype=bool)
     removed = np.zeros(g.n, dtype=bool)
@@ -142,44 +129,6 @@ def luby_mis_randomized(
     )
 
 
-def _luby_mis_randomized_legacy(
-    g: Graph, seed: int, max_iterations: int
-) -> BaselineResult:
-    rng = np.random.default_rng(seed)
-    in_mis = np.zeros(g.n, dtype=bool)
-    removed = np.zeros(g.n, dtype=bool)
-    cur = g
-    trace: list[int] = []
-    it = 0
-    while cur.m > 0:
-        it += 1
-        if it > max_iterations:
-            raise RuntimeError("randomized Luby failed to converge")
-        trace.append(cur.m)
-        iso = cur.isolated_mask() & ~removed
-        in_mis |= iso
-        removed |= iso
-        z = rng.random(g.n)
-        nbr_min = np.full(g.n, np.inf)
-        np.minimum.at(nbr_min, cur.edges_u, z[cur.edges_v])
-        np.minimum.at(nbr_min, cur.edges_v, z[cur.edges_u])
-        live = cur.degrees() > 0
-        i_mask = live & (z < nbr_min)
-        dominated = cur.degrees_toward(i_mask) > 0
-        kill = i_mask | dominated
-        in_mis |= i_mask
-        removed |= kill
-        cur = cur.remove_vertices(kill)
-    in_mis |= ~removed
-    return BaselineResult(
-        solution=np.nonzero(in_mis)[0].astype(np.int64),
-        iterations=it,
-        rounds=it,
-        edge_trace=tuple(trace),
-        algorithm="luby_mis_randomized",
-    )
-
-
 def _dominated_by(g: Graph, alive_e: np.ndarray, i_mask: np.ndarray) -> np.ndarray:
     """bool[n]: nodes with a surviving-edge neighbour in ``i_mask``.
 
@@ -201,12 +150,9 @@ def luby_mis_pairwise(
     seed: int,
     *,
     max_iterations: int = 10_000,
-    backend: str | None = None,
 ) -> BaselineResult:
     """Luby MIS where each iteration's z-values come from one random seed of
     a pairwise-independent family (O(log n) random bits per iteration)."""
-    if resolve_backend(backend) == "legacy":
-        return _luby_mis_pairwise_legacy(g, seed, max_iterations)
     rng = np.random.default_rng(seed)
     family = make_family(universe=max(g.n, 2), k=2)
     ids = np.arange(g.n, dtype=np.int64)
@@ -249,49 +195,6 @@ def luby_mis_pairwise(
     )
 
 
-def _luby_mis_pairwise_legacy(
-    g: Graph, seed: int, max_iterations: int
-) -> BaselineResult:
-    rng = np.random.default_rng(seed)
-    family = make_family(universe=max(g.n, 2), k=2)
-    ids = np.arange(g.n, dtype=np.int64)
-    in_mis = np.zeros(g.n, dtype=bool)
-    removed = np.zeros(g.n, dtype=bool)
-    cur = g
-    trace: list[int] = []
-    it = 0
-    maxkey = np.uint64(2**63 - 1)
-    stride = np.uint64(g.n + 1)
-    while cur.m > 0:
-        it += 1
-        if it > max_iterations:
-            raise RuntimeError("pairwise Luby failed to converge")
-        trace.append(cur.m)
-        iso = cur.isolated_mask() & ~removed
-        in_mis |= iso
-        removed |= iso
-        s = int(rng.integers(0, family.size))
-        key = family.evaluate(s, ids) * stride + ids.astype(np.uint64)
-        nbr_min = np.full(g.n, maxkey, dtype=np.uint64)
-        np.minimum.at(nbr_min, cur.edges_u, key[cur.edges_v])
-        np.minimum.at(nbr_min, cur.edges_v, key[cur.edges_u])
-        live = cur.degrees() > 0
-        i_mask = live & (key < nbr_min)
-        dominated = cur.degrees_toward(i_mask) > 0
-        kill = i_mask | dominated
-        in_mis |= i_mask
-        removed |= kill
-        cur = cur.remove_vertices(kill)
-    in_mis |= ~removed
-    return BaselineResult(
-        solution=np.nonzero(in_mis)[0].astype(np.int64),
-        iterations=it,
-        rounds=it,
-        edge_trace=tuple(trace),
-        algorithm="luby_mis_pairwise",
-    )
-
-
 # ---------------------------------------------------------------------- #
 # Matching
 # ---------------------------------------------------------------------- #
@@ -302,11 +205,8 @@ def luby_matching_randomized(
     seed: int,
     *,
     max_iterations: int = 10_000,
-    backend: str | None = None,
 ) -> BaselineResult:
     """Luby-style matching: local-minimum edges join; matched nodes leave."""
-    if resolve_backend(backend) == "legacy":
-        return _luby_matching_randomized_legacy(g, seed, max_iterations)
     rng = np.random.default_rng(seed)
     cur = g
     alive_e = np.ones(cur.m, dtype=bool)
@@ -359,56 +259,6 @@ def luby_matching_randomized(
         kill[ev[eids]] = True
         alive_e &= ~(kill[eu] | kill[ev])
         alive_ids = np.nonzero(alive_e)[0]
-    sol = (
-        np.concatenate(pairs, axis=0) if pairs else np.empty((0, 2), dtype=np.int64)
-    )
-    return BaselineResult(
-        solution=sol,
-        iterations=it,
-        rounds=it,
-        edge_trace=tuple(trace),
-        algorithm="luby_matching_randomized",
-    )
-
-
-def _luby_matching_randomized_legacy(
-    g: Graph, seed: int, max_iterations: int
-) -> BaselineResult:
-    rng = np.random.default_rng(seed)
-    pairs: list[np.ndarray] = []
-    cur = g
-    trace: list[int] = []
-    it = 0
-    while cur.m > 0:
-        it += 1
-        if it > max_iterations:
-            raise RuntimeError("randomized Luby matching failed to converge")
-        trace.append(cur.m)
-        z = rng.random(cur.m)
-        node_min = np.full(g.n, np.inf)
-        np.minimum.at(node_min, cur.edges_u, z)
-        np.minimum.at(node_min, cur.edges_v, z)
-        matched = (z == node_min[cur.edges_u]) & (z == node_min[cur.edges_v])
-        # Ties (prob 0 in theory, possible in floats): break by edge id.
-        if matched.any():
-            eids = np.nonzero(matched)[0]
-            used = np.zeros(g.n, dtype=bool)
-            keep = []
-            for e in eids.tolist():
-                a, b = int(cur.edges_u[e]), int(cur.edges_v[e])
-                if not used[a] and not used[b]:
-                    used[a] = used[b] = True
-                    keep.append(e)
-            eids = np.asarray(keep, dtype=np.int64)
-        else:
-            eids = np.empty(0, dtype=np.int64)
-        if eids.size == 0:
-            continue  # resample (vanishingly rare)
-        pairs.append(np.stack([cur.edges_u[eids], cur.edges_v[eids]], axis=1))
-        kill = np.zeros(g.n, dtype=bool)
-        kill[cur.edges_u[eids]] = True
-        kill[cur.edges_v[eids]] = True
-        cur = cur.remove_vertices(kill)
     sol = (
         np.concatenate(pairs, axis=0) if pairs else np.empty((0, 2), dtype=np.int64)
     )

@@ -20,13 +20,12 @@ number of Lemma-4 primitives (degree counting, neighbourhood aggregation,
 class-weight aggregation) charged by the caller.
 
 The integer accounting (low-degree neighbour counts) runs on ``bincount``
-kernels -- exact and an order of magnitude faster than the ``np.add.at``
-scatters they replaced.  The MIS side's class-weighted neighbourhood sums
-(``sum of 1/d(u)`` per class) go through the graph's cached scipy CSR
-adjacency as one sparse mat-mat product under the default ``csr`` backend;
-``backend="legacy"`` keeps the original scatter loop (float accumulation
-order differs between the two at the 1e-16 level, far inside the 1e-12
-threshold guards).
+kernels.  The MIS side's class-weighted neighbourhood sums (``sum of
+1/d(u)`` per class) are one sparse mat-mat product through the graph's
+cached scipy CSR adjacency.  The ``np.add.at`` class sums in
+``tests/test_kernels_equivalence.py`` are its reference: float
+accumulation order differs between the two at the 1e-16 level, far inside
+the 1e-12 threshold guards.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.kernels import HAS_SCIPY, resolve_backend
 from .params import Params
 
 __all__ = [
@@ -149,9 +147,7 @@ class GoodNodesMIS:
         return int(self.b_mask.sum())
 
 
-def good_nodes_mis(
-    g: Graph, params: Params, *, backend: str | None = None
-) -> GoodNodesMIS:
+def good_nodes_mis(g: Graph, params: Params) -> GoodNodesMIS:
     """Compute ``i*``, ``B``, ``Q_0`` for the MIS algorithm (Section 4.1)."""
     deg = g.degrees()
     n, delta = g.n, params.delta_value
@@ -162,20 +158,12 @@ def good_nodes_mis(
     nz = deg > 0
     inv_deg[nz] = 1.0 / deg[nz]
 
-    # acc[v, i] = sum of 1/d(u) over neighbours u of v in class i.
-    if g.m and HAS_SCIPY and resolve_backend(backend) != "legacy":
-        # One sparse mat-mat product against the class-indicator weights:
-        # W[u, i] = 1/d(u) iff class_of[u] == i, so (A @ W)[v, i] is exactly
-        # the class-i neighbourhood sum.
-        w = np.zeros((n, num_classes + 1), dtype=np.float64)
-        w[np.arange(n), class_of] = inv_deg
-        acc = np.asarray(g.adjacency_csr() @ w)
-    else:
-        acc = np.zeros((n, num_classes + 1), dtype=np.float64)
-        if g.m:
-            eu, ev = g.edges_u, g.edges_v
-            np.add.at(acc, (eu, class_of[ev]), inv_deg[ev])
-            np.add.at(acc, (ev, class_of[eu]), inv_deg[eu])
+    # acc[v, i] = sum of 1/d(u) over neighbours u of v in class i: one
+    # sparse mat-mat product against the class-indicator weights
+    # W[u, i] = 1/d(u) iff class_of[u] == i.
+    w = np.zeros((n, num_classes + 1), dtype=np.float64)
+    w[np.arange(n), class_of] = inv_deg
+    acc = np.asarray(g.adjacency_csr() @ w)
     total = acc.sum(axis=1)
     a_mask = (total >= 1.0 / 3.0 - 1e-12) & (deg > 0)
 

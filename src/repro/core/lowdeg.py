@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from ..derand.strategies import resolve_seed_backend, select_seed_batch
+from ..derand.strategies import select_seed_batch
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
 from ..graphs.kernels import segment_any_block_fn, segment_min_block_fn
@@ -190,21 +190,10 @@ def lowdeg_mis(
             i_mask[:, live] = key_full[:, live] < nbr_min[:, live]
             return i_mask
 
-        if resolve_seed_backend(params.seed_backend) == "jit":
-            # Fused select/reduce: per seed, three O(n + arcs) compiled
-            # passes instead of the (S, n) key grid -- bit-identical
-            # objective values (integer keys, order-free reductions).
-            from ..derand.seed_jit import make_lowdeg_objective
-
-            batch_objective = make_lowdeg_objective(
-                family, colors[live], live, g.indices, g.indptr, deg_sel, n
-            )
-        else:
-
-            def batch_objective(seeds: np.ndarray) -> np.ndarray:
-                i_mask = compute_i_masks(seeds)
-                covered = nbr_any_fn(i_mask)
-                return ((covered | i_mask) @ deg_sel).astype(np.float64)
+        def batch_objective(seeds: np.ndarray) -> np.ndarray:
+            i_mask = compute_i_masks(seeds)
+            covered = nbr_any_fn(i_mask)
+            return ((covered | i_mask) @ deg_sel).astype(np.float64)
 
         target = params.mis_target(w_a)
         # Phase-disjoint offsets into the canonical scan order; the scan's
@@ -221,7 +210,6 @@ def lowdeg_mis(
             max_trials=params.max_scan_trials,
             best_of_k=params.best_of_k,
             start=start,
-            backend=params.seed_backend,
             chunk_size=params.seed_chunk,
         )
         if not sel.satisfied:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ..derand.strategies import SEED_BACKENDS
-from ..graphs.kernels import BACKENDS as KERNEL_BACKENDS
 from ..models.plane import ENGINE_BACKENDS
 
 __all__ = ["Params"]
@@ -40,10 +38,8 @@ class Params:
     max_scan_trials: int = 512
     best_of_k: int = 64
     enumeration_cap: int = 1 << 16
-    seed_backend: str | None = None  # batched | scalar | jit (REPRO_SEED_BACKEND)
     seed_chunk: int | None = None  # seeds per objective block (REPRO_SEED_CHUNK)
     seed_scan_workers: int = 0  # >1 enables the process-parallel stage scan
-    kernel_backend: str | None = None  # csr | legacy | jit (REPRO_KERNEL_BACKEND)
     engine_backend: str | None = None  # columnar | legacy (REPRO_ENGINE_BACKEND)
     congest_pipeline_seed_fix: bool = False  # CONGEST O(D + seed_bits) ablation
     target_safety: float = 1.0  # multiplies the paper's progress constants
@@ -66,16 +62,10 @@ class Params:
             raise ValueError("c must be 2 or an even integer >= 4")
         if self.strategy not in ("scan", "conditional_expectation", "best_of"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.seed_backend is not None and self.seed_backend not in SEED_BACKENDS:
-            raise ValueError(f"unknown seed backend {self.seed_backend!r}")
         if self.seed_chunk is not None and self.seed_chunk < 1:
             raise ValueError("seed_chunk must be >= 1")
         if self.seed_scan_workers < 0:
             raise ValueError("seed_scan_workers must be >= 0")
-        if self.kernel_backend is not None and self.kernel_backend not in (
-            KERNEL_BACKENDS
-        ):
-            raise ValueError(f"unknown kernel backend {self.kernel_backend!r}")
         if self.engine_backend is not None and self.engine_backend not in (
             ENGINE_BACKENDS
         ):

@@ -434,7 +434,6 @@ def run_stage_seed_search(
                 target=float(total_machines),
                 max_trials=params.max_scan_trials,
                 start=max(1, scan_start),  # >= 1 skips the constant-zero hash
-                backend=params.seed_backend,
                 chunk_size=params.seed_chunk,
             )
         trials_total += sel.trials

@@ -14,7 +14,6 @@ from .strategies import (
     SeedSelection,
     Strategy,
     batched_from_scalar,
-    resolve_seed_backend,
     resolve_seed_chunk,
     select_seed,
     select_seed_batch,
@@ -30,7 +29,6 @@ __all__ = [
     "certified_slacks",
     "chebyshev_bound",
     "paper_nominal_slack",
-    "resolve_seed_backend",
     "resolve_seed_chunk",
     "select_seed",
     "select_seed_batch",

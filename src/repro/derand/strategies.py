@@ -39,19 +39,11 @@ The engine underneath all three selectors consumes a :data:`BatchObjective`
 with early exit on the first chunk containing a target hit.  Call sites
 provide natively vectorised kernels (one hash ``evaluate_batch`` plus 2-D
 segment reductions per chunk); :func:`select_seed` keeps the scalar
-``Objective`` API by adapting it one seed at a time, and the two paths are
-*bit-identical*: same selected seed, value, trial count, ``satisfied`` flag
-and ``family_mean``, enforced by property tests and the
+``Objective`` API by running the same engine with ``chunk_size=1`` (one
+lazy objective evaluation per trial).  The chunk size never changes the
+outcome: same selected seed, value, trial count, ``satisfied`` flag and
+``family_mean`` for every chunk size, enforced by property tests and the
 ``bench_seed_search`` parity gate.
-
-Backend selection mirrors the PR-2 kernel switch: ``backend="batched" |
-"scalar" | "jit" | None``, where ``None`` resolves through
-``REPRO_SEED_BACKEND`` and defaults to ``"batched"``.  The ``"scalar"``
-backend runs the same engine with chunk size 1 (lazy, one objective
-evaluation per trial) and exists as the like-for-like baseline / bisection
-fallback.  The ``"jit"`` backend keeps the batched engine but lets call
-sites swap in fused compiled objectives (:mod:`repro.derand.seed_jit`); it
-degrades to ``"batched"`` when numba is unavailable.
 
 The round cost of a selection is charged by the *caller* through the ledger
 (``charge_seed_fix``), because it depends on model constants, not on which
@@ -73,13 +65,11 @@ __all__ = [
     "BatchObjective",
     "ConditionalExpectationError",
     "DEFAULT_SEED_CHUNK",
-    "SEED_BACKENDS",
     "SeedSelection",
     "Strategy",
     "batched_from_scalar",
     "fold_scan",
     "iter_seed_blocks",
-    "resolve_seed_backend",
     "resolve_seed_chunk",
     "resolve_seed_workers",
     "scan_regions",
@@ -95,8 +85,6 @@ Objective = Callable[[int], float]
 #: Batched objective: maps an int64 seed block to per-seed float64 scores.
 BatchObjective = Callable[[np.ndarray], np.ndarray]
 
-SEED_BACKENDS = ("batched", "scalar", "jit")
-DEFAULT_SEED_BACKEND = "batched"
 DEFAULT_SEED_CHUNK = 64
 
 
@@ -110,31 +98,14 @@ class ConditionalExpectationError(RuntimeError):
     """
 
 
-def resolve_seed_backend(backend: str | None = None) -> str:
-    """Resolve an explicit or environment-selected seed-search backend.
-
-    ``"jit"`` (fused compiled seed-scan objectives, see
-    :mod:`repro.derand.seed_jit`) degrades to ``"batched"`` when numba is
-    unavailable -- same one-time warning + ``kernels.jit_fallbacks``
-    counter as the kernel-backend resolver, never an error.
-    """
-    resolved = backend or os.environ.get("REPRO_SEED_BACKEND", DEFAULT_SEED_BACKEND)
-    if resolved not in SEED_BACKENDS:
-        raise ValueError(
-            f"unknown seed backend {resolved!r}; expected one of {SEED_BACKENDS}"
-        )
-    if resolved == "jit":
-        from ..graphs import kernels_jit
-
-        if not kernels_jit.available():
-            kernels_jit.note_fallback("seed backend resolution")
-            return DEFAULT_SEED_BACKEND
-    return resolved
-
-
 def resolve_seed_chunk(chunk_size: int | None = None) -> int:
-    """Seed-block size for batched evaluation (``REPRO_SEED_CHUNK``)."""
-    resolved = chunk_size or int(os.environ.get("REPRO_SEED_CHUNK", DEFAULT_SEED_CHUNK))
+    """Seed-block size for batched evaluation (``REPRO_SEED_CHUNK``).
+
+    An unset or empty variable means the default, as in
+    :meth:`~repro.api.ExecutionConfig.from_env`.
+    """
+    env = os.environ.get("REPRO_SEED_CHUNK") or DEFAULT_SEED_CHUNK
+    resolved = chunk_size or int(env)
     if resolved < 1:
         raise ValueError(f"seed chunk size must be >= 1, got {resolved}")
     return resolved
@@ -144,9 +115,8 @@ def resolve_seed_workers(workers: int | None = None) -> int:
     """Process count for the parallel stage scan (``REPRO_SEED_WORKERS``).
 
     ``0`` / ``None`` falls back to the environment; the serial scan runs
-    unless the resolved value is ``> 1``.  This is the single place the
-    variable is read (``ExecutionConfig`` and the stage search both resolve
-    through it).
+    unless the resolved value is ``> 1``.  An unset or empty variable means
+    ``0``, as in :meth:`~repro.api.ExecutionConfig.from_env`.
     """
     resolved = workers or int(os.environ.get("REPRO_SEED_WORKERS", "0") or 0)
     if resolved < 0:
@@ -414,14 +384,13 @@ def select_seed_batch(
     enumeration_cap: int = 1 << 16,
     best_of_k: int = 64,
     start: int = 0,
-    backend: str | None = None,
     chunk_size: int | None = None,
 ) -> SeedSelection:
     """Deterministically pick a seed using a natively batched objective.
 
-    ``backend="batched"`` evaluates seed blocks of ``chunk_size``;
-    ``backend="scalar"`` runs the identical engine one seed at a time.
-    Both return the same :class:`SeedSelection` bit-for-bit.  ``scan``
+    Seed blocks ramp up to ``chunk_size`` seeds (``None`` resolves through
+    :func:`resolve_seed_chunk`); every chunk size returns the same
+    :class:`SeedSelection` bit-for-bit, ``chunk_size=1`` included.  ``scan``
     requires a ``target`` (the value the existence argument guarantees);
     the other strategies ignore it.  ``start`` rotates the canonical scan
     order (see :func:`scan_regions`) -- stage searches start at 1 because
@@ -430,9 +399,7 @@ def select_seed_batch(
     """
     if family_size < 1:
         raise ValueError("family_size must be >= 1")
-    chunk = 1 if resolve_seed_backend(backend) == "scalar" else resolve_seed_chunk(
-        chunk_size
-    )
+    chunk = resolve_seed_chunk(chunk_size)
     t_sel = _obs.clock() if _obs._TRACING else 0.0
     if strategy == "conditional_expectation":
         if family_size > enumeration_cap:
@@ -492,5 +459,5 @@ def select_seed(
         enumeration_cap=enumeration_cap,
         best_of_k=best_of_k,
         start=start,
-        backend="scalar",
+        chunk_size=1,
     )

@@ -31,7 +31,6 @@ import scipy.sparse as sp
 
 from ..hashing.primes import next_prime
 from .graph import Graph
-from .kernels import resolve_backend
 from .power import hop_pattern, square_graph
 
 __all__ = [
@@ -118,38 +117,11 @@ def _poly_evals(colors: np.ndarray, q: int, d: int) -> tuple[np.ndarray, np.ndar
 _LINIAL_BLOCK_ELEMS = 1 << 25
 
 
-def _linial_step(
-    g: Arcs, colors: np.ndarray, palette: int, *, backend: str | None = None
-) -> tuple[np.ndarray, int]:
+def _linial_step(g: Arcs, colors: np.ndarray, palette: int) -> tuple[np.ndarray, int]:
     """One Linial reduction round: palette ``K -> q^2``."""
     n = g.indptr.size - 1
     q, d = _linial_field(int(np.diff(g.indptr).max(initial=0)), palette)
     coeffs, evals = _poly_evals(colors, q, d)  # evals: (n, q)
-    resolved = resolve_backend(backend)
-    if resolved == "jit":
-        # Compiled clash kernel: per node, scan evaluation points until one
-        # is free of neighbour collisions (early exit per point).  The
-        # first free point is unique, so the result is bit-identical to
-        # both numpy specialisations below.
-        from .kernels_jit import linial_first_free
-
-        x_of = linial_first_free(evals, g.indices, g.indptr)
-        return x_of * q + evals[np.arange(n), x_of], q * q
-    if resolved == "legacy":
-        new_colors = np.empty(n, dtype=np.int64)
-        for v in range(n):
-            nbrs = g.indices[g.indptr[v] : g.indptr[v + 1]]
-            if nbrs.size == 0:
-                new_colors[v] = 0 * q + evals[v, 0]
-                continue
-            # x is 'free' if p_v(x) differs from every neighbour's p_u(x).
-            clash = np.any(evals[nbrs, :] == evals[v, :][None, :], axis=0)
-            free = np.nonzero(~clash)[0]
-            # Guaranteed non-empty because q > d * Delta bounds collision
-            # roots.
-            x = int(free[0])
-            new_colors[v] = x * q + int(evals[v, x])
-        return new_colors, q * q
     if d == 1:
         x_of = _first_free_points_linear(g, coeffs, q)
     else:
@@ -197,7 +169,7 @@ def _first_free_points(g: Arcs, evals: np.ndarray, q: int) -> np.ndarray:
     Vectorised over blocks of evaluation points: each block compares the
     (arc, x) evaluation slices and OR-reduces clashes per node segment.
     Nodes resolve at their first clash-free x (ascending scan, so output is
-    identical to the per-node loop); later blocks only reprocess the arcs
+    identical to a per-node scan); later blocks only reprocess the arcs
     of still-unresolved nodes -- with ``q > d * Delta`` most nodes resolve
     in the first block, so total work stays near one pass over the arcs.
     Isolated nodes resolve at ``x = 0``.

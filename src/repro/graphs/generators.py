@@ -23,6 +23,7 @@ from .graph import Graph
 # block-sampled G(n, p) is defined (and streamed) in .streaming, but its
 # identity as a generator lives in this namespace alongside the rest.
 from .streaming import gnp_block_graph  # noqa: F401  (re-export)
+from .streaming import stream_gnp_random_graph
 
 __all__ = [
     "bounded_degree_graph",
@@ -118,19 +119,16 @@ def caterpillar_graph(spine: int, legs: int) -> Graph:
 
 
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p).
+    """Erdos-Renyi G(n, p): one uniform draw per upper-triangle pair.
 
-    Sampled by drawing a Bernoulli mask over the upper triangle; memory is
-    O(n^2 / 8) via boolean masks, fine for the n <= ~20k used in experiments.
+    Built from :func:`~repro.graphs.streaming.stream_gnp_random_graph`,
+    which consumes the draws in fixed-size chunks, so peak memory is
+    O(chunk + m) rather than an O(n^2) mask; the work is still O(n^2)
+    draws (use ``gnp_block_graph`` for large ``n``).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
-    if n <= 1 or p == 0.0:
-        return Graph.empty(max(n, 0))
-    iu = np.triu_indices(n, k=1)
-    mask = rng.random(iu[0].size) < p
-    return Graph.from_edges(n, np.stack([iu[0][mask], iu[1][mask]], axis=1))
+    return Graph.from_edges(
+        max(n, 0), np.concatenate(list(stream_gnp_random_graph(n, p, seed)))
+    )
 
 
 def random_tree(n: int, seed: int) -> Graph:

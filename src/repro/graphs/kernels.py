@@ -1,54 +1,31 @@
 """Vectorized CSR solver kernels shared by the baselines and simulators.
 
 The per-iteration primitives every Luby-style solver needs -- neighbour
-minima, neighbourhood membership counts, "k-th live incident edge" lookups
--- are expressed here as whole-array operations over a :class:`Graph`'s CSR
-arrays.  Two implementation tiers:
-
-* ``np.minimum.reduceat`` / ``np.add.reduceat`` over the arc arrays, which
-  replaces the ufunc ``.at`` scatter calls the legacy paths used (reduceat
-  runs an order of magnitude faster than ``np.minimum.at`` on large inputs);
-* exact int64 sparse mat-vec products through the graph's cached
-  ``scipy.sparse`` adjacency (:meth:`Graph.adjacency_csr`) for neighbourhood
-  counting, with a pure-numpy reduceat fallback when scipy is unavailable.
+minima, alive-edge degrees, "k-th live incident edge" lookups -- and the
+seed-block reductions of the batched seed search are expressed here as
+whole-array operations over a :class:`Graph`'s CSR arrays:
+``np.minimum.reduceat`` / ``np.add.reduceat`` over the arc arrays (an order
+of magnitude faster than ``np.minimum.at`` scatters on large inputs), and
+padded gather tables for blocks of seeds.
 
 All kernels are *exact*: they use only integer arithmetic and order-free
-reductions (min / integer sum), so solvers built on them draw the same RNG
-stream and return bit-identical solutions to the legacy per-iteration
-rebuild paths.  That equivalence is enforced by property tests and by the
-``bench_kernels`` regression gate.
-
-Backend selection: solvers take ``backend="csr" | "legacy" | "jit" | None``;
-``None`` resolves through a process-local override (see
-:func:`kernel_backend_scope`, which :func:`repro.api.solve` uses to apply a
-consolidated :class:`~repro.api.ExecutionConfig`), then the
-``REPRO_KERNEL_BACKEND`` environment variable, and defaults to ``"csr"``.
-The ``jit`` backend (numba-compiled fused loops, see
-:mod:`repro.graphs.kernels_jit`) resolves to ``"csr"`` with a one-time
-warning when numba is unavailable.
+reductions (min / integer sum), so solvers built on them return the same
+solutions as a per-iteration rebuild of the residual graph.  That
+equivalence is pinned by the pure-Python reference solvers in
+``tests/test_kernels_equivalence.py``.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 import numpy as np
 
 from .graph import Graph
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "HAS_SCIPY",
     "alive_arc_select",
     "alive_edge_degrees",
     "group_order_indptr",
-    "neighbor_count_toward",
     "neighbor_min",
-    "kernel_backend_scope",
-    "resolve_backend",
     "segment_any_block_fn",
     "segment_count_2d",
     "segment_min",
@@ -56,73 +33,6 @@ __all__ = [
     "segment_min_block_fn",
     "segment_sum",
 ]
-
-BACKENDS = ("csr", "legacy", "jit")
-DEFAULT_BACKEND = "csr"
-
-try:  # scipy is an optional accelerator, not a hard dependency
-    import scipy.sparse as _sparse  # noqa: F401
-
-    HAS_SCIPY = True
-except ImportError:  # pragma: no cover - scipy ships in the standard env
-    HAS_SCIPY = False
-
-
-_BACKEND_OVERRIDE: ContextVar[str | None] = ContextVar(
-    "repro_kernel_backend_override", default=None
-)
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve an explicit, scoped, or environment-selected kernel backend.
-
-    ``"jit"`` degrades gracefully: when numba is missing or import-broken
-    the resolved backend is ``"csr"`` (one-time ``JitFallbackWarning`` plus
-    a ``kernels.jit_fallbacks`` counter per fallback), so downstream branch
-    sites never see an unusable backend name.
-    """
-    resolved = (
-        backend
-        or _BACKEND_OVERRIDE.get()
-        or os.environ.get("REPRO_KERNEL_BACKEND", DEFAULT_BACKEND)
-    )
-    if resolved not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {resolved!r}; expected one of {BACKENDS}"
-        )
-    if resolved == "jit":
-        from . import kernels_jit
-
-        if not kernels_jit.available():
-            kernels_jit.note_fallback("kernel backend resolution")
-            return DEFAULT_BACKEND
-    return resolved
-
-
-@contextmanager
-def kernel_backend_scope(backend: str | None):
-    """Pin the kernel backend for every ``resolve_backend(None)`` call inside.
-
-    ``None`` is a no-op scope (environment fallback stays live).  This is how
-    an :class:`~repro.api.ExecutionConfig` reaches kernel call sites that do
-    not thread an explicit ``backend`` argument, without mutating
-    ``os.environ``.  Scopes nest (the innermost non-``None`` value wins) and
-    the override is a :class:`~contextvars.ContextVar`, so concurrent
-    ``solve()`` calls in different threads or tasks cannot contaminate each
-    other.
-    """
-    if backend is None:
-        yield
-        return
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; expected one of {BACKENDS}"
-        )
-    token = _BACKEND_OVERRIDE.set(backend)
-    try:
-        yield
-    finally:
-        _BACKEND_OVERRIDE.reset(token)
 
 
 # ---------------------------------------------------------------------- #
@@ -184,25 +94,18 @@ def segment_min_2d(values: np.ndarray, indptr: np.ndarray, fill) -> np.ndarray:
     return out
 
 
-def segment_count_2d(
-    mask: np.ndarray, indptr: np.ndarray, *, backend: str | None = None
-) -> np.ndarray:
+def segment_count_2d(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """int32[S, n]: per-segment count of True along axis 1 (0 when empty).
 
     Exact integer sums via a per-row prefix sum plus boundary differences
     -- one contiguous pass over the block instead of a ``reduceat`` per
     segment start, which matters when segments are small and numerous
-    (machine groups, neighbourhood lists).  Under the ``jit`` backend the
-    count runs as one compiled loop with no prefix-sum intermediate.
+    (machine groups, neighbourhood lists).
     """
     s, width = mask.shape
     n = indptr.size - 1
     if width == 0 or n == 0:
         return np.zeros((s, n), dtype=np.int32)
-    if resolve_backend(backend) == "jit":
-        from . import kernels_jit
-
-        return kernels_jit.segment_count_2d(mask, indptr)
     # Contiguous cumsum (the fast path), then gather the prefix value at
     # every segment boundary: prefix(j) = cum[:, j-1] with prefix(0) = 0.
     cum = np.cumsum(mask, axis=1, dtype=np.int32)
@@ -260,22 +163,15 @@ def _padded_table(
     return table
 
 
-def segment_min_block_fn(
-    cols: np.ndarray, indptr: np.ndarray, width: int, *, backend: str | None = None
-):
+def segment_min_block_fn(cols: np.ndarray, indptr: np.ndarray, width: int):
     """Build ``f(values, fill) -> (S, M)``: per-segment min of ``values[:, cols]``.
 
     ``values`` is an ``(S, width)`` seed block; segment ``i`` reduces
     ``cols[indptr[i]:indptr[i+1]]``.  The returned callable is built once
     per search (precomputing the padded table or scatter owners) and
     called once per seed chunk.  Empty segments yield ``fill``; row ``s``
-    equals the scalar per-seed reduction bit-for-bit.  The ``jit`` backend
-    swaps in the compiled fused loop (no padded gather table).
+    equals the scalar per-seed reduction bit-for-bit.
     """
-    if resolve_backend(backend) == "jit":
-        from . import kernels_jit
-
-        return kernels_jit.segment_min_block_fn(cols, indptr, width)
     m = indptr.size - 1
     table = _padded_table(cols, indptr, width)
     if table is not None:
@@ -301,19 +197,12 @@ def segment_min_block_fn(
     return f_scatter
 
 
-def segment_any_block_fn(
-    cols: np.ndarray, indptr: np.ndarray, width: int, *, backend: str | None = None
-):
+def segment_any_block_fn(cols: np.ndarray, indptr: np.ndarray, width: int):
     """Build ``f(mask) -> (S, M)`` bool: per-segment OR of ``mask[:, cols]``.
 
     Same construction/trade-offs as :func:`segment_min_block_fn`; empty
     segments yield False.
     """
-    if resolve_backend(backend) == "jit":
-        from . import kernels_jit
-
-        return kernels_jit.segment_any_block_fn(cols, indptr, width)
-    m = indptr.size - 1
     table = _padded_table(cols, indptr, width)
     if table is not None:
 
@@ -351,19 +240,6 @@ def neighbor_min(
     return segment_min(vals[g.indices], g.indptr, fill)
 
 
-def neighbor_count_toward(g: Graph, node_mask: np.ndarray) -> np.ndarray:
-    """int64[n]: for each ``v``, number of neighbours ``u`` with ``mask[u]``.
-
-    Semantically :meth:`Graph.degrees_toward`, computed through the cached
-    scipy CSR adjacency (exact int64 mat-vec) when scipy is available and
-    through a reduceat fallback otherwise.
-    """
-    x = np.asarray(node_mask).astype(np.int64, copy=False)
-    if HAS_SCIPY:
-        return np.asarray(g.adjacency_csr() @ x, dtype=np.int64)
-    return segment_sum(x[g.indices], g.indptr)
-
-
 def alive_edge_degrees(g: Graph, alive_edges: np.ndarray) -> np.ndarray:
     """int64[n]: per-node count of incident edges with ``alive_edges`` set.
 
@@ -383,7 +259,7 @@ def alive_arc_select(
     ``nodes`` must have ``offsets[i] < alive_degree(nodes[i])``.  Arc order
     is CSR order restricted to surviving edges, which matches the arc order
     of the rebuilt residual graph -- so proposal-style solvers (Israeli-
-    Itai) pick the same edge for the same RNG draw on either path.
+    Itai) pick the same edge for the same RNG draw as on a rebuilt graph.
     """
     arc_alive = np.asarray(alive_edges, dtype=bool)[g.arc_edge_ids]
     alive_pos = np.nonzero(arc_alive)[0]

@@ -18,11 +18,11 @@ graph against one built in RAM.
 
 Memory notes, per generator:
 
-* ``stream_gnp_random_graph`` — truly streaming: the O(n^2) Bernoulli mask
-  of the in-memory path is consumed in flat upper-triangle chunks, so peak
-  memory is O(block).  Work is still O(n^2) draws (the in-memory
-  definition); for million-node inputs use ``gnp_block_graph``, which is
-  streaming-*native* and O(m).
+* ``stream_gnp_random_graph`` — truly streaming: the O(n^2) Bernoulli
+  draws are consumed in flat upper-triangle chunks, so peak memory is
+  O(block); the in-memory ``gnp_random_graph`` is built from this stream.
+  Work is still O(n^2) draws (the definition); for million-node inputs use
+  ``gnp_block_graph``, which is streaming-*native* and O(m).
 * ``stream_random_regular_graph`` — the stub array (``n * d`` words) is
   materialised and shuffled exactly like the in-memory path (that *is* the
   definition), but the pair list is then emitted in blocks.
@@ -100,11 +100,11 @@ def _triu_pair_of_flat(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def stream_gnp_random_graph(
     n: int, p: float, seed: int, *, block_pairs: int = DEFAULT_BLOCK_PAIRS
 ) -> EdgeBlocks:
-    """Streaming twin of :func:`~repro.graphs.generators.gnp_random_graph`.
+    """Edge blocks of :func:`~repro.graphs.generators.gnp_random_graph`.
 
-    Consumes the same Bernoulli stream as the in-memory generator — one
-    uniform draw per upper-triangle pair, row-major — in ``block_pairs``
-    chunks, so the O(n^2) boolean mask never materialises.
+    One uniform draw per upper-triangle pair, row-major, consumed in
+    ``block_pairs`` chunks, so the O(n^2) boolean mask never materialises.
+    The in-memory generator concatenates these blocks.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")

@@ -47,10 +47,11 @@ def resolve_engine_backend(backend: str | None = None) -> str:
 
     ``columnar`` runs rounds over packed :class:`Plane` buffers;
     ``legacy`` keeps the object-granular step functions.  Both produce
-    bit-identical results; only the interpreter cost differs.
+    bit-identical results; only the interpreter cost differs.  An unset or
+    empty variable means the default.
     """
-    resolved = backend or os.environ.get(
-        "REPRO_ENGINE_BACKEND", DEFAULT_ENGINE_BACKEND
+    resolved = (
+        backend or os.environ.get("REPRO_ENGINE_BACKEND") or DEFAULT_ENGINE_BACKEND
     )
     if resolved not in ENGINE_BACKENDS:
         raise ValueError(

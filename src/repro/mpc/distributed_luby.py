@@ -24,36 +24,26 @@ capacity checks): the request/response pattern needs roughly
 ``n / M + M <= S`` and ``Delta``-independent message counts hold because
 each machine sends at most one query per distinct endpoint it stores.
 
-Backends: two independent switches select how the run executes.
-
-* The *engine* backend (``engine_backend="columnar" | "legacy"``, resolved
-  through ``REPRO_ENGINE_BACKEND``, default ``columnar``) picks the round
-  core.  ``columnar`` runs every step through
-  :meth:`~repro.mpc.engine.MPCEngine.round_packed`: per-machine state and
-  every message batch are struct-of-arrays planes, routed with one stable
-  argsort + ``searchsorted`` split per batch -- interpreter cost per round
-  is per *batch*, not per message.  ``legacy`` keeps the object-granular
-  step functions.
-* Under the legacy engine, the *kernel* backend (``backend="csr" |
-  "legacy"``, via ``REPRO_KERNEL_BACKEND``) picks whole-array vs per-arc
-  local computation, exactly as before.  Passing ``backend`` explicitly
-  pins the object engine path so the historical comparisons keep working.
-
-All paths exchange the same message multiset each round and charge the
-same words, so round counts, capacity checks, ledger totals and the
-returned MIS match exactly.
+Engine backends (``engine_backend="columnar" | "legacy"``, resolved
+through ``REPRO_ENGINE_BACKEND``, default ``columnar``) pick the round
+core.  ``columnar`` runs every step through
+:meth:`~repro.mpc.engine.MPCEngine.round_packed`: per-machine state and
+every message batch are struct-of-arrays planes, routed with one stable
+argsort + ``searchsorted`` split per batch -- interpreter cost per round is
+per *batch*, not per message.  ``legacy`` keeps the object-granular step
+functions over packed per-machine arc arrays.  Both exchange the same
+message multiset each round and charge the same words, so round counts,
+capacity checks, ledger totals and the returned MIS match exactly.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any
 
 import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.io import packed_arc_plane
-from ..graphs.kernels import resolve_backend
 from ..hashing.kwise import KWiseHashFamily, make_family
 from ..models.plane import MessageBlock, Plane, concat_planes, resolve_engine_backend
 from .engine import MPCEngine
@@ -62,17 +52,12 @@ from .primitives import broadcast_word
 __all__ = ["distributed_luby_mis", "packed_arc_plane"]
 
 
-def _home(node: int, num_machines: int) -> int:
-    return node % num_machines
-
-
 def distributed_luby_mis(
     g: Graph,
     num_machines: int,
     space: int,
     *,
     max_phases: int = 200,
-    backend: str | None = None,
     engine_backend: str | None = None,
     arc_plane: np.ndarray | None = None,
     stats_out: dict | None = None,
@@ -93,16 +78,8 @@ def distributed_luby_mis(
     """
     if arc_plane is None:
         arc_plane = packed_arc_plane(g)
-    if engine_backend is None and backend is not None:
-        engine = "legacy"  # explicit kernel backend pins the object path
-    else:
-        engine = resolve_engine_backend(engine_backend)
-    if engine == "columnar":
+    if resolve_engine_backend(engine_backend) == "columnar":
         return _distributed_luby_mis_columnar(
-            g, num_machines, space, max_phases, arc_plane, stats_out
-        )
-    if resolve_backend(backend) == "legacy":
-        return _distributed_luby_mis_legacy(
             g, num_machines, space, max_phases, arc_plane, stats_out
         )
     return _distributed_luby_mis_vectorized(
@@ -351,7 +328,7 @@ def _distributed_luby_mis_columnar(
 
 
 # ---------------------------------------------------------------------- #
-# Vectorized backend: packed arc arrays per machine
+# Object engine path: packed arc arrays per machine
 # ---------------------------------------------------------------------- #
 
 
@@ -627,264 +604,6 @@ def _distributed_luby_mis_vectorized(
                 alive = ~(np.isin(src, dead) | np.isin(dst, dead))
                 arcs = arcs[alive]
             return [arcs] + keep, []
-
-        engine.round(filter_step)
-
-        # Harvest decisions (observation only; no engine communication).
-        for mid in range(m_machines):
-            for it in engine.storage[mid]:
-                if isinstance(it, tuple) and it[0] == "inI" and it[2]:
-                    in_mis[it[1]] = True
-                    decided[it[1]] = True
-                if isinstance(it, tuple) and it[0] == "killed" and it[2]:
-                    decided[it[1]] = True
-
-    # Undecided nodes are isolated in the residual graph: they join the MIS.
-    in_mis |= ~decided
-    total_rounds = engine.rounds_executed - rounds0
-    if stats_out is not None:
-        stats_out["snapshot"] = engine.model_snapshot()
-    return np.nonzero(in_mis)[0].astype(np.int64), total_rounds, phases
-
-
-# ---------------------------------------------------------------------- #
-# Legacy backend: one storage item per arc, per-arc Python loops
-# ---------------------------------------------------------------------- #
-
-
-def _distributed_luby_mis_legacy(
-    g: Graph,
-    num_machines: int,
-    space: int,
-    max_phases: int,
-    arc_plane: np.ndarray,
-    stats_out: dict | None = None,
-) -> tuple[np.ndarray, int, int]:
-    engine = MPCEngine(num_machines=num_machines, space=space)
-    n = max(g.n, 1)
-    engine.load_balanced([int(a) for a in arc_plane.tolist()])
-
-    family: KWiseHashFamily = make_family(universe=n, k=2)
-    m_machines = engine.num_machines
-    in_mis = np.zeros(g.n, dtype=bool)
-    decided = np.zeros(g.n, dtype=bool)
-    rounds0 = engine.rounds_executed
-    phases = 0
-
-    def z_of(seed: int, node: int) -> int:
-        # strict total order: (hash value, node id)
-        return int(family.evaluate(seed, np.array([node]))[0]) * (n + 1) + node
-
-    while any(
-        any(not isinstance(it, tuple) for it in st) for st in engine.storage
-    ):
-        phases += 1
-        if phases > max_phases:
-            raise RuntimeError("distributed Luby failed to converge")
-        seed = (1 + phases * 7919) % family.size
-        broadcast_word(engine, seed)
-
-        # ---- step 2: min-z partials to home machines ------------------ #
-        def minz_step(mid: int, items: list[Any]):
-            arcs = [it for it in items if not isinstance(it, tuple)]
-            keep = [it for it in items if isinstance(it, tuple)]
-            mins: dict[int, int] = {}
-            for arc in arcs:
-                src, dst = divmod(arc, n)
-                zd = z_of(seed, dst)
-                if src not in mins or zd < mins[src]:
-                    mins[src] = zd
-            sends = []
-            for src, zmin in sorted(mins.items()):
-                msg = ("minz", src, zmin)
-                home = _home(src, m_machines)
-                if home == mid:
-                    keep.append(msg)
-                else:
-                    sends.append((home, msg))
-            return arcs + keep, sends
-
-        engine.round(minz_step)
-
-        # ---- step 3: home machines decide membership in I ------------- #
-        def decide_step(mid: int, items: list[Any]):
-            arcs = [it for it in items if not isinstance(it, tuple)]
-            other = [
-                it for it in items if isinstance(it, tuple) and it[0] != "minz"
-            ]
-            mins: dict[int, int] = {}
-            for it in items:
-                if isinstance(it, tuple) and it[0] == "minz":
-                    v, zmin = it[1], it[2]
-                    if v not in mins or zmin < mins[v]:
-                        mins[v] = zmin
-            ii = [("inI", v, 1 if z_of(seed, v) < zmin else 0) for v, zmin in mins.items()]
-            return arcs + other + ii, []
-
-        engine.round(decide_step)
-
-        # ---- step 4a: arc holders query in-I bits ---------------------- #
-        def query_step(mid: int, items: list[Any]):
-            arcs = [it for it in items if not isinstance(it, tuple)]
-            keep = [it for it in items if isinstance(it, tuple)]
-            wanted: set[int] = set()
-            for arc in arcs:
-                src, dst = divmod(arc, n)
-                wanted.add(src)
-                wanted.add(dst)
-            sends = []
-            for v in sorted(wanted):
-                home = _home(v, m_machines)
-                msg = ("q", v, mid)
-                if home == mid:
-                    keep.append(msg)
-                else:
-                    sends.append((home, msg))
-            return arcs + keep, sends
-
-        engine.round(query_step)
-
-        def answer_step(mid: int, items: list[Any]):
-            arcs = [it for it in items if not isinstance(it, tuple)]
-            in_i = {
-                it[1]: it[2]
-                for it in items
-                if isinstance(it, tuple) and it[0] == "inI"
-            }
-            keep = [
-                it
-                for it in items
-                if isinstance(it, tuple) and it[0] != "q"
-            ]
-            sends = []
-            for it in items:
-                if isinstance(it, tuple) and it[0] == "q":
-                    v, asker = it[1], it[2]
-                    msg = ("a", v, in_i.get(v, 0))
-                    if asker == mid:
-                        keep.append(msg)
-                    else:
-                        sends.append((asker, msg))
-            return arcs + keep, sends
-
-        engine.round(answer_step)
-
-        # ---- step 4b: dominated partials back to homes ----------------- #
-        def dominated_step(mid: int, items: list[Any]):
-            arcs = [it for it in items if not isinstance(it, tuple)]
-            answers = {
-                it[1]: it[2]
-                for it in items
-                if isinstance(it, tuple) and it[0] == "a"
-            }
-            keep = [
-                it
-                for it in items
-                if isinstance(it, tuple) and it[0] not in ("a", "minz")
-            ]
-            dom: dict[int, int] = defaultdict(int)
-            for arc in arcs:
-                src, dst = divmod(arc, n)
-                if answers.get(dst, 0):
-                    dom[src] = 1
-            # retain answers for the kill step
-            keep += [("a", v, bit) for v, bit in answers.items()]
-            sends = []
-            for v, bit in sorted(dom.items()):
-                home = _home(v, m_machines)
-                msg = ("dom", v, bit)
-                if home == mid:
-                    keep.append(msg)
-                else:
-                    sends.append((home, msg))
-            return arcs + keep, sends
-
-        engine.round(dominated_step)
-
-        # ---- step 5: homes finalise killed bits; holders re-query ------ #
-        def finalize_step(mid: int, items: list[Any]):
-            arcs = [it for it in items if not isinstance(it, tuple)]
-            in_i = {}
-            dom = {}
-            answers = {}
-            for it in items:
-                if isinstance(it, tuple):
-                    if it[0] == "inI":
-                        in_i[it[1]] = it[2]
-                    elif it[0] == "dom":
-                        dom[it[1]] = max(dom.get(it[1], 0), it[2])
-                    elif it[0] == "a":
-                        answers[it[1]] = it[2]
-            killed = [
-                ("killed", v, 1 if (bit or dom.get(v, 0)) else 0)
-                for v, bit in in_i.items()
-            ]
-            keep = [("a", v, b) for v, b in answers.items()]
-            keep += [("inI", v, b) for v, b in in_i.items()]
-            return arcs + keep + killed, []
-
-        engine.round(finalize_step)
-
-        def kill_query_step(mid: int, items: list[Any]):
-            arcs = [it for it in items if not isinstance(it, tuple)]
-            keep = [it for it in items if isinstance(it, tuple)]
-            wanted = set()
-            for arc in arcs:
-                src, dst = divmod(arc, n)
-                wanted.add(src)
-                wanted.add(dst)
-            sends = []
-            for v in sorted(wanted):
-                home = _home(v, m_machines)
-                msg = ("kq", v, mid)
-                if home == mid:
-                    keep.append(msg)
-                else:
-                    sends.append((home, msg))
-            return arcs + keep, sends
-
-        engine.round(kill_query_step)
-
-        def kill_answer_and_filter(mid: int, items: list[Any]):
-            killed_bits = {
-                it[1]: it[2]
-                for it in items
-                if isinstance(it, tuple) and it[0] == "killed"
-            }
-            sends = []
-            keep = []
-            for it in items:
-                if isinstance(it, tuple) and it[0] == "kq":
-                    v, asker = it[1], it[2]
-                    msg = ("ka", v, killed_bits.get(v, 0))
-                    if asker == mid:
-                        keep.append(msg)
-                    else:
-                        sends.append((asker, msg))
-                elif isinstance(it, tuple) and it[0] in ("killed", "inI"):
-                    keep.append(it)
-                elif not isinstance(it, tuple):
-                    keep.append(it)
-            return keep, sends
-
-        engine.round(kill_answer_and_filter)
-
-        def filter_step(mid: int, items: list[Any]):
-            ka = {
-                it[1]: it[2]
-                for it in items
-                if isinstance(it, tuple) and it[0] == "ka"
-            }
-            keep = []
-            for it in items:
-                if isinstance(it, tuple):
-                    if it[0] in ("killed", "inI"):
-                        keep.append(it)
-                    continue
-                src, dst = divmod(it, n)
-                if not ka.get(src, 0) and not ka.get(dst, 0):
-                    keep.append(it)
-            return keep, []
 
         engine.round(filter_step)
 

@@ -21,11 +21,8 @@ variance for mean-centered ``R^2`` to explain, yet the one-constant fit
 tracks them within a round or two.  Deliberately loose: with one free
 constant over a handful of sizes this is a smoke alarm for blown-up
 asymptotics (a ``Theta(n)`` round count pretending to be ``O(log n)``
-fails both criteria), not a proof.
-
-The named-shape vocabulary (:data:`SHAPES` / :func:`fit_shape`) that
-seeded this checker remains available for ad-hoc fits; registry
-declarations have migrated to the symbolic layer.
+fails both criteria), not a proof.  The fit itself is
+:func:`repro.obs.symbolic.fit_constant`.
 """
 
 from __future__ import annotations
@@ -33,86 +30,15 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "NRMSE_THRESHOLD",
-    "R2_THRESHOLD",
-    "SHAPES",
     "conformance_matrix",
     "conformance_report",
     "evaluate_entry",
-    "fit_shape",
     "run_sweep",
 ]
-
-R2_THRESHOLD = 0.8
-#: Normalized-RMS-residual fallback: near-flat series (no variance for R^2
-#: to explain) still pass when the fit tracks every point this closely.
-NRMSE_THRESHOLD = 0.15
 
 
 def _log(x: float) -> float:
     return math.log(max(float(x), 2.0))
-
-
-def _loglog(x: float) -> float:
-    return math.log(max(math.log(max(float(x), 2.0)), 2.0))
-
-
-#: Declared-shape vocabulary: name -> f(row) with row keys n, m, delta, depth.
-SHAPES: dict = {
-    "const": lambda r: 1.0,
-    "log_n": lambda r: _log(r["n"]),
-    "loglog_n": lambda r: _loglog(r["n"]),
-    "log_delta": lambda r: _log(r["delta"]),
-    "log_delta_plus_loglog_n": lambda r: _log(r["delta"]) + _loglog(r["n"]),
-    "n": lambda r: float(r["n"]),
-    "m": lambda r: float(max(r["m"], 1)),
-    "n_log_n": lambda r: r["n"] * _log(r["n"]),
-    "m_log_n": lambda r: max(r["m"], 1) * _log(r["n"]),
-    "n_log_delta": lambda r: r["n"] * _log(r["delta"]),
-    "m_log_delta": lambda r: max(r["m"], 1) * _log(r["delta"]),
-    "depth_log_n": lambda r: r["depth"] * _log(r["n"]),
-    "depth_log_n_log_delta": lambda r: r["depth"]
-    + _log(r["n"]) * _log(r["delta"]),
-}
-
-
-def fit_shape(rows: list[dict], metric: str, shape: str) -> dict:
-    """Fit ``metric`` over ``rows`` to ``shape``; returns the fit record.
-
-    Returns ``{"metric", "shape", "constant", "r2", "nrmse", "points",
-    "ok"}``.  ``ok`` is the conformance verdict: ``r2 >= 0.8`` or
-    ``nrmse <= 0.15`` (RMS residual relative to the series mean — the
-    criterion that matters for near-flat series, where ``ss_tot ~ 0``
-    makes ``R^2`` meaningless even when the fit is tight).
-    """
-    if shape not in SHAPES:
-        raise KeyError(f"unknown shape {shape!r}; known: {sorted(SHAPES)}")
-    fn = SHAPES[shape]
-    ys = [float(r[metric]) for r in rows]
-    ss = [fn(r) for r in rows]
-    denom = sum(s * s for s in ss)
-    c = sum(y * s for y, s in zip(ys, ss)) / denom if denom else 0.0
-    mean = sum(ys) / len(ys) if ys else 0.0
-    ss_tot = sum((y - mean) ** 2 for y in ys)
-    ss_res = sum((y - c * s) ** 2 for y, s in zip(ys, ss))
-    if ss_tot > 0:
-        r2 = 1.0 - ss_res / ss_tot
-    else:
-        # Flat series: conformant iff the fit reproduces it exactly.
-        r2 = 1.0 if ss_res < 1e-12 * max(denom, 1.0) else 0.0
-    if ys and mean > 0:
-        nrmse = math.sqrt(ss_res / len(ys)) / mean
-    else:
-        nrmse = 0.0 if ss_res == 0.0 else float("inf")
-    return {
-        "metric": metric,
-        "shape": shape,
-        "constant": round(c, 6),
-        "r2": round(r2, 6),
-        "nrmse": round(nrmse, 6),
-        "points": len(rows),
-        "ok": bool(r2 >= R2_THRESHOLD or nrmse <= NRMSE_THRESHOLD),
-    }
 
 
 def run_sweep(

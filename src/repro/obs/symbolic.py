@@ -110,9 +110,10 @@ SYMBOL_DOC = {
 #: this factor across the sweep before the claim is called outgrown.
 GROWTH_SLACK = 2.0
 
-# Reuse the endpoint-fit thresholds so "tight" means the same thing in
-# both vocabularies.
+#: A constant fit is tight when R^2 reaches this ...
 R2_THRESHOLD = 0.8
+#: ... or, for near-flat series (no variance for R^2 to explain), when the
+#: RMS residual stays within this fraction of the series mean.
 NRMSE_THRESHOLD = 0.15
 
 
@@ -304,8 +305,9 @@ def render_claim(expr) -> str:
 
 
 def fit_constant(values: list[float], series: list[float]) -> dict:
-    """One-parameter least squares through the origin (shared math with
-    :func:`repro.obs.conformance.fit_shape`)."""
+    """One-parameter least squares through the origin, ``c* = sum y*s /
+    sum s^2``; the fit is ok when ``R^2 >= R2_THRESHOLD`` or the RMS
+    residual relative to the series mean is ``<= NRMSE_THRESHOLD``."""
     ys, ss = list(map(float, values)), list(map(float, series))
     denom = sum(s * s for s in ss)
     c = sum(y * s for y, s in zip(ys, ss)) / denom if denom else 0.0

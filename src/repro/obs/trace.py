@@ -11,10 +11,10 @@ Design constraints, in order:
    totals bit-identical) is trivially true because disabled sites execute
    nothing.
 2. **Nesting follows the call tree, concurrency-safely.**  The active span
-   and the active buffer are :class:`~contextvars.ContextVar`s — the same
-   mechanism as :func:`repro.graphs.kernels.kernel_backend_scope` — so
-   concurrent ``solve()`` calls in different threads or tasks build
-   disjoint span trees.
+   and the active buffer are :class:`~contextvars.ContextVar`s, which
+   every thread and asyncio task sees separately, so concurrent
+   ``solve()`` calls in different threads or tasks build disjoint span
+   trees.
 3. **Spans are plain dicts at rest.**  A finished span is appended to its
    buffer as a JSON-safe flat record (``id`` / ``parent`` / ``name`` /
    ``ts`` / ``dur`` / ``attrs`` / ``events``), which is exactly the JSONL
@@ -54,7 +54,7 @@ __all__ = [
 
 #: Values of ``REPRO_TRACE`` meaning "enabled, no file sink".
 _FLAG_VALUES = ("1", "on", "true", "yes")
-#: Values meaning "disabled" (same family as the backend env switches).
+#: Values meaning "disabled".
 _OFF_VALUES = ("", "0", "off", "false", "no", "none")
 
 

@@ -256,10 +256,10 @@ def test_parity_mis_engine():
 
 
 def test_execution_config_validation_and_round_trip():
-    cfg = ExecutionConfig(kernel_backend="csr", seed_chunk=32)
+    cfg = ExecutionConfig(engine_backend="columnar", seed_chunk=32)
     assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ValueError, match="kernel_backend"):
-        ExecutionConfig(kernel_backend="gpu")
+    with pytest.raises(ValueError, match="engine_backend"):
+        ExecutionConfig(engine_backend="gpu")
     with pytest.raises(ValueError, match="seed_chunk"):
         ExecutionConfig(seed_chunk=0)
     with pytest.raises(ValueError, match="seed_scan_workers"):
@@ -267,31 +267,27 @@ def test_execution_config_validation_and_round_trip():
 
 
 def test_execution_config_env_fallback(monkeypatch):
-    monkeypatch.setenv("REPRO_SEED_BACKEND", "scalar")
+    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "legacy")
     monkeypatch.setenv("REPRO_SEED_CHUNK", "64")
     monkeypatch.setenv("REPRO_CONGEST_PIPELINE_SEED_FIX", "1")
     env = ExecutionConfig.from_env()
-    assert env.seed_backend == "scalar"
+    assert env.engine_backend == "legacy"
     assert env.seed_chunk == 64
     assert env.congest_pipeline_seed_fix is True
     # explicit wins over env in resolved()
-    cfg = ExecutionConfig(seed_backend="batched").resolved()
-    assert cfg.seed_backend == "batched"
+    cfg = ExecutionConfig(engine_backend="columnar").resolved()
+    assert cfg.engine_backend == "columnar"
     assert cfg.seed_chunk == 64
 
 
 def test_execution_config_threads_into_params():
     cfg = ExecutionConfig(
-        kernel_backend="legacy",
-        seed_backend="scalar",
         engine_backend="legacy",
         seed_chunk=16,
         seed_scan_workers=2,
         congest_pipeline_seed_fix=True,
     )
     p = cfg.apply(Params())
-    assert p.kernel_backend == "legacy"
-    assert p.seed_backend == "scalar"
     assert p.engine_backend == "legacy"
     assert p.seed_chunk == 16
     assert p.seed_scan_workers == 2
@@ -305,8 +301,8 @@ def test_solve_with_backend_overrides_is_bit_identical():
     g = small_graph(seed=7)
     base = solve(SolveRequest(problem="mis", model="simulated", graph=g))
     for cfg in (
-        ExecutionConfig(kernel_backend="legacy"),
-        ExecutionConfig(seed_backend="scalar"),
+        ExecutionConfig(seed_chunk=1),
+        ExecutionConfig(seed_chunk=5, seed_scan_workers=1),
     ):
         res = solve(
             SolveRequest(problem="mis", model="simulated", graph=g, config=cfg)
@@ -315,22 +311,38 @@ def test_solve_with_backend_overrides_is_bit_identical():
         assert res.rounds == base.rounds
 
 
+@pytest.mark.parametrize(
+    "var,model",
+    [("REPRO_SEED_CHUNK", "cclique"), ("REPRO_ENGINE_BACKEND", "mpc-engine")],
+)
+def test_empty_env_var_means_default(var, model, monkeypatch):
+    g = small_graph(seed=4)
+    monkeypatch.delenv(var, raising=False)
+    unset_env = ExecutionConfig.from_env()
+    want = solve(SolveRequest(problem="mis", model=model, graph=g))
+    monkeypatch.setenv(var, "")
+    assert ExecutionConfig.from_env() == unset_env
+    got = solve(SolveRequest(problem="mis", model=model, graph=g))
+    assert np.array_equal(got.solution, want.solution)
+    assert (got.rounds, got.words_moved) == (want.rounds, want.words_moved)
+
+
 def test_seed_backend_config_reaches_cclique_and_congest(monkeypatch):
     """The seed knobs must reach every model's scan, not just simulated.
 
-    Proof by observation: pin the scalar backend through ExecutionConfig
-    and count select_seed_batch calls seeing backend="scalar"."""
+    Proof by observation: set the seed chunk through ExecutionConfig and
+    check every select_seed_batch call receives it."""
     import repro.derand.strategies as strategies
 
-    seen: list[str | None] = []
+    seen: list[int | None] = []
     real = strategies.select_seed_batch
 
     def spy(*args, **kwargs):
-        seen.append(kwargs.get("backend"))
+        seen.append(kwargs.get("chunk_size"))
         return real(*args, **kwargs)
 
     g = small_graph(seed=9, n=40, p=0.15)
-    cfg = ExecutionConfig(seed_backend="scalar")
+    cfg = ExecutionConfig(seed_chunk=3)
     for module in ("repro.cclique.mis_cc", "repro.congest.mis_congest"):
         import importlib
 
@@ -340,21 +352,7 @@ def test_seed_backend_config_reaches_cclique_and_congest(monkeypatch):
     for model in ("cclique", "congest"):
         seen.clear()
         solve(SolveRequest(problem="mis", model=model, graph=g, config=cfg))
-        assert seen and all(b == "scalar" for b in seen), model
-
-
-def test_kernel_backend_scope_restores_on_exit():
-    from repro.graphs.kernels import kernel_backend_scope, resolve_backend
-
-    assert resolve_backend() == "csr"
-    with kernel_backend_scope("legacy"):
-        assert resolve_backend() == "legacy"
-        with kernel_backend_scope(None):  # no-op scope nests
-            assert resolve_backend() == "legacy"
-    assert resolve_backend() == "csr"
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        with kernel_backend_scope("gpu"):
-            pass  # pragma: no cover
+        assert seen and all(c == 3 for c in seen), model
 
 
 # ---------------------------------------------------------------------- #

@@ -53,6 +53,15 @@ def graph_from_stream(name: str, **kwargs) -> Graph:
     return Graph.from_edges(kwargs["n"], edges)
 
 
+def gnp_reference(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from one Bernoulli mask over the whole upper triangle."""
+    if n <= 1 or p == 0.0:
+        return Graph.empty(max(n, 0))
+    iu = np.triu_indices(n, k=1)
+    mask = np.random.default_rng(seed).random(iu[0].size) < p
+    return Graph.from_edges(n, np.stack([iu[0][mask], iu[1][mask]], axis=1))
+
+
 def assert_same_graph(a: Graph, b: Graph) -> None:
     assert a.n == b.n
     for name in ARRAYS:
@@ -73,9 +82,16 @@ class TestStreamingBitIdentity:
         seed=st.integers(0, 2**31),
     )
     def test_gnp_stream_matches_in_memory(self, n, p, seed):
-        expected = gnp_random_graph(n, p, seed=seed)
+        expected = gnp_reference(n, p, seed)
+        assert_same_graph(expected, gnp_random_graph(n, p, seed=seed))
         got = graph_from_stream("gnp_random_graph", n=n, p=p, seed=seed)
         assert_same_graph(expected, got)
+
+    def test_gnp_across_stream_blocks_matches_reference(self):
+        # 3000 * 2999 / 2 pairs span two default 2^22-pair stream blocks.
+        assert_same_graph(
+            gnp_reference(3000, 0.002, 5), gnp_random_graph(3000, 0.002, seed=5)
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(2, 100), seed=st.integers(0, 2**31))

@@ -94,6 +94,8 @@ def test_resolve_engine_backend(monkeypatch):
     assert resolve_engine_backend("legacy") == "legacy"
     monkeypatch.setenv("REPRO_ENGINE_BACKEND", "legacy")
     assert resolve_engine_backend() == "legacy"
+    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "")  # empty means unset
+    assert resolve_engine_backend() == "columnar"
     monkeypatch.setenv("REPRO_ENGINE_BACKEND", "bogus")
     with pytest.raises(ValueError, match="unknown engine backend"):
         resolve_engine_backend()

@@ -20,7 +20,7 @@ from repro.api import SolveRequest, solve
 from repro.graphs import gnp_random_graph
 from repro.obs import MetricsRegistry, trace_capture
 from repro.obs import trace as obs_trace
-from repro.obs.conformance import SHAPES, conformance_report, fit_shape
+from repro.obs.conformance import conformance_report
 from repro.obs.sinks import (
     chrome_trace,
     diff_summaries,
@@ -350,45 +350,6 @@ def test_summarize_top_and_diff():
 # --------------------------------------------------------------------- #
 # Conformance fits
 # --------------------------------------------------------------------- #
-
-
-def test_fit_shape_recovers_planted_constant():
-    rows = [
-        {"n": n, "m": 3 * n, "delta": 8, "depth": 4, "rounds": 0.0}
-        for n in (64, 256, 1024, 4096)
-    ]
-    for r in rows:
-        r["rounds"] = 2.5 * SHAPES["log_n"](r)
-    fit = fit_shape(rows, "rounds", "log_n")
-    assert fit["ok"]
-    assert fit["constant"] == pytest.approx(2.5, rel=1e-6)
-    assert fit["r2"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fit_shape_rejects_wrong_growth():
-    rows = [
-        {"n": n, "m": 3 * n, "delta": 8, "depth": 4, "rounds": float(n)}
-        for n in (64, 256, 1024, 4096)
-    ]
-    fit = fit_shape(rows, "rounds", "log_n")  # Theta(n) pretending O(log n)
-    assert not fit["ok"]
-
-
-def test_fit_shape_flat_series_passes_by_relative_residual():
-    # Near-flat measured series (round counts barely move): R^2 is
-    # meaningless but the relative-residual criterion accepts tight fits.
-    rows = [
-        {"n": n, "m": 3 * n, "delta": d, "depth": 4, "rounds": r}
-        for n, d, r in [(64, 11, 7), (128, 12, 7), (256, 13, 8), (512, 13, 8)]
-    ]
-    fit = fit_shape(rows, "rounds", "log_delta_plus_loglog_n")
-    assert fit["ok"]
-    assert fit["nrmse"] <= 0.15
-
-
-def test_fit_shape_unknown_shape_raises():
-    with pytest.raises(KeyError):
-        fit_shape([{"n": 2, "m": 2, "delta": 1, "depth": 1, "x": 1}], "x", "nope")
 
 
 def test_conformance_report_mis_simulated():

@@ -1,11 +1,13 @@
-"""Batched-vs-scalar seed-search parity, wrap-around scans, parallel scan.
+"""Seed-block parity, wrap-around scans, parallel scan.
 
-The contract under test: the ``batched`` and ``scalar`` seed backends
-produce *bit-identical* :class:`~repro.derand.strategies.SeedSelection`
-outcomes -- same seed, value, trial count, ``satisfied`` flag and
-``family_mean`` -- for every strategy and every call site, for arbitrary
-family sizes, starts and targets.  The batched engine only changes how
-many seeds are evaluated per objective call, never which seed wins.
+The contract under test: the seed-search engine returns a *bit-identical*
+:class:`~repro.derand.strategies.SeedSelection` -- same seed, value, trial
+count, ``satisfied`` flag and ``family_mean`` -- whatever its block size,
+for every strategy and every call site, for arbitrary family sizes, starts
+and targets.  ``chunk_size=1`` (one lazy objective evaluation per trial)
+is the reference every drawn chunk size is compared with: blocks only
+change how many seeds are evaluated per objective call, never which seed
+wins.
 """
 
 import numpy as np
@@ -57,16 +59,8 @@ def _vector_objective(values: np.ndarray):
 def test_scan_parity_all_fields(values, start, target, max_trials, chunk, data):
     vals = np.array(values)
     kw = dict(strategy="scan", target=target, max_trials=max_trials, start=start)
-    a = select_seed_batch(
-        vals.size, _vector_objective(vals), backend="scalar", **kw
-    )
-    b = select_seed_batch(
-        vals.size,
-        _vector_objective(vals),
-        backend="batched",
-        chunk_size=chunk,
-        **kw,
-    )
+    a = select_seed_batch(vals.size, _vector_objective(vals), chunk_size=1, **kw)
+    b = select_seed_batch(vals.size, _vector_objective(vals), chunk_size=chunk, **kw)
     assert a == b
 
 
@@ -83,13 +77,12 @@ def test_cond_exp_parity(values, chunk):
         vals.size,
         _vector_objective(vals),
         strategy="conditional_expectation",
-        backend="scalar",
+        chunk_size=1,
     )
     b = select_seed_batch(
         vals.size,
         _vector_objective(vals),
         strategy="conditional_expectation",
-        backend="batched",
         chunk_size=chunk,
     )
     assert a == b
@@ -108,11 +101,11 @@ def test_best_of_parity(values, k, chunk):
     vals = np.array(values)
     a = select_seed_batch(
         vals.size, _vector_objective(vals), strategy="best_of", best_of_k=k,
-        backend="scalar",
+        chunk_size=1,
     )
     b = select_seed_batch(
         vals.size, _vector_objective(vals), strategy="best_of", best_of_k=k,
-        backend="batched", chunk_size=chunk,
+        chunk_size=chunk,
     )
     assert a == b
 
@@ -302,19 +295,15 @@ def test_group_order_indptr_monotone_fast_path():
 
 
 # --------------------------------------------------------------------- #
-# Call-site parity: every solver, both backends, identical outcomes
+# Call-site parity: every solver, one seed vs 16-seed blocks, same outcome
 # --------------------------------------------------------------------- #
-
-
-def _backend_params(backend: str) -> Params:
-    return Params(seed_backend=backend, seed_chunk=16)
 
 
 @pytest.mark.parametrize("n,p,seed", [(60, 0.1, 1), (120, 0.05, 2)])
 def test_deterministic_mis_backend_parity(n, p, seed):
     g = gnp_random_graph(n, p, seed=seed)
-    a = maximal_independent_set(g, params=_backend_params("scalar"), force="general")
-    b = maximal_independent_set(g, params=_backend_params("batched"), force="general")
+    a = maximal_independent_set(g, params=Params(seed_chunk=1), force="general")
+    b = maximal_independent_set(g, params=Params(seed_chunk=16), force="general")
     assert np.array_equal(a.independent_set, b.independent_set)
     assert a.rounds == b.rounds
     for ra, rb in zip(a.records, rb_list := list(b.records)):
@@ -326,8 +315,8 @@ def test_deterministic_mis_backend_parity(n, p, seed):
 
 def test_deterministic_matching_backend_parity():
     g = gnp_random_graph(80, 0.08, seed=5)
-    a = maximal_matching(g, params=_backend_params("scalar"), force="general")
-    b = maximal_matching(g, params=_backend_params("batched"), force="general")
+    a = maximal_matching(g, params=Params(seed_chunk=1), force="general")
+    b = maximal_matching(g, params=Params(seed_chunk=16), force="general")
     assert np.array_equal(a.pairs, b.pairs)
     assert a.rounds == b.rounds
 
@@ -335,8 +324,8 @@ def test_deterministic_matching_backend_parity():
 @pytest.mark.parametrize("graph_fn", [lambda: cycle_graph(64), lambda: gnp_random_graph(90, 0.05, seed=3)])
 def test_lowdeg_backend_parity(graph_fn):
     g = graph_fn()
-    a = lowdeg_mis(g, _backend_params("scalar"))
-    b = lowdeg_mis(g, _backend_params("batched"))
+    a = lowdeg_mis(g, Params(seed_chunk=1))
+    b = lowdeg_mis(g, Params(seed_chunk=16))
     assert np.array_equal(a.independent_set, b.independent_set)
     assert [r.selection_trials for r in a.records] == [
         r.selection_trials for r in b.records
@@ -352,9 +341,9 @@ def test_lowdeg_backend_parity(graph_fn):
 @pytest.mark.parametrize("fn", [cc_mis, cc_maximal_matching])
 def test_cclique_backend_parity(fn, monkeypatch):
     g = gnp_random_graph(70, 0.12, seed=9)
-    monkeypatch.setenv("REPRO_SEED_BACKEND", "scalar")
+    monkeypatch.setenv("REPRO_SEED_CHUNK", "1")
     a = fn(g)
-    monkeypatch.setenv("REPRO_SEED_BACKEND", "batched")
+    monkeypatch.setenv("REPRO_SEED_CHUNK", "16")
     b = fn(g)
     assert np.array_equal(a.solution, b.solution)
     assert a.rounds == b.rounds
@@ -364,24 +353,27 @@ def test_cclique_backend_parity(fn, monkeypatch):
 @pytest.mark.parametrize("mode", ["voting", "color-compressed"])
 def test_congest_backend_parity(mode, monkeypatch):
     g = gnp_random_graph(60, 0.1, seed=13)
-    monkeypatch.setenv("REPRO_SEED_BACKEND", "scalar")
+    monkeypatch.setenv("REPRO_SEED_CHUNK", "1")
     a = congest_mis(g, mode=mode)
-    monkeypatch.setenv("REPRO_SEED_BACKEND", "batched")
+    monkeypatch.setenv("REPRO_SEED_CHUNK", "16")
     b = congest_mis(g, mode=mode)
     assert np.array_equal(a.independent_set, b.independent_set)
     assert a.rounds == b.rounds
 
 
-def test_env_backend_resolution(monkeypatch):
-    from repro.derand.strategies import resolve_seed_backend
+def test_env_seed_chunk_resolution(monkeypatch):
+    from repro.derand.strategies import DEFAULT_SEED_CHUNK, resolve_seed_chunk
 
-    assert resolve_seed_backend(None) == "batched"
-    monkeypatch.setenv("REPRO_SEED_BACKEND", "scalar")
-    assert resolve_seed_backend(None) == "scalar"
-    assert resolve_seed_backend("batched") == "batched"
-    monkeypatch.setenv("REPRO_SEED_BACKEND", "bogus")
+    monkeypatch.delenv("REPRO_SEED_CHUNK", raising=False)
+    assert resolve_seed_chunk(None) == DEFAULT_SEED_CHUNK
+    monkeypatch.setenv("REPRO_SEED_CHUNK", "")  # empty means unset
+    assert resolve_seed_chunk(None) == DEFAULT_SEED_CHUNK
+    monkeypatch.setenv("REPRO_SEED_CHUNK", "8")
+    assert resolve_seed_chunk(None) == 8
+    assert resolve_seed_chunk(3) == 3  # explicit wins
+    monkeypatch.setenv("REPRO_SEED_CHUNK", "0")
     with pytest.raises(ValueError):
-        resolve_seed_backend(None)
+        resolve_seed_chunk(None)
 
 
 # --------------------------------------------------------------------- #

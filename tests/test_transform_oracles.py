@@ -39,6 +39,7 @@ from repro.graphs import (
     star_graph,
 )
 from repro.verify import verify_matching_pairs, verify_mis_nodes
+from test_kernels_equivalence import linial_step_reference
 
 #: The per-step kernel as imported, before any test wraps it.
 LINIAL_STEP = coloring._linial_step
@@ -108,12 +109,13 @@ def bfs_depth_reference(g: Graph) -> int:
 
 
 def linial_reference(g: Graph) -> tuple[np.ndarray, int, int]:
-    """Linial's loop evaluating every step, the terminal one included."""
+    """Linial's loop over the per-node reference step, evaluating every
+    step, the terminal one included."""
     if g.m == 0:
         return np.zeros(g.n, dtype=np.int64), 1, 0
     colors, palette, iterations = np.arange(g.n, dtype=np.int64), max(g.n, 1), 0
     while True:
-        new_colors, new_palette = LINIAL_STEP(g, colors, palette)
+        new_colors, new_palette = linial_step_reference(g, colors, palette)
         iterations += 1
         if new_palette >= palette:
             break
