@@ -31,12 +31,12 @@ import math
 
 import numpy as np
 
-from ..derand.strategies import select_seed_batch
+from ..derand.strategies import resolve_seed_chunk, select_seed_batch
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
 from ..graphs.kernels import segment_any_block_fn, segment_min_block_fn
 from ..graphs.linegraph import line_graph
-from ..graphs.power import ball_sizes, hop_pattern
+from ..graphs.power import BallTooLargeError, ball_sizes
 from ..hashing.families import make_color_family
 from ..mpc.context import MPCContext
 from ..obs import trace as _obs
@@ -44,6 +44,11 @@ from .params import Params
 from .records import IterationRecord, MatchingResult, MISResult
 
 __all__ = ["lowdeg_maximal_matching", "lowdeg_mis", "phases_per_stage"]
+
+#: Bytes one seed block of a phase may gather.  The padded neighbour-min
+#: and neighbour-any read (seeds, n, Delta) grids of keys and flags, so the
+#: seed chunk is clamped to keep one block under this.
+_SEED_BLOCK_BYTES = 1 << 28
 
 
 def phases_per_stage(n: int, max_degree: int, params: Params) -> int:
@@ -106,11 +111,10 @@ def lowdeg_mis(
         )
 
     # ---------------- preprocessing (O(log log n) rounds) ---------------- #
-    # The two-hop pattern's row counts are the r = 2 ball sizes.
-    square = hop_pattern(graph)
-    coloring = distance2_coloring(graph, square=square)
-    ball2_sizes = np.diff(square.indptr).astype(np.int64)
-    del square
+    # The r = 2 ball sizes, counted once; the coloring reads Delta(G^2)
+    # from them and builds G^2's pattern only if Linial takes a step.
+    ball2_sizes = ball_sizes(graph, 2)
+    coloring = distance2_coloring(graph, sizes=ball2_sizes)
     # Linial rounds exchange current colors over every edge (both directions).
     ctx.ledger.charge(
         "coloring",
@@ -121,12 +125,14 @@ def lowdeg_mis(
     colors = coloring.colors.astype(np.int64)
 
     ell = phases_per_stage(n, delta_max, params)
-    # Shrink ell until the r = 2*ell-hop balls fit in machine space.
+    # Shrink ell until the r = 2*ell-hop balls fit in machine space; a count
+    # gives up on r at the first row block holding a ball that does not.
     while ell > 1:
-        sizes = ball_sizes(graph, 2 * ell)
-        if int(sizes.max(initial=0)) + 1 <= ctx.S:
+        try:
+            sizes = ball_sizes(graph, 2 * ell, max_ball=ctx.S - 1)
             break
-        ell -= 1
+        except BallTooLargeError:
+            ell -= 1
     else:
         sizes = ball2_sizes
     r = 2 * ell
@@ -168,6 +174,12 @@ def lowdeg_mis(
             np.uint32 if family.range * (n + 1) + n < 2**32 else np.uint64
         )
         stride_k = key_dtype(stride)
+        # Per seed, a block gathers n * (Delta + 1) keys plus as many flags.
+        seed_bytes = n * (g.max_degree() + 1) * (np.dtype(key_dtype).itemsize + 1)
+        chunk = min(
+            resolve_seed_chunk(params.seed_chunk),
+            max(1, _SEED_BLOCK_BYTES // seed_bytes),
+        )
         maxkey_k = key_dtype(np.iinfo(key_dtype).max)
         live_k = live.astype(key_dtype)
         # The objective is an integer total of degrees over A; summing via
@@ -210,7 +222,7 @@ def lowdeg_mis(
             max_trials=params.max_scan_trials,
             best_of_k=params.best_of_k,
             start=start,
-            chunk_size=params.seed_chunk,
+            chunk_size=chunk,
         )
         if not sel.satisfied:
             fidelity.append(
@@ -219,6 +231,9 @@ def lowdeg_mis(
             )
 
         i_mask = compute_i_masks(np.array([sel.seed], dtype=np.int64))[0]
+        # Drop this phase's padded neighbour tables before the graph shrinks
+        # and the next phase builds its own.
+        del nbr_min_fn, nbr_any_fn
         dominated = g.degrees_toward(i_mask) > 0
         kill = i_mask | dominated
         in_mis |= i_mask

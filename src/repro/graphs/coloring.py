@@ -17,9 +17,17 @@ squares ``log`` of the palette downward; ``O(log* n)`` iterations reach a
 palette of size ``O(Delta^2 log^2 Delta)``.
 
 For the Section-5 pipeline we color ``G^2`` (max degree ``<= Delta^2``),
-yielding the ``O(Delta^4)``-ish distance-2 palette the paper needs.  The
-reduction only reads each node's arcs (``indptr`` / ``indices``, in any order
-within a row), so it colors ``G^2``'s unsorted two-hop pattern as it is.
+yielding the ``O(Delta^4)``-ish distance-2 palette the paper needs.  Whether
+a reduction step runs depends only on ``(Delta, n)``, so
+``distance2_coloring`` first reads ``G^2``'s row counts
+(``ball_sizes(g, 2)``).  When ``q^2 >= n`` no step can shrink the palette:
+the colors stay the ids, pairwise distinct, and no pattern is built.
+Otherwise ``G^2``'s unsorted two-hop pattern is built once; a step only reads
+each node's arcs (``indptr`` / ``indices``, in any order within a row).  A
+step never holds an (n x q) table of evaluations: it evaluates ``p_v`` by
+Horner's rule at one block of points at a time (``_NODE_POINTS`` nodes x
+points) and compares arcs row slice by row slice (``_ARC_POINTS`` arcs x
+points), so beyond the pattern it needs ``O(n d)`` words plus those blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import scipy.sparse as sp
 
 from ..hashing.primes import next_prime
 from .graph import Graph
-from .power import hop_pattern, square_graph
+from .power import ball_sizes, budget_slices, hop_pattern, square_graph
 
 __all__ = [
     "ColoringResult",
@@ -102,113 +110,109 @@ def _linial_field(delta: int, palette: int) -> tuple[int, int]:
         q = next_prime(q + 1)
 
 
-def _poly_evals(colors: np.ndarray, q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(coeffs, evals)``: row v of ``coeffs`` (n, d+1) holds the base-q
-    digits of v's color, the coefficients of ``p_v``; ``evals[v, x] =
-    p_v(x)`` for every x in GF(q).  No power exceeds ``q^d < palette``."""
-    powers = range(d + 1)
-    coeffs = np.stack([colors.astype(np.int64) // q**j % q for j in powers], axis=1)
-    vander = np.stack([np.arange(q, dtype=np.int64) ** j % q for j in powers], axis=1)
-    return coeffs, coeffs @ vander.T % q
+def _horner(coeffs: np.ndarray, x, q: int) -> np.ndarray:
+    """``p(x) mod q`` by Horner's rule from coefficient rows ``coeffs[j]``
+    (lowest degree first); ``x`` broadcasts against ``coeffs[0]``."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+        acc %= q
+    return acc
 
 
-#: Evaluation points processed per vectorised block; bounds the transient
-#: (arcs x block) comparison matrix at ~32 MB for million-arc squares.
-_LINIAL_BLOCK_ELEMS = 1 << 25
+#: Nodes x evaluation points in one block's table of ``p_v(x)``: a block of
+#: points is at most ``_NODE_POINTS // n`` wide (and at least one point).
+_NODE_POINTS = 1 << 22
+#: Arcs x points compared at once: a row slice holds at most
+#: ``_ARC_POINTS // points`` arcs (or one row).  Also bounds the slices of
+#: the final properness check.
+_ARC_POINTS = 1 << 22
 
 
 def _linial_step(g: Arcs, colors: np.ndarray, palette: int) -> tuple[np.ndarray, int]:
     """One Linial reduction round: palette ``K -> q^2``."""
-    n = g.indptr.size - 1
     q, d = _linial_field(int(np.diff(g.indptr).max(initial=0)), palette)
-    coeffs, evals = _poly_evals(colors, q, d)  # evals: (n, q)
-    if d == 1:
-        x_of = _first_free_points_linear(g, coeffs, q)
-    else:
-        x_of = _first_free_points(g, evals, q)
-    return x_of * q + evals[np.arange(n), x_of], q * q
+    # Row j holds the base-q digit j of every color: the degree-j
+    # coefficients of the p_v.  No power exceeds q^d < palette.
+    coeffs = np.stack([colors // q**j % q for j in range(d + 1)])
+    x_of = _first_free_points(g, coeffs, q)
+    return x_of * q + _horner(coeffs, x_of, q), q * q
 
 
-def _mod_inverse(a: np.ndarray, q: int) -> np.ndarray:
-    """Vectorised modular inverse of nonzero residues mod prime ``q``
-    (Fermat: ``a^(q-2)``, square-and-multiply on int64)."""
-    result = np.ones_like(a)
-    base = a % q
-    e = q - 2
-    while e:
-        if e & 1:
-            result = (result * base) % q
-        base = (base * base) % q
-        e >>= 1
-    return result
-
-
-def _first_free_points_linear(g: Arcs, coeffs: np.ndarray, q: int) -> np.ndarray:
-    """Degree-1 specialisation of :func:`_first_free_points`.
-
-    ``p_v - p_u`` is linear, so each arc clashes on at most the single root
-    ``x = (a0_u - a0_v) / (a1_v - a1_u) mod q`` -- scatter those roots into
-    an (n, q) table and take each row's first free column.  O(arcs log q)
-    for the batched inverses instead of O(arcs * q) comparisons.
-    """
-    arc_src = np.repeat(np.arange(g.indptr.size - 1, dtype=np.int64), np.diff(g.indptr))
-    arc_dst = g.indices
-    da1 = (coeffs[arc_src, 1] - coeffs[arc_dst, 1]) % q
-    clash = np.zeros((g.indptr.size - 1, q), dtype=bool)
-    rooted = da1 != 0  # equal slopes never collide (intercepts differ)
-    if rooted.any():
-        da0 = (coeffs[arc_dst, 0] - coeffs[arc_src, 0]) % q
-        roots = (da0[rooted] * _mod_inverse(da1[rooted], q)) % q
-        clash[arc_src[rooted], roots] = True
-    return np.argmax(~clash, axis=1).astype(np.int64)
-
-
-def _first_free_points(g: Arcs, evals: np.ndarray, q: int) -> np.ndarray:
+def _first_free_points(g: Arcs, coeffs: np.ndarray, q: int) -> np.ndarray:
     """int64[n]: smallest x with ``p_v(x) != p_u(x)`` for all neighbours u.
 
-    Vectorised over blocks of evaluation points: each block compares the
-    (arc, x) evaluation slices and OR-reduces clashes per node segment.
-    Nodes resolve at their first clash-free x (ascending scan, so output is
-    identical to a per-node scan); later blocks only reprocess the arcs
-    of still-unresolved nodes -- with ``q > d * Delta`` most nodes resolve
-    in the first block, so total work stays near one pass over the arcs.
-    Isolated nodes resolve at ``x = 0``.
+    Points are scanned in blocks whose width doubles from one point up to
+    ``_NODE_POINTS // n``; each block evaluates ``p_v`` at its points for
+    every node (an (n x width) table, never (n x q)).  The nodes still
+    unresolved compare their arcs against it row slice by row slice, OR-reduce
+    the clashes per row and settle at their first clash-free point
+    (ascending scan, so the output equals a per-node scan).  With
+    ``q > d * Delta`` most nodes settle in the first block, so the work
+    stays near one pass over the arcs.  Isolated nodes settle at ``x = 0``.
     """
     n = g.indptr.size - 1
     x_of = np.zeros(n, dtype=np.int64)
-    unresolved = np.diff(g.indptr) > 0  # isolated nodes take x = 0 immediately
-    arc_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    arc_dst = g.indices
+    todo = np.flatnonzero(np.diff(g.indptr))
     # Evaluations live in [0, q); comparing narrow integers quarters the
-    # memory traffic of the (arcs x block) equality grid.
-    if evals.dtype.itemsize > 4:
-        evals = evals.astype(np.int32 if q > np.iinfo(np.int16).max else np.int16)
-    block = max(1, min(q, _LINIAL_BLOCK_ELEMS // max(arc_src.size, 1)))
-    for x0 in range(0, q, block):
-        if not unresolved.any():
-            break
-        if x0 > 0:
-            keep = unresolved[arc_src]
-            arc_src, arc_dst = arc_src[keep], arc_dst[keep]
-        if arc_src.size == 0:
-            # Unresolved nodes with no remaining arcs cannot exist (isolated
-            # nodes were settled upfront), but guard the reduceat anyway.
-            break
-        hi = min(x0 + block, q)
-        # eq[k] = True iff arc k's endpoints agree on evaluation point x.
-        eq = evals[arc_dst, x0:hi] == evals[arc_src, x0:hi]  # (arcs, blk)
-        # arc_src is non-decreasing (CSR order survives filtering), so each
-        # node's arcs form one contiguous segment: OR-reduce per segment.
-        starts = np.nonzero(np.concatenate([[True], arc_src[1:] != arc_src[:-1]]))[0]
-        seg_nodes = arc_src[starts]
-        free = ~np.logical_or.reduceat(eq, starts, axis=0)  # (#segments, blk)
-        row_free = free.any(axis=1)
-        hit = seg_nodes[row_free]
-        x_of[hit] = x0 + np.argmax(free[row_free], axis=1)
-        unresolved[hit] = False
-    if unresolved.any():  # unreachable by the q > d * Delta root bound
-        raise AssertionError("Linial step found no free evaluation point")
+    # memory traffic of the (arcs x points) equality grid.
+    narrow = np.int32 if q > np.iinfo(np.int16).max else np.int16
+    x0, width = 0, 1
+    while todo.size:
+        if x0 >= q:  # unreachable by the q > d * Delta root bound
+            raise AssertionError("Linial step found no free evaluation point")
+        width = min(width, q - x0, max(1, _NODE_POINTS // n))
+        points = np.arange(x0, x0 + width, dtype=np.int64)
+        evals = _horner(coeffs[:, :, None], points, q).astype(narrow)
+        todo = _settle_rows(g, todo, evals, x0, x_of)
+        x0, width = x0 + width, 2 * width
     return x_of
+
+
+def _settle_rows(
+    g: Arcs, todo: np.ndarray, evals: np.ndarray, x0: int, x_of: np.ndarray
+) -> np.ndarray:
+    """Set ``x_of`` for the rows of ``todo`` with a clash-free point among
+    ``evals``' columns (points ``x0, x0 + 1, ...``); return the others."""
+    counts = g.indptr[todo + 1] - g.indptr[todo]
+    left = []
+    for i, j in budget_slices(counts, _ARC_POINTS // evals.shape[1]):
+        rows, cnt = todo[i:j], counts[i:j]
+        # Arc positions of the (non-contiguous) rows, row by row.
+        ends = np.cumsum(cnt)
+        arcs = np.repeat(g.indptr[rows] - (ends - cnt), cnt) + np.arange(ends[-1])
+        eq = evals[g.indices[arcs]] == np.repeat(evals[rows], cnt, axis=0)
+        # Every row has an arc, so the segments are non-empty.
+        free = ~np.logical_or.reduceat(eq, ends - cnt, axis=0)
+        hit = free.any(axis=1)
+        x_of[rows[hit]] = x0 + np.argmax(free[hit], axis=1)
+        left.append(rows[~hit])
+    return np.concatenate(left)
+
+
+def _check_proper(g: Arcs, colors: np.ndarray) -> None:
+    """Raise if an arc joins two nodes of one color (row slice by row slice)."""
+    counts = np.diff(g.indptr)
+    for i, j in budget_slices(counts, _ARC_POINTS):
+        nbrs = g.indices[g.indptr[i] : g.indptr[j]]
+        if np.any(np.repeat(colors[i:j], counts[i:j]) == colors[nbrs]):
+            raise AssertionError("Linial coloring produced a monochromatic edge")
+
+
+def _stepless_coloring(row_sizes: np.ndarray) -> ColoringResult | None:
+    """Linial's result when it needs no reduction step, else None.
+
+    Reads only the row sizes of the colored graph.  With no arcs every node
+    takes color 0.  When ``q^2 >= n`` no round can shrink the n-palette, so
+    the colors stay the ids: pairwise distinct, hence proper whatever the
+    arcs, after the one check that ``iterations`` counts.
+    """
+    n = row_sizes.size
+    if not row_sizes.any():
+        return ColoringResult(np.zeros(n, dtype=np.int64), 1, 0)
+    if _linial_field(int(row_sizes.max()), n)[0] ** 2 >= n:
+        return ColoringResult(np.arange(n, dtype=np.int64), n, 1)
+    return None
 
 
 def linial_coloring(g: Arcs, *, compact: bool = True) -> ColoringResult:
@@ -222,11 +226,12 @@ def linial_coloring(g: Arcs, *, compact: bool = True) -> ColoringResult:
     ledger bills.  With ``compact=True`` the palette is finally renumbered
     to consecutive ints (a local bookkeeping step, free in the models).
     """
+    stepless = _stepless_coloring(np.diff(g.indptr))
+    if stepless is not None:
+        return stepless
     n = g.indptr.size - 1
-    if g.indices.size == 0:
-        return ColoringResult(np.zeros(n, dtype=np.int64), 1, 0)
     colors = np.arange(n, dtype=np.int64)
-    palette, delta, iterations = max(n, 1), int(np.diff(g.indptr).max()), 1
+    palette, delta, iterations = n, int(np.diff(g.indptr).max()), 1
     # Each evaluated round strictly shrinks the palette, so this terminates.
     while _linial_field(delta, palette)[0] ** 2 < palette:
         colors, palette = _linial_step(g, colors, palette)
@@ -235,17 +240,22 @@ def linial_coloring(g: Arcs, *, compact: bool = True) -> ColoringResult:
         uniq, inv = np.unique(colors, return_inverse=True)
         colors = inv.astype(np.int64)
         palette = int(uniq.size)
-    if np.any(np.repeat(colors, np.diff(g.indptr)) == colors[g.indices]):
-        raise AssertionError("Linial coloring produced a monochromatic edge")
+    _check_proper(g, colors)
     return ColoringResult(colors=colors, num_colors=palette, iterations=iterations)
 
 
-def distance2_coloring(g: Graph, *, square: sp.csr_matrix | None = None) -> ColoringResult:
+def distance2_coloring(g: Graph, *, sizes: np.ndarray | None = None) -> ColoringResult:
     """``O(Delta^4)``-ish coloring of ``G^2`` -- the Section-5 renaming step.
 
     Any two nodes of ``g`` within distance 2 receive distinct colors, so a
     hash of the color is a hash of the node as far as Luby's (2-hop-local)
-    analysis is concerned.  Colors ``hop_pattern(g)``, or ``square`` when
-    the caller already built that pattern.
+    analysis is concerned.  ``sizes`` are the r = 2 ball sizes
+    (``ball_sizes(g, 2)``, counted here unless the caller already has
+    them): ``G^2``'s row counts, whose maximum decides whether Linial needs
+    a reduction step.  Only then is ``G^2``'s two-hop pattern built, once.
     """
-    return linial_coloring(hop_pattern(g) if square is None else square)
+    sizes = ball_sizes(g, 2) if sizes is None else sizes
+    stepless = _stepless_coloring(sizes)
+    if stepless is not None:
+        return stepless
+    return linial_coloring(hop_pattern(g, sizes=sizes))

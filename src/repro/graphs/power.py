@@ -1,63 +1,149 @@
 """Graph powers and r-hop neighbourhood (ball) extraction.
 
-One primitive, ``hop_pattern``, gives the adjacency pattern of ``G^r``
-(``0 < dist <= r``) as a boolean CSR with no diagonal and unsorted rows.  At
-``r = 2`` it is the 2-hop conflict structure of the Section-5 distance-2
-coloring (nodes within 2 hops must get distinct colors so color-hashing
-preserves local pairwise independence).  On it sit ``r_hop_balls``, the sets
-``B_r(v)`` that machines gather in Section 5's preprocessing ("collect the
-r-th hop neighbourhood of each node"); ``ball_sizes``, what the space
-accounting (``Delta^r <= n^{delta}``) is checked against; and
-``square_graph``, ``G^2`` as a canonical :class:`Graph` for the 2-ruling set
-and the validators.
+Everything here walks one row-block iterator over ``A (A + I)^(r-1)``, the
+boolean product that reaches every node within ``r`` hops (and, for
+``r >= 2``, each non-isolated node itself, out and back).  Blocks are cut so
+that no product step expands more than ``_BLOCK_WALKS`` walks, so the
+iterator holds the graph plus one block, never all of ``G^r``:
+
+* ``ball_sizes`` keeps only the row counts ``|B_r(v)|``.  They are what the
+  Section-5 space accounting (``Delta^r <= n^{delta}``) checks, and at
+  ``r = 2`` their maximum, ``Delta(G^2)``, decides whether the distance-2
+  coloring needs a Linial reduction step at all.  With ``max_ball`` the
+  count gives up at the first block holding a larger ball.
+* ``hop_pattern`` writes the rows, diagonal dropped and unsorted, into one
+  array preallocated from those counts: the adjacency pattern of ``G^r`` as
+  a boolean CSR.  At ``r = 2`` it is the two-hop conflict structure that a
+  Linial reduction step colors.
+* ``r_hop_balls`` (the sets ``B_r(v)`` that machines gather in Section 5's
+  preprocessing) and ``square_graph`` (``G^2`` as a canonical
+  :class:`Graph` for the 2-ruling set and the validators) sort that pattern.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph
 
-__all__ = ["adjacency_matrix", "ball_sizes", "hop_pattern", "r_hop_balls", "square_graph"]
+__all__ = [
+    "BallTooLargeError",
+    "adjacency_matrix",
+    "ball_sizes",
+    "hop_pattern",
+    "r_hop_balls",
+    "square_graph",
+]
+
+#: Walks (nonzero products ``R[v, u] (A + I)[u, w]``) one product step of a
+#: row block may expand; a block's product has at most this many entries.
+#: A single row with more walks is a block of its own.
+_BLOCK_WALKS = 1 << 22
+
+
+class BallTooLargeError(ValueError):
+    """A ball has more members than ``max_ball`` allows."""
 
 
 def adjacency_matrix(g: Graph) -> sp.csr_matrix:
-    """Boolean CSR adjacency matrix of ``g``."""
-    m = g.m
-    data = np.ones(2 * m, dtype=bool)
-    rows = np.concatenate([g.edges_u, g.edges_v])
-    cols = np.concatenate([g.edges_v, g.edges_u])
-    return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n), dtype=bool)
+    """Boolean CSR adjacency matrix of ``g``, on the graph's own arcs."""
+    data = np.ones(g.indices.size, dtype=bool)
+    return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
-def hop_pattern(g: Graph, r: int = 2) -> sp.csr_matrix:
+def budget_slices(weights: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[i, j)`` ranges covering ``weights``, greedily as long
+    as each range's weights sum to at most ``budget``; a heavier single item
+    forms a range of its own."""
+    ends = np.cumsum(weights)
+    i = 0
+    while i < weights.size:
+        before = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, before + budget, side="right")))
+        yield i, j
+        i = j
+
+
+def _reach_blocks(g: Graph, r: int) -> Iterator[tuple[int, sp.csr_matrix]]:
+    """``(lo, block)`` for consecutive row blocks of ``A (A + I)^(r-1)``.
+
+    ``block`` holds rows ``lo:lo + block.shape[0]`` as a boolean CSR, the
+    diagonal kept and rows unsorted.  Before each product step a block is
+    cut by its rows' walk counts (a row ``v`` of ``R`` expands
+    ``sum_{u in R[v]} (deg u + 1)`` walks), so every step stays within
+    ``_BLOCK_WALKS``; at ``r = 2`` the count is ``sum_{u ~ v} (deg u + 1)``.
+    """
+    a = adjacency_matrix(g)
+    step = a + sp.identity(g.n, dtype=bool, format="csr")
+    fan_out = np.diff(step.indptr)
+
+    def expand(reach: sp.csr_matrix, lo: int, steps: int):
+        if steps == 0:
+            yield lo, reach
+            return
+        for i, j in budget_slices(reach @ fan_out, _BLOCK_WALKS):
+            yield from expand(reach[i:j] @ step, lo + i, steps - 1)
+
+    yield from expand(a, 0, r - 1)
+
+
+def ball_sizes(g: Graph, r: int, *, max_ball: int | None = None) -> np.ndarray:
+    """int64[n]: ``|B_r(v)|`` excluding ``v``, counted block by block.
+
+    Only the counts are kept.  ``max_ball`` (if given) raises
+    :class:`BallTooLargeError` at the first row block holding a ball with
+    more members, before any later block is expanded -- the simulator uses
+    this to check the paper's space guarantee ``Delta^r = O(n^{delta})``
+    before "gathering onto one machine".
+    """
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    sizes = np.zeros(g.n, dtype=np.int64)
+    if r == 0 or g.n == 0:
+        return sizes
+    for lo, block in _reach_blocks(g, r):
+        counts = np.diff(block.indptr).astype(np.int64)
+        if r >= 2:  # the row holds v itself iff v has a neighbour
+            counts -= np.diff(g.indptr[lo : lo + counts.size + 1]) > 0
+        sizes[lo : lo + counts.size] = counts
+        if max_ball is not None and counts.max(initial=0) > max_ball:
+            v = lo + int(np.argmax(counts))
+            raise BallTooLargeError(
+                f"ball of v={v} has {int(sizes[v])} vertices > max_ball={max_ball}"
+            )
+    return sizes
+
+
+def hop_pattern(
+    g: Graph, r: int = 2, *, sizes: np.ndarray | None = None
+) -> sp.csr_matrix:
     """Boolean CSR of ``0 < dist(u, v) <= r``: no diagonal, unsorted rows.
 
-    ``A (A + I)^(r-1)`` reaches every node within ``r`` hops, and for
-    ``r >= 2`` also each non-isolated node itself (out and back).  That one
-    self-arc per row is dropped, since it would clash with itself at every
-    Linial evaluation point.  Rows keep the product's arc order: colouring
-    and ball sizes only need arcs grouped by row, so nothing pays for a sort.
+    The rows are written block by block into one index array preallocated
+    from ``sizes`` (``ball_sizes(g, r)``, counted here unless the caller
+    already has them).  Each non-isolated row's one self-arc is dropped,
+    since it would clash with itself at every Linial evaluation point.  Rows
+    keep the product's arc order: colouring and ball sizes only need arcs
+    grouped by row, so nothing pays for a sort.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    a = adjacency_matrix(g)
-    if r == 1:
-        return a
-    step = a + sp.identity(g.n, dtype=bool, format="csr")
-    reach = a
-    for _ in range(r - 1):
-        reach = reach @ step
-    rows = np.repeat(np.arange(g.n, dtype=reach.indices.dtype), np.diff(reach.indptr))
-    off_diag = reach.indices != rows
-    # Each non-isolated row held exactly one self-arc; shift row starts by
-    # the self-arcs of the rows before them.
-    shift = np.concatenate(([0], np.cumsum(np.diff(a.indptr) > 0)))
-    return sp.csr_matrix(
-        (reach.data[off_diag], reach.indices[off_diag], reach.indptr - shift),
-        shape=(g.n, g.n),
-    )
+    if sizes is None:
+        sizes = ball_sizes(g, r)
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    index_dtype = np.int32 if g.n <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(int(indptr[-1]), dtype=index_dtype)
+    for lo, block in _reach_blocks(g, r):
+        hi = lo + block.shape[0]
+        cols = block.indices
+        rows = np.repeat(np.arange(lo, hi, dtype=cols.dtype), np.diff(block.indptr))
+        indices[indptr[lo] : indptr[hi]] = cols[cols != rows]
+    data = np.ones(indices.size, dtype=bool)
+    return sp.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
 
 
 def square_graph(g: Graph) -> Graph:
@@ -82,30 +168,15 @@ def r_hop_balls(g: Graph, r: int, *, max_ball: int | None = None) -> list[np.nda
     """For each vertex v, the sorted array of vertices within distance r
     (excluding v itself).
 
-    ``max_ball`` (if given) raises if any ball exceeds that many vertices --
-    the simulator uses this to assert the paper's space guarantee
-    ``Delta^r = O(n^{delta})`` before "gathering onto one machine".
+    ``max_ball`` (if given) raises :class:`BallTooLargeError` while the
+    balls are still being counted, before any of them is materialised.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     if r == 0 or g.n == 0:
         return [np.empty(0, dtype=np.int64) for _ in range(g.n)]
-    reach = hop_pattern(g, r)
-    if max_ball is not None:
-        sizes = np.diff(reach.indptr)
-        if sizes.size and sizes.max(initial=0) > max_ball:
-            v = int(np.argmax(sizes))
-            raise ValueError(
-                f"ball of v={v} has {int(sizes[v])} vertices > max_ball={max_ball}"
-            )
+    reach = hop_pattern(g, r, sizes=ball_sizes(g, r, max_ball=max_ball))
     reach.sort_indices()
     indices = reach.indices.astype(np.int64)
     indptr = reach.indptr
     return [indices[indptr[v] : indptr[v + 1]] for v in range(g.n)]
-
-
-def ball_sizes(g: Graph, r: int) -> np.ndarray:
-    """int64[n]: |B_r(v)| excluding v (cheap summary used by space checks)."""
-    if r == 0 or g.n == 0:
-        return np.zeros(g.n, dtype=np.int64)
-    return np.diff(hop_pattern(g, r).indptr).astype(np.int64)

@@ -4,7 +4,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import repro.graphs.power as power
 from repro.graphs import (
+    BallTooLargeError,
     Graph,
     ball_sizes,
     cycle_graph,
@@ -64,10 +66,16 @@ def test_r_hop_zero():
     assert all(b.size == 0 for b in balls)
 
 
-def test_r_hop_max_ball_guard():
+def test_r_hop_max_ball_guard(monkeypatch):
+    def materialised(*args, **kwargs):
+        raise AssertionError("G^r built before the space check")
+
+    # The check fires while the balls are counted, before any pattern.
+    monkeypatch.setattr(power, "hop_pattern", materialised)
     g = star_graph(30)
-    with pytest.raises(ValueError):
-        r_hop_balls(g, 1, max_ball=5)
+    for r in (1, 2):
+        with pytest.raises(BallTooLargeError):
+            r_hop_balls(g, r, max_ball=5)
 
 
 def test_ball_sizes_star():

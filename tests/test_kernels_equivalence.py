@@ -37,7 +37,6 @@ from repro.graphs import coloring
 from repro.graphs.coloring import (
     _linial_field,
     _linial_step,
-    _poly_evals,
     linial_coloring,
 )
 from repro.graphs.kernels import segment_min, segment_sum
@@ -159,6 +158,16 @@ def good_nodes_mis_reference(g: Graph, params: Params):
     return i_star, a_mask, b_masks[:, i_star - 1], (class_of == i_star) & live
 
 
+def poly_evals_table(colors: np.ndarray, q: int, d: int) -> np.ndarray:
+    """The dense (n, q) table ``evals[v, x] = p_v(x) mod q``: the
+    coefficients of ``p_v`` are the base-q digits of v's color (lowest
+    first), evaluated against a Vandermonde matrix of every point."""
+    powers = range(d + 1)
+    coeffs = np.stack([colors.astype(np.int64) // q**j % q for j in powers], axis=1)
+    vander = np.stack([np.arange(q, dtype=np.int64) ** j % q for j in powers], axis=1)
+    return coeffs @ vander.T % q
+
+
 def linial_step_reference(g, colors: np.ndarray, palette: int):
     """One Linial reduction step, one node at a time.
 
@@ -168,7 +177,7 @@ def linial_step_reference(g, colors: np.ndarray, palette: int):
     """
     n = g.indptr.size - 1
     q, d = _linial_field(int(np.diff(g.indptr).max(initial=0)), palette)
-    _, evals = _poly_evals(colors, q, d)
+    evals = poly_evals_table(colors, q, d)
     new_colors = np.empty(n, dtype=np.int64)
     for v in range(n):
         nbrs = g.indices[g.indptr[v] : g.indptr[v + 1]]
@@ -317,9 +326,11 @@ def test_linial_coloring_backends_identical(any_graph, monkeypatch):
 
 @pytest.mark.parametrize("gseed", [1, 9])
 def test_linial_step_matches_reference_on_degree_one_fields(gseed):
+    # linial_coloring never steps with d = 1 (a step needs q^2 < palette),
+    # but the general kernel still handles such a field when called directly.
     g = gnp_random_graph(70, 0.08, seed=gseed)
     colors = np.arange(g.n, dtype=np.int64)
-    assert _linial_field(g.max_degree(), g.n)[1] == 1  # the linear-root path
+    assert _linial_field(g.max_degree(), g.n)[1] == 1
     got = _linial_step(g, colors, g.n)
     want = linial_step_reference(g, colors, g.n)
     assert got[1] == want[1]

@@ -338,6 +338,36 @@ def test_lowdeg_backend_parity(graph_fn):
     ]
 
 
+def test_lowdeg_seed_block_byte_cap_keeps_selections(monkeypatch):
+    """A byte budget that fits only a few seeds per block clamps the chunk;
+    every phase still selects what ``chunk_size=1`` selects."""
+    import repro.core.lowdeg as lowdeg
+
+    g = gnp_random_graph(90, 0.05, seed=3)
+    params = dict(strategy="best_of", best_of_k=20)  # every seed is evaluated
+    want = lowdeg_mis(g, Params(seed_chunk=1, **params))
+    chunks = []
+    select = lowdeg.select_seed_batch
+
+    def spy(*args, **kwargs):
+        chunks.append(kwargs["chunk_size"])
+        return select(*args, **kwargs)
+
+    # Three seeds' (n, Delta + 1) uint32 keys and flags in the first phase.
+    budget = 3 * g.n * (g.max_degree() + 1) * 5
+    monkeypatch.setattr(lowdeg, "_SEED_BLOCK_BYTES", budget)
+    monkeypatch.setattr(lowdeg, "select_seed_batch", spy)
+    got = lowdeg_mis(g, Params(seed_chunk=16, **params))
+    assert chunks[0] == 3 and max(chunks) <= 16
+    assert np.array_equal(got.independent_set, want.independent_set)
+    for a, b in zip(got.records, want.records, strict=True):
+        assert (a.selection_value, a.selection_trials) == (
+            b.selection_value,
+            b.selection_trials,
+        )
+    assert got.rounds == want.rounds
+
+
 @pytest.mark.parametrize("fn", [cc_mis, cc_maximal_matching])
 def test_cclique_backend_parity(fn, monkeypatch):
     g = gnp_random_graph(70, 0.12, seed=9)

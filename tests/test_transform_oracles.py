@@ -1,12 +1,13 @@
 """Reference oracles for the graph-transform layer.
 
 ``bfs_depth``, ``line_graph``, ``square_graph``, ``hop_pattern``,
-``linial_coloring`` and ``distance2_coloring`` are pinned against small
-pure-Python and networkx references over the graph families that stress
-their edge cases: empty graphs, isolated nodes, stars, complete graphs, many
-small components and relabelled copies.  The low-degree and colour-compressed
-drivers are pinned to build ``G^2``'s two-hop pattern once per solve and the
-canonical ``G^2`` graph never.
+``ball_sizes``, ``linial_coloring`` and ``distance2_coloring`` are pinned
+against small pure-Python and networkx references over the graph families
+that stress their edge cases: empty graphs, isolated nodes, stars, complete
+graphs, many small components and relabelled copies, also under tiny block
+budgets.  The low-degree and colour-compressed drivers are pinned to count
+``G^2``'s rows once per solve, to build its two-hop pattern only when Linial
+takes a reduction step (then once), and the canonical ``G^2`` graph never.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.congest import bfs_depth, congest_mis
 from repro.core import Params, lowdeg_maximal_matching, lowdeg_mis, phases_per_stage
 from repro.graphs import (
     Graph,
+    ball_sizes,
     complete_graph,
     cycle_graph,
     distance2_coloring,
@@ -38,6 +40,7 @@ from repro.graphs import (
     square_graph,
     star_graph,
 )
+from repro.mpc.context import MPCContext
 from repro.verify import verify_matching_pairs, verify_mis_nodes
 from test_kernels_equivalence import linial_step_reference
 
@@ -187,10 +190,73 @@ def test_component_family_reaches_a_reduction_step():
     assert np.array_equal(got.colors, want.colors)
 
 
+def _networkx_ball_sizes(g: Graph, r: int) -> np.ndarray:
+    nxg = g.to_networkx()
+    reach = nx.single_source_shortest_path_length
+    sizes = [len(reach(nxg, v, cutoff=r)) - 1 for v in range(g.n)]
+    return np.asarray(sizes, dtype=np.int64)
+
+
+@given(graph_families(), st.sampled_from([2, 3, 4]), st.integers(1, 3))
+def test_blocked_ball_sizes_are_pattern_row_counts(g, r, walks):
+    pattern = hop_pattern(g, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(power, "_BLOCK_WALKS", walks)  # about one row per block
+        sizes = ball_sizes(g, r)
+        blocked = hop_pattern(g, r, sizes=sizes)
+    assert np.array_equal(sizes, np.diff(pattern.indptr))
+    if g.n:
+        assert np.array_equal(sizes, _networkx_ball_sizes(g, r))
+    pattern.sort_indices()
+    blocked.sort_indices()
+    assert np.array_equal(blocked.indptr, pattern.indptr)
+    assert np.array_equal(blocked.indices, pattern.indices)
+
+
+#: Tiny block budgets: a few walks per product block, one evaluation point
+#: per table and a few arcs per compared row slice.
+TINY_BUDGETS = (
+    (power, "_BLOCK_WALKS", 50),
+    (coloring, "_NODE_POINTS", 1),
+    (coloring, "_ARC_POINTS", 64),
+)
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["default", "tiny"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cycle_graph(5000), lambda: path_graph(20000)],
+    ids=["cycle5000", "path20000"],
+)
+def test_distance2_coloring_steps_equal_linial_on_square_graph(make, tiny, monkeypatch):
+    g = make()
+    want = linial_coloring(square_graph(g))
+    if tiny:
+        for mod, name, value in TINY_BUDGETS:
+            monkeypatch.setattr(mod, name, value)
+    got = distance2_coloring(g)
+    assert want.iterations >= 2
+    assert (got.num_colors, got.iterations) == (want.num_colors, want.iterations)
+    assert np.array_equal(got.colors, want.colors)
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["default", "tiny"])
+def test_distance2_coloring_equals_linial_on_20_copies(any_graph, tiny, monkeypatch):
+    # 20 disjoint copies lift n above q^2, so low-degree shapes take steps.
+    g = _disjoint_union([any_graph] * 20)
+    want = linial_coloring(square_graph(g))
+    if tiny:
+        for mod, name, value in TINY_BUDGETS:
+            monkeypatch.setattr(mod, name, value)
+    got = distance2_coloring(g)
+    assert (got.num_colors, got.iterations) == (want.num_colors, want.iterations)
+    assert np.array_equal(got.colors, want.colors)
+
+
 @pytest.fixture
 def transform_calls(monkeypatch) -> Counter:
-    """Counts transform calls through every binding; ``hop_pattern`` calls
-    at r = 2 (the two-hop pattern) count apart from wider ones."""
+    """Counts transform calls through every binding; ``ball_sizes`` and
+    ``hop_pattern`` calls at r = 2 count apart from wider ones."""
     calls: Counter = Counter()
 
     def counted(name, fn):
@@ -200,54 +266,84 @@ def transform_calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    def counted_pattern(fn):
-        def wrapper(g, r=2):
-            calls["hop_pattern(r=2)" if r == 2 else "hop_pattern(r>2)"] += 1
-            return fn(g, r)
+    def counted_by_r(name, fn):
+        def wrapper(g, r=2, **kwargs):
+            calls[f"{name}(r=2)" if r == 2 else f"{name}(r>2)"] += 1
+            return fn(g, r, **kwargs)
 
         return wrapper
 
     for mod in (power, coloring, lowdeg, mis_congest):
-        for name in ("square_graph", "ball_sizes", "distance2_coloring"):
+        for name in ("square_graph", "distance2_coloring"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-        if hasattr(mod, "hop_pattern"):
-            monkeypatch.setattr(mod, "hop_pattern", counted_pattern(mod.hop_pattern))
+        for name in ("ball_sizes", "hop_pattern"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted_by_r(name, getattr(mod, name)))
     return calls
 
 
-#: One two-hop pattern feeds the coloring; no canonical G^2 is built.
-ONE_PATTERN = Counter({"hop_pattern(r=2)": 1, "distance2_coloring": 1})
+#: G^2's row counts feed the coloring; when Linial needs no reduction step
+#: (q^2 >= n), neither the two-hop pattern nor a canonical G^2 is built.
+NO_PATTERN = Counter({"ball_sizes(r=2)": 1, "distance2_coloring": 1})
+#: A reduction step builds the two-hop pattern exactly once, from the counts.
+ONE_PATTERN = NO_PATTERN + Counter({"hop_pattern(r=2)": 1})
 
 
-def test_lowdeg_mis_builds_one_square(transform_calls):
+def test_lowdeg_mis_builds_no_square_pattern(transform_calls):
     g = gnp_random_graph(300, 0.02, seed=1)
     assert phases_per_stage(g.n, g.max_degree(), Params()) == 1
     assert verify_mis_nodes(g, lowdeg_mis(g).independent_set)
-    assert transform_calls == ONE_PATTERN
+    assert transform_calls == NO_PATTERN
 
 
-def test_lowdeg_matching_builds_one_square(transform_calls):
+def test_lowdeg_matching_builds_no_square_pattern(transform_calls):
     g = gnp_random_graph(300, 0.02, seed=2)
     assert verify_matching_pairs(g, lowdeg_maximal_matching(g).pairs)
-    assert transform_calls == ONE_PATTERN
+    assert transform_calls == NO_PATTERN
 
 
 def test_lowdeg_multi_phase_stages_measure_wider_balls(transform_calls):
     params = Params(eps=1.0, delta=1.0)
     g = cycle_graph(200)
     assert phases_per_stage(g.n, g.max_degree(), params) > 1
-    assert verify_mis_nodes(g, lowdeg_mis(g, params).independent_set)
-    balls = transform_calls["ball_sizes"]
-    assert balls >= 1
-    # Each r = 2 * ell ball measure goes through the same helper.
-    assert transform_calls == ONE_PATTERN + Counter(
-        {"ball_sizes": balls, "hop_pattern(r>2)": balls}
-    )
+    res = lowdeg_mis(g, params)
+    assert verify_mis_nodes(g, res.independent_set)
+    # A 200-cycle's G^2 (Delta = 4) takes a reduction step, so its pattern
+    # is built once; the one r = 2 * ell ball measure fits machine space.
+    assert res.num_colors < g.n
+    assert transform_calls == ONE_PATTERN + Counter({"ball_sizes(r>2)": 1})
 
 
-def test_congest_color_compressed_builds_one_square(transform_calls):
+def test_lowdeg_wide_ball_gives_up_at_its_first_block(transform_calls, monkeypatch):
+    params = Params(eps=1.0, delta=1.0)
+    g = cycle_graph(200)
+    ell = phases_per_stage(g.n, g.max_degree(), params)
+    blocks = []
+    real_blocks = power._reach_blocks
+
+    def spy(graph, r):
+        for lo, block in real_blocks(graph, r):
+            blocks.append(r)
+            yield lo, block
+
+    monkeypatch.setattr(power, "_BLOCK_WALKS", 8)
+    monkeypatch.setattr(power, "_reach_blocks", spy)
+    # A cycle's r-hop balls have 2r members, so S = 4 (ell - 1) + 1 words
+    # fit r = 2 (ell - 1) but not r = 2 ell; that count is abandoned after
+    # its first block (one row each under this budget).
+    space = 4 * (ell - 1) + 1
+    ctx = MPCContext(n=g.n, m=g.m, eps=1.0, space_factor=space / g.n)
+    res = lowdeg_mis(g, params, ctx=ctx)
+    assert verify_mis_nodes(g, res.independent_set)
+    wider = [r for r in blocks if r > 2]
+    assert wider.count(2 * ell) == 1
+    assert wider.count(2 * (ell - 1)) == g.n  # every row of the fitting r
+    assert transform_calls == ONE_PATTERN + Counter({"ball_sizes(r>2)": 2})
+
+
+def test_congest_color_compressed_builds_no_square_pattern(transform_calls):
     g = gnp_random_graph(300, 0.02, seed=3)
     res = congest_mis(g, mode="color-compressed")
     assert verify_mis_nodes(g, res.independent_set)
-    assert transform_calls == ONE_PATTERN
+    assert transform_calls == NO_PATTERN
