@@ -19,7 +19,8 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 # --------------------------------------------------------------------- #
-# Shared two-path comparison harness (bench_seed_search, bench_round_engine)
+# Two-path comparison harness (speedup gates: bench_seed_search; best_timing
+# is also used by bench_obs_overhead)
 # --------------------------------------------------------------------- #
 
 

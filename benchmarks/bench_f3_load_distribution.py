@@ -11,7 +11,7 @@ import numpy as np
 from repro.analysis import render_series, render_table
 from repro.core import Params, good_nodes_matching
 from repro.graphs import gnp_random_graph
-from repro.mpc import MPCEngine, chunk_items_by_group, distributed_sort
+from repro.mpc import MPCEngine, chunk_items_by_group, distributed_sort_packed
 
 from _common import emit
 
@@ -28,9 +28,11 @@ def run():
 
     # Literal engine: sort 600 keys on 8 machines of 256 words.
     eng = MPCEngine(num_machines=8, space=256)
-    rng = np.random.default_rng(0)
-    eng.load_balanced([int(x) for x in rng.integers(0, 10_000, size=600)])
-    sort_rounds = distributed_sort(eng)
+    values = np.random.default_rng(0).integers(0, 10_000, size=600)
+    eng.load_balanced_packed(values)
+    sort_rounds = distributed_sort_packed(eng)
+    out = np.concatenate([it for st in eng.storage for it in st])
+    assert out.tolist() == sorted(values.tolist())
     return chunk, loads, eng.max_load_seen, sort_rounds
 
 

@@ -1,16 +1,17 @@
 """Consolidated execution configuration (every execution knob, one record).
 
 :class:`ExecutionConfig` is the single typed record for the knobs that
-change how a solve executes but never what it returns: the engine round
-core (``REPRO_ENGINE_BACKEND``), the seed-scan block size and worker count
-(``REPRO_SEED_CHUNK`` / ``REPRO_SEED_WORKERS``), the graph store directory
-(``REPRO_GRAPH_STORE``), plus the CONGEST ``pipeline_seed_fix`` ablation
-flag:
+change how a solve executes but never what it returns: the seed-scan
+block size and worker count (``REPRO_SEED_CHUNK`` / ``REPRO_SEED_WORKERS``),
+the graph store directory (``REPRO_GRAPH_STORE``), plus the CONGEST
+``pipeline_seed_fix`` ablation flag:
 
 * every field defaults to ``None`` = "inherit" (environment variable, then
   the built-in default), so an empty config is always safe;
 * :meth:`ExecutionConfig.from_env` snapshots the current environment into
   explicit values (an empty variable counts as unset);
+* :meth:`ExecutionConfig.from_dict` drops keys it does not know, so a
+  stored config naming a retired knob still loads;
 * :meth:`ExecutionConfig.apply` threads the config into a frozen
   :class:`~repro.core.params.Params`, which is how the knobs reach the
   solver call sites (``repro.api.solve`` applies the request's config this
@@ -19,8 +20,7 @@ flag:
 The environment variables stay honored for processes that never touch the
 facade: the resolvers at the call sites
 (:func:`~repro.derand.strategies.resolve_seed_chunk`,
-:func:`~repro.derand.strategies.resolve_seed_workers`,
-:func:`~repro.models.plane.resolve_engine_backend`) read them too, with
+:func:`~repro.derand.strategies.resolve_seed_workers`) read them too, with
 the same empty-means-unset rule.
 """
 
@@ -30,13 +30,11 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from ..core.params import Params
-from ..models.plane import ENGINE_BACKENDS
 
 __all__ = ["ExecutionConfig"]
 
 #: field name -> (environment variable, parser)
 _ENV_SPEC = {
-    "engine_backend": ("REPRO_ENGINE_BACKEND", str),
     "seed_chunk": ("REPRO_SEED_CHUNK", int),
     "seed_scan_workers": ("REPRO_SEED_WORKERS", int),
     "congest_pipeline_seed_fix": (
@@ -51,7 +49,6 @@ _ENV_SPEC = {
 class ExecutionConfig:
     """All execution knobs; ``None`` fields inherit env/defaults."""
 
-    engine_backend: str | None = None  # columnar | legacy
     seed_chunk: int | None = None  # seeds per objective block
     seed_scan_workers: int | None = None  # > 1 enables the parallel stage scan
     congest_pipeline_seed_fix: bool | None = None  # O(D + seed_bits) ablation
@@ -62,11 +59,6 @@ class ExecutionConfig:
     graph_store: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine_backend not in (None, *ENGINE_BACKENDS):
-            raise ValueError(
-                f"unknown engine_backend {self.engine_backend!r}; "
-                f"expected one of {ENGINE_BACKENDS}"
-            )
         if self.seed_chunk is not None and self.seed_chunk < 1:
             raise ValueError("seed_chunk must be >= 1")
         if self.seed_scan_workers is not None and self.seed_scan_workers < 0:
@@ -106,10 +98,8 @@ class ExecutionConfig:
     def apply(self, params: Params) -> Params:
         """Thread the non-``None`` knobs into a :class:`Params` copy."""
         updates: dict = {}
-        for name in ("engine_backend", "seed_chunk"):
-            value = getattr(self, name)
-            if value is not None:
-                updates[name] = value
+        if self.seed_chunk is not None:
+            updates["seed_chunk"] = self.seed_chunk
         if self.seed_scan_workers is not None:
             updates["seed_scan_workers"] = self.seed_scan_workers
         if self.congest_pipeline_seed_fix is not None:
@@ -120,7 +110,6 @@ class ExecutionConfig:
     def from_params(params: Params) -> "ExecutionConfig":
         """Extract the execution knobs a :class:`Params` carries."""
         return ExecutionConfig(
-            engine_backend=params.engine_backend,
             seed_chunk=params.seed_chunk,
             seed_scan_workers=params.seed_scan_workers or None,
             congest_pipeline_seed_fix=params.congest_pipeline_seed_fix or None,

@@ -393,7 +393,6 @@ def _solve_mis_engine(
         graph,
         machines,
         space,
-        engine_backend=params.engine_backend,
         arc_plane=request.arc_plane,
         stats_out=stats,
     )

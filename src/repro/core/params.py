@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ..models.plane import ENGINE_BACKENDS
-
 __all__ = ["Params"]
 
 
@@ -40,7 +38,6 @@ class Params:
     enumeration_cap: int = 1 << 16
     seed_chunk: int | None = None  # seeds per objective block (REPRO_SEED_CHUNK)
     seed_scan_workers: int = 0  # >1 enables the process-parallel stage scan
-    engine_backend: str | None = None  # columnar | legacy (REPRO_ENGINE_BACKEND)
     congest_pipeline_seed_fix: bool = False  # CONGEST O(D + seed_bits) ablation
     target_safety: float = 1.0  # multiplies the paper's progress constants
     matching_step_fraction: float = 1.0 / 109.0  # Lemma 13 constant
@@ -66,10 +63,6 @@ class Params:
             raise ValueError("seed_chunk must be >= 1")
         if self.seed_scan_workers < 0:
             raise ValueError("seed_scan_workers must be >= 0")
-        if self.engine_backend is not None and self.engine_backend not in (
-            ENGINE_BACKENDS
-        ):
-            raise ValueError(f"unknown engine backend {self.engine_backend!r}")
 
     # ------------------------------------------------------------------ #
     # Derived quantities

@@ -23,7 +23,12 @@ from .graph import Graph
 # block-sampled G(n, p) is defined (and streamed) in .streaming, but its
 # identity as a generator lives in this namespace alongside the rest.
 from .streaming import gnp_block_graph  # noqa: F401  (re-export)
-from .streaming import stream_gnp_random_graph
+from .streaming import (
+    stream_bounded_degree_graph,
+    stream_gnp_random_graph,
+    stream_power_law_graph,
+    stream_random_regular_graph,
+)
 
 __all__ = [
     "bounded_degree_graph",
@@ -156,17 +161,12 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     Self-loops/duplicates from the pairing are dropped, so degrees can fall
     slightly below ``d``; max degree never exceeds ``d``.  (Exact regularity
     is irrelevant to the algorithms; the bound ``Delta <= d`` is what the
-    Section-5 regime needs.)
+    Section-5 regime needs.)  Built from
+    :func:`~repro.graphs.streaming.stream_random_regular_graph`.
     """
-    if d >= n:
-        raise ValueError("need d < n")
-    if (n * d) % 2 != 0:
-        raise ValueError("n * d must be even")
-    rng = np.random.default_rng(seed)
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    rng.shuffle(stubs)
-    pairs = stubs.reshape(-1, 2)
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(
+        n, np.concatenate(list(stream_random_regular_graph(n, d, seed)))
+    )
 
 
 def bounded_degree_graph(n: int, max_deg: int, p_fill: float, seed: int) -> Graph:
@@ -174,36 +174,13 @@ def bounded_degree_graph(n: int, max_deg: int, p_fill: float, seed: int) -> Grap
 
     Greedy edge insertion from a shuffled candidate stream, rejecting edges
     that would exceed ``max_deg`` at either endpoint.  ``p_fill`` in (0, 1]
-    controls density relative to the cap.
+    controls density relative to the cap.  Built from
+    :func:`~repro.graphs.streaming.stream_bounded_degree_graph`.
     """
-    if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
-    rng = np.random.default_rng(seed)
-    target_edges = int(p_fill * n * max_deg / 2)
-    deg = np.zeros(n, dtype=np.int64)
-    chosen: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    # Draw in batches; loop is over batches, not edges.
-    attempts = 0
-    while len(chosen) < target_edges and attempts < 20:
-        attempts += 1
-        us = rng.integers(0, n, size=4 * max(target_edges, 1))
-        vs = rng.integers(0, n, size=4 * max(target_edges, 1))
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u == v:
-                continue
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                continue
-            if deg[a] >= max_deg or deg[b] >= max_deg:
-                continue
-            seen.add((a, b))
-            deg[a] += 1
-            deg[b] += 1
-            chosen.append((a, b))
-            if len(chosen) >= target_edges:
-                break
-    return Graph.from_edges(n, np.asarray(chosen, dtype=np.int64).reshape(-1, 2))
+    return Graph.from_edges(
+        n,
+        np.concatenate(list(stream_bounded_degree_graph(n, max_deg, p_fill, seed))),
+    )
 
 
 def power_law_graph(n: int, attach: int, seed: int) -> Graph:
@@ -211,31 +188,10 @@ def power_law_graph(n: int, attach: int, seed: int) -> Graph:
 
     Produces the heavy-tailed degree distributions that spread vertices
     across many degree classes ``C_i`` -- the regime where the good-node
-    selection (Corollary 8 / 16) does real work.
+    selection (Corollary 8 / 16) does real work.  Built from
+    :func:`~repro.graphs.streaming.stream_power_law_graph`; for
+    ``n <= attach + 1`` the result is the complete graph.
     """
-    if attach < 1:
-        raise ValueError("attach must be >= 1")
-    rng = np.random.default_rng(seed)
-    m0 = attach + 1
-    if n <= m0:
-        return complete_graph(max(n, 0))
-    # Start from a small clique, then attach each new node to `attach`
-    # targets sampled proportionally to degree (via the repeated-endpoints
-    # trick: sample uniformly from the arc-endpoint list).
-    iu = np.triu_indices(m0, k=1)
-    edges_u = list(iu[0].astype(np.int64))
-    edges_v = list(iu[1].astype(np.int64))
-    endpoint_pool: list[int] = edges_u + edges_v
-    for new in range(m0, n):
-        targets: set[int] = set()
-        while len(targets) < attach:
-            idx = int(rng.integers(0, len(endpoint_pool)))
-            targets.add(endpoint_pool[idx])
-        for t in targets:
-            edges_u.append(t)
-            edges_v.append(new)
-            endpoint_pool.append(t)
-            endpoint_pool.append(new)
     return Graph.from_edges(
-        n, np.stack([np.asarray(edges_u), np.asarray(edges_v)], axis=1)
+        max(n, 0), np.concatenate(list(stream_power_law_graph(n, attach, seed)))
     )

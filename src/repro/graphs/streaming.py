@@ -9,12 +9,13 @@ existing in memory.
 **Bit-identity contract.**  For the same arguments, concatenating a
 ``stream_*`` generator's blocks and feeding them to :meth:`Graph.from_edges`
 produces *exactly* the graph the in-memory generator builds — same
-fingerprint, same canonical arrays.  The streaming variants achieve this by
-consuming the ``numpy`` RNG in precisely the same order as their in-memory
-counterparts (chunked ``Generator.random`` / ``Generator.integers`` draws
-are bit-identical to one large draw, which the test suite pins).  The
-contract is what lets the content-addressed store deduplicate a streamed
-graph against one built in RAM.
+fingerprint, same canonical arrays.  Every in-memory random generator in
+:mod:`repro.graphs.generators` that has a streaming variant is built that
+way, so the contract holds by construction; the test suite pins each
+stream against an independent reference (and chunked ``Generator.random``
+draws against one large draw).  The contract is what lets the
+content-addressed store deduplicate a streamed graph against one built in
+RAM.
 
 Memory notes, per generator:
 
@@ -24,8 +25,8 @@ Memory notes, per generator:
   Work is still O(n^2) draws (the definition); for million-node inputs use
   ``gnp_block_graph``, which is streaming-*native* and O(m).
 * ``stream_random_regular_graph`` — the stub array (``n * d`` words) is
-  materialised and shuffled exactly like the in-memory path (that *is* the
-  definition), but the pair list is then emitted in blocks.
+  materialised and shuffled (that *is* the definition), but the pair list
+  is then emitted in blocks.
 * ``stream_bounded_degree_graph`` / ``stream_power_law_graph`` — the
   sequential acceptance state (seen-edge set / endpoint pool) is inherent
   to the definition and stays O(m); only the accepted-edge list is
@@ -167,11 +168,11 @@ def gnp_block_graph(n: int, p: float, seed: int) -> Graph:
 def stream_random_regular_graph(
     n: int, d: int, seed: int, *, block_edges: int = DEFAULT_BLOCK_PAIRS
 ) -> EdgeBlocks:
-    """Streaming twin of :func:`~repro.graphs.generators.random_regular_graph`.
+    """Edge blocks of :func:`~repro.graphs.generators.random_regular_graph`.
 
-    The stub shuffle (``n * d`` words) *is* the definition and is kept
-    verbatim; the resulting pair list is emitted in blocks so the
-    downstream CSR build never concatenates it.
+    The stub shuffle (``n * d`` words) *is* the definition; the resulting
+    pair list is emitted in blocks so a downstream CSR build never
+    concatenates it.
     """
     if d >= n:
         raise ValueError("need d < n")
@@ -195,12 +196,11 @@ def stream_bounded_degree_graph(
     *,
     block_edges: int = 1 << 18,
 ) -> EdgeBlocks:
-    """Streaming twin of :func:`~repro.graphs.generators.bounded_degree_graph`.
+    """Edge blocks of :func:`~repro.graphs.generators.bounded_degree_graph`.
 
-    Replays the exact draw-and-accept loop of the in-memory generator
-    (same ``rng.integers`` batches, same rejection order) but flushes the
-    accepted-edge list every ``block_edges`` edges.  The seen-edge set is
-    O(m) by definition.
+    Draws candidate edges in ``rng.integers`` batches and accepts them in
+    order, flushing the accepted-edge list every ``block_edges`` edges.
+    The seen-edge set is O(m) by definition.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
@@ -239,11 +239,11 @@ def stream_bounded_degree_graph(
 def stream_power_law_graph(
     n: int, attach: int, seed: int, *, block_edges: int = 1 << 18
 ) -> EdgeBlocks:
-    """Streaming twin of :func:`~repro.graphs.generators.power_law_graph`.
+    """Edge blocks of :func:`~repro.graphs.generators.power_law_graph`.
 
-    Same preferential-attachment walk and RNG consumption; the edge list is
-    flushed in blocks while the endpoint pool (inherent to the definition)
-    stays resident.
+    The preferential-attachment walk flushes its edge list in blocks while
+    the endpoint pool (inherent to the definition) stays resident.  For
+    ``n <= attach + 1`` the single block is the complete graph's edges.
     """
     if attach < 1:
         raise ValueError("attach must be >= 1")
@@ -255,6 +255,9 @@ def stream_power_law_graph(
             [iu[0].astype(np.int64), iu[1].astype(np.int64)], axis=1
         )
         return
+    # Start from a small clique, then attach each new node to `attach`
+    # targets sampled proportionally to degree (via the repeated-endpoints
+    # trick: sample uniformly from the arc-endpoint list).
     iu = np.triu_indices(m0, k=1)
     block_u = list(iu[0].astype(np.int64))
     block_v = list(iu[1].astype(np.int64))

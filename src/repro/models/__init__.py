@@ -5,8 +5,7 @@ CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
 
 * :mod:`repro.models.plane` -- struct-of-arrays message planes and the
   argsort + ``searchsorted`` router behind
-  :meth:`repro.mpc.engine.MPCEngine.round_packed`, plus the
-  ``REPRO_ENGINE_BACKEND`` (``columnar`` | ``legacy``) resolver.
+  :meth:`repro.mpc.engine.MPCEngine.round_packed`, the engine's round core.
 * :mod:`repro.models.ledger` -- the :class:`RoundLedgerProtocol` every
   simulator implements and the :class:`ModelSnapshot` record the
   cross-model report renders.
@@ -19,19 +18,9 @@ CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
 
 from .ledger import ModelSnapshot, RoundLedgerProtocol
 from .phase import MAXKEY, LubyPhaseKernel
-from .plane import (
-    DEFAULT_ENGINE_BACKEND,
-    ENGINE_BACKENDS,
-    MessageBlock,
-    Plane,
-    concat_planes,
-    resolve_engine_backend,
-    route_block,
-)
+from .plane import MessageBlock, Plane, concat_planes, route_block
 
 __all__ = [
-    "DEFAULT_ENGINE_BACKEND",
-    "ENGINE_BACKENDS",
     "MAXKEY",
     "CrossModelRun",
     "LubyPhaseKernel",
@@ -41,7 +30,6 @@ __all__ = [
     "RoundLedgerProtocol",
     "concat_planes",
     "cross_model_run",
-    "resolve_engine_backend",
     "route_block",
 ]
 

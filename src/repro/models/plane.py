@@ -1,16 +1,14 @@
-"""Struct-of-arrays message planes for the columnar round core.
+"""Struct-of-arrays message planes for the engine's round core.
 
-The legacy engine path moves one Python object per message: a round that
-delivers ``k`` partials costs ``O(k)`` interpreter work for word counting,
-inbox appends and storage rebuilds.  The columnar path replaces that with
-two array types:
+:meth:`~repro.mpc.engine.MPCEngine.round_packed` moves batches, not one
+Python object per message, so a round that delivers ``k`` partials costs
+``O(M)`` interpreter work instead of ``O(k)``.  Two array types carry the
+batches:
 
 * :class:`Plane` — a *resident* batch: a tagged ``(k, w)`` int64 matrix
-  living in a machine's storage.  Row ``i`` stands for the legacy tuple
+  living in a machine's storage.  Row ``i`` stands for the record
   ``(tag, data[i, 0], ..., data[i, w-1])``, so its space charge is
-  ``k * (w + 1)`` words — bit-identical to storing the ``k`` tuples
-  item-by-item (the tag costs one word, exactly as the tuple's first slot
-  does).
+  ``k * (w + 1)`` words (the tag costs one word per row).
 * :class:`MessageBlock` — an *in-flight* batch: the same matrix plus a
   ``dest`` column.  The engine routes a block with one stable argsort of
   ``dest`` and a ``searchsorted`` split instead of a per-message dispatch
@@ -19,45 +17,19 @@ two array types:
 
 Both shapes are deliberately dumb containers: every model-semantic check
 (per-round send/receive capacity, storage ceilings, destination validation)
-stays in the engine so the columnar and object paths share one rule book.
+stays in the engine.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "ENGINE_BACKENDS",
-    "DEFAULT_ENGINE_BACKEND",
     "MessageBlock",
     "Plane",
     "concat_planes",
-    "resolve_engine_backend",
     "route_block",
 ]
-
-ENGINE_BACKENDS = ("columnar", "legacy")
-DEFAULT_ENGINE_BACKEND = "columnar"
-
-
-def resolve_engine_backend(backend: str | None = None) -> str:
-    """Resolve the round-execution backend (``REPRO_ENGINE_BACKEND``).
-
-    ``columnar`` runs rounds over packed :class:`Plane` buffers;
-    ``legacy`` keeps the object-granular step functions.  Both produce
-    bit-identical results; only the interpreter cost differs.  An unset or
-    empty variable means the default.
-    """
-    resolved = (
-        backend or os.environ.get("REPRO_ENGINE_BACKEND") or DEFAULT_ENGINE_BACKEND
-    )
-    if resolved not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {resolved!r}; expected one of {ENGINE_BACKENDS}"
-        )
-    return resolved
 
 
 def _as_matrix(data: np.ndarray) -> np.ndarray:
@@ -72,8 +44,8 @@ def _as_matrix(data: np.ndarray) -> np.ndarray:
 class Plane:
     """A tagged ``(rows, width)`` int64 batch resident in machine storage.
 
-    ``word_cost`` matches the legacy representation exactly: each row is
-    the tuple ``(tag, *row)`` and therefore costs ``width + 1`` words.
+    ``word_cost``: each row is the record ``(tag, *row)`` and therefore
+    costs ``width + 1`` words.
     """
 
     __slots__ = ("tag", "data")
@@ -106,9 +78,8 @@ class MessageBlock:
 
     The empty tag ``""`` marks *raw scalar* payloads: single-column rows
     that stand for bare integers (the arc streams of the sort/partition
-    primitives), cost one word each, and are delivered as plain 1-D arrays
-    rather than tagged planes -- matching the object path, where a bare
-    ``int`` message costs 1 word while a ``(tag, value)`` tuple costs 2.
+    primitives), cost one word each (no tag word), and are delivered as
+    plain 1-D arrays rather than tagged planes.
     """
 
     __slots__ = ("tag", "dest", "data")
@@ -147,8 +118,8 @@ def route_block(
     """Split a block into per-destination planes with one argsort.
 
     Returns ``(machine, plane)`` pairs for every machine that receives at
-    least one row.  Raises ``ValueError`` on any out-of-range destination —
-    the same contract as the object path's per-message check.
+    least one row.  Raises ``ValueError`` on any out-of-range destination,
+    as :meth:`~repro.mpc.engine.MPCEngine.round` does per message.
     """
     dest = block.dest
     if dest.size == 0:

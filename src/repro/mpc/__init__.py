@@ -10,7 +10,6 @@ from .partition import MachineGrouping, chunk_items_by_group
 from .primitives import (
     broadcast_word,
     distributed_prefix_sums,
-    distributed_sort,
     distributed_sort_packed,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "distributed_luby_mis",
     "distributed_node_aggregate",
     "distributed_prefix_sums",
-    "distributed_sort",
     "distributed_sort_packed",
     "packed_arc_plane",
     "word_size",

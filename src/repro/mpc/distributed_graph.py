@@ -7,9 +7,10 @@ performs exactly that computation with real message passing on
 is demonstrated end to end:
 
 1. edges arrive split arbitrarily across machines as directed arcs,
-   encoded as sortable integers ``src * n + dst``;
-2. :func:`~repro.mpc.primitives.distributed_sort` groups each node's arcs
-   onto contiguous machines (3 rounds);
+   encoded as sortable integers ``src * n + dst`` (one packed int64 slice
+   per machine);
+2. :func:`~repro.mpc.primitives.distributed_sort_packed` groups each
+   node's arcs onto contiguous machines (3 rounds);
 3. each machine counts its local runs and sends one ``(node, count)``
    partial per node to the node's *home machine* (``node % M``), which sums
    the partials (1 round).
@@ -18,33 +19,23 @@ Total: 4 engine rounds independent of the input size (for ``M^2 <= S``),
 matching the O(1) bound.  The same skeleton computes any per-node
 aggregate (the ``sum_{u ~ v} 1/d(u)`` of Section 4.1, the class weights of
 Corollary 8, ...); :func:`distributed_node_aggregate` generalises it to
-arbitrary per-arc values.
+arbitrary per-arc values.  Every round runs through
+:meth:`~repro.mpc.engine.MPCEngine.round_packed`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Callable
 
 import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.io import packed_arc_plane
-from ..models.plane import MessageBlock, concat_planes, resolve_engine_backend
+from ..models.plane import MessageBlock, concat_planes
 from .engine import MPCEngine
-from .primitives import distributed_sort, distributed_sort_packed
+from .primitives import distributed_sort_packed
 
 __all__ = ["distributed_degrees", "distributed_node_aggregate"]
-
-
-def _load_arcs(engine: MPCEngine, g: Graph) -> None:
-    """Distribute the directed arc list (encoded as integers) evenly."""
-    engine.load_balanced([int(a) for a in packed_arc_plane(g).tolist()])
-
-
-def _load_arcs_packed(engine: MPCEngine, g: Graph) -> None:
-    """Same contiguous split, but each machine holds one packed slice."""
-    engine.load_balanced_packed(packed_arc_plane(g))
 
 
 def _harvest_pairs(engine: MPCEngine, tag: str, n: int) -> np.ndarray:
@@ -57,7 +48,7 @@ def _harvest_pairs(engine: MPCEngine, tag: str, n: int) -> np.ndarray:
 
 
 def distributed_degrees(
-    g: Graph, num_machines: int, space: int, *, engine_backend: str | None = None
+    g: Graph, num_machines: int, space: int
 ) -> tuple[np.ndarray, int]:
     """Compute all vertex degrees with real message passing.
 
@@ -65,47 +56,8 @@ def distributed_degrees(
     errors if the configuration genuinely cannot support the computation --
     the caller picks ``M``/``S`` like an MPC deployment would.
     """
-    if resolve_engine_backend(engine_backend) == "columnar":
-        return _distributed_degrees_columnar(g, num_machines, space)
     engine = MPCEngine(num_machines=num_machines, space=space)
-    _load_arcs(engine, g)
-    rounds0 = engine.rounds_executed
-    distributed_sort(engine)
-
-    n = max(g.n, 1)
-    m_machines = engine.num_machines
-
-    def count_step(mid: int, items: list[Any]):
-        counts: dict[int, int] = defaultdict(int)
-        for arc in items:
-            counts[arc // n] += 1
-        sends = []
-        keep: list[Any] = []
-        for node, cnt in sorted(counts.items()):
-            home = node % m_machines
-            msg = ("deg", node, cnt)
-            if home == mid:
-                keep.append(msg)
-            else:
-                sends.append((home, msg))
-        return keep, sends
-
-    engine.round(count_step)
-
-    degrees = np.zeros(g.n, dtype=np.int64)
-    for mid in range(m_machines):
-        for item in engine.storage[mid]:
-            if isinstance(item, tuple) and item[0] == "deg":
-                degrees[item[1]] += item[2]
-    return degrees, engine.rounds_executed - rounds0
-
-
-def _distributed_degrees_columnar(
-    g: Graph, num_machines: int, space: int
-) -> tuple[np.ndarray, int]:
-    """The same 4-round schedule over packed planes (identical charges)."""
-    engine = MPCEngine(num_machines=num_machines, space=space)
-    _load_arcs_packed(engine, g)
+    engine.load_balanced_packed(packed_arc_plane(g))
     rounds0 = engine.rounds_executed
     distributed_sort_packed(engine)
     n = max(g.n, 1)
@@ -135,60 +87,14 @@ def distributed_node_aggregate(
     num_machines: int,
     space: int,
     scale: int = 10**6,
-    *,
-    engine_backend: str | None = None,
 ) -> tuple[np.ndarray, int]:
     """Per-node sums ``out[v] = sum_{u ~ v} arc_value(v, u)`` on the engine.
 
     Values are fixed-point encoded (``scale`` ticks per unit) so messages
     stay integral words.  Same 4-round skeleton as degree computation.
     """
-    if resolve_engine_backend(engine_backend) == "columnar":
-        return _distributed_node_aggregate_columnar(
-            g, arc_value, num_machines, space, scale
-        )
     engine = MPCEngine(num_machines=num_machines, space=space)
-    _load_arcs(engine, g)
-    rounds0 = engine.rounds_executed
-    distributed_sort(engine)
-    n = max(g.n, 1)
-    m_machines = engine.num_machines
-
-    def agg_step(mid: int, items: list[Any]):
-        sums: dict[int, int] = defaultdict(int)
-        for arc in items:
-            src, dst = divmod(arc, n)
-            sums[src] += int(round(arc_value(src, dst) * scale))
-        sends = []
-        keep: list[Any] = []
-        for node, total in sorted(sums.items()):
-            home = node % m_machines
-            msg = ("agg", node, total)
-            if home == mid:
-                keep.append(msg)
-            else:
-                sends.append((home, msg))
-        return keep, sends
-
-    engine.round(agg_step)
-
-    out = np.zeros(g.n, dtype=np.float64)
-    for mid in range(m_machines):
-        for item in engine.storage[mid]:
-            if isinstance(item, tuple) and item[0] == "agg":
-                out[item[1]] += item[2] / scale
-    return out, engine.rounds_executed - rounds0
-
-
-def _distributed_node_aggregate_columnar(
-    g: Graph,
-    arc_value: Callable[[int, int], float],
-    num_machines: int,
-    space: int,
-    scale: int,
-) -> tuple[np.ndarray, int]:
-    engine = MPCEngine(num_machines=num_machines, space=space)
-    _load_arcs_packed(engine, g)
+    engine.load_balanced_packed(packed_arc_plane(g))
     rounds0 = engine.rounds_executed
     distributed_sort_packed(engine)
     n = max(g.n, 1)
@@ -200,8 +106,8 @@ def _distributed_node_aggregate_columnar(
         if arcs.size:
             src, dst = np.divmod(arcs, n)
             # ``arc_value`` is a caller-supplied scalar function (the model
-            # contract); fixed-point rounding matches the object path so
-            # both backends harvest identical integer partials.
+            # contract); each arc's value is rounded to fixed point before
+            # summing, so every partial is an exact integer word.
             vals = np.fromiter(
                 (
                     int(round(arc_value(int(s), int(d)) * scale))

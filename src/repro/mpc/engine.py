@@ -6,24 +6,23 @@ rounds; between rounds each machine sends messages addressed to single
 machines, and all messages sent and received by a machine in a round must fit
 in ``S`` words.
 
-The engine is used to *demonstrate* the Lemma-4 communication primitives
-(sorting, prefix sums, broadcast -- see :mod:`repro.mpc.primitives`) with
-real message passing and exact round counting.  The graph algorithms
-themselves run against the vectorised accounting layer
-(:mod:`repro.mpc.context`) for speed; both layers share the same model
-constants so the round/space numbers agree.
+The engine runs the Lemma-4 communication primitives (sorting, prefix
+sums, broadcast -- see :mod:`repro.mpc.primitives`), the Section-3.1 degree
+computation (:mod:`repro.mpc.distributed_graph`) and the ``mis/mpc-engine``
+Luby run (:mod:`repro.mpc.distributed_luby`) with real message passing and
+exact round counting.  The derandomized graph algorithms themselves run
+against the vectorised accounting layer (:mod:`repro.mpc.context`) for
+speed; both layers share the same model constants so the round/space
+numbers agree.
 
-Two round-execution backends share every model check:
-
-* :meth:`MPCEngine.round` -- the object-granular path: a step maps
-  ``(machine, items)`` to kept items plus ``(dest, item)`` message pairs,
-  and the engine dispatches each message individually.
-* :meth:`MPCEngine.round_packed` -- the columnar path: a step maps
-  ``(machine, items)`` to kept items plus
-  :class:`~repro.models.plane.MessageBlock` batches; the engine routes each
-  batch with one stable argsort + ``searchsorted`` split, so interpreter
-  cost is per *batch*, not per message.  Word charges are bit-identical to
-  sending the same rows as tuples.
+:meth:`MPCEngine.round_packed` is the round core: a step maps
+``(machine, items)`` to kept items plus
+:class:`~repro.models.plane.MessageBlock` batches, and the engine routes
+each batch with one stable argsort + ``searchsorted`` split, so interpreter
+cost is per *batch*, not per message.  :meth:`MPCEngine.round` applies the
+same model checks to item-granular ``(dest, item)`` messages; only the
+prefix-sum demonstration (:func:`~repro.mpc.primitives.distributed_prefix_sums`)
+still runs on it.
 
 Storage granularity: each stored item costs ``word_size(item)`` words, where
 scalars cost 1 and containers cost the recursive word count of their
@@ -56,9 +55,8 @@ def word_size(item: Any) -> int:
     array's words -- charging ``len(tuple)`` would let an algorithm smuggle
     arbitrarily large payloads inside 3-word messages).  A numpy array
     costs one word per element, and a :class:`~repro.models.plane.Plane`
-    costs ``rows * (width + 1)`` -- identical to storing its rows as
-    ``(tag, *row)`` tuples item-by-item, so the columnar and object
-    backends are charged the same words for the same state.
+    costs ``rows * (width + 1)``: each row is a ``(tag, *row)`` record, and
+    the tag costs one word.
     """
     if isinstance(item, (tuple, list)):
         return sum(word_size(x) for x in item)
@@ -73,10 +71,9 @@ def word_size(item: Any) -> int:
 #: (items_to_keep, [(dest_machine, item), ...]).
 StepFn = Callable[[int, list[Any]], tuple[list[Any], list[tuple[int, Any]]]]
 
-#: The columnar variant maps (machine_id, local_items) to
+#: The packed variant maps (machine_id, local_items) to
 #: (items_to_keep, [MessageBlock, ...]); rows destined to the sender are
-#: kept locally (never charged as communication), exactly like a legacy
-#: step appending its own-home messages to ``keep``.
+#: kept locally (storage, never charged as communication).
 PackedStepFn = Callable[[int, list[Any]], tuple[list[Any], list[MessageBlock]]]
 
 
@@ -196,7 +193,7 @@ class MPCEngine:
         self.max_load_seen = max(self.max_load_seen, words)
 
     # ------------------------------------------------------------------ #
-    # Round execution: object-granular backend
+    # Round execution: item-granular messages (distributed_prefix_sums)
     # ------------------------------------------------------------------ #
 
     def round(self, step: StepFn, category: str = "round") -> None:
@@ -251,19 +248,19 @@ class MPCEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Round execution: columnar backend
+    # Round execution: packed message blocks (the round core)
     # ------------------------------------------------------------------ #
 
     def round_packed(self, step: PackedStepFn, category: str = "round") -> None:
         """One synchronous round over packed message blocks.
 
-        Model semantics are identical to :meth:`round` -- same send /
-        receive / storage ceilings, same destination validation, same
-        delivery timing -- but a block's rows are counted, routed and
-        delivered as arrays.  Rows a machine addresses to itself are split
-        off into kept :class:`~repro.models.plane.Plane`s before routing,
-        mirroring the object path's convention of appending own-home
-        messages to ``keep`` (they are storage, not communication).
+        Model semantics are those of :meth:`round` -- same send / receive /
+        storage ceilings, same destination validation, same delivery timing
+        -- but a block's rows are counted, routed and delivered as arrays.
+        Rows a machine addresses to itself are split off into kept
+        :class:`~repro.models.plane.Plane`s before routing: they are
+        storage, not communication, so they are never charged as sent or
+        received words.
         """
         t_round = _obs.clock() if _obs._TRACING else 0.0
         m = self.num_machines

@@ -4,16 +4,20 @@ Goodrich et al. [30] show sorting and prefix sums take O(1) rounds with
 ``S = n^eps`` space.  We implement executable versions with real message
 passing on :class:`~repro.mpc.engine.MPCEngine`:
 
-* :func:`distributed_sort` -- PSRS-style sample sort: local sort, regular
-  samples to a coordinator, splitter broadcast, bucket exchange, local sort.
-  4 rounds, independent of input size whenever ``M <= S`` (one level of the
-  Goodrich tree; the general case recurses, adding O(1/eps) = O(1) levels).
+* :func:`distributed_sort_packed` -- PSRS-style sample sort over packed
+  int64 arrays: local sort, regular samples to a coordinator, splitter
+  broadcast, bucket exchange, local sort.  3 rounds, independent of input
+  size whenever ``M (M - 1) <= S`` (one level of the Goodrich tree; the
+  general case recurses, adding O(1/eps) = O(1) levels).
 * :func:`distributed_prefix_sums` -- local sums up a machine tree of fan-out
   ``S``, offsets back down: ``2 * ceil(log_S M) + O(1)`` rounds = O(1).
 * :func:`broadcast_word` -- S-ary broadcast tree.
 
 These functions both *do* the communication and return the exact number of
 engine rounds consumed, so tests can assert the O(1) claims numerically.
+The sort and the broadcast run on
+:meth:`~repro.mpc.engine.MPCEngine.round_packed`; the prefix sums move
+item-granular tuples through :meth:`~repro.mpc.engine.MPCEngine.round`.
 """
 
 from __future__ import annotations
@@ -29,45 +33,45 @@ from .engine import MPCEngine
 __all__ = [
     "broadcast_word",
     "distributed_prefix_sums",
-    "distributed_sort",
     "distributed_sort_packed",
 ]
 
 
-def broadcast_word(engine: MPCEngine, value: Any, root: int = 0) -> int:
-    """Deliver ``value`` from ``root`` to every machine; returns rounds used.
+def broadcast_word(engine: MPCEngine, value: int, root: int = 0) -> int:
+    """Deliver the word ``value`` from ``root`` to every machine; returns
+    rounds used.
 
     Uses an S-ary doubling tree over machine ids: in each round every machine
     that already holds the token forwards it to up to ``fanout`` new
-    machines.  ``ceil(log_fanout M)`` rounds.
+    machines.  ``ceil(log_fanout M)`` rounds.  The token is a one-row
+    ``"bcast"`` plane (tag + value = 2 words); a holder forwards the last
+    one it stores.
     """
     m = engine.num_machines
-    fanout = max(2, engine.space // 2)  # each message is ("bcast", value): 2 words
+    fanout = max(2, engine.space // 2)  # each "bcast" row costs 2 words
     holders = {root}
-    engine.storage[root].append(("bcast", value))
+    engine.storage[root].append(Plane("bcast", [[value]]))
     rounds0 = engine.rounds_executed
 
     while len(holders) < m:
         frontier = sorted(holders)
-        new_targets: dict[int, list[int]] = {}
-        next_id = 0
         pending = [mid for mid in range(m) if mid not in holders]
-        for h in frontier:
-            new_targets[h] = pending[next_id : next_id + fanout]
-            next_id += fanout
-        targets_snapshot = dict(new_targets)
+        targets = {
+            h: pending[i * fanout : (i + 1) * fanout]
+            for i, h in enumerate(frontier)
+        }
 
         def step(mid: int, items: list[Any]):
-            sends = []
-            if mid in targets_snapshot:
-                token = next(x for x in items if isinstance(x, tuple) and x[0] == "bcast")
-                for dest in targets_snapshot[mid]:
-                    sends.append((dest, token))
-            return items, sends
+            dests = targets.get(mid)
+            if not dests:
+                return items, []
+            token = concat_planes(items, "bcast", 1)[-1:]
+            rows = np.repeat(token, len(dests), axis=0)
+            return items, [MessageBlock("bcast", dests, rows)]
 
-        engine.round(step)
+        engine.round_packed(step)
         for h in frontier:
-            holders.update(targets_snapshot.get(h, []))
+            holders.update(targets[h])
     return engine.rounds_executed - rounds0
 
 
@@ -218,92 +222,6 @@ def distributed_prefix_sums(engine: MPCEngine) -> int:
     return used
 
 
-def distributed_sort(engine: MPCEngine) -> int:
-    """Sort all numeric items globally (machine-major order after the call).
-
-    PSRS sample sort in 4 rounds:
-      1. local sort; each machine sends M-1 regular samples to machine 0
-      2. machine 0 picks M-1 splitters, broadcasts them
-      3. machines partition locally, send each bucket to its machine
-      4. machines sort received buckets locally (free: local computation)
-
-    Requires ``M * (M - 1) <= S`` (coordinator holds all samples) -- one
-    level of the Goodrich construction, which is the regime all tests and
-    experiments run in.  Returns rounds used.
-    """
-    m = engine.num_machines
-    if m == 1:
-        engine.storage[0].sort()
-        return 0
-    if m * (m - 1) > engine.space:
-        raise ValueError(
-            "single-level sample sort requires M*(M-1) <= S; "
-            "use more space or fewer machines"
-        )
-    rounds0 = engine.rounds_executed
-
-    def sample_step(mid: int, items: list[Any]):
-        items = sorted(items)
-        k = len(items)
-        sends = []
-        if k:
-            # m-1 regular samples
-            samples = [items[(j * k) // m] for j in range(1, m)]
-        else:
-            samples = []
-        for s in samples:
-            sends.append((0, ("sample", s)))
-        return items, sends
-
-    engine.round(sample_step)
-
-    def splitter_step(mid: int, items: list[Any]):
-        if mid != 0:
-            return items, []
-        samples = sorted(it[1] for it in items if isinstance(it, tuple) and it[0] == "sample")
-        keep = [it for it in items if not (isinstance(it, tuple) and it[0] == "sample")]
-        k = len(samples)
-        if k:
-            splitters = tuple(samples[(j * k) // m] for j in range(1, m))
-        else:
-            splitters = tuple()
-        sends = [(j, ("splitters",) + splitters) for j in range(1, m)]
-        keep.append(("splitters",) + splitters)
-        return keep, sends
-
-    engine.round(splitter_step)
-
-    def partition_step(mid: int, items: list[Any]):
-        splitters = []
-        values = []
-        for it in items:
-            if isinstance(it, tuple) and it[0] == "splitters":
-                splitters = list(it[1:])
-            else:
-                values.append(it)
-        sends = []
-        keep = []
-        # Vectorised bucket assignment (one searchsorted instead of a
-        # per-item bisect); messages stay item-granular per the model.
-        dests = np.searchsorted(np.asarray(splitters), np.asarray(values), side="right")
-        for v, dest in zip(values, dests.tolist()):
-            if dest == mid:
-                keep.append(v)
-            else:
-                sends.append((int(dest), v))
-        return keep, sends
-
-    engine.round(partition_step)
-
-    # Local sort of received buckets (local computation, no round charge in
-    # the model; we do it in-place).
-    for mid in range(m):
-        engine.storage[mid] = sorted(
-            x for x in engine.storage[mid] if not isinstance(x, tuple)
-        )
-    return engine.rounds_executed - rounds0
-
-
 def _machine_values(items: list[Any]) -> np.ndarray:
     """Concatenation of a machine's packed scalar arrays (may be several
     after a routed round delivers one bucket per sender)."""
@@ -316,16 +234,35 @@ def _machine_values(items: list[Any]) -> np.ndarray:
 
 
 def distributed_sort_packed(engine: MPCEngine) -> int:
-    """Columnar :func:`distributed_sort`: machines hold packed int64 arrays.
+    """Sort all values globally; every machine holds packed int64 arrays.
 
-    Same PSRS schedule, same 3 rounds, same per-message word charges
-    (samples are 2-word tagged rows, splitter vectors ``M`` words, bucket
-    values 1 word each) -- but every step moves whole arrays through
+    PSRS sample sort in 3 rounds:
+      1. local sort; each machine sends ``M - 1`` regular samples to
+         machine 0 (2-word tagged rows);
+      2. machine 0 picks ``M - 1`` splitters and sends the splitter vector
+         (``M`` words: tag + splitters) to every other machine;
+      3. machines partition locally and send each bucket value (1 word) to
+         its machine; the received buckets are then sorted locally (free:
+         local computation).
+
+    Every step moves whole arrays through
     :meth:`~repro.mpc.engine.MPCEngine.round_packed`, so the interpreter
-    never touches an individual item.  Post-condition matches the object
-    path: globally sorted values in machine-major order, one packed array
-    per machine.
+    never touches an individual item.  Post-condition: globally sorted
+    values in machine-major order, one packed array per machine.  Requires
+    ``M * (M - 1) <= S`` (the coordinator holds all samples).  Load the
+    input with :meth:`~repro.mpc.engine.MPCEngine.load_balanced_packed`;
+    any other stored item raises ``TypeError``.  Returns rounds used.
     """
+    for mid, items in enumerate(engine.storage):
+        for it in items:
+            if not (
+                isinstance(it, np.ndarray) and it.ndim == 1 and it.dtype == np.int64
+            ):
+                raise TypeError(
+                    f"machine {mid} stores a {type(it).__name__}; "
+                    "distributed_sort_packed sorts packed int64 arrays -- "
+                    "load the input with MPCEngine.load_balanced_packed"
+                )
     m = engine.num_machines
     if m == 1:
         engine.storage[0] = [np.sort(_machine_values(engine.storage[0]))]

@@ -256,10 +256,11 @@ def test_parity_mis_engine():
 
 
 def test_execution_config_validation_and_round_trip():
-    cfg = ExecutionConfig(engine_backend="columnar", seed_chunk=32)
+    cfg = ExecutionConfig(seed_chunk=32, seed_scan_workers=2)
     assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ValueError, match="engine_backend"):
-        ExecutionConfig(engine_backend="gpu")
+    # a stored config naming a retired knob still loads, without that key
+    stale = ExecutionConfig.from_dict({"engine_backend": "legacy", "seed_chunk": 4})
+    assert stale == ExecutionConfig(seed_chunk=4)
     with pytest.raises(ValueError, match="seed_chunk"):
         ExecutionConfig(seed_chunk=0)
     with pytest.raises(ValueError, match="seed_scan_workers"):
@@ -267,28 +268,26 @@ def test_execution_config_validation_and_round_trip():
 
 
 def test_execution_config_env_fallback(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "legacy")
     monkeypatch.setenv("REPRO_SEED_CHUNK", "64")
+    monkeypatch.setenv("REPRO_SEED_WORKERS", "3")
     monkeypatch.setenv("REPRO_CONGEST_PIPELINE_SEED_FIX", "1")
     env = ExecutionConfig.from_env()
-    assert env.engine_backend == "legacy"
     assert env.seed_chunk == 64
+    assert env.seed_scan_workers == 3
     assert env.congest_pipeline_seed_fix is True
     # explicit wins over env in resolved()
-    cfg = ExecutionConfig(engine_backend="columnar").resolved()
-    assert cfg.engine_backend == "columnar"
+    cfg = ExecutionConfig(seed_scan_workers=1).resolved()
+    assert cfg.seed_scan_workers == 1
     assert cfg.seed_chunk == 64
 
 
 def test_execution_config_threads_into_params():
     cfg = ExecutionConfig(
-        engine_backend="legacy",
         seed_chunk=16,
         seed_scan_workers=2,
         congest_pipeline_seed_fix=True,
     )
     p = cfg.apply(Params())
-    assert p.engine_backend == "legacy"
     assert p.seed_chunk == 16
     assert p.seed_scan_workers == 2
     assert p.congest_pipeline_seed_fix is True
@@ -311,10 +310,7 @@ def test_solve_with_backend_overrides_is_bit_identical():
         assert res.rounds == base.rounds
 
 
-@pytest.mark.parametrize(
-    "var,model",
-    [("REPRO_SEED_CHUNK", "cclique"), ("REPRO_ENGINE_BACKEND", "mpc-engine")],
-)
+@pytest.mark.parametrize("var,model", [("REPRO_SEED_CHUNK", "cclique")])
 def test_empty_env_var_means_default(var, model, monkeypatch):
     g = small_graph(seed=4)
     monkeypatch.delenv(var, raising=False)

@@ -22,6 +22,7 @@ from repro.graphs import (
     GraphStore,
     StoreCorruptError,
     StoreMissError,
+    complete_graph,
     gnp_block_graph,
     gnp_random_graph,
     graph_fingerprint,
@@ -60,6 +61,67 @@ def gnp_reference(n: int, p: float, seed: int) -> Graph:
     iu = np.triu_indices(n, k=1)
     mask = np.random.default_rng(seed).random(iu[0].size) < p
     return Graph.from_edges(n, np.stack([iu[0][mask], iu[1][mask]], axis=1))
+
+
+def regular_reference(n: int, d: int, seed: int) -> Graph:
+    """Stub matching over one shuffled ``n * d`` stub array."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    rng.shuffle(stubs)
+    return Graph.from_edges(n, stubs.reshape(-1, 2))
+
+
+def bounded_degree_reference(n: int, max_deg: int, p_fill: float, seed: int) -> Graph:
+    """Greedy capped insertion from batched candidate draws, one edge list."""
+    rng = np.random.default_rng(seed)
+    target_edges = int(p_fill * n * max_deg / 2)
+    deg = np.zeros(n, dtype=np.int64)
+    chosen: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    attempts = 0
+    while len(chosen) < target_edges and attempts < 20:
+        attempts += 1
+        us = rng.integers(0, n, size=4 * max(target_edges, 1))
+        vs = rng.integers(0, n, size=4 * max(target_edges, 1))
+        for u, v in zip(us.tolist(), vs.tolist()):
+            if u == v:
+                continue
+            a, b = (u, v) if u < v else (v, u)
+            if (a, b) in seen:
+                continue
+            if deg[a] >= max_deg or deg[b] >= max_deg:
+                continue
+            seen.add((a, b))
+            deg[a] += 1
+            deg[b] += 1
+            chosen.append((a, b))
+            if len(chosen) >= target_edges:
+                break
+    return Graph.from_edges(n, np.asarray(chosen, dtype=np.int64).reshape(-1, 2))
+
+
+def power_law_reference(n: int, attach: int, seed: int) -> Graph:
+    """Preferential attachment from a clique on ``attach + 1`` nodes."""
+    rng = np.random.default_rng(seed)
+    m0 = attach + 1
+    if n <= m0:
+        return complete_graph(max(n, 0))
+    iu = np.triu_indices(m0, k=1)
+    edges_u = list(iu[0].astype(np.int64))
+    edges_v = list(iu[1].astype(np.int64))
+    endpoint_pool: list[int] = edges_u + edges_v
+    for new in range(m0, n):
+        targets: set[int] = set()
+        while len(targets) < attach:
+            targets.add(endpoint_pool[int(rng.integers(0, len(endpoint_pool)))])
+        for t in targets:
+            edges_u.append(t)
+            edges_v.append(new)
+            endpoint_pool.append(t)
+            endpoint_pool.append(new)
+    return Graph.from_edges(
+        n, np.stack([np.asarray(edges_u), np.asarray(edges_v)], axis=1)
+    )
 
 
 def assert_same_graph(a: Graph, b: Graph) -> None:
@@ -114,7 +176,8 @@ class TestStreamingBitIdentity:
     )
     def test_regular_stream_matches_in_memory(self, nd, seed):
         n, d = nd
-        expected = random_regular_graph(n, d, seed=seed)
+        expected = regular_reference(n, d, seed)
+        assert_same_graph(expected, random_regular_graph(n, d, seed=seed))
         got = graph_from_stream("random_regular_graph", n=n, d=d, seed=seed)
         assert_same_graph(expected, got)
 
@@ -125,7 +188,8 @@ class TestStreamingBitIdentity:
         seed=st.integers(0, 2**31),
     )
     def test_bounded_degree_stream_matches_in_memory(self, n, max_deg, seed):
-        expected = bounded_degree_graph(n, max_deg, 0.7, seed=seed)
+        expected = bounded_degree_reference(n, max_deg, 0.7, seed)
+        assert_same_graph(expected, bounded_degree_graph(n, max_deg, 0.7, seed=seed))
         got = graph_from_stream(
             "bounded_degree_graph", n=n, max_deg=max_deg, p_fill=0.7, seed=seed
         )
@@ -138,7 +202,8 @@ class TestStreamingBitIdentity:
         seed=st.integers(0, 2**31),
     )
     def test_power_law_stream_matches_in_memory(self, n, attach, seed):
-        expected = power_law_graph(n, attach, seed=seed)
+        expected = power_law_reference(n, attach, seed)
+        assert_same_graph(expected, power_law_graph(n, attach, seed=seed))
         got = graph_from_stream(
             "power_law_graph", n=n, attach=attach, seed=seed
         )

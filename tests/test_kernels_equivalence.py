@@ -41,7 +41,6 @@ from repro.graphs.coloring import (
 )
 from repro.graphs.kernels import segment_min, segment_sum
 from repro.hashing.kwise import make_family
-from repro.models.plane import ENGINE_BACKENDS
 from repro.mpc.distributed_luby import distributed_luby_mis
 from repro.verify import verify_matching_pairs, verify_mis_nodes
 
@@ -375,13 +374,10 @@ def test_linial_reduction_steps_match_reference(make, square, monkeypatch):
 def test_distributed_luby_backends_identical(make, machines, space):
     g = make()
     mis, phases = distributed_luby_reference(g)
-    for engine_backend in ENGINE_BACKENDS:
-        got, rounds, got_phases = distributed_luby_mis(
-            g, machines, space, engine_backend=engine_backend
-        )
-        assert np.array_equal(got, mis), engine_backend
-        assert got_phases == phases
-        assert rounds == 10 * phases  # engine accounting is unchanged
+    got, rounds, got_phases = distributed_luby_mis(g, machines, space)
+    assert np.array_equal(got, mis)
+    assert got_phases == phases
+    assert rounds == 10 * phases  # 1 broadcast + 9 step rounds per phase
     assert verify_mis_nodes(g, mis)
 
 

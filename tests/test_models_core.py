@@ -1,15 +1,17 @@
 """Tests for the columnar round-execution core (repro.models).
 
-Covers the message-plane router, the ``REPRO_ENGINE_BACKEND`` gate, the
-columnar/legacy parity of every engine-layer call site, the shared
-``RoundLedger`` protocol across all three model simulators, and the
-hypothesis-driven ledger invariants (rounds monotone, category charges sum
-to the total, space ceilings raising exactly at the boundary).
+Covers the message-plane router, ``MPCEngine.round_packed`` semantics, the
+golden bills (rounds, words moved, space high-water) of every engine-layer
+call site, the shared ``RoundLedger`` protocol across all three model
+simulators, and the hypothesis-driven ledger invariants (rounds monotone,
+category charges sum to the total, space ceilings raising exactly at the
+boundary).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_kernels_equivalence import distributed_luby_reference
 
 from repro.cclique import CongestedCliqueContext
 from repro.congest import CongestContext
@@ -27,7 +29,6 @@ from repro.models import (
     RoundLedgerProtocol,
     concat_planes,
     cross_model_run,
-    resolve_engine_backend,
     route_block,
 )
 from repro.mpc import (
@@ -38,7 +39,6 @@ from repro.mpc import (
     distributed_degrees,
     distributed_luby_mis,
     distributed_node_aggregate,
-    distributed_sort,
     distributed_sort_packed,
     packed_arc_plane,
     word_size,
@@ -87,18 +87,6 @@ def test_concat_planes_preserves_delivery_order():
     got = concat_planes(items, "a", 2)
     assert np.array_equal(got, np.array([[1, 0], [2, 1]]))
     assert concat_planes(items, "missing", 2).shape == (0, 2)
-
-
-def test_resolve_engine_backend(monkeypatch):
-    assert resolve_engine_backend() == "columnar"
-    assert resolve_engine_backend("legacy") == "legacy"
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "legacy")
-    assert resolve_engine_backend() == "legacy"
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "")  # empty means unset
-    assert resolve_engine_backend() == "columnar"
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "bogus")
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        resolve_engine_backend()
 
 
 # --------------------------------------------------------------------- #
@@ -166,36 +154,32 @@ def test_round_packed_rejects_unknown_destination():
 
 
 # --------------------------------------------------------------------- #
-# Columnar / legacy parity of the engine call sites
+# Engine call sites: pinned bills and central oracles
 # --------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize(
     "make,machines,space",
     [
-        (lambda: gnp_random_graph(40, 0.15, seed=5), 4, 1024),
-        (lambda: cycle_graph(30), 3, 512),
-        (lambda: complete_graph(12), 3, 512),
-        (lambda: star_graph(25), 3, 512),
-        (lambda: Graph.empty(5), 2, 64),
+        # make() -> (graph, (rounds, phases, words_moved, max_words_seen))
+        (lambda: (gnp_random_graph(40, 0.15, seed=5), (20, 2, 1548, 341)), 4, 1024),
+        (lambda: (cycle_graph(30), (20, 2, 887, 206)), 3, 512),
+        (lambda: (complete_graph(12), (10, 1, 334, 137)), 3, 512),
+        (lambda: (star_graph(25), (10, 1, 478, 178)), 3, 512),
+        (lambda: (Graph.empty(5), (0, 0, 0, 0)), 2, 64),
     ],
 )
 def test_distributed_luby_columnar_matches_legacy(make, machines, space):
-    g = make()
-    col = distributed_luby_mis(g, machines, space, engine_backend="columnar")
-    obj = distributed_luby_mis(g, machines, space, engine_backend="legacy")
-    assert np.array_equal(col[0], obj[0])
-    assert col[1:] == obj[1:]
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=10, deadline=None)
-def test_distributed_luby_columnar_parity_hypothesis(seed):
-    g = gnp_random_graph(28, 0.18, seed=seed)
-    col = distributed_luby_mis(g, 4, 768, engine_backend="columnar")
-    obj = distributed_luby_mis(g, 4, 768, engine_backend="legacy")
-    assert np.array_equal(col[0], obj[0])
-    assert col[1:] == obj[1:]
+    """The packed round core bills exactly what the retired item-granular
+    core billed for these runs, and the MIS is the central Luby run's."""
+    g, bills = make()
+    stats: dict = {}
+    mis, rounds, phases = distributed_luby_mis(g, machines, space, stats_out=stats)
+    snap = stats["snapshot"]
+    assert (rounds, phases, snap.words_moved, snap.max_words_seen) == bills
+    want, want_phases = distributed_luby_reference(g)
+    assert np.array_equal(mis, want)
+    assert phases == want_phases
 
 
 def test_distributed_luby_accepts_shipped_arc_plane():
@@ -208,19 +192,15 @@ def test_distributed_luby_accepts_shipped_arc_plane():
 
 def test_distributed_luby_stats_out_snapshot():
     """``stats_out`` exposes the engine's snapshot without changing the
-    public return tuple; both backends report identical bills."""
+    public return tuple; the bills are pinned."""
     g = gnp_random_graph(30, 0.2, seed=9)
-    out_col: dict = {}
-    out_obj: dict = {}
-    col = distributed_luby_mis(g, 4, 512, stats_out=out_col)
-    obj = distributed_luby_mis(
-        g, 4, 512, engine_backend="legacy", stats_out=out_obj
-    )
-    snap_col, snap_obj = out_col["snapshot"], out_obj["snapshot"]
-    assert snap_col.model == "mpc-engine"
-    assert snap_col.rounds == col[1] == obj[1]
-    assert snap_col.words_moved == snap_obj.words_moved > 0
-    assert snap_col.max_words_seen == snap_obj.max_words_seen > 0
+    out: dict = {}
+    _, rounds, _ = distributed_luby_mis(g, 4, 512, stats_out=out)
+    snap = out["snapshot"]
+    assert snap.model == "mpc-engine"
+    assert snap.rounds == rounds == 20
+    assert snap.words_moved == 1419
+    assert snap.max_words_seen == 251
 
 
 def test_cross_model_matching_edgeless_keeps_all_rows():
@@ -235,20 +215,25 @@ def test_cross_model_matching_edgeless_keeps_all_rows():
 
 
 def test_distributed_sort_packed_matches_object_sort():
+    """Sorted output plus the pinned bill: 3 rounds, 38 words, and a
+    27-word high-water mark."""
     values = [5, 3, 8, 1, 9, 2, 7, 7, 0, -4, 11, 6]
-    obj = MPCEngine(num_machines=4, space=64)
-    obj.load_balanced(values)
-    col = MPCEngine(num_machines=4, space=64)
-    col.load_balanced(values)
-    for mid in range(4):
-        col.storage[mid] = [np.asarray(col.storage[mid], dtype=np.int64)]
-    r_obj = distributed_sort(obj)
-    r_col = distributed_sort_packed(col)
-    assert r_obj == r_col == 3
-    packed = np.concatenate(
-        [it for st_ in col.storage for it in st_ if isinstance(it, np.ndarray)]
-    )
-    assert packed.tolist() == obj.all_items() == sorted(values)
+    eng = MPCEngine(num_machines=4, space=64)
+    eng.load_balanced_packed(np.array(values))
+    assert distributed_sort_packed(eng) == 3
+    packed = np.concatenate([it for st_ in eng.storage for it in st_])
+    assert packed.tolist() == sorted(values)
+    assert eng.words_moved == 38
+    assert eng.max_load_seen == 27
+
+
+def test_distributed_sort_packed_rejects_unpacked_items():
+    """Regression: boxed items used to be dropped silently (0 of 600 items
+    left after 3 rounds)."""
+    eng = MPCEngine(num_machines=8, space=256)
+    eng.load_balanced(range(600))
+    with pytest.raises(TypeError, match="load_balanced_packed"):
+        distributed_sort_packed(eng)
 
 
 def test_distributed_sort_packed_single_machine_and_capacity():
@@ -263,24 +248,23 @@ def test_distributed_sort_packed_single_machine_and_capacity():
 
 def test_distributed_degrees_columnar_matches_legacy():
     g = gnp_random_graph(50, 0.12, seed=1)
-    d_col, r_col = distributed_degrees(g, 6, 256, engine_backend="columnar")
-    d_obj, r_obj = distributed_degrees(g, 6, 256, engine_backend="legacy")
-    assert np.array_equal(d_col, d_obj)
-    assert np.array_equal(d_col, g.degrees())
-    assert r_col == r_obj == 4
+    deg, rounds = distributed_degrees(g, 6, 256)
+    assert np.array_equal(deg, g.degrees())
+    assert rounds == 4
 
 
 def test_distributed_aggregate_columnar_matches_legacy():
     g = gnp_random_graph(40, 0.15, seed=3)
     d = g.degrees().astype(float)
-    a_col, r_col = distributed_node_aggregate(
-        g, lambda v, u: 1.0 / d[u], 5, 512, engine_backend="columnar"
-    )
-    a_obj, r_obj = distributed_node_aggregate(
-        g, lambda v, u: 1.0 / d[u], 5, 512, engine_backend="legacy"
-    )
-    assert np.allclose(a_col, a_obj)
-    assert r_col == r_obj == 4
+    got, rounds = distributed_node_aggregate(g, lambda v, u: 1.0 / d[u], 5, 512)
+    # Fixed-point reference: round each arc's 1/d(u) to 1e-6 ticks, then sum.
+    scale = 10**6
+    src = np.concatenate([g.edges_u, g.edges_v])
+    dst = np.concatenate([g.edges_v, g.edges_u])
+    want = np.zeros(g.n, dtype=np.int64)
+    np.add.at(want, src, np.rint(1.0 / d[dst] * scale).astype(np.int64))
+    assert np.array_equal(got, want / scale)
+    assert rounds == 4
 
 
 # --------------------------------------------------------------------- #

@@ -10,9 +10,10 @@ from repro.mpc import (
     SpaceExceededError,
     broadcast_word,
     distributed_prefix_sums,
-    distributed_sort,
+    distributed_sort_packed,
     word_size,
 )
+from repro.models import concat_planes
 
 
 def test_word_size():
@@ -124,10 +125,12 @@ def test_engine_rejects_unknown_destination():
 
 def test_broadcast_reaches_everyone():
     eng = MPCEngine(num_machines=9, space=20)
-    rounds = broadcast_word(eng, "tok")
+    rounds = broadcast_word(eng, 4242)
     for mid in range(9):
-        assert ("bcast", "tok") in eng.storage[mid]
+        assert concat_planes(eng.storage[mid], "bcast", 1).tolist() == [[4242]]
     assert rounds <= 3
+    # one 2-word ("bcast", value) row per machine beyond the root
+    assert eng.words_moved == 2 * 8
 
 
 def test_prefix_sums_single_level():
@@ -155,40 +158,45 @@ def test_prefix_sums_hypothesis(values):
     assert eng.all_items() == list(np.cumsum(values))
 
 
+def _sorted_values(eng: MPCEngine) -> list[int]:
+    """Machine-major concatenation of the packed arrays after a sort."""
+    return np.concatenate([it for st_ in eng.storage for it in st_]).tolist()
+
+
 def test_sort_correct_and_constant_rounds():
     eng = MPCEngine(num_machines=4, space=64)
     data = [5, 3, 8, 1, 9, 2, 7, 7, 0, -4, 11, 6]
-    eng.load_balanced(data)
-    rounds = distributed_sort(eng)
-    assert eng.all_items() == sorted(data)
+    eng.load_balanced_packed(np.array(data))
+    rounds = distributed_sort_packed(eng)
+    assert _sorted_values(eng) == sorted(data)
     assert rounds == 3  # sample, splitters, partition
 
 
 def test_sort_single_machine():
     eng = MPCEngine(num_machines=1, space=64)
-    eng.load_balanced([3, 1, 2])
-    assert distributed_sort(eng) == 0
-    assert eng.all_items() == [1, 2, 3]
+    eng.load_balanced_packed(np.array([3, 1, 2]))
+    assert distributed_sort_packed(eng) == 0
+    assert _sorted_values(eng) == [1, 2, 3]
 
 
 def test_sort_requires_sample_capacity():
     eng = MPCEngine(num_machines=10, space=50)  # 10*9 = 90 > 50
-    eng.load_balanced(range(40))
+    eng.load_balanced_packed(np.arange(40))
     with pytest.raises(ValueError):
-        distributed_sort(eng)
+        distributed_sort_packed(eng)
 
 
 @given(st.lists(st.integers(0, 1000), max_size=48))
 def test_sort_hypothesis(values):
     eng = MPCEngine(num_machines=4, space=256)
-    eng.load_balanced(values)
-    distributed_sort(eng)
-    assert eng.all_items() == sorted(values)
+    eng.load_balanced_packed(np.array(values, dtype=np.int64))
+    distributed_sort_packed(eng)
+    assert _sorted_values(eng) == sorted(values)
 
 
 def test_sort_respects_space_throughout():
     """Sorting adversarially skewed input never exceeds machine space."""
     eng = MPCEngine(num_machines=4, space=64)
-    eng.load_balanced([0] * 20 + list(range(20)))
-    distributed_sort(eng)
+    eng.load_balanced_packed(np.array([0] * 20 + list(range(20))))
+    distributed_sort_packed(eng)
     assert eng.max_load_seen <= 64
