@@ -18,7 +18,8 @@ Cases
 ``stage_best_of``   best-of-prefix on the same objective
 ``lowdeg_e2e``      end-to-end ``lowdeg_mis`` with stressed targets (every
                     phase exhausts its scan budget, so seed scanning
-                    dominates), ``seed_chunk=1`` vs the default
+                    dominates), ``DEFAULT_SEED_CHUNK`` set to 1 vs the
+                    default
 
 Modes
 -----
@@ -54,6 +55,7 @@ from _common import (  # noqa: E402
 
 from repro.core import Params, lowdeg_mis  # noqa: E402
 from repro.core.stage import MachineGroupSpec, StageGoodness  # noqa: E402
+from repro.derand import strategies as derand_strategies  # noqa: E402
 from repro.derand.strategies import select_seed_batch  # noqa: E402
 from repro.graphs import gnp_random_graph, random_regular_graph  # noqa: E402
 from repro.hashing.kwise import make_family  # noqa: E402
@@ -155,7 +157,13 @@ def _lowdeg_e2e_case(n, repeats):
     # Stressed targets: every phase misses and exhausts max_scan_trials, so
     # the run is seed-scan-bound -- the regime the batched engine targets.
     def run(chunk):
-        return lowdeg_mis(g, Params(target_safety=2000.0, seed_chunk=chunk))
+        # The one-seed side substitutes the block constant for its run.
+        default = derand_strategies.DEFAULT_SEED_CHUNK
+        derand_strategies.DEFAULT_SEED_CHUNK = chunk or default
+        try:
+            return lowdeg_mis(g, Params(target_safety=2000.0))
+        finally:
+            derand_strategies.DEFAULT_SEED_CHUNK = default
 
     def same(a, b):
         return (

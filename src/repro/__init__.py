@@ -60,7 +60,6 @@ def maximal_matching(graph: Graph, *, eps: float = 0.5, **kwargs) -> MatchingRes
 
 
 __all__ = [
-    "ExecutionConfig",
     "Graph",
     "MISResult",
     "MatchingResult",
@@ -85,7 +84,7 @@ __all__ = [
 
 #: Facade symbols resolved lazily: ``repro.api`` imports every model
 #: simulator, which a bare ``import repro`` should not pay for.
-_API_LAZY = ("ExecutionConfig", "SolveRequest", "SolveResult", "solve")
+_API_LAZY = ("SolveRequest", "SolveResult", "solve")
 
 
 def __getattr__(name: str):

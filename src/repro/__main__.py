@@ -187,10 +187,10 @@ def cmd_solve(args) -> int:
         options["charge_mode"] = args.charge_mode
     if args.mode:
         options["mode"] = args.mode
-    from .api import ExecutionConfig
-
-    config = ExecutionConfig(
-        congest_pipeline_seed_fix=True if args.pipeline_seed_fix else None
+    params = (
+        Params(eps=args.eps, congest_pipeline_seed_fix=True)
+        if args.pipeline_seed_fix
+        else None
     )
     g = _load_graph(args)
     try:
@@ -204,7 +204,7 @@ def cmd_solve(args) -> int:
             eps=args.eps,
             force=args.force,
             paper_rule=args.paper_rule,
-            config=config,
+            params=params,
             options=options,
         )
         REGISTRY.get(request.problem, request.model)

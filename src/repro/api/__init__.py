@@ -13,9 +13,9 @@ returns the unified envelope::
 Pieces:
 
 * :class:`SolveRequest` / :class:`SolveResult` — the typed envelope
-  (:mod:`repro.api.envelope`);
-* :class:`ExecutionConfig` — every execution knob in one record with
-  environment fallback (:mod:`repro.api.config`);
+  (:mod:`repro.api.envelope`); the request's
+  :class:`~repro.core.params.Params` is the only settings record a solve
+  reads, and no ``REPRO_*`` variable changes an answer;
 * :data:`REGISTRY` — the ``(problem, model)`` solver registry with
   capability metadata (:mod:`repro.api.registry`); built-in entries are
   registered by :mod:`repro.api.solvers` at import time.
@@ -35,7 +35,6 @@ from dataclasses import replace
 from ..graphs.graph import Graph
 from ..obs import METRICS
 from ..obs import trace as _trace
-from .config import ExecutionConfig
 from .envelope import MODELS, PROBLEMS, SolveRequest, SolveResult, request_digest
 from .registry import (
     REGISTRY,
@@ -50,7 +49,6 @@ __all__ = [
     "MODELS",
     "PROBLEMS",
     "REGISTRY",
-    "ExecutionConfig",
     "SolveRequest",
     "SolveResult",
     "SolverCapabilities",
@@ -66,9 +64,8 @@ def solve(request: SolveRequest, *, graph: Graph | None = None) -> SolveResult:
     """Solve ``request`` through the registry; returns the unified envelope.
 
     The input graph comes from ``request.graph`` (or the ``graph`` keyword,
-    which wins when both are given).  The request's
-    :class:`ExecutionConfig` is applied to the effective
-    :class:`~repro.core.params.Params`.
+    which wins when both are given); the settings are
+    :meth:`SolveRequest.make_params`.
     """
     g = graph if graph is not None else request.graph
     if g is None:

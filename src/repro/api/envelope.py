@@ -37,7 +37,6 @@ from ..core.records import (
 )
 from ..graphs.graph import Graph
 from ..models.ledger import ModelSnapshot
-from .config import ExecutionConfig
 
 __all__ = ["MODELS", "PROBLEMS", "SolveRequest", "SolveResult", "request_digest"]
 
@@ -108,12 +107,10 @@ def _option_pairs(options) -> tuple[tuple[str, object], ...]:
 class SolveRequest:
     """One solve: ``(problem, model)`` + input graph + knobs.
 
-    ``params`` wins over ``eps`` when both are given; ``config`` is applied
-    on top of the params (see :meth:`make_params`).  ``options`` carries
-    model-specific switches (``charge_mode`` for CLIQUE, ``mode`` for
-    CONGEST, ``num_colors`` for coloring, ...).  ``arc_plane`` optionally
-    ships a precomputed packed arc plane to engine-model solvers (the batch
-    scheduler uses this so workers never re-pack the input).
+    ``params`` is the only settings record the solve reads; it wins over
+    ``eps`` when both are given (see :meth:`make_params`).  ``options``
+    carries model-specific switches (``charge_mode`` for CLIQUE, ``mode``
+    for CONGEST, ``num_colors`` for coloring, ...).
     """
 
     problem: str
@@ -121,11 +118,9 @@ class SolveRequest:
     graph: Graph | None = None
     eps: float = 0.5
     params: Params | None = None
-    config: ExecutionConfig | None = None
     force: str | None = None  # "general" | "lowdeg" (simulated mis/matching)
     paper_rule: bool = False
     options: tuple[tuple[str, object], ...] = ()
-    arc_plane: np.ndarray | None = field(default=None, repr=False, compare=False)
     tag: str = ""
 
     def __post_init__(self) -> None:
@@ -149,11 +144,8 @@ class SolveRequest:
         object.__setattr__(self, "options", _option_pairs(self.options))
 
     def make_params(self) -> Params:
-        """Materialise the effective :class:`Params` (config applied)."""
-        params = self.params if self.params is not None else Params(eps=self.eps)
-        if self.config is not None:
-            params = self.config.apply(params)
-        return params
+        """The effective :class:`Params`: ``params``, else ``Params(eps=eps)``."""
+        return self.params if self.params is not None else Params(eps=self.eps)
 
     def option(self, key: str, default=None):
         for k, v in self.options:

@@ -34,7 +34,6 @@ class SolverCapabilities:
 
     snapshot: bool = False  # returns a ModelSnapshot round/word bill
     certificate: bool = True  # result is verified against the input graph
-    packed_planes: bool = False  # accepts a scheduler-shipped arc plane
     force_path: bool = False  # honors force="general" | "lowdeg"
     trace_records: bool = False  # raw result carries per-iteration records
 
@@ -45,7 +44,6 @@ class SolverCapabilities:
             for name in (
                 "snapshot",
                 "certificate",
-                "packed_planes",
                 "force_path",
                 "trace_records",
             )

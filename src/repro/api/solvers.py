@@ -49,9 +49,6 @@ _SIMULATED_CAPS = SolverCapabilities(
 )
 _DERIVED_CAPS = SolverCapabilities(certificate=True, trace_records=True)
 _MODEL_CAPS = SolverCapabilities(snapshot=True, certificate=True)
-_ENGINE_CAPS = SolverCapabilities(
-    snapshot=True, certificate=True, packed_planes=True
-)
 
 
 def _mpc_ctx(graph: Graph, params: Params) -> MPCContext:
@@ -366,7 +363,7 @@ def engine_space_plan(graph: Graph, params: Params) -> tuple[int, int]:
 @register_solver(
     "mis",
     "mpc-engine",
-    capabilities=_ENGINE_CAPS,
+    capabilities=_MODEL_CAPS,
     description="Luby MIS executed with real messages on the MPC engine",
     legacy_entry="repro.mpc.distributed_luby.distributed_luby_mis",
     cost_model={
@@ -390,11 +387,7 @@ def _solve_mis_engine(
     machines, space = engine_space_plan(graph, params)
     stats: dict = {}
     mis, rounds, phases = distributed_luby_mis(
-        graph,
-        machines,
-        space,
-        arc_plane=request.arc_plane,
-        stats_out=stats,
+        graph, machines, space, stats_out=stats
     )
     snapshot = stats.get("snapshot")
     verified = bool(verify_mis_nodes(graph, mis))
@@ -450,7 +443,6 @@ def _solve_mis_cclique(
         graph,
         charge_mode=request.option("charge_mode", "ours"),
         max_scan_trials=params.max_scan_trials,
-        seed_chunk=params.seed_chunk,
     )
     verified = bool(verify_mis_nodes(graph, cc.solution))
     return _model_result(
@@ -497,7 +489,6 @@ def _solve_matching_cclique(
         graph,
         charge_mode=request.option("charge_mode", "ours"),
         max_scan_trials=params.max_scan_trials,
-        seed_chunk=params.seed_chunk,
     )
     verified = bool(verify_matching_pairs(graph, cc.solution))
     return _model_result(
@@ -555,7 +546,6 @@ def _solve_mis_congest(
         mode=request.option("mode", "color-compressed"),
         max_scan_trials=params.max_scan_trials,
         pipeline_seed_fix=params.congest_pipeline_seed_fix,
-        seed_chunk=params.seed_chunk,
     )
     verified = bool(verify_mis_nodes(graph, cg.independent_set))
     return _model_result(
@@ -602,7 +592,6 @@ def _solve_matching_congest(
         mode=request.option("mode", "color-compressed"),
         max_scan_trials=params.max_scan_trials,
         pipeline_seed_fix=params.congest_pipeline_seed_fix,
-        seed_chunk=params.seed_chunk,
     )
     # The legacy record holds *edge ids* of the input graph (the line-graph
     # MIS); the envelope normalizes to endpoint pairs.

@@ -75,7 +75,6 @@ def cc_mis(
     max_scan_trials: int = 512,
     max_phases: int = 10_000,
     ctx: CongestedCliqueContext | None = None,
-    seed_chunk: int | None = None,
 ) -> CCResult:
     """Deterministic MIS in CONGESTED CLIQUE.
 
@@ -83,8 +82,6 @@ def cc_mis(
     ``charge_mode='chps'`` charges ``seed_bits`` rounds per phase (the
     bit-by-bit voting derandomization of [15]'s general path).  Passing a
     ``ctx`` lets callers (the cross-model runner, tests) own the ledger.
-    ``seed_chunk`` sets the seed-scan block size (``None`` resolves
-    through ``REPRO_SEED_CHUNK``); every size gives the same result.
 
     .. note:: Prefer ``repro.api.solve(SolveRequest(problem="mis",
        model="cclique", graph=g))``; this entry point stays as a
@@ -136,7 +133,6 @@ def cc_mis(
             target=target,
             max_trials=max_scan_trials,
             start=start,
-            chunk_size=seed_chunk,
         )
         one = np.array([sel.seed], dtype=np.int64)
         i_masks, kills = kill_masks(one)
@@ -187,7 +183,6 @@ def cc_maximal_matching(
     max_scan_trials: int = 512,
     max_phases: int = 10_000,
     ctx: CongestedCliqueContext | None = None,
-    seed_chunk: int | None = None,
 ) -> CCResult:
     """Deterministic maximal matching in CONGESTED CLIQUE (Corollary 2)."""
     if charge_mode not in ("ours", "chps"):
@@ -238,7 +233,6 @@ def cc_maximal_matching(
             target=target,
             max_trials=max_scan_trials,
             start=start,
-            chunk_size=seed_chunk,
         )
         mm = matched_masks(np.array([sel.seed], dtype=np.int64))[0]
         eid_sel = np.nonzero(mm)[0]

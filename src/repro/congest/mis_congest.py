@@ -59,7 +59,6 @@ def congest_mis(
     max_phases: int = 10_000,
     ctx: CongestContext | None = None,
     pipeline_seed_fix: bool = False,
-    seed_chunk: int | None = None,
 ) -> CongestMISResult:
     """Deterministic MIS with CONGEST round accounting.
 
@@ -136,7 +135,6 @@ def congest_mis(
             target=g.m / 120.0,  # conservative Luby-constant target
             max_trials=max_scan_trials,
             start=start,
-            chunk_size=seed_chunk,
         )
         i_masks, kills = kill_of(np.array([sel.seed], dtype=np.int64))
         i_mask, kill = i_masks[0], kills[0]
@@ -167,7 +165,6 @@ def congest_maximal_matching(
     mode: str = "color-compressed",
     max_scan_trials: int = 512,
     pipeline_seed_fix: bool = False,
-    seed_chunk: int | None = None,
 ) -> CongestMISResult:
     """Maximal matching in CONGEST via MIS on the line graph.
 
@@ -195,5 +192,4 @@ def congest_maximal_matching(
         mode=mode,
         max_scan_trials=max_scan_trials,
         pipeline_seed_fix=pipeline_seed_fix,
-        seed_chunk=seed_chunk,
     )

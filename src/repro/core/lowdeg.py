@@ -31,7 +31,8 @@ import math
 
 import numpy as np
 
-from ..derand.strategies import resolve_seed_chunk, select_seed_batch
+from ..derand import strategies as _strategies
+from ..derand.strategies import select_seed_batch
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
 from ..graphs.kernels import segment_any_block_fn, segment_min_block_fn
@@ -177,7 +178,7 @@ def lowdeg_mis(
         # Per seed, a block gathers n * (Delta + 1) keys plus as many flags.
         seed_bytes = n * (g.max_degree() + 1) * (np.dtype(key_dtype).itemsize + 1)
         chunk = min(
-            resolve_seed_chunk(params.seed_chunk),
+            _strategies.DEFAULT_SEED_CHUNK,
             max(1, _SEED_BLOCK_BYTES // seed_bytes),
         )
         maxkey_k = key_dtype(np.iinfo(key_dtype).max)

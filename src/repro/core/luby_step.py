@@ -80,7 +80,6 @@ def _select(
         max_trials=params.max_scan_trials,
         enumeration_cap=params.enumeration_cap,
         best_of_k=params.best_of_k,
-        chunk_size=params.seed_chunk,
     )
 
 

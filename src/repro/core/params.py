@@ -11,10 +11,18 @@ The paper's knobs and how we expose them:
   large constant c"; Lemma 9 needs even ``c >= 4``; ``c = 2`` with Chebyshev
   slack is available for ablations).
 * seed-selection strategy and its budgets (see :mod:`repro.derand`).
+* ``congest_pipeline_seed_fix`` -- the CONGEST ablation that bills the
+  BFS-pipelined ``O(D + seed_bits)`` seed broadcast (charging only; the
+  MIS is unchanged).
 * progress-target constants: the paper proves per-iteration expected
   progress ``>= W_B / 109`` (matching, Lemma 13) and ``>= 0.01 delta W_B``
   (MIS, Lemma 21) where ``W_B = sum_{v in B} d(v)``; the ``scan`` strategy
   uses ``target_safety`` times these as its stopping threshold.
+
+``Params`` is the only settings record a solve reads.  How the simulator
+batches a seed scan is not a parameter: scans ramp their seed blocks up to
+:data:`repro.derand.strategies.DEFAULT_SEED_CHUNK`, and no block size
+changes which seed is picked.
 """
 
 from __future__ import annotations
@@ -36,8 +44,6 @@ class Params:
     max_scan_trials: int = 512
     best_of_k: int = 64
     enumeration_cap: int = 1 << 16
-    seed_chunk: int | None = None  # seeds per objective block (REPRO_SEED_CHUNK)
-    seed_scan_workers: int = 0  # >1 enables the process-parallel stage scan
     congest_pipeline_seed_fix: bool = False  # CONGEST O(D + seed_bits) ablation
     target_safety: float = 1.0  # multiplies the paper's progress constants
     matching_step_fraction: float = 1.0 / 109.0  # Lemma 13 constant
@@ -59,10 +65,6 @@ class Params:
             raise ValueError("c must be 2 or an even integer >= 4")
         if self.strategy not in ("scan", "conditional_expectation", "best_of"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.seed_chunk is not None and self.seed_chunk < 1:
-            raise ValueError("seed_chunk must be >= 1")
-        if self.seed_scan_workers < 0:
-            raise ValueError("seed_scan_workers must be >= 0")
 
     # ------------------------------------------------------------------ #
     # Derived quantities

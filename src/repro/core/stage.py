@@ -29,11 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..derand.estimators import certified_slacks
-from ..derand.strategies import (
-    SeedSelection,
-    resolve_seed_workers,
-    select_seed_batch,
-)
+from ..derand.strategies import SeedSelection, select_seed_batch
 from ..graphs.kernels import group_order_indptr
 from ..hashing.kwise import KWiseHashFamily
 from ..mpc.partition import MachineGrouping
@@ -47,7 +43,6 @@ __all__ = [
     "StageSearchOutcome",
     "node_level_spec",
     "run_stage_seed_search",
-    "stage_goodness_kernel",
 ]
 
 
@@ -332,18 +327,6 @@ class StageGoodness:
                 good += np.bincount(cols, weights=ok, minlength=seeds.size)
         return good
 
-    def payload(self, kappa: float) -> dict:
-        """Picklable payload for :func:`stage_goodness_kernel` workers."""
-        return {"goodness": self, "kappa": kappa}
-
-
-def stage_goodness_kernel(payload: dict, seeds: np.ndarray) -> np.ndarray:
-    """Top-level (picklable) goodness kernel for the parallel seed scan.
-
-    Runs :meth:`StageGoodness.counts` on the shipped stage, so worker-
-    evaluated seed blocks are bit-identical to in-process ones.
-    """
-    return payload["goodness"].counts(seeds, payload["kappa"])
 
 
 def run_stage_seed_search(
@@ -367,9 +350,7 @@ def run_stage_seed_search(
     cover the whole family before giving up.
 
     The goodness objective is evaluated in seed blocks (see
-    :class:`StageGoodness`); ``params.seed_scan_workers > 1`` additionally
-    farms the blocks to a process pool with deterministic first-satisfying-
-    seed resolution (same :class:`SeedSelection` as the serial scan).
+    :class:`StageGoodness`).
     """
     threshold = family.threshold(prob)
     p_real = threshold / family.range
@@ -386,7 +367,6 @@ def run_stage_seed_search(
     )
 
     goodness = StageGoodness(family, threshold, groups, mus, base_slacks)
-    workers = resolve_seed_workers(params.seed_scan_workers)
 
     kappa = float(max(n, 2) ** (0.1 * params.delta_value))
     escalations = 0
@@ -406,36 +386,20 @@ def run_stage_seed_search(
                     "escalations": outcome.escalations,
                     "all_good": outcome.all_good,
                     "seed": outcome.seed,
-                    "workers": workers,
                 },
             )
         return outcome
 
     while True:
         kap = kappa  # bind for the closure
-        if workers > 1:
-            from ..runtime.seed_scan import parallel_scan
-
-            sel = parallel_scan(
-                stage_goodness_kernel,
-                goodness.payload(kap),
-                family.size,
-                target=float(total_machines),
-                max_trials=params.max_scan_trials,
-                start=max(1, scan_start),
-                chunk_size=params.seed_chunk,
-                workers=workers,
-            )
-        else:
-            sel = select_seed_batch(
-                family.size,
-                lambda seeds: goodness.counts(seeds, kap),
-                strategy="scan",
-                target=float(total_machines),
-                max_trials=params.max_scan_trials,
-                start=max(1, scan_start),  # >= 1 skips the constant-zero hash
-                chunk_size=params.seed_chunk,
-            )
+        sel = select_seed_batch(
+            family.size,
+            lambda seeds: goodness.counts(seeds, kap),
+            strategy="scan",
+            target=float(total_machines),
+            max_trials=params.max_scan_trials,
+            start=max(1, scan_start),  # >= 1 skips the constant-zero hash
+        )
         trials_total += sel.trials
         if best is None or sel.value > best.value:
             best = sel

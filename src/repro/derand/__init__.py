@@ -1,4 +1,10 @@
-"""Derandomization toolkit: seed selection + concentration estimators."""
+"""Derandomization toolkit: seed selection + concentration estimators.
+
+Every seed search runs in-process on the batched engine of
+:mod:`~repro.derand.strategies`: seed blocks ramp up to one constant,
+``DEFAULT_SEED_CHUNK``, with early exit, and the block size never changes
+the selected seed.
+"""
 
 from .estimators import (
     bellare_rompel_bound,
@@ -14,7 +20,6 @@ from .strategies import (
     SeedSelection,
     Strategy,
     batched_from_scalar,
-    resolve_seed_chunk,
     select_seed,
     select_seed_batch,
 )
@@ -29,7 +34,6 @@ __all__ = [
     "certified_slacks",
     "chebyshev_bound",
     "paper_nominal_slack",
-    "resolve_seed_chunk",
     "select_seed",
     "select_seed_batch",
     "slack_for_failure",

@@ -40,10 +40,11 @@ with early exit on the first chunk containing a target hit.  Call sites
 provide natively vectorised kernels (one hash ``evaluate_batch`` plus 2-D
 segment reductions per chunk); :func:`select_seed` keeps the scalar
 ``Objective`` API by running the same engine with ``chunk_size=1`` (one
-lazy objective evaluation per trial).  The chunk size never changes the
-outcome: same selected seed, value, trial count, ``satisfied`` flag and
-``family_mean`` for every chunk size, enforced by property tests and the
-``bench_seed_search`` parity gate.
+lazy objective evaluation per trial).  Every other caller ramps its blocks
+up to :data:`DEFAULT_SEED_CHUNK`, the one block-size constant.  The chunk
+size never changes the outcome: same selected seed, value, trial count,
+``satisfied`` flag and ``family_mean`` for every chunk size, enforced by
+property tests and the ``bench_seed_search`` parity gate.
 
 The round cost of a selection is charged by the *caller* through the ledger
 (``charge_seed_fix``), because it depends on model constants, not on which
@@ -52,7 +53,6 @@ selector ran.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -68,10 +68,6 @@ __all__ = [
     "SeedSelection",
     "Strategy",
     "batched_from_scalar",
-    "fold_scan",
-    "iter_seed_blocks",
-    "resolve_seed_chunk",
-    "resolve_seed_workers",
     "scan_regions",
     "select_seed",
     "select_seed_batch",
@@ -85,6 +81,8 @@ Objective = Callable[[int], float]
 #: Batched objective: maps an int64 seed block to per-seed float64 scores.
 BatchObjective = Callable[[np.ndarray], np.ndarray]
 
+#: Largest seed block a scan evaluates per objective call.  Read at call
+#: time, so a test can substitute it in this one place.
 DEFAULT_SEED_CHUNK = 64
 
 
@@ -96,32 +94,6 @@ class ConditionalExpectationError(RuntimeError):
     construction); it is raised as a real exception rather than an
     ``assert`` so the check survives ``python -O``.
     """
-
-
-def resolve_seed_chunk(chunk_size: int | None = None) -> int:
-    """Seed-block size for batched evaluation (``REPRO_SEED_CHUNK``).
-
-    An unset or empty variable means the default, as in
-    :meth:`~repro.api.ExecutionConfig.from_env`.
-    """
-    env = os.environ.get("REPRO_SEED_CHUNK") or DEFAULT_SEED_CHUNK
-    resolved = chunk_size or int(env)
-    if resolved < 1:
-        raise ValueError(f"seed chunk size must be >= 1, got {resolved}")
-    return resolved
-
-
-def resolve_seed_workers(workers: int | None = None) -> int:
-    """Process count for the parallel stage scan (``REPRO_SEED_WORKERS``).
-
-    ``0`` / ``None`` falls back to the environment; the serial scan runs
-    unless the resolved value is ``> 1``.  An unset or empty variable means
-    ``0``, as in :meth:`~repro.api.ExecutionConfig.from_env`.
-    """
-    resolved = workers or int(os.environ.get("REPRO_SEED_WORKERS", "0") or 0)
-    if resolved < 0:
-        raise ValueError(f"seed scan workers must be >= 0, got {resolved}")
-    return resolved
 
 
 def batched_from_scalar(objective: Objective) -> BatchObjective:
@@ -224,9 +196,7 @@ def fold_scan(
 
     Deterministic first-satisfying-seed resolution: the first seed in scan
     order whose value meets ``target`` wins, and ``trials`` counts only the
-    seeds at or before it -- independent of how the stream was chunked or
-    whether later blocks were evaluated speculatively (the parallel scanner
-    reuses this fold for exactly that reason).
+    seeds at or before it -- independent of how the stream was chunked.
     """
     best_seed, best_val = first_seed, -np.inf
     trials = 0
@@ -388,8 +358,8 @@ def select_seed_batch(
 ) -> SeedSelection:
     """Deterministically pick a seed using a natively batched objective.
 
-    Seed blocks ramp up to ``chunk_size`` seeds (``None`` resolves through
-    :func:`resolve_seed_chunk`); every chunk size returns the same
+    Seed blocks ramp up to ``chunk_size`` seeds (``None`` means
+    :data:`DEFAULT_SEED_CHUNK`); every chunk size returns the same
     :class:`SeedSelection` bit-for-bit, ``chunk_size=1`` included.  ``scan``
     requires a ``target`` (the value the existence argument guarantees);
     the other strategies ignore it.  ``start`` rotates the canonical scan
@@ -399,7 +369,9 @@ def select_seed_batch(
     """
     if family_size < 1:
         raise ValueError("family_size must be >= 1")
-    chunk = resolve_seed_chunk(chunk_size)
+    chunk = DEFAULT_SEED_CHUNK if chunk_size is None else chunk_size
+    if chunk < 1:
+        raise ValueError(f"seed chunk size must be >= 1, got {chunk}")
     t_sel = _obs.clock() if _obs._TRACING else 0.0
     if strategy == "conditional_expectation":
         if family_size > enumeration_cap:

@@ -20,7 +20,6 @@ import numpy as np
 from .graph import Graph
 
 __all__ = [
-    "arc_plane_from_npz_bytes",
     "graph_fingerprint",
     "graph_fingerprint_stream",
     "graph_from_npz_bytes",
@@ -33,8 +32,8 @@ __all__ = [
 
 def packed_arc_plane(g: Graph) -> np.ndarray:
     """The directed-arc array (``src * n + dst``, both directions) the MPC
-    engine paths load from — the single canonical encoding shared by the
-    simulators, the npz shipping layer and the runtime scheduler."""
+    engine loads from — the single canonical encoding of its arc plane.
+    Rebuilt per solve: it costs far less than shipping it to a worker."""
     n = max(g.n, 1)
     fwd = g.edges_u * n + g.edges_v
     bwd = g.edges_v * n + g.edges_u
@@ -81,9 +80,7 @@ def graph_fingerprint_stream(n: int, u_chunks, v_chunks) -> str:
     return h.hexdigest()
 
 
-def graph_to_npz_bytes(
-    g: Graph, *, include_csr: bool = False, include_arc_plane: bool = False
-) -> bytes:
+def graph_to_npz_bytes(g: Graph, *, include_csr: bool = False) -> bytes:
     """Pack a graph into compressed npz bytes (for worker shipping / caching).
 
     With ``include_csr=True`` the CSR adjacency buffers ride along, so the
@@ -91,11 +88,6 @@ def graph_to_npz_bytes(
     :meth:`Graph.from_csr_arrays` fast path instead of re-running the
     O(m log m) canonicalisation sort per job.  The fingerprint is unaffected
     (it is content-addressed on the canonical edge arrays only).
-
-    With ``include_arc_plane=True`` the packed directed-arc array the
-    columnar engine loads from (``src * n + dst`` forward + backward) is
-    included, so engine-model workers start from the shipped buffer instead
-    of re-encoding the edge list per job.
     """
     buf = io.BytesIO()
     arrays = {
@@ -107,18 +99,8 @@ def graph_to_npz_bytes(
         arrays["indptr"] = g.indptr
         arrays["indices"] = g.indices
         arrays["arc_edge_ids"] = g.arc_edge_ids
-    if include_arc_plane:
-        arrays["arc_plane"] = packed_arc_plane(g)
     np.savez_compressed(buf, **arrays)
     return buf.getvalue()
-
-
-def arc_plane_from_npz_bytes(data: bytes) -> np.ndarray | None:
-    """The packed arc plane of a buffer, or ``None`` if it wasn't shipped."""
-    with np.load(io.BytesIO(data)) as z:
-        if "arc_plane" in z.files:
-            return z["arc_plane"].astype(np.int64, copy=False)
-    return None
 
 
 def graph_from_npz_bytes(data: bytes) -> Graph:

@@ -52,7 +52,6 @@ def distributed_luby_mis(
     space: int,
     *,
     max_phases: int = 200,
-    arc_plane: np.ndarray | None = None,
     stats_out: dict | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Run Luby MIS end-to-end on the engine.
@@ -62,20 +61,17 @@ def distributed_luby_mis(
     for every hash, so progress never stalls).  Returns
     ``(mis_node_ids, total_engine_rounds, phases)``.
 
-    ``arc_plane`` may carry a precomputed
-    :func:`~repro.graphs.io.packed_arc_plane` (e.g. the buffer the runtime
-    scheduler shipped); it must describe ``g``.  When ``stats_out`` is a
-    dict, the engine's :class:`~repro.models.ledger.ModelSnapshot` is
-    stored under ``stats_out["snapshot"]`` after the run (the return tuple
-    stays stable for existing callers).
+    The engine loads its arcs from :func:`~repro.graphs.io.packed_arc_plane`
+    of ``g``.  When ``stats_out`` is a dict, the engine's
+    :class:`~repro.models.ledger.ModelSnapshot` is stored under
+    ``stats_out["snapshot"]`` after the run (the return tuple stays stable
+    for existing callers).
     """
-    if arc_plane is None:
-        arc_plane = packed_arc_plane(g)
     engine = MPCEngine(num_machines=num_machines, space=space)
     n = max(g.n, 1)
     # Contiguous per-machine arc slices (identical word count to loading
     # the scalars item-by-item; local representation, no round charge).
-    engine.load_balanced_packed(arc_plane)
+    engine.load_balanced_packed(packed_arc_plane(g))
 
     family: KWiseHashFamily = make_family(universe=n, k=2)
     m_machines = engine.num_machines

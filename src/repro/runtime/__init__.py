@@ -9,14 +9,14 @@ The substrate for serving many solves efficiently:
 * :mod:`~repro.runtime.cache` — content-addressed result store (graph
   fingerprint x params digest), persisted as npz + JSONL;
 * :mod:`~repro.runtime.suites` — the named workload-suite registry behind
-  ``repro batch``;
-* :mod:`~repro.runtime.seed_scan` — opt-in chunk-parallel deterministic
-  seed scan for the derandomization layer's largest families.
+  ``repro batch``.
+
+Parallelism here is across jobs only: each solve, its seed scans
+included, runs in one worker process.
 """
 
 from .cache import CacheEntry, CacheStats, ResultCache
 from .scheduler import BatchResult, BatchStats, ResolvedSource, Scheduler
-from .seed_scan import parallel_scan
 from .spec import (
     PROBLEMS,
     GraphSource,
@@ -51,7 +51,6 @@ __all__ = [
     "execute_spec",
     "get_suite",
     "list_suites",
-    "parallel_scan",
     "register_suite",
     "run_job",
     "runtime_entry",

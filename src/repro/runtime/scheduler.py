@@ -30,14 +30,13 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..api.config import ExecutionConfig
 from ..graphs.io import graph_fingerprint, graph_to_npz_bytes
 from ..graphs.store import GraphStore, StoredGraphInfo
 from ..graphs.streaming import STREAMING_GENERATORS
 from ..obs import trace as _obs
 from ..obs.metrics import METRICS
 from .cache import ResultCache
-from .spec import ENGINE_PROBLEMS, GraphSource, JobResult, JobSpec
+from .spec import GraphSource, JobResult, JobSpec
 from .worker import run_job, warm_worker
 
 __all__ = ["BatchResult", "BatchStats", "ResolvedSource", "Scheduler"]
@@ -225,7 +224,8 @@ class Scheduler:
         self.cache = cache
         self.trace = _obs.is_tracing() if trace is None else bool(trace)
         if store is None:
-            store = ExecutionConfig.from_env().graph_store
+            # The deployment's store directory; empty means unset.
+            store = os.environ.get("REPRO_GRAPH_STORE") or None
         if store is not None and not isinstance(store, GraphStore):
             store = GraphStore(store)
         self.store = store
@@ -287,33 +287,24 @@ class Scheduler:
         Without a store, the npz payload carries the CSR adjacency buffers,
         so every worker reconstructs the graph through the validated
         :meth:`~repro.graphs.graph.Graph.from_csr_arrays` fast path instead
-        of re-sorting the edge list once per job; sources feeding
-        engine-model jobs additionally ship the packed arc plane, packed
-        once here rather than once per worker.
+        of re-sorting the edge list once per job.
 
         With a store, generator sources with streaming variants build CSR
         shards straight to disk (never materialising the edge list in this
         process); other sources materialise once and are put into the
         store.  Either way the jobs then ship only the store key.
         """
-        wants_arcs = {
-            spec.source for spec in specs if spec.problem in ENGINE_PROBLEMS
-        }
         resolved: dict[GraphSource, ResolvedSource | Exception] = {}
         for spec in specs:
             if spec.source in resolved:
                 continue
             try:
-                resolved[spec.source] = self._resolve_one(
-                    spec.source, spec.source in wants_arcs
-                )
+                resolved[spec.source] = self._resolve_one(spec.source)
             except Exception as exc:  # structured parent-side failure
                 resolved[spec.source] = exc
         return resolved
 
-    def _resolve_one(
-        self, source: GraphSource, wants_arc: bool
-    ) -> ResolvedSource:
+    def _resolve_one(self, source: GraphSource) -> ResolvedSource:
         if self.store is not None:
             root = os.fspath(self.store.root)
             if source.kind == "generator" and source.name in STREAMING_GENERATORS:
@@ -343,9 +334,7 @@ class Scheduler:
             fingerprint=graph_fingerprint(g),
             n=g.n,
             m=g.m,
-            npz=graph_to_npz_bytes(
-                g, include_csr=True, include_arc_plane=wants_arc
-            ),
+            npz=graph_to_npz_bytes(g, include_csr=True),
         )
 
     # ------------------------------------------------------------------ #

@@ -32,7 +32,6 @@ from ..graphs.io import read_edge_list
 from ..core.params import Params
 
 __all__ = [
-    "ENGINE_PROBLEMS",
     "GraphSource",
     "JobResult",
     "JobSpec",
@@ -117,12 +116,6 @@ def _registry_problems() -> tuple[str, ...]:
 #: ``core.derived`` corollaries on the accounting layer, plus the
 #: cross-model runs (CONGESTED CLIQUE, CONGEST, the literal MPC engine).
 PROBLEMS = _registry_problems()
-
-#: Problems that execute on the literal MPC engine; the scheduler ships
-#: these jobs the packed arc plane alongside the CSR buffers.
-ENGINE_PROBLEMS = tuple(
-    name for name in PROBLEMS if runtime_entry(name)[1] == "mpc-engine"
-)
 
 #: Generator names a GraphSource may reference (resolved lazily so specs
 #: stay importable without building anything).

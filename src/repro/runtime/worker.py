@@ -36,15 +36,11 @@ import traceback
 
 from ..api import SolveRequest, SolveResult, solve
 from ..graphs.graph import Graph
-from ..graphs.io import (
-    arc_plane_from_npz_bytes,
-    graph_fingerprint,
-    graph_from_npz_bytes,
-)
+from ..graphs.io import graph_fingerprint, graph_from_npz_bytes
 from ..graphs.store import open_stored_graph
 from ..obs import trace as _obs
 from ..obs.metrics import METRICS
-from .spec import ENGINE_PROBLEMS, JobSpec, runtime_entry
+from .spec import JobSpec, runtime_entry
 
 __all__ = [
     "execute_spec",
@@ -100,12 +96,11 @@ def payload_from_solve_result(result: SolveResult) -> dict:
     return out
 
 
-def execute_spec(spec: JobSpec, graph: Graph, *, arc_plane=None) -> dict:
+def execute_spec(spec: JobSpec, graph: Graph) -> dict:
     """Solve one spec on a resolved graph; returns the success payload parts.
 
     Raises on failure — :func:`run_job` is the layer that converts
-    exceptions into structured failure payloads.  ``arc_plane`` optionally
-    carries the scheduler-shipped packed arc buffer for engine-model jobs.
+    exceptions into structured failure payloads.
     """
     problem, model = runtime_entry(spec.problem)
     request = SolveRequest(
@@ -116,7 +111,6 @@ def execute_spec(spec: JobSpec, graph: Graph, *, arc_plane=None) -> dict:
         params=spec.make_params(),
         force=spec.force,
         paper_rule=spec.paper_rule,
-        arc_plane=arc_plane,
         tag=spec.tag,
     )
     result = solve(request)
@@ -125,10 +119,10 @@ def execute_spec(spec: JobSpec, graph: Graph, *, arc_plane=None) -> dict:
     return out
 
 
-def load_job_graph(spec: JobSpec, payload: dict) -> tuple[Graph, object, dict | None]:
+def load_job_graph(spec: JobSpec, payload: dict) -> tuple[Graph, dict | None]:
     """Load a job's input per the payload's shipping mode.
 
-    Returns ``(graph, arc_plane, fallback)`` where ``fallback`` is a
+    Returns ``(graph, fallback)`` where ``fallback`` is a
     structured ``store_fallback`` record when a store-backed open failed and
     the graph was regenerated from the spec instead — the degraded path is
     a warning in the result meta, not a job failure.
@@ -138,7 +132,7 @@ def load_job_graph(spec: JobSpec, payload: dict) -> tuple[Graph, object, dict | 
     if store_root is not None:
         try:
             graph = open_stored_graph(store_root, payload["fingerprint"])
-            return graph, None, None
+            return graph, None
         except Exception as exc:  # noqa: BLE001 - corrupt/missing shard
             METRICS.inc("store.fallbacks")
             fallback = {
@@ -147,16 +141,10 @@ def load_job_graph(spec: JobSpec, payload: dict) -> tuple[Graph, object, dict | 
                 "error_type": type(exc).__name__,
                 "error_message": str(exc),
             }
-            return spec.source.resolve(), None, fallback
+            return spec.source.resolve(), fallback
     if npz is not None:
-        graph = graph_from_npz_bytes(npz)
-        arc_plane = (
-            arc_plane_from_npz_bytes(npz)
-            if spec.problem in ENGINE_PROBLEMS
-            else None
-        )
-        return graph, arc_plane, None
-    return spec.source.resolve(), None, None
+        return graph_from_npz_bytes(npz), None
+    return spec.source.resolve(), None
 
 
 def run_job(payload: dict) -> dict:
@@ -178,16 +166,16 @@ def run_job(payload: dict) -> dict:
         signal.setitimer(signal.ITIMER_REAL, float(timeout))
     try:
         spec = JobSpec.from_dict(payload["spec"])
-        graph, arc_plane, fallback = load_job_graph(spec, payload)
+        graph, fallback = load_job_graph(spec, payload)
         out["fingerprint"] = payload.get("fingerprint") or graph_fingerprint(graph)
         if payload.get("trace"):
             # Capture regardless of the worker's environment; solve()
             # attaches the span subtree to the result, which
             # payload_from_solve_result ships back through result_meta.
             with _obs.trace_capture():
-                out.update(execute_spec(spec, graph, arc_plane=arc_plane))
+                out.update(execute_spec(spec, graph))
         else:
-            out.update(execute_spec(spec, graph, arc_plane=arc_plane))
+            out.update(execute_spec(spec, graph))
         if fallback is not None:
             # Merge, don't clobber: execute_spec may have set trace meta.
             out["meta"] = {**out.get("meta", {}), "store_fallback": fallback}

@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 
 from ..api.envelope import request_digest
+from ..core.params import Params
 from ..runtime.spec import JobResult, JobSpec, runtime_problem_name
 
 __all__ = [
@@ -65,6 +67,11 @@ _SOLVE_KEYS = frozenset(
         "include_solution",
     }
 )
+
+
+#: Keys ``overrides`` may carry: the ``Params`` fields, less ``eps``, which
+#: has its own top-level key.  Anything else would only fail on the worker.
+_OVERRIDE_KEYS = frozenset(f.name for f in fields(Params)) - {"eps"}
 
 
 class ProtocolError(ValueError):
@@ -139,6 +146,12 @@ def parse_solve(obj: object) -> ServeJob:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid solve request: {exc}") from None
+    unknown = sorted({k for k, _ in spec.overrides} - _OVERRIDE_KEYS)
+    if unknown:
+        raise ProtocolError(
+            f"unknown overrides keys: {unknown} (overrides take the Params "
+            f"fields other than eps)"
+        )
     return ServeJob(
         spec,
         timeout=timeout,

@@ -1,5 +1,5 @@
 """The ``repro.api`` facade: registry completeness, envelope round trips,
-execution-config threading, and shim-vs-facade parity.
+retired execution knobs, and shim-vs-facade parity.
 
 The parity tests are the contract that makes the facade safe to adopt: for
 every registry entry, ``solve()`` must return the *bit-identical* solution,
@@ -20,7 +20,6 @@ from repro.api import (
     MODELS,
     PROBLEMS,
     REGISTRY,
-    ExecutionConfig,
     SolveRequest,
     SolveResult,
     solve,
@@ -251,104 +250,35 @@ def test_parity_mis_engine():
 
 
 # ---------------------------------------------------------------------- #
-# ExecutionConfig
+# Retired execution knobs
 # ---------------------------------------------------------------------- #
 
-
-def test_execution_config_validation_and_round_trip():
-    cfg = ExecutionConfig(seed_chunk=32, seed_scan_workers=2)
-    assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
-    # a stored config naming a retired knob still loads, without that key
-    stale = ExecutionConfig.from_dict({"engine_backend": "legacy", "seed_chunk": 4})
-    assert stale == ExecutionConfig(seed_chunk=4)
-    with pytest.raises(ValueError, match="seed_chunk"):
-        ExecutionConfig(seed_chunk=0)
-    with pytest.raises(ValueError, match="seed_scan_workers"):
-        ExecutionConfig(seed_scan_workers=-1)
+#: Variables that once tuned the seed scan or the CONGEST bill; the values
+#: are ones the old resolvers rejected.
+RETIRED_ENV = {
+    "REPRO_SEED_CHUNK": "0",
+    "REPRO_SEED_WORKERS": "-1",
+    "REPRO_CONGEST_PIPELINE_SEED_FIX": "1",
+}
 
 
-def test_execution_config_env_fallback(monkeypatch):
-    monkeypatch.setenv("REPRO_SEED_CHUNK", "64")
-    monkeypatch.setenv("REPRO_SEED_WORKERS", "3")
-    monkeypatch.setenv("REPRO_CONGEST_PIPELINE_SEED_FIX", "1")
-    env = ExecutionConfig.from_env()
-    assert env.seed_chunk == 64
-    assert env.seed_scan_workers == 3
-    assert env.congest_pipeline_seed_fix is True
-    # explicit wins over env in resolved()
-    cfg = ExecutionConfig(seed_scan_workers=1).resolved()
-    assert cfg.seed_scan_workers == 1
-    assert cfg.seed_chunk == 64
-
-
-def test_execution_config_threads_into_params():
-    cfg = ExecutionConfig(
-        seed_chunk=16,
-        seed_scan_workers=2,
-        congest_pipeline_seed_fix=True,
-    )
-    p = cfg.apply(Params())
-    assert p.seed_chunk == 16
-    assert p.seed_scan_workers == 2
-    assert p.congest_pipeline_seed_fix is True
-    assert ExecutionConfig.from_params(p) == cfg
-    # an empty config is the identity
-    assert ExecutionConfig().apply(p) is p
-
-
-def test_solve_with_backend_overrides_is_bit_identical():
-    g = small_graph(seed=7)
-    base = solve(SolveRequest(problem="mis", model="simulated", graph=g))
-    for cfg in (
-        ExecutionConfig(seed_chunk=1),
-        ExecutionConfig(seed_chunk=5, seed_scan_workers=1),
-    ):
-        res = solve(
-            SolveRequest(problem="mis", model="simulated", graph=g, config=cfg)
-        )
-        assert np.array_equal(res.solution, base.solution)
-        assert res.rounds == base.rounds
-
-
-@pytest.mark.parametrize("var,model", [("REPRO_SEED_CHUNK", "cclique")])
-def test_empty_env_var_means_default(var, model, monkeypatch):
+def test_retired_execution_env_vars_are_not_read(monkeypatch):
     g = small_graph(seed=4)
-    monkeypatch.delenv(var, raising=False)
-    unset_env = ExecutionConfig.from_env()
-    want = solve(SolveRequest(problem="mis", model=model, graph=g))
-    monkeypatch.setenv(var, "")
-    assert ExecutionConfig.from_env() == unset_env
-    got = solve(SolveRequest(problem="mis", model=model, graph=g))
-    assert np.array_equal(got.solution, want.solution)
-    assert (got.rounds, got.words_moved) == (want.rounds, want.words_moved)
-
-
-def test_seed_backend_config_reaches_cclique_and_congest(monkeypatch):
-    """The seed knobs must reach every model's scan, not just simulated.
-
-    Proof by observation: set the seed chunk through ExecutionConfig and
-    check every select_seed_batch call receives it."""
-    import repro.derand.strategies as strategies
-
-    seen: list[int | None] = []
-    real = strategies.select_seed_batch
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("chunk_size"))
-        return real(*args, **kwargs)
-
-    g = small_graph(seed=9, n=40, p=0.15)
-    cfg = ExecutionConfig(seed_chunk=3)
-    for module in ("repro.cclique.mis_cc", "repro.congest.mis_congest"):
-        import importlib
-
-        monkeypatch.setattr(
-            importlib.import_module(module), "select_seed_batch", spy
-        )
-    for model in ("cclique", "congest"):
-        seen.clear()
-        solve(SolveRequest(problem="mis", model=model, graph=g, config=cfg))
-        assert seen and all(c == 3 for c in seen), model
+    models = ("simulated", "cclique", "congest", "mpc-engine")
+    for var in RETIRED_ENV:
+        monkeypatch.delenv(var, raising=False)
+    want = {m: solve(SolveRequest(problem="mis", model=m, graph=g)) for m in models}
+    for var, value in RETIRED_ENV.items():
+        monkeypatch.setenv(var, value)
+    for model in models:
+        got = solve(SolveRequest(problem="mis", model=model, graph=g))
+        assert np.array_equal(got.solution, want[model].solution), model
+        assert (got.rounds, got.words_moved) == (
+            want[model].rounds,
+            want[model].words_moved,
+        ), model
+        if model == "congest":
+            assert got.snapshot.detail["pipeline_seed_fix"] is False
 
 
 # ---------------------------------------------------------------------- #
@@ -405,7 +335,7 @@ def test_congest_pipeline_seed_fix_same_mis_fewer_rounds():
             problem="mis",
             model="congest",
             graph=g,
-            config=ExecutionConfig(congest_pipeline_seed_fix=True),
+            params=Params(congest_pipeline_seed_fix=True),
         )
     )
     # Identical deterministic output; only the round bill changes.
@@ -414,6 +344,23 @@ def test_congest_pipeline_seed_fix_same_mis_fewer_rounds():
     assert piped.words_moved == base.words_moved  # same votes move
     assert piped.snapshot.detail["pipeline_seed_fix"] is True
     assert base.snapshot.detail["pipeline_seed_fix"] is False
+
+
+def test_cmd_solve_pipeline_seed_fix_flag(capsys):
+    from repro.__main__ import main
+
+    def run(*flags):
+        argv = ["solve", "--problem", "mis", "--model", "congest",
+                "--n", "70", "--p", "0.08", "--json", "-", *flags]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        return json.loads(out[out.index("{"):])
+
+    base, piped = run(), run("--pipeline-seed-fix")
+    assert piped["snapshot"]["detail"]["pipeline_seed_fix"] is True
+    assert base["snapshot"]["detail"]["pipeline_seed_fix"] is False
+    assert piped["rounds"] < base["rounds"]
+    assert piped["solution_size"] == base["solution_size"]
 
 
 def test_congest_pipeline_charge_formula():

@@ -40,7 +40,6 @@ from repro.mpc import (
     distributed_luby_mis,
     distributed_node_aggregate,
     distributed_sort_packed,
-    packed_arc_plane,
     word_size,
 )
 
@@ -180,14 +179,6 @@ def test_distributed_luby_columnar_matches_legacy(make, machines, space):
     want, want_phases = distributed_luby_reference(g)
     assert np.array_equal(mis, want)
     assert phases == want_phases
-
-
-def test_distributed_luby_accepts_shipped_arc_plane():
-    g = gnp_random_graph(30, 0.2, seed=8)
-    plane = packed_arc_plane(g)
-    a = distributed_luby_mis(g, 4, 512)
-    b = distributed_luby_mis(g, 4, 512, arc_plane=plane)
-    assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
 
 
 def test_distributed_luby_stats_out_snapshot():

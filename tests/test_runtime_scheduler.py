@@ -211,8 +211,7 @@ def test_old_cache_formats_still_load(tmp_path):
 
 
 def test_cross_model_problems_run_through_scheduler():
-    """One input billed under every model through the runtime, with the
-    packed arc plane shipped to the engine job."""
+    """One input billed under every model through the runtime."""
     src = GraphSource.generator("gnp_random_graph", n=80, p=0.06, seed=5)
     specs = [
         JobSpec(problem, src, tag=problem)
@@ -228,30 +227,3 @@ def test_cross_model_problems_run_through_scheduler():
     # CONGEST pays the tree cost; the clique run is O(log Delta) rounds
     assert by_tag["congest_mis"].rounds > by_tag["cc_mis"].rounds
     assert by_tag["engine_mis"].space_limit > 0
-
-
-def test_engine_job_uses_shipped_arc_plane(monkeypatch):
-    """The worker consumes the scheduler-shipped packed arc buffer instead
-    of re-encoding the edge list."""
-    from repro.graphs.io import arc_plane_from_npz_bytes, graph_to_npz_bytes
-    from repro.runtime.worker import run_job
-
-    src = GraphSource.generator("gnp_random_graph", n=40, p=0.1, seed=1)
-    g = src.resolve()
-    npz = graph_to_npz_bytes(g, include_csr=True, include_arc_plane=True)
-    assert arc_plane_from_npz_bytes(npz) is not None
-    assert arc_plane_from_npz_bytes(graph_to_npz_bytes(g)) is None
-
-    seen = {}
-    import repro.runtime.worker as worker_mod
-    real = worker_mod.execute_spec
-
-    def spy(spec, graph, *, arc_plane=None):
-        seen["arc_plane"] = arc_plane
-        return real(spec, graph, arc_plane=arc_plane)
-
-    monkeypatch.setattr(worker_mod, "execute_spec", spy)
-    out = run_job({"spec": JobSpec("engine_mis", src).to_dict(),
-                   "graph_npz": npz, "timeout": None})
-    assert out["status"] == "ok" and out["verified"]
-    assert seen["arc_plane"] is not None and seen["arc_plane"].size == 2 * g.m

@@ -1,4 +1,4 @@
-"""Seed-block parity, wrap-around scans, parallel scan.
+"""Seed-block parity and wrap-around scans.
 
 The contract under test: the seed-search engine returns a *bit-identical*
 :class:`~repro.derand.strategies.SeedSelection` -- same seed, value, trial
@@ -18,6 +18,7 @@ from repro.cclique.mis_cc import cc_maximal_matching, cc_mis
 from repro.congest.mis_congest import congest_mis
 from repro.core import Params, lowdeg_mis
 from repro.core.api import maximal_independent_set, maximal_matching
+from repro.derand import strategies as derand_strategies
 from repro.derand.strategies import (
     ConditionalExpectationError,
     scan_regions,
@@ -299,11 +300,18 @@ def test_group_order_indptr_monotone_fast_path():
 # --------------------------------------------------------------------- #
 
 
+def set_seed_chunk(monkeypatch, chunk: int) -> None:
+    """Ramp every seed block of every solver up to ``chunk`` seeds."""
+    monkeypatch.setattr(derand_strategies, "DEFAULT_SEED_CHUNK", chunk)
+
+
 @pytest.mark.parametrize("n,p,seed", [(60, 0.1, 1), (120, 0.05, 2)])
-def test_deterministic_mis_backend_parity(n, p, seed):
+def test_deterministic_mis_backend_parity(n, p, seed, monkeypatch):
     g = gnp_random_graph(n, p, seed=seed)
-    a = maximal_independent_set(g, params=Params(seed_chunk=1), force="general")
-    b = maximal_independent_set(g, params=Params(seed_chunk=16), force="general")
+    set_seed_chunk(monkeypatch, 1)
+    a = maximal_independent_set(g, force="general")
+    set_seed_chunk(monkeypatch, 16)
+    b = maximal_independent_set(g, force="general")
     assert np.array_equal(a.independent_set, b.independent_set)
     assert a.rounds == b.rounds
     for ra, rb in zip(a.records, rb_list := list(b.records)):
@@ -313,19 +321,23 @@ def test_deterministic_mis_backend_parity(n, p, seed):
     assert len(a.records) == len(rb_list)
 
 
-def test_deterministic_matching_backend_parity():
+def test_deterministic_matching_backend_parity(monkeypatch):
     g = gnp_random_graph(80, 0.08, seed=5)
-    a = maximal_matching(g, params=Params(seed_chunk=1), force="general")
-    b = maximal_matching(g, params=Params(seed_chunk=16), force="general")
+    set_seed_chunk(monkeypatch, 1)
+    a = maximal_matching(g, force="general")
+    set_seed_chunk(monkeypatch, 16)
+    b = maximal_matching(g, force="general")
     assert np.array_equal(a.pairs, b.pairs)
     assert a.rounds == b.rounds
 
 
 @pytest.mark.parametrize("graph_fn", [lambda: cycle_graph(64), lambda: gnp_random_graph(90, 0.05, seed=3)])
-def test_lowdeg_backend_parity(graph_fn):
+def test_lowdeg_backend_parity(graph_fn, monkeypatch):
     g = graph_fn()
-    a = lowdeg_mis(g, Params(seed_chunk=1))
-    b = lowdeg_mis(g, Params(seed_chunk=16))
+    set_seed_chunk(monkeypatch, 1)
+    a = lowdeg_mis(g, Params())
+    set_seed_chunk(monkeypatch, 16)
+    b = lowdeg_mis(g, Params())
     assert np.array_equal(a.independent_set, b.independent_set)
     assert [r.selection_trials for r in a.records] == [
         r.selection_trials for r in b.records
@@ -345,7 +357,8 @@ def test_lowdeg_seed_block_byte_cap_keeps_selections(monkeypatch):
 
     g = gnp_random_graph(90, 0.05, seed=3)
     params = dict(strategy="best_of", best_of_k=20)  # every seed is evaluated
-    want = lowdeg_mis(g, Params(seed_chunk=1, **params))
+    set_seed_chunk(monkeypatch, 1)
+    want = lowdeg_mis(g, Params(**params))
     chunks = []
     select = lowdeg.select_seed_batch
 
@@ -357,7 +370,8 @@ def test_lowdeg_seed_block_byte_cap_keeps_selections(monkeypatch):
     budget = 3 * g.n * (g.max_degree() + 1) * 5
     monkeypatch.setattr(lowdeg, "_SEED_BLOCK_BYTES", budget)
     monkeypatch.setattr(lowdeg, "select_seed_batch", spy)
-    got = lowdeg_mis(g, Params(seed_chunk=16, **params))
+    set_seed_chunk(monkeypatch, 16)
+    got = lowdeg_mis(g, Params(**params))
     assert chunks[0] == 3 and max(chunks) <= 16
     assert np.array_equal(got.independent_set, want.independent_set)
     for a, b in zip(got.records, want.records, strict=True):
@@ -371,9 +385,9 @@ def test_lowdeg_seed_block_byte_cap_keeps_selections(monkeypatch):
 @pytest.mark.parametrize("fn", [cc_mis, cc_maximal_matching])
 def test_cclique_backend_parity(fn, monkeypatch):
     g = gnp_random_graph(70, 0.12, seed=9)
-    monkeypatch.setenv("REPRO_SEED_CHUNK", "1")
+    set_seed_chunk(monkeypatch, 1)
     a = fn(g)
-    monkeypatch.setenv("REPRO_SEED_CHUNK", "16")
+    set_seed_chunk(monkeypatch, 16)
     b = fn(g)
     assert np.array_equal(a.solution, b.solution)
     assert a.rounds == b.rounds
@@ -383,27 +397,12 @@ def test_cclique_backend_parity(fn, monkeypatch):
 @pytest.mark.parametrize("mode", ["voting", "color-compressed"])
 def test_congest_backend_parity(mode, monkeypatch):
     g = gnp_random_graph(60, 0.1, seed=13)
-    monkeypatch.setenv("REPRO_SEED_CHUNK", "1")
+    set_seed_chunk(monkeypatch, 1)
     a = congest_mis(g, mode=mode)
-    monkeypatch.setenv("REPRO_SEED_CHUNK", "16")
+    set_seed_chunk(monkeypatch, 16)
     b = congest_mis(g, mode=mode)
     assert np.array_equal(a.independent_set, b.independent_set)
     assert a.rounds == b.rounds
-
-
-def test_env_seed_chunk_resolution(monkeypatch):
-    from repro.derand.strategies import DEFAULT_SEED_CHUNK, resolve_seed_chunk
-
-    monkeypatch.delenv("REPRO_SEED_CHUNK", raising=False)
-    assert resolve_seed_chunk(None) == DEFAULT_SEED_CHUNK
-    monkeypatch.setenv("REPRO_SEED_CHUNK", "")  # empty means unset
-    assert resolve_seed_chunk(None) == DEFAULT_SEED_CHUNK
-    monkeypatch.setenv("REPRO_SEED_CHUNK", "8")
-    assert resolve_seed_chunk(None) == 8
-    assert resolve_seed_chunk(3) == 3  # explicit wins
-    monkeypatch.setenv("REPRO_SEED_CHUNK", "0")
-    with pytest.raises(ValueError):
-        resolve_seed_chunk(None)
 
 
 # --------------------------------------------------------------------- #
@@ -436,64 +435,3 @@ def test_lowdeg_deep_phase_start_wraps_not_clamps():
     mask[res.independent_set] = True
     assert is_independent_set(g, mask)
     assert is_maximal_independent_set(g, mask)
-
-
-# --------------------------------------------------------------------- #
-# Parallel scan (runtime layer)
-# --------------------------------------------------------------------- #
-
-
-def test_stage_search_parallel_matches_serial():
-    from repro.core.stage import MachineGroupSpec, run_stage_seed_search
-    from repro.mpc.partition import chunk_items_by_group
-
-    g = gnp_random_graph(200, 0.05, seed=4)
-    family = make_family(200, k=4)
-    params = Params()
-    eids = np.arange(g.m, dtype=np.int64) % family.q
-    spec = MachineGroupSpec(
-        name="A",
-        grouping=chunk_items_by_group(g.edges_u.astype(np.int64), 8),
-        unit_ids=eids,
-    )
-    prob = params.sample_prob(g.n)
-    serial = run_stage_seed_search(
-        family, prob, [spec], params, g.n, [], scan_start=1
-    )
-    par = run_stage_seed_search(
-        family,
-        prob,
-        [spec],
-        params.with_(seed_scan_workers=2),
-        g.n,
-        [],
-        scan_start=1,
-    )
-    assert serial.selection == par.selection
-    assert serial.seed == par.seed
-    assert serial.trials == par.trials
-    assert serial.all_good == par.all_good
-
-
-def test_parallel_scan_unsatisfied_best_seed():
-    from repro.runtime.seed_scan import parallel_scan
-
-    # Identity objective (module-level so it pickles to workers).
-    sel = parallel_scan(
-        _idobj,
-        {"scale": 1.0},
-        40,
-        target=10_000.0,
-        max_trials=25,
-        start=5,
-        chunk_size=4,
-        workers=2,
-    )
-    assert not sel.satisfied
-    assert sel.trials == 25
-    # best over the wrapped order starting at 5 within 25 trials
-    assert sel.seed == 29
-
-
-def _idobj(payload, seeds):
-    return np.asarray(seeds, dtype=np.float64) * payload["scale"]

@@ -130,6 +130,31 @@ def test_parse_solve_rejects(body):
         parse_solve(body)
 
 
+def test_unknown_overrides_keys_are_400_naming_them():
+    """An ``overrides`` key that is not a Params field (or is ``eps``, which
+    has its own key) fails at parse time, before any graph is resolved."""
+    assert parse_solve(solve_body(overrides={"c": 2})).spec.overrides == (("c", 2),)
+    bads = ({"bogus": 1}, {"seed_chunk": 4, "seed_scan_workers": 2}, {"eps": 0.3})
+    for bad in bads:
+        with pytest.raises(ProtocolError) as info:
+            parse_solve(solve_body(overrides=bad))
+        assert info.value.code == 400
+        assert str(sorted(bad)) in str(info.value)
+
+    sched = FakeScheduler()
+
+    async def scenario():
+        svc = make_service(sched)
+        await svc.start()
+        code, payload = await svc.handle(solve_body(overrides={"seed_chunk": 4}))
+        await svc.drain()
+        return code, payload
+
+    code, payload = run_async(scenario())
+    assert code == 400 and "seed_chunk" in payload["error"]["message"]
+    assert sched.jobs_run == 0
+
+
 def test_coalesce_key_semantics():
     a = parse_solve(solve_body(seed=1)).spec
     b = parse_solve(solve_body(seed=1)).spec

@@ -11,8 +11,6 @@ exactly for every seed block and slack.
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,12 +19,7 @@ from hypothesis import strategies as st
 from repro.core import Params
 from repro.core import stage as stage_mod
 from repro.core.matching import deterministic_maximal_matching
-from repro.core.stage import (
-    MachineGroupSpec,
-    StageGoodness,
-    node_level_spec,
-    stage_goodness_kernel,
-)
+from repro.core.stage import MachineGroupSpec, StageGoodness, node_level_spec
 from repro.graphs import gnp_random_graph
 from repro.graphs.kernels import group_order_indptr, segment_count_2d
 from repro.hashing.kwise import KWiseHashFamily
@@ -239,17 +232,6 @@ def test_bound_between_product_and_reference_sum_takes_the_fallback():
     goodness = StageGoodness(family, THRESHOLD, [spec], mus, bases)
     want = reference_counts(family, THRESHOLD, [spec], mus, bases, 1.0, one)
     assert np.array_equal(goodness.counts(one, 1.0), want)
-
-
-def test_worker_payload_runs_the_same_kernel():
-    rng = np.random.default_rng(3)
-    family, groups, mus, bases = random_stage(rng, 4)
-    goodness = StageGoodness(family, THRESHOLD, groups, mus, bases)
-    shipped = pickle.loads(pickle.dumps(goodness.payload(1.5)))
-    seeds = np.arange(1, 65, dtype=np.int64)
-    assert np.array_equal(
-        stage_goodness_kernel(shipped, seeds), goodness.counts(seeds, 1.5)
-    )
 
 
 def test_stage_degradation_counters_match_records():
