@@ -33,7 +33,7 @@ def run():
     sort_rounds = distributed_sort_packed(eng)
     out = np.concatenate([it for st in eng.storage for it in st])
     assert out.tolist() == sorted(values.tolist())
-    return chunk, loads, eng.max_load_seen, sort_rounds
+    return chunk, loads, eng.max_words_seen, sort_rounds
 
 
 def test_f3_load_distribution(benchmark):

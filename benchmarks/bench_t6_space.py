@@ -3,8 +3,8 @@ total.
 
 Runs both drivers across an n-sweep and tabulates the realised per-machine
 high-water mark against ``S`` and the configured total budget.  A violation
-would have raised during the run (the SpaceTracker is enforcing, not just
-observing); the table documents the margins.
+would have raised during the run (the context's ``observe_loads`` is
+enforcing, not just observing); the table documents the margins.
 """
 
 from repro.analysis import render_table, total_space_bound

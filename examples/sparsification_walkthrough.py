@@ -69,7 +69,7 @@ def main() -> None:
     print(f"  removing {covered.size} matched nodes deletes >= delta m / 536 edges\n")
 
     print(f"charged MPC rounds for this whole iteration: {ctx.rounds}")
-    print(f"rounds by category: {dict(ctx.ledger.by_category)}")
+    print(f"rounds by category: {ctx.by_category}")
     if fidelity:
         print(f"fidelity events: {fidelity}")
 

@@ -51,17 +51,6 @@ _DERIVED_CAPS = SolverCapabilities(certificate=True, trace_records=True)
 _MODEL_CAPS = SolverCapabilities(snapshot=True, certificate=True)
 
 
-def _mpc_ctx(graph: Graph, params: Params) -> MPCContext:
-    """The exact context the simulated drivers build internally."""
-    return MPCContext(
-        n=graph.n,
-        m=graph.m,
-        eps=params.eps,
-        space_factor=params.space_factor,
-        total_factor=params.total_factor,
-    )
-
-
 # ---------------------------------------------------------------------- #
 # Simulated MPC (vectorized accounting layer)
 # ---------------------------------------------------------------------- #
@@ -91,7 +80,7 @@ def _mpc_ctx(graph: Graph, params: Params) -> MPCContext:
 def _solve_mis_simulated(
     graph: Graph, request: SolveRequest, params: Params
 ) -> SolveResult:
-    ctx = _mpc_ctx(graph, params)
+    ctx = MPCContext.for_graph(graph, params)
     res = maximal_independent_set(
         graph,
         params=params,
@@ -148,7 +137,7 @@ def _solve_mis_simulated(
 def _solve_matching_simulated(
     graph: Graph, request: SolveRequest, params: Params
 ) -> SolveResult:
-    ctx = _mpc_ctx(graph, params)
+    ctx = MPCContext.for_graph(graph, params)
     res = maximal_matching(
         graph,
         params=params,
@@ -347,9 +336,7 @@ def engine_space_plan(graph: Graph, params: Params) -> tuple[int, int]:
     query per distinct endpoint per holder in flight — ``~(12 m + 12 n) /
     M`` words plus the broadcast fan-out slack.
     """
-    ctx = MPCContext(
-        n=graph.n, m=graph.m, eps=params.eps, space_factor=params.space_factor
-    )
+    ctx = MPCContext.for_graph(graph, params)
     machines = ctx.num_machines
     space = max(
         ctx.S,

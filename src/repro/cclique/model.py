@@ -10,23 +10,20 @@ behind "collect the remaining graph onto one node" (the trick that lets
 
 As with :mod:`repro.mpc`, data movement is simulated centrally; the context
 *verifies* the model constraints (message counts per node) and charges
-rounds.  It implements the cross-model
-:class:`~repro.models.ledger.RoundLedgerProtocol`: ``words_moved`` counts
-one word per ``O(log n)``-bit message, the bandwidth ceiling is the ``n``
-messages per node per round that Lenzen routing tolerates, and an optional
-``space_per_node`` ceiling turns the "fits on one node" arguments into
-hard :class:`~repro.mpc.exceptions.SpaceExceededError` checks.
+rounds.  It is a :class:`~repro.models.ledger.RoundLedger`: ``words_moved``
+counts one word per ``O(log n)``-bit message, the bandwidth ceiling is the
+``n`` messages per node per round that Lenzen routing tolerates, and an
+optional ``space_per_node`` ceiling turns the "fits on one node" arguments
+into hard :class:`~repro.mpc.exceptions.SpaceExceededError` checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..models.ledger import ModelSnapshot
-from ..mpc.exceptions import SpaceExceededError
-from ..mpc.ledger import RoundLedger
+from ..models.ledger import RoundLedger
 
 __all__ = ["CongestedCliqueContext", "LENZEN_ROUNDS"]
 
@@ -36,33 +33,21 @@ LENZEN_ROUNDS = 2
 
 
 @dataclass
-class CongestedCliqueContext:
+class CongestedCliqueContext(RoundLedger):
     """Model state for a CONGESTED CLIQUE run on ``n`` nodes."""
 
+    model = "congested-clique"
+
     n: int
-    ledger: RoundLedger = field(default_factory=RoundLedger)
     #: Optional per-node storage ceiling in words (``None`` = unbounded);
     #: the "collect the remaining graph onto one node" step observes
     #: against it, so an infeasible collect fails loudly.
     space_per_node: int | None = None
-    max_words_seen: int = 0
-
-    @property
-    def rounds(self) -> int:
-        return self.ledger.total
 
     @property
     def word_bits(self) -> int:
         """Message size ``O(log n)`` -- one edge / one id per message."""
         return max(1, int(np.ceil(np.log2(max(self.n, 2)))) * 2)
-
-    # ------------------------------------------------------------------ #
-    # Cross-model ledger protocol
-    # ------------------------------------------------------------------ #
-
-    @property
-    def words_moved(self) -> int:
-        return self.ledger.words_moved
 
     @property
     def space_ceiling(self) -> int | None:
@@ -73,30 +58,8 @@ class CongestedCliqueContext:
         """Lenzen routing: at most ``n`` messages per node per round."""
         return self.n
 
-    def charge(self, category: str, rounds: int = 1, *, words: int = 0) -> None:
-        self.ledger.charge(category, rounds, words=words)
-
-    def rounds_by_category(self) -> dict[str, int]:
-        return dict(self.ledger.by_category)
-
-    def model_snapshot(self) -> ModelSnapshot:
-        return ModelSnapshot(
-            model="congested-clique",
-            rounds=self.rounds,
-            words_moved=self.words_moved,
-            by_category=self.rounds_by_category(),
-            space_ceiling=self.space_per_node,
-            bandwidth_ceiling=self.n,
-            max_words_seen=self.max_words_seen,
-            detail={"n": self.n, "word_bits": self.word_bits},
-        )
-
-    def observe_node_words(self, node: int, words: int, what: str = "") -> None:
-        """Record a node's storage load; raise past ``space_per_node``."""
-        words = int(words)
-        if self.space_per_node is not None and words > self.space_per_node:
-            raise SpaceExceededError(node, words, self.space_per_node, what)
-        self.max_words_seen = max(self.max_words_seen, words)
+    def snapshot_detail(self) -> dict:
+        return {"n": self.n, "word_bits": self.word_bits}
 
     # ------------------------------------------------------------------ #
     # Model charging primitives
@@ -104,11 +67,11 @@ class CongestedCliqueContext:
 
     def charge_broadcast(self, category: str = "broadcast") -> None:
         """One node sends the same O(log n)-bit value to everyone: 1 round."""
-        self.ledger.charge(category, 1, words=max(0, self.n - 1))
+        self.charge(category, 1, words=max(0, self.n - 1))
 
     def charge_aggregate(self, category: str = "aggregate") -> None:
         """Sum/min of one value per node to a leader: 1 round (star)."""
-        self.ledger.charge(category, 1, words=max(0, self.n - 1))
+        self.charge(category, 1, words=max(0, self.n - 1))
 
     def lenzen_route(
         self,
@@ -131,11 +94,11 @@ class CongestedCliqueContext:
             raise ValueError(
                 f"Lenzen routing infeasible: a node receives {int(recv.max())} > n"
             )
-        self.ledger.charge(category, LENZEN_ROUNDS, words=int(send.sum(initial=0)))
+        self.charge(category, LENZEN_ROUNDS, words=int(send.sum(initial=0)))
 
     def charge_collect_graph(self, m: int, category: str = "collect") -> None:
         """Collect ``m <= n`` edges onto a single node (Lenzen): O(1) rounds."""
         if m > self.n:
             raise ValueError(f"cannot collect {m} edges onto one node (> n)")
-        self.observe_node_words(0, m, "collecting remainder graph")
-        self.ledger.charge(category, LENZEN_ROUNDS, words=int(m))
+        self.observe_load(0, m, "collecting remainder graph")
+        self.charge(category, LENZEN_ROUNDS, words=int(m))

@@ -81,7 +81,7 @@ def congest_mis(
 
     if mode == "color-compressed" and graph.m > 0:
         coloring = distance2_coloring(graph)
-        ctx.ledger.charge("coloring", max(1, coloring.iterations))
+        ctx.charge("coloring", max(1, coloring.iterations))
         family = make_color_family(coloring.num_colors)
         keys_of = coloring.colors.astype(np.int64)
         evaluate_batch = family.evaluate_colors_batch

@@ -15,11 +15,11 @@ pays relative to CONGESTED CLIQUE / MPC.
 
 The context below computes the BFS-tree depth of the (connected components
 of the) input once and charges ``upcast``/``downcast`` operations
-accordingly.  It implements the cross-model
-:class:`~repro.models.ledger.RoundLedgerProtocol`: ``words_moved`` counts
-one word per message, the bandwidth ceiling is ``2 m`` words per round (one
-message per edge direction), and an optional per-node storage ceiling makes
-locality violations raise :class:`~repro.mpc.exceptions.SpaceExceededError`.
+accordingly.  It is a :class:`~repro.models.ledger.RoundLedger`:
+``words_moved`` counts one word per message, the bandwidth ceiling is
+``2 m`` words per round (one message per edge direction), and an optional
+per-node storage ceiling makes locality violations raise
+:class:`~repro.mpc.exceptions.SpaceExceededError`.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ import scipy.sparse.csgraph as csgraph
 
 from ..graphs.graph import Graph
 from ..graphs.power import adjacency_matrix
-from ..models.ledger import ModelSnapshot
-from ..mpc.exceptions import SpaceExceededError
-from ..mpc.ledger import RoundLedger
+from ..models.ledger import RoundLedger
 
 __all__ = ["CongestContext", "bfs_depth"]
 
@@ -55,18 +53,18 @@ def bfs_depth(g: Graph) -> int:
 
 
 @dataclass
-class CongestContext:
+class CongestContext(RoundLedger):
     """Round accounting for a CONGEST run on communication graph ``g``."""
 
+    model = "congest"
+
     graph: Graph
-    ledger: RoundLedger = field(default_factory=RoundLedger)
     #: Optional per-node storage ceiling in words (``None`` = unbounded).
     space_per_node: int | None = None
     #: Ablation: pipeline the per-bit seed votes over the BFS tree so one
     #: phase's seed fix costs ``O(D + seed_bits)`` rounds instead of the
     #: sequential ``2 * D * seed_bits`` (see :meth:`charge_seed_fix`).
     pipeline_seed_fix: bool = False
-    max_words_seen: int = 0
     #: Longest seed (in bits) any per-bit voting pass fixed — the instance
     #: value of the ``seed_bits`` cost-model symbol.
     seed_bits_seen: int = 0
@@ -74,18 +72,6 @@ class CongestContext:
 
     def __post_init__(self) -> None:
         self.depth = bfs_depth(self.graph)
-
-    @property
-    def rounds(self) -> int:
-        return self.ledger.total
-
-    # ------------------------------------------------------------------ #
-    # Cross-model ledger protocol
-    # ------------------------------------------------------------------ #
-
-    @property
-    def words_moved(self) -> int:
-        return self.ledger.words_moved
 
     @property
     def space_ceiling(self) -> int | None:
@@ -96,36 +82,14 @@ class CongestContext:
         """One word per edge direction per round: ``2 m`` words."""
         return 2 * self.graph.m
 
-    def charge(self, category: str, rounds: int = 1, *, words: int = 0) -> None:
-        self.ledger.charge(category, rounds, words=words)
-
-    def rounds_by_category(self) -> dict[str, int]:
-        return dict(self.ledger.by_category)
-
-    def model_snapshot(self) -> ModelSnapshot:
-        return ModelSnapshot(
-            model="congest",
-            rounds=self.rounds,
-            words_moved=self.words_moved,
-            by_category=self.rounds_by_category(),
-            space_ceiling=self.space_per_node,
-            bandwidth_ceiling=self.bandwidth_ceiling,
-            max_words_seen=self.max_words_seen,
-            detail={
-                "n": self.graph.n,
-                "m": self.graph.m,
-                "bfs_depth": self.depth,
-                "pipeline_seed_fix": self.pipeline_seed_fix,
-                "seed_bits": self.seed_bits_seen,
-            },
-        )
-
-    def observe_node_words(self, node: int, words: int, what: str = "") -> None:
-        """Record a node's storage load; raise past ``space_per_node``."""
-        words = int(words)
-        if self.space_per_node is not None and words > self.space_per_node:
-            raise SpaceExceededError(node, words, self.space_per_node, what)
-        self.max_words_seen = max(self.max_words_seen, words)
+    def snapshot_detail(self) -> dict:
+        return {
+            "n": self.graph.n,
+            "m": self.graph.m,
+            "bfs_depth": self.depth,
+            "pipeline_seed_fix": self.pipeline_seed_fix,
+            "seed_bits": self.seed_bits_seen,
+        }
 
     # ------------------------------------------------------------------ #
     # Model charging primitives
@@ -133,15 +97,15 @@ class CongestContext:
 
     def charge_local(self, category: str = "local") -> None:
         """One message over every edge simultaneously: 1 round."""
-        self.ledger.charge(category, 1, words=2 * self.graph.m)
+        self.charge(category, 1, words=2 * self.graph.m)
 
     def charge_upcast(self, category: str = "aggregate") -> None:
         """Sum/min of one value per node to the BFS roots: depth rounds."""
-        self.ledger.charge(category, max(1, self.depth), words=self.graph.n)
+        self.charge(category, max(1, self.depth), words=self.graph.n)
 
     def charge_downcast(self, category: str = "broadcast") -> None:
         """Roots broadcast one value down their trees: depth rounds."""
-        self.ledger.charge(category, max(1, self.depth), words=self.graph.n)
+        self.charge(category, max(1, self.depth), words=self.graph.n)
 
     def charge_seed_fix(self, seed_bits: int, category: str = "seed_fix") -> None:
         """Conditional expectations in CONGEST: the O(log n)-bit seed is
@@ -168,4 +132,4 @@ class CongestContext:
             rounds = 2 * depth + 2 * (bits - 1)
         else:
             rounds = 2 * depth * bits
-        self.ledger.charge(category, rounds, words=2 * self.graph.n * bits)
+        self.charge(category, rounds, words=2 * self.graph.n * bits)

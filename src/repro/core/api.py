@@ -37,9 +37,7 @@ def uses_lowdeg_path(
         return delta_max <= params.low_degree_threshold(graph.n)
     from ..mpc.context import MPCContext
 
-    s = MPCContext(
-        n=graph.n, m=graph.m, eps=params.eps, space_factor=params.space_factor
-    ).S
+    s = MPCContext.for_graph(graph, params).S
     eff = 2 * delta_max - 2 if for_matching else delta_max  # line-graph degree
     return max(eff, 1) ** 2 + 1 <= s
 

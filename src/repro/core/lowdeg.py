@@ -86,13 +86,7 @@ def lowdeg_mis(
 ) -> MISResult:
     """Deterministic MIS in ``O(log Delta + log log n)`` charged rounds."""
     params = params or Params()
-    ctx = ctx or MPCContext(
-        n=graph.n,
-        m=graph.m,
-        eps=params.eps,
-        space_factor=params.space_factor,
-        total_factor=params.total_factor,
-    )
+    ctx = ctx or MPCContext.for_graph(graph, params)
     fidelity: list[str] = []
     records: list[IterationRecord] = []
     n = graph.n
@@ -117,7 +111,7 @@ def lowdeg_mis(
     ball2_sizes = ball_sizes(graph, 2)
     coloring = distance2_coloring(graph, sizes=ball2_sizes)
     # Linial rounds exchange current colors over every edge (both directions).
-    ctx.ledger.charge(
+    ctx.charge(
         "coloring",
         max(1, coloring.iterations),
         words=2 * graph.m * max(1, coloring.iterations),
@@ -137,7 +131,7 @@ def lowdeg_mis(
     else:
         sizes = ball2_sizes
     r = 2 * ell
-    ctx.space.observe_loads(sizes + 1, "r-hop ball gather")
+    ctx.observe_loads(sizes + 1, "r-hop ball gather")
     # Volume: every ball member is one word shipped to the node's machine.
     ctx.charge_gather_rhop(r, "preprocess_gather", words=int(sizes.sum()))
 
@@ -285,8 +279,8 @@ def lowdeg_mis(
         independent_set=np.nonzero(in_mis)[0].astype(np.int64),
         iterations=phase,
         rounds=ctx.rounds,
-        rounds_by_category=ctx.ledger.snapshot(),
-        max_machine_words=ctx.space.max_machine_words,
+        rounds_by_category={**ctx.by_category, "total": ctx.rounds},
+        max_machine_words=ctx.max_words_seen,
         space_limit=ctx.S,
         words_moved=ctx.words_moved,
         records=tuple(records),
@@ -304,13 +298,7 @@ def lowdeg_maximal_matching(
 ) -> MatchingResult:
     """Maximal matching via MIS on the line graph (Section 5, last para)."""
     params = params or Params()
-    ctx = ctx or MPCContext(
-        n=graph.n,
-        m=graph.m,
-        eps=params.eps,
-        space_factor=params.space_factor,
-        total_factor=params.total_factor,
-    )
+    ctx = ctx or MPCContext.for_graph(graph, params)
     if graph.m == 0:
         return MatchingResult(
             pairs=np.empty((0, 2), dtype=np.int64),
@@ -324,25 +312,21 @@ def lowdeg_maximal_matching(
     lg = line_graph(graph)
     # Build L(G) by sorting both arc orientations by endpoint.
     ctx.charge_sort("line_graph", words=2 * graph.m)
-    sub = lowdeg_mis(lg, params)
+    sub_ctx = MPCContext.for_graph(lg, params)
+    sub = lowdeg_mis(lg, params, ctx=sub_ctx)
     matched_eids = sub.independent_set
     pairs = np.stack(
         [graph.edges_u[matched_eids], graph.edges_v[matched_eids]], axis=1
     )
-    # Merge the sub-run's accounting into ours (words once, not per category).
-    merged_words = False
-    for cat, amount in sub.rounds_by_category.items():
-        if cat != "total":
-            ctx.ledger.charge(
-                cat, amount, words=0 if merged_words else sub.words_moved
-            )
-            merged_words = True
+    # L(G)'s run is part of this solve's bill; its charge events are
+    # already in the trace, so folding it in emits none.
+    ctx.fold(sub_ctx)
     return MatchingResult(
         pairs=pairs,
         iterations=sub.iterations,
         rounds=ctx.rounds,
-        rounds_by_category=ctx.ledger.snapshot(),
-        max_machine_words=max(ctx.space.max_machine_words, sub.max_machine_words),
+        rounds_by_category={**ctx.by_category, "total": ctx.rounds},
+        max_machine_words=ctx.max_words_seen,
         space_limit=ctx.S,
         words_moved=ctx.words_moved,
         records=sub.records,

@@ -135,7 +135,7 @@ def luby_matching_step(
     np.add.at(two_hop, vs, d_star[us] + 1)
     b_ids = np.nonzero(good.b_mask)[0]
     if b_ids.size:
-        ctx.space.observe_loads(two_hop[b_ids], "2-hop E* gather")
+        ctx.observe_loads(two_hop[b_ids], "2-hop E* gather")
     # Volume: every gathered 2-hop item is one word shipped to x_v.
     ctx.charge_gather_2hop(
         "luby_gather", words=int(two_hop[b_ids].sum()) if b_ids.size else 0
@@ -239,7 +239,7 @@ def luby_mis_step(
         np.add.at(words, nb_groups, 1 + d_q[nb_units])
     b_ids = np.nonzero(good.b_mask)[0]
     if b_ids.size:
-        ctx.space.observe_loads(words[b_ids], "N_v gather")
+        ctx.observe_loads(words[b_ids], "N_v gather")
     ctx.charge_gather_2hop(
         "luby_gather", words=int(words[b_ids].sum()) if b_ids.size else 0
     )

@@ -38,13 +38,7 @@ def deterministic_maximal_matching(
 ) -> MatchingResult:
     """Run Algorithm 2 to completion; returns the matching and full trace."""
     params = params or Params()
-    ctx = ctx or MPCContext(
-        n=graph.n,
-        m=graph.m,
-        eps=params.eps,
-        space_factor=params.space_factor,
-        total_factor=params.total_factor,
-    )
+    ctx = ctx or MPCContext.for_graph(graph, params)
     fidelity: list[str] = []
     records: list[IterationRecord] = []
     pairs: list[np.ndarray] = []
@@ -119,8 +113,8 @@ def deterministic_maximal_matching(
         pairs=all_pairs,
         iterations=iteration,
         rounds=ctx.rounds,
-        rounds_by_category=ctx.ledger.snapshot(),
-        max_machine_words=ctx.space.max_machine_words,
+        rounds_by_category={**ctx.by_category, "total": ctx.rounds},
+        max_machine_words=ctx.max_words_seen,
         space_limit=ctx.S,
         words_moved=ctx.words_moved,
         records=tuple(records),

@@ -37,13 +37,7 @@ def deterministic_mis(
 ) -> MISResult:
     """Run Algorithm 3 to completion; returns the MIS and full trace."""
     params = params or Params()
-    ctx = ctx or MPCContext(
-        n=graph.n,
-        m=graph.m,
-        eps=params.eps,
-        space_factor=params.space_factor,
-        total_factor=params.total_factor,
-    )
+    ctx = ctx or MPCContext.for_graph(graph, params)
     fidelity: list[str] = []
     records: list[IterationRecord] = []
     in_mis = np.zeros(graph.n, dtype=bool)
@@ -115,8 +109,8 @@ def deterministic_mis(
         independent_set=np.nonzero(in_mis)[0].astype(np.int64),
         iterations=iteration,
         rounds=ctx.rounds,
-        rounds_by_category=ctx.ledger.snapshot(),
-        max_machine_words=ctx.space.max_machine_words,
+        rounds_by_category={**ctx.by_category, "total": ctx.rounds},
+        max_machine_words=ctx.max_words_seen,
         space_limit=ctx.S,
         words_moved=ctx.words_moved,
         records=tuple(records),

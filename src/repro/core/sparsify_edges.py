@@ -110,8 +110,8 @@ def sparsify_edges(
         ctx.charge_sort(
             "sparsify_distribute", words=int(groups_a.size + groups_b.size)
         )
-        ctx.space.observe_loads(grouping_a.loads, "type-A edge distribution")
-        ctx.space.observe_loads(grouping_b.loads, "type-B edge distribution")
+        ctx.observe_loads(grouping_a.loads, "type-A edge distribution")
+        ctx.observe_loads(grouping_b.loads, "type-B edge distribution")
 
         specs = [
             MachineGroupSpec(

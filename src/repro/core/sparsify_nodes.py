@@ -111,8 +111,8 @@ def sparsify_nodes(
         ctx.charge_sort(
             "sparsify_distribute", words=int(groups_q.size + groups_b.size)
         )
-        ctx.space.observe_loads(grouping_q.loads, "type-Q node distribution")
-        ctx.space.observe_loads(grouping_b.loads, "type-B node distribution")
+        ctx.observe_loads(grouping_q.loads, "type-Q node distribution")
+        ctx.observe_loads(grouping_b.loads, "type-B node distribution")
 
         specs = [
             MachineGroupSpec(

@@ -6,9 +6,9 @@ CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
 * :mod:`repro.models.plane` -- struct-of-arrays message planes and the
   argsort + ``searchsorted`` router behind
   :meth:`repro.mpc.engine.MPCEngine.round_packed`, the engine's round core.
-* :mod:`repro.models.ledger` -- the :class:`RoundLedgerProtocol` every
-  simulator implements and the :class:`ModelSnapshot` record the
-  cross-model report renders.
+* :mod:`repro.models.ledger` -- the :class:`RoundLedger` every simulator
+  extends (rounds by category, words moved, the storage high-water mark)
+  and the :class:`ModelSnapshot` record the cross-model report renders.
 * :mod:`repro.models.phase` -- the derandomized-Luby phase kernel the
   clique and CONGEST solvers share.
 * :mod:`repro.models.crossmodel` -- run one problem under all three cost
@@ -16,7 +16,7 @@ CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
   in every simulator, and the simulators import this package).
 """
 
-from .ledger import ModelSnapshot, RoundLedgerProtocol
+from .ledger import ModelSnapshot, RoundLedger
 from .phase import MAXKEY, LubyPhaseKernel
 from .plane import MessageBlock, Plane, concat_planes, route_block
 
@@ -27,7 +27,7 @@ __all__ = [
     "MessageBlock",
     "ModelSnapshot",
     "Plane",
-    "RoundLedgerProtocol",
+    "RoundLedger",
     "concat_planes",
     "cross_model_run",
     "route_block",

@@ -1,35 +1,40 @@
-"""The shared ``RoundLedger`` protocol unifying the three cost models.
+"""The one round ledger the three cost models bill against.
 
 The paper states each algorithm once and charges it against three machine
-models — low-space MPC, CONGESTED CLIQUE and CONGEST.  Before this module
-each simulator kept a hand-rolled charge API; now they all implement one
-protocol:
+models — low-space MPC, CONGESTED CLIQUE and CONGEST.  Every simulator
+extends the concrete :class:`RoundLedger` below and adds only its own
+model's rules; the ledger owns what is common to all of them:
 
-* ``rounds`` — total rounds charged so far (monotone non-decreasing);
+* ``rounds`` — total rounds charged so far, and ``by_category`` — the same
+  rounds tagged by what was charged;
 * ``words_moved`` — total communication volume in ``O(log n)``-bit words
   (message count × message width for the literal engine; the model's
   per-primitive message count for the accounting contexts);
-* ``space_ceiling`` / ``bandwidth_ceiling`` — the model's hard limits
-  (``S`` words per machine and per round in MPC; ``n`` messages per node
-  per round in the clique; one word per edge per round in CONGEST), or
-  ``None`` where the model leaves the axis unbounded;
-* ``charge(category, rounds, words=...)`` — per-category accounting;
+* ``max_words_seen`` — the storage high-water mark, checked against the
+  model's ``space_ceiling`` by :meth:`RoundLedger.observe_load`;
+* ``charge(category, rounds, words=...)`` — the one way to bill, which
+  under tracing also lands as a ``charge`` span event, and ``fold(sub)``,
+  which adds a finished sub-run's bill without charging it a second time;
 * ``model_snapshot()`` — a frozen, JSON-able :class:`ModelSnapshot` that
   :func:`repro.analysis.report.cross_model_report` renders side by side.
 
-Implementors: :class:`repro.mpc.engine.MPCEngine` (literal message
+Subclasses: :class:`repro.mpc.engine.MPCEngine` (literal message
 passing), :class:`repro.mpc.context.MPCContext` (vectorised accounting),
 :class:`repro.cclique.model.CongestedCliqueContext` and
-:class:`repro.congest.model.CongestContext`.  The protocol is
-``runtime_checkable`` so tests can assert conformance structurally.
+:class:`repro.congest.model.CongestContext`.  Each names its ``model``,
+its ``space_ceiling`` / ``bandwidth_ceiling`` (``None`` where the model
+leaves the axis unbounded) and the ``snapshot_detail()`` it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import ClassVar
 
-__all__ = ["ModelSnapshot", "RoundLedgerProtocol"]
+from ..mpc.exceptions import SpaceExceededError
+from ..obs import trace as _obs
+
+__all__ = ["ModelSnapshot", "RoundLedger"]
 
 
 @dataclass(frozen=True)
@@ -91,24 +96,79 @@ class ModelSnapshot:
         )
 
 
-@runtime_checkable
-class RoundLedgerProtocol(Protocol):
-    """What every model simulator exposes to the cross-model layer."""
+@dataclass
+class RoundLedger:
+    """Rounds, words moved and the storage high-water mark of one run.
+
+    None of the fields is a constructor argument: a subclass's dataclass
+    ``__init__`` takes only its model's parameters, and the bill starts
+    at zero.
+    """
+
+    #: The :attr:`ModelSnapshot.model` label of the subclass.
+    model: ClassVar[str] = ""
+
+    rounds: int = field(init=False, default=0)
+    words_moved: int = field(init=False, default=0)
+    max_words_seen: int = field(init=False, default=0)
+    by_category: dict[str, int] = field(init=False, default_factory=dict)
 
     @property
-    def rounds(self) -> int: ...
+    def space_ceiling(self) -> int | None:
+        """Words one machine / node may store; ``None`` = unbounded."""
+        return None
 
     @property
-    def words_moved(self) -> int: ...
+    def bandwidth_ceiling(self) -> int | None:
+        """The model's per-round communication cap; ``None`` = unbounded."""
+        return None
 
-    @property
-    def space_ceiling(self) -> int | None: ...
+    def charge(self, category: str, rounds: int = 1, *, words: int = 0) -> None:
+        """Bill ``rounds`` rounds and ``words`` words under ``category``."""
+        if rounds < 0:
+            raise ValueError("cannot charge negative rounds")
+        if words < 0:
+            raise ValueError("cannot charge negative words")
+        self.rounds += rounds
+        self.by_category[category] = self.by_category.get(category, 0) + rounds
+        self.words_moved += words
+        if _obs._TRACING:
+            _obs.ledger_event(category, rounds, words)
 
-    @property
-    def bandwidth_ceiling(self) -> int | None: ...
+    def fold(self, sub: RoundLedger) -> None:
+        """Add a finished sub-run's bill to this one.
 
-    def charge(self, category: str, rounds: int = 1, *, words: int = 0) -> None: ...
+        Emits no ``charge`` events: the sub-run emitted its own as it
+        charged, so the trace already holds them once.
+        """
+        for category, rounds in sub.by_category.items():
+            self.by_category[category] = self.by_category.get(category, 0) + rounds
+        self.rounds += sub.rounds
+        self.words_moved += sub.words_moved
+        self.max_words_seen = max(self.max_words_seen, sub.max_words_seen)
 
-    def rounds_by_category(self) -> dict[str, int]: ...
+    def observe_load(self, where: int, words: int, what: str = "") -> None:
+        """Record machine (or node) ``where`` holding ``words`` words; raise
+        :class:`~repro.mpc.exceptions.SpaceExceededError` past the
+        ``space_ceiling``."""
+        words = int(words)
+        limit = self.space_ceiling
+        if limit is not None and words > limit:
+            raise SpaceExceededError(where, words, limit, what)
+        self.max_words_seen = max(self.max_words_seen, words)
 
-    def model_snapshot(self) -> ModelSnapshot: ...
+    def snapshot_detail(self) -> dict:
+        """Model-specific facts :meth:`model_snapshot` reports as ``detail``."""
+        return {}
+
+    def model_snapshot(self) -> ModelSnapshot:
+        return ModelSnapshot(
+            model=self.model,
+            rounds=self.rounds,
+            words_moved=self.words_moved,
+            by_category=dict(self.by_category),
+            space_ceiling=self.space_ceiling,
+            bandwidth_ceiling=self.bandwidth_ceiling,
+            max_words_seen=self.max_words_seen,
+            detail=self.snapshot_detail(),
+        )

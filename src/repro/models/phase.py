@@ -4,8 +4,8 @@ One Luby phase is the same computation in every model: rank the live
 vertices by a seeded hash key, put local minima into the independent set,
 kill them and their neighbours.  What differs per model is only (a) how the
 key is built (node ids in the clique, colors in CONGEST's compressed mode)
-and (b) what the phase *costs* — which is the
-:class:`~repro.models.ledger.RoundLedgerProtocol`'s job, not this module's.
+and (b) what the phase *costs* — which is the job of the model's
+:class:`~repro.models.ledger.RoundLedger` subclass, not this module's.
 
 :class:`LubyPhaseKernel` owns the per-residual-graph segment reducers and
 evaluates whole seed blocks at once (the PR-3 batched seed-search shape),

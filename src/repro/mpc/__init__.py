@@ -5,7 +5,6 @@ from .distributed_graph import distributed_degrees, distributed_node_aggregate
 from .distributed_luby import distributed_luby_mis, packed_arc_plane
 from .engine import MPCEngine, word_size
 from .exceptions import CapacityExceededError, MPCModelError, SpaceExceededError
-from .ledger import RoundCosts, RoundLedger, SpaceTracker
 from .partition import MachineGrouping, chunk_items_by_group
 from .primitives import (
     broadcast_word,
@@ -19,10 +18,7 @@ __all__ = [
     "MPCEngine",
     "MPCModelError",
     "MachineGrouping",
-    "RoundCosts",
-    "RoundLedger",
     "SpaceExceededError",
-    "SpaceTracker",
     "broadcast_word",
     "chunk_items_by_group",
     "distributed_degrees",

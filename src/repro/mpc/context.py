@@ -1,9 +1,19 @@
-"""Execution context tying together model parameters, ledger and space.
+"""The vectorised MPC accounting layer: model quantities and charge rules.
 
 An :class:`MPCContext` fixes the instance-level model quantities -- ``n``,
 ``S = space_factor * n^eps`` (words per machine), the machine count -- and
-owns the :class:`~repro.mpc.ledger.RoundLedger` and
-:class:`~repro.mpc.ledger.SpaceTracker` an algorithm run charges against.
+is the :class:`~repro.models.ledger.RoundLedger` an algorithm run charges
+against.  The centrally executed data-parallel steps are billed as the
+paper's accounting does:
+
+* every Lemma-4 primitive (sort / prefix sums / aggregation / broadcast
+  over machine groups) costs one round per invocation;
+* gathering 2-hop neighbourhoods costs 2 rounds (sort + request round);
+* gathering ``r``-hop neighbourhoods costs ``2 max(1, ceil(log2 r))``
+  rounds (graph exponentiation by doubling, Section 5.2.1);
+* fixing one ``O(log n)``-bit seed by conditional expectations costs 2
+  rounds per ``log2 S``-bit chunk (Section 2.4: "chunks of
+  log S = Theta(log n) bits at a time").
 
 The total-space budget follows Theorems 7/14: ``O(m + n^{1+eps})`` words; we
 instantiate the O(.) with an explicit ``total_factor`` so violations fail
@@ -14,15 +24,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..models.ledger import ModelSnapshot
-from .ledger import RoundCosts, RoundLedger, SpaceTracker
+import numpy as np
+
+from ..models.ledger import RoundLedger
+from .exceptions import SpaceExceededError
+
+if TYPE_CHECKING:
+    from ..core.params import Params
+    from ..graphs.graph import Graph
 
 __all__ = ["MPCContext"]
 
 
 @dataclass
-class MPCContext:
+class MPCContext(RoundLedger):
     """Model state for one algorithm run on an ``n``-vertex, ``m``-edge input.
 
     Parameters
@@ -40,14 +57,13 @@ class MPCContext:
         The constant in the global budget ``total_factor * (m + n^{1+eps})``.
     """
 
+    model = "mpc"
+
     n: int
     m: int
     eps: float = 0.5
     space_factor: float = 32.0
     total_factor: float = 16.0
-    costs: RoundCosts = field(default_factory=RoundCosts)
-    ledger: RoundLedger = field(init=False)
-    space: SpaceTracker = field(init=False)
     #: Longest seed (in bits) any conditional-expectations fix handled —
     #: the instance value of the ``seed_bits`` cost-model symbol.
     seed_bits_seen: int = field(init=False, default=0)
@@ -57,10 +73,16 @@ class MPCContext:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         if self.n < 0 or self.m < 0:
             raise ValueError("n, m must be non-negative")
-        self.ledger = RoundLedger(costs=self.costs)
-        self.space = SpaceTracker(
-            limit_per_machine=self.S,
-            limit_total=self.total_space_budget,
+
+    @classmethod
+    def for_graph(cls, graph: Graph, params: Params) -> MPCContext:
+        """The context a solve of ``graph`` under ``params`` bills against."""
+        return cls(
+            n=graph.n,
+            m=graph.m,
+            eps=params.eps,
+            space_factor=params.space_factor,
+            total_factor=params.total_factor,
         )
 
     # ------------------------------------------------------------------ #
@@ -90,20 +112,6 @@ class MPCContext:
         """Seed bits fixable per conditional-expectations step: ``log2 S``."""
         return max(1, int(math.log2(max(self.S, 2))))
 
-    def fits_on_machine(self, words: int) -> bool:
-        return words <= self.S
-
-    def assert_fits(self, words: int, what: str = "") -> None:
-        self.space.observe_single(-1, words, what)
-
-    # ------------------------------------------------------------------ #
-    # Cross-model ledger protocol
-    # ------------------------------------------------------------------ #
-
-    @property
-    def words_moved(self) -> int:
-        return self.ledger.words_moved
-
     @property
     def space_ceiling(self) -> int | None:
         return self.S
@@ -113,32 +121,32 @@ class MPCContext:
         """Per-round send/receive cap: ``S`` words per machine."""
         return self.S
 
-    def charge(self, category: str, rounds: int = 1, *, words: int = 0) -> None:
-        self.ledger.charge(category, rounds, words=words)
+    def snapshot_detail(self) -> dict:
+        return {
+            "n": self.n,
+            "m": self.m,
+            "eps": self.eps,
+            "num_machines": self.num_machines,
+            "seed_bits": self.seed_bits_seen,
+        }
 
-    def rounds_by_category(self) -> dict[str, int]:
-        return dict(self.ledger.by_category)
-
-    def model_snapshot(self) -> ModelSnapshot:
-        return ModelSnapshot(
-            model="mpc",
-            rounds=self.ledger.total,
-            words_moved=self.words_moved,
-            by_category=self.rounds_by_category(),
-            space_ceiling=self.S,
-            bandwidth_ceiling=self.S,
-            max_words_seen=self.space.max_machine_words,
-            detail={
-                "n": self.n,
-                "m": self.m,
-                "eps": self.eps,
-                "num_machines": self.num_machines,
-                "seed_bits": self.seed_bits_seen,
-            },
-        )
+    def observe_loads(self, loads, what: str = "") -> None:
+        """Check a data placement: each machine's load (words) against
+        ``S`` and their sum against the total budget.  Violations raise
+        :class:`~repro.mpc.exceptions.SpaceExceededError` immediately, so an
+        unsound layout cannot silently pass benchmarks."""
+        arr = np.asarray(loads)
+        if arr.size == 0:
+            return
+        worst = int(arr.argmax())
+        self.observe_load(worst, arr[worst], what)
+        total = int(arr.sum())
+        budget = self.total_space_budget
+        if total > budget:
+            raise SpaceExceededError(-1, total, budget, f"total {what}")
 
     # ------------------------------------------------------------------ #
-    # Charging helpers (delegate to the ledger with model constants)
+    # Charging helpers
     #
     # Each helper also bills *communication volume* (``words_moved``):
     # aggregation-shaped primitives default to one word per machine per
@@ -147,43 +155,37 @@ class MPCContext:
     # ------------------------------------------------------------------ #
 
     def charge_sort(self, category: str = "sort", *, words: int = 0) -> None:
-        self.ledger.charge_sort(category, words=words)
+        self.charge(category, 1, words=words)
 
     def charge_prefix_sum(
         self, category: str = "prefix_sum", *, words: int | None = None
     ) -> None:
-        words = self.num_machines if words is None else words
-        self.ledger.charge_prefix_sum(category, words=words)
+        self.charge(category, 1, words=self.num_machines if words is None else words)
 
     def charge_aggregate(
         self, category: str = "aggregate", *, words: int | None = None
     ) -> None:
-        words = self.num_machines if words is None else words
-        self.ledger.charge_aggregate(category, words=words)
+        self.charge(category, 1, words=self.num_machines if words is None else words)
 
     def charge_broadcast(
         self, category: str = "broadcast", *, words: int | None = None
     ) -> None:
-        words = self.num_machines if words is None else words
-        self.ledger.charge_broadcast(category, words=words)
+        self.charge(category, 1, words=self.num_machines if words is None else words)
 
     def charge_gather_2hop(self, category: str = "gather", *, words: int = 0) -> None:
-        self.ledger.charge_gather_2hop(category, words=words)
+        # Sort to collect 1-hop, then one request/response round.
+        self.charge(category, 2, words=words)
 
     def charge_gather_rhop(
         self, r: int, category: str = "gather", *, words: int = 0
     ) -> None:
-        self.ledger.charge_gather_rhop(r, category, words=words)
+        # Doubling: one 2-hop gather per doubling of the radius.
+        doublings = max(1, math.ceil(math.log2(r))) if r > 1 else 1
+        self.charge(category, 2 * doublings, words=words)
 
     def charge_seed_fix(self, seed_bits: int, category: str = "seed_fix") -> None:
         # Conditional expectations: every chunk aggregates one partial per
         # machine and broadcasts the winning extension back.
         self.seed_bits_seen = max(self.seed_bits_seen, int(seed_bits))
         chunks = max(1, math.ceil(max(1, seed_bits) / self.chunk_bits))
-        self.ledger.charge_seed_fix(
-            seed_bits, self.chunk_bits, category, words=chunks * 2 * self.num_machines
-        )
-
-    @property
-    def rounds(self) -> int:
-        return self.ledger.total
+        self.charge(category, 2 * chunks, words=chunks * 2 * self.num_machines)

@@ -26,9 +26,9 @@ still runs on it.
 
 Storage granularity: each stored item costs ``word_size(item)`` words, where
 scalars cost 1 and containers cost the recursive word count of their
-contents.  The engine also implements the cross-model
-:class:`~repro.models.ledger.RoundLedgerProtocol` (rounds, words moved,
-ceilings, per-category charges).
+contents.  The engine is a :class:`~repro.models.ledger.RoundLedger`: each
+executed round charges one round and the words it sent, and every stored
+machine load is observed against ``S``.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..models.ledger import ModelSnapshot
+from ..models.ledger import RoundLedger
 from ..models.plane import MessageBlock, Plane, route_block
 from ..obs import trace as _obs
-from .exceptions import CapacityExceededError, SpaceExceededError
-from .ledger import RoundLedger
+from .exceptions import CapacityExceededError
 
 __all__ = ["MPCEngine", "word_size"]
 
@@ -78,15 +77,15 @@ PackedStepFn = Callable[[int, list[Any]], tuple[list[Any], list[MessageBlock]]]
 
 
 @dataclass
-class MPCEngine:
+class MPCEngine(RoundLedger):
     """``M`` machines of ``S`` words each, executing synchronous rounds."""
+
+    model = "mpc-engine"
 
     num_machines: int
     space: int
     rounds_executed: int = 0
     storage: list[list[Any]] = field(default_factory=list)
-    max_load_seen: int = 0
-    ledger: RoundLedger = field(default_factory=RoundLedger)
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
@@ -95,20 +94,6 @@ class MPCEngine:
             raise ValueError("space must be >= 1 word")
         if not self.storage:
             self.storage = [[] for _ in range(self.num_machines)]
-
-    # ------------------------------------------------------------------ #
-    # Cross-model ledger protocol
-    # ------------------------------------------------------------------ #
-
-    @property
-    def rounds(self) -> int:
-        """Total charged rounds: one per executed round (:meth:`round` /
-        :meth:`round_packed` charge the ledger) plus any manual charges."""
-        return self.ledger.total
-
-    @property
-    def words_moved(self) -> int:
-        return self.ledger.words_moved
 
     @property
     def space_ceiling(self) -> int | None:
@@ -119,23 +104,8 @@ class MPCEngine:
         """Per-round send/receive cap: ``S`` words per machine."""
         return self.space
 
-    def charge(self, category: str, rounds: int = 1, *, words: int = 0) -> None:
-        self.ledger.charge(category, rounds, words=words)
-
-    def rounds_by_category(self) -> dict[str, int]:
-        return dict(self.ledger.by_category)
-
-    def model_snapshot(self) -> ModelSnapshot:
-        return ModelSnapshot(
-            model="mpc-engine",
-            rounds=self.rounds,
-            words_moved=self.words_moved,
-            by_category=self.rounds_by_category(),
-            space_ceiling=self.space,
-            bandwidth_ceiling=self.space,
-            max_words_seen=self.max_load_seen,
-            detail={"num_machines": self.num_machines},
-        )
+    def snapshot_detail(self) -> dict:
+        return {"num_machines": self.num_machines}
 
     # ------------------------------------------------------------------ #
     # Input loading / inspection
@@ -145,14 +115,12 @@ class MPCEngine:
         """Distribute input items across machines in contiguous blocks,
         ``ceil(N / M)`` per machine (the model's arbitrary initial split).
 
-        Loading new input starts a fresh computation: the round counter,
-        the ledger and the space high-water mark are reset, so an engine
-        instance can be reused across demonstrations without stale
-        accounting.
+        Loading new input starts a fresh computation: the round counter
+        and the whole bill (rounds, words, space high-water mark) are
+        reset, so an engine instance can be reused across demonstrations
+        without stale accounting.
         """
-        self.rounds_executed = 0
-        self.max_load_seen = 0
-        self.ledger = RoundLedger(costs=self.ledger.costs)
+        self._restart()
         data = list(items)
         per = -(-len(data) // self.num_machines) if data else 0
         for mid in range(self.num_machines):
@@ -166,9 +134,7 @@ class MPCEngine:
         ints.  Word charges and the contiguous ``ceil(N / M)`` split are
         identical; interpreter cost is ``O(M)`` instead of ``O(N)``.
         """
-        self.rounds_executed = 0
-        self.max_load_seen = 0
-        self.ledger = RoundLedger(costs=self.ledger.costs)
+        self._restart()
         data = np.asarray(values, dtype=np.int64)
         per = -(-data.size // self.num_machines) if data.size else 0
         for mid in range(self.num_machines):
@@ -186,11 +152,12 @@ class MPCEngine:
             out.extend(st)
         return out
 
+    def _restart(self) -> None:
+        self.rounds_executed = self.rounds = self.words_moved = self.max_words_seen = 0
+        self.by_category = {}
+
     def _check_store(self, mid: int, items: Sequence[Any]) -> None:
-        words = sum(word_size(x) for x in items)
-        if words > self.space:
-            raise SpaceExceededError(mid, words, self.space, "storing")
-        self.max_load_seen = max(self.max_load_seen, words)
+        self.observe_load(mid, sum(word_size(x) for x in items), "storing")
 
     # ------------------------------------------------------------------ #
     # Round execution: item-granular messages (distributed_prefix_sums)
@@ -226,7 +193,7 @@ class MPCEngine:
             self._check_store(mid, new_store)
             self.storage[mid] = new_store
         self.rounds_executed += 1
-        self.ledger.charge(category, 1, words=total_sent)
+        self.charge(category, 1, words=total_sent)
         if _obs._TRACING:
             self._record_round_span(t_round, category, total_sent)
 
@@ -241,7 +208,7 @@ class MPCEngine:
                 "round": self.rounds_executed,
                 "category": category,
                 "words_sent": total_sent,
-                "space_high_water": self.max_load_seen,
+                "space_high_water": self.max_words_seen,
                 "machines": self.num_machines,
                 "space_limit": self.space,
             },
@@ -304,6 +271,6 @@ class MPCEngine:
             self._check_store(mid, new_store)
             self.storage[mid] = new_store
         self.rounds_executed += 1
-        self.ledger.charge(category, 1, words=total_sent)
+        self.charge(category, 1, words=total_sent)
         if _obs._TRACING:
             self._record_round_span(t_round, category, total_sent)

@@ -18,8 +18,8 @@ vocabulary::
     }
 
 and have the checker verify each phase's *measured per-charge stream*
-(the ``charge`` span events every :class:`~repro.models.ledger.
-RoundLedgerProtocol` implementor emits under tracing) against its
+(the ``charge`` span events :meth:`~repro.models.ledger.RoundLedger.
+charge` emits under tracing, in every cost model) against its
 declared expression — surfacing which phase blows a claim, not just
 which solver.
 

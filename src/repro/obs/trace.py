@@ -233,12 +233,13 @@ def add_event(name: str, **fields) -> None:
 
 
 def ledger_event(category: str, rounds: int, words: int) -> None:
-    """A :class:`~repro.mpc.ledger.RoundLedger` charge, as a span event.
+    """A :class:`~repro.models.ledger.RoundLedger` charge, as a span event.
 
-    Called (behind the ``_TRACING`` guard) by every ledger implementor —
-    MPCEngine, MPCContext, CongestedCliqueContext, CongestContext — so the
-    per-charge stream the ledgers used to collapse into totals lands on
-    the active span instead.
+    Called (behind the ``_TRACING`` guard) by ``RoundLedger.charge``, which
+    MPCEngine, MPCContext, CongestedCliqueContext and CongestContext all
+    inherit, so the per-charge stream the ledger collapses into totals
+    lands on the active span too.  ``RoundLedger.fold`` adds a sub-run's
+    bill without calling it: the sub-run's own charges are already here.
     """
     s = _SPAN.get()
     if s is not None:

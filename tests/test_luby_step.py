@@ -104,10 +104,10 @@ def test_matching_step_rejects_empty_estar():
 def test_matching_step_charges_gather_and_seed():
     g = gnp_random_graph(60, 0.15, seed=7)
     good, spars, ctx, fid, params = setup_matching(g)
-    before = dict(ctx.ledger.by_category)
+    before = dict(ctx.by_category)
     luby_matching_step(g, spars.e_star_mask, good, params, ctx, fid)
-    assert ctx.ledger.by_category["luby_gather"] > before.get("luby_gather", 0)
-    assert ctx.ledger.by_category["luby_seed"] > before.get("luby_seed", 0)
+    assert ctx.by_category["luby_gather"] > before.get("luby_gather", 0)
+    assert ctx.by_category["luby_seed"] > before.get("luby_seed", 0)
 
 
 def test_matching_step_isolated_estar_edge_always_matched():

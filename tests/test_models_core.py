@@ -2,8 +2,8 @@
 
 Covers the message-plane router, ``MPCEngine.round_packed`` semantics, the
 golden bills (rounds, words moved, space high-water) of every engine-layer
-call site, the shared ``RoundLedger`` protocol across all three model
-simulators, and the hypothesis-driven ledger invariants (rounds monotone,
+call site, the one ``RoundLedger`` all three model simulators extend, and
+the hypothesis-driven ledger invariants (rounds monotone,
 category charges sum to the total, space ceilings raising exactly at the
 boundary).
 """
@@ -26,7 +26,7 @@ from repro.models import (
     MessageBlock,
     ModelSnapshot,
     Plane,
-    RoundLedgerProtocol,
+    RoundLedger,
     concat_planes,
     cross_model_run,
     route_block,
@@ -215,7 +215,7 @@ def test_distributed_sort_packed_matches_object_sort():
     packed = np.concatenate([it for st_ in eng.storage for it in st_])
     assert packed.tolist() == sorted(values)
     assert eng.words_moved == 38
-    assert eng.max_load_seen == 27
+    assert eng.max_words_seen == 27
 
 
 def test_distributed_sort_packed_rejects_unpacked_items():
@@ -259,7 +259,7 @@ def test_distributed_aggregate_columnar_matches_legacy():
 
 
 # --------------------------------------------------------------------- #
-# The shared RoundLedger protocol
+# The one RoundLedger
 # --------------------------------------------------------------------- #
 
 
@@ -274,7 +274,7 @@ def _implementations():
 
 def test_all_simulators_implement_protocol():
     for impl in _implementations():
-        assert isinstance(impl, RoundLedgerProtocol)
+        assert isinstance(impl, RoundLedger)
         snap = impl.model_snapshot()
         assert isinstance(snap, ModelSnapshot)
         assert snap.rounds == impl.rounds
@@ -308,7 +308,7 @@ def test_ledger_invariants_hypothesis(charges):
             impl.charge(category, rounds, words=words)
             seen.append(impl.rounds)
         assert all(b >= a for a, b in zip(seen, seen[1:]))  # monotone
-        by_cat = impl.rounds_by_category()
+        by_cat = impl.by_category
         charged = sum(rounds for _, rounds, _ in charges)
         assert sum(by_cat.values()) == charged
         assert impl.rounds - seen[0] == charged
@@ -321,7 +321,7 @@ def test_space_ceiling_boundary_engine(limit):
     """Exactly at the ceiling is legal; one word past it raises."""
     eng = MPCEngine(num_machines=1, space=limit)
     eng.load_balanced([0] * limit)  # exactly S words: fine
-    assert eng.max_load_seen == limit
+    assert eng.max_words_seen == limit
     with pytest.raises(SpaceExceededError):
         MPCEngine(num_machines=1, space=limit).load_balanced([0] * (limit + 1))
 
@@ -330,32 +330,33 @@ def test_space_ceiling_boundary_engine(limit):
 @settings(max_examples=25, deadline=None)
 def test_space_ceiling_boundary_clique_and_congest(limit):
     cc = CongestedCliqueContext(n=8, space_per_node=limit)
-    cc.observe_node_words(0, limit)  # boundary: fine
+    cc.observe_load(0, limit)  # boundary: fine
     assert cc.max_words_seen == limit
     with pytest.raises(SpaceExceededError):
-        cc.observe_node_words(0, limit + 1)
+        cc.observe_load(0, limit + 1)
 
     cg = CongestContext(cycle_graph(8), space_per_node=limit)
-    cg.observe_node_words(3, limit)
+    cg.observe_load(3, limit)
     assert cg.max_words_seen == limit
     with pytest.raises(SpaceExceededError):
-        cg.observe_node_words(3, limit + 1)
+        cg.observe_load(3, limit + 1)
 
 
 @given(st.integers(1, 200))
 @settings(max_examples=25, deadline=None)
 def test_space_ceiling_boundary_mpc_context(limit):
-    ctx = MPCContext(n=10, m=10)
-    tracker = type(ctx.space)(limit_per_machine=limit)
-    tracker.observe_single(0, limit)
-    assert tracker.max_machine_words == limit
+    # S = space_factor * 2^1 = limit (never below the 4-word floor).
+    ctx = MPCContext(n=2, m=0, eps=1.0, space_factor=limit / 2)
+    assert ctx.S == max(4, limit)
+    ctx.observe_load(0, ctx.S)
+    assert ctx.max_words_seen == ctx.S
     with pytest.raises(SpaceExceededError):
-        tracker.observe_single(0, limit + 1)
+        ctx.observe_load(0, ctx.S + 1)
 
 
 def test_clique_unbounded_space_never_raises():
     cc = CongestedCliqueContext(n=4)  # space_per_node=None
-    cc.observe_node_words(0, 10**9)
+    cc.observe_load(0, 10**9)
     assert cc.max_words_seen == 10**9
 
 

@@ -1,21 +1,26 @@
-"""Tests for ledger, space tracker, context and machine partitioning."""
+"""Tests for the round ledger, MPC context and machine partitioning."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.models import RoundLedger
 from repro.mpc import (
     MPCContext,
-    RoundCosts,
-    RoundLedger,
     SpaceExceededError,
-    SpaceTracker,
     chunk_items_by_group,
 )
 
 # --------------------------------------------------------------------- #
-# RoundLedger / RoundCosts
+# RoundLedger and the MPC round costs
 # --------------------------------------------------------------------- #
+
+
+def _ctx_chunk_10() -> MPCContext:
+    """S = 32 * 1024^0.5 = 1024 words: seeds are fixed 10 bits at a time."""
+    ctx = MPCContext(n=1024, m=0)
+    assert ctx.chunk_bits == 10
+    return ctx
 
 
 def test_ledger_accumulates_by_category():
@@ -23,82 +28,86 @@ def test_ledger_accumulates_by_category():
     led.charge("a", 2)
     led.charge("b", 3)
     led.charge("a", 1)
-    assert led.total == 6
+    assert led.rounds == 6
     assert led.by_category["a"] == 3
     assert led.by_category["b"] == 3
-    snap = led.snapshot()
-    assert snap["total"] == 6
+    assert led.model_snapshot().rounds == 6
 
 
 def test_ledger_rejects_negative():
     led = RoundLedger()
     with pytest.raises(ValueError):
         led.charge("x", -1)
+    with pytest.raises(ValueError):
+        led.charge("x", 1, words=-1)
+    assert led.rounds == led.words_moved == 0
 
 
 def test_round_costs_gather_rhop_logarithmic():
-    c = RoundCosts()
-    assert c.gather_rhop(1) == c.gather_2hop
-    assert c.gather_rhop(2) == c.gather_2hop
-    assert c.gather_rhop(8) == 3 * c.gather_2hop
-    assert c.gather_rhop(9) == 4 * c.gather_2hop
+    ctx = MPCContext(n=100, m=50)
+    for r in (1, 2, 8, 9):
+        ctx.charge_gather_rhop(r, f"r{r}")
+    assert ctx.by_category == {"r1": 2, "r2": 2, "r8": 6, "r9": 8}
 
 
 def test_round_costs_seed_fix_chunks():
-    c = RoundCosts()
-    # 40-bit seed fixed log2(S)=10 bits at a time -> 4 chunks x 2 rounds.
-    assert c.seed_fix(40, 10) == 4 * (c.aggregate + c.broadcast)
-    assert c.seed_fix(1, 10) == 1 * (c.aggregate + c.broadcast)
+    # 40-bit seed fixed log2(S) = 10 bits at a time -> 4 chunks x 2 rounds.
+    ctx = _ctx_chunk_10()
+    ctx.charge_seed_fix(40, "forty")
+    ctx.charge_seed_fix(1, "one")
+    assert ctx.by_category == {"forty": 4 * 2, "one": 1 * 2}
 
 
 def test_convenience_chargers():
-    led = RoundLedger()
-    led.charge_sort()
-    led.charge_prefix_sum()
-    led.charge_gather_2hop()
-    led.charge_seed_fix(20, 10)
-    assert led.total == 1 + 1 + 2 + 2 * 2
+    ctx = _ctx_chunk_10()
+    ctx.charge_sort()
+    ctx.charge_prefix_sum()
+    ctx.charge_gather_2hop()
+    ctx.charge_seed_fix(20)
+    assert ctx.rounds == 1 + 1 + 2 + 2 * 2
 
 
 # --------------------------------------------------------------------- #
-# SpaceTracker
+# Space high-water mark and the SpaceExceededError checks
 # --------------------------------------------------------------------- #
 
 
 def test_space_tracker_highwater():
-    t = SpaceTracker(limit_per_machine=100)
-    t.observe_loads([10, 50, 30])
-    t.observe_loads([20, 20])
-    assert t.max_machine_words == 50
-    assert t.max_total_words == 90
+    ctx = MPCContext(n=100, m=100)
+    ctx.observe_loads([10, 50, 30])
+    ctx.observe_loads([20, 20])
+    assert ctx.max_words_seen == 50
 
 
 def test_space_tracker_raises_per_machine():
-    t = SpaceTracker(limit_per_machine=40)
+    ctx = MPCContext(n=100, m=100)
     with pytest.raises(SpaceExceededError) as ei:
-        t.observe_loads([10, 41], "test phase")
+        ctx.observe_loads([10, ctx.S + 1], "test phase")
     assert ei.value.machine == 1
     assert "test phase" in str(ei.value)
 
 
 def test_space_tracker_raises_total():
-    t = SpaceTracker(limit_per_machine=100, limit_total=50)
-    with pytest.raises(SpaceExceededError):
-        t.observe_loads([30, 30])
+    ctx = MPCContext(n=100, m=100, total_factor=1.0)
+    loads = [ctx.S] * (ctx.total_space_budget // ctx.S + 1)
+    with pytest.raises(SpaceExceededError) as ei:
+        ctx.observe_loads(loads, "test phase")
+    assert ei.value.machine == -1
+    assert "total test phase" in str(ei.value)
 
 
 def test_space_tracker_numpy_input():
-    t = SpaceTracker(limit_per_machine=10)
-    t.observe_loads(np.array([1, 2, 3]))
-    assert t.max_machine_words == 3
+    ctx = MPCContext(n=100, m=100)
+    ctx.observe_loads(np.array([1, 2, 3]))
+    assert ctx.max_words_seen == 3
 
 
 def test_observe_single():
-    t = SpaceTracker(limit_per_machine=10)
-    t.observe_single(0, 7)
-    assert t.max_machine_words == 7
+    ctx = MPCContext(n=100, m=100)
+    ctx.observe_load(0, 7)
+    assert ctx.max_words_seen == 7
     with pytest.raises(SpaceExceededError):
-        t.observe_single(0, 11)
+        ctx.observe_load(0, ctx.S + 1)
 
 
 # --------------------------------------------------------------------- #
@@ -127,7 +136,7 @@ def test_context_charges_flow_to_ledger():
     ctx.charge_sort("s")
     ctx.charge_seed_fix(64, "f")
     assert ctx.rounds > 1
-    assert ctx.ledger.by_category["s"] == 1
+    assert ctx.by_category["s"] == 1
 
 
 def test_context_total_budget_scales():

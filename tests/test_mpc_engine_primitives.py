@@ -60,11 +60,12 @@ def test_engine_reuse_resets_accounting():
     eng.load_balanced(range(16))
     eng.round(lambda mid, items: (items, []))
     assert eng.rounds_executed == 1
-    assert eng.max_load_seen == 8
+    assert eng.max_words_seen == 8
 
     eng.load_balanced(range(4))
     assert eng.rounds_executed == 0
-    assert eng.max_load_seen == 2
+    assert (eng.rounds, eng.words_moved, eng.by_category) == (0, 0, {})
+    assert eng.max_words_seen == 2
     assert eng.all_items() == list(range(4))
 
 
@@ -199,4 +200,4 @@ def test_sort_respects_space_throughout():
     eng = MPCEngine(num_machines=4, space=64)
     eng.load_balanced_packed(np.array([0] * 20 + list(range(20))))
     distributed_sort_packed(eng)
-    assert eng.max_load_seen <= 64
+    assert eng.max_words_seen <= 64

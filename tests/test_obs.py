@@ -16,8 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import SolveRequest, solve
+from repro.api import REGISTRY, SolveRequest, solve
+from repro.core.api import uses_lowdeg_path
+from repro.core.params import Params
 from repro.graphs import gnp_random_graph
+from repro.graphs.streaming import gnp_block_graph
 from repro.obs import MetricsRegistry, trace_capture
 from repro.obs import trace as obs_trace
 from repro.obs.conformance import conformance_report
@@ -242,6 +245,32 @@ def test_ledger_charges_land_on_spans():
     assert charges, "no ledger charges recorded"
     assert sum(ev["rounds"] for ev in charges) == res.rounds
     assert sum(ev["words"] for ev in charges) == res.words_moved
+
+
+def _charged(res) -> tuple[int, int]:
+    """Rounds and words summed over a traced solve's ``charge`` events."""
+    charges = [ev for s in res.trace for ev in s["events"] if ev["name"] == "charge"]
+    return sum(ev["rounds"] for ev in charges), sum(ev["words"] for ev in charges)
+
+
+def test_traced_charges_add_up_to_the_bill_for_every_entry():
+    """Each charge lands in the trace exactly once.  ``matching`` and ``vc``
+    take the low-degree path on this input, whose line-graph sub-run used
+    to be charged a second time when its bill was merged."""
+    g = gnp_block_graph(1000, 4 / 1000, 1)
+    requests = [
+        SolveRequest(problem=e.problem, model=e.model, graph=g)
+        for e in REGISTRY.entries()
+    ] + [
+        SolveRequest(problem=p, model="simulated", graph=g, force="general")
+        for p in ("mis", "matching")
+    ]
+    assert uses_lowdeg_path(g, Params(), for_matching=True)
+    for req in requests:
+        with trace_capture():
+            res = solve(req)
+        label = f"{req.problem}/{req.model}/{req.force}"
+        assert _charged(res) == (res.rounds, res.words_moved), label
 
 
 def test_solve_attaches_metrics_delta():

@@ -109,8 +109,8 @@ def test_machine_loads_respect_chunk():
 def test_rounds_charged_per_stage():
     g = complete_graph(40)
     *_, ctx, fid = run_edge_sparsify(g)
-    assert ctx.ledger.by_category["sparsify_seed"] > 0
-    assert ctx.ledger.by_category["sparsify_distribute"] > 0
+    assert ctx.by_category["sparsify_seed"] > 0
+    assert ctx.by_category["sparsify_distribute"] > 0
 
 
 def test_empty_e0_returns_empty():
