@@ -31,7 +31,7 @@ def run():
     values = np.random.default_rng(0).integers(0, 10_000, size=600)
     eng.load_balanced_packed(values)
     sort_rounds = distributed_sort_packed(eng)
-    out = np.concatenate([it for st in eng.storage for it in st])
+    out = eng.tables[""].col(0)  # machine-major after the sort
     assert out.tolist() == sorted(values.tolist())
     return chunk, loads, eng.max_words_seen, sort_rounds
 

@@ -18,8 +18,9 @@ One API — any problem under any cost model through the solver registry::
     res = solve(SolveRequest(problem="mis", model="cclique", graph=g))
     print(res.solution_size, res.rounds, res.words_moved)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-experiment index.
+See ``DESIGN.md`` for the system inventory and the "Benchmarks" and
+"Performance & CI" sections of ``README.md`` for the benches and the
+``perfbench`` workloads.
 """
 
 from .graphs import Graph, gnp_random_graph, power_law_graph  # noqa: F401

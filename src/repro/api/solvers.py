@@ -38,6 +38,7 @@ from ..core.derived import (
 from ..core.params import Params
 from ..graphs.graph import Graph
 from ..mpc.context import MPCContext
+from ..mpc.distributed_luby import distributed_luby_mis, luby_peak_words
 from ..verify import verify_matching_pairs, verify_mis_nodes
 from .envelope import SolveRequest, SolveResult
 from .registry import SolverCapabilities, register_solver
@@ -330,21 +331,36 @@ def engine_space_plan(graph: Graph, params: Params) -> tuple[int, int]:
     """``(machines, space)`` for an engine run at ``S = Theta(n^eps)``.
 
     Machine count follows the model constants (enough machines to hold the
-    input); the space is then sized for the engine's demonstrated
-    request/response protocol: per-machine home state (inI / killed /
-    answer planes, ~9 words per resident node), the arc block, and one
-    query per distinct endpoint per holder in flight — ``~(12 m + 12 n) /
-    M`` words plus the broadcast fan-out slack.
+    input).  The space is then sized, before round 1, for the peak round of
+    the engine's Luby protocol (:mod:`repro.mpc.distributed_luby`) on the
+    arc layout :meth:`~repro.mpc.engine.MPCEngine.load_balanced_packed`
+    gives::
+
+        S = max(ctx.S, max_h (A_h + 3 E_h + 3 Q_h + 9 N_h + 2))
+
+    where, for machine ``h``,
+
+    * ``A_h`` is its arcs (one word each);
+    * ``E_h`` is the distinct endpoints of those arcs: its queries out and
+      its answer rows (``a`` / ``ka``), 3 words each;
+    * ``Q_h`` is the query rows it receives as home, one per distinct
+      (holder, endpoint) pair homed on ``h``: ``q`` / ``kq`` in, their
+      answers out, and at most as many ``minz`` / ``dom`` partials, 3 words
+      each;
+    * ``N_h`` is its homed non-isolated nodes: ``inI`` and ``killed`` rows
+      (3 words each) plus the stale ``inI`` copy a later phase still holds
+      until it settles the new one;
+    * ``+ 2`` is the broadcast token.
+
+    Going round by round, every round's storage, send and receive load is
+    at most this (using ``N_h <= Q_h``), and phase 1's arcs are a superset
+    of every later phase's, so the run never raises a model error.  The
+    peak is phase 1's kill-query round, ``A + 3E + 3Q + 6N``, which the
+    formula overshoots by only the stale-copy term.
     """
     ctx = MPCContext.for_graph(graph, params)
     machines = ctx.num_machines
-    space = max(
-        ctx.S,
-        -(-(12 * graph.m + 12 * max(graph.n, 1)) // machines)
-        + 4 * machines
-        + 64,
-    )
-    return machines, space
+    return machines, max(ctx.S, luby_peak_words(graph, machines))
 
 
 @register_solver(
@@ -369,8 +385,6 @@ def engine_space_plan(graph: Graph, params: Params) -> tuple[int, int]:
 def _solve_mis_engine(
     graph: Graph, request: SolveRequest, params: Params
 ) -> SolveResult:
-    from ..mpc.distributed_luby import distributed_luby_mis
-
     machines, space = engine_space_plan(graph, params)
     stats: dict = {}
     mis, rounds, phases = distributed_luby_mis(

@@ -3,9 +3,10 @@
 The paper charges one algorithm against three models -- low-space MPC,
 CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
 
-* :mod:`repro.models.plane` -- struct-of-arrays message planes and the
-  argsort + ``searchsorted`` router behind
-  :meth:`repro.mpc.engine.MPCEngine.round_packed`, the engine's round core.
+* :mod:`repro.models.plane` -- the cluster tables and message blocks
+  :meth:`repro.mpc.engine.MPCEngine.round_packed`, the engine's round core,
+  runs one array program per round over, plus the sort-based key helpers
+  its steps use.
 * :mod:`repro.models.ledger` -- the :class:`RoundLedger` every simulator
   extends (rounds by category, words moved, the storage high-water mark)
   and the :class:`ModelSnapshot` record the cross-model report renders.
@@ -18,7 +19,7 @@ CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
 
 from .ledger import ModelSnapshot, RoundLedger
 from .phase import MAXKEY, LubyPhaseKernel
-from .plane import MessageBlock, Plane, concat_planes, route_block
+from .plane import MessageBlock, Table
 
 __all__ = [
     "MAXKEY",
@@ -26,11 +27,9 @@ __all__ = [
     "LubyPhaseKernel",
     "MessageBlock",
     "ModelSnapshot",
-    "Plane",
     "RoundLedger",
-    "concat_planes",
+    "Table",
     "cross_model_run",
-    "route_block",
 ]
 
 _LAZY = ("CrossModelRun", "cross_model_run")

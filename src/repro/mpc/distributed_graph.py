@@ -19,31 +19,50 @@ Total: 4 engine rounds independent of the input size (for ``M^2 <= S``),
 matching the O(1) bound.  The same skeleton computes any per-node
 aggregate (the ``sum_{u ~ v} 1/d(u)`` of Section 4.1, the class weights of
 Corollary 8, ...); :func:`distributed_node_aggregate` generalises it to
-arbitrary per-arc values.  Every round runs through
-:meth:`~repro.mpc.engine.MPCEngine.round_packed`.
+arbitrary per-arc values.  Every round is one array program over the
+cluster (:meth:`~repro.mpc.engine.MPCEngine.round_packed`): the partials
+step groups arcs by ``(machine, node)`` key, so a machine only sums rows it
+holds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.io import packed_arc_plane
-from ..models.plane import MessageBlock, concat_planes
+from ..models.plane import MessageBlock, Table, reduce_by_key, table
 from .engine import MPCEngine
 from .primitives import distributed_sort_packed
 
 __all__ = ["distributed_degrees", "distributed_node_aggregate"]
 
 
-def _harvest_pairs(engine: MPCEngine, tag: str, n: int) -> np.ndarray:
-    """Sum per-node partials from ``tag`` planes across all machines."""
+def _partials_home(
+    engine: MPCEngine,
+    n: int,
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    tag: str,
+) -> np.ndarray:
+    """After the sort: one round in which each machine sends one
+    ``(node, sum of values)`` partial per source node it holds to the node's
+    home ``node % M``; returns the homes' per-node totals."""
+    m = engine.num_machines
+
+    def step(tables: dict[str, Table]):
+        arcs = tables[""]
+        src, dst = np.divmod(arcs.col(0), n)
+        keys, sums = reduce_by_key(np.add, arcs.machine * n + src, values(src, dst))
+        holder, node = np.divmod(keys, n)
+        rows = np.stack([node, sums], axis=1)
+        return [], [MessageBlock(tag, holder, node % m, rows)]
+
+    engine.round_packed(step)
     out = np.zeros(n, dtype=np.int64)
-    for st in engine.storage:
-        pairs = concat_planes(st, tag, 2)
-        np.add.at(out, pairs[:, 0], pairs[:, 1])
+    partials = table(engine.tables, tag, 2).data
+    np.add.at(out, partials[:, 0], partials[:, 1])
     return out
 
 
@@ -60,25 +79,8 @@ def distributed_degrees(
     engine.load_balanced_packed(packed_arc_plane(g))
     rounds0 = engine.rounds_executed
     distributed_sort_packed(engine)
-    n = max(g.n, 1)
-    m_machines = engine.num_machines
-
-    def count_step(mid: int, items: list[Any]):
-        arcs = next(it for it in items if isinstance(it, np.ndarray))
-        blocks = []
-        if arcs.size:
-            nodes, counts = np.unique(arcs // n, return_counts=True)
-            blocks.append(
-                MessageBlock(
-                    "deg",
-                    nodes % m_machines,
-                    np.stack([nodes, counts.astype(np.int64)], axis=1),
-                )
-            )
-        return [], blocks
-
-    engine.round_packed(count_step)
-    return _harvest_pairs(engine, "deg", g.n), engine.rounds_executed - rounds0
+    deg = _partials_home(engine, max(g.n, 1), lambda src, dst: np.ones_like(src), "deg")
+    return deg[: g.n], engine.rounds_executed - rounds0
 
 
 def distributed_node_aggregate(
@@ -97,37 +99,19 @@ def distributed_node_aggregate(
     engine.load_balanced_packed(packed_arc_plane(g))
     rounds0 = engine.rounds_executed
     distributed_sort_packed(engine)
-    n = max(g.n, 1)
-    m_machines = engine.num_machines
 
-    def agg_step(mid: int, items: list[Any]):
-        arcs = next(it for it in items if isinstance(it, np.ndarray))
-        blocks = []
-        if arcs.size:
-            src, dst = np.divmod(arcs, n)
-            # ``arc_value`` is a caller-supplied scalar function (the model
-            # contract); each arc's value is rounded to fixed point before
-            # summing, so every partial is an exact integer word.
-            vals = np.fromiter(
-                (
-                    int(round(arc_value(int(s), int(d)) * scale))
-                    for s, d in zip(src.tolist(), dst.tolist())
-                ),
-                dtype=np.int64,
-                count=arcs.size,
-            )
-            order = np.argsort(src, kind="stable")
-            s_sorted = src[order]
-            starts = np.nonzero(
-                np.concatenate([[True], s_sorted[1:] != s_sorted[:-1]])
-            )[0]
-            nodes = s_sorted[starts]
-            sums = np.add.reduceat(vals[order], starts)
-            blocks.append(
-                MessageBlock("agg", nodes % m_machines, np.stack([nodes, sums], axis=1))
-            )
-        return [], blocks
+    def ticks(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        # ``arc_value`` is a caller-supplied scalar function (the model
+        # contract); each arc's value is rounded to fixed point before
+        # summing, so every partial is an exact integer word.
+        return np.fromiter(
+            (
+                int(round(arc_value(int(s), int(d)) * scale))
+                for s, d in zip(src.tolist(), dst.tolist())
+            ),
+            dtype=np.int64,
+            count=src.size,
+        )
 
-    engine.round_packed(agg_step)
-    out = _harvest_pairs(engine, "agg", g.n).astype(np.float64) / scale
-    return out, engine.rounds_executed - rounds0
+    out = _partials_home(engine, max(g.n, 1), ticks, "agg")
+    return out[: g.n].astype(np.float64) / scale, engine.rounds_executed - rounds0

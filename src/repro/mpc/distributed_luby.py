@@ -7,7 +7,7 @@ central shortcuts.  One phase:
 1. the phase seed is broadcast (machines evaluate the pairwise hash locally,
    so z-values need no communication -- the small-seed point of the paper);
 2. every arc holder sends ``min z(dst)`` partials per source node to the
-   node's *home machine* (1 round);
+   node's *home machine* ``node % M`` (1 round);
 3. home machines decide ``v in I``  iff  ``z(v) < min over neighbours``;
 4. arc holders query the ``in I`` bit of each endpoint they reference
    (request + response: 2 rounds), then report "has a chosen neighbour"
@@ -19,31 +19,43 @@ central shortcuts.  One phase:
 rounds-per-iteration claim, executed.  Phases repeat until no arcs remain;
 isolated/undecided nodes join the MIS at the end.
 
-Demonstration-scale constraints (documented, enforced by the engine's
-capacity checks): the request/response pattern needs roughly
-``n / M + M <= S`` and ``Delta``-independent message counts hold because
-each machine sends at most one query per distinct endpoint it stores.
+Each machine sends at most one query per distinct endpoint it stores, so
+message counts do not grow with ``Delta``; the space every round needs is
+sized exactly, before round 1, by
+:func:`~repro.api.solvers.engine_space_plan`, and enforced by the engine's
+capacity checks.
 
-Every step runs through :meth:`~repro.mpc.engine.MPCEngine.round_packed`:
-per-machine state and every message batch are struct-of-arrays planes,
-routed with one stable argsort + ``searchsorted`` split per batch, so
-interpreter cost per round is per *batch*, not per message.
+Every step is one array program over the whole cluster
+(:meth:`~repro.mpc.engine.MPCEngine.round_packed`): it reads the resident
+tables, whose rows carry their machine's id, and works on
+``(machine, node)`` keys ``machine * n + node`` with the sort-based helpers
+of :mod:`repro.models.plane`, so a machine only ever combines rows it holds.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.io import packed_arc_plane
 from ..hashing.kwise import KWiseHashFamily, make_family
-from ..models.plane import MessageBlock, Plane, concat_planes
+from ..models.plane import (
+    MessageBlock,
+    Table,
+    balanced_owners,
+    distinct,
+    last_wins,
+    lookup,
+    member,
+    reduce_by_key,
+    table,
+)
 from .engine import MPCEngine
 from .primitives import broadcast_word
 
-__all__ = ["distributed_luby_mis", "packed_arc_plane"]
+__all__ = ["distributed_luby_mis", "luby_peak_words", "packed_arc_plane"]
+
+Tables = dict[str, Table]
 
 
 def distributed_luby_mis(
@@ -68,191 +80,28 @@ def distributed_luby_mis(
     for existing callers).
     """
     engine = MPCEngine(num_machines=num_machines, space=space)
-    n = max(g.n, 1)
-    # Contiguous per-machine arc slices (identical word count to loading
-    # the scalars item-by-item; local representation, no round charge).
     engine.load_balanced_packed(packed_arc_plane(g))
-
-    family: KWiseHashFamily = make_family(universe=n, k=2)
-    m_machines = engine.num_machines
+    n = max(g.n, 1)
+    run = _LubyRun(n, engine.num_machines, make_family(universe=n, k=2))
     in_mis = np.zeros(g.n, dtype=bool)
     decided = np.zeros(g.n, dtype=bool)
     rounds0 = engine.rounds_executed
     phases = 0
-
-    def planes_except(items: list[Any], *drop: str) -> list[Plane]:
-        return [
-            it for it in items if isinstance(it, Plane) and it.tag not in drop
-        ]
-
-    def has_arcs() -> bool:
-        return any(
-            bool(it.size)
-            for st in engine.storage
-            for it in st
-            if isinstance(it, np.ndarray)
-        )
-
-    while has_arcs():
+    while engine.tables[""].rows:
         phases += 1
         if phases > max_phases:
             raise RuntimeError("distributed Luby failed to converge")
-        seed = (1 + phases * 7919) % family.size
-        broadcast_word(engine, seed)
-
-        # ---- step 2: min-z partials to home machines ------------------ #
-        def minz_step(mid: int, items: list[Any]):
-            arcs = _machine_arcs(items)
-            keep = [arcs] + planes_except(items)
-            blocks = []
-            if arcs.size:
-                src, dst = np.divmod(arcs, n)
-                srcs, zmins = _group_minima(src, _keyed_z(family, seed, dst, n))
-                blocks.append(
-                    MessageBlock("minz", srcs % m_machines, _pairs(srcs, zmins))
-                )
-            return keep, blocks
-
-        engine.round_packed(minz_step)
-
-        # ---- step 3: home machines decide membership in I ------------- #
-        def decide_step(mid: int, items: list[Any]):
-            keep = [_machine_arcs(items)] + planes_except(items, "minz")
-            mz = concat_planes(items, "minz", 2)
-            if mz.shape[0]:
-                vs, zmin = _group_minima(mz[:, 0], mz[:, 1])
-                bits = _keyed_z(family, seed, vs, n) < zmin.astype(np.uint64)
-                keep.append(Plane("inI", _pairs(vs, bits)))
-            return keep, []
-
-        engine.round_packed(decide_step)
-
-        # ---- step 4a: arc holders query in-I bits ---------------------- #
-        def query_step(mid: int, items: list[Any]):
-            arcs = _machine_arcs(items)
-            keep = [arcs] + planes_except(items)
-            blocks = []
-            if arcs.size:
-                src, dst = np.divmod(arcs, n)
-                wanted = np.unique(np.concatenate([src, dst]))
-                blocks.append(
-                    MessageBlock(
-                        "q",
-                        wanted % m_machines,
-                        _pairs(wanted, np.full(wanted.size, mid, dtype=np.int64)),
-                    )
-                )
-            return keep, blocks
-
-        engine.round_packed(query_step)
-
-        def answer_step(mid: int, items: list[Any]):
-            keep = [_machine_arcs(items)] + planes_except(items, "q")
-            q = concat_planes(items, "q", 2)
-            blocks = []
-            if q.shape[0]:
-                bits = _lookup_bits(concat_planes(items, "inI", 2), q[:, 0])
-                blocks.append(MessageBlock("a", q[:, 1], _pairs(q[:, 0], bits)))
-            return keep, blocks
-
-        engine.round_packed(answer_step)
-
-        # ---- step 4b: dominated partials back to homes ----------------- #
-        def dominated_step(mid: int, items: list[Any]):
-            arcs = _machine_arcs(items)
-            answers = concat_planes(items, "a", 2)
-            keep = [arcs] + planes_except(items, "a", "minz")
-            keep.append(Plane("a", answers))
-            blocks = []
-            if arcs.size and answers.shape[0]:
-                src, dst = np.divmod(arcs, n)
-                chosen = answers[answers[:, 1] != 0, 0]
-                dom_srcs = np.unique(src[np.isin(dst, chosen)])
-                if dom_srcs.size:
-                    blocks.append(
-                        MessageBlock(
-                            "dom",
-                            dom_srcs % m_machines,
-                            _pairs(dom_srcs, np.ones(dom_srcs.size, dtype=np.int64)),
-                        )
-                    )
-            return keep, blocks
-
-        engine.round_packed(dominated_step)
-
-        # ---- step 5: homes finalise killed bits; holders re-query ------ #
-        def finalize_step(mid: int, items: list[Any]):
-            # Storage is rebuilt from the arcs and this phase's tables: the
-            # broadcast token, the ``dom`` partials and the previous phase's
-            # ``killed`` table end here.
-            keep: list[Any] = [_machine_arcs(items)]
-            ii = concat_planes(items, "inI", 2)
-            keep.append(Plane("a", concat_planes(items, "a", 2)))
-            if ii.shape[0]:
-                vs, bits = _last_wins(ii[:, 0], ii[:, 1])
-                dom_vs = np.unique(concat_planes(items, "dom", 2)[:, 0])
-                killed = (bits != 0) | np.isin(vs, dom_vs)
-                keep.append(Plane("inI", _pairs(vs, bits)))
-                keep.append(Plane("killed", _pairs(vs, killed)))
-            return keep, []
-
-        engine.round_packed(finalize_step)
-
-        def kill_query_step(mid: int, items: list[Any]):
-            arcs = _machine_arcs(items)
-            keep = [arcs] + planes_except(items)
-            blocks = []
-            if arcs.size:
-                src, dst = np.divmod(arcs, n)
-                wanted = np.unique(np.concatenate([src, dst]))
-                blocks.append(
-                    MessageBlock(
-                        "kq",
-                        wanted % m_machines,
-                        _pairs(wanted, np.full(wanted.size, mid, dtype=np.int64)),
-                    )
-                )
-            return keep, blocks
-
-        engine.round_packed(kill_query_step)
-
-        def kill_answer_and_filter(mid: int, items: list[Any]):
-            # Only the arcs and the in-I / killed tables are kept: the
-            # answers and the kill queries end here.
-            keep = [_machine_arcs(items)] + [
-                it
-                for it in items
-                if isinstance(it, Plane) and it.tag in ("killed", "inI")
-            ]
-            kq = concat_planes(items, "kq", 2)
-            blocks = []
-            if kq.shape[0]:
-                bits = _lookup_bits(concat_planes(items, "killed", 2), kq[:, 0])
-                blocks.append(MessageBlock("ka", kq[:, 1], _pairs(kq[:, 0], bits)))
-            return keep, blocks
-
-        engine.round_packed(kill_answer_and_filter)
-
-        def filter_step(mid: int, items: list[Any]):
-            arcs = _machine_arcs(items)
-            keep = planes_except(items, "ka")
-            if arcs.size:
-                ka = concat_planes(items, "ka", 2)
-                dead = ka[ka[:, 1] != 0, 0]
-                src, dst = np.divmod(arcs, n)
-                arcs = arcs[~(np.isin(src, dead) | np.isin(dst, dead))]
-            return [arcs] + keep, []
-
-        engine.round_packed(filter_step)
+        run.seed = (1 + phases * 7919) % run.family.size
+        broadcast_word(engine, run.seed)
+        for step in run.steps:
+            engine.round_packed(step)
 
         # Harvest decisions (observation only; no engine communication).
-        for mid in range(m_machines):
-            ii = concat_planes(engine.storage[mid], "inI", 2)
-            chosen = ii[ii[:, 1] != 0, 0]
-            in_mis[chosen] = True
-            decided[chosen] = True
-            kk = concat_planes(engine.storage[mid], "killed", 2)
-            decided[kk[kk[:, 1] != 0, 0]] = True
+        ii = engine.tables["inI"].data
+        chosen = ii[ii[:, 1] != 0, 0]
+        in_mis[chosen] = decided[chosen] = True
+        kk = engine.tables["killed"].data
+        decided[kk[kk[:, 1] != 0, 0]] = True
 
     # Undecided nodes are isolated in the residual graph: they join the MIS.
     in_mis |= ~decided
@@ -262,55 +111,150 @@ def distributed_luby_mis(
     return np.nonzero(in_mis)[0].astype(np.int64), total_rounds, phases
 
 
-# ---------------------------------------------------------------------- #
-# Per-machine helpers (local computation, no communication)
-# ---------------------------------------------------------------------- #
-
-
-def _last_wins(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-key value of the *last* occurrence (sorted unique keys).
-
-    Storage grows in delivery order, so when a machine holds a stale row
-    for a key (an earlier phase's table) and a fresh one after it, the
-    later row is the current value.
-    """
-    rk, rv = keys[::-1], vals[::-1]
-    uk, idx = np.unique(rk, return_index=True)
-    return uk, rv[idx]
-
-
-def _lookup_bits(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Each query's bit in a ``(k, 2)`` last-wins table, 0 when absent."""
-    if table.shape[0] == 0:
-        return np.zeros(queries.shape[0], dtype=np.int64)
-    uk, uv = _last_wins(table[:, 0], table[:, 1])
-    pos = np.minimum(np.searchsorted(uk, queries), uk.size - 1)
-    return np.where(uk[pos] == queries, uv[pos], 0)
-
-
-def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)], axis=1
+def luby_peak_words(g: Graph, num_machines: int) -> int:
+    """``max_h (A_h + 3 E_h + 3 Q_h + 9 N_h + 2)``: words that bound every
+    machine's storage, send and receive load in every round of
+    :func:`distributed_luby_mis` on ``num_machines`` machines.  The terms
+    are spelled out in :func:`~repro.api.solvers.engine_space_plan`."""
+    n, m = max(g.n, 1), num_machines
+    holder = balanced_owners(2 * g.m, m)
+    src, dst = np.divmod(packed_arc_plane(g), n)
+    ends = distinct(np.concatenate([holder * n + src, holder * n + dst]))
+    nodes = np.flatnonzero(g.degrees())
+    peak = (
+        np.bincount(holder, minlength=m)
+        + 3 * np.bincount(ends // n, minlength=m)
+        + 3 * np.bincount(ends % n % m, minlength=m)
+        + 9 * np.bincount(nodes % m, minlength=m)
+        + 2
     )
+    return int(peak.max())
 
 
-def _machine_arcs(items: list[Any]) -> np.ndarray:
-    """The machine's packed arc array (empty if it holds none)."""
-    for it in items:
-        if isinstance(it, np.ndarray):
-            return it
-    return np.empty(0, dtype=np.int64)
+class _LubyRun:
+    """The nine per-phase steps, each a function of the cluster's tables.
 
+    Tags: ``""`` arcs ``src * n + dst`` (raw), ``bcast`` the phase seed,
+    ``minz`` / ``dom`` partials at homes, ``inI`` / ``killed`` home
+    decisions, ``q`` / ``kq`` endpoint queries at homes and ``a`` / ``ka``
+    their answers at the holders.
+    """
 
-def _keyed_z(family: KWiseHashFamily, seed: int, nodes: np.ndarray, n: int):
-    """Total-order z-keys ``z(v) * (n + 1) + v`` for a node id array."""
-    z = family.evaluate(seed, nodes.astype(np.int64))
-    return z.astype(np.uint64) * np.uint64(n + 1) + nodes.astype(np.uint64)
+    def __init__(self, n: int, machines: int, family: KWiseHashFamily) -> None:
+        self.n = n
+        self.m = machines
+        self.family = family
+        self.seed = 0
+        self.steps = (
+            self.minz,
+            self.decide,
+            lambda tables: self.ask(tables, "q"),
+            self.answer,
+            self.dominated,
+            self.finalize,
+            lambda tables: self.ask(tables, "kq"),
+            self.kill_answer,
+            self.filter,
+        )
 
+    # -- local helpers --------------------------------------------------- #
 
-def _group_minima(src: np.ndarray, vals: np.ndarray):
-    """(sorted unique srcs, per-src minimum of vals)."""
-    order = np.argsort(src, kind="stable")
-    s, v = src[order], vals[order]
-    starts = np.nonzero(np.concatenate([[True], s[1:] != s[:-1]]))[0]
-    return s[starts], np.minimum.reduceat(v, starts)
+    def _z(self, nodes: np.ndarray) -> np.ndarray:
+        """Total-order z-keys ``z(v) * (n + 1) + v`` for a node id array."""
+        z = self.family.evaluate(self.seed, nodes)
+        return z.astype(np.uint64) * np.uint64(self.n + 1) + nodes.astype(np.uint64)
+
+    def _split(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.divmod(keys, self.n)
+
+    def _arc_keys(self, arcs: Table) -> tuple[np.ndarray, np.ndarray]:
+        """``(machine, src)`` and ``(machine, dst)`` keys of every arc."""
+        src, dst = self._split(arcs.col(0))
+        base = arcs.machine * self.n
+        return base + src, base + dst
+
+    def _bits(self, rows: Table) -> np.ndarray:
+        """Sorted distinct keys of the rows whose bit column is set."""
+        hot = rows.col(1) != 0
+        return distinct(rows.machine[hot] * self.n + rows.col(0)[hot])
+
+    @staticmethod
+    def _except(tables: Tables, *drop: str) -> list[Table]:
+        return [t for tag, t in tables.items() if tag not in drop]
+
+    @staticmethod
+    def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.stack([a, b.astype(np.int64, copy=False)], axis=1)
+
+    # -- the steps ------------------------------------------------------- #
+
+    def minz(self, tables: Tables):
+        """Holders send ``min z(dst)`` per ``(holder, src)`` to ``src``'s home."""
+        arcs = tables[""]
+        src_keys, dst_keys = self._arc_keys(arcs)
+        z = self._z(dst_keys % self.n)
+        keys, zmin = reduce_by_key(np.minimum, src_keys, z)
+        holder, src = self._split(keys)
+        block = MessageBlock("minz", holder, src % self.m, self._pairs(src, zmin))
+        return tables.values(), [block]
+
+    def decide(self, tables: Tables):
+        """Homes decide ``v in I``; the new rows follow any stale ones."""
+        mz = table(tables, "minz", 2)
+        keys, zmin = reduce_by_key(np.minimum, mz.keys(self.n), mz.col(1))
+        home, v = self._split(keys)
+        bits = self._z(v) < zmin.astype(np.uint64)
+        fresh = Table("inI", home, self._pairs(v, bits))
+        return self._except(tables, "minz") + [fresh], []
+
+    def ask(self, tables: Tables, tag: str):
+        """Holders query each distinct endpoint's home (``q`` / ``kq``)."""
+        holder, w = self._split(distinct(np.concatenate(self._arc_keys(tables[""]))))
+        block = MessageBlock(tag, holder, w % self.m, self._pairs(w, holder))
+        return tables.values(), [block]
+
+    def _reply(self, tables: Tables, query: str, source: str, tag: str):
+        """Homes answer each ``query`` row with its bit in ``source``."""
+        q, t = table(tables, query, 2), table(tables, source, 2)
+        bits = lookup(*last_wins(t.keys(self.n), t.col(1)), q.keys(self.n))
+        return MessageBlock(tag, q.machine, q.col(1), self._pairs(q.col(0), bits))
+
+    def answer(self, tables: Tables):
+        return self._except(tables, "q"), [self._reply(tables, "q", "inI", "a")]
+
+    def dominated(self, tables: Tables):
+        """Holders report sources with a chosen neighbour to their homes."""
+        arcs = tables[""]
+        src_keys, dst_keys = self._arc_keys(arcs)
+        chosen = self._bits(table(tables, "a", 2))
+        holder, v = self._split(distinct(src_keys[member(dst_keys, chosen)]))
+        block = MessageBlock("dom", holder, v % self.m, self._pairs(v, np.ones_like(v)))
+        return tables.values(), [block]
+
+    def finalize(self, tables: Tables):
+        """Homes settle ``inI`` (last wins) and ``killed``; the broadcast
+        token, the ``dom`` partials and the stale tables end here."""
+        ii = table(tables, "inI", 2)
+        keys, bits = last_wins(ii.keys(self.n), ii.col(1))
+        dom = distinct(table(tables, "dom", 2).keys(self.n))
+        killed = (bits != 0) | member(keys, dom)
+        home, v = self._split(keys)
+        kept = [
+            tables[""],
+            table(tables, "a", 2),
+            Table("inI", home, self._pairs(v, bits)),
+            Table("killed", home, self._pairs(v, killed)),
+        ]
+        return kept, []
+
+    def kill_answer(self, tables: Tables):
+        kept = [tables[""], table(tables, "killed", 2), table(tables, "inI", 2)]
+        return kept, [self._reply(tables, "kq", "killed", "ka")]
+
+    def filter(self, tables: Tables):
+        """Holders drop every arc with a killed endpoint."""
+        arcs = tables[""]
+        dead = self._bits(table(tables, "ka", 2))
+        src_keys, dst_keys = self._arc_keys(arcs)
+        alive = ~(member(src_keys, dead) | member(dst_keys, dead))
+        return [arcs.take(alive)] + self._except(tables, "", "ka"), []

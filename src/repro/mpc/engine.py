@@ -15,31 +15,37 @@ against the vectorised accounting layer (:mod:`repro.mpc.context`) for
 speed; both layers share the same model constants so the round/space
 numbers agree.
 
-:meth:`MPCEngine.round_packed` is the round core: a step maps
-``(machine, items)`` to kept items plus
-:class:`~repro.models.plane.MessageBlock` batches, and the engine routes
-each batch with one stable argsort + ``searchsorted`` split, so interpreter
-cost is per *batch*, not per message.  :meth:`MPCEngine.round` applies the
-same model checks to item-granular ``(dest, item)`` messages; only the
-prefix-sum demonstration (:func:`~repro.mpc.primitives.distributed_prefix_sums`)
+:meth:`MPCEngine.round_packed` is the round core, one array program per
+round over the whole cluster.  Machine state is a set of
+:class:`~repro.models.plane.Table`\\ s, one per tag, whose rows carry their
+machine's id.  A step is called once with every resident table and returns
+the tables to keep plus :class:`~repro.models.plane.MessageBlock`\\ s with
+``src`` and ``dest`` columns; the engine then applies the model rules with
+arrays (one ``bincount`` per ceiling, see :meth:`MPCEngine.round_packed`),
+so its interpreter cost is per table, not per machine or per message.
+:meth:`MPCEngine.round` applies the same rules to item-granular
+``(dest, item)`` messages over per-machine item lists; only the prefix-sum
+demonstration (:func:`~repro.mpc.primitives.distributed_prefix_sums`)
 still runs on it.
 
-Storage granularity: each stored item costs ``word_size(item)`` words, where
+Storage granularity: a table row costs ``width + 1`` words (``width`` for
+raw ``""`` rows); a listed item costs ``word_size(item)`` words, where
 scalars cost 1 and containers cost the recursive word count of their
-contents.  The engine is a :class:`~repro.models.ledger.RoundLedger`: each
-executed round charges one round and the words it sent, and every stored
-machine load is observed against ``S``.
+contents.  A machine's load is both together.  The engine is a
+:class:`~repro.models.ledger.RoundLedger`: each executed round charges one
+round and the words it sent, and every stored machine load is observed
+against ``S``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from ..models.ledger import RoundLedger
-from ..models.plane import MessageBlock, Plane, route_block
+from ..models.plane import MessageBlock, Table, balanced_owners
 from ..obs import trace as _obs
 from .exceptions import CapacityExceededError
 
@@ -47,20 +53,16 @@ __all__ = ["MPCEngine", "word_size"]
 
 
 def word_size(item: Any) -> int:
-    """Number of machine words an item occupies.
+    """Number of machine words a listed item occupies.
 
     Scalars cost 1; tuples/lists cost the *recursive* word count of their
     contents (a tuple is a record, and a record holding an array holds the
     array's words -- charging ``len(tuple)`` would let an algorithm smuggle
     arbitrarily large payloads inside 3-word messages).  A numpy array
-    costs one word per element, and a :class:`~repro.models.plane.Plane`
-    costs ``rows * (width + 1)``: each row is a ``(tag, *row)`` record, and
-    the tag costs one word.
+    costs one word per element.
     """
     if isinstance(item, (tuple, list)):
         return sum(word_size(x) for x in item)
-    if isinstance(item, Plane):
-        return item.word_cost
     if isinstance(item, np.ndarray):
         return int(item.size)
     return 1
@@ -70,10 +72,17 @@ def word_size(item: Any) -> int:
 #: (items_to_keep, [(dest_machine, item), ...]).
 StepFn = Callable[[int, list[Any]], tuple[list[Any], list[tuple[int, Any]]]]
 
-#: The packed variant maps (machine_id, local_items) to
-#: (items_to_keep, [MessageBlock, ...]); rows destined to the sender are
-#: kept locally (storage, never charged as communication).
-PackedStepFn = Callable[[int, list[Any]], tuple[list[Any], list[MessageBlock]]]
+#: The packed variant maps every resident table (by tag) to
+#: (tables_to_keep, [MessageBlock, ...]) for the whole cluster at once.
+PackedStepFn = Callable[
+    [dict[str, Table]], tuple[Iterable[Table], Iterable[MessageBlock]]
+]
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry, or ``mask.size`` when none is."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
 
 
 @dataclass
@@ -85,7 +94,10 @@ class MPCEngine(RoundLedger):
     num_machines: int
     space: int
     rounds_executed: int = 0
+    #: Per-machine item lists (:meth:`round`).
     storage: list[list[Any]] = field(default_factory=list)
+    #: Cluster tables by tag (:meth:`round_packed`).
+    tables: dict[str, Table] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
@@ -115,38 +127,42 @@ class MPCEngine(RoundLedger):
         """Distribute input items across machines in contiguous blocks,
         ``ceil(N / M)`` per machine (the model's arbitrary initial split).
 
-        Loading new input starts a fresh computation: the round counter
-        and the whole bill (rounds, words, space high-water mark) are
-        reset, so an engine instance can be reused across demonstrations
-        without stale accounting.
+        Loading new input starts a fresh computation: stored items and
+        tables, the round counter and the whole bill (rounds, words, space
+        high-water mark) are reset, so an engine instance can be reused
+        across demonstrations without stale accounting.
         """
         self._restart()
         data = list(items)
         per = -(-len(data) // self.num_machines) if data else 0
         for mid in range(self.num_machines):
             block = data[mid * per : (mid + 1) * per]
-            self._check_store(mid, block)
+            self.observe_load(mid, sum(word_size(x) for x in block), "storing")
             self.storage[mid] = block
 
     def load_balanced_packed(self, values: np.ndarray) -> None:
-        """:meth:`load_balanced` for a packed scalar array: each machine
-        receives one contiguous int64 slice instead of a list of boxed
-        ints.  Word charges and the contiguous ``ceil(N / M)`` split are
-        identical; interpreter cost is ``O(M)`` instead of ``O(N)``.
+        """:meth:`load_balanced` for a packed int64 array: the values
+        become the raw ``""`` table, split in the same contiguous
+        ``ceil(N / M)`` blocks at one word each.
         """
         self._restart()
         data = np.asarray(values, dtype=np.int64)
-        per = -(-data.size // self.num_machines) if data.size else 0
-        for mid in range(self.num_machines):
-            block = data[mid * per : (mid + 1) * per]
-            self._check_store(mid, [block])
-            self.storage[mid] = [block]
+        self.store(Table("", balanced_owners(data.size, self.num_machines), data))
+
+    def store(self, rows: Table) -> None:
+        """Append ``rows`` to the resident table of their tag (local
+        computation, no round) and observe the storage ceiling."""
+        held = self.tables.get(rows.tag)
+        merged = rows if held is None else Table.concat([held, rows])
+        tables = {**self.tables, rows.tag: merged}
+        self._observe_loads(self._loads(tables))
+        self.tables = tables
 
     def machine_load(self, mid: int) -> int:
-        return sum(word_size(x) for x in self.storage[mid])
+        return int(self._loads(self.tables)[mid])
 
     def all_items(self) -> list[Any]:
-        """Concatenation of all machines' storage, machine order."""
+        """Concatenation of all machines' listed items, machine order."""
         out: list[Any] = []
         for st in self.storage:
             out.extend(st)
@@ -155,9 +171,29 @@ class MPCEngine(RoundLedger):
     def _restart(self) -> None:
         self.rounds_executed = self.rounds = self.words_moved = self.max_words_seen = 0
         self.by_category = {}
+        self.storage = [[] for _ in range(self.num_machines)]
+        self.tables = {}
 
-    def _check_store(self, mid: int, items: Sequence[Any]) -> None:
-        self.observe_load(mid, sum(word_size(x) for x in items), "storing")
+    def _table_loads(self, tables: dict[str, Table]) -> np.ndarray:
+        loads = np.zeros(self.num_machines, dtype=np.int64)
+        for t in tables.values():
+            loads += t.loads(self.num_machines)
+        return loads
+
+    def _loads(self, tables: dict[str, Table]) -> np.ndarray:
+        """Words per machine: ``tables`` plus the listed items."""
+        loads = self._table_loads(tables)
+        for mid, st in enumerate(self.storage):
+            if st:
+                loads[mid] += sum(word_size(x) for x in st)
+        return loads
+
+    def _observe_loads(self, loads: np.ndarray) -> None:
+        """Observe every machine's load; the first one over ``S`` raises."""
+        mid = _first(loads > self.space)
+        if mid == loads.size:
+            mid = int(np.argmax(loads))
+        self.observe_load(mid, int(loads[mid]), "storing")
 
     # ------------------------------------------------------------------ #
     # Round execution: item-granular messages (distributed_prefix_sums)
@@ -185,12 +221,14 @@ class MPCEngine(RoundLedger):
                 inboxes[dest].append(msg)
             keeps.append(keep)
             total_sent += sent_words
+        table_loads = self._table_loads(self.tables)
         for mid in range(self.num_machines):
             recv_words = sum(word_size(msg) for msg in inboxes[mid])
             if recv_words > self.space:
                 raise CapacityExceededError(mid, recv_words, self.space, "received")
             new_store = keeps[mid] + inboxes[mid]
-            self._check_store(mid, new_store)
+            words = sum(word_size(x) for x in new_store) + int(table_loads[mid])
+            self.observe_load(mid, words, "storing")
             self.storage[mid] = new_store
         self.rounds_executed += 1
         self.charge(category, 1, words=total_sent)
@@ -215,62 +253,82 @@ class MPCEngine(RoundLedger):
         )
 
     # ------------------------------------------------------------------ #
-    # Round execution: packed message blocks (the round core)
+    # Round execution: cluster tables (the round core)
     # ------------------------------------------------------------------ #
 
     def round_packed(self, step: PackedStepFn, category: str = "round") -> None:
-        """One synchronous round over packed message blocks.
+        """One synchronous round as one array program over the cluster.
 
-        Model semantics are those of :meth:`round` -- same send / receive /
-        storage ceilings, same destination validation, same delivery timing
-        -- but a block's rows are counted, routed and delivered as arrays.
-        Rows a machine addresses to itself are split off into kept
-        :class:`~repro.models.plane.Plane`s before routing: they are
-        storage, not communication, so they are never charged as sent or
-        received words.
+        ``step`` sees every resident table and returns the tables to keep
+        and the blocks to send.  Model semantics are those of
+        :meth:`round`:
+
+        * rows a block addresses to their own machine (``src == dest``) are
+          storage, not communication: they are kept and never charged;
+        * every machine's sent words must fit in ``S`` and every
+          destination must exist; then every machine's received words and
+          its new storage must fit in ``S``.  Each ceiling is one
+          ``bincount``, and the error names the lowest-numbered machine
+          that breaks one, checked in the order sent, destination,
+          received, storing -- the machine a machine-by-machine engine
+          would stop at first;
+        * delivery is a concatenation per tag: each machine holds its kept
+          rows first (in the order the kept tables list them), then the rows
+          it addressed to itself, then the rows it received, in the order
+          each block lists them -- sender by sender for every step here.
+          A machine's rows are read in table order, so no sort is needed
+          to deliver.
         """
         t_round = _obs.clock() if _obs._TRACING else 0.0
         m = self.num_machines
-        keeps: list[list[Any]] = []
-        inboxes: list[list[Any]] = [[] for _ in range(m)]
-        total_sent = 0
-        for mid in range(m):
-            keep, blocks = step(mid, list(self.storage[mid]))
-            sent_words = 0
-            outgoing: list[MessageBlock] = []
-            for blk in blocks:
-                if blk.rows == 0:
+        kept, blocks = step(self.tables)
+        parts: dict[str, list[Table]] = {}
+        for t in kept:
+            parts.setdefault(t.tag, []).append(t)
+        own_rows: list[Table] = []
+        out: list[MessageBlock] = []
+        for blk in blocks:
+            if not blk.rows:
+                continue
+            own = blk.src == blk.dest
+            if own.any():
+                own_rows.append(Table(blk.tag, blk.src[own], blk.data[own]))
+                if own.all():
                     continue
-                self_rows = blk.dest == mid
-                if self_rows.any():
-                    kept = blk.data[self_rows]
-                    keep.append(
-                        kept[:, 0] if blk.tag == "" else Plane(blk.tag, kept)
-                    )
-                    if not self_rows.all():
-                        ext = ~self_rows
-                        blk = MessageBlock(blk.tag, blk.dest[ext], blk.data[ext])
-                    else:
-                        continue
-                sent_words += blk.rows * blk.words_per_row
-                outgoing.append(blk)
-            if sent_words > self.space:
-                raise CapacityExceededError(mid, sent_words, self.space, "sent")
-            for blk in outgoing:
-                for dest, plane in route_block(blk, m):
-                    inboxes[dest].append(
-                        plane.data[:, 0] if blk.tag == "" else plane
-                    )
-            keeps.append(keep)
-            total_sent += sent_words
-        for mid in range(m):
-            recv_words = sum(word_size(p) for p in inboxes[mid])
-            if recv_words > self.space:
-                raise CapacityExceededError(mid, recv_words, self.space, "received")
-            new_store = keeps[mid] + inboxes[mid]
-            self._check_store(mid, new_store)
-            self.storage[mid] = new_store
+                blk = MessageBlock(
+                    blk.tag, blk.src[~own], blk.dest[~own], blk.data[~own]
+                )
+            out.append(blk)
+
+        sent = np.zeros(m, dtype=np.int64)
+        bad: list[tuple[int, int]] = []  # (src, dest) rows to no machine
+        for blk in out:
+            sent += np.bincount(blk.src, minlength=m) * blk.words_per_row
+            wrong = (blk.dest < 0) | (blk.dest >= m)
+            bad.extend(zip(blk.src[wrong].tolist(), blk.dest[wrong].tolist()))
+        culprit, dest = min(bad, default=(m, 0))
+        over = _first(sent > self.space)
+        if over < m and over <= culprit:
+            raise CapacityExceededError(over, int(sent[over]), self.space, "sent")
+        if culprit < m:
+            raise ValueError(f"message to nonexistent machine {dest}")
+
+        recv = np.zeros(m, dtype=np.int64)
+        for t in own_rows:
+            parts.setdefault(t.tag, []).append(t)
+        for blk in out:
+            recv += np.bincount(blk.dest, minlength=m) * blk.words_per_row
+            parts.setdefault(blk.tag, []).append(Table(blk.tag, blk.dest, blk.data))
+        tables = {tag: Table.concat(ps) for tag, ps in parts.items()}
+        loads = self._loads(tables)
+        over = _first(recv > self.space)
+        if over < m and over <= _first(loads > self.space):
+            raise CapacityExceededError(over, int(recv[over]), self.space, "received")
+        self._observe_loads(loads)
+        self.tables = tables
+        total_sent = int(sent.sum())
         self.rounds_executed += 1
         self.charge(category, 1, words=total_sent)
         if _obs._TRACING:
             self._record_round_span(t_round, category, total_sent)
+

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from ..models.plane import MessageBlock, Plane, concat_planes
+from ..models.plane import MessageBlock, Table, last_wins, table
 from .engine import MPCEngine
 
 __all__ = [
@@ -44,34 +44,29 @@ def broadcast_word(engine: MPCEngine, value: int, root: int = 0) -> int:
     Uses an S-ary doubling tree over machine ids: in each round every machine
     that already holds the token forwards it to up to ``fanout`` new
     machines.  ``ceil(log_fanout M)`` rounds.  The token is a one-row
-    ``"bcast"`` plane (tag + value = 2 words); a holder forwards the last
-    one it stores.
+    ``"bcast"`` table row (tag + value = 2 words), stored at the root under
+    the storage ceiling; a holder forwards the last one it stores.
     """
     m = engine.num_machines
     fanout = max(2, engine.space // 2)  # each "bcast" row costs 2 words
-    holders = {root}
-    engine.storage[root].append(Plane("bcast", [[value]]))
+    engine.store(Table("bcast", [root], [[value]]))
+    holds = np.zeros(m, dtype=bool)
+    holds[root] = True
     rounds0 = engine.rounds_executed
 
-    while len(holders) < m:
-        frontier = sorted(holders)
-        pending = [mid for mid in range(m) if mid not in holders]
-        targets = {
-            h: pending[i * fanout : (i + 1) * fanout]
-            for i, h in enumerate(frontier)
-        }
+    while not holds.all():
+        frontier, pending = np.flatnonzero(holds), np.flatnonzero(~holds)
+        dest = pending[: frontier.size * fanout]
+        src = frontier[np.arange(dest.size) // fanout]
 
-        def step(mid: int, items: list[Any]):
-            dests = targets.get(mid)
-            if not dests:
-                return items, []
-            token = concat_planes(items, "bcast", 1)[-1:]
-            rows = np.repeat(token, len(dests), axis=0)
-            return items, [MessageBlock("bcast", dests, rows)]
+        def step(tables: dict[str, Table]):
+            tokens = tables["bcast"]
+            holders, last = last_wins(tokens.machine, tokens.col(0))
+            rows = last[np.searchsorted(holders, src)]
+            return tables.values(), [MessageBlock("bcast", src, dest, rows)]
 
         engine.round_packed(step)
-        for h in frontier:
-            holders.update(targets[h])
+        holds[dest] = True
     return engine.rounds_executed - rounds0
 
 
@@ -222,19 +217,8 @@ def distributed_prefix_sums(engine: MPCEngine) -> int:
     return used
 
 
-def _machine_values(items: list[Any]) -> np.ndarray:
-    """Concatenation of a machine's packed scalar arrays (may be several
-    after a routed round delivers one bucket per sender)."""
-    parts = [it for it in items if isinstance(it, np.ndarray)]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
-
-
 def distributed_sort_packed(engine: MPCEngine) -> int:
-    """Sort all values globally; every machine holds packed int64 arrays.
+    """Sort all values globally; every machine holds raw ``""`` rows.
 
     PSRS sample sort in 3 rounds:
       1. local sort; each machine sends ``M - 1`` regular samples to
@@ -245,27 +229,30 @@ def distributed_sort_packed(engine: MPCEngine) -> int:
          its machine; the received buckets are then sorted locally (free:
          local computation).
 
-    Every step moves whole arrays through
-    :meth:`~repro.mpc.engine.MPCEngine.round_packed`, so the interpreter
-    never touches an individual item.  Post-condition: globally sorted
-    values in machine-major order, one packed array per machine.  Requires
-    ``M * (M - 1) <= S`` (the coordinator holds all samples).  Load the
-    input with :meth:`~repro.mpc.engine.MPCEngine.load_balanced_packed`;
-    any other stored item raises ``TypeError``.  Returns rounds used.
+    Each step is one array program over the cluster's ``(machine, value)``
+    rows (:meth:`~repro.mpc.engine.MPCEngine.round_packed`).
+    Post-condition: the ``""`` table lists globally sorted values in
+    machine-major order.  Requires ``M * (M - 1) <= S`` (the coordinator
+    holds all samples).  Load the input with
+    :meth:`~repro.mpc.engine.MPCEngine.load_balanced_packed`; any other
+    stored item or table raises ``TypeError``.  Returns rounds used.
     """
     for mid, items in enumerate(engine.storage):
-        for it in items:
-            if not (
-                isinstance(it, np.ndarray) and it.ndim == 1 and it.dtype == np.int64
-            ):
-                raise TypeError(
-                    f"machine {mid} stores a {type(it).__name__}; "
-                    "distributed_sort_packed sorts packed int64 arrays -- "
-                    "load the input with MPCEngine.load_balanced_packed"
-                )
+        if items:
+            raise TypeError(
+                f"machine {mid} stores a {type(items[0]).__name__}; "
+                "distributed_sort_packed sorts packed int64 arrays -- "
+                "load the input with MPCEngine.load_balanced_packed"
+            )
+    for tag, t in engine.tables.items():
+        if tag and t.rows:
+            raise TypeError(
+                f"machine {int(t.machine.min())} stores a {tag!r} table; "
+                "distributed_sort_packed sorts the raw '' table"
+            )
     m = engine.num_machines
     if m == 1:
-        engine.storage[0] = [np.sort(_machine_values(engine.storage[0]))]
+        engine.tables = {"": _local_sort(table(engine.tables, "", 1))}
         return 0
     if m * (m - 1) > engine.space:
         raise ValueError(
@@ -273,51 +260,49 @@ def distributed_sort_packed(engine: MPCEngine) -> int:
             "use more space or fewer machines"
         )
     rounds0 = engine.rounds_executed
+    picks = np.arange(1, m)
 
-    def sample_step(mid: int, items: list[Any]):
-        values = np.sort(_machine_values(items))
-        blocks = []
-        if values.size:
-            picks = (np.arange(1, m) * values.size) // m
-            samples = values[picks]
-            blocks.append(
-                MessageBlock(
-                    "sample", np.zeros(samples.size, dtype=np.int64), samples
-                )
-            )
-        return [values], blocks
+    def sample_step(tables: dict[str, Table]):
+        values = _local_sort(table(tables, "", 1))
+        counts = np.bincount(values.machine, minlength=m)
+        starts = np.cumsum(counts) - counts
+        holders = np.flatnonzero(counts)
+        at = starts[holders, None] + (picks * counts[holders, None]) // m
+        samples = values.col(0)[at.ravel()]
+        src = np.repeat(holders, m - 1)
+        return [values], [MessageBlock("sample", src, 0, samples)]
 
     engine.round_packed(sample_step)
 
-    def splitter_step(mid: int, items: list[Any]):
-        keep = [it for it in items if isinstance(it, np.ndarray)]
-        if mid != 0:
-            return keep, []
-        samples = np.sort(concat_planes(items, "sample", 1)[:, 0])
+    def splitter_step(tables: dict[str, Table]):
+        samples = np.sort(table(tables, "sample", 1).on(0)[:, 0])
         if samples.size:
-            picks = (np.arange(1, m) * samples.size) // m
-            splitters = samples[picks]
+            splitters = samples[(picks * samples.size) // m]
         else:
             splitters = np.empty(0, dtype=np.int64)
         row = splitters[None, :]
-        keep.append(Plane("splitters", row))
-        dests = np.arange(1, m, dtype=np.int64)
-        blocks = [
-            MessageBlock("splitters", dests, np.repeat(row, m - 1, axis=0))
+        kept = [table(tables, "", 1), Table("splitters", [0], row)]
+        others = np.arange(1, m, dtype=np.int64)
+        return kept, [
+            MessageBlock("splitters", 0, others, np.repeat(row, m - 1, axis=0))
         ]
-        return keep, blocks
 
     engine.round_packed(splitter_step)
 
-    def partition_step(mid: int, items: list[Any]):
-        splitters = concat_planes(items, "splitters", m - 1).ravel()
-        values = _machine_values(items)
-        dests = np.searchsorted(splitters, values, side="right")
-        return [], [MessageBlock("", dests, values)]
+    def partition_step(tables: dict[str, Table]):
+        # Machine 0 sent every machine the same splitter row.
+        splitters = tables["splitters"].data[0]
+        values = table(tables, "", 1)
+        dest = np.searchsorted(splitters, values.col(0), side="right")
+        return [], [MessageBlock("", values.machine, dest, values.data)]
 
     engine.round_packed(partition_step)
 
     # Local sort of received buckets (local computation, no round charge).
-    for mid in range(m):
-        engine.storage[mid] = [np.sort(_machine_values(engine.storage[mid]))]
+    engine.tables = {"": _local_sort(table(engine.tables, "", 1))}
     return engine.rounds_executed - rounds0
+
+
+def _local_sort(values: Table) -> Table:
+    """Each machine's raw values sorted, machines in id order."""
+    return values.take(np.lexsort((values.col(0), values.machine)))

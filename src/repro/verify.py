@@ -81,8 +81,9 @@ def verify_matching_pairs(g: Graph, pairs: np.ndarray) -> bool:
     pos = np.minimum(np.searchsorted(edge_key, key), max(g.m - 1, 0))
     if key.size and (g.m == 0 or np.any(edge_key[pos] != key)):
         return False
-    # Disjointness.
-    if np.unique(flat).size != flat.size:
+    # Disjointness: no node in two pairs (the range check above keeps
+    # every id inside the bincount).
+    if flat.size and np.bincount(flat, minlength=g.n).max() > 1:
         return False
     # Maximality: every edge touches a matched node.
     saturated = np.zeros(g.n, dtype=bool)

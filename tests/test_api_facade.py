@@ -249,6 +249,20 @@ def test_parity_mis_engine():
     assert res.words_moved == res.snapshot.words_moved > 0
 
 
+@pytest.mark.parametrize("d", [4, 8])
+def test_engine_space_plan_fits_the_peak_round(d):
+    """Regression: the old plan was 1-17% short of the kill-query round,
+    and ``solve`` raised SpaceExceededError at n = 10^4.  The exact plan
+    solves and stays within 10% of the measured high-water mark."""
+    from repro.graphs.streaming import gnp_block_graph
+
+    n = 10_000
+    g = gnp_block_graph(n, d / n, 1)
+    res = solve(SolveRequest(problem="mis", model="mpc-engine", graph=g))
+    assert res.verified
+    assert res.max_machine_words <= res.space_limit <= 1.1 * res.max_machine_words
+
+
 # ---------------------------------------------------------------------- #
 # Retired execution knobs
 # ---------------------------------------------------------------------- #

@@ -1,15 +1,17 @@
 """Tests for the columnar round-execution core (repro.models).
 
-Covers the message-plane router, ``MPCEngine.round_packed`` semantics, the
-golden bills (rounds, words moved, space high-water) of every engine-layer
-call site, the one ``RoundLedger`` all three model simulators extend, and
-the hypothesis-driven ledger invariants (rounds monotone,
-category charges sum to the total, space ceilings raising exactly at the
-boundary).
+Covers the cluster tables and message blocks, ``MPCEngine.round_packed``
+semantics, the golden bills (rounds, words moved, space high-water) of
+every engine-layer call site, the one ``RoundLedger`` all three model
+simulators extend, and the hypothesis-driven ledger invariants (rounds
+monotone, category charges sum to the total, space ceilings raising
+exactly at the boundary).
 """
 
 import numpy as np
 import pytest
+import engine_oracle as oracle_engine
+from engine_oracle import distributed_luby_oracle
 from hypothesis import given, settings, strategies as st
 from test_kernels_equivalence import distributed_luby_reference
 
@@ -25,12 +27,12 @@ from repro.graphs import (
 from repro.models import (
     MessageBlock,
     ModelSnapshot,
-    Plane,
     RoundLedger,
-    concat_planes,
+    Table,
     cross_model_run,
-    route_block,
 )
+from repro.models.plane import table
+from repro.mpc.distributed_luby import luby_peak_words
 from repro.mpc import (
     CapacityExceededError,
     MPCContext,
@@ -45,47 +47,57 @@ from repro.mpc import (
 
 
 # --------------------------------------------------------------------- #
-# Planes and routing
+# Tables and delivery
 # --------------------------------------------------------------------- #
 
 
 def test_plane_word_cost_matches_tuples():
-    p = Plane("minz", np.arange(10).reshape(5, 2))
+    p = Table("minz", np.zeros(5, dtype=np.int64), np.arange(10).reshape(5, 2))
     # five ("minz", a, b) tuples cost 3 words each
     assert p.word_cost == 5 * 3 == sum(word_size(("minz", 1, 2)) for _ in range(5))
 
 
 def test_raw_block_costs_one_word_per_row():
-    blk = MessageBlock("", np.zeros(4, dtype=np.int64), np.arange(4))
+    blk = MessageBlock("", 0, np.zeros(4, dtype=np.int64), np.arange(4))
     assert blk.words_per_row == 1
     with pytest.raises(ValueError):
-        MessageBlock("", np.zeros(2, dtype=np.int64), np.arange(4).reshape(2, 2))
+        MessageBlock("", 0, np.zeros(2, dtype=np.int64), np.arange(4).reshape(2, 2))
 
 
 def test_route_block_splits_by_destination():
+    """Machine 3 sends one block; every row lands on its destination."""
     dest = np.array([2, 0, 2, 1, 0], dtype=np.int64)
     data = np.arange(10).reshape(5, 2)
-    routed = dict(route_block(MessageBlock("t", dest, data), 3))
-    assert sorted(routed) == [0, 1, 2]
-    assert np.array_equal(routed[0].data, data[[1, 4]])
-    assert np.array_equal(routed[1].data, data[[3]])
-    assert np.array_equal(routed[2].data, data[[0, 2]])
+    eng = MPCEngine(num_machines=4, space=64)
+    eng.round_packed(lambda tables: ([], [MessageBlock("t", 3, dest, data)]))
+    routed = eng.tables["t"]
+    assert sorted(set(routed.machine.tolist())) == [0, 1, 2]
+    assert np.array_equal(routed.on(0), data[[1, 4]])
+    assert np.array_equal(routed.on(1), data[[3]])
+    assert np.array_equal(routed.on(2), data[[0, 2]])
 
 
 def test_route_block_rejects_bad_destination():
-    blk = MessageBlock("t", np.array([0, 5]), np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="nonexistent machine"):
-        route_block(blk, 3)
-    blk = MessageBlock("t", np.array([-1]), np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="nonexistent machine"):
-        route_block(blk, 3)
+    for bad in ([0, 5], [-1]):
+        eng = MPCEngine(num_machines=3, space=64)
+        blk = MessageBlock("t", 1, np.array(bad), np.zeros((len(bad), 1)))
+        with pytest.raises(ValueError, match="nonexistent machine"):
+            eng.round_packed(lambda tables: ([], [blk]))
 
 
 def test_concat_planes_preserves_delivery_order():
-    items = [Plane("a", np.array([[1, 0]])), 7, Plane("a", np.array([[2, 1]]))]
-    got = concat_planes(items, "a", 2)
-    assert np.array_equal(got, np.array([[1, 0], [2, 1]]))
-    assert concat_planes(items, "missing", 2).shape == (0, 2)
+    """A machine reads its rows of a tag in delivery order: kept rows
+    first, then received rows in sender order."""
+    eng = MPCEngine(num_machines=3, space=64)
+    eng.store(Table("a", [2], [[1, 0]]))
+
+    def step(tables):
+        blk = MessageBlock("a", [0, 1], [2, 2], [[2, 1], [3, 1]])
+        return [tables["a"]], [blk]
+
+    eng.round_packed(step)
+    assert np.array_equal(eng.tables["a"].on(2), np.array([[1, 0], [2, 1], [3, 1]]))
+    assert table(eng.tables, "missing", 2).data.shape == (0, 2)
 
 
 # --------------------------------------------------------------------- #
@@ -96,32 +108,25 @@ def test_concat_planes_preserves_delivery_order():
 def test_round_packed_keeps_self_rows_without_charging():
     eng = MPCEngine(num_machines=2, space=8)
 
-    def step(mid, items):
-        if mid == 0:
-            # two rows to self, one row out: only the external row is sent
-            blk = MessageBlock(
-                "t", np.array([0, 0, 1]), np.array([[1], [2], [3]])
-            )
-            return [], [blk]
-        return [], []
+    def step(tables):
+        # machine 0: two rows to self, one row out: only the external row
+        # is sent
+        return [], [MessageBlock("t", 0, np.array([0, 0, 1]), np.array([[1], [2], [3]]))]
 
     eng.round_packed(step)
     assert eng.rounds_executed == 1
     # 2 self rows stayed on machine 0, 1 row delivered to machine 1
-    assert concat_planes(eng.storage[0], "t", 1)[:, 0].tolist() == [1, 2]
-    assert concat_planes(eng.storage[1], "t", 1)[:, 0].tolist() == [3]
+    assert eng.tables["t"].on(0)[:, 0].tolist() == [1, 2]
+    assert eng.tables["t"].on(1)[:, 0].tolist() == [3]
     assert eng.words_moved == 2  # one external (tag + value) row
 
 
 def test_round_packed_send_capacity_enforced():
     eng = MPCEngine(num_machines=2, space=5)
 
-    def step(mid, items):
-        if mid == 0:
-            # 3 tagged rows of width 1 = 6 words > S = 5
-            return [], [MessageBlock("t", np.ones(3, dtype=np.int64),
-                                     np.zeros((3, 1)))]
-        return [], []
+    def step(tables):
+        # machine 0: 3 tagged rows of width 1 = 6 words > S = 5
+        return [], [MessageBlock("t", 0, np.ones(3, dtype=np.int64), np.zeros((3, 1)))]
 
     with pytest.raises(CapacityExceededError, match="sent"):
         eng.round_packed(step)
@@ -130,10 +135,9 @@ def test_round_packed_send_capacity_enforced():
 def test_round_packed_receive_capacity_enforced():
     eng = MPCEngine(num_machines=3, space=4)
 
-    def step(mid, items):
-        if mid in (0, 1):
-            return [], [MessageBlock("t", np.full(2, 2), np.zeros((2, 1)))]
-        return [], []
+    def step(tables):
+        # machines 0 and 1 each send 2 two-word rows to machine 2
+        return [], [MessageBlock("t", [0, 0, 1, 1], np.full(4, 2), np.zeros((4, 1)))]
 
     with pytest.raises(CapacityExceededError, match="received"):
         eng.round_packed(step)
@@ -143,13 +147,71 @@ def test_round_packed_rejects_unknown_destination():
     eng = MPCEngine(num_machines=2, space=64)
     with pytest.raises(ValueError, match="nonexistent machine"):
         eng.round_packed(
-            lambda mid, items: (
-                [],
-                [MessageBlock("t", np.array([7]), np.zeros((1, 1)))]
-                if mid == 0
-                else [],
-            )
+            lambda tables: ([], [MessageBlock("t", 0, np.array([7]), np.zeros((1, 1)))])
         )
+
+
+@given(
+    machines=st.integers(1, 4),
+    space=st.integers(1, 10),
+    held=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), max_size=6),
+    sends=st.lists(
+        # Destinations lean on machine 0 so that receive overflows occur;
+        # -1 and ids >= M are machines that do not exist.
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from([0, 0, 0, 0, 1, 2, 3, -1]),
+            st.integers(0, 9),
+        ),
+        max_size=10,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_round_packed_matches_per_machine_oracle(machines, space, held, sends):
+    """One round of random traffic against the per-machine reference:
+    every machine keeps its ``t`` rows and sends ``m`` rows, listed sender
+    by sender.  Both engines hold the same rows in the same order, or raise
+    the same error for the same machine and word count."""
+    held = [(mid, v) for mid, v in held if mid < machines]
+    sends = sorted((r for r in sends if r[0] < machines), key=lambda r: r[0])
+    oracle = oracle_engine.OracleEngine(num_machines=machines, space=space)
+    eng = MPCEngine(num_machines=machines, space=space)
+    for mid in range(machines):
+        rows = [[v] for h, v in held if h == mid]
+        oracle.storage[mid] = [oracle_engine.Plane("t", np.array(rows).reshape(-1, 1))]
+    eng.tables = {"t": Table("t", [h for h, _ in held], [[v] for _, v in held])}
+
+    def oracle_step(mid, items):
+        mine = [(d, v) for s, d, v in sends if s == mid]
+        block = oracle_engine.Block(
+            "m", [d for d, _ in mine], np.array([v for _, v in mine]).reshape(-1, 1)
+        )
+        return items, [block]
+
+    def step(tables):
+        block = MessageBlock(
+            "m", [s for s, _, _ in sends], [d for _, d, _ in sends],
+            np.array([v for _, _, v in sends]).reshape(-1, 1),
+        )
+        return tables.values(), [block]
+
+    try:
+        oracle.round_packed(oracle_step)
+    except (CapacityExceededError, SpaceExceededError, ValueError) as want:
+        with pytest.raises(type(want)) as got:
+            eng.round_packed(step)
+        if not isinstance(want, ValueError):
+            assert (got.value.machine, got.value.words) == (want.machine, want.words)
+        return
+    eng.round_packed(step)
+    for tag in ("t", "m"):
+        for mid in range(machines):
+            want = oracle_engine.concat_planes(oracle.storage[mid], tag, 1)
+            assert np.array_equal(table(eng.tables, tag, 1).on(mid), want)
+    assert (eng.words_moved, eng.max_words_seen) == (
+        oracle.words_moved,
+        oracle.max_words_seen,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -194,6 +256,42 @@ def test_distributed_luby_stats_out_snapshot():
     assert snap.max_words_seen == 251
 
 
+@given(
+    n=st.integers(1, 200),
+    p=st.floats(0.0, 0.3),
+    seed=st.integers(0, 10_000),
+    machines=st.integers(1, 12),
+    slack=st.floats(0.8, 1.2),
+)
+@settings(max_examples=60, deadline=None)
+def test_distributed_luby_matches_per_machine_oracle(n, p, seed, machines, slack):
+    """The cluster-wide round core against the per-machine reference in
+    ``tests/engine_oracle.py``, with S around the exact plan: the same MIS,
+    rounds, phases and bill, or the same model error (type, machine and
+    word count)."""
+    g = gnp_random_graph(n, p, seed=seed)
+    space = max(1, int(slack * luby_peak_words(g, machines)))
+    try:
+        mis, rounds, phases, oracle = distributed_luby_oracle(g, machines, space)
+    except (SpaceExceededError, CapacityExceededError) as want:
+        assert slack < 1.0  # the plan bounds every round
+        with pytest.raises(type(want)) as got:
+            distributed_luby_mis(g, machines, space)
+        assert (got.value.machine, got.value.words) == (want.machine, want.words)
+        return
+    stats: dict = {}
+    got_mis, got_rounds, got_phases = distributed_luby_mis(
+        g, machines, space, stats_out=stats
+    )
+    assert np.array_equal(got_mis, mis)
+    assert (got_rounds, got_phases) == (rounds, phases)
+    snap = stats["snapshot"]
+    assert (snap.words_moved, snap.max_words_seen) == (
+        oracle.words_moved,
+        oracle.max_words_seen,
+    )
+
+
 def test_cross_model_matching_edgeless_keeps_all_rows():
     """Regression: the CONGEST matching early-return used to ship no
     snapshot, silently dropping the congest row from the report."""
@@ -212,7 +310,7 @@ def test_distributed_sort_packed_matches_object_sort():
     eng = MPCEngine(num_machines=4, space=64)
     eng.load_balanced_packed(np.array(values))
     assert distributed_sort_packed(eng) == 3
-    packed = np.concatenate([it for st_ in eng.storage for it in st_])
+    packed = np.concatenate([eng.tables[""].on(mid)[:, 0] for mid in range(4)])
     assert packed.tolist() == sorted(values)
     assert eng.words_moved == 38
     assert eng.max_words_seen == 27
@@ -229,9 +327,9 @@ def test_distributed_sort_packed_rejects_unpacked_items():
 
 def test_distributed_sort_packed_single_machine_and_capacity():
     eng = MPCEngine(num_machines=1, space=64)
-    eng.storage[0] = [np.array([3, 1, 2], dtype=np.int64)]
+    eng.load_balanced_packed(np.array([3, 1, 2], dtype=np.int64))
     assert distributed_sort_packed(eng) == 0
-    assert eng.storage[0][0].tolist() == [1, 2, 3]
+    assert eng.tables[""].on(0)[:, 0].tolist() == [1, 2, 3]
     big = MPCEngine(num_machines=10, space=50)
     with pytest.raises(ValueError, match="sample sort"):
         distributed_sort_packed(big)

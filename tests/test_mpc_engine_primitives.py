@@ -13,7 +13,6 @@ from repro.mpc import (
     distributed_sort_packed,
     word_size,
 )
-from repro.models import concat_planes
 
 
 def test_word_size():
@@ -128,10 +127,21 @@ def test_broadcast_reaches_everyone():
     eng = MPCEngine(num_machines=9, space=20)
     rounds = broadcast_word(eng, 4242)
     for mid in range(9):
-        assert concat_planes(eng.storage[mid], "bcast", 1).tolist() == [[4242]]
+        assert eng.tables["bcast"].on(mid).tolist() == [[4242]]
     assert rounds <= 3
     # one 2-word ("bcast", value) row per machine beyond the root
     assert eng.words_moved == 2 * 8
+
+
+def test_broadcast_token_is_stored_under_the_ceiling():
+    """Regression: the root's token skipped the storage check, so with
+    M = 1 (no round follows) machine 0 held 6 words against S = 4 with no
+    error and a high-water mark of 4."""
+    eng = MPCEngine(num_machines=1, space=4)
+    eng.load_balanced_packed(np.arange(4))
+    with pytest.raises(SpaceExceededError) as err:
+        broadcast_word(eng, 7)
+    assert (err.value.machine, err.value.words) == (0, 6)
 
 
 def test_prefix_sums_single_level():
@@ -160,8 +170,11 @@ def test_prefix_sums_hypothesis(values):
 
 
 def _sorted_values(eng: MPCEngine) -> list[int]:
-    """Machine-major concatenation of the packed arrays after a sort."""
-    return np.concatenate([it for st_ in eng.storage for it in st_]).tolist()
+    """Machine-major concatenation of the raw values after a sort."""
+    values = eng.tables[""]
+    return np.concatenate(
+        [values.on(mid)[:, 0] for mid in range(eng.num_machines)]
+    ).tolist()
 
 
 def test_sort_correct_and_constant_rounds():
