@@ -116,7 +116,10 @@ def _stage_scan_case(n, avg_deg, seed, max_trials, repeats):
     def run(chunk):
         # fresh goodness state per run is unnecessary: counts are pure
         return select_seed_batch(
-            family.size, lambda s: goodness.counts(s, 1.0), chunk_size=chunk, **kw
+            family.size,
+            lambda s: goodness.counts(s, (1.0,))[0],  # a one-rung ladder
+            chunk_size=chunk,
+            **kw,
         )
 
     return _case(
@@ -139,7 +142,10 @@ def _stage_enum_case(name, strategy, n, avg_deg, seed, repeats, **extra):
 
     def run(chunk):
         return select_seed_batch(
-            family.size, lambda s: goodness.counts(s, 1.0), chunk_size=chunk, **kw
+            family.size,
+            lambda s: goodness.counts(s, (1.0,))[0],  # a one-rung ladder
+            chunk_size=chunk,
+            **kw,
         )
 
     return _case(

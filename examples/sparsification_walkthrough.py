@@ -51,7 +51,9 @@ def main() -> None:
             f"  stage {s.stage}: |E| {s.items_before} -> {s.items_after} "
             f"(ideal decay {s.degree_decay_ideal:.3f}, measured {s.degree_decay_measured:.3f}); "
             f"{s.num_machines} machines of <= {s.max_load} edges; "
-            f"seed {s.seed} found in {s.trials} scans; all good = {s.all_good}"
+            f"seed {s.seed} picked from {s.trials} evaluated seeds "
+            f"(kappa {s.slack_kappa:.2f}, {s.escalations} escalations); "
+            f"all good = {s.all_good}"
         )
     d_star = g.degrees_within(spars.e_star_mask)
     print(

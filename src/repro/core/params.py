@@ -65,6 +65,12 @@ class Params:
             raise ValueError("c must be 2 or an even integer >= 4")
         if self.strategy not in ("scan", "conditional_expectation", "best_of"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not self.slack_escalation >= 1.0:
+            # The stage kernel judges a whole ladder at once, relying on
+            # windows that only widen as kappa escalates.
+            raise ValueError(
+                f"slack_escalation must be >= 1, got {self.slack_escalation}"
+            )
 
     # ------------------------------------------------------------------ #
     # Derived quantities

@@ -35,6 +35,9 @@ class StageRecord:
     num_machines: int
     max_load: int
     seed: int
+    # Seeds the stage's one scan evaluated: each is judged at every slack
+    # of the escalation ladder at once, so escalating re-judges them and
+    # scans no seed twice.
     trials: int
     slack_kappa: float  # realised slack multiplier (paper nominal: n^{0.1 delta})
     escalations: int  # slack relaxations needed before an all-good seed

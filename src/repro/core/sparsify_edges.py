@@ -30,7 +30,7 @@ from ..mpc.partition import chunk_items_by_group
 from .good_nodes import GoodNodesMatching
 from .params import Params
 from .records import StageRecord
-from .stage import MachineGroupSpec, node_level_spec, run_stage_seed_search
+from .stage import MachineGroupSpec, run_stage_seed_search
 
 __all__ = ["EdgeSparsifyResult", "sparsify_edges"]
 
@@ -46,15 +46,6 @@ class EdgeSparsifyResult:
     @property
     def num_edges(self) -> int:
         return int(self.e_star_mask.sum())
-
-
-def _per_node_bound(
-    group_of_machine: np.ndarray, per_machine: np.ndarray, n: int
-) -> np.ndarray:
-    """Sum a per-machine quantity over each node's machine group."""
-    out = np.zeros(n, dtype=np.float64)
-    np.add.at(out, group_of_machine, per_machine)
-    return out
 
 
 def sparsify_edges(
@@ -80,9 +71,9 @@ def sparsify_edges(
     x0_u = good.in_x_of_u
     x0_v = good.in_x_of_v
     # |X(v)| per B-node at stage 0.
-    x0_count = np.zeros(g.n, dtype=np.float64)
-    np.add.at(x0_count, g.edges_u[x0_u], 1.0)
-    np.add.at(x0_count, g.edges_v[x0_v], 1.0)
+    x0_count = np.bincount(
+        np.concatenate([g.edges_u[x0_u], g.edges_v[x0_v]]), minlength=g.n
+    ).astype(np.float64)
 
     stages: list[StageRecord] = []
     for j in range(1, num_stages + 1):
@@ -113,24 +104,17 @@ def sparsify_edges(
         ctx.observe_loads(grouping_a.loads, "type-A edge distribution")
         ctx.observe_loads(grouping_b.loads, "type-B edge distribution")
 
-        specs = [
-            MachineGroupSpec(
-                name="A", grouping=grouping_a, unit_ids=units_a,
-                check_upper=True, check_lower=True,
-            ),
-            MachineGroupSpec(
-                name="B", grouping=grouping_b, unit_ids=units_b,
-                check_upper=False, check_lower=True,
-            ),
-            # Node-level windows: the per-node invariant the machine windows
-            # are a proxy for (non-vacuous at finite sizes; see stage.py).
-            node_level_spec(
-                "A/node", groups_a, units_a, check_upper=True, check_lower=True
-            ),
-            node_level_spec(
-                "B/node", groups_b, units_b, check_upper=False, check_lower=True
-            ),
-        ]
+        spec_a = MachineGroupSpec(
+            name="A", grouping=grouping_a, unit_ids=units_a,
+            check_upper=True, check_lower=True,
+        )
+        spec_b = MachineGroupSpec(
+            name="B", grouping=grouping_b, unit_ids=units_b,
+            check_upper=False, check_lower=True,
+        )
+        # Node-level windows: the per-node invariant the machine windows
+        # are a proxy for (non-vacuous at finite sizes; see stage.py).
+        specs = [spec_a, spec_b, spec_a.node_twin("A/node"), spec_b.node_twin("B/node")]
         stage_scan_start = 1 + (j - 1) * params.max_scan_trials
         outcome = run_stage_seed_search(
             family, prob, specs, params, g.n, fidelity, scan_start=stage_scan_start
@@ -147,25 +131,26 @@ def sparsify_edges(
         # bounds directly; one virtual machine per node.
         node_spec_a, node_spec_b = specs[2], specs[3]
         deg_j = g.degrees_within(new_mask).astype(np.float64)
-        bound_deg = _per_node_bound(
+        bound_deg = np.bincount(
             node_spec_a.grouping.group_of_machine,
-            outcome.mus[2] + outcome.lambdas[2],
-            g.n,
+            weights=outcome.mus[2] + outcome.lambdas[2],
+            minlength=g.n,
         )
         active = bound_deg > 0
         degree_bound_ratio = (
             float(np.max(deg_j[active] / bound_deg[active])) if active.any() else 0.0
         )
 
-        retained = np.zeros(g.n, dtype=np.float64)
-        keep_u = x0_u & new_mask
-        keep_v = x0_v & new_mask
-        np.add.at(retained, g.edges_u[keep_u], 1.0)
-        np.add.at(retained, g.edges_v[keep_v], 1.0)
-        lower = _per_node_bound(
+        retained = np.bincount(
+            np.concatenate(
+                [g.edges_u[x0_u & new_mask], g.edges_v[x0_v & new_mask]]
+            ),
+            minlength=g.n,
+        ).astype(np.float64)
+        lower = np.bincount(
             node_spec_b.grouping.group_of_machine,
-            np.maximum(outcome.mus[3] - outcome.lambdas[3], 0.0),
-            g.n,
+            weights=np.maximum(outcome.mus[3] - outcome.lambdas[3], 0.0),
+            minlength=g.n,
         )
         lb_active = lower > 0
         retention_bound_ratio = (

@@ -31,7 +31,7 @@ from ..mpc.partition import chunk_items_by_group
 from .good_nodes import GoodNodesMIS
 from .params import Params
 from .records import StageRecord
-from .stage import MachineGroupSpec, node_level_spec, run_stage_seed_search
+from .stage import MachineGroupSpec, run_stage_seed_search
 
 __all__ = ["NodeSparsifyResult", "sparsify_nodes"]
 
@@ -114,24 +114,16 @@ def sparsify_nodes(
         ctx.observe_loads(grouping_q.loads, "type-Q node distribution")
         ctx.observe_loads(grouping_b.loads, "type-B node distribution")
 
-        specs = [
-            MachineGroupSpec(
-                name="Q", grouping=grouping_q, unit_ids=units_q,
-                check_upper=True, check_lower=False,
-            ),
-            MachineGroupSpec(
-                name="B", grouping=grouping_b, unit_ids=units_b,
-                weights=weights_b, check_upper=False, check_lower=True,
-            ),
-            # Node-level windows (see stage.py): per-node invariant directly.
-            node_level_spec(
-                "Q/node", groups_q, units_q, check_upper=True, check_lower=False
-            ),
-            node_level_spec(
-                "B/node", groups_b, units_b, weights=weights_b,
-                check_upper=False, check_lower=True,
-            ),
-        ]
+        spec_q = MachineGroupSpec(
+            name="Q", grouping=grouping_q, unit_ids=units_q,
+            check_upper=True, check_lower=False,
+        )
+        spec_b = MachineGroupSpec(
+            name="B", grouping=grouping_b, unit_ids=units_b,
+            weights=weights_b, check_upper=False, check_lower=True,
+        )
+        # Node-level windows (see stage.py): per-node invariant directly.
+        specs = [spec_q, spec_b, spec_q.node_twin("Q/node"), spec_b.node_twin("B/node")]
         stage_scan_start = 1 + (j - 1) * params.max_scan_trials
         outcome = run_stage_seed_search(
             family, prob, specs, params, g.n, fidelity, scan_start=stage_scan_start
@@ -146,11 +138,10 @@ def sparsify_nodes(
 
         # ---- invariant measurements -------------------------------------- #
         deg_qj = g.degrees_toward(new_mask).astype(np.float64)
-        bound_deg = np.zeros(g.n, dtype=np.float64)
-        np.add.at(
-            bound_deg,
+        bound_deg = np.bincount(
             specs[2].grouping.group_of_machine,
-            outcome.mus[2] + outcome.lambdas[2],
+            weights=outcome.mus[2] + outcome.lambdas[2],
+            minlength=g.n,
         )
         active = bound_deg > 0
         degree_bound_ratio = (
@@ -159,13 +150,11 @@ def sparsify_nodes(
 
         # Retained weight per B-node: sum_{u in Q_j ~ v} w_u (scaled units).
         keep = new_mask[units_b]
-        retained = np.zeros(g.n, dtype=np.float64)
-        np.add.at(retained, groups_b[keep], weights_b[keep])
-        lower = np.zeros(g.n, dtype=np.float64)
-        np.add.at(
-            lower,
+        retained = np.bincount(groups_b[keep], weights=weights_b[keep], minlength=g.n)
+        lower = np.bincount(
             specs[3].grouping.group_of_machine,
-            np.maximum(outcome.mus[3] - outcome.lambdas[3], 0.0),
+            weights=np.maximum(outcome.mus[3] - outcome.lambdas[3], 0.0),
+            minlength=g.n,
         )
         lb_active = lower > 0
         retention_bound_ratio = (

@@ -26,13 +26,17 @@ class MachineGrouping:
 
     ``machine_of_item[i]`` is the (dense) machine id of item ``i``;
     ``group_of_machine[x]`` is the group (node) a machine serves;
-    ``loads[x]`` is the number of items on machine ``x``.
+    ``loads[x]`` is the number of items on machine ``x``;
+    ``item_order`` lists the items by machine, in input order within a
+    machine (the stable sort by machine id, which is also the stable sort
+    by group id because machines are numbered by (group, chunk index)).
     """
 
     machine_of_item: np.ndarray  # int64[num_items]
     group_of_machine: np.ndarray  # int64[num_machines]
     loads: np.ndarray  # int64[num_machines]
     chunk_size: int
+    item_order: np.ndarray  # int64[num_items]
 
     @property
     def num_machines(self) -> int:
@@ -48,6 +52,34 @@ class MachineGrouping:
     def machines_of_group(self, group: int) -> np.ndarray:
         """Machine ids serving ``group`` (sorted)."""
         return np.nonzero(self.group_of_machine == group)[0].astype(np.int64)
+
+    def group_runs(self) -> np.ndarray:
+        """int64[groups + 1]: the machines serving the ``k``-th group (in
+        group order) are ``group_runs[k]`` to ``group_runs[k + 1] - 1``."""
+        gom = self.group_of_machine
+        if gom.size == 0:
+            return np.zeros(1, dtype=np.int64)
+        starts = np.flatnonzero(gom[1:] != gom[:-1]) + 1
+        return np.concatenate([[0], starts, [gom.size]])
+
+    def per_group(self) -> "MachineGrouping":
+        """One machine per group, holding the group's whole item set.
+
+        Derived from this grouping with no second sort: group ``k``'s
+        machine merges the run of machines ``group_runs()[k:k + 2]``, and
+        the item order carries over.  Equal, field by field, to
+        ``chunk_items_by_group`` with a chunk larger than any group.
+        """
+        runs = self.group_runs()
+        node_of_machine = np.repeat(np.arange(runs.size - 1), np.diff(runs))
+        cum_loads = np.concatenate([[0], np.cumsum(self.loads)])
+        return MachineGrouping(
+            machine_of_item=node_of_machine[self.machine_of_item],
+            group_of_machine=self.group_of_machine[runs[:-1]],
+            loads=np.diff(cum_loads[runs]),
+            chunk_size=self.num_items + 1,
+            item_order=self.item_order,
+        )
 
 
 def chunk_items_by_group(group_ids: np.ndarray, chunk_size: int) -> MachineGrouping:
@@ -69,6 +101,7 @@ def chunk_items_by_group(group_ids: np.ndarray, chunk_size: int) -> MachineGroup
             group_of_machine=np.empty(0, dtype=np.int64),
             loads=np.empty(0, dtype=np.int64),
             chunk_size=chunk_size,
+            item_order=np.empty(0, dtype=np.int64),
         )
     order = np.argsort(gids, kind="stable")
     sorted_gids = gids[order]
@@ -92,4 +125,5 @@ def chunk_items_by_group(group_ids: np.ndarray, chunk_size: int) -> MachineGroup
         group_of_machine=group_of_machine,
         loads=loads,
         chunk_size=chunk_size,
+        item_order=order,
     )

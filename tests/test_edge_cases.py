@@ -15,7 +15,7 @@ from repro.core import (
     sparsify_edges,
 )
 from repro.core.api import uses_lowdeg_path
-from repro.core.stage import MachineGroupSpec, node_level_spec
+from repro.core.stage import MachineGroupSpec
 from repro.graphs import Graph, complete_graph, gnp_random_graph, star_graph
 from repro.mpc import MPCContext, chunk_items_by_group
 from repro.verify import verify_matching_pairs, verify_mis_nodes
@@ -113,11 +113,16 @@ def test_machine_group_spec_shape_checks():
 
 
 def test_node_level_spec_is_one_machine_per_group():
-    groups = np.array([4, 4, 7, 7, 7, 9])
-    spec = node_level_spec("t", groups, np.arange(6))
-    assert spec.virtual
+    groups = np.array([7, 4, 9, 7, 4, 7])
+    chunk = MachineGroupSpec(
+        name="t", grouping=chunk_items_by_group(groups, 2), unit_ids=np.arange(6)
+    )
+    spec = chunk.node_twin("t/node")
+    assert spec.twin_of is chunk and chunk.twin_of is None
     assert spec.grouping.num_machines == 3
-    assert sorted(spec.grouping.group_of_machine.tolist()) == [4, 7, 9]
+    assert spec.grouping.group_of_machine.tolist() == [4, 7, 9]
+    assert spec.grouping.loads.tolist() == [2, 3, 1]
+    assert spec.grouping.machine_of_item.tolist() == [1, 0, 2, 1, 0, 1]
 
 
 # --------------------------------------------------------------------- #

@@ -405,12 +405,15 @@ def test_engine_word_size_counts_arrays():
 
 
 def test_stage_search_reports_certified_slacks():
-    from repro.core.stage import node_level_spec, run_stage_seed_search
+    from repro.core.stage import MachineGroupSpec, run_stage_seed_search
     from repro.derand.estimators import slack_for_failure
+    from repro.mpc.partition import chunk_items_by_group
 
     group_of = np.repeat(np.arange(10, dtype=np.int64), 5)
     units = np.arange(50, dtype=np.int64)
-    spec = node_level_spec("certified-test", group_of, units)
+    # One machine per node: a chunk larger than any group.
+    grouping = chunk_items_by_group(group_of, 51)
+    spec = MachineGroupSpec("certified-test", grouping, units)
     family = make_family(universe=64, k=2)
     outcome = run_stage_seed_search(family, 0.5, [spec], Params(), 64, [])
     assert len(outcome.certified_lambdas) == 1

@@ -1,12 +1,14 @@
 """The sparse stage-goodness kernel against the per-item reference it replaced.
 
 :class:`repro.core.stage.StageGoodness` hashes each distinct unit id once per
-seed block and counts machines with sparse products; weighted windows go
-through a rounding filter with an exact ``reduceat`` fallback.  The oracle
-below is the straightforward kernel: hash every item, sort items by machine,
-and reduce each machine's segment (integer counts for unweighted groups, a
-float64 ``reduceat`` for weighted ones).  Good-machine counts must agree
-exactly for every seed block and slack.
+seed block, counts chunk machines with sparse products, sums each node
+twin's chunk rows, and judges every rung of a slack ladder in one call;
+weighted windows go through a rounding filter with an exact ``reduceat``
+fallback.  The oracle below is the straightforward kernel: hash every item,
+sort items by machine, and reduce each machine's segment (integer counts
+for unweighted groups, a float64 ``reduceat`` for weighted ones), once per
+slack.  Good-machine counts must agree exactly for every seed block and
+every rung.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core import Params
 from repro.core import stage as stage_mod
 from repro.core.matching import deterministic_maximal_matching
-from repro.core.stage import MachineGroupSpec, StageGoodness, node_level_spec
+from repro.core.stage import MachineGroupSpec, StageGoodness
 from repro.graphs import gnp_random_graph
 from repro.graphs.kernels import group_order_indptr, segment_count_2d
 from repro.hashing.kwise import KWiseHashFamily
@@ -66,12 +68,31 @@ def reference_counts(family, threshold, groups, mus, bases, kappa, seeds):
     return good
 
 
+def node_level_spec(name, groups, units, *, weights=None, up=True, lo=True):
+    """A stand-alone one-machine-per-node group over its own sorted grouping
+    (a chunk larger than any group): what a node twin's derived grouping
+    and rows must equal."""
+    return MachineGroupSpec(
+        name=name,
+        grouping=chunk_items_by_group(groups, int(groups.size) + 1),
+        unit_ids=units, weights=weights, check_upper=up, check_lower=lo,
+    )
+
+
+def random_weights(rng, n_items):
+    """None, or weights in (0, 1] spanning six decades."""
+    return 10.0 ** rng.uniform(-6.0, 0.0, n_items) if rng.random() < 0.5 else None
+
+
 def random_stage(rng, k):
     """A stage with every group shape the samplers produce, and then some.
 
     Ids come from one small pool, so groups share ids and a machine can
-    hold the same id twice; windows are upper-only, lower-only or
-    two-sided; one group is empty; chunk and node-level groupings mix.
+    hold the same id twice; group ids are unsorted; windows are
+    upper-only, lower-only or two-sided.  Most chunk groups come with their
+    node twin, as the samplers build them (weighted twins included); the
+    rest stand alone, next to stand-alone node-level groups and an empty
+    group.
     """
     family = KWiseHashFamily(q=Q, k=k)
     pool = rng.choice(Q, size=int(rng.integers(1, 60)), replace=False)
@@ -79,25 +100,42 @@ def random_stage(rng, k):
     groups = []
     for i in range(int(rng.integers(2, 6))):
         n_items = 0 if i == 1 else int(rng.integers(1, 150))
-        nodes = np.sort(rng.integers(0, int(rng.integers(1, 12)), size=n_items))
+        nodes = rng.integers(0, int(rng.integers(1, 12)), size=n_items)
         units = rng.choice(pool, size=n_items).astype(np.int64)
-        weights = rng.random(n_items) if rng.random() < 0.5 else None
+        weights = random_weights(rng, n_items)
         up, lo = sides[int(rng.integers(0, 3))]
-        if rng.random() < 0.3:
+        kind = rng.random()
+        if kind < 0.2:
             groups.append(node_level_spec(
-                f"g{i}/node", nodes, units, weights=weights,
-                check_upper=up, check_lower=lo,
+                f"g{i}/alone", nodes, units, weights=weights, up=up, lo=lo
             ))
-        else:
-            groups.append(MachineGroupSpec(
-                name=f"g{i}",
-                grouping=chunk_items_by_group(nodes, int(rng.integers(1, 9))),
-                unit_ids=units, weights=weights, check_upper=up, check_lower=lo,
-            ))
+            continue
+        chunk = MachineGroupSpec(
+            name=f"g{i}",
+            grouping=chunk_items_by_group(nodes, int(rng.integers(1, 9))),
+            unit_ids=units, weights=weights, check_upper=up, check_lower=lo,
+        )
+        groups.append(chunk)
+        if kind < 0.8:
+            groups.append(chunk.node_twin(f"g{i}/node"))
+    order = rng.permutation(len(groups))  # a twin may precede its chunk group
+    groups = [groups[i] for i in order]
     p = THRESHOLD / Q
     mus = [p * g.weight_totals() for g in groups]
     bases = [rng.random(g.grouping.num_machines) * 2.0 + 0.2 for g in groups]
     return family, groups, mus, bases
+
+
+def ladder(kappa_0, rungs):
+    """``kappa_0 * 1.5^j`` for ``j < rungs``, by repeated multiplication."""
+    kappas = [kappa_0]
+    for _ in range(rungs - 1):
+        kappas.append(kappas[-1] * 1.5)
+    return tuple(kappas)
+
+
+def random_ladder(rng):
+    return ladder(float(rng.uniform(0.3, 2.0)), int(rng.integers(1, 5)))
 
 
 def seed_blocks(rng, family):
@@ -114,7 +152,7 @@ def seed_blocks(rng, family):
 
 
 def check_against_reference(rng, k, kappas) -> int:
-    """Assert the kernel matches the oracle on every block kind and slack.
+    """Assert the kernel matches the oracle on every block kind and rung.
 
     Returns the number of weighted (machine, seed) cells evaluated.
     """
@@ -123,33 +161,37 @@ def check_against_reference(rng, k, kappas) -> int:
     weighted = sum(g.grouping.num_machines for g in groups if g.weights is not None)
     cells = 0
     for seeds in seed_blocks(rng, family):
-        for kappa in kappas:
-            want = reference_counts(
-                family, THRESHOLD, groups, mus, bases, kappa, seeds
-            )
-            assert np.array_equal(goodness.counts(seeds, kappa), want)
-            # Rows reduce independently: one seed equals its row of the block.
-            assert goodness.counts(seeds[-1:], kappa)[0] == want[-1]
-            cells += weighted * (seeds.size + 1)
+        want = np.array([
+            reference_counts(family, THRESHOLD, groups, mus, bases, kappa, seeds)
+            for kappa in kappas
+        ])
+        got = goodness.counts(seeds, kappas)
+        assert got.shape == (len(kappas), seeds.size)
+        assert np.array_equal(got, want)
+        # Rows reduce independently: one seed equals its column of the block.
+        assert np.array_equal(goodness.counts(seeds[-1:], kappas)[:, 0], want[:, -1])
+        cells += weighted * (seeds.size + 1)
     return cells
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_counts_match_reference(kappa, k):
-    check_against_reference(np.random.default_rng(5 + k), k, [kappa])
+    check_against_reference(np.random.default_rng(5 + k), k, ladder(kappa, 4))
 
 
 @given(st.integers(0, 2**31), st.sampled_from([1, 2, 4]))
 @settings(max_examples=40)
 def test_counts_match_reference_property(seed, k):
-    check_against_reference(np.random.default_rng(seed), k, KAPPAS)
+    rng = np.random.default_rng(seed)
+    check_against_reference(rng, k, random_ladder(rng))
 
 
 @given(st.integers(0, 2**31), st.sampled_from([1, 2, 4]))
 @settings(max_examples=15)
 def test_exact_fallback_matches_reference(seed, k):
-    """A band so wide that every weighted cell is re-summed the reference way."""
+    """A band so wide that every weighted cell -- node twins' derived rows
+    included -- is re-summed the reference way, once per block."""
     seen = []
     original = stage_mod._MachineStack.reference_sums
 
@@ -157,11 +199,50 @@ def test_exact_fallback_matches_reference(seed, k):
         seen.append(rows.size)
         return original(self, rows, cols, sampled)
 
+    rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stage_mod, "_ROUNDING_BAND", 1e300)
         mp.setattr(stage_mod._MachineStack, "reference_sums", spy)
-        cells = check_against_reference(np.random.default_rng(seed), k, KAPPAS)
+        cells = check_against_reference(rng, k, random_ladder(rng))
     assert sum(seen) == cells
+
+
+def test_ladder_must_not_decrease():
+    family, groups, mus, bases = random_stage(np.random.default_rng(3), 2)
+    goodness = StageGoodness(family, THRESHOLD, groups, mus, bases)
+    with pytest.raises(ValueError, match="must not decrease"):
+        goodness.counts(np.arange(1, 5), (1.5, 1.0))
+
+
+def test_twin_without_its_chunk_group_is_refused():
+    chunk = MachineGroupSpec(
+        name="A", grouping=chunk_items_by_group(np.array([0, 0, 1]), 2),
+        unit_ids=np.array([3, 4, 5]),
+    )
+    family = KWiseHashFamily(q=Q, k=2)
+    twin = chunk.node_twin("A/node")
+    with pytest.raises(ValueError, match="chunk group is not in the stage"):
+        StageGoodness(family, THRESHOLD, [twin], [np.zeros(2)], [np.ones(2)])
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=40)
+def test_node_twin_grouping_is_the_sorted_node_grouping(seed):
+    """``per_group`` derives, with no sort, what a stand-alone node-level
+    grouping computes by sorting the items again."""
+    rng = np.random.default_rng(seed)
+    n_items = int(rng.integers(0, 80))
+    nodes = rng.integers(0, int(rng.integers(1, 15)), size=n_items)
+    chunk = chunk_items_by_group(nodes, int(rng.integers(1, 9)))
+    derived = chunk.per_group()
+    alone = node_level_spec("alone", nodes, np.arange(n_items)).grouping
+    for name in ("machine_of_item", "group_of_machine", "loads", "item_order"):
+        a, b = getattr(derived, name), getattr(alone, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert derived.chunk_size == alone.chunk_size
+    assert np.array_equal(chunk.item_order, group_order_indptr(
+        chunk.machine_of_item, chunk.num_machines
+    )[0])
 
 
 @given(st.integers(0, 2**31), st.sampled_from([1, 2, 4]))
@@ -170,13 +251,12 @@ def test_reference_sums_are_the_reduceat_sums_bit_for_bit(seed, k):
     """The fallback re-sums a machine exactly as the per-item oracle does."""
     rng = np.random.default_rng(seed)
     family, groups, mus, bases = random_stage(rng, k)
-    weighted = [g for g in groups if g.weights is not None and g.unit_ids.size]
-    if not weighted:
-        return
     goodness = StageGoodness(family, THRESHOLD, groups, mus, bases)
+    if goodness.summed is None:
+        return
     for seeds in seed_blocks(rng, family):
         want = []
-        for g in weighted:
+        for g in goodness.summed.groups:  # the stack's row order
             order, indptr = group_order_indptr(
                 g.grouping.machine_of_item, g.grouping.num_machines
             )
@@ -231,7 +311,7 @@ def test_bound_between_product_and_reference_sum_takes_the_fallback():
     one = seeds[j : j + 1]
     goodness = StageGoodness(family, THRESHOLD, [spec], mus, bases)
     want = reference_counts(family, THRESHOLD, [spec], mus, bases, 1.0, one)
-    assert np.array_equal(goodness.counts(one, 1.0), want)
+    assert np.array_equal(goodness.counts(one, (1.0,))[0], want)
 
 
 def test_stage_degradation_counters_match_records():
