@@ -2,14 +2,15 @@
 total.
 
 Runs both drivers across an n-sweep and tabulates the realised per-machine
-high-water mark against ``S`` and the configured total budget.  A violation
+high-water mark against ``S`` and the total budget ``MPCContext`` enforces.  A violation
 would have raised during the run (the context's ``observe_loads`` is
 enforcing, not just observing); the table documents the margins.
 """
 
-from repro.analysis import render_table, total_space_bound
+from repro.analysis import render_table
 from repro.core import Params, deterministic_maximal_matching, deterministic_mis
 from repro.graphs import gnp_random_graph
+from repro.mpc import MPCContext
 
 from _common import emit
 
@@ -23,7 +24,7 @@ def run():
         g = gnp_random_graph(n, 8.0 / n, seed=66)
         mm = deterministic_maximal_matching(g, params)
         mi = deterministic_mis(g, params)
-        total = total_space_bound(n, g.m, params.eps)
+        total = MPCContext.for_graph(g, params).total_space_budget
         rows.append(
             (n, g.m, mm.space_limit, mm.max_machine_words, mi.max_machine_words,
              total)

@@ -3,13 +3,8 @@
 Commands
 --------
 ``solve``      one problem under one cost model through the ``repro.api``
-               registry (``--list`` shows every (problem, model) entry)
-``mis``        deterministic MIS on an edge-list file (or a generated graph)
-``matching``   deterministic maximal matching
-``vc``         2-approximate vertex cover
-``coloring``   (Delta+1)-coloring
-``demo``       run on a generated G(n, p) without needing an input file
-``crossmodel`` bill one input under MPC / CONGESTED CLIQUE / CONGEST
+               registry (``--list`` shows every (problem, model) entry;
+               ``--model all`` bills one input under every model)
 ``batch``      run a named workload suite through the parallel runtime
 ``serve``      run the always-on solver service (HTTP or stdio JSON lines)
 ``cache``      inspect / clear the content-addressed result cache
@@ -17,18 +12,15 @@ Commands
 ``trace``      record / summarize / diff / export traces, check conformance
 ``docs``       regenerate docs/THEORY.md + docs/REGISTRY.md from the registry
 
-Every solve-shaped command routes through :func:`repro.api.solve`; the
-problem-specific commands (``mis`` / ``matching`` / ``vc`` / ``coloring``)
-are convenience spellings of ``solve --model simulated``.
+Every solve goes through :func:`repro.api.solve`.
 
 Examples::
 
     python -m repro solve --list
     python -m repro solve --problem mis --model cclique --n 300 --p 0.03
-    python -m repro demo --n 500 --p 0.02 --algo mis
-    python -m repro mis graph.edges --eps 0.6 --out mis.txt
-    python -m repro matching graph.edges --force lowdeg
-    python -m repro crossmodel --n 300 --p 0.03 --problem mis
+    python -m repro solve --problem mis --input graph.edges --eps 0.6 --out mis.txt
+    python -m repro solve --problem matching --force lowdeg --report run.md
+    python -m repro solve --problem mis --model all
     python -m repro batch --suite cross-model --workers 4
     python -m repro batch --suite large-sweep --store-dir /tmp/graphs --workers 4
     python -m repro serve --port 8750 --workers 2
@@ -49,118 +41,96 @@ import sys
 from . import __version__
 from .api import REGISTRY, SolveRequest, solve
 from .core import Params
-from .graphs import Graph, gnp_random_graph, read_edge_list
+from .graphs import gnp_random_graph, read_edge_list
+
+#: The entries whose raw result is the ``MISResult`` / ``MatchingResult``
+#: that :func:`repro.analysis.run_report` renders for ``--report``.
+_RUN_REPORT_ENTRIES = (("mis", "simulated"), ("matching", "simulated"))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=0.5, help="space exponent (S = Theta(n^eps))")
-    p.add_argument("--force", choices=["general", "lowdeg"], default=None,
-                   help="pin the algorithm path instead of Theorem-1 dispatch")
-    p.add_argument("--out", type=str, default=None, help="write the solution to a file")
-    p.add_argument("--report", type=str, default=None,
-                   help="write a full run report (markdown) to a file")
+def _requests(args) -> list[SolveRequest]:
+    """The solves ``repro solve`` runs: one, or one per registered model
+    with ``--model all``.
 
-
-def _load_graph(args) -> Graph:
-    if getattr(args, "input", None):
-        return read_edge_list(args.input)
-    return gnp_random_graph(args.n, args.p, seed=args.seed)
-
-
-def _maybe_report(args, res, title: str) -> None:
-    if getattr(args, "report", None):
-        from .analysis import run_report
-
-        with open(args.report, "w") as fh:
-            fh.write(run_report(res, title=title))
-        print(f"  report written to {args.report}")
-
-
-def _report(kind: str, g: Graph, res) -> None:
-    """Summary lines from a SolveResult envelope."""
-    print(f"{kind} on {g}")
-    print(f"  verified: {res.verified}")
-    print(f"  iterations/phases: {res.iterations}")
-    print(f"  charged MPC rounds: {res.rounds}")
-    print(f"  words moved: {res.words_moved}")
-    print(f"  space high-water: {res.max_machine_words}/{res.space_limit} words")
-    raw = res.raw
-    if raw is not None and getattr(raw, "fidelity_events", None):
-        print(f"  fidelity events: {len(raw.fidelity_events)}")
-
-
-def _emit_json(dest: str, payload: dict) -> None:
-    """Write ``payload`` as JSON to a path, or to stdout when dest is ``-``."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
-        print(f"  json written to {dest}")
-
-
-def _write(path: str | None, lines) -> None:
-    if path is None:
-        return
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(f"{line}\n")
-    print(f"  solution written to {path}")
-
-
-def _simulated(args, problem: str):
-    """Run one simulated-model solve through the facade."""
-    g = _load_graph(args)
-    return g, solve(
+    Raises ``KeyError`` / ``ValueError`` / ``OSError`` for a usage error,
+    before anything is solved.
+    """
+    every = args.model == "all"
+    models = REGISTRY.models(args.problem) if every else [args.model]
+    if not models:
+        raise ValueError(
+            f"unknown problem {args.problem!r}; "
+            f"pick from {tuple(REGISTRY.problems())}"
+        )
+    if every and args.out:
+        raise ValueError("--out writes one solution; --model all has one per model")
+    entry = (args.problem, args.model)
+    if args.report and not every and entry not in _RUN_REPORT_ENTRIES:
+        raise ValueError(
+            "--report needs --model all, or a simulated mis or matching solve"
+        )
+    options = {}
+    if args.charge_mode:
+        options["charge_mode"] = args.charge_mode
+    if args.mode:
+        options["mode"] = args.mode
+    params = (
+        Params(eps=args.eps, congest_pipeline_seed_fix=True)
+        if args.pipeline_seed_fix
+        else None
+    )
+    g = (
+        read_edge_list(args.input)
+        if args.input
+        else gnp_random_graph(args.n, args.p, seed=args.seed)
+    )
+    requests = [
         SolveRequest(
-            problem=problem,
-            model="simulated",
+            problem=args.problem,
+            model=model,
             graph=g,
             eps=args.eps,
-            force=getattr(args, "force", None),
+            force=args.force,
+            paper_rule=args.paper_rule,
+            params=params,
+            options=options,
         )
+        for model in models
+    ]
+    for request in requests:
+        REGISTRY.get(request.problem, request.model)
+        request.make_params()
+    return requests
+
+
+def _summary(res, g) -> None:
+    """The human summary of one solve."""
+    print(f"solve {res.problem} under {res.model} on {g}")
+    print(f"  verified: {res.verified} ({res.certificate.get('verifier')})")
+    extras = sorted(
+        (k, v) for k, v in res.certificate.items() if k not in ("verifier", "ok")
     )
+    if extras:
+        print("  certificate: " + ", ".join(f"{k}={v}" for k, v in extras))
+    print(f"  |solution| = {res.solution_size} ({res.solution_kind})")
+    print(f"  rounds: {res.rounds}  iterations/phases: {res.iterations}")
+    print(f"  words moved: {res.words_moved}")
+    print(f"  space high-water: {res.max_machine_words}/{res.space_limit} words")
+    if res.path:
+        print(f"  path: {res.path}")
+    events = getattr(res.raw, "fidelity_events", None)
+    if events:
+        print(f"  fidelity events: {len(events)}")
+    print(f"  wall time: {res.wall_time:.3f}s")
+    if res.trace is not None:
+        print(f"  trace: {len(res.trace)} spans recorded")
 
 
-def cmd_mis(args) -> int:
-    g, res = _simulated(args, "mis")
-    _report("MIS", g, res)
-    print(f"  |I| = {res.solution_size}")
-    _write(args.out, res.solution.tolist())
-    _maybe_report(args, res.raw, f"MIS on {g}")
-    return 0 if res.verified else 1
-
-
-def cmd_matching(args) -> int:
-    g, res = _simulated(args, "matching")
-    _report("maximal matching", g, res)
-    print(f"  |M| = {res.solution_size}")
-    _write(args.out, (f"{u} {v}" for u, v in res.solution.tolist()))
-    _maybe_report(args, res.raw, f"maximal matching on {g}")
-    return 0 if res.verified else 1
-
-
-def cmd_vc(args) -> int:
-    g, res = _simulated(args, "vc")
-    vc = res.raw
-    print(f"vertex cover on {g}")
-    print(f"  verified: {res.verified}; |cover| = {vc.size} "
-          f"<= 2 * {vc.lower_bound()} (2-approx cert)")
-    print(f"  charged MPC rounds: {res.rounds}")
-    _write(args.out, res.solution.tolist())
-    return 0 if res.verified else 1
-
-
-def cmd_coloring(args) -> int:
-    g, res = _simulated(args, "coloring")
-    col = res.raw
-    print(f"(Delta+1)-coloring on {g}")
-    print(f"  proper: {res.verified}; palette {col.num_colors}, "
-          f"used {res.solution_size}")
-    print(f"  charged MPC rounds: {res.rounds}")
-    _write(args.out, res.solution.tolist())
-    return 0 if res.verified else 1
+def _write(path: str, text: str, what: str, quiet: bool) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+    if not quiet:
+        print(f"  {what} written to {path}")
 
 
 def cmd_solve(args) -> int:
@@ -181,79 +151,46 @@ def cmd_solve(args) -> int:
         print("error: --problem required (or --list to see entries)",
               file=sys.stderr)
         return 2
-
-    options = {}
-    if args.charge_mode:
-        options["charge_mode"] = args.charge_mode
-    if args.mode:
-        options["mode"] = args.mode
-    params = (
-        Params(eps=args.eps, congest_pipeline_seed_fix=True)
-        if args.pipeline_seed_fix
-        else None
-    )
-    g = _load_graph(args)
     try:
-        # Request validation + registry lookup are the usage-error surface;
-        # the solve itself runs outside this try so real solver failures
-        # keep their tracebacks.
-        request = SolveRequest(
-            problem=args.problem,
-            model=args.model,
-            graph=g,
-            eps=args.eps,
-            force=args.force,
-            paper_rule=args.paper_rule,
-            params=params,
-            options=options,
-        )
-        REGISTRY.get(request.problem, request.model)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        # Everything a user can get wrong is checked here and exits 2; the
+        # solves run outside this try so real solver failures keep their
+        # tracebacks.
+        requests = _requests(args)
+    except (KeyError, ValueError, OSError) as exc:
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
-    res = solve(request)
-    print(f"solve {args.problem} under {args.model} on {g}")
-    print(f"  verified: {res.verified} ({res.certificate.get('verifier')})")
-    print(f"  |solution| = {res.solution_size} ({res.solution_kind})")
-    print(f"  rounds: {res.rounds}  iterations/phases: {res.iterations}")
-    print(f"  words moved: {res.words_moved}")
-    print(f"  space high-water: {res.max_machine_words}/{res.space_limit} words")
-    if res.path:
-        print(f"  path: {res.path}")
-    print(f"  wall time: {res.wall_time:.3f}s")
-    if res.trace is not None:
-        print(f"  trace: {len(res.trace)} spans recorded")
+    from .analysis import cross_model_report, run_report
+    from .obs.cli import _emit_json
+
+    g = requests[0].graph
+    results = [solve(request) for request in requests]
+    quiet = args.json == "-"  # stdout carries the JSON and nothing else
+    if args.model == "all":
+        title = f"cross-model {args.problem} on {g}"
+        report = cross_model_report(results, title=title)
+        if not quiet:
+            print(report)
+        if args.report:
+            _write(args.report, report, "report", quiet)
+        if args.json:
+            _emit_json(args.json, [res.to_payload()[0] for res in results])
+        return 0 if all(res.verified for res in results) else 1
+
+    res = results[0]
+    if not quiet:
+        _summary(res, g)
+    if args.report:
+        title = f"{res.problem} under {res.model} on {g}"
+        _write(args.report, run_report(res.raw, title=title), "report", quiet)
     if args.json:
-        meta, _ = res.to_payload()
-        _emit_json(args.json, meta)
+        _emit_json(args.json, res.to_payload()[0])
     if args.out:
+        rows = res.solution.tolist()
         if res.solution_kind == "pairs":
-            _write(args.out, (f"{u} {v}" for u, v in res.solution.tolist()))
-        else:
-            _write(args.out, res.solution.tolist())
+            rows = (f"{u} {v}" for u, v in rows)
+        _write(args.out, "".join(f"{row}\n" for row in rows), "solution", quiet)
     return 0 if res.verified else 1
-
-
-def cmd_crossmodel(args) -> int:
-    from .analysis import cross_model_report
-    from .models import cross_model_run
-
-    g = _load_graph(args)
-    run = cross_model_run(
-        g,
-        args.problem,
-        params=Params(eps=args.eps),
-        include_engine=args.engine,
-    )
-    text = cross_model_report(run, title=f"cross-model {args.problem} on {g}")
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"  report written to {args.out}")
-    if args.json:
-        _emit_json(args.json, run.to_dict())
-    return 0 if run.all_verified else 1
 
 
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
@@ -417,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser(
         "solve",
-        help="solve one problem under one cost model via the repro.api registry",
+        help="solve one problem under one cost model (or every model) via "
+             "the repro.api registry",
     )
     sv.add_argument("--list", action="store_true",
                     help="list every (problem, model) registry entry")
@@ -426,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--problem", type=str, default=None,
                     help="problem key (see --list)")
     sv.add_argument("--model", type=str, default="simulated",
-                    help="cost model key (default: simulated)")
+                    help="cost model key (default: simulated); all = one "
+                         "solve per registered model, billed side by side")
     sv.add_argument("--input", type=str, default=None,
                     help="edge-list file (generated G(n, p) otherwise)")
     sv.add_argument("--n", type=int, default=300)
@@ -448,51 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the solution to a file")
     sv.add_argument("--json", type=str, default=None,
                     help="write the SolveResult envelope (sans arrays) as "
-                         "JSON; - for stdout")
+                         "JSON; - prints only the JSON to stdout")
+    sv.add_argument("--report", type=str, default=None,
+                    help="write a markdown run report (simulated mis / "
+                         "matching) or, with --model all, the cross-model bill")
     sv.set_defaults(fn=cmd_solve)
-
-    for name, fn in (
-        ("mis", cmd_mis),
-        ("matching", cmd_matching),
-        ("vc", cmd_vc),
-        ("coloring", cmd_coloring),
-    ):
-        p = sub.add_parser(name, help=f"deterministic {name} on an edge-list file")
-        p.add_argument("input", help="edge-list file (u v per line, # n=.. header)")
-        _add_common(p)
-        p.set_defaults(fn=fn)
-
-    demo = sub.add_parser("demo", help="run on a generated G(n, p)")
-    demo.add_argument("--n", type=int, default=500)
-    demo.add_argument("--p", type=float, default=0.02)
-    demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument(
-        "--algo", choices=["mis", "matching", "vc", "coloring"], default="mis"
-    )
-    _add_common(demo)
-    demo.set_defaults(
-        fn=lambda a: {"mis": cmd_mis, "matching": cmd_matching,
-                      "vc": cmd_vc, "coloring": cmd_coloring}[a.algo](a)
-    )
-
-    xm = sub.add_parser(
-        "crossmodel",
-        help="bill one input under MPC / CONGESTED CLIQUE / CONGEST",
-    )
-    xm.add_argument("--input", type=str, default=None,
-                    help="edge-list file (generated G(n, p) otherwise)")
-    xm.add_argument("--n", type=int, default=300)
-    xm.add_argument("--p", type=float, default=0.03)
-    xm.add_argument("--seed", type=int, default=0)
-    xm.add_argument("--eps", type=float, default=0.5)
-    xm.add_argument("--problem", choices=["mis", "matching"], default="mis")
-    xm.add_argument("--engine", action="store_true",
-                    help="add the literal MPC engine as a fourth row")
-    xm.add_argument("--out", type=str, default=None,
-                    help="write the report to a file")
-    xm.add_argument("--json", type=str, default=None,
-                    help="write the run record as JSON; - for stdout")
-    xm.set_defaults(fn=cmd_crossmodel)
 
     batch = sub.add_parser(
         "batch", help="run a named workload suite through the parallel runtime"

@@ -8,10 +8,8 @@ from .theory import (
     lowdeg_round_bound,
     matching_iteration_bound,
     mis_iteration_bound,
-    per_machine_space,
     seed_bits_colors,
     seed_bits_ids,
-    total_space_bound,
 )
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
     "lowdeg_round_bound",
     "matching_iteration_bound",
     "mis_iteration_bound",
-    "per_machine_space",
     "registry_markdown",
     "render_series",
     "render_table",
@@ -33,6 +30,5 @@ __all__ = [
     "seed_bits_colors",
     "seed_bits_ids",
     "theory_markdown",
-    "total_space_bound",
     "write_docs",
 ]

@@ -117,10 +117,11 @@ def theory_markdown() -> str:
         "Totals are always checked; `--symbolic` extends the check to each "
         "declared charge category's per-phase stream (the solves run under "
         "the tracer and the `charge` span events are aggregated per "
-        "category).  Closed-form constants for the paper's iteration and "
-        "space bounds live in `repro.analysis.theory` "
-        "(`mis_iteration_bound`, `matching_iteration_bound`, "
-        "`lowdeg_round_bound`, `per_machine_space`, `total_space_bound`).",
+        "category).  Closed-form constants for the paper's iteration "
+        "bounds live in `repro.analysis.theory` (`mis_iteration_bound`, "
+        "`matching_iteration_bound`, `lowdeg_round_bound`); the space "
+        "budgets a solve enforces are `MPCContext.S` and "
+        "`MPCContext.total_space_budget`.",
         "",
     ]
     return "\n".join(lines)
@@ -158,8 +159,8 @@ def registry_markdown() -> str:
         "",
         "Every solver is a `SolverEntry` keyed `(problem, model)` in "
         "`repro.api.REGISTRY`; registering one makes it batch-runnable "
-        "(`repro batch`), cross-model-billable (`repro crossmodel`), "
-        "CLI-reachable (`repro solve`), and cost-checkable "
+        "(`repro batch`), CLI-reachable (`repro solve`), a row of the "
+        "cross-model bill (`repro solve --model all`), and cost-checkable "
         "(`repro trace conformance`).",
         "",
         "## Coverage matrix",

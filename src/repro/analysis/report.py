@@ -11,11 +11,10 @@ report is as deterministic as the run.
 aggregates (success rates, cache economics, round/wall-time distributions)
 plus a per-job table, consumed by ``repro batch --report``.
 
-:func:`cross_model_report` renders one
-:class:`~repro.models.crossmodel.CrossModelRun` — the same input billed
-under MPC, CONGESTED CLIQUE and CONGEST — as a unified
-round/communication table, the side-by-side comparison the paper states in
-prose.
+:func:`cross_model_report` renders the envelopes of one input solved under
+every cost model (``repro solve --model all``) — MPC, CONGESTED CLIQUE and
+CONGEST side by side — as a unified round/communication table, the
+comparison the paper states in prose.
 """
 
 from __future__ import annotations
@@ -210,42 +209,44 @@ def batch_report(results, stats=None, title: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def _fmt_ceiling(value) -> str:
-    return str(value) if value is not None else "-"
+def cross_model_report(results, title: str | None = None) -> str:
+    """Render one input solved under several cost models as one bill.
 
-
-def cross_model_report(run, title: str | None = None) -> str:
-    """Render a cross-model run as a unified round/communication report.
-
-    ``run`` is a :class:`~repro.models.crossmodel.CrossModelRun` (duck-typed
-    to keep analysis import-independent of the models package): one input,
-    one problem, one row per cost model.
+    ``results`` are :class:`~repro.api.SolveResult` envelopes of one
+    problem on one input (duck-typed to keep analysis import-independent
+    of the facade), one row each.  Rounds, words moved, the space ceiling,
+    the storage high-water mark and the solution size come from the
+    envelope; the bandwidth ceiling and the top charge category from its
+    snapshot, when it has one.
     """
+    results = list(results)
+    verified = all(res.verified for res in results)
     lines: list[str] = [
-        f"# {title or f'cross-model {run.problem} report'}",
+        f"# {title or f'cross-model {results[0].problem} report'}",
         "",
-        f"* input: n={run.graph_n}, m={run.graph_m}",
-        f"* all solutions verified: {'yes' if run.all_verified else 'NO'}",
+        f"* all solutions verified: {'yes' if verified else 'NO'}",
         "",
     ]
-    sizes = dict(run.solution_sizes)
     rows = []
-    for snap in run.snapshots:
+    for res in results:
+        snap = res.snapshot
         top = max(
-            ((k, v) for k, v in snap.by_category.items() if k != "total"),
+            ((k, v) for k, v in (snap.by_category if snap else {}).items()
+             if k != "total"),
             key=lambda kv: kv[1],
-            default=("-", 0),
+            default=None,
         )
+        bandwidth = snap.bandwidth_ceiling if snap else None
         rows.append(
             (
-                snap.model,
-                snap.rounds,
-                snap.words_moved if snap.words_moved else "-",
-                _fmt_ceiling(snap.space_ceiling),
-                _fmt_ceiling(snap.bandwidth_ceiling),
-                snap.max_words_seen if snap.max_words_seen else "-",
-                sizes.get(snap.model, "-"),
-                f"{top[0]} ({top[1]})",
+                res.model,
+                res.rounds,
+                res.words_moved or "-",
+                res.space_limit or "-",
+                bandwidth if bandwidth is not None else "-",
+                res.max_machine_words or "-",
+                res.solution_size,
+                f"{top[0]} ({top[1]})" if top else "-",
             )
         )
     lines.append(

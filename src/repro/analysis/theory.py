@@ -25,10 +25,8 @@ __all__ = [
     "lowdeg_round_bound",
     "matching_iteration_bound",
     "mis_iteration_bound",
-    "per_machine_space",
     "seed_bits_colors",
     "seed_bits_ids",
-    "total_space_bound",
 ]
 
 
@@ -58,16 +56,6 @@ def lowdeg_round_bound(
     d = max(max_degree, 2)
     nn = max(n, 4)
     return c_stage * math.log2(d) + c_pre * math.log2(math.log2(nn))
-
-
-def per_machine_space(n: int, eps: float, factor: float = 32.0) -> int:
-    """``S = factor * n^eps`` words (Theorems 7/14)."""
-    return max(4, math.ceil(factor * max(n, 2) ** eps))
-
-
-def total_space_bound(n: int, m: int, eps: float, factor: float = 16.0) -> int:
-    """``O(m + n^{1+eps})`` total words."""
-    return math.ceil(factor * (m + max(n, 2) ** (1.0 + eps)))
 
 
 def seed_bits_ids(n: int) -> int:

@@ -8,10 +8,10 @@ Pai–Pemmaraju's deterministic ruling-set framework and the
 sparsity-aware unification of Censor-Hillel et al. state one interface per
 problem family): every solver is a :class:`SolverEntry` keyed by
 ``(problem, model)`` with capability metadata, and downstream layers — the
-batch runtime, the cross-model runner, the CLI — *enumerate the registry*
-instead of hard-coding problem lists.  Registering a new entry makes it
-instantly batch-runnable (``repro batch``), cross-model-billable
-(``repro crossmodel``), and CLI-reachable (``repro solve``).
+batch runtime, the CLI — *enumerate the registry* instead of hard-coding
+problem lists.  Registering a new entry makes it instantly batch-runnable
+(``repro batch``), CLI-reachable (``repro solve``), and a row of the
+cross-model bill (``repro solve --model all``).
 """
 
 from __future__ import annotations

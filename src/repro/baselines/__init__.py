@@ -1,6 +1,5 @@
 """Baselines: randomized comparators and sequential oracles."""
 
-from .ghaffari import ghaffari_mis
 from .greedy import greedy_matching, greedy_mis
 from .israeli_itai import israeli_itai_matching
 from .luby import (
@@ -9,16 +8,13 @@ from .luby import (
     luby_mis_pairwise,
     luby_mis_randomized,
 )
-from .pram_derand import pram_bitwise_derandomized_mis
 
 __all__ = [
     "BaselineResult",
-    "ghaffari_mis",
     "greedy_matching",
     "greedy_mis",
     "israeli_itai_matching",
     "luby_matching_randomized",
     "luby_mis_pairwise",
     "luby_mis_randomized",
-    "pram_bitwise_derandomized_mis",
 ]

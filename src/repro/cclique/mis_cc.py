@@ -81,7 +81,7 @@ def cc_mis(
     ``charge_mode='ours'`` charges O(1) rounds per phase (Corollary 2);
     ``charge_mode='chps'`` charges ``seed_bits`` rounds per phase (the
     bit-by-bit voting derandomization of [15]'s general path).  Passing a
-    ``ctx`` lets callers (the cross-model runner, tests) own the ledger.
+    ``ctx`` lets the caller own the ledger.
 
     .. note:: Prefer ``repro.api.solve(SolveRequest(problem="mis",
        model="cclique", graph=g))``; this entry point stays as a

@@ -73,29 +73,6 @@ class CongestedCliqueContext(RoundLedger):
         """Sum/min of one value per node to a leader: 1 round (star)."""
         self.charge(category, 1, words=max(0, self.n - 1))
 
-    def lenzen_route(
-        self,
-        send_counts: np.ndarray,
-        recv_counts: np.ndarray,
-        category: str = "route",
-    ) -> None:
-        """Charge a Lenzen routing step after validating its feasibility.
-
-        ``send_counts[v]`` / ``recv_counts[v]`` are messages sourced at /
-        destined to node ``v``; each must be at most ``n``.
-        """
-        send = np.asarray(send_counts)
-        recv = np.asarray(recv_counts)
-        if send.size and int(send.max(initial=0)) > self.n:
-            raise ValueError(
-                f"Lenzen routing infeasible: a node sends {int(send.max())} > n"
-            )
-        if recv.size and int(recv.max(initial=0)) > self.n:
-            raise ValueError(
-                f"Lenzen routing infeasible: a node receives {int(recv.max())} > n"
-            )
-        self.charge(category, LENZEN_ROUNDS, words=int(send.sum(initial=0)))
-
     def charge_collect_graph(self, m: int, category: str = "collect") -> None:
         """Collect ``m <= n`` edges onto a single node (Lenzen): O(1) rounds."""
         if m > self.n:

@@ -65,7 +65,7 @@ def congest_mis(
     ``mode`` is ``"voting"`` (id-based seeds, Theta(D log n)/phase) or
     ``"color-compressed"`` (Section-5 style color seeds,
     Theta(D log Delta)/phase after O(log* n) preprocessing).  Passing a
-    ``ctx`` lets callers (the cross-model runner, tests) own the ledger.
+    ``ctx`` lets the caller own the ledger.
     ``pipeline_seed_fix`` bills the BFS-pipelined ``O(D + seed_bits)``
     seed broadcast instead of the sequential ``2 D seed_bits`` charge
     (ablation; ignored when an explicit ``ctx`` is supplied).

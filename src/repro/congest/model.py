@@ -14,8 +14,8 @@ tree, where ``D`` is the graph's diameter -- the fundamental price CONGEST
 pays relative to CONGESTED CLIQUE / MPC.
 
 The context below computes the BFS-tree depth of the (connected components
-of the) input once and charges ``upcast``/``downcast`` operations
-accordingly.  It is a :class:`~repro.models.ledger.RoundLedger`:
+of the) input once and charges the seed fix's per-bit vote upcast and
+broadcast over that tree accordingly.  It is a :class:`~repro.models.ledger.RoundLedger`:
 ``words_moved`` counts one word per message, the bandwidth ceiling is
 ``2 m`` words per round (one message per edge direction), and an optional
 per-node storage ceiling makes locality violations raise
@@ -98,14 +98,6 @@ class CongestContext(RoundLedger):
     def charge_local(self, category: str = "local") -> None:
         """One message over every edge simultaneously: 1 round."""
         self.charge(category, 1, words=2 * self.graph.m)
-
-    def charge_upcast(self, category: str = "aggregate") -> None:
-        """Sum/min of one value per node to the BFS roots: depth rounds."""
-        self.charge(category, max(1, self.depth), words=self.graph.n)
-
-    def charge_downcast(self, category: str = "broadcast") -> None:
-        """Roots broadcast one value down their trees: depth rounds."""
-        self.charge(category, max(1, self.depth), words=self.graph.n)
 
     def charge_seed_fix(self, seed_bits: int, category: str = "seed_fix") -> None:
         """Conditional expectations in CONGEST: the O(log n)-bit seed is

@@ -9,12 +9,10 @@ CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
   its steps use.
 * :mod:`repro.models.ledger` -- the :class:`RoundLedger` every simulator
   extends (rounds by category, words moved, the storage high-water mark)
-  and the :class:`ModelSnapshot` record the cross-model report renders.
+  and the :class:`ModelSnapshot` record every envelope carries and the
+  cross-model report (``repro solve --model all``) renders.
 * :mod:`repro.models.phase` -- the derandomized-Luby phase kernel the
   clique and CONGEST solvers share.
-* :mod:`repro.models.crossmodel` -- run one problem under all three cost
-  models and collect the snapshots side by side (imported lazily: it pulls
-  in every simulator, and the simulators import this package).
 """
 
 from .ledger import ModelSnapshot, RoundLedger
@@ -23,23 +21,9 @@ from .plane import MessageBlock, Table
 
 __all__ = [
     "MAXKEY",
-    "CrossModelRun",
     "LubyPhaseKernel",
     "MessageBlock",
     "ModelSnapshot",
     "RoundLedger",
     "Table",
-    "cross_model_run",
 ]
-
-_LAZY = ("CrossModelRun", "cross_model_run")
-
-
-def __getattr__(name: str):
-    # crossmodel imports the simulators, which import this package; resolve
-    # its symbols lazily to keep the import graph acyclic.
-    if name in _LAZY:
-        from . import crossmodel
-
-        return getattr(crossmodel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

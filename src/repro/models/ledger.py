@@ -16,6 +16,7 @@ model's rules; the ledger owns what is common to all of them:
   under tracing also lands as a ``charge`` span event, and ``fold(sub)``,
   which adds a finished sub-run's bill without charging it a second time;
 * ``model_snapshot()`` — a frozen, JSON-able :class:`ModelSnapshot` that
+  a solve's envelope carries and
   :func:`repro.analysis.report.cross_model_report` renders side by side.
 
 Subclasses: :class:`repro.mpc.engine.MPCEngine` (literal message

@@ -28,7 +28,7 @@ from .trace import trace_capture
 __all__ = ["add_trace_parser", "cmd_trace"]
 
 
-def _emit_json(dest: str, payload: dict) -> None:
+def _emit_json(dest: str, payload: dict | list) -> None:
     """Write ``payload`` as JSON to a path, or stdout when dest is ``-``."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if dest == "-":

@@ -313,27 +313,32 @@ def test_mpc_context_words_moved_positive_for_both_paths():
 
 def test_cross_model_report_shows_mpc_words(capsys):
     from repro.analysis import cross_model_report
-    from repro.models import cross_model_run
 
     g = small_graph(seed=4, n=80, p=0.08)
-    run = cross_model_run(g, "mis")
-    mpc = run.snapshot_for("mpc")
-    assert mpc.words_moved > 0
-    text = cross_model_report(run)
-    row = next(line for line in text.splitlines() if line.strip().startswith("mpc"))
+    results = [
+        solve(SolveRequest(problem="mis", model=model, graph=g))
+        for model in REGISTRY.models("mis")
+    ]
+    mpc = next(res for res in results if res.model == "simulated")
+    assert mpc.snapshot.words_moved == mpc.words_moved > 0
+    text = cross_model_report(results)
+    row = next(
+        line for line in text.splitlines() if line.strip().startswith("simulated")
+    )
     assert str(mpc.words_moved) in row
 
 
-def test_cross_model_engine_row_opt_in():
-    from repro.models import cross_model_run
+def test_cross_model_engine_row_opt_in(capsys):
+    """The engine row used to be opt-in; ``--model all`` always has it."""
+    from repro.__main__ import main
 
-    g = small_graph(seed=4, n=60, p=0.08)
-    run = cross_model_run(g, "mis", include_engine=True)
-    assert {s.model for s in run.snapshots} == {
-        "mpc", "congested-clique", "congest", "mpc-engine"
-    }
-    assert run.all_verified
-    assert run.snapshot_for("mpc-engine").words_moved > 0
+    argv = ["solve", "--problem", "mis", "--model", "all", "--n", "60",
+            "--p", "0.08", "--seed", "4", "--json", "-"]
+    assert main(argv) == 0
+    rows = {row["model"]: row for row in json.loads(capsys.readouterr().out)}
+    assert set(rows) == {"simulated", "cclique", "congest", "mpc-engine"}
+    assert all(row["verified"] for row in rows.values())
+    assert rows["mpc-engine"]["words_moved"] > 0
 
 
 # ---------------------------------------------------------------------- #
@@ -367,8 +372,7 @@ def test_cmd_solve_pipeline_seed_fix_flag(capsys):
         argv = ["solve", "--problem", "mis", "--model", "congest",
                 "--n", "70", "--p", "0.08", "--json", "-", *flags]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        return json.loads(out[out.index("{"):])
+        return json.loads(capsys.readouterr().out)
 
     base, piped = run(), run("--pipeline-seed-fix")
     assert piped["snapshot"]["detail"]["pipeline_seed_fix"] is True
@@ -478,28 +482,6 @@ def test_cmd_solve_unknown_problem_is_friendly(capsys):
     rc = main(["solve", "--problem", "bogus", "--n", "20", "--p", "0.1"])
     assert rc == 2
     assert "unknown problem" in capsys.readouterr().err
-
-
-def test_cross_model_run_respects_params_scan_trials():
-    """Regression: cross_model_run used to clobber params.max_scan_trials
-    back to 512 unconditionally."""
-    from unittest.mock import patch
-
-    from repro.models import cross_model_run
-
-    g = small_graph(seed=12, n=40, p=0.1)
-    captured = []
-    import repro.api as api_mod
-
-    real = api_mod.solve
-
-    def spy(request, **kw):
-        captured.append(request.params.max_scan_trials)
-        return real(request, **kw)
-
-    with patch.object(api_mod, "solve", side_effect=spy):
-        cross_model_run(g, "mis", params=Params(max_scan_trials=64))
-    assert captured and all(v == 64 for v in captured)
 
 
 def test_worker_payload_round_trips_jobresult():

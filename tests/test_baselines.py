@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    ghaffari_mis,
     greedy_matching,
     greedy_mis,
     israeli_itai_matching,
     luby_matching_randomized,
     luby_mis_pairwise,
     luby_mis_randomized,
-    pram_bitwise_derandomized_mis,
 )
 from repro.graphs import Graph, complete_graph, gnp_random_graph, star_graph
 from repro.verify import verify_matching_pairs, verify_mis_nodes
@@ -110,49 +108,3 @@ def test_israeli_itai_complete_graph():
     res = israeli_itai_matching(g, seed=3)
     assert verify_matching_pairs(g, res.solution)
     assert res.solution.shape[0] == 10  # perfect matching on K20
-
-
-# --------------------------------------------------------------------- #
-# Ghaffari
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_ghaffari_correct(seed):
-    g = gnp_random_graph(80, 0.1, seed=14)
-    res = ghaffari_mis(g, seed=seed)
-    assert verify_mis_nodes(g, res.solution)
-
-
-def test_ghaffari_terminates_on_clique():
-    g = complete_graph(30)
-    res = ghaffari_mis(g, seed=0)
-    assert verify_mis_nodes(g, res.solution)
-    assert len(res.solution) == 1
-
-
-# --------------------------------------------------------------------- #
-# PRAM bitwise derandomization
-# --------------------------------------------------------------------- #
-
-
-def test_pram_bitwise_correct_and_deterministic():
-    g = gnp_random_graph(40, 0.15, seed=15)
-    a = pram_bitwise_derandomized_mis(g)
-    b = pram_bitwise_derandomized_mis(g)
-    assert verify_mis_nodes(g, a.solution)
-    assert np.array_equal(a.solution, b.solution)
-
-
-def test_pram_bitwise_round_structure():
-    """rounds = iterations * (seed_bits + 1): the Theta(log^2 n) shape."""
-    g = gnp_random_graph(40, 0.15, seed=16)
-    res = pram_bitwise_derandomized_mis(g)
-    assert res.rounds > res.iterations  # strictly worse than O(1)/iteration
-    assert res.rounds % res.iterations == 0 or res.rounds >= res.iterations
-
-
-def test_pram_bitwise_family_cap():
-    g = gnp_random_graph(30, 0.2, seed=17)
-    with pytest.raises(ValueError):
-        pram_bitwise_derandomized_mis(g, min_q=5000)

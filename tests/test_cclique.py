@@ -5,7 +5,6 @@ import pytest
 
 from repro.cclique import (
     CongestedCliqueContext,
-    LENZEN_ROUNDS,
     cc_maximal_matching,
     cc_mis,
 )
@@ -21,24 +20,6 @@ from repro.verify import verify_matching_pairs, verify_mis_nodes
 def test_context_word_bits():
     ctx = CongestedCliqueContext(n=1024)
     assert ctx.word_bits >= 10
-
-
-def test_lenzen_route_feasible():
-    ctx = CongestedCliqueContext(n=10)
-    ctx.lenzen_route(np.full(10, 10), np.full(10, 10))
-    assert ctx.rounds == LENZEN_ROUNDS
-
-
-def test_lenzen_route_rejects_oversend():
-    ctx = CongestedCliqueContext(n=10)
-    with pytest.raises(ValueError):
-        ctx.lenzen_route(np.array([11]), np.array([5]))
-
-
-def test_lenzen_route_rejects_overreceive():
-    ctx = CongestedCliqueContext(n=10)
-    with pytest.raises(ValueError):
-        ctx.lenzen_route(np.array([5]), np.array([11]))
 
 
 def test_collect_graph_guard():

@@ -44,8 +44,8 @@ def test_bfs_depth_edgeless():
 def test_context_charges_scale_with_depth():
     shallow = CongestContext(star_graph(20))
     deep = CongestContext(path_graph(20))
-    shallow.charge_upcast()
-    deep.charge_upcast()
+    shallow.charge_seed_fix(1)
+    deep.charge_seed_fix(1)
     assert deep.rounds > shallow.rounds
 
 

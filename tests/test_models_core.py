@@ -8,6 +8,8 @@ monotone, category charges sum to the total, space ceilings raising
 exactly at the boundary).
 """
 
+import json
+
 import numpy as np
 import pytest
 import engine_oracle as oracle_engine
@@ -23,14 +25,9 @@ from repro.graphs import (
     cycle_graph,
     gnp_random_graph,
     star_graph,
+    write_edge_list,
 )
-from repro.models import (
-    MessageBlock,
-    ModelSnapshot,
-    RoundLedger,
-    Table,
-    cross_model_run,
-)
+from repro.models import MessageBlock, ModelSnapshot, RoundLedger, Table
 from repro.models.plane import table
 from repro.mpc.distributed_luby import luby_peak_words
 from repro.mpc import (
@@ -292,17 +289,6 @@ def test_distributed_luby_matches_per_machine_oracle(n, p, seed, machines, slack
     )
 
 
-def test_cross_model_matching_edgeless_keeps_all_rows():
-    """Regression: the CONGEST matching early-return used to ship no
-    snapshot, silently dropping the congest row from the report."""
-    run = cross_model_run(Graph.empty(5), "matching")
-    assert [s.model for s in run.snapshots] == [
-        "mpc", "congested-clique", "congest"
-    ]
-    assert run.snapshot_for("congest").rounds == 0
-    assert run.all_verified
-
-
 def test_distributed_sort_packed_matches_object_sort():
     """Sorted output plus the pinned bill: 3 rounds, 38 words, and a
     27-word high-water mark."""
@@ -459,43 +445,63 @@ def test_clique_unbounded_space_never_raises():
 
 
 # --------------------------------------------------------------------- #
-# Cross-model runner and report
+# Every model side by side: repro solve --model all and its report
 # --------------------------------------------------------------------- #
 
 
-def test_cross_model_run_mis():
-    g = gnp_random_graph(60, 0.08, seed=2)
-    run = cross_model_run(g, "mis")
-    assert run.all_verified
-    models = [s.model for s in run.snapshots]
-    assert models == ["mpc", "congested-clique", "congest"]
-    assert all(s.rounds > 0 for s in run.snapshots)
-    assert dict(run.solution_sizes)["mpc"] > 0
-    rebuilt = run.to_dict()
-    assert rebuilt["problem"] == "mis" and len(rebuilt["snapshots"]) == 3
+def _model_all_rows(capsys, problem: str, *argv) -> dict:
+    """``repro solve --model all --json -`` rows, keyed by model."""
+    from repro.__main__ import main
+
+    rc = main(["solve", "--problem", problem, "--model", "all", *argv,
+               "--json", "-"])
+    assert rc == 0  # every envelope verified
+    return {row["model"]: row for row in json.loads(capsys.readouterr().out)}
 
 
-def test_cross_model_run_matching():
-    g = gnp_random_graph(50, 0.1, seed=6)
-    run = cross_model_run(g, "matching")
-    assert run.all_verified
-    assert run.snapshot_for("congest").rounds > run.snapshot_for(
-        "congested-clique"
-    ).rounds  # the tree cost is the point of the comparison
+def test_cross_model_matching_edgeless_keeps_all_rows(tmp_path, capsys):
+    """Regression: the CONGEST matching early-return used to ship no
+    snapshot, silently dropping the congest row from the report."""
+    inp = tmp_path / "edgeless.edges"
+    write_edge_list(Graph.empty(5), inp)
+    rows = _model_all_rows(capsys, "matching", "--input", str(inp))
+    assert list(rows) == ["cclique", "congest", "simulated"]
+    assert all(row["snapshot"] is not None for row in rows.values())
+    assert [rows[m]["snapshot"]["model"] for m in rows] == [
+        "congested-clique", "congest", "mpc"
+    ]
+    assert rows["congest"]["rounds"] == 0
 
 
-def test_cross_model_run_rejects_unknown_problem():
-    with pytest.raises(ValueError, match="mis|matching"):
-        cross_model_run(Graph.empty(3), "coloring")
+def test_model_all_mis_bills_every_model(capsys):
+    rows = _model_all_rows(capsys, "mis", "--n", "60", "--p", "0.08", "--seed", "2")
+    assert list(rows) == ["cclique", "congest", "mpc-engine", "simulated"]
+    assert all(row["verified"] and row["rounds"] > 0 for row in rows.values())
+    assert rows["simulated"]["solution_size"] > 0
+    snaps = [ModelSnapshot.from_dict(row["snapshot"]) for row in rows.values()]
+    assert [s.rounds for s in snaps] == [row["rounds"] for row in rows.values()]
+
+
+def test_model_all_matching_congest_pays_the_tree(capsys):
+    rows = _model_all_rows(
+        capsys, "matching", "--n", "50", "--p", "0.1", "--seed", "6"
+    )
+    # the tree cost is the point of the comparison
+    assert rows["congest"]["rounds"] > rows["cclique"]["rounds"]
 
 
 def test_cross_model_report_renders():
     from repro.analysis import cross_model_report
+    from repro.api import REGISTRY, SolveRequest, solve
 
     g = gnp_random_graph(40, 0.12, seed=3)
-    run = cross_model_run(g, "mis")
-    text = cross_model_report(run)
-    assert "congested-clique" in text
-    assert "congest" in text
+    results = [
+        solve(SolveRequest(problem="mis", model=model, graph=g))
+        for model in REGISTRY.models("mis")
+    ]
+    text = cross_model_report(results)
+    assert text.startswith("# cross-model mis report")
+    for model in ("cclique", "congest", "mpc-engine", "simulated"):
+        assert model in text
     assert "round / communication bill per model" in text
     assert "verified: yes" in text

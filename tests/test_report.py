@@ -52,8 +52,10 @@ def test_report_numbers_match_records():
 
 def test_cli_report_flag(tmp_path, capsys):
     out = tmp_path / "r.md"
-    rc = main(["demo", "--n", "60", "--p", "0.1", "--algo", "mis",
+    rc = main(["solve", "--problem", "mis", "--n", "60", "--p", "0.1",
                "--report", str(out)])
     assert rc == 0
     assert out.exists()
-    assert "run report" in out.read_text() or "MIS on" in out.read_text()
+    text = out.read_text()
+    assert text.startswith("# mis under simulated on Graph")
+    assert "per-iteration progress" in text

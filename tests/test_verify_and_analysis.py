@@ -11,14 +11,13 @@ from repro.analysis import (
     lowdeg_round_bound,
     matching_iteration_bound,
     mis_iteration_bound,
-    per_machine_space,
     render_series,
     render_table,
     seed_bits_colors,
     seed_bits_ids,
-    total_space_bound,
 )
 from repro.graphs import Graph, gnp_random_graph, path_graph
+from repro.mpc import MPCContext
 from repro.verify import (
     is_independent_set,
     is_matching,
@@ -176,8 +175,10 @@ def test_lowdeg_round_bound_monotone():
 
 
 def test_space_formulas():
-    assert per_machine_space(256, 0.5, factor=32) == 32 * 16
-    assert total_space_bound(100, 50, 0.5) > 50
+    ctx = MPCContext(n=256, m=50, eps=0.5, space_factor=32, total_factor=16)
+    assert ctx.S == 32 * 16
+    # the enforced total budget is 16 (m + n^{1+eps} + S), S term included
+    assert ctx.total_space_budget == 16 * (50 + 256**1.5 + ctx.S) > 50
 
 
 def test_seed_bits():
