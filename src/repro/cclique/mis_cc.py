@@ -30,12 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines.greedy import greedy_matching
-from ..derand.strategies import select_seed_batch
 from ..graphs.graph import Graph
-from ..graphs.kernels import group_order_indptr, segment_min_block_fn
 from ..hashing.families import make_product_family
 from ..models.ledger import ModelSnapshot
-from ..models.phase import MAXKEY, LubyPhaseKernel
+from ..models.phase import EdgePhase, NodePhase, a_set
 from .model import CongestedCliqueContext
 
 __all__ = ["CCResult", "cc_maximal_matching", "cc_mis"]
@@ -54,34 +52,18 @@ class CCResult:
     snapshot: ModelSnapshot | None = None
 
 
-def _phase_target(g: Graph) -> tuple[np.ndarray, float]:
-    """A-set and conservative progress target (Cor. 15 + Lemma 21 constants)."""
-    deg = g.degrees().astype(np.float64)
-    inv = np.zeros(g.n)
-    nz = deg > 0
-    inv[nz] = 1.0 / deg[nz]
-    acc = np.zeros(g.n)
-    np.add.at(acc, g.edges_u, inv[g.edges_v])
-    np.add.at(acc, g.edges_v, inv[g.edges_u])
-    a_mask = (acc >= 1.0 / 3.0 - 1e-12) & (deg > 0)
-    w_a = float(deg[a_mask].sum())
-    return a_mask, 0.01 * w_a
-
-
 def cc_mis(
     graph: Graph,
     *,
     charge_mode: str = "ours",
     max_scan_trials: int = 512,
     max_phases: int = 10_000,
-    ctx: CongestedCliqueContext | None = None,
 ) -> CCResult:
     """Deterministic MIS in CONGESTED CLIQUE.
 
     ``charge_mode='ours'`` charges O(1) rounds per phase (Corollary 2);
     ``charge_mode='chps'`` charges ``seed_bits`` rounds per phase (the
-    bit-by-bit voting derandomization of [15]'s general path).  Passing a
-    ``ctx`` lets the caller own the ledger.
+    bit-by-bit voting derandomization of [15]'s general path).
 
     .. note:: Prefer ``repro.api.solve(SolveRequest(problem="mis",
        model="cclique", graph=g))``; this entry point stays as a
@@ -89,10 +71,8 @@ def cc_mis(
     """
     if charge_mode not in ("ours", "chps"):
         raise ValueError("charge_mode must be 'ours' or 'chps'")
-    ctx = ctx or CongestedCliqueContext(n=graph.n)
+    ctx = CongestedCliqueContext(n=graph.n)
     family = make_product_family(max(graph.n, 2), k=2)
-    stride = np.uint64(graph.n + 1)
-    ids_all = np.arange(graph.n, dtype=np.int64)
 
     in_mis = np.zeros(graph.n, dtype=bool)
     removed = np.zeros(graph.n, dtype=bool)
@@ -109,34 +89,25 @@ def cc_mis(
         in_mis |= iso
         removed |= iso
 
-        a_mask, target = _phase_target(g)
+        a_mask, w_a = a_set(g)
         deg = g.degrees().astype(np.float64)
-        ids_u64 = ids_all.astype(np.uint64)
-        kernel = LubyPhaseKernel(g, graph.n)
+        luby = NodePhase(g, family)
 
-        def kill_masks(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """(i_mask, kill) as bool[S, n] blocks for a block of seeds."""
-            key = family.evaluate_batch(seeds, ids_all) * stride + ids_u64[None, :]
-            return kernel.masks(key)
-
-        def batch_objective(seeds: np.ndarray) -> np.ndarray:
-            _, kill = kill_masks(seeds)
+        def objective(i_masks: np.ndarray) -> np.ndarray:
+            kill = luby.kill(i_masks)
             return np.where(kill & a_mask[None, :], deg[None, :], 0.0).sum(axis=1)
 
-        # Phase-disjoint scan offsets; the scan itself wraps around the
+        # Conservative progress target (Cor. 15 + Lemma 21 constants);
+        # phase-disjoint scan offsets into an order that wraps around the
         # family, so deep phases still cover every seed before giving up.
-        start = 1 + (phase - 1) * max_scan_trials
-        sel = select_seed_batch(
-            family.size,
-            batch_objective,
+        _, i_mask = luby.select(
+            objective,
             strategy="scan",
-            target=target,
+            target=0.01 * w_a,
             max_trials=max_scan_trials,
-            start=start,
+            start=1 + (phase - 1) * max_scan_trials,
         )
-        one = np.array([sel.seed], dtype=np.int64)
-        i_masks, kills = kill_masks(one)
-        i_mask, kill = i_masks[0], kills[0]
+        kill = luby.kill(i_mask[None, :])[0]
         in_mis |= i_mask
         removed |= kill
         g = g.remove_vertices(kill)
@@ -182,12 +153,11 @@ def cc_maximal_matching(
     charge_mode: str = "ours",
     max_scan_trials: int = 512,
     max_phases: int = 10_000,
-    ctx: CongestedCliqueContext | None = None,
 ) -> CCResult:
     """Deterministic maximal matching in CONGESTED CLIQUE (Corollary 2)."""
     if charge_mode not in ("ours", "chps"):
         raise ValueError("charge_mode must be 'ours' or 'chps'")
-    ctx = ctx or CongestedCliqueContext(n=graph.n)
+    ctx = CongestedCliqueContext(n=graph.n)
     pairs: list[np.ndarray] = []
     g = graph
     trace: list[int] = []
@@ -199,42 +169,24 @@ def cc_maximal_matching(
             raise RuntimeError("CC matching failed to converge")
         trace.append(g.m)
         family = make_product_family(max(g.m, 2), k=2)
-        eids = np.arange(g.m, dtype=np.int64)
-        eids_u64 = eids.astype(np.uint64)
-        stride = np.uint64(g.m + 1)
         deg = g.degrees().astype(np.float64)
         eu, ev = g.edges_u, g.edges_v
         w_u, w_v = deg[eu], deg[ev]
-        inc_nodes = np.concatenate([eu, ev])
-        inc_pos = np.concatenate([eids, eids])
-        inc_order, inc_indptr = group_order_indptr(inc_nodes, graph.n)
-        node_min_fn = segment_min_block_fn(
-            inc_pos[inc_order], inc_indptr, eids.size
-        )
+        luby = EdgePhase(g, family)
 
-        def matched_masks(seeds: np.ndarray) -> np.ndarray:
-            key = family.evaluate_batch(seeds, eids) * stride + eids_u64[None, :]
-            node_min = node_min_fn(key, MAXKEY)
-            return (key == node_min[:, eu]) & (key == node_min[:, ev])
-
-        def batch_objective(seeds: np.ndarray) -> np.ndarray:
-            mm = matched_masks(seeds)
+        def objective(mm: np.ndarray) -> np.ndarray:
             return (
                 np.where(mm, w_u[None, :], 0.0).sum(axis=1)
                 + np.where(mm, w_v[None, :], 0.0).sum(axis=1)
             )
 
-        target = float(g.m) / 109.0
-        start = 1 + (phase - 1) * max_scan_trials
-        sel = select_seed_batch(
-            family.size,
-            batch_objective,
+        _, mm = luby.select(
+            objective,
             strategy="scan",
-            target=target,
+            target=float(g.m) / 109.0,
             max_trials=max_scan_trials,
-            start=start,
+            start=1 + (phase - 1) * max_scan_trials,
         )
-        mm = matched_masks(np.array([sel.seed], dtype=np.int64))[0]
         eid_sel = np.nonzero(mm)[0]
         pairs.append(np.stack([eu[eid_sel], ev[eid_sel]], axis=1))
         kill = np.zeros(graph.n, dtype=bool)

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..derand.strategies import select_seed_batch
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
 from ..hashing.families import make_color_family, make_product_family
 from ..models.ledger import ModelSnapshot
-from ..models.phase import MAXKEY, LubyPhaseKernel
+from ..models.phase import NodePhase
 from .model import CongestContext
 
 __all__ = ["CongestMISResult", "congest_maximal_matching", "congest_mis"]
@@ -51,50 +50,45 @@ class CongestMISResult:
     snapshot: ModelSnapshot | None = None
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("voting", "color-compressed"):
+        raise ValueError("mode must be 'voting' or 'color-compressed'")
+
+
 def congest_mis(
     graph: Graph,
     *,
     mode: str = "color-compressed",
     max_scan_trials: int = 512,
     max_phases: int = 10_000,
-    ctx: CongestContext | None = None,
     pipeline_seed_fix: bool = False,
 ) -> CongestMISResult:
     """Deterministic MIS with CONGEST round accounting.
 
     ``mode`` is ``"voting"`` (id-based seeds, Theta(D log n)/phase) or
     ``"color-compressed"`` (Section-5 style color seeds,
-    Theta(D log Delta)/phase after O(log* n) preprocessing).  Passing a
-    ``ctx`` lets the caller own the ledger.
+    Theta(D log Delta)/phase after O(log* n) preprocessing).
     ``pipeline_seed_fix`` bills the BFS-pipelined ``O(D + seed_bits)``
     seed broadcast instead of the sequential ``2 D seed_bits`` charge
-    (ablation; ignored when an explicit ``ctx`` is supplied).
+    (ablation).
 
     .. note:: Prefer ``repro.api.solve(SolveRequest(problem="mis",
        model="congest", graph=g))``; this entry point stays as a
        bit-identical thin path for existing callers.
     """
-    if mode not in ("voting", "color-compressed"):
-        raise ValueError("mode must be 'voting' or 'color-compressed'")
-    ctx = ctx or CongestContext(graph, pipeline_seed_fix=pipeline_seed_fix)
+    _check_mode(mode)
+    ctx = CongestContext(graph, pipeline_seed_fix=pipeline_seed_fix)
     n = graph.n
 
+    colors = None
     if mode == "color-compressed" and graph.m > 0:
         coloring = distance2_coloring(graph)
         ctx.charge("coloring", max(1, coloring.iterations))
         family = make_color_family(coloring.num_colors)
-        keys_of = coloring.colors.astype(np.int64)
-        evaluate_batch = family.evaluate_colors_batch
-        seed_bits = family.seed_bits
-        fam_size = family.size
+        colors = coloring.colors.astype(np.int64)
     else:
         family = make_product_family(max(n, 2), k=2)
-        keys_of = np.arange(n, dtype=np.int64)
-        evaluate_batch = family.evaluate_batch
-        seed_bits = family.seed_bits
-        fam_size = family.size
 
-    stride = np.uint64(n + 1)
     in_mis = np.zeros(n, dtype=bool)
     removed = np.zeros(n, dtype=bool)
     g = graph
@@ -110,41 +104,29 @@ def congest_mis(
         in_mis |= iso
         removed |= iso
 
-        kernel = LubyPhaseKernel(g, n)
-        live = np.nonzero(kernel.live)[0].astype(np.int64)
-        live_u64 = live.astype(np.uint64)
+        luby = NodePhase(g, family, colors=colors)
         eu, ev = g.edges_u, g.edges_v
 
-        def kill_of(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            z = evaluate_batch(seeds, keys_of[live])
-            key = np.full((z.shape[0], n), MAXKEY, dtype=np.uint64)
-            key[:, live] = z * stride + live_u64[None, :]
-            return kernel.masks(key)
-
-        def batch_objective(seeds: np.ndarray) -> np.ndarray:
-            _, kill = kill_of(seeds)
+        def objective(i_masks: np.ndarray) -> np.ndarray:
+            kill = luby.kill(i_masks)
             return (kill[:, eu] | kill[:, ev]).sum(axis=1).astype(np.float64)
 
-        # Phase-disjoint offsets; wrap-around inside the scan covers the
-        # rest of the family when the offset lands near the end.
-        start = 1 + ((phase - 1) * max_scan_trials) % max(1, fam_size - 1)
-        sel = select_seed_batch(
-            fam_size,
-            batch_objective,
+        # Phase-disjoint offsets; the scan wraps around the family.
+        _, i_mask = luby.select(
+            objective,
             strategy="scan",
             target=g.m / 120.0,  # conservative Luby-constant target
             max_trials=max_scan_trials,
-            start=start,
+            start=1 + (phase - 1) * max_scan_trials,
         )
-        i_masks, kills = kill_of(np.array([sel.seed], dtype=np.int64))
-        i_mask, kill = i_masks[0], kills[0]
+        kill = luby.kill(i_mask[None, :])[0]
         in_mis |= i_mask
         removed |= kill
         g = g.remove_vertices(kill)
 
         # Round bill: one local z-exchange + the tree-based seed fix.
         ctx.charge_local("phase_local")
-        ctx.charge_seed_fix(seed_bits, "phase_seed")
+        ctx.charge_seed_fix(family.seed_bits, "phase_seed")
 
     in_mis |= ~removed
     return CongestMISResult(
@@ -152,7 +134,7 @@ def congest_mis(
         phases=phase,
         rounds=ctx.rounds,
         bfs_depth=ctx.depth,
-        seed_bits_per_phase=seed_bits,
+        seed_bits_per_phase=family.seed_bits,
         mode=mode,
         edge_trace=tuple(trace),
         snapshot=ctx.model_snapshot(),
@@ -175,6 +157,7 @@ def congest_maximal_matching(
     """
     from ..graphs.linegraph import line_graph
 
+    _check_mode(mode)
     if graph.m == 0:
         return CongestMISResult(
             independent_set=np.empty(0, dtype=np.int64),

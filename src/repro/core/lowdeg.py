@@ -31,25 +31,20 @@ import math
 
 import numpy as np
 
-from ..derand import strategies as _strategies
-from ..derand.strategies import select_seed_batch
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
-from ..graphs.kernels import segment_any_block_fn, segment_min_block_fn
 from ..graphs.linegraph import line_graph
 from ..graphs.power import BallTooLargeError, ball_sizes
 from ..hashing.families import make_color_family
+# repro.mpc before repro.models: the models ledger imports repro.mpc, whose
+# context imports the ledger back.
 from ..mpc.context import MPCContext
+from ..models.phase import NodePhase, a_set
 from ..obs import trace as _obs
 from .params import Params
 from .records import IterationRecord, MatchingResult, MISResult
 
 __all__ = ["lowdeg_maximal_matching", "lowdeg_mis", "phases_per_stage"]
-
-#: Bytes one seed block of a phase may gather.  The padded neighbour-min
-#: and neighbour-any read (seeds, n, Delta) grids of keys and flags, so the
-#: seed chunk is clamped to keep one block under this.
-_SEED_BLOCK_BYTES = 1 << 28
 
 
 def phases_per_stage(n: int, max_degree: int, params: Params) -> int:
@@ -57,24 +52,6 @@ def phases_per_stage(n: int, max_degree: int, params: Params) -> int:
     d = max(max_degree, 2)
     ell = int(params.delta_value * math.log(max(n, 2)) / math.log(d))
     return max(1, ell)
-
-
-def _a_set_weight(g: Graph):
-    """The Section-4 ``A`` set on the current graph plus its degree weight.
-
-    ``A = {v : sum_{u ~ v} 1/d(u) >= 1/3}``; Corollary 15 gives
-    ``sum_{v in A} d(v) >= |E| / 2``.
-    """
-    deg = g.degrees().astype(np.float64)
-    inv = np.zeros(g.n, dtype=np.float64)
-    nz = deg > 0
-    inv[nz] = 1.0 / deg[nz]
-    acc = np.zeros(g.n, dtype=np.float64)
-    if g.m:
-        np.add.at(acc, g.edges_u, inv[g.edges_v])
-        np.add.at(acc, g.edges_v, inv[g.edges_u])
-    a_mask = (acc >= 1.0 / 3.0 - 1e-12) & (deg > 0)
-    return a_mask, float(deg[a_mask].sum())
 
 
 def lowdeg_mis(
@@ -143,7 +120,6 @@ def lowdeg_mis(
     cap = max_phases if max_phases is not None else 64 + 16 * max(
         1, int(np.ceil(np.log2(max(graph.m, 2))))
     )
-    stride = np.uint64(n + 1)
 
     while g.m > 0:
         phase += 1
@@ -158,66 +134,21 @@ def lowdeg_mis(
         in_mis |= iso
         removed |= iso
 
-        a_mask, w_a = _a_set_weight(g)
-        deg = g.degrees().astype(np.float64)
-        live = np.nonzero(deg > 0)[0].astype(np.int64)
-        nbr_min_fn = segment_min_block_fn(g.indices, g.indptr, n)
-        nbr_any_fn = segment_any_block_fn(g.indices, g.indptr, n)
-        # Color keys fit 32 bits (z < q = O(Delta^4), stride = n + 1): half
-        # the traffic of the generic uint64 key path.
-        key_dtype = (
-            np.uint32 if family.range * (n + 1) + n < 2**32 else np.uint64
-        )
-        stride_k = key_dtype(stride)
-        # Per seed, a block gathers n * (Delta + 1) keys plus as many flags.
-        seed_bytes = n * (g.max_degree() + 1) * (np.dtype(key_dtype).itemsize + 1)
-        chunk = min(
-            _strategies.DEFAULT_SEED_CHUNK,
-            max(1, _SEED_BLOCK_BYTES // seed_bytes),
-        )
-        maxkey_k = key_dtype(np.iinfo(key_dtype).max)
-        live_k = live.astype(key_dtype)
+        a_mask, w_a = a_set(g)
+        luby = NodePhase(g, family, colors=colors)
         # The objective is an integer total of degrees over A; summing via
         # an integer mat-vec is exact (== the float sum the records report).
         deg_sel = (g.degrees() * a_mask).astype(np.int64)
-
-        def compute_i_masks(seeds: np.ndarray) -> np.ndarray:
-            """bool[S, n]: the phase-``h`` candidate set per trial seed.
-
-            One batched color-hash evaluation plus a block neighbour-min
-            replaces the per-seed ``np.minimum.at`` scatter; rows reduce
-            independently, so each row is bit-identical to a single-seed
-            evaluation.
-            """
-            z = family.evaluate_colors_batch(seeds, colors[live]).astype(key_dtype)
-            key_full = np.full((z.shape[0], n), maxkey_k, dtype=key_dtype)
-            key_full[:, live] = z * stride_k + live_k[None, :]
-            nbr_min = nbr_min_fn(key_full, maxkey_k)
-            i_mask = np.zeros(key_full.shape, dtype=bool)
-            i_mask[:, live] = key_full[:, live] < nbr_min[:, live]
-            return i_mask
-
-        def batch_objective(seeds: np.ndarray) -> np.ndarray:
-            i_mask = compute_i_masks(seeds)
-            covered = nbr_any_fn(i_mask)
-            return ((covered | i_mask) @ deg_sel).astype(np.float64)
-
         target = params.mis_target(w_a)
-        # Phase-disjoint offsets into the canonical scan order; the scan's
-        # own wrap-around covers [1, start) when a late phase starts deep
-        # in the family, so no region is silently lost.
-        start = 1 + ((phase - 1) * params.max_scan_trials) % max(
-            1, family.size - 1
-        )
-        sel = select_seed_batch(
-            family.size,
-            batch_objective,
+        sel, i_mask = luby.select(
+            lambda i_masks: (luby.kill(i_masks) @ deg_sel).astype(np.float64),
             strategy="scan" if params.strategy != "best_of" else "best_of",
             target=target,
             max_trials=params.max_scan_trials,
             best_of_k=params.best_of_k,
-            start=start,
-            chunk_size=chunk,
+            # Phase-disjoint offsets into the canonical scan order, which
+            # wraps around the family.
+            start=1 + (phase - 1) * params.max_scan_trials,
         )
         if not sel.satisfied:
             fidelity.append(
@@ -225,12 +156,10 @@ def lowdeg_mis(
                 f"(best {sel.value:.2f})"
             )
 
-        i_mask = compute_i_masks(np.array([sel.seed], dtype=np.int64))[0]
-        # Drop this phase's padded neighbour tables before the graph shrinks
-        # and the next phase builds its own.
-        del nbr_min_fn, nbr_any_fn
-        dominated = g.degrees_toward(i_mask) > 0
-        kill = i_mask | dominated
+        kill = luby.kill(i_mask[None, :])[0]
+        # Drop this phase's padded table before the graph shrinks and the
+        # next phase builds its own.
+        del luby
         in_mis |= i_mask
         removed |= kill
         g = g.remove_vertices(kill)

@@ -26,15 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..derand.strategies import BatchObjective, SeedSelection, select_seed_batch
+from ..derand.strategies import SeedSelection
 from ..graphs.graph import Graph
-from ..graphs.kernels import (
-    group_order_indptr,
-    segment_any_block_fn,
-    segment_min_block_fn,
-)
+from ..graphs.kernels import SegmentTable, arcs_toward, group_order_indptr
 from ..hashing.families import ProductHashFamily, make_product_family
 from ..hashing.kwise import KWiseHashFamily, make_family
+from ..models.phase import EdgePhase, NodePhase
 from ..mpc.context import MPCContext
 from .good_nodes import GoodNodesMatching, GoodNodesMIS
 from .params import Params
@@ -70,11 +67,10 @@ def _choose_z_family(
 
 
 def _select(
-    family_size: int, batch_objective: BatchObjective, params: Params, target: float
-) -> SeedSelection:
-    return select_seed_batch(
-        family_size,
-        batch_objective,
+    luby: EdgePhase | NodePhase, objective, params: Params, target: float
+) -> tuple[SeedSelection, np.ndarray]:
+    return luby.select(
+        objective,
         strategy=params.strategy,
         target=target,
         max_trials=params.max_scan_trials,
@@ -142,36 +138,16 @@ def luby_matching_step(
     )
 
     family = _choose_z_family(g.m, params)
-    # Local-minimum keys: z * (m + 1) + edge_id, strict total order.
-    stride = np.uint64(g.m + 1)
+    # Local-minimum keys z * (m + 1) + edge_id must not wrap.
     if family.range * (g.m + 1) >= 2**62:
         raise ValueError("key space too large; reduce m or field size")
-    maxkey = np.uint64(2**63 - 1)
-
+    luby = EdgePhase(g, family, eids)
     b_u = good.b_mask[us]
     b_v = good.b_mask[vs]
     w_u = deg[us]
     w_v = deg[vs]
-    eids_u64 = eids.astype(np.uint64)
 
-    # Incidence grouping of the E* arcs (both orientations), sorted by node:
-    # per-node minima over incident E*-edges become one 2-D reduceat.
-    inc_nodes = np.concatenate([us, vs])
-    inc_pos = np.concatenate(
-        [np.arange(eids.size, dtype=np.int64)] * 2
-    )
-    inc_order, inc_indptr = group_order_indptr(inc_nodes, g.n)
-    node_min_fn = segment_min_block_fn(inc_pos[inc_order], inc_indptr, eids.size)
-
-    def matched_masks(seeds: np.ndarray) -> np.ndarray:
-        """bool[S, |E*|]: the strict-local-minimum matching per trial seed."""
-        z = family.evaluate_batch(seeds, eids)
-        key = z * stride + eids_u64[None, :]
-        node_min = node_min_fn(key, maxkey)
-        return (key == node_min[:, us]) & (key == node_min[:, vs])
-
-    def batch_objective(seeds: np.ndarray) -> np.ndarray:
-        matched = matched_masks(seeds)
+    def objective(matched: np.ndarray) -> np.ndarray:
         # sum of d(v) over matched B endpoints (keys are unique, so each
         # node is matched by at most one edge).
         return (
@@ -180,7 +156,7 @@ def luby_matching_step(
         )
 
     target = params.matching_target(good.weight_b)
-    sel = _select(family.size, batch_objective, params, target)
+    sel, matched = _select(luby, objective, params, target)
     ctx.charge_seed_fix(family.seed_bits, "luby_seed")
     if not sel.satisfied:
         fidelity.append(
@@ -188,7 +164,6 @@ def luby_matching_step(
             f"(best {sel.value:.2f}); using best seed"
         )
 
-    matched = matched_masks(np.array([sel.seed], dtype=np.int64))[0]
     matched_eids = eids[matched]
     info = LubyStepInfo(
         selection=sel,
@@ -222,14 +197,9 @@ def luby_mis_step(
         raise ValueError("luby_mis_step requires a non-empty Q'")
     deg = g.degrees().astype(np.float64)
 
-    # Q'-internal edges (both endpoints in Q'): the only conflicts for I.
-    internal = q_mask[g.edges_u] & q_mask[g.edges_v]
-    iu = g.edges_u[internal]
-    iv = g.edges_v[internal]
-
     # N_v: up to chunk = n^{4 delta} Q'-neighbours per B-node.
     chunk = params.chunk_size(g.n)
-    groups_b, units_b = _arcs_b_to_q(g, good.b_mask, q_mask)
+    groups_b, units_b = arcs_toward(g, good.b_mask, q_mask)
     nb_groups, nb_units = first_k_arcs(groups_b, units_b, chunk)
 
     # Space accounting: machine x_v holds N_v and its Q'-neighbourhoods.
@@ -245,42 +215,20 @@ def luby_mis_step(
     )
 
     family = _choose_z_family(g.n, params)
-    stride = np.uint64(g.n + 1)
     if family.range * (g.n + 1) >= 2**62:
         raise ValueError("key space too large; reduce n or field size")
-    maxkey = np.uint64(2**63 - 1)
-
-    w_b = deg  # objective weights d(v)
-    q_u64 = q_ids.astype(np.uint64)
-
-    # Q'-internal adjacency (both orientations) sorted by node, for the
-    # per-node neighbour-min; N_v arcs sorted by B-node, for the per-node
-    # "any neighbour joined I" flag.  Both become 2-D reduceat calls.
-    adj_nodes = np.concatenate([iu, iv])
-    adj_nbrs = np.concatenate([iv, iu])
-    adj_order, adj_indptr = group_order_indptr(adj_nodes, g.n)
-    nbr_min_fn = segment_min_block_fn(adj_nbrs[adj_order], adj_indptr, g.n)
+    # Minima over the Q'-internal adjacency (the only conflicts for I);
+    # the objective reads the "any N_v member joined" flag over the N_v arcs.
+    luby = NodePhase(g.remove_vertices(~q_mask), family, live=q_ids)
     nb_order, nb_indptr = group_order_indptr(nb_groups, g.n)
-    nb_any_fn = segment_any_block_fn(nb_units[nb_order], nb_indptr, g.n)
+    nb_table = SegmentTable(nb_units[nb_order], nb_indptr, g.n)
 
-    def compute_i_masks(seeds: np.ndarray) -> np.ndarray:
-        """bool[S, n]: the candidate independent set per trial seed."""
-        z = family.evaluate_batch(seeds, q_ids)
-        key_full = np.full((z.shape[0], g.n), maxkey, dtype=np.uint64)
-        key_full[:, q_ids] = z * stride + q_u64[None, :]
-        nbr_min = nbr_min_fn(key_full, maxkey)
-        i_mask = np.zeros(key_full.shape, dtype=bool)
-        i_mask[:, q_ids] = key_full[:, q_ids] < nbr_min[:, q_ids]
-        return i_mask
-
-    def batch_objective(seeds: np.ndarray) -> np.ndarray:
-        i_mask = compute_i_masks(seeds)
-        flagged = nb_any_fn(i_mask)
-        sel_mask = flagged & good.b_mask[None, :]
-        return np.where(sel_mask, w_b[None, :], 0.0).sum(axis=1)
+    def objective(i_masks: np.ndarray) -> np.ndarray:
+        sel_mask = nb_table.any(i_masks) & good.b_mask[None, :]
+        return np.where(sel_mask, deg[None, :], 0.0).sum(axis=1)
 
     target = params.mis_target(good.weight_b)
-    sel = _select(family.size, batch_objective, params, target)
+    sel, i_mask = _select(luby, objective, params, target)
     ctx.charge_seed_fix(family.seed_bits, "luby_seed")
     if not sel.satisfied:
         fidelity.append(
@@ -288,7 +236,6 @@ def luby_mis_step(
             f"(best {sel.value:.2f}); using best seed"
         )
 
-    i_mask = compute_i_masks(np.array([sel.seed], dtype=np.int64))[0]
     info = LubyStepInfo(
         selection=sel,
         target=target,
@@ -296,13 +243,3 @@ def luby_mis_step(
         family_size=family.size,
     )
     return i_mask, info
-
-
-def _arcs_b_to_q(g: Graph, b_mask: np.ndarray, q_mask: np.ndarray):
-    """Arcs (v in B) -> (u in Q') over both edge orientations."""
-    eu, ev = g.edges_u, g.edges_v
-    fwd = b_mask[eu] & q_mask[ev]
-    bwd = b_mask[ev] & q_mask[eu]
-    groups = np.concatenate([eu[fwd], ev[bwd]])
-    units = np.concatenate([ev[fwd], eu[bwd]])
-    return groups, units

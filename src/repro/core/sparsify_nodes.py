@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..graphs.kernels import arcs_toward
 from ..hashing.kwise import make_family
 from ..mpc.context import MPCContext
 from ..mpc.partition import chunk_items_by_group
@@ -47,19 +48,6 @@ class NodeSparsifyResult:
     @property
     def num_nodes(self) -> int:
         return int(self.q_prime_mask.sum())
-
-
-def _arcs_toward(g: Graph, src_mask: np.ndarray, dst_mask: np.ndarray):
-    """Directed arcs (v -> u) with ``src_mask[v]`` and ``dst_mask[u]``.
-
-    Returns (groups=v array, units=u array) over both edge orientations.
-    """
-    eu, ev = g.edges_u, g.edges_v
-    fwd = src_mask[eu] & dst_mask[ev]
-    bwd = src_mask[ev] & dst_mask[eu]
-    groups = np.concatenate([eu[fwd], ev[bwd]])
-    units = np.concatenate([ev[fwd], eu[bwd]])
-    return groups, units
 
 
 def sparsify_nodes(
@@ -100,10 +88,10 @@ def sparsify_nodes(
             fidelity.append(f"node sparsification stage {j}: Q emptied; stopping")
             break
 
-        groups_q, units_q = _arcs_toward(g, q_mask, q_mask)
+        groups_q, units_q = arcs_toward(g, q_mask, q_mask)
         grouping_q = chunk_items_by_group(groups_q, chunk)
 
-        groups_b, units_b = _arcs_toward(g, good.b_mask, q_mask)
+        groups_b, units_b = arcs_toward(g, good.b_mask, q_mask)
         grouping_b = chunk_items_by_group(groups_b, chunk)
         weights_b = weights_of_node[units_b]
 

@@ -22,15 +22,15 @@ import numpy as np
 from .graph import Graph
 
 __all__ = [
+    "SegmentTable",
     "alive_arc_select",
     "alive_edge_degrees",
+    "arcs_toward",
     "group_order_indptr",
     "neighbor_min",
-    "segment_any_block_fn",
     "segment_count_2d",
     "segment_min",
     "segment_min_2d",
-    "segment_min_block_fn",
     "segment_sum",
 ]
 
@@ -163,61 +163,64 @@ def _padded_table(
     return table
 
 
-def segment_min_block_fn(cols: np.ndarray, indptr: np.ndarray, width: int):
-    """Build ``f(values, fill) -> (S, M)``: per-segment min of ``values[:, cols]``.
+class SegmentTable:
+    """Per-segment min / any over the columns of ``(S, width)`` seed blocks.
 
-    ``values`` is an ``(S, width)`` seed block; segment ``i`` reduces
-    ``cols[indptr[i]:indptr[i+1]]``.  The returned callable is built once
-    per search (precomputing the padded table or scatter owners) and
-    called once per seed chunk.  Empty segments yield ``fill``; row ``s``
-    equals the scalar per-seed reduction bit-for-bit.
+    Segment ``i`` reads ``cols[indptr[i]:indptr[i+1]]``.  One table serves
+    both reductions, so a Luby phase that takes neighbour minima and then
+    the "any neighbour joined" flag over the same adjacency gathers through
+    one padded table.  When padding would exceed :data:`PAD_FACTOR` times
+    the arc count, the min falls back to a per-row scatter and the any to
+    a prefix-count.  Empty segments yield ``fill`` / False; row ``s`` equals
+    the scalar per-seed reduction bit-for-bit.
     """
-    m = indptr.size - 1
-    table = _padded_table(cols, indptr, width)
-    if table is not None:
 
-        def f_padded(values: np.ndarray, fill) -> np.ndarray:
+    def __init__(self, cols: np.ndarray, indptr: np.ndarray, width: int) -> None:
+        self.cols = cols
+        self.indptr = indptr
+        self.table = _padded_table(cols, indptr, width)
+
+    @property
+    def cells(self) -> int:
+        """Values one seed row gathers: padded table cells, else arcs."""
+        return self.cols.size if self.table is None else self.table.size
+
+    def min(self, values: np.ndarray, fill) -> np.ndarray:
+        s = values.shape[0]
+        if self.table is not None:
             ext = np.concatenate(
-                [values, np.full((values.shape[0], 1), fill, dtype=values.dtype)],
-                axis=1,
+                [values, np.full((s, 1), fill, dtype=values.dtype)], axis=1
             )
-            return ext[:, table].min(axis=2)
-
-        return f_padded
-
-    owners = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
-
-    def f_scatter(values: np.ndarray, fill) -> np.ndarray:
-        out = np.full((values.shape[0], m), fill, dtype=values.dtype)
-        gathered = values[:, cols]
-        for s in range(values.shape[0]):
-            np.minimum.at(out[s], owners, gathered[s])
+            return ext[:, self.table].min(axis=2)
+        m = self.indptr.size - 1
+        owners = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.indptr))
+        out = np.full((s, m), fill, dtype=values.dtype)
+        gathered = values[:, self.cols]
+        for row in range(s):
+            np.minimum.at(out[row], owners, gathered[row])
         return out
 
-    return f_scatter
-
-
-def segment_any_block_fn(cols: np.ndarray, indptr: np.ndarray, width: int):
-    """Build ``f(mask) -> (S, M)`` bool: per-segment OR of ``mask[:, cols]``.
-
-    Same construction/trade-offs as :func:`segment_min_block_fn`; empty
-    segments yield False.
-    """
-    table = _padded_table(cols, indptr, width)
-    if table is not None:
-
-        def f_padded(mask: np.ndarray) -> np.ndarray:
+    def any(self, mask: np.ndarray) -> np.ndarray:
+        if self.table is not None:
             ext = np.concatenate(
                 [mask, np.zeros((mask.shape[0], 1), dtype=bool)], axis=1
             )
-            return ext[:, table].any(axis=2)
+            return ext[:, self.table].any(axis=2)
+        return segment_count_2d(mask[:, self.cols], self.indptr) > 0
 
-        return f_padded
 
-    def f_fallback(mask: np.ndarray) -> np.ndarray:
-        return segment_count_2d(mask[:, cols], indptr) > 0
+def arcs_toward(g: Graph, src_mask: np.ndarray, dst_mask: np.ndarray):
+    """Directed arcs ``v -> u`` with ``src_mask[v]`` and ``dst_mask[u]``.
 
-    return f_fallback
+    Returns ``(groups, units)``: the ``v`` and ``u`` arrays, forward edge
+    orientations first, then backward.
+    """
+    eu, ev = g.edges_u, g.edges_v
+    fwd = src_mask[eu] & dst_mask[ev]
+    bwd = src_mask[ev] & dst_mask[eu]
+    groups = np.concatenate([eu[fwd], ev[bwd]])
+    units = np.concatenate([ev[fwd], eu[bwd]])
+    return groups, units
 
 
 def neighbor_min(

@@ -10,9 +10,9 @@ Two constructions on top of :class:`~repro.hashing.kwise.KWiseHashFamily`:
   local-minimum selection of Luby's algorithm is effectively tie-free (we
   additionally break residual ties by id, which only helps progress).
 
-* :class:`ColorHashFamily` -- the Section-5 family ``H*``: a pairwise family
-  over the *color space* ``[O(Delta^4)]`` of a distance-2 coloring, so a seed
-  costs only ``O(log Delta)`` bits instead of ``O(log n)``.
+* :func:`make_color_family` -- the Section-5 family ``H*``: a pairwise
+  family over the *color space* ``[O(Delta^4)]`` of a distance-2 coloring,
+  so a seed costs only ``O(log Delta)`` bits instead of ``O(log n)``.
 """
 
 from __future__ import annotations
@@ -137,9 +137,8 @@ def make_product_family(universe: int, k: int, *, min_q: int = 257) -> ProductHa
     return ProductHashFamily(KWiseHashFamily(q=q0, k=k), KWiseHashFamily(q=q1, k=k))
 
 
-@dataclass(frozen=True)
-class ColorHashFamily:
-    """Section-5 family ``H*``: pairwise functions over a color space.
+def make_color_family(num_colors: int) -> KWiseHashFamily:
+    """The Section-5 family ``H*``: pairwise over ``[num_colors]``.
 
     Nodes are renamed by a distance-2 coloring ``chi`` with ``C`` colors
     (``C = O(Delta^4)`` after Linial coloring of ``G^2``); hashing the color
@@ -148,35 +147,4 @@ class ColorHashFamily:
     two hops have distinct colors, the pairwise independence *within every
     2-hop neighbourhood* -- all that Luby's analysis needs -- is preserved.
     """
-
-    base: KWiseHashFamily
-    num_colors: int
-
-    @property
-    def size(self) -> int:
-        return self.base.size
-
-    @property
-    def seed_bits(self) -> int:
-        return self.base.seed_bits
-
-    @property
-    def range(self) -> int:
-        return self.base.q
-
-    def seeds(self) -> Iterator[int]:
-        return self.base.seeds()
-
-    def evaluate_colors(self, seed: int, colors: np.ndarray) -> np.ndarray:
-        """Hash an array of node colors to z-values in ``[q)``."""
-        return self.base.evaluate(seed, colors)
-
-    def evaluate_colors_batch(self, seeds: np.ndarray, colors: np.ndarray) -> np.ndarray:
-        """``(S, N)`` uint64 block of color hashes (batched :meth:`evaluate_colors`)."""
-        return self.base.evaluate_batch(seeds, colors)
-
-
-def make_color_family(num_colors: int) -> ColorHashFamily:
-    """Pairwise family over ``[num_colors]`` (seed length ``O(log Delta)``)."""
-    base = make_family(num_colors, k=2, min_q=max(num_colors, 5))
-    return ColorHashFamily(base=base, num_colors=num_colors)
+    return make_family(num_colors, k=2, min_q=max(num_colors, 5))

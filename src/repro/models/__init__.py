@@ -11,19 +11,21 @@ CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
   extends (rounds by category, words moved, the storage high-water mark)
   and the :class:`ModelSnapshot` record every envelope carries and the
   cross-model report (``repro solve --model all``) renders.
-* :mod:`repro.models.phase` -- the derandomized-Luby phase kernel the
-  clique and CONGEST solvers share.
+* :mod:`repro.models.phase` -- the derandomized-Luby phase kernel every
+  solver's selection runs: the node and edge forms of the local-minimum
+  step, their seed blocks, and the ``A`` set of Corollary 15.
 """
 
 from .ledger import ModelSnapshot, RoundLedger
-from .phase import MAXKEY, LubyPhaseKernel
+from .phase import EdgePhase, NodePhase, a_set
 from .plane import MessageBlock, Table
 
 __all__ = [
-    "MAXKEY",
-    "LubyPhaseKernel",
+    "EdgePhase",
     "MessageBlock",
     "ModelSnapshot",
+    "NodePhase",
     "RoundLedger",
     "Table",
+    "a_set",
 ]

@@ -136,6 +136,14 @@ def test_congest_matching_empty():
     assert res.rounds == 0
 
 
+@pytest.mark.parametrize("g", [Graph.empty(4), path_graph(4)], ids=["edgeless", "path"])
+def test_congest_matching_rejects_bad_mode(g):
+    """The mode is checked before the edgeless early return, as in
+    ``congest_mis``: no record carries an unknown mode."""
+    with pytest.raises(ValueError, match="mode"):
+        congest_maximal_matching(g, mode="bogus")
+
+
 def test_congest_matching_modes_agree_on_validity():
     g = cycle_graph(30)
     for mode in ("voting", "color-compressed"):

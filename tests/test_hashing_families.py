@@ -75,14 +75,14 @@ def test_color_family_seed_bits_scale_with_colors():
     small = make_color_family(16)
     big = make_color_family(4096)
     assert small.seed_bits < big.seed_bits
-    assert small.range >= 16
-    assert big.range >= 4096
+    assert small.q >= 16
+    assert big.q >= 4096
 
 
 def test_color_family_evaluates_colors():
     fam = make_color_family(10)
     colors = np.array([0, 3, 9, 9, 1], dtype=np.int64)
-    z = fam.evaluate_colors(2, colors)
+    z = fam.evaluate(2, colors)
     assert z.shape == (5,)
     # equal colors hash equally -- the whole point of the renaming trick
     assert z[2] == z[3]
@@ -90,9 +90,9 @@ def test_color_family_evaluates_colors():
 
 def test_color_family_pairwise_on_colors():
     fam = make_color_family(5)
-    q = fam.base.q
+    q = fam.q
     counts = np.zeros((q, q), dtype=np.int64)
     for seed in fam.seeds():
-        v = fam.evaluate_colors(seed, np.array([1, 4]))
+        v = fam.evaluate(seed, np.array([1, 4]))
         counts[int(v[0]), int(v[1])] += 1
     assert np.all(counts == fam.size // (q * q))

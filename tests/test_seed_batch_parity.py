@@ -26,12 +26,7 @@ from repro.derand.strategies import (
     select_seed_batch,
 )
 from repro.graphs import cycle_graph, gnp_random_graph
-from repro.graphs.kernels import (
-    group_order_indptr,
-    segment_any_block_fn,
-    segment_min_2d,
-    segment_min_block_fn,
-)
+from repro.graphs.kernels import SegmentTable, group_order_indptr, segment_min_2d
 from repro.hashing.families import make_product_family
 from repro.hashing.kwise import make_family
 
@@ -249,7 +244,7 @@ def test_evaluate_batch_arbitrary_seed_order():
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_segment_min_block_fn_matches_reference(data):
+def test_segment_table_min_matches_reference(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     m = data.draw(st.integers(1, 12))
     sizes = rng.integers(0, 6, m)
@@ -260,13 +255,13 @@ def test_segment_min_block_fn_matches_reference(data):
     vals = rng.integers(0, 1000, (3, width)).astype(np.uint64)
     fill = np.uint64(2**63 - 1)
     ref = segment_min_2d(vals[:, cols], indptr, fill)
-    got = segment_min_block_fn(cols, indptr, width)(vals, fill)
+    got = SegmentTable(cols, indptr, width).min(vals, fill)
     assert np.array_equal(ref, got)
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_segment_any_block_fn_matches_reference(data):
+def test_segment_table_any_matches_reference(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     m = data.draw(st.integers(1, 12))
     sizes = rng.integers(0, 6, m)
@@ -280,7 +275,7 @@ def test_segment_any_block_fn_matches_reference(data):
         seg = cols[indptr[i] : indptr[i + 1]]
         if seg.size:
             ref[:, i] = mask[:, seg].any(axis=1)
-    got = segment_any_block_fn(cols, indptr, width)(mask)
+    got = SegmentTable(cols, indptr, width).any(mask)
     assert np.array_equal(ref, got)
 
 
@@ -350,36 +345,55 @@ def test_lowdeg_backend_parity(graph_fn, monkeypatch):
     ]
 
 
-def test_lowdeg_seed_block_byte_cap_keeps_selections(monkeypatch):
-    """A byte budget that fits only a few seeds per block clamps the chunk;
-    every phase still selects what ``chunk_size=1`` selects."""
-    import repro.core.lowdeg as lowdeg
+@pytest.mark.parametrize(
+    "run",
+    [
+        # best_of evaluates every one of its k seeds, so blocks fill up
+        lambda g: lowdeg_mis(g, Params(strategy="best_of", best_of_k=20)),
+        cc_mis,
+        cc_maximal_matching,
+        lambda g: congest_mis(g, mode="voting"),
+        lambda g: congest_mis(g, mode="color-compressed"),
+    ],
+    ids=["lowdeg_mis", "cc_mis", "cc_maximal_matching", "congest_voting",
+         "congest_color"],
+)
+def test_seed_block_byte_cap_keeps_selections(run, monkeypatch):
+    """A byte budget of three seeds clamps every phase's seed blocks to
+    three seeds; every phase still selects what ``chunk_size=1`` selects."""
+    import repro.models.phase as phase
 
-    g = gnp_random_graph(90, 0.05, seed=3)
-    params = dict(strategy="best_of", best_of_k=20)  # every seed is evaluated
-    set_seed_chunk(monkeypatch, 1)
-    want = lowdeg_mis(g, Params(**params))
-    chunks = []
-    select = lowdeg.select_seed_batch
+    g = gnp_random_graph(90, 0.1, seed=3)
+    calls = []
+    select = phase.select_seed_batch
 
     def spy(*args, **kwargs):
-        chunks.append(kwargs["chunk_size"])
-        return select(*args, **kwargs)
+        sel = select(*args, **kwargs)
+        calls.append((kwargs["chunk_size"], sel))
+        return sel
 
-    # Three seeds' (n, Delta + 1) uint32 keys and flags in the first phase.
-    budget = 3 * g.n * (g.max_degree() + 1) * 5
-    monkeypatch.setattr(lowdeg, "_SEED_BLOCK_BYTES", budget)
-    monkeypatch.setattr(lowdeg, "select_seed_batch", spy)
+    monkeypatch.setattr(phase, "select_seed_batch", spy)
+    set_seed_chunk(monkeypatch, 1)
+    want = run(g)
+    want_sels = [sel for _, sel in calls]
+    assert want_sels and all(chunk == 1 for chunk, _ in calls)
+
+    calls.clear()
+    pick = phase._LubyPhase.select
+
+    def three_seed_budget(self, objective, **search):
+        monkeypatch.setattr(phase, "_SEED_BLOCK_BYTES", 3 * self.seed_bytes)
+        return pick(self, objective, **search)
+
+    monkeypatch.setattr(phase._LubyPhase, "select", three_seed_budget)
     set_seed_chunk(monkeypatch, 16)
-    got = lowdeg_mis(g, Params(**params))
-    assert chunks[0] == 3 and max(chunks) <= 16
-    assert np.array_equal(got.independent_set, want.independent_set)
-    for a, b in zip(got.records, want.records, strict=True):
-        assert (a.selection_value, a.selection_trials) == (
-            b.selection_value,
-            b.selection_trials,
-        )
+    got = run(g)
+    assert [chunk for chunk, _ in calls] == [3] * len(want_sels)
+    assert [sel for _, sel in calls] == want_sels
     assert got.rounds == want.rounds
+    for field in ("independent_set", "solution"):
+        if hasattr(want, field):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 @pytest.mark.parametrize("fn", [cc_mis, cc_maximal_matching])
