@@ -177,9 +177,10 @@ def emit(name: str, text: str) -> None:
     print("\n" + text)
 
 
-def emit_json(name: str, payload: dict) -> Path:
-    """Write the standard ``BENCH_<name>.json`` artifact and return its path."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+def emit_json(name: str, payload: dict, results_dir: Path = RESULTS_DIR) -> Path:
+    """Write the standard ``BENCH_<name>.json`` artifact into ``results_dir``
+    and return its path."""
+    results_dir.mkdir(exist_ok=True)
     doc = {
         "bench": name,
         "created_unix": time.time(),
@@ -187,7 +188,7 @@ def emit_json(name: str, payload: dict) -> Path:
         "python": platform.python_version(),
         **payload,
     }
-    path = RESULTS_DIR / f"BENCH_{name}.json"
+    path = results_dir / f"BENCH_{name}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"[bench json] {path}")
     return path

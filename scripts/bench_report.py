@@ -9,6 +9,8 @@ file instead of N.  Run after the bench-smoke sweep::
 
     python scripts/bench_report.py [--results-dir benchmarks/results]
 
+The summary is written into the directory it summarizes.
+
 Exit status is 0 even when some artifacts are unreadable (they are listed
 under ``unreadable`` in the summary); it is 1 only when there is nothing
 to merge at all — an empty sweep is a broken sweep.
@@ -34,7 +36,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = ap.parse_args(argv)
 
-    summary = summarize_results(Path(args.results_dir))
+    results_dir = Path(args.results_dir)
+    summary = summarize_results(results_dir)
     if not summary["benches"]:
         print(f"no BENCH_*.json artifacts under {args.results_dir}", file=sys.stderr)
         return 1
@@ -52,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
             )
     for name in summary.get("unreadable", ()):
         print(f"unreadable artifact skipped: {name}", file=sys.stderr)
-    emit_json("summary", summary)
+    emit_json("summary", summary, results_dir)
     return 0
 
 

@@ -31,6 +31,7 @@ from .core import (  # noqa: F401
     deterministic_maximal_matching,
     deterministic_mis,
 )
+from .core.api import maximal_independent_set, maximal_matching  # noqa: F401
 from .verify import (  # noqa: F401
     is_independent_set,
     is_matching,
@@ -41,23 +42,6 @@ from .verify import (  # noqa: F401
 )
 
 __version__ = "1.0.0"
-
-
-def maximal_independent_set(graph: Graph, *, eps: float = 0.5, **kwargs) -> MISResult:
-    """Deterministic MIS (Theorem 1): dispatches between the general
-    ``O(log n)`` algorithm (Section 4) and the low-degree
-    ``O(log Delta + log log n)`` algorithm (Section 5) by the paper's rule
-    ``Delta <= n^delta``."""
-    from .core.api import maximal_independent_set as _mis
-
-    return _mis(graph, eps=eps, **kwargs)
-
-
-def maximal_matching(graph: Graph, *, eps: float = 0.5, **kwargs) -> MatchingResult:
-    """Deterministic maximal matching (Theorem 1); same dispatch rule."""
-    from .core.api import maximal_matching as _mm
-
-    return _mm(graph, eps=eps, **kwargs)
 
 
 __all__ = [

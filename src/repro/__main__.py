@@ -161,7 +161,7 @@ def cmd_solve(args) -> int:
         print(f"error: {msg}", file=sys.stderr)
         return 2
     from .analysis import cross_model_report, run_report
-    from .obs.cli import _emit_json
+    from .analysis.cli import _emit_json
 
     g = requests[0].graph
     results = [solve(request) for request in requests]
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(exit 1 on drift) instead of writing")
     docs.set_defaults(fn=cmd_docs)
 
-    from .obs.cli import add_trace_parser
+    from .analysis.cli import add_trace_parser
     from .serve.cli import add_serve_parser
 
     add_trace_parser(sub)

@@ -3,7 +3,7 @@
 from .docgen import check_docs, registry_markdown, theory_markdown, write_docs
 from .progress import LinearFit, fit_geometric_decay, fit_linear
 from .report import batch_report, cross_model_report, run_report
-from .tables import format_row, render_series, render_table
+from .tables import render_series, render_table
 from .theory import (
     lowdeg_round_bound,
     matching_iteration_bound,
@@ -19,7 +19,6 @@ __all__ = [
     "cross_model_report",
     "fit_geometric_decay",
     "fit_linear",
-    "format_row",
     "lowdeg_round_bound",
     "matching_iteration_bound",
     "mis_iteration_bound",

@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 import sys
 
+from ..graphs import gnp_random_graph, read_edge_list
+from ..obs import sinks
+from ..obs.trace import trace_capture
 from . import conformance as _conf
-from . import sinks
-from .trace import trace_capture
 
 __all__ = ["add_trace_parser", "cmd_trace"]
 
@@ -55,7 +56,6 @@ def _print_summary(summary: dict) -> None:
 
 def _record(args) -> int:
     from ..api import SolveRequest, solve
-    from ..graphs import gnp_random_graph, read_edge_list
 
     if args.input:
         g = read_edge_list(args.input)

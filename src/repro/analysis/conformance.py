@@ -2,7 +2,7 @@
 
 Each registry entry declares the paper's claims as a symbolic cost model
 (:attr:`~repro.api.registry.SolverEntry.cost_model`: sympy expressions
-over the shared vocabulary of :mod:`repro.obs.symbolic`, per envelope
+over the shared vocabulary of :mod:`repro.analysis.symbolic`, per envelope
 total *and* per ledger charge category).  This module runs a sweep of
 solves over growing inputs, extracts the measured series — endpoint
 totals always; the per-category per-charge streams the tracer records
@@ -22,12 +22,17 @@ tracks them within a round or two.  Deliberately loose: with one free
 constant over a handful of sizes this is a smoke alarm for blown-up
 asymptotics (a ``Theta(n)`` round count pretending to be ``O(log n)``
 fails both criteria), not a proof.  The fit itself is
-:func:`repro.obs.symbolic.fit_constant`.
+:func:`repro.analysis.symbolic.fit_constant`.
 """
 
 from __future__ import annotations
 
 import math
+
+from ..graphs.generators import gnp_random_graph
+from ..obs.sinks import summarize
+from ..obs.trace import trace_capture
+from . import symbolic as sym
 
 __all__ = [
     "conformance_matrix",
@@ -74,7 +79,6 @@ def run_sweep(
     factors and swamp a small sweep.
     """
     from ..api import SolveRequest, solve
-    from ..graphs.generators import gnp_random_graph
 
     reps = max(int(reps), 1)
     rows: list[dict] = []
@@ -100,9 +104,6 @@ def run_sweep(
             )
             request = SolveRequest(problem=problem, model=model, graph=g)
             if capture_charges:
-                from .sinks import summarize
-                from .trace import trace_capture
-
                 with trace_capture() as buf:
                     res = solve(request)
                 for cat, bill in summarize(buf.spans)["charges"].items():
@@ -157,7 +158,7 @@ def evaluate_entry(entry, rows: list[dict], *, symbolic: bool = False) -> dict:
     swept with ``capture_charges=True``.  Returns ``{"fits",
     "conformant", "notes", "refs"}`` where each fit carries ``metric``,
     ``category`` (``None`` for totals), the claim, and the combined
-    verdict from :func:`repro.obs.symbolic.check_series`.
+    verdict from :func:`repro.analysis.symbolic.check_series`.
 
     Gaps stay visible: an entry with no ``cost_model`` yields one
     explicit *no claims declared* row; a claimed category the sweep
@@ -165,8 +166,6 @@ def evaluate_entry(entry, rows: list[dict], *, symbolic: bool = False) -> dict:
     yields ``ok: None`` with a ``status`` explaining why.  ``conformant``
     aggregates only decidable fits (``None`` when nothing was decidable).
     """
-    from . import symbolic as sym
-
     model = sym.parse_cost_model(getattr(entry, "cost_model", None))
     fits: list[dict] = []
     notes = model.notes if model else ""

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from . import symbolic
+from .theory import check_claim_dominance
+
 __all__ = [
     "GENERATED_FILES",
     "check_docs",
@@ -38,15 +41,11 @@ def _entries():
 
 
 def _parsed_model(entry):
-    from ..obs import symbolic
-
     return symbolic.parse_cost_model(entry.cost_model)
 
 
 def theory_markdown() -> str:
     """Render every entry's symbolic cost model as ``docs/THEORY.md``."""
-    from ..obs import symbolic
-
     lines = [
         _HEADER,
         "",
@@ -129,8 +128,6 @@ def theory_markdown() -> str:
 
 def _bound_verdict(entry) -> str:
     """One-cell summary of the entry's claim-vs-theorem dominance check."""
-    from .theory import check_claim_dominance
-
     records = check_claim_dominance(entry)
     if not records:
         return "—"
@@ -196,7 +193,7 @@ def registry_markdown() -> str:
         "",
         "[^bound]: Machine-checked claim-vs-theorem dominance: every "
         "declared envelope-total claim is asymptotically compared "
-        "(`repro.obs.symbolic.compare_growth`) against the paper ceiling "
+        "(`repro.analysis.symbolic.compare_growth`) against the paper ceiling "
         "on file in `repro.analysis.theory.THEORY_BOUNDS`; `≼ bound (k/k)` "
         "means all k claims grow no faster than their theorem.  "
         "`tests/test_theory_claims.py` fails the build if any claim "

@@ -1,7 +1,7 @@
 """Symbolic cost models: sympy expressions checked against charge streams.
 
 This is the ROADMAP's *symbolic complexity ledger*.  The named-shape
-vocabulary of :mod:`repro.obs.conformance` could say ``rounds ~
+vocabulary of :mod:`repro.analysis.conformance` could say ``rounds ~
 log_delta_plus_loglog_n`` about a solve's *endpoint totals*; this module
 lets a registry entry state the paper's claims the way the paper does —
 per phase, per charge category, as expressions over a shared symbol
@@ -45,7 +45,7 @@ Checking semantics — claims are **O(·) upper bounds**, so a series is
 
 * **constant fit** — one-parameter least squares through the origin
   tracks the series (``R^2 >= 0.8`` or NRMSE ``<= 0.15``, the
-  :mod:`~repro.obs.conformance` thresholds); the claim is *tight*;
+  :mod:`~repro.analysis.conformance` thresholds); the claim is *tight*;
 * **dominance** — the measured series does not outgrow the claim over
   the sweep (the ratio ``measured / claimed`` grows by at most
   ``GROWTH_SLACK``); the claim is a loose-but-sound bound (round counts
@@ -72,7 +72,6 @@ __all__ = [
     "CostModel",
     "check_series",
     "compare_growth",
-    "dominance_order",
     "evaluate_expr",
     "fit_constant",
     "growth_check",
@@ -123,7 +122,7 @@ def _sympy():
     except ImportError as exc:  # pragma: no cover - sympy ships with CI
         raise ImportError(
             "the symbolic complexity ledger needs sympy "
-            "(repro.obs.symbolic is the only consumer; the solvers do not)"
+            "(repro.analysis.symbolic is the only consumer; the solvers do not)"
         ) from exc
     return sympy
 
@@ -423,21 +422,3 @@ def compare_growth(a, b) -> str:
     if drift < 1.0 / _TIE_TOLERANCE:
         return "lt"
     return "eq"
-
-
-def dominance_order(exprs: list) -> list:
-    """Sort claims by asymptotic growth (slowest first), ties stable.
-
-    Insertion sort with :func:`compare_growth` as the comparator — the
-    comparison is not guaranteed transitive on exotic mixes, but the
-    claim lists this orders (a handful of terms per entry) are tame, and
-    stability keeps tied claims in declaration order.
-    """
-    parsed = [parse_expr(e) if isinstance(e, str) else e for e in exprs]
-    ordered: list = []
-    for expr in parsed:
-        at = len(ordered)
-        while at > 0 and compare_growth(expr, ordered[at - 1]) == "lt":
-            at -= 1
-        ordered.insert(at, expr)
-    return ordered

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["format_row", "render_series", "render_table"]
+__all__ = ["render_series", "render_table"]
 
 
 def _fmt(cell) -> str:
@@ -20,10 +20,6 @@ def _fmt(cell) -> str:
             return f"{cell:.3g}"
         return f"{cell:.3f}".rstrip("0").rstrip(".")
     return str(cell)
-
-
-def format_row(cells: Sequence, widths: Sequence[int]) -> str:
-    return "  ".join(_fmt(c).rjust(w) for c, w in zip(cells, widths))
 
 
 def render_table(

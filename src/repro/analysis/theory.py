@@ -7,9 +7,9 @@ derives, so measured quantities can be reported as "measured / bound" ratios
 :data:`THEORY_BOUNDS` states the same theorems symbolically — per
 ``(problem, model)`` registry entry, the paper's asymptotic ceiling for
 each envelope total, in the expression vocabulary of
-:mod:`repro.obs.symbolic`.  :func:`check_claim_dominance` machine-checks
+:mod:`repro.analysis.symbolic`.  :func:`check_claim_dominance` machine-checks
 every *declared* registry claim against its ceiling via the asymptotic
-comparator (``claim ≼ bound``, i.e. :func:`~repro.obs.symbolic.compare_growth`
+comparator (``claim ≼ bound``, i.e. :func:`~repro.analysis.symbolic.compare_growth`
 returns ``"lt"`` or ``"eq"`` on the sparse-graph growth schedule) — so a
 registry edit that quietly loosens a claim past what the paper proves fails
 the suite, and ``repro docs`` renders the verdict as a footnote column.
@@ -18,6 +18,8 @@ the suite, and ``repro docs`` renders the verdict as a footnote column.
 from __future__ import annotations
 
 import math
+
+from . import symbolic
 
 __all__ = [
     "THEORY_BOUNDS",
@@ -69,7 +71,7 @@ def seed_bits_colors(num_colors: int) -> int:
 
 
 #: Paper ceilings per registry entry: ``(problem, model) -> {metric: bound}``.
-#: Expressions use the :mod:`repro.obs.symbolic` vocabulary.  These are the
+#: Expressions use the :mod:`repro.analysis.symbolic` vocabulary.  These are the
 #: theorem statements, not the (possibly tighter) registry claims — a
 #: declared claim must grow no faster than its ceiling here.
 THEORY_BOUNDS: dict = {
@@ -134,7 +136,6 @@ def check_claim_dominance(entry=None) -> list[dict]:
     metric (surfaced, never silently skipped).
     """
     from ..api import REGISTRY
-    from ..obs import symbolic
 
     records: list[dict] = []
     entries = [entry] if entry is not None else REGISTRY.entries()

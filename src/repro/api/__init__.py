@@ -35,7 +35,7 @@ from dataclasses import replace
 from ..graphs.graph import Graph
 from ..obs import METRICS
 from ..obs import trace as _trace
-from .envelope import MODELS, PROBLEMS, SolveRequest, SolveResult, request_digest
+from .envelope import MODELS, PROBLEMS, SolveRequest, SolveResult
 from .registry import (
     REGISTRY,
     SolverCapabilities,
@@ -55,7 +55,6 @@ __all__ = [
     "SolverEntry",
     "SolverRegistry",
     "register_solver",
-    "request_digest",
     "solve",
 ]
 

@@ -22,8 +22,6 @@ batch runtime byte-identically.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +36,7 @@ from ..core.records import (
 from ..graphs.graph import Graph
 from ..models.ledger import ModelSnapshot
 
-__all__ = ["MODELS", "PROBLEMS", "SolveRequest", "SolveResult", "request_digest"]
+__all__ = ["MODELS", "PROBLEMS", "SolveRequest", "SolveResult"]
 
 #: The *built-in* problem axis (coloring-adjacent derived problems
 #: included: vertex cover, (Delta+1)-coloring, 2-ruling set).  The axis is
@@ -50,44 +48,6 @@ PROBLEMS = ("mis", "matching", "vc", "coloring", "ruling2")
 #: literal message-passing engine, CONGESTED CLIQUE, and CONGEST.  Open
 #: like the problem axis.
 MODELS = ("simulated", "mpc-engine", "cclique", "congest")
-
-
-def request_digest(request) -> str:
-    """Digest of the fields that determine a solve's *answer* (not its input).
-
-    This is THE params-side half of every content address in the system: the
-    runtime cache key is ``sha256(graph_fingerprint : request_digest)``
-    (:meth:`repro.runtime.spec.JobSpec.cache_key`) and the serve layer's
-    in-flight coalescer keys on the same digest paired with the request's
-    source identity.  Keeping one implementation here guarantees the two
-    layers can never disagree about which requests are "the same solve".
-
-    Accepts either a :class:`SolveRequest` or a runtime
-    :class:`~repro.runtime.spec.JobSpec` (any object with ``problem`` /
-    ``eps`` / ``force`` / ``paper_rule`` / ``overrides``).  For a JobSpec
-    the digest is byte-identical to the historical
-    ``JobSpec.solve_digest()``, so existing on-disk caches stay valid.  A
-    SolveRequest digests its ``(problem, model)`` through the runtime job
-    name (``cc_mis``, ...) with its ``options`` in the overrides slot —
-    the same canonical form the wire protocol ships.
-    """
-    if isinstance(request, SolveRequest):
-        from ..runtime.spec import runtime_problem_name
-
-        problem = runtime_problem_name(request.problem, request.model)
-        overrides = {k: v for k, v in request.options}
-    else:  # JobSpec-shaped (duck-typed: runtime must stay import-light here)
-        problem = request.problem
-        overrides = {k: v for k, v in request.overrides}
-    payload = {
-        "problem": problem,
-        "eps": request.eps,
-        "force": request.force,
-        "paper_rule": request.paper_rule,
-        "overrides": overrides,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _option_pairs(options) -> tuple[tuple[str, object], ...]:

@@ -63,13 +63,13 @@ class SolverEntry:
     description: str = ""
     legacy_entry: str = ""  # dotted name of the shimmed historical entry point
     #: Declared symbolic cost model: sympy-parseable expressions over the
-    #: shared symbol vocabulary of :mod:`repro.obs.symbolic` (``n``, ``m``,
+    #: shared symbol vocabulary of :mod:`repro.analysis.symbolic` (``n``, ``m``,
     #: ``delta``, ``depth``, ``gamma``, ``seed_bits``, ``machines``,
     #: ``space``).  Keys: envelope totals (``"rounds"`` /
     #: ``"words_moved"``), per-charge-category claims under ``"phases"``,
     #: paper cross-references under ``"refs"``, honest caveats under
     #: ``"notes"``.  Stored as the raw declaration dict so this module
-    #: never imports sympy; :func:`repro.obs.symbolic.parse_cost_model`
+    #: never imports sympy; :func:`repro.analysis.symbolic.parse_cost_model`
     #: validates and parses it, ``repro trace conformance`` checks measured
     #: series against it, and ``repro docs`` renders it into
     #: ``docs/THEORY.md``.  ``None`` means "no claims declared" — reported
@@ -94,8 +94,8 @@ class SolverRegistry:
         legal key, so a new problem or model is introduced by registering
         it — :class:`~repro.api.envelope.SolveRequest` validates against
         the registry, and the runtime derives its job names from it.  (A
-        new *model* additionally wants a short batch-name prefix; see
-        :func:`repro.runtime.spec.register_model_prefix`.)
+        new *model* is batch-runnable once it has a short job-name prefix
+        in :mod:`repro.runtime.spec`.)
         """
         for axis, value in (("problem", entry.problem), ("model", entry.model)):
             if not value or not isinstance(value, str):

@@ -1,6 +1,6 @@
 """Baselines: randomized comparators and sequential oracles."""
 
-from .greedy import greedy_matching, greedy_mis
+from .greedy import greedy_matching
 from .israeli_itai import israeli_itai_matching
 from .luby import (
     BaselineResult,
@@ -12,7 +12,6 @@ from .luby import (
 __all__ = [
     "BaselineResult",
     "greedy_matching",
-    "greedy_mis",
     "israeli_itai_matching",
     "luby_matching_randomized",
     "luby_mis_pairwise",

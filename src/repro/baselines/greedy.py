@@ -1,11 +1,10 @@
-"""Sequential greedy oracles (correctness references, not MPC algorithms).
+"""Sequential greedy matching (a correctness reference, not an MPC algorithm).
 
-Greedy MIS/matching by increasing node/edge id: the classical linear-time
-constructions whose outputs are maximal by induction.  Used by the test
-suite as independent ground truth, by benchmarks for solution-quality
-comparisons (matching size, MIS size), and by
-:func:`~repro.cclique.mis_cc.cc_maximal_matching` on the remainder it
-collects onto one machine.
+Greedy matching by increasing edge id: the classical linear-time
+construction whose output is maximal by induction.
+:func:`~repro.cclique.mis_cc.cc_maximal_matching` runs it on the remainder
+it collects onto one machine; the test suite uses it as independent ground
+truth.
 """
 
 from __future__ import annotations
@@ -14,20 +13,7 @@ import numpy as np
 
 from ..graphs.graph import Graph
 
-__all__ = ["greedy_matching", "greedy_mis"]
-
-
-def greedy_mis(g: Graph) -> np.ndarray:
-    """Lexicographically-first MIS; returns sorted node ids."""
-    taken = np.zeros(g.n, dtype=bool)
-    blocked = np.zeros(g.n, dtype=bool)
-    for v in range(g.n):
-        if blocked[v]:
-            continue
-        taken[v] = True
-        blocked[v] = True
-        blocked[g.neighbors(v)] = True
-    return np.nonzero(taken)[0].astype(np.int64)
+__all__ = ["greedy_matching"]
 
 
 def greedy_matching(g: Graph) -> np.ndarray:

@@ -14,7 +14,7 @@ rounds.  It is a :class:`~repro.models.ledger.RoundLedger`: ``words_moved``
 counts one word per ``O(log n)``-bit message, the bandwidth ceiling is the
 ``n`` messages per node per round that Lenzen routing tolerates, and an
 optional ``space_per_node`` ceiling turns the "fits on one node" arguments
-into hard :class:`~repro.mpc.exceptions.SpaceExceededError` checks.
+into hard :class:`~repro.models.ledger.SpaceExceededError` checks.
 """
 
 from __future__ import annotations

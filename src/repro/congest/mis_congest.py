@@ -28,6 +28,7 @@ import numpy as np
 
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
+from ..graphs.linegraph import line_graph
 from ..hashing.families import make_color_family, make_product_family
 from ..models.ledger import ModelSnapshot
 from ..models.phase import NodePhase
@@ -155,8 +156,6 @@ def congest_maximal_matching(
     so the round bill carries over with O(1) overhead per phase.  The
     ``independent_set`` of the returned record holds *edge ids* of ``graph``.
     """
-    from ..graphs.linegraph import line_graph
-
     _check_mode(mode)
     if graph.m == 0:
         return CongestMISResult(

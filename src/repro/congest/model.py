@@ -19,7 +19,7 @@ broadcast over that tree accordingly.  It is a :class:`~repro.models.ledger.Roun
 ``words_moved`` counts one word per message, the bandwidth ceiling is
 ``2 m`` words per round (one message per edge direction), and an optional
 per-node storage ceiling makes locality violations raise
-:class:`~repro.mpc.exceptions.SpaceExceededError`.
+:class:`~repro.models.ledger.SpaceExceededError`.
 """
 
 from __future__ import annotations

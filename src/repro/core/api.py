@@ -17,6 +17,7 @@ so the dispatch rule only affects which theorem's round bound applies.
 from __future__ import annotations
 
 from ..graphs.graph import Graph
+from ..mpc.context import MPCContext
 from .lowdeg import lowdeg_maximal_matching, lowdeg_mis
 from .matching import deterministic_maximal_matching
 from .mis import deterministic_mis
@@ -35,8 +36,6 @@ def uses_lowdeg_path(
         return True
     if paper_rule:
         return delta_max <= params.low_degree_threshold(graph.n)
-    from ..mpc.context import MPCContext
-
     s = MPCContext.for_graph(graph, params).S
     eff = 2 * delta_max - 2 if for_matching else delta_max  # line-graph degree
     return max(eff, 1) ** 2 + 1 <= s

@@ -36,10 +36,8 @@ from ..graphs.graph import Graph
 from ..graphs.linegraph import line_graph
 from ..graphs.power import BallTooLargeError, ball_sizes
 from ..hashing.families import make_color_family
-# repro.mpc before repro.models: the models ledger imports repro.mpc, whose
-# context imports the ledger back.
-from ..mpc.context import MPCContext
 from ..models.phase import NodePhase, a_set
+from ..mpc.context import MPCContext
 from ..obs import trace as _obs
 from .params import Params
 from .records import IterationRecord, MatchingResult, MISResult

@@ -45,10 +45,6 @@ class NodeSparsifyResult:
     stages: tuple[StageRecord, ...]
     num_stages: int
 
-    @property
-    def num_nodes(self) -> int:
-        return int(self.q_prime_mask.sum())
-
 
 def sparsify_nodes(
     g: Graph,

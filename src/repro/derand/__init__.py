@@ -6,21 +6,12 @@ Every seed search runs in-process on the batched engine of
 the selected seed.
 """
 
-from .estimators import (
-    bellare_rompel_bound,
-    certified_slacks,
-    chebyshev_bound,
-    paper_nominal_slack,
-    slack_for_failure,
-    slack_for_failure_array,
-)
+from .estimators import certified_slacks, slack_for_failure_array
 from .strategies import (
     BatchObjective,
     ConditionalExpectationError,
     SeedSelection,
     Strategy,
-    batched_from_scalar,
-    select_seed,
     select_seed_batch,
 )
 
@@ -29,13 +20,7 @@ __all__ = [
     "ConditionalExpectationError",
     "SeedSelection",
     "Strategy",
-    "batched_from_scalar",
-    "bellare_rompel_bound",
     "certified_slacks",
-    "chebyshev_bound",
-    "paper_nominal_slack",
-    "select_seed",
     "select_seed_batch",
-    "slack_for_failure",
     "slack_for_failure_array",
 ]

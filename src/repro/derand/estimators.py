@@ -1,85 +1,37 @@
-"""Concentration bounds used to size goodness slacks (paper Lemma 9).
+"""Concentration bounds that size goodness slacks (paper Lemma 9).
 
 The sparsification stages declare a machine *good* for a hash function ``h``
 when its sampled-item count lies within ``mu +- lambda``.  The paper sets
 ``lambda = n^{0.1 delta} sqrt(e_x)`` and invokes the Bellare-Rompel moment
 bound (their Lemma 9) to get per-machine failure probability ``n^{-5}``.
 
-At the finite sizes a simulation runs, the asymptotic slack can be smaller
-than what existence of an all-good seed requires, so we expose *solvers*:
-given the machine loads, the sampling rate and a target ``E[#bad] < 1``
-budget, return the minimal slack the chosen independence level certifies.
-The run then uses ``max(paper's nominal slack, certified slack)`` and the
-invariant checks / benchmarks report both.
+A run does not size its windows from this module.  The stage seed search
+(:func:`repro.core.stage.run_stage_seed_search`) uses
+``lambda_x = kappa (sqrt(e_x) + 1)``: ``kappa`` starts at the paper's
+``n^{0.1 delta}`` and is multiplied by ``slack_escalation``, at most
+``max_slack_escalations`` times, while no seed makes every machine good.
+The slacks computed here, which an independence level *certifies* for the
+stage's machine loads, are reported beside that choice
+(``StageSearchOutcome.certified_lambdas``).
 
 Functions
 ---------
-``bellare_rompel_bound``   -- the tail bound of Lemma 9.
-``chebyshev_bound``        -- the pairwise (c = 2) variance bound.
-``slack_for_failure``      -- invert either bound for ``lambda``.
-``slack_for_failure_array``-- the same inversion, vectorised per machine.
-``certified_slacks``       -- per-machine certified slacks for a load vector
-                              under an ``E[#bad] < budget`` split.
-``paper_nominal_slack``    -- ``n^{0.1 delta} sqrt(e_x)``.
-
-The array variants exist so the good-machine accounting of a whole stage
-(hundreds of machines per group) is one whole-array expression instead of a
-per-machine Python loop; benchmarks and the invariant reports consume them.
+``slack_for_failure_array``-- per machine load, the minimal ``lambda`` whose
+                              Chebyshev (``c = 2``) or Bellare-Rompel (even
+                              ``c >= 4``) tail is at most ``fail_prob``.
+``certified_slacks``       -- per-machine slacks under an even split of an
+                              ``E[#bad] < budget`` budget, as one array
+                              expression over a whole stage's machines.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
-    "bellare_rompel_bound",
     "certified_slacks",
-    "chebyshev_bound",
-    "paper_nominal_slack",
-    "slack_for_failure",
     "slack_for_failure_array",
 ]
-
-
-def bellare_rompel_bound(c: int, t: float, lam: float) -> float:
-    """Lemma 9 tail: ``Pr[|Z - mu| >= lam] <= 2 (c t / lam^2)^{c/2}``.
-
-    ``Z`` is a sum of ``t`` c-wise independent variables in [0, 1];
-    ``c >= 4`` must be even.
-    """
-    if c < 4 or c % 2 != 0:
-        raise ValueError("Bellare-Rompel requires even c >= 4")
-    if lam <= 0:
-        return 1.0
-    return min(1.0, 2.0 * (c * t / (lam * lam)) ** (c / 2))
-
-
-def chebyshev_bound(variance: float, lam: float) -> float:
-    """Pairwise-independence tail: ``Pr[|Z - mu| >= lam] <= Var / lam^2``."""
-    if lam <= 0:
-        return 1.0
-    return min(1.0, variance / (lam * lam))
-
-
-def slack_for_failure(
-    c: int, t: float, fail_prob: float, *, p: float | None = None
-) -> float:
-    """Minimal ``lam`` with tail probability ``<= fail_prob``.
-
-    ``c = 2`` uses Chebyshev with variance ``t p (1 - p)`` (requires ``p``,
-    the Bernoulli rate; falls back to the worst case ``t / 4``); ``c >= 4``
-    inverts Bellare-Rompel: ``lam = sqrt(c t) * (2 / fail)^{1/c}``.
-    """
-    if fail_prob <= 0 or fail_prob > 1:
-        raise ValueError("fail_prob must be in (0, 1]")
-    if t <= 0:
-        return 0.0
-    if c == 2:
-        var = t * p * (1.0 - p) if p is not None else t / 4.0
-        return math.sqrt(var / fail_prob)
-    return math.sqrt(c * t) * (2.0 / fail_prob) ** (1.0 / c)
 
 
 def slack_for_failure_array(
@@ -89,11 +41,13 @@ def slack_for_failure_array(
     *,
     p: float | None = None,
 ) -> np.ndarray:
-    """Vectorised :func:`slack_for_failure` over a per-machine load array.
+    """Minimal per-machine slack with tail probability ``<= fail_prob``.
 
-    ``t`` is the vector of per-machine item counts (``e_x``); the returned
-    vector is the minimal ``lambda_x`` certifying per-machine failure
-    probability ``<= fail_prob`` at independence ``c``.
+    ``t`` is the vector of per-machine item counts (``e_x``).  ``c = 2``
+    uses Chebyshev with variance ``t p (1 - p)`` (``p`` is the Bernoulli
+    rate; without it the worst case ``t / 4``); even ``c >= 4`` inverts
+    Bellare-Rompel, ``Pr[|Z - mu| >= lam] <= 2 (c t / lam^2)^{c/2}``, to
+    ``lam = sqrt(c t) * (2 / fail)^{1/c}``.  Machines with no items get 0.
     """
     if fail_prob <= 0 or fail_prob > 1:
         raise ValueError("fail_prob must be in (0, 1]")
@@ -122,8 +76,7 @@ def certified_slacks(
     The budget is split evenly over the machines (any split works; even is
     the standard choice), each machine's share is inverted through the
     chosen concentration bound, and the whole computation is one array
-    expression -- the vectorised form of the module docstring's solver
-    recipe.  Returns zeros for an empty machine group.
+    expression.  Returns zeros for an empty machine group.
     """
     loads = np.asarray(loads, dtype=np.float64)
     if loads.size == 0:
@@ -132,9 +85,3 @@ def certified_slacks(
         raise ValueError("budget must be positive")
     share = min(1.0, budget / loads.size)
     return slack_for_failure_array(c, loads, share, p=p if c == 2 else None)
-
-
-def paper_nominal_slack(n: int, delta: float, loads: np.ndarray) -> np.ndarray:
-    """The paper's slack ``n^{0.1 delta} sqrt(e_x)`` per machine load."""
-    loads = np.asarray(loads, dtype=np.float64)
-    return (max(n, 2) ** (0.1 * delta)) * np.sqrt(loads)

@@ -38,11 +38,11 @@ The engine underneath all three selectors consumes a :data:`BatchObjective`
 -- ``seeds: int64[S] -> float64[S]`` -- evaluated in fixed-size seed chunks
 with early exit on the first chunk containing a target hit.  Call sites
 provide natively vectorised kernels (one hash ``evaluate_batch`` plus 2-D
-segment reductions per chunk); :func:`select_seed` keeps the scalar
-``Objective`` API by running the same engine with ``chunk_size=1`` (one
-lazy objective evaluation per trial).  Every other caller ramps its blocks
-up to :data:`DEFAULT_SEED_CHUNK`, the one block-size constant.  The chunk
-size never changes the outcome: same selected seed, value, trial count,
+segment reductions per chunk) and ramp their blocks up to
+:data:`DEFAULT_SEED_CHUNK`, the one block-size constant; ``chunk_size=1``
+(one seed per objective call) is the reference the tests and
+``bench_seed_search`` compare against.  The chunk size never changes the
+outcome: same selected seed, value, trial count,
 ``satisfied`` flag and ``family_mean`` for every chunk size, enforced by
 property tests and the ``bench_seed_search`` parity gate.
 
@@ -67,16 +67,11 @@ __all__ = [
     "DEFAULT_SEED_CHUNK",
     "SeedSelection",
     "Strategy",
-    "batched_from_scalar",
     "scan_regions",
-    "select_seed",
     "select_seed_batch",
 ]
 
 Strategy = str  # "conditional_expectation" | "scan" | "best_of"
-
-#: Objective: maps a seed (int) to a float score; larger is better.
-Objective = Callable[[int], float]
 
 #: Batched objective: maps an int64 seed block to per-seed float64 scores.
 BatchObjective = Callable[[np.ndarray], np.ndarray]
@@ -94,15 +89,6 @@ class ConditionalExpectationError(RuntimeError):
     construction); it is raised as a real exception rather than an
     ``assert`` so the check survives ``python -O``.
     """
-
-
-def batched_from_scalar(objective: Objective) -> BatchObjective:
-    """Adapt a scalar ``Objective`` to the :data:`BatchObjective` protocol."""
-
-    def batch(seeds: np.ndarray) -> np.ndarray:
-        return np.array([objective(int(s)) for s in seeds], dtype=np.float64)
-
-    return batch
 
 
 @dataclass(frozen=True)
@@ -402,34 +388,3 @@ def select_seed_batch(
             },
         )
     return sel
-
-
-def select_seed(
-    family_size: int,
-    objective: Objective,
-    *,
-    strategy: Strategy = "scan",
-    target: float | None = None,
-    max_trials: int = 512,
-    enumeration_cap: int = 1 << 16,
-    best_of_k: int = 64,
-    start: int = 0,
-) -> SeedSelection:
-    """Deterministically pick a seed from ``[0, family_size)``.
-
-    Scalar-objective adapter around :func:`select_seed_batch`: the
-    objective is evaluated lazily one seed at a time (exactly one call per
-    reported trial), so existing scalar call sites keep their evaluation
-    counts while sharing the batched engine's scan order and semantics.
-    """
-    return select_seed_batch(
-        family_size,
-        batched_from_scalar(objective),
-        strategy=strategy,
-        target=target,
-        max_trials=max_trials,
-        enumeration_cap=enumeration_cap,
-        best_of_k=best_of_k,
-        start=start,
-        chunk_size=1,
-    )

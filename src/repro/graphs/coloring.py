@@ -39,15 +39,13 @@ import scipy.sparse as sp
 
 from ..hashing.primes import next_prime
 from .graph import Graph
-from .power import ball_sizes, budget_slices, hop_pattern, square_graph
+from .power import ball_sizes, budget_slices, hop_pattern
 
 __all__ = [
     "ColoringResult",
     "distance2_coloring",
-    "greedy_coloring",
     "linial_coloring",
     "validate_coloring",
-    "validate_distance2_coloring",
 ]
 
 
@@ -72,28 +70,6 @@ def validate_coloring(g: Graph, colors: np.ndarray) -> bool:
     if g.m == 0:
         return True
     return bool(np.all(c[g.edges_u] != c[g.edges_v]))
-
-
-def validate_distance2_coloring(g: Graph, colors: np.ndarray) -> bool:
-    """True iff nodes at distance 1 or 2 in ``g`` always differ in color."""
-    return validate_coloring(square_graph(g), colors)
-
-
-def greedy_coloring(g: Graph) -> ColoringResult:
-    """Sequential greedy coloring (<= Delta + 1 colors); deterministic.
-
-    Not an MPC algorithm -- used as an oracle/baseline in tests and as the
-    final palette-compaction step after Linial reduction.
-    """
-    colors = np.full(g.n, -1, dtype=np.int64)
-    for v in range(g.n):
-        used = set(colors[g.neighbors(v)].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    num = int(colors.max(initial=-1)) + 1
-    return ColoringResult(colors=colors, num_colors=max(num, 1), iterations=0)
 
 
 def _linial_field(delta: int, palette: int) -> tuple[int, int]:

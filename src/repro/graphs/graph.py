@@ -350,27 +350,6 @@ class Graph:
     # Edge-level helpers used by the sparsification machinery
     # ------------------------------------------------------------------ #
 
-    def edge_degrees(self, edge_mask: np.ndarray | None = None) -> np.ndarray:
-        """Degree of each edge: number of *other* edges sharing an endpoint.
-
-        If ``edge_mask`` is given, degrees are computed within the subgraph
-        induced by the masked edge set (the paper's ``d_{E'}(e)``); the
-        returned array still has length ``m`` with zeros off-mask.
-        """
-        if edge_mask is None:
-            deg = self.degrees()
-            d = deg[self.edges_u] + deg[self.edges_v] - 2
-            return d.astype(np.int64)
-        mask = np.asarray(edge_mask, dtype=bool)
-        if mask.shape != (self.m,):
-            raise ValueError("edge_mask must have shape (m,)")
-        deg_sub = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg_sub, self.edges_u[mask], 1)
-        np.add.at(deg_sub, self.edges_v[mask], 1)
-        d = np.zeros(self.m, dtype=np.int64)
-        d[mask] = deg_sub[self.edges_u[mask]] + deg_sub[self.edges_v[mask]] - 2
-        return d
-
     def degrees_within(self, edge_mask: np.ndarray) -> np.ndarray:
         """int64[n]: vertex degrees counting only edges where mask is True.
 

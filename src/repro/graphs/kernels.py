@@ -30,7 +30,6 @@ __all__ = [
     "neighbor_min",
     "segment_count_2d",
     "segment_min",
-    "segment_min_2d",
     "segment_sum",
 ]
 
@@ -77,21 +76,6 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 # ``axis=1`` reduces every seed row independently in one pass, so row ``i``
 # of each 2-D kernel is bit-identical to the 1-D kernel applied to row ``i``.
 # ---------------------------------------------------------------------- #
-
-
-def segment_min_2d(values: np.ndarray, indptr: np.ndarray, fill) -> np.ndarray:
-    """Per-segment minimum along axis 1: ``out[s, i] = min(values[s, indptr[i]:indptr[i+1]])``.
-
-    Empty segments yield ``fill``.  Row ``s`` equals
-    ``segment_min(values[s], indptr, fill)``.
-    """
-    n = indptr.size - 1
-    out = np.full((values.shape[0], n), fill, dtype=values.dtype)
-    if values.shape[1] == 0 or n == 0:
-        return out
-    nonempty = indptr[:-1] < indptr[1:]
-    out[:, nonempty] = np.minimum.reduceat(values, indptr[:-1][nonempty], axis=1)
-    return out
 
 
 def segment_count_2d(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["line_graph", "line_graph_size", "matching_from_line_mis"]
+__all__ = ["line_graph", "line_graph_size"]
 
 
 def line_graph_size(g: Graph) -> int:
@@ -46,17 +46,3 @@ def line_graph(g: Graph, *, max_edges: int | None = 50_000_000) -> Graph:
     step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
     eids = g.arc_edge_ids
     return Graph.from_edges(g.m, np.stack([eids[first], eids[first + step]], axis=1))
-
-
-def matching_from_line_mis(g: Graph, line_mis_mask: np.ndarray) -> np.ndarray:
-    """Convert an MIS of ``L(G)`` (bool[m]) into matched-edge ids of ``G``.
-
-    An independent set of line-graph vertices is exactly a set of edges no
-    two of which share an endpoint, i.e. a matching; maximality transfers
-    because an unmatched-extendable edge would be a line-graph vertex with no
-    chosen neighbour.
-    """
-    mask = np.asarray(line_mis_mask, dtype=bool)
-    if mask.shape != (g.m,):
-        raise ValueError("line_mis_mask must have shape (m,)")
-    return np.nonzero(mask)[0].astype(np.int64)

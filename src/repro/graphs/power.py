@@ -15,9 +15,8 @@ iterator holds the graph plus one block, never all of ``G^r``:
   array preallocated from those counts: the adjacency pattern of ``G^r`` as
   a boolean CSR.  At ``r = 2`` it is the two-hop conflict structure that a
   Linial reduction step colors.
-* ``r_hop_balls`` (the sets ``B_r(v)`` that machines gather in Section 5's
-  preprocessing) and ``square_graph`` (``G^2`` as a canonical
-  :class:`Graph` for the 2-ruling set and the validators) sort that pattern.
+* ``square_graph`` sorts that pattern into ``G^2`` as a canonical
+  :class:`Graph`, for the 2-ruling set.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "adjacency_matrix",
     "ball_sizes",
     "hop_pattern",
-    "r_hop_balls",
     "square_graph",
 ]
 
@@ -162,21 +160,3 @@ def square_graph(g: Graph) -> Graph:
     return Graph._from_canonical(
         g.n, rows[upper].astype(np.int64), reach2.indices[upper].astype(np.int64)
     )
-
-
-def r_hop_balls(g: Graph, r: int, *, max_ball: int | None = None) -> list[np.ndarray]:
-    """For each vertex v, the sorted array of vertices within distance r
-    (excluding v itself).
-
-    ``max_ball`` (if given) raises :class:`BallTooLargeError` while the
-    balls are still being counted, before any of them is materialised.
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if r == 0 or g.n == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(g.n)]
-    reach = hop_pattern(g, r, sizes=ball_sizes(g, r, max_ball=max_ball))
-    reach.sort_indices()
-    indices = reach.indices.astype(np.int64)
-    indptr = reach.indptr
-    return [indices[indptr[v] : indptr[v + 1]] for v in range(g.n)]

@@ -740,13 +740,6 @@ class GraphStore:
                 problems.append(f"{name}: sha256 {got[:12]}.. != {want[:12]}..")
         return problems
 
-    def delete(self, key: str) -> None:
-        if key not in self._lru:
-            raise StoreMissError(key)
-        del self._lru[key]
-        shutil.rmtree(self._object_dir(key), ignore_errors=True)
-        self._append({"op": "evict", "key": key})
-
     def gc(self, *, max_bytes: int | None = None) -> dict:
         """Drop orphaned build debris and enforce a disk budget.
 

@@ -11,7 +11,7 @@ Public surface:
 * :func:`next_prime`, :func:`is_prime` -- field-size selection.
 """
 
-from .primes import is_prime, next_prime, prev_prime
+from .primes import is_prime, next_prime
 from .kwise import KWiseHashFamily, make_family, MAX_FIELD
 from .families import ProductHashFamily, make_color_family, make_product_family
 
@@ -24,5 +24,4 @@ __all__ = [
     "make_family",
     "make_product_family",
     "next_prime",
-    "prev_prime",
 ]

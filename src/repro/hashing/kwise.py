@@ -125,18 +125,6 @@ class KWiseHashFamily:
             s //= self.q
         return tuple(coeffs)
 
-    def seed_from_coefficients(self, coeffs: tuple[int, ...] | list[int]) -> int:
-        """Inverse of :meth:`coefficients`."""
-        if len(coeffs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        seed = 0
-        for digit, idx in enumerate(self._digit_order()):
-            a = coeffs[idx]
-            if not 0 <= a < self.q:
-                raise ValueError(f"coefficient {a} out of field [0, {self.q})")
-            seed += a * self._powers[digit]
-        return seed
-
     def seeds(self) -> Iterator[int]:
         """Iterate over every seed in a fixed (canonical) order."""
         return iter(range(self.size))
@@ -165,9 +153,8 @@ class KWiseHashFamily:
     def evaluate_batch(self, seeds: np.ndarray, xs: np.ndarray | int) -> np.ndarray:
         """Evaluate ``S`` functions at ``N`` points: returns ``(S, N)`` uint64.
 
-        Generalizes :meth:`evaluate` over a whole seed block (and
-        :meth:`evaluate_many` over many points): row ``i`` equals
-        ``evaluate(seeds[i], xs)`` bit-for-bit.
+        Generalizes :meth:`evaluate` over a whole seed block: row ``i``
+        equals ``evaluate(seeds[i], xs)`` bit-for-bit.
 
         Two evaluation tiers:
 
@@ -249,24 +236,6 @@ class KWiseHashFamily:
                 for idx, a in enumerate(self.coefficients(int(s))):
                     coeffs[idx, i] = a
         return coeffs
-
-    def evaluate_many(self, seed_values: np.ndarray, x: int) -> np.ndarray:
-        """Evaluate many functions at a *single* point ``x``.
-
-        Vectorised over seeds; used by exhaustive / conditional-expectation
-        seed searches.  ``seed_values`` is an int64/uint64 array of seeds.
-        """
-        seeds = np.asarray(seed_values, dtype=np.uint64)
-        q = np.uint64(self.q)
-        xs = np.uint64(x % self.q)
-        # Decode every coefficient (digit positions follow _digit_order).
-        coeffs: dict[int, np.ndarray] = {}
-        for digit, idx in enumerate(self._digit_order()):
-            coeffs[idx] = (seeds // np.uint64(self._powers[digit])) % q
-        h = coeffs[self.k - 1]
-        for j in range(self.k - 2, -1, -1):
-            h = (h * xs + coeffs[j]) % q
-        return h
 
     def indicator_batch(
         self, seeds: np.ndarray, xs: np.ndarray | int, threshold: int

@@ -60,17 +60,3 @@ def next_prime(n: int) -> int:
     while not is_prime(q):
         q += 2
     return q
-
-
-def prev_prime(n: int) -> int:
-    """Largest prime ``q <= n``; raises ``ValueError`` if ``n < 2``."""
-    q = int(n)
-    if q < 2:
-        raise ValueError(f"no prime <= {n}")
-    if q == 2:
-        return 2
-    if q % 2 == 0:
-        q -= 1
-    while q >= 3 and not is_prime(q):
-        q -= 2
-    return q if q >= 2 else 2

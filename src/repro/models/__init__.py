@@ -16,16 +16,25 @@ CONGESTED CLIQUE and CONGEST.  This package is the model-generic substrate:
   step, their seed blocks, and the ``A`` set of Corollary 15.
 """
 
-from .ledger import ModelSnapshot, RoundLedger
+from .ledger import (
+    CapacityExceededError,
+    ModelSnapshot,
+    MPCModelError,
+    RoundLedger,
+    SpaceExceededError,
+)
 from .phase import EdgePhase, NodePhase, a_set
 from .plane import MessageBlock, Table
 
 __all__ = [
+    "CapacityExceededError",
     "EdgePhase",
+    "MPCModelError",
     "MessageBlock",
     "ModelSnapshot",
     "NodePhase",
     "RoundLedger",
+    "SpaceExceededError",
     "Table",
     "a_set",
 ]

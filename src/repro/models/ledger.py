@@ -32,10 +32,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from ..mpc.exceptions import SpaceExceededError
 from ..obs import trace as _obs
 
-__all__ = ["ModelSnapshot", "RoundLedger"]
+__all__ = [
+    "CapacityExceededError",
+    "MPCModelError",
+    "ModelSnapshot",
+    "RoundLedger",
+    "SpaceExceededError",
+]
+
+
+class MPCModelError(RuntimeError):
+    """Base class: a simulated algorithm violated a model constraint."""
+
+
+class SpaceExceededError(MPCModelError):
+    """A machine was asked to hold more than ``S`` words."""
+
+    def __init__(self, machine: int, words: int, limit: int, what: str = "") -> None:
+        self.machine = machine
+        self.words = words
+        self.limit = limit
+        suffix = f" while {what}" if what else ""
+        super().__init__(
+            f"machine {machine} holds {words} words > S = {limit}{suffix}"
+        )
+
+
+class CapacityExceededError(MPCModelError):
+    """A machine sent or received more than ``S`` words in one round."""
+
+    def __init__(self, machine: int, words: int, limit: int, direction: str) -> None:
+        self.machine = machine
+        self.words = words
+        self.limit = limit
+        super().__init__(
+            f"machine {machine} {direction} {words} words > per-round cap S = {limit}"
+        )
 
 
 @dataclass(frozen=True)
@@ -65,7 +99,7 @@ class ModelSnapshot:
 
     def symbol_row(self) -> dict:
         """Symbol values this bill pins down, keyed by the shared
-        vocabulary of :mod:`repro.obs.symbolic` (``machines``, ``space``,
+        vocabulary of :mod:`repro.analysis.symbolic` (``machines``, ``space``,
         ``seed_bits``, ``gamma``, ``depth``).  Only axes the model
         actually fixed are reported — the symbolic checker treats absent
         symbols as unmeasurable rather than guessing.
@@ -150,7 +184,7 @@ class RoundLedger:
 
     def observe_load(self, where: int, words: int, what: str = "") -> None:
         """Record machine (or node) ``where`` holding ``words`` words; raise
-        :class:`~repro.mpc.exceptions.SpaceExceededError` past the
+        :class:`SpaceExceededError` past the
         ``space_ceiling``."""
         words = int(words)
         limit = self.space_ceiling

@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..models.ledger import RoundLedger
-from .exceptions import SpaceExceededError
+from ..models.ledger import RoundLedger, SpaceExceededError
 
 if TYPE_CHECKING:
     from ..core.params import Params
@@ -133,7 +132,7 @@ class MPCContext(RoundLedger):
     def observe_loads(self, loads, what: str = "") -> None:
         """Check a data placement: each machine's load (words) against
         ``S`` and their sum against the total budget.  Violations raise
-        :class:`~repro.mpc.exceptions.SpaceExceededError` immediately, so an
+        :class:`~repro.models.ledger.SpaceExceededError` immediately, so an
         unsound layout cannot silently pass benchmarks."""
         arr = np.asarray(loads)
         if arr.size == 0:

@@ -7,10 +7,9 @@ machines, and all messages sent and received by a machine in a round must fit
 in ``S`` words.
 
 The engine runs the Lemma-4 communication primitives (sorting, prefix
-sums, broadcast -- see :mod:`repro.mpc.primitives`), the Section-3.1 degree
-computation (:mod:`repro.mpc.distributed_graph`) and the ``mis/mpc-engine``
-Luby run (:mod:`repro.mpc.distributed_luby`) with real message passing and
-exact round counting.  The derandomized graph algorithms themselves run
+sums, broadcast -- see :mod:`repro.mpc.primitives`) and the
+``mis/mpc-engine`` Luby run (:mod:`repro.mpc.distributed_luby`) with real
+message passing and exact round counting.  The derandomized graph algorithms themselves run
 against the vectorised accounting layer (:mod:`repro.mpc.context`) for
 speed; both layers share the same model constants so the round/space
 numbers agree.
@@ -44,10 +43,9 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from ..models.ledger import RoundLedger
+from ..models.ledger import CapacityExceededError, RoundLedger
 from ..models.plane import MessageBlock, Table, balanced_owners
 from ..obs import trace as _obs
-from .exceptions import CapacityExceededError
 
 __all__ = ["MPCEngine", "word_size"]
 

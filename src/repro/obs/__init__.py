@@ -1,9 +1,10 @@
-"""``repro.obs`` — structured tracing, metrics, and theory conformance.
+"""``repro.obs`` — structured tracing and metrics, the layer every other
+package imports.
 
 The paper's claims are *resource bounds* — ``O(1/gamma^2)`` low-space MPC
-rounds, ``O(D + seed_bits)`` CONGEST seed fixes — so observability is a
-first-class subsystem here, not an afterthought: you cannot check a round
-bound you cannot see per phase.  Three zero-dependency pieces:
+rounds, ``O(D + seed_bits)`` CONGEST seed fixes — so every layer reports
+where its rounds and time went.  Three zero-dependency pieces, none of
+which imports another ``repro`` package:
 
 * :mod:`repro.obs.trace` — nested spans (solve → stage → phase →
   seed-scan → engine round) with attributes and ledger charge events,
@@ -11,20 +12,14 @@ bound you cannot see per phase.  Three zero-dependency pieces:
 * :mod:`repro.obs.metrics` — process-global counters / gauges /
   histograms (seed-scan chunks, early-exit depth, cache hits, worker
   retries) exported as one flat dict;
-* :mod:`repro.obs.symbolic` — the symbolic complexity ledger: sympy
-  cost expressions over a shared symbol vocabulary (``n``, ``m``,
-  ``delta``, ``depth``, ``gamma``, ``seed_bits``, ``machines``,
-  ``space``) that registry entries declare per envelope total *and* per
-  ledger charge category, plus the constant-fit / asymptotic-dominance
-  checker (lazily imports sympy — the only module here with a
-  third-party dependency beyond numpy);
-* :mod:`repro.obs.conformance` — sweeps of real solves whose measured
-  series (endpoint totals and, under ``--symbolic``, the per-charge
-  streams the tracer records) are checked against those declarations.
+* :mod:`repro.obs.sinks` — JSONL traces, the Chrome-trace / Perfetto
+  exporter, summaries and diffs.
 
-Sinks and tooling live in :mod:`repro.obs.sinks` (JSONL traces, the
-Chrome-trace / Perfetto exporter, summaries and diffs) and surface on the
-CLI as ``repro trace`` (:mod:`repro.obs.cli`).
+The tools that read traces back sit on top of the solvers, in
+:mod:`repro.analysis`: the symbolic cost ledger
+(:mod:`repro.analysis.symbolic`), the conformance sweeps that check
+measured series against it (:mod:`repro.analysis.conformance`) and the
+``repro trace`` CLI (:mod:`repro.analysis.cli`).
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ from .metrics import METRICS, MetricsRegistry
 from .trace import (
     Span,
     TraceBuffer,
-    add_event,
     current_span,
     env_trace_destination,
     is_tracing,
@@ -48,7 +42,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "TraceBuffer",
-    "add_event",
     "current_span",
     "env_trace_destination",
     "is_tracing",

@@ -40,7 +40,6 @@ from contextvars import ContextVar
 __all__ = [
     "Span",
     "TraceBuffer",
-    "add_event",
     "clock",
     "current_span",
     "env_trace_destination",
@@ -221,15 +220,6 @@ def record_span(name: str, t_start: float, attrs: dict) -> None:
     s = Span(buf._next_id, parent.sid if parent is not None else 0, name, t_start, attrs)
     buf._next_id += 1
     buf.finish(s)
-
-
-def add_event(name: str, **fields) -> None:
-    """Attach an event to the innermost open span (no-op when disabled)."""
-    if not _TRACING:
-        return
-    s = _SPAN.get()
-    if s is not None:
-        s.event(name, **fields)
 
 
 def ledger_event(category: str, rounds: int, words: int) -> None:

@@ -9,7 +9,7 @@ Layout under ``cache_dir``::
 
 The key is ``sha256(graph_fingerprint : solve_digest)`` (see
 :meth:`~repro.runtime.spec.JobSpec.cache_key`, built on
-:func:`repro.api.envelope.request_digest`), so identical inputs solved
+:meth:`~repro.runtime.spec.JobSpec.solve_digest`), so identical inputs solved
 with identical parameters hit the same entry no matter how the graph was
 produced or which process stored it.  The JSONL log is replayed on open to
 rebuild LRU order; it is compacted when it grows far past the live entry
@@ -42,7 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..api import SolveResult
 from ..core.records import result_from_payload
+from ..models.ledger import ModelSnapshot
 
 __all__ = ["CacheEntry", "CacheStats", "ResultCache"]
 
@@ -108,12 +110,8 @@ class CacheEntry:
             return None
         kind = self.result_meta.get("kind")
         if kind == "solve_result":
-            from ..api import SolveResult
-
             return SolveResult.from_payload(self.result_meta, self.arrays())
         if kind == "model_snapshot":
-            from ..models.ledger import ModelSnapshot
-
             return ModelSnapshot.from_dict(self.result_meta["model_snapshot"])
         return result_from_payload(self.result_meta, self.arrays())
 

@@ -24,7 +24,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 
-from ..api.envelope import request_digest
 from ..api.registry import REGISTRY
 from ..graphs import generators as _generators
 from ..graphs.graph import Graph
@@ -36,7 +35,6 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "PROBLEMS",
-    "register_model_prefix",
     "runtime_entry",
     "runtime_problem_name",
 ]
@@ -48,22 +46,6 @@ _MODEL_PREFIX = {"cclique": "cc", "congest": "congest", "mpc-engine": "engine"}
 _PREFIX_MODEL = {v: k for k, v in _MODEL_PREFIX.items()}
 
 
-def register_model_prefix(model: str, prefix: str) -> None:
-    """Give a newly registered facade model a runtime job-name prefix.
-
-    A new *problem* under an existing model needs nothing (names derive
-    automatically); a new *model* registers its short prefix once here so
-    ``runtime_problem_name`` / ``runtime_entry`` stay bijective.
-    """
-    if not prefix or "_" in prefix:
-        raise ValueError(f"prefix must be non-empty and underscore-free: {prefix!r}")
-    existing = _PREFIX_MODEL.get(prefix)
-    if existing is not None and existing != model:
-        raise ValueError(f"prefix {prefix!r} already maps to model {existing!r}")
-    _MODEL_PREFIX[model] = prefix
-    _PREFIX_MODEL[prefix] = model
-
-
 def runtime_problem_name(problem: str, model: str) -> str:
     """The runtime job name of a registry entry (``cc_mis``, ``mis``, ...)."""
     if model == "simulated":
@@ -71,10 +53,7 @@ def runtime_problem_name(problem: str, model: str) -> str:
     try:
         prefix = _MODEL_PREFIX[model]
     except KeyError:
-        raise KeyError(
-            f"model {model!r} has no runtime prefix; call "
-            f"register_model_prefix({model!r}, <prefix>) once"
-        ) from None
+        raise KeyError(f"model {model!r} has no runtime prefix") from None
     return f"{prefix}_{problem}"
 
 
@@ -244,12 +223,22 @@ class JobSpec:
 
         Excludes the graph source and tag: the input's identity enters the
         cache key through the resolved graph's content fingerprint instead.
-        Delegates to :func:`repro.api.envelope.request_digest` — the shared
-        helper the serve-layer coalescer keys on too — and stays
-        byte-identical to the historical inline digest, so existing
-        on-disk caches keep their addresses.
+        This is the params half of every content address in the system: the
+        result cache keys on ``sha256(fingerprint : solve_digest)``
+        (:meth:`cache_key`) and the serve layer's in-flight coalescer on the
+        same digest paired with the source description, so the two can
+        never disagree about which requests are "the same solve".  The
+        bytes are fixed: existing on-disk caches keep their addresses.
         """
-        return request_digest(self)
+        return _digest(
+            {
+                "problem": self.problem,
+                "eps": self.eps,
+                "force": self.force,
+                "paper_rule": self.paper_rule,
+                "overrides": {k: v for k, v in self.overrides},
+            }
+        )
 
     def digest(self) -> str:
         """Digest of the full spec (including source and tag)."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..api import REGISTRY
 from .spec import GraphSource, JobSpec, runtime_problem_name
 
 __all__ = [
@@ -156,8 +157,6 @@ def _cross_model() -> list[JobSpec]:
     # models, not input size.  The model axis is *enumerated from the
     # solver registry*: every model registered for MIS contributes a row,
     # so a newly registered model joins the suite with no change here.
-    from ..api import REGISTRY
-
     inputs = [
         ("gnp", GraphSource.generator("gnp_random_graph", n=220, p=0.03, seed=9)),
         ("reg6", GraphSource.generator("random_regular_graph", n=200, d=6, seed=9)),
@@ -177,8 +176,6 @@ def _registry_matrix() -> list[JobSpec]:
     # One job per registry entry on one small shared input: the quickest
     # end-to-end exercise of the full problem x model surface (and a live
     # demonstration that registering a solver makes it batch-runnable).
-    from ..api import REGISTRY
-
     src = GraphSource.generator("gnp_random_graph", n=120, p=0.05, seed=13)
     return [
         JobSpec(

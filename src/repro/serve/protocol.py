@@ -19,7 +19,7 @@ HTTP ``POST /solve`` body or as a JSON line on stdin::
 The body deliberately *is* a :class:`~repro.runtime.spec.JobSpec` plus
 transport extras: specs are already hashable, JSON-round-trippable solve
 descriptions, the batch runtime executes them unchanged, and their digest
-(:func:`repro.api.envelope.request_digest`) is the params half of both the
+(:meth:`~repro.runtime.spec.JobSpec.solve_digest`) is the params half of both the
 result-cache key and the coalescer key — so "same request" means the same
 thing on the wire, in flight, and on disk.
 
@@ -36,7 +36,6 @@ import hashlib
 import json
 from dataclasses import fields
 
-from ..api.envelope import request_digest
 from ..core.params import Params
 from ..runtime.spec import JobResult, JobSpec, runtime_problem_name
 
@@ -163,7 +162,7 @@ def parse_solve(obj: object) -> ServeJob:
 def coalesce_key(spec: JobSpec) -> str:
     """In-flight identity: source identity x answer digest.
 
-    The params half is :func:`~repro.api.envelope.request_digest` — the
+    The params half is :meth:`~repro.runtime.spec.JobSpec.solve_digest` — the
     same digest the result-cache key uses — so two requests coalesce
     exactly when they would share a cache entry.  The input half is the
     *source description* (canonical JSON of the GraphSource) rather than
@@ -174,7 +173,7 @@ def coalesce_key(spec: JobSpec) -> str:
     content-addressed cache, which keys on the resolved fingerprint.
     """
     src = json.dumps(spec.source.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(f"{src}:{request_digest(spec)}".encode()).hexdigest()
+    return hashlib.sha256(f"{src}:{spec.solve_digest()}".encode()).hexdigest()
 
 
 def solve_payload(

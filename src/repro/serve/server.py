@@ -4,7 +4,7 @@ One :class:`SolverService` owns the whole request path::
 
     transport (HTTP / stdio JSON-lines)
       -> admission control   (bounded in-flight requests; 429/503 + Retry-After)
-      -> coalescer           (in-flight dedup by source x request_digest)
+      -> coalescer           (in-flight dedup by source x solve digest)
       -> micro-batcher       (deadline-flushed grouping into Scheduler.run)
       -> process pool        (persistent workers; cache-first, store-aware)
 
@@ -161,10 +161,6 @@ class SolverService:
         await asyncio.get_running_loop().run_in_executor(
             self.batcher.executor, self.scheduler.warm_up
         )
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     @property
     def active(self) -> int:

@@ -25,8 +25,7 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.graphs.io import packed_arc_plane
 from repro.hashing.kwise import KWiseHashFamily, make_family
-from repro.models.ledger import RoundLedger
-from repro.mpc.exceptions import CapacityExceededError
+from repro.models.ledger import CapacityExceededError, RoundLedger
 
 
 def _as_matrix(data) -> np.ndarray:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from greedy_oracle import greedy_mis
 from repro.baselines import (
     greedy_matching,
-    greedy_mis,
     israeli_itai_matching,
     luby_matching_randomized,
     luby_mis_pairwise,

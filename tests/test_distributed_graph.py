@@ -1,80 +1,74 @@
-"""Tests for Section-3.1 graph bookkeeping on the literal engine."""
+"""Graph-shaped inputs on the literal engine: arc sorts and the Luby run.
+
+Section 3.1's bookkeeping starts by sorting the arc list so that every
+node's arcs sit on consecutive machines; a node's run length in the sorted
+list is its degree, which is the oracle here.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import Graph, complete_graph, gnp_random_graph, star_graph
-from repro.mpc import (
-    CapacityExceededError,
-    SpaceExceededError,
-    distributed_degrees,
-    distributed_node_aggregate,
-)
+from repro.models import CapacityExceededError, SpaceExceededError
+from repro.mpc import MPCEngine, distributed_sort_packed, packed_arc_plane
+
+
+def sorted_arcs(g: Graph, num_machines: int, space: int) -> tuple[np.ndarray, int]:
+    """Sort ``g``'s arc plane on the engine; ``(sorted arcs, rounds)``."""
+    engine = MPCEngine(num_machines=num_machines, space=space)
+    engine.load_balanced_packed(packed_arc_plane(g))
+    rounds = distributed_sort_packed(engine)
+    arcs = np.concatenate([engine.tables[""].on(m)[:, 0] for m in range(num_machines)])
+    return arcs, rounds
+
+
+def run_lengths(g: Graph, arcs: np.ndarray) -> np.ndarray:
+    """Per-node run lengths of the sorted arcs (``src * n + dst`` keys)."""
+    assert np.array_equal(arcs, np.sort(packed_arc_plane(g)))
+    return np.bincount(arcs // max(g.n, 1), minlength=g.n)
 
 
 def test_degrees_match_oracle():
     g = gnp_random_graph(50, 0.12, seed=1)
-    deg, rounds = distributed_degrees(g, num_machines=6, space=256)
-    assert np.array_equal(deg, g.degrees())
-    assert rounds == 4  # 3 (sort) + 1 (count & route home): the O(1) claim
+    arcs, rounds = sorted_arcs(g, num_machines=6, space=256)
+    assert np.array_equal(run_lengths(g, arcs), g.degrees())
+    assert rounds == 3  # sample sort: samples, splitters, buckets
 
 
 def test_degrees_on_star():
     g = star_graph(30)
-    deg, rounds = distributed_degrees(g, num_machines=4, space=256)
-    assert np.array_equal(deg, g.degrees())
-    assert rounds == 4
+    arcs, rounds = sorted_arcs(g, num_machines=4, space=256)
+    assert np.array_equal(run_lengths(g, arcs), g.degrees())
+    assert rounds == 3
 
 
 def test_degrees_on_complete_graph():
     g = complete_graph(16)
-    deg, rounds = distributed_degrees(g, num_machines=4, space=512)
-    assert np.array_equal(deg, g.degrees())
+    arcs, _ = sorted_arcs(g, num_machines=4, space=512)
+    assert np.array_equal(run_lengths(g, arcs), g.degrees())
 
 
 def test_degrees_rounds_constant_in_size():
     small = gnp_random_graph(20, 0.2, seed=2)
     large = gnp_random_graph(80, 0.1, seed=2)
-    _, r1 = distributed_degrees(small, num_machines=4, space=512)
-    _, r2 = distributed_degrees(large, num_machines=4, space=512)
-    assert r1 == r2 == 4
+    _, r1 = sorted_arcs(small, num_machines=4, space=512)
+    _, r2 = sorted_arcs(large, num_machines=4, space=512)
+    assert r1 == r2 == 3
 
 
 def test_insufficient_space_raises_model_error():
     g = complete_graph(20)  # 380 arcs
     with pytest.raises((SpaceExceededError, CapacityExceededError)):
-        distributed_degrees(g, num_machines=4, space=32)
-
-
-def test_aggregate_inverse_degrees():
-    """The Section-4.1 quantity sum_{u ~ v} 1/d(u), computed distributedly."""
-    g = gnp_random_graph(40, 0.15, seed=3)
-    d = g.degrees().astype(float)
-    want = np.zeros(g.n)
-    np.add.at(want, g.edges_u, 1.0 / d[g.edges_v])
-    np.add.at(want, g.edges_v, 1.0 / d[g.edges_u])
-    got, rounds = distributed_node_aggregate(
-        g, lambda v, u: 1.0 / d[u], num_machines=5, space=512
-    )
-    assert np.allclose(got, want, atol=1e-4)
-    assert rounds == 4
-
-
-def test_aggregate_constant_weights_equals_degrees():
-    g = gnp_random_graph(30, 0.2, seed=4)
-    got, _ = distributed_node_aggregate(
-        g, lambda v, u: 1.0, num_machines=4, space=512
-    )
-    assert np.allclose(got, g.degrees())
+        sorted_arcs(g, num_machines=4, space=32)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=8)
 def test_degrees_hypothesis_random_graphs(seed):
     g = gnp_random_graph(25, 0.2, seed=seed)
-    deg, _ = distributed_degrees(g, num_machines=4, space=512)
-    assert np.array_equal(deg, g.degrees())
+    arcs, _ = sorted_arcs(g, num_machines=4, space=512)
+    assert np.array_equal(run_lengths(g, arcs), g.degrees())
 
 
 # --------------------------------------------------------------------- #

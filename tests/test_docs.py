@@ -13,7 +13,7 @@ import pytest
 from repro.__main__ import main as repro_main
 from repro.analysis import docgen
 from repro.api import REGISTRY
-from repro.obs.conformance import evaluate_entry
+from repro.analysis.conformance import evaluate_entry
 
 
 def test_theory_markdown_covers_every_entry():
@@ -21,7 +21,7 @@ def test_theory_markdown_covers_every_entry():
     for entry in REGISTRY.entries():
         assert f"### `{entry.problem}` / `{entry.model}`" in text
     # The symbol vocabulary table is rendered from the module constants.
-    from repro.obs import symbolic
+    from repro.analysis import symbolic
 
     for name in symbolic.SYMBOL_NAMES:
         assert f"| `{name}` |" in text

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.graphs import Graph
+from repro.graphs import Graph, line_graph
 
 
 def small_edge_lists():
@@ -59,9 +59,10 @@ def test_incident_edge_ids_match_endpoints():
 
 
 def test_edge_degrees_full():
-    # path 0-1-2-3: middle edge adjacent to both others
+    # An edge's degree (other edges sharing an endpoint) is its degree in
+    # the line graph.  Path 0-1-2-3: the middle edge touches both others.
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    d = g.edge_degrees()
+    d = line_graph(g).degrees()
     by_pair = {
         (int(u), int(v)): int(x)
         for u, v, x in zip(g.edges_u, g.edges_v, d)
@@ -74,9 +75,9 @@ def test_edge_degrees_full():
 def test_edge_degrees_with_mask():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     mask = np.array([True, False, True])
-    d = g.edge_degrees(mask)
-    assert d[1] == 0  # off-mask edge reports 0
-    assert d[0] == 0 and d[2] == 0  # masked edges no longer adjacent
+    sub = g.keep_edges(mask)
+    assert sub.edge_array().tolist() == [[0, 1], [2, 3]]
+    assert line_graph(sub).degrees().tolist() == [0, 0]  # no longer adjacent
 
 
 def test_degrees_within_mask():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro.graphs.power as power
+from greedy_oracle import greedy_mis
 from repro.graphs import (
     BallTooLargeError,
     Graph,
@@ -12,20 +13,23 @@ from repro.graphs import (
     cycle_graph,
     distance2_coloring,
     gnp_random_graph,
-    greedy_coloring,
     grid_graph,
+    hop_pattern,
     line_graph,
     line_graph_size,
     linial_coloring,
-    matching_from_line_mis,
     path_graph,
-    r_hop_balls,
     square_graph,
     star_graph,
     validate_coloring,
-    validate_distance2_coloring,
 )
 from repro.verify import is_maximal_matching
+
+
+def validate_distance2_coloring(g: Graph, colors: np.ndarray) -> bool:
+    """True iff nodes at distance 1 or 2 in ``g`` always differ in color."""
+    return validate_coloring(square_graph(g), colors)
+
 
 # --------------------------------------------------------------------- #
 # square graph / balls
@@ -47,23 +51,25 @@ def test_square_matches_networkx_power():
 
 
 def test_r_hop_balls_match_bfs():
+    """Row ``v`` of the ``r``-hop pattern is ``B_r(v)`` without ``v``."""
     g = gnp_random_graph(30, 0.15, seed=2)
     nxg = g.to_networkx()
     for r in (1, 2, 3):
-        balls = r_hop_balls(g, r)
+        sizes = ball_sizes(g, r)
+        reach = hop_pattern(g, r, sizes=sizes)
         for v in range(g.n):
             want = {
                 u
                 for u, d in nx.single_source_shortest_path_length(nxg, v, cutoff=r).items()
                 if u != v
             }
-            assert set(balls[v].tolist()) == want
+            row = reach.indices[reach.indptr[v] : reach.indptr[v + 1]]
+            assert set(row.tolist()) == want and sizes[v] == len(want)
 
 
 def test_r_hop_zero():
     g = path_graph(4)
-    balls = r_hop_balls(g, 0)
-    assert all(b.size == 0 for b in balls)
+    assert ball_sizes(g, 0).tolist() == [0, 0, 0, 0]
 
 
 def test_r_hop_max_ball_guard(monkeypatch):
@@ -75,7 +81,7 @@ def test_r_hop_max_ball_guard(monkeypatch):
     g = star_graph(30)
     for r in (1, 2):
         with pytest.raises(BallTooLargeError):
-            r_hop_balls(g, r, max_ball=5)
+            ball_sizes(g, r, max_ball=5)
 
 
 def test_ball_sizes_star():
@@ -129,30 +135,18 @@ def test_line_graph_degree_bound():
 
 
 def test_matching_from_line_mis():
+    """Vertex ``e`` of ``L(G)`` is edge ``e`` of ``G``, so an MIS of the
+    line graph is a maximal matching of ``G``."""
     g = cycle_graph(6)
     lg = line_graph(g)
-    # MIS of the line graph computed greedily.
-    from repro.baselines import greedy_mis
-
-    mis = greedy_mis(lg)
-    mask = np.zeros(lg.n, dtype=bool)
-    mask[mis] = True
-    eids = matching_from_line_mis(g, mask)
     emask = np.zeros(g.m, dtype=bool)
-    emask[eids] = True
+    emask[greedy_mis(lg)] = True
     assert is_maximal_matching(g, emask)
 
 
 # --------------------------------------------------------------------- #
 # coloring
 # --------------------------------------------------------------------- #
-
-
-def test_greedy_coloring_valid_and_bounded():
-    g = gnp_random_graph(60, 0.1, seed=6)
-    res = greedy_coloring(g)
-    assert validate_coloring(g, res.colors)
-    assert res.num_colors <= g.max_degree() + 1
 
 
 def test_linial_coloring_valid():

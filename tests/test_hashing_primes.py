@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hashing import is_prime, next_prime, prev_prime
+from repro.hashing import is_prime, next_prime
 
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 13, 101, 257, 65537, 2**31 - 1]
@@ -31,18 +31,6 @@ def test_next_prime_basics():
     assert next_prime(4) == 5
     assert next_prime(14) == 17
     assert next_prime(2**16) == 65537
-
-
-def test_prev_prime_basics():
-    assert prev_prime(2) == 2
-    assert prev_prime(3) == 3
-    assert prev_prime(10) == 7
-    assert prev_prime(65537) == 65537
-
-
-def test_prev_prime_below_two_raises():
-    with pytest.raises(ValueError):
-        prev_prime(1)
 
 
 @given(st.integers(min_value=2, max_value=200_000))

@@ -12,6 +12,8 @@ seeded random graphs; targeted cases cover the engine and the runtime cache.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,9 +406,20 @@ def test_engine_word_size_counts_arrays():
 # --------------------------------------------------------------------- #
 
 
+def slack_for_failure(c: int, t: float, fail_prob: float, *, p=None) -> float:
+    """Scalar reference for ``slack_for_failure_array``: the minimal slack
+    whose Chebyshev (``c = 2``) or Bellare-Rompel (even ``c >= 4``) tail
+    is at most ``fail_prob`` for ``t`` items."""
+    if t <= 0:
+        return 0.0
+    if c == 2:
+        var = t * p * (1.0 - p) if p is not None else t / 4.0
+        return math.sqrt(var / fail_prob)
+    return math.sqrt(c * t) * (2.0 / fail_prob) ** (1.0 / c)
+
+
 def test_stage_search_reports_certified_slacks():
     from repro.core.stage import MachineGroupSpec, run_stage_seed_search
-    from repro.derand.estimators import slack_for_failure
     from repro.mpc.partition import chunk_items_by_group
 
     group_of = np.repeat(np.arange(10, dtype=np.int64), 5)

@@ -27,17 +27,20 @@ from repro.graphs import (
     star_graph,
     write_edge_list,
 )
-from repro.models import MessageBlock, ModelSnapshot, RoundLedger, Table
+from repro.models import (
+    CapacityExceededError,
+    MessageBlock,
+    ModelSnapshot,
+    RoundLedger,
+    SpaceExceededError,
+    Table,
+)
 from repro.models.plane import table
 from repro.mpc.distributed_luby import luby_peak_words
 from repro.mpc import (
-    CapacityExceededError,
     MPCContext,
     MPCEngine,
-    SpaceExceededError,
-    distributed_degrees,
     distributed_luby_mis,
-    distributed_node_aggregate,
     distributed_sort_packed,
     word_size,
 )
@@ -319,27 +322,6 @@ def test_distributed_sort_packed_single_machine_and_capacity():
     big = MPCEngine(num_machines=10, space=50)
     with pytest.raises(ValueError, match="sample sort"):
         distributed_sort_packed(big)
-
-
-def test_distributed_degrees_columnar_matches_legacy():
-    g = gnp_random_graph(50, 0.12, seed=1)
-    deg, rounds = distributed_degrees(g, 6, 256)
-    assert np.array_equal(deg, g.degrees())
-    assert rounds == 4
-
-
-def test_distributed_aggregate_columnar_matches_legacy():
-    g = gnp_random_graph(40, 0.15, seed=3)
-    d = g.degrees().astype(float)
-    got, rounds = distributed_node_aggregate(g, lambda v, u: 1.0 / d[u], 5, 512)
-    # Fixed-point reference: round each arc's 1/d(u) to 1e-6 ticks, then sum.
-    scale = 10**6
-    src = np.concatenate([g.edges_u, g.edges_v])
-    dst = np.concatenate([g.edges_v, g.edges_u])
-    want = np.zeros(g.n, dtype=np.int64)
-    np.add.at(want, src, np.rint(1.0 / d[dst] * scale).astype(np.int64))
-    assert np.array_equal(got, want / scale)
-    assert rounds == 4
 
 
 # --------------------------------------------------------------------- #

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.models import RoundLedger
-from repro.mpc import (
-    MPCContext,
-    SpaceExceededError,
-    chunk_items_by_group,
-)
+from repro.models import RoundLedger, SpaceExceededError
+from repro.mpc import MPCContext, chunk_items_by_group
 
 # --------------------------------------------------------------------- #
 # RoundLedger and the MPC round costs

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.models import CapacityExceededError, SpaceExceededError
 from repro.mpc import (
-    CapacityExceededError,
     MPCEngine,
-    SpaceExceededError,
     broadcast_word,
     distributed_prefix_sums,
     distributed_sort_packed,

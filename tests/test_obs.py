@@ -23,7 +23,7 @@ from repro.graphs import gnp_random_graph
 from repro.graphs.streaming import gnp_block_graph
 from repro.obs import MetricsRegistry, trace_capture
 from repro.obs import trace as obs_trace
-from repro.obs.conformance import conformance_report
+from repro.analysis.conformance import conformance_report
 from repro.obs.sinks import (
     chrome_trace,
     diff_summaries,

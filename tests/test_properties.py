@@ -9,7 +9,8 @@ cover, and coloring.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import greedy_matching, greedy_mis
+from greedy_oracle import greedy_mis
+from repro.baselines import greedy_matching
 from repro.core import (
     deterministic_coloring,
     deterministic_maximal_matching,

@@ -201,15 +201,12 @@ def test_result_payload_json_round_trip(kind):
 
 
 def test_request_digest_is_the_solve_digest():
-    """One digest function on both sides: ``JobSpec.solve_digest`` must be
-    byte-identical to the public ``repro.api.request_digest``, and its
-    historical formula, so existing on-disk caches keep their addresses."""
+    """``JobSpec.solve_digest`` keeps its historical formula, so existing
+    on-disk caches (and the serve coalescer, which keys on the same
+    digest) keep their addresses."""
     import hashlib
 
-    from repro.api import request_digest
-
     spec = make_spec(eps=0.6, overrides={"b": 2, "a": 1})
-    assert request_digest(spec) == spec.solve_digest()
     payload = {
         "problem": spec.problem,
         "eps": spec.eps,
@@ -219,27 +216,3 @@ def test_request_digest_is_the_solve_digest():
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert spec.solve_digest() == hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def test_request_digest_bridges_facade_and_runtime():
-    """A SolveRequest and the JobSpec naming the same runtime job digest
-    identically — the coalescer and the result cache agree on 'same
-    request' across the two surfaces."""
-    from repro.api import SolveRequest, request_digest
-    from repro.graphs import gnp_random_graph
-
-    g = gnp_random_graph(30, 0.1, seed=0)
-    req = SolveRequest(
-        problem="mis", model="cclique", graph=g, eps=0.6,
-        options={"charge_mode": "chps"},
-    )
-    spec = JobSpec(
-        "cc_mis",
-        GraphSource.generator("gnp_random_graph", n=30, p=0.1, seed=0),
-        eps=0.6,
-        overrides={"charge_mode": "chps"},
-    )
-    assert request_digest(req) == spec.solve_digest()
-    # And param differences split them.
-    req2 = SolveRequest(problem="mis", model="cclique", graph=g, eps=0.5)
-    assert request_digest(req2) != request_digest(req)

@@ -22,13 +22,24 @@ from repro.derand import strategies as derand_strategies
 from repro.derand.strategies import (
     ConditionalExpectationError,
     scan_regions,
-    select_seed,
     select_seed_batch,
 )
 from repro.graphs import cycle_graph, gnp_random_graph
-from repro.graphs.kernels import SegmentTable, group_order_indptr, segment_min_2d
+from repro.graphs.kernels import SegmentTable, group_order_indptr
 from repro.hashing.families import make_product_family
 from repro.hashing.kwise import make_family
+
+
+def segment_min_2d(values: np.ndarray, indptr: np.ndarray, fill) -> np.ndarray:
+    """Reference for ``SegmentTable.min``: per-segment minimum along axis 1,
+    ``fill`` for empty segments."""
+    n = indptr.size - 1
+    out = np.full((values.shape[0], n), fill, dtype=values.dtype)
+    if values.shape[1] == 0 or n == 0:
+        return out
+    nonempty = indptr[:-1] < indptr[1:]
+    out[:, nonempty] = np.minimum.reduceat(values, indptr[:-1][nonempty], axis=1)
+    return out
 
 
 def _vector_objective(values: np.ndarray):
@@ -107,12 +118,20 @@ def test_best_of_parity(values, k, chunk):
 
 
 def test_scalar_adapter_matches_batch_engine():
+    """``chunk_size=1`` evaluates one seed per objective call, one call per
+    reported trial, and selects what the ramped blocks select."""
     values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-    a = select_seed(8, lambda s: values[s], strategy="scan", target=9.0, start=2)
-    b = select_seed_batch(
-        8, _vector_objective(values), strategy="scan", target=9.0, start=2
-    )
+    calls = []
+
+    def one_at_a_time(seeds):
+        calls.append(seeds.tolist())
+        return _vector_objective(values)(seeds)
+
+    kw = dict(strategy="scan", target=9.0, start=2)
+    a = select_seed_batch(8, one_at_a_time, chunk_size=1, **kw)
+    b = select_seed_batch(8, _vector_objective(values), **kw)
     assert a == b
+    assert calls == [[2], [3], [4], [5]] and a.trials == 4
 
 
 # --------------------------------------------------------------------- #
@@ -124,28 +143,36 @@ def test_scan_start_past_end_wraps():
     # Old behaviour: start >= family_size clamped to the last seed only.
     # Now the scan covers the whole wrapped order [1, size).
     values = [100.0, 0.0, 0.0, 7.0, 0.0]
-    sel = select_seed(5, lambda s: values[s], strategy="scan", target=7.0, start=9)
+    sel = select_seed_batch(
+        5, _vector_objective(values), strategy="scan", target=7.0, start=9
+    )
     assert sel.satisfied and sel.seed == 3
 
 
 def test_scan_wraps_to_cover_prefix():
     # start=3: scans 3, 4, then wraps to 1, 2 (seed 0 stays skipped).
     values = [50.0, 8.0, 0.0, 0.0, 0.0]
-    sel = select_seed(5, lambda s: values[s], strategy="scan", target=8.0, start=3)
+    sel = select_seed_batch(
+        5, _vector_objective(values), strategy="scan", target=8.0, start=3
+    )
     assert sel.satisfied and sel.seed == 1
     assert sel.trials == 3  # seeds 3, 4, 1
 
 
 def test_scan_wrap_skips_seed_zero():
     values = [10.0, 0.0, 0.0]
-    sel = select_seed(3, lambda s: values[s], strategy="scan", target=10.0, start=1)
+    sel = select_seed_batch(
+        3, _vector_objective(values), strategy="scan", target=10.0, start=1
+    )
     assert not sel.satisfied  # seed 0 (the constant-zero hash) never scanned
     assert sel.trials == 2
 
 
 def test_scan_start_zero_covers_everything():
     values = [1.0, 2.0, 3.0]
-    sel = select_seed(3, lambda s: values[s], strategy="scan", target=3.0, start=0)
+    sel = select_seed_batch(
+        3, _vector_objective(values), strategy="scan", target=3.0, start=0
+    )
     assert sel.satisfied and sel.seed == 2 and sel.trials == 3
 
 
@@ -160,9 +187,9 @@ def test_scan_regions_normalises_start():
 
 def test_scan_trials_capped_by_wrapped_family():
     calls = []
-    sel = select_seed(
+    sel = select_seed_batch(
         6,
-        lambda s: calls.append(s) or 0.0,
+        lambda seeds: calls.extend(seeds.tolist()) or np.zeros(seeds.size),
         strategy="scan",
         target=1.0,
         max_trials=100,
@@ -180,8 +207,9 @@ def test_scan_trials_capped_by_wrapped_family():
 
 def test_cond_exp_invariant_error_is_real_exception():
     with pytest.raises(ConditionalExpectationError):
-        select_seed(
-            4, lambda s: float("nan"), strategy="conditional_expectation"
+        select_seed_batch(
+            4, lambda seeds: np.full(seeds.size, np.nan),
+            strategy="conditional_expectation",
         )
 
 

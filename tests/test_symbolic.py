@@ -1,4 +1,4 @@
-"""Edge cases of the symbolic cost-model checker (repro.obs.symbolic).
+"""Edge cases of the symbolic cost-model checker (repro.analysis.symbolic).
 
 The happy paths — real sweeps conforming to registry declarations — are
 covered by test_obs.py and the CI conformance smoke; this file pins the
@@ -9,11 +9,12 @@ declaration validation that keeps typos from fitting garbage.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
 
-from repro.obs import symbolic as sym
+from repro.analysis import symbolic as sym
 
 
 def _rows(ns, **extra):
@@ -195,5 +196,9 @@ def test_compare_growth_ties():
 
 
 def test_dominance_order_sorts_and_keeps_ties_stable():
-    ordered = sym.dominance_order(["n * log(n)", "m", "log(n)", "n", "1"])
-    assert [str(e) for e in ordered] == ["1", "log(n)", "m", "n", "n*log(n)"]
+    """``compare_growth`` orders claims consistently: as a sort key it puts
+    them slowest first and keeps tied claims (``m`` ~ ``n``) in order."""
+    rank = {"lt": -1, "eq": 0, "gt": 1}
+    key = functools.cmp_to_key(lambda a, b: rank[sym.compare_growth(a, b)])
+    ordered = sorted(["n * log(n)", "m", "log(n)", "n", "1"], key=key)
+    assert ordered == ["1", "log(n)", "m", "n", "n * log(n)"]
