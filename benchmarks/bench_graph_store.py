@@ -38,8 +38,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import emit_json  # noqa: E402
 
-from repro.graphs import GraphStore  # noqa: E402
-from repro.runtime import GraphSource, JobSpec, Scheduler  # noqa: E402
+from repro.api import SolveRequest  # noqa: E402
+from repro.graphs import GraphSource, GraphStore  # noqa: E402
+from repro.runtime import Scheduler  # noqa: E402
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 BASELINE_PATH = (
@@ -83,7 +84,8 @@ def _dispatch_case(n: int, p: float, jobs: int, seed: int) -> dict:
     """Ship-bytes A/B on one shared source, npz path vs store path."""
     src = GraphSource.generator("gnp_block_graph", n=n, p=p, seed=seed)
     specs = [
-        JobSpec("mis", src, eps=0.5 + i / 100, tag=f"j{i}") for i in range(jobs)
+        SolveRequest("mis", source=src, eps=0.5 + i / 100, tag=f"j{i}")
+        for i in range(jobs)
     ]
     base = Scheduler(workers=2).run(specs)
     with tempfile.TemporaryDirectory(prefix="bench-graph-store-") as tmp:

@@ -40,7 +40,6 @@ import sys
 
 from . import __version__
 from .api import REGISTRY, SolveRequest, solve
-from .core import Params
 from .graphs import gnp_random_graph, read_edge_list
 
 #: The entries whose raw result is the ``MISResult`` / ``MatchingResult``
@@ -52,8 +51,8 @@ def _requests(args) -> list[SolveRequest]:
     """The solves ``repro solve`` runs: one, or one per registered model
     with ``--model all``.
 
-    Raises ``KeyError`` / ``ValueError`` / ``OSError`` for a usage error,
-    before anything is solved.
+    Raises ``ValueError`` / ``OSError`` for a usage error, before anything
+    is solved.
     """
     every = args.model == "all"
     models = REGISTRY.models(args.problem) if every else [args.model]
@@ -74,11 +73,7 @@ def _requests(args) -> list[SolveRequest]:
         options["charge_mode"] = args.charge_mode
     if args.mode:
         options["mode"] = args.mode
-    params = (
-        Params(eps=args.eps, congest_pipeline_seed_fix=True)
-        if args.pipeline_seed_fix
-        else None
-    )
+    overrides = {"congest_pipeline_seed_fix": True} if args.pipeline_seed_fix else {}
     g = (
         read_edge_list(args.input)
         if args.input
@@ -92,13 +87,12 @@ def _requests(args) -> list[SolveRequest]:
             eps=args.eps,
             force=args.force,
             paper_rule=args.paper_rule,
-            params=params,
+            overrides=overrides,
             options=options,
         )
         for model in models
     ]
     for request in requests:
-        REGISTRY.get(request.problem, request.model)
         request.make_params()
     return requests
 
@@ -135,15 +129,9 @@ def _write(path: str, text: str, what: str, quiet: bool) -> None:
 
 def cmd_solve(args) -> int:
     if args.list:
-        from .runtime import runtime_problem_name
-
-        print(f"{'problem':9s} {'model':11s} {'batch name':17s} capabilities")
+        print(f"{'problem':9s} {'model':11s} capabilities")
         for e in REGISTRY.entries():
-            print(
-                f"{e.problem:9s} {e.model:11s} "
-                f"{runtime_problem_name(e.problem, e.model):17s} "
-                f"{e.capabilities.flags()}"
-            )
+            print(f"{e.problem:9s} {e.model:11s} {e.capabilities.flags()}")
             if args.verbose:
                 print(f"  {e.description}  [{e.legacy_entry}]")
         return 0
@@ -156,9 +144,8 @@ def cmd_solve(args) -> int:
         # solves run outside this try so real solver failures keep their
         # tracebacks.
         requests = _requests(args)
-    except (KeyError, ValueError, OSError) as exc:
-        msg = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {msg}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     from .analysis import cross_model_report, run_report
     from .analysis.cli import _emit_json

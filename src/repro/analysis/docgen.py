@@ -142,8 +142,6 @@ def _bound_verdict(entry) -> str:
 
 def registry_markdown() -> str:
     """Render the (problem × model) capability matrix as ``docs/REGISTRY.md``."""
-    from ..runtime import runtime_problem_name
-
     entries = _entries()
     problems = sorted({e.problem for e in entries})
     models = sorted({e.model for e in entries})
@@ -155,9 +153,10 @@ def registry_markdown() -> str:
         "# Solver registry",
         "",
         "Every solver is a `SolverEntry` keyed `(problem, model)` in "
-        "`repro.api.REGISTRY`; registering one makes it batch-runnable "
-        "(`repro batch`), CLI-reachable (`repro solve`), a row of the "
-        "cross-model bill (`repro solve --model all`), and cost-checkable "
+        "`repro.api.REGISTRY`; registering one makes it solvable by that "
+        "pair everywhere a `SolveRequest` goes (`repro solve`, "
+        "`repro batch`, `repro serve`), a row of the cross-model bill "
+        "(`repro solve --model all`), and cost-checkable "
         "(`repro trace conformance`).",
         "",
         "## Coverage matrix",
@@ -174,10 +173,8 @@ def registry_markdown() -> str:
         "",
         "## Entries",
         "",
-        "| problem | model | batch name | capabilities | cost model | "
-        "vs theory [^bound] |",
-        "|---------|-------|------------|--------------|------------|"
-        "--------------------|",
+        "| problem | model | capabilities | cost model | vs theory [^bound] |",
+        "|---------|-------|--------------|------------|--------------------|",
     ]
     for e in entries:
         model = _parsed_model(e)
@@ -185,7 +182,6 @@ def registry_markdown() -> str:
         claims = f"{n_claims} claims" if n_claims else "none declared"
         lines.append(
             f"| {e.problem} | {e.model} | "
-            f"`{runtime_problem_name(e.problem, e.model)}` | "
             f"{e.capabilities.flags() or '—'} | {claims} | "
             f"{_bound_verdict(e)} |"
         )

@@ -121,7 +121,7 @@ def run_report(result: MISResult | MatchingResult, title: str | None = None) -> 
 def batch_report(results, stats=None, title: str | None = None) -> str:
     """Render a batch-level report for runtime job results.
 
-    ``results`` is an iterable of :class:`~repro.runtime.spec.JobResult`;
+    ``results`` is an iterable of :class:`~repro.runtime.JobResult`;
     ``stats`` an optional :class:`~repro.runtime.scheduler.BatchStats`.
     (Duck-typed to keep analysis import-independent of the runtime.)
     """
@@ -144,19 +144,19 @@ def batch_report(results, stats=None, title: str | None = None) -> str:
             lines.append(f"* retries used: {stats.retries_used}")
     lines.append("")
 
-    # Per-problem aggregates.
-    by_problem: dict[str, list] = {}
+    # Per-entry aggregates, keyed "problem/model".
+    by_entry: dict[str, list] = {}
     for r in results:
-        by_problem.setdefault(r.spec.problem, []).append(r)
+        by_entry.setdefault(f"{r.spec.problem}/{r.spec.model}", []).append(r)
     agg_rows = []
-    for problem in sorted(by_problem):
-        rs = by_problem[problem]
+    for entry in sorted(by_entry):
+        rs = by_entry[entry]
         good = [r for r in rs if r.status == "ok"]
         mean_wall = sum(r.wall_time for r in rs) / len(rs)
         max_rounds = max((r.rounds for r in good), default=0)
         agg_rows.append(
             (
-                problem,
+                entry,
                 len(rs),
                 len(good),
                 sum(1 for r in rs if r.cache_hit),
@@ -167,7 +167,7 @@ def batch_report(results, stats=None, title: str | None = None) -> str:
     lines.append(
         render_table(
             "per-problem aggregates",
-            ["problem", "jobs", "ok", "cached", "mean wall s", "max rounds"],
+            ["problem/model", "jobs", "ok", "cached", "mean wall s", "max rounds"],
             agg_rows,
         )
     )
@@ -176,7 +176,7 @@ def batch_report(results, stats=None, title: str | None = None) -> str:
     job_rows = [
         (
             r.spec.tag or r.spec.source.label(),
-            r.spec.problem,
+            f"{r.spec.problem}/{r.spec.model}",
             r.graph_n,
             r.graph_m,
             r.status,
@@ -190,7 +190,8 @@ def batch_report(results, stats=None, title: str | None = None) -> str:
     lines.append(
         render_table(
             "jobs",
-            ["job", "problem", "n", "m", "status", "cached", "rounds", "wall s", "ver"],
+            ["job", "problem/model", "n", "m", "status", "cached", "rounds",
+             "wall s", "ver"],
             job_rows,
         )
     )

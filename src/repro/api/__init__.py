@@ -13,8 +13,9 @@ returns the unified envelope::
 Pieces:
 
 * :class:`SolveRequest` / :class:`SolveResult` — the typed envelope
-  (:mod:`repro.api.envelope`); the request's
-  :class:`~repro.core.params.Params` is the only settings record a solve
+  (:mod:`repro.api.envelope`); the request is the one description of a
+  solve (in process, in a batch, on the wire and in the cache key), its
+  :meth:`~SolveRequest.make_params` is the only settings record a solve
   reads, and no ``REPRO_*`` variable changes an answer;
 * :data:`REGISTRY` — the ``(problem, model)`` solver registry with
   capability metadata (:mod:`repro.api.registry`); built-in entries are
@@ -32,10 +33,11 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+from ..core.params import Params
 from ..graphs.graph import Graph
 from ..obs import METRICS
 from ..obs import trace as _trace
-from .envelope import MODELS, PROBLEMS, SolveRequest, SolveResult
+from .envelope import SolveRequest, SolveResult
 from .registry import (
     REGISTRY,
     SolverCapabilities,
@@ -46,8 +48,6 @@ from .registry import (
 from . import solvers as _solvers  # noqa: F401  (registers built-in entries)
 
 __all__ = [
-    "MODELS",
-    "PROBLEMS",
     "REGISTRY",
     "SolveRequest",
     "SolveResult",
@@ -62,13 +62,18 @@ __all__ = [
 def solve(request: SolveRequest, *, graph: Graph | None = None) -> SolveResult:
     """Solve ``request`` through the registry; returns the unified envelope.
 
-    The input graph comes from ``request.graph`` (or the ``graph`` keyword,
-    which wins when both are given); the settings are
+    The input graph is the ``graph`` keyword, else ``request.graph``, else
+    ``request.source`` resolved here; the settings are
     :meth:`SolveRequest.make_params`.
     """
     g = graph if graph is not None else request.graph
     if g is None:
-        raise ValueError("SolveRequest needs a graph (request.graph or graph=)")
+        if request.source is None:
+            raise ValueError(
+                "SolveRequest needs a graph (request.graph, request.source "
+                "or graph=)"
+            )
+        g = request.source.resolve()
     entry = REGISTRY.get(request.problem, request.model)
     params = request.make_params()
     if not _trace._TRACING:

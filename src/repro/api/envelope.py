@@ -3,7 +3,9 @@
 One :class:`SolveRequest` describes any Theorem-1 solve — which *problem*
 (MIS, matching, or a derived corollary) under which *cost model* (the
 vectorized MPC accounting simulation, the literal message-passing MPC
-engine, CONGESTED CLIQUE, or CONGEST) — and one :class:`SolveResult`
+engine, CONGESTED CLIQUE, or CONGEST), on which input, with which settings
+— in process, in a batch, on the ``repro serve`` wire and in the cache
+key alike.  One :class:`SolveResult`
 normalizes what used to be five divergent result shapes
 (:class:`~repro.core.records.MISResult` /
 :class:`~repro.core.records.MatchingResult`,
@@ -22,7 +24,9 @@ batch runtime byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import hashlib
+import json
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,78 +38,71 @@ from ..core.records import (
     result_to_payload,
 )
 from ..graphs.graph import Graph
+from ..graphs.source import GraphSource, scalar_pairs
 from ..models.ledger import ModelSnapshot
+from .registry import REGISTRY
 
-__all__ = ["MODELS", "PROBLEMS", "SolveRequest", "SolveResult"]
+__all__ = ["SolveRequest", "SolveResult"]
 
-#: The *built-in* problem axis (coloring-adjacent derived problems
-#: included: vertex cover, (Delta+1)-coloring, 2-ruling set).  The axis is
-#: open: problems registered via :func:`repro.api.register_solver` are
-#: accepted too.
-PROBLEMS = ("mis", "matching", "vc", "coloring", "ruling2")
-
-#: The *built-in* model axis: vectorized MPC accounting ("simulated"), the
-#: literal message-passing engine, CONGESTED CLIQUE, and CONGEST.  Open
-#: like the problem axis.
-MODELS = ("simulated", "mpc-engine", "cclique", "congest")
-
-
-def _option_pairs(options) -> tuple[tuple[str, object], ...]:
-    """Normalise an options mapping to a sorted, hashable tuple of pairs."""
-    if isinstance(options, dict):
-        items = options.items()
-    else:
-        items = tuple(options)
-    out = tuple(sorted((str(k), v) for k, v in items))
-    for _, v in out:
-        if not isinstance(v, (int, float, str, bool)) and v is not None:
-            raise TypeError(f"option values must be JSON scalars, got {v!r}")
-    return out
+#: Keys ``overrides`` may carry: the ``Params`` fields, less ``eps``, which
+#: is a field of the request itself.
+_OVERRIDE_KEYS = frozenset(f.name for f in fields(Params)) - {"eps"}
 
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """One solve: ``(problem, model)`` + input graph + knobs.
+    """One solve: ``(problem, model)``, its input, and its settings.
 
-    ``params`` is the only settings record the solve reads; it wins over
-    ``eps`` when both are given (see :meth:`make_params`).  ``options``
-    carries model-specific switches (``charge_mode`` for CLIQUE, ``mode``
-    for CONGEST, ``num_colors`` for coloring, ...).
+    The same record goes to :func:`repro.api.solve`, to
+    :meth:`repro.runtime.Scheduler.run`, over the ``repro serve`` wire
+    (:meth:`to_dict` / :meth:`from_dict`) and into the result-cache key
+    (:meth:`cache_key`).  The input is ``graph`` (in process) or ``source``
+    (a :class:`~repro.graphs.source.GraphSource`, resolved where the solve
+    runs), not both.  The settings are ``Params(eps=eps, **overrides)``
+    (:meth:`make_params`); ``options`` carries model switches
+    (``charge_mode`` for CLIQUE, ``mode`` for CONGEST, ``num_colors`` for
+    coloring).
+
+    Construction checks names: the ``(problem, model)`` pair must be in
+    the registry, and every ``overrides`` key must be a ``Params`` field
+    other than ``eps``.  Values are checked by :meth:`make_params` where
+    the solve runs, so in a batch a bad value is a structured job failure.
     """
 
     problem: str
     model: str = "simulated"
     graph: Graph | None = None
+    source: GraphSource | None = None
     eps: float = 0.5
-    params: Params | None = None
+    overrides: tuple[tuple[str, object], ...] = ()
     force: str | None = None  # "general" | "lowdeg" (simulated mis/matching)
     paper_rule: bool = False
     options: tuple[tuple[str, object], ...] = ()
-    tag: str = ""
+    tag: str = ""  # free-form label for reports
 
     def __post_init__(self) -> None:
-        # Accept the built-in axes plus anything the registry has learned
-        # (late import: the registry module must not be a hard dependency
-        # of the envelope types).
-        from .registry import REGISTRY
-
-        known_problems = set(PROBLEMS) | set(REGISTRY.problems())
-        known_models = set(MODELS) | set(REGISTRY.models())
-        if self.problem not in known_problems:
+        if (self.problem, self.model) not in REGISTRY:
+            if self.problem not in REGISTRY.problems():
+                what = f"unknown problem {self.problem!r}"
+            elif self.model not in REGISTRY.models():
+                what = f"unknown model {self.model!r}"
+            else:
+                what = f"no solver for ({self.problem!r}, {self.model!r})"
+            raise ValueError(f"{what}; registered pairs: {REGISTRY.catalog()}")
+        if self.graph is not None and self.source is not None:
+            raise ValueError("a request takes a graph or a source, not both")
+        object.__setattr__(self, "overrides", scalar_pairs(self.overrides))
+        object.__setattr__(self, "options", scalar_pairs(self.options))
+        unknown = sorted({k for k, _ in self.overrides} - _OVERRIDE_KEYS)
+        if unknown:
             raise ValueError(
-                f"unknown problem {self.problem!r}; pick from "
-                f"{tuple(sorted(known_problems))}"
+                f"unknown overrides keys: {unknown} (overrides take the "
+                f"Params fields other than eps)"
             )
-        if self.model not in known_models:
-            raise ValueError(
-                f"unknown model {self.model!r}; pick from "
-                f"{tuple(sorted(known_models))}"
-            )
-        object.__setattr__(self, "options", _option_pairs(self.options))
 
     def make_params(self) -> Params:
-        """The effective :class:`Params`: ``params``, else ``Params(eps=eps)``."""
-        return self.params if self.params is not None else Params(eps=self.eps)
+        """``Params(eps=eps, **overrides)``; raises on a bad value."""
+        return Params(eps=self.eps, **dict(self.overrides))
 
     def option(self, key: str, default=None):
         for k, v in self.options:
@@ -113,8 +110,62 @@ class SolveRequest:
                 return v
         return default
 
-    def with_(self, **kwargs) -> "SolveRequest":
-        return replace(self, **kwargs)
+    def solve_digest(self) -> str:
+        """sha256 of the fields that determine the answer.
+
+        Problem, model, eps, force, paper_rule, overrides and options: not
+        the input, whose identity enters the cache key as the resolved
+        graph's fingerprint, and not the tag.  The result cache keys on
+        ``sha256(fingerprint : digest)`` (:meth:`cache_key`) and the serve
+        coalescer on the same digest paired with the source description,
+        so the two agree on which requests are the same solve.
+        """
+        answer = {
+            "problem": self.problem,
+            "model": self.model,
+            "eps": self.eps,
+            "force": self.force,
+            "paper_rule": self.paper_rule,
+            "overrides": dict(self.overrides),
+            "options": dict(self.options),
+        }
+        canonical = json.dumps(answer, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    def cache_key(self, fingerprint: str) -> str:
+        """Content address: graph fingerprint x solve digest."""
+        return hashlib.sha256(
+            f"{fingerprint}:{self.solve_digest()}".encode()
+        ).hexdigest()
+
+    def to_dict(self) -> dict:
+        """JSON-safe view of every field but ``graph``."""
+        return {
+            "problem": self.problem,
+            "model": self.model,
+            "source": None if self.source is None else self.source.to_dict(),
+            "eps": self.eps,
+            "overrides": dict(self.overrides),
+            "force": self.force,
+            "paper_rule": self.paper_rule,
+            "options": dict(self.options),
+            "tag": self.tag,
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "SolveRequest":
+        source = d.get("source")
+        return SolveRequest(
+            problem=d["problem"],
+            model=d.get("model", "simulated"),
+            source=None if source is None else GraphSource.from_dict(source),
+            eps=float(d.get("eps", 0.5)),
+            overrides=d.get("overrides", {}),
+            force=d.get("force"),
+            paper_rule=bool(d.get("paper_rule", False)),
+            options=d.get("options", {}),
+            tag=str(d.get("tag", "")),
+        )
 
 
 @dataclass(frozen=True)

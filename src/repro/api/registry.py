@@ -8,10 +8,11 @@ Pai–Pemmaraju's deterministic ruling-set framework and the
 sparsity-aware unification of Censor-Hillel et al. state one interface per
 problem family): every solver is a :class:`SolverEntry` keyed by
 ``(problem, model)`` with capability metadata, and downstream layers — the
-batch runtime, the CLI — *enumerate the registry* instead of hard-coding
-problem lists.  Registering a new entry makes it instantly batch-runnable
-(``repro batch``), CLI-reachable (``repro solve``), and a row of the
-cross-model bill (``repro solve --model all``).
+batch runtime, the service, the CLI — *enumerate the registry* instead of
+hard-coding problem lists.  Registering a new entry makes it instantly
+solvable in a batch (``repro batch``), over the wire (``repro serve``),
+from the CLI (``repro solve``), and a row of the cross-model bill
+(``repro solve --model all``).
 """
 
 from __future__ import annotations
@@ -92,10 +93,8 @@ class SolverRegistry:
 
         The problem/model axes are *open*: any non-empty identifier is a
         legal key, so a new problem or model is introduced by registering
-        it — :class:`~repro.api.envelope.SolveRequest` validates against
-        the registry, and the runtime derives its job names from it.  (A
-        new *model* is batch-runnable once it has a short job-name prefix
-        in :mod:`repro.runtime.spec`.)
+        it — :class:`~repro.api.envelope.SolveRequest` accepts exactly the
+        registered pairs, in process, in a batch and on the wire.
         """
         for axis, value in (("problem", entry.problem), ("model", entry.model)):
             if not value or not isinstance(value, str):
@@ -107,11 +106,14 @@ class SolverRegistry:
         try:
             return self._entries[(problem, model)]
         except KeyError:
-            known = ", ".join(f"{p}/{m}" for p, m in sorted(self._entries))
             raise KeyError(
                 f"no solver registered for problem={problem!r} model={model!r}; "
-                f"known entries: {known}"
+                f"known entries: {self.catalog()}"
             ) from None
+
+    def catalog(self) -> str:
+        """Every registered pair as ``problem/model``, comma-separated."""
+        return ", ".join(f"{p}/{m}" for p, m in sorted(self._entries))
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return tuple(key) in self._entries

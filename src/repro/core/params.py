@@ -15,9 +15,13 @@ The paper's knobs and how we expose them:
   BFS-pipelined ``O(D + seed_bits)`` seed broadcast (charging only; the
   MIS is unchanged).
 * progress-target constants: the paper proves per-iteration expected
-  progress ``>= W_B / 109`` (matching, Lemma 13) and ``>= 0.01 delta W_B``
-  (MIS, Lemma 21) where ``W_B = sum_{v in B} d(v)``; the ``scan`` strategy
-  uses ``target_safety`` times these as its stopping threshold.
+  progress ``>= W_B / 109`` (matching, Lemma 13,
+  :data:`MATCHING_STEP_FRACTION`) and ``>= 0.01 delta W_B`` (MIS, Lemma 21,
+  :data:`MIS_STEP_FRACTION_PER_DELTA`) where ``W_B = sum_{v in B} d(v)``;
+  the ``scan`` strategy uses ``target_safety`` times these as its stopping
+  threshold.
+* the stage slack ladder ``kappa_0 * SLACK_ESCALATION^j``,
+  ``j <= max_slack_escalations``.
 
 ``Params`` is the only settings record a solve reads.  How the simulator
 batches a seed scan is not a parameter: scans ramp their seed blocks up to
@@ -30,7 +34,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-__all__ = ["Params"]
+__all__ = [
+    "MATCHING_STEP_FRACTION",
+    "MIS_STEP_FRACTION_PER_DELTA",
+    "Params",
+    "SLACK_ESCALATION",
+]
+
+#: Lemma 13: a matching Luby step removes ``>= W_B / 109`` in expectation.
+MATCHING_STEP_FRACTION = 1.0 / 109.0
+#: Lemma 21: an MIS Luby step removes ``>= 0.01 delta W_B`` in expectation.
+MIS_STEP_FRACTION_PER_DELTA = 0.01
+#: The stage slack multiplier when a scan finds no all-good seed within
+#: budget (recorded as a fidelity event).  At least 1: the stage kernel
+#: judges a whole ladder at once, relying on windows that only widen as
+#: kappa escalates.
+SLACK_ESCALATION = 1.5
 
 
 @dataclass(frozen=True)
@@ -46,15 +65,10 @@ class Params:
     enumeration_cap: int = 1 << 16
     congest_pipeline_seed_fix: bool = False  # CONGEST O(D + seed_bits) ablation
     target_safety: float = 1.0  # multiplies the paper's progress constants
-    matching_step_fraction: float = 1.0 / 109.0  # Lemma 13 constant
-    mis_step_fraction_per_delta: float = 0.01  # Lemma 21: 0.01 * delta
     space_factor: float = 32.0
     total_factor: float = 16.0
     min_q: int = 257  # hash-field floor (range granularity on tiny inputs)
-    slack_escalation: float = 1.5  # kappa multiplier when a scan finds no
-    # all-good seed within budget (recorded as a fidelity event)
-    max_slack_escalations: int = 8
-    check_invariants: bool = True
+    max_slack_escalations: int = 8  # rungs of the SLACK_ESCALATION ladder
 
     def __post_init__(self) -> None:
         if not 0 < self.eps <= 1:
@@ -65,12 +79,6 @@ class Params:
             raise ValueError("c must be 2 or an even integer >= 4")
         if self.strategy not in ("scan", "conditional_expectation", "best_of"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not self.slack_escalation >= 1.0:
-            # The stage kernel judges a whole ladder at once, relying on
-            # windows that only widen as kappa escalates.
-            raise ValueError(
-                f"slack_escalation must be >= 1, got {self.slack_escalation}"
-            )
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -107,15 +115,12 @@ class Params:
 
     def matching_target(self, w_b: float) -> float:
         """Scan target for the matching Luby step (Lemma 13)."""
-        return self.target_safety * self.matching_step_fraction * w_b
+        return self.target_safety * MATCHING_STEP_FRACTION * w_b
 
     def mis_target(self, w_b: float) -> float:
         """Scan target for the MIS Luby step (Lemma 21)."""
         return (
-            self.target_safety
-            * self.mis_step_fraction_per_delta
-            * self.delta_value
-            * w_b
+            self.target_safety * MIS_STEP_FRACTION_PER_DELTA * self.delta_value * w_b
         )
 
     def with_(self, **kwargs) -> "Params":

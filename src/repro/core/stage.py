@@ -37,7 +37,7 @@ from ..hashing.kwise import KWiseHashFamily
 from ..mpc.partition import MachineGrouping
 from ..obs import trace as _obs
 from ..obs.metrics import METRICS
-from .params import Params
+from .params import SLACK_ESCALATION, Params
 
 __all__ = [
     "MachineGroupSpec",
@@ -452,7 +452,7 @@ def run_stage_seed_search(
     The scan wraps around past the end of its region, so late stages still
     cover the whole family before giving up.
 
-    The slack ladder is ``kappa_0 * slack_escalation^j`` for
+    The slack ladder is ``kappa_0 * SLACK_ESCALATION^j`` for
     ``j <= max_slack_escalations``.  One scan at ``kappa_0`` evaluates each
     seed once, at every rung (see :class:`StageGoodness`).  When it finds no
     all-good seed, each escalation picks, from the values already computed,
@@ -477,7 +477,7 @@ def run_stage_seed_search(
     goodness = StageGoodness(family, threshold, groups, mus, base_slacks)
     kappas = [float(max(n, 2) ** (0.1 * params.delta_value))]
     for _ in range(params.max_slack_escalations):
-        kappas.append(kappas[-1] * params.slack_escalation)
+        kappas.append(kappas[-1] * SLACK_ESCALATION)
     kappas = tuple(kappas)
     t_search = _obs.clock() if _obs._TRACING else 0.0
 

@@ -8,7 +8,7 @@ bound (their Lemma 9) to get per-machine failure probability ``n^{-5}``.
 A run does not size its windows from this module.  The stage seed search
 (:func:`repro.core.stage.run_stage_seed_search`) uses
 ``lambda_x = kappa (sqrt(e_x) + 1)``: ``kappa`` starts at the paper's
-``n^{0.1 delta}`` and is multiplied by ``slack_escalation``, at most
+``n^{0.1 delta}`` and is multiplied by ``SLACK_ESCALATION``, at most
 ``max_slack_escalations`` times, while no seed makes every machine good.
 The slacks computed here, which an independence level *certifies* for the
 stage's machine loads, are reported beside that choice

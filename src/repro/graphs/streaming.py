@@ -286,8 +286,8 @@ def stream_power_law_graph(
 
 #: Generator name -> streaming block variant.  Keys match the in-memory
 #: function names in :mod:`repro.graphs.generators`, which is how the
-#: runtime's :class:`~repro.runtime.spec.GraphSource` finds the streaming
-#: path for a spec'd generator call.
+#: scheduler finds the streaming path for a
+#: :class:`~repro.graphs.source.GraphSource` generator call.
 STREAMING_GENERATORS: dict[str, Callable[..., EdgeBlocks]] = {
     "gnp_random_graph": stream_gnp_random_graph,
     "gnp_block_graph": stream_gnp_block_graph,

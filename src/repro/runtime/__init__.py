@@ -1,13 +1,13 @@
-"""Batch-solver runtime: job specs, process-parallel scheduling, caching.
+"""Batch-solver runtime: process-parallel scheduling and result caching.
 
-The substrate for serving many solves efficiently:
+The substrate for serving many solves efficiently.  A job is a
+:class:`~repro.api.SolveRequest` whose input is a
+:class:`~repro.graphs.source.GraphSource`:
 
-* :mod:`~repro.runtime.spec` — hashable, JSON-serializable job descriptions
-  and structured results;
 * :mod:`~repro.runtime.scheduler` — process-pool fan-out with per-job
-  timeout, retry, and structured failure capture;
+  timeout, retry, and structured failure capture (:class:`JobResult`);
 * :mod:`~repro.runtime.cache` — content-addressed result store (graph
-  fingerprint x params digest), persisted as npz + JSONL;
+  fingerprint x solve digest), persisted as npz + JSONL;
 * :mod:`~repro.runtime.suites` — the named workload-suite registry behind
   ``repro batch``.
 
@@ -16,15 +16,7 @@ included, runs in one worker process.
 """
 
 from .cache import CacheEntry, CacheStats, ResultCache
-from .scheduler import BatchResult, BatchStats, ResolvedSource, Scheduler
-from .spec import (
-    PROBLEMS,
-    GraphSource,
-    JobResult,
-    JobSpec,
-    runtime_entry,
-    runtime_problem_name,
-)
+from .scheduler import BatchResult, BatchStats, JobResult, ResolvedSource, Scheduler
 from .suites import (
     WorkloadSuite,
     build_suite,
@@ -32,27 +24,21 @@ from .suites import (
     list_suites,
     register_suite,
 )
-from .worker import execute_spec, run_job
+from .worker import run_job
 
 __all__ = [
     "BatchResult",
     "BatchStats",
     "CacheEntry",
     "CacheStats",
-    "GraphSource",
     "JobResult",
-    "JobSpec",
-    "PROBLEMS",
     "ResolvedSource",
     "ResultCache",
     "Scheduler",
     "WorkloadSuite",
     "build_suite",
-    "execute_spec",
     "get_suite",
     "list_suites",
     "register_suite",
     "run_job",
-    "runtime_entry",
-    "runtime_problem_name",
 ]

@@ -3,14 +3,13 @@
 Layout under ``cache_dir``::
 
     index.jsonl           append-only op log: {"op": "put"|"touch"|"evict", ...}
-    objects/<key>.json    job summary + (for MIS/matching) the full records
-                          payload from ``result_to_payload``
+    objects/<key>.json    job summary + the SolveResult envelope's meta
     objects/<key>.npz     solution arrays
 
 The key is ``sha256(graph_fingerprint : solve_digest)`` (see
-:meth:`~repro.runtime.spec.JobSpec.cache_key`, built on
-:meth:`~repro.runtime.spec.JobSpec.solve_digest`), so identical inputs solved
-with identical parameters hit the same entry no matter how the graph was
+:meth:`~repro.api.SolveRequest.cache_key`, built on
+:meth:`~repro.api.SolveRequest.solve_digest`), so identical inputs solved
+with identical requests hit the same entry no matter how the graph was
 produced or which process stored it.  The JSONL log is replayed on open to
 rebuild LRU order; it is compacted when it grows far past the live entry
 count.
@@ -43,8 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from ..api import SolveResult
-from ..core.records import result_from_payload
-from ..models.ledger import ModelSnapshot
 
 __all__ = ["CacheEntry", "CacheStats", "ResultCache"]
 
@@ -83,7 +80,7 @@ class CacheEntry:
 
     key: str
     job: dict  # stored JobResult dict (summary of the original solve)
-    result_meta: dict | None  # payload meta: records (MIS/matching) or snapshot
+    result_meta: dict | None  # SolveResult.to_payload() meta
     npz_path: Path
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -96,24 +93,13 @@ class CacheEntry:
             return None
         return self.result_meta.get("trace")
 
-    def load_result(self):
-        """Rebuild the stored result object (if one was stored).
-
-        Facade-era entries store the unified
-        :class:`~repro.api.SolveResult` envelope (kind ``"solve_result"``)
-        and rebuild it — solution array, model snapshot, and (for simulated
-        MIS/matching) the full trace record.  Pre-facade entries still load:
-        MIS / matching jobs rebuild their result record; cross-model jobs
-        stored the run's :class:`~repro.models.ledger.ModelSnapshot`.
-        """
+    def load_result(self) -> SolveResult | None:
+        """Rebuild the stored :class:`~repro.api.SolveResult` envelope —
+        solution array, model snapshot, and (for simulated MIS/matching)
+        the full per-iteration record — or ``None`` if none was stored."""
         if self.result_meta is None:
             return None
-        kind = self.result_meta.get("kind")
-        if kind == "solve_result":
-            return SolveResult.from_payload(self.result_meta, self.arrays())
-        if kind == "model_snapshot":
-            return ModelSnapshot.from_dict(self.result_meta["model_snapshot"])
-        return result_from_payload(self.result_meta, self.arrays())
+        return SolveResult.from_payload(self.result_meta, self.arrays())
 
 
 class ResultCache:

@@ -1,4 +1,4 @@
-"""Process-parallel batch scheduler for :class:`~repro.runtime.spec.JobSpec`s.
+"""Process-parallel batch scheduler for :class:`~repro.api.SolveRequest`s.
 
 The scheduler owns the whole batch lifecycle:
 
@@ -15,31 +15,85 @@ The scheduler owns the whole batch lifecycle:
    digest) is already stored come back instantly as ``cache_hit`` results.
 3. **Fan out** the misses over a ``ProcessPoolExecutor``; each worker call
    is total (see :mod:`repro.runtime.worker`), so a failing or timing-out
-   job yields a structured failure ``JobResult`` instead of a pool crash.
-   Failed jobs are retried up to ``retries`` extra attempts.
+   job yields a structured failure :class:`JobResult` instead of a pool
+   crash.  Failed jobs are retried up to ``retries`` extra attempts.
 4. **Store** fresh successes back into the cache.
 
-Results always come back aligned with the input spec order.
+Results always come back aligned with the input request order.  A
+:class:`JobResult` is the structured outcome of one job: solve statistics
+on success, or a captured ``(type, message, traceback)`` triple on failure.
+Results are JSON-round-trippable; solution arrays live in the result cache,
+not in the result record.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ..api import SolveRequest
 from ..graphs.io import graph_fingerprint, graph_to_npz_bytes
+from ..graphs.source import GraphSource
 from ..graphs.store import GraphStore, StoredGraphInfo
 from ..graphs.streaming import STREAMING_GENERATORS
 from ..obs import trace as _obs
 from ..obs.metrics import METRICS
 from .cache import ResultCache
-from .spec import GraphSource, JobResult, JobSpec
 from .worker import run_job, warm_worker
 
-__all__ = ["BatchResult", "BatchStats", "ResolvedSource", "Scheduler"]
+__all__ = ["BatchResult", "BatchStats", "JobResult", "ResolvedSource", "Scheduler"]
+
+
+@dataclass(frozen=True)
+class JobResult:
+    """Structured outcome of one job (success, error, or timeout)."""
+
+    spec: SolveRequest
+    status: str = "ok"  # "ok" | "error" | "timeout"
+    attempts: int = 1
+    cache_hit: bool = False
+    wall_time: float = 0.0
+    worker_pid: int = 0
+    fingerprint: str = ""
+    graph_n: int = 0
+    graph_m: int = 0
+    solution_size: int = -1
+    iterations: int = 0
+    rounds: int = 0
+    max_machine_words: int = 0
+    space_limit: int = 0
+    verified: bool = False
+    path: str = ""  # Theorem-1 path taken: "lowdeg" | "general" | ""
+    error_type: str = ""
+    error_message: str = ""
+    error_traceback: str = field(default="", repr=False)
+    #: Free-form JSON-safe annotations: cache-hit lookup accounting
+    #: (``cache_hit`` / ``lookup_time``), trace span counts, ...
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+    def to_dict(self) -> dict:
+        d = {f.name: getattr(self, f.name) for f in fields(JobResult)}
+        d["spec"] = self.spec.to_dict()
+        return d
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    @staticmethod
+    def from_dict(d: dict) -> "JobResult":
+        return JobResult(**{**d, "spec": SolveRequest.from_dict(d["spec"])})
+
+    @staticmethod
+    def from_json(s: str) -> "JobResult":
+        return JobResult.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -155,11 +209,11 @@ class BatchResult:
 
 
 def _result_from_payload_dict(
-    spec: JobSpec, out: dict, *, attempts: int, cache_hit: bool = False
+    request: SolveRequest, out: dict, *, attempts: int, cache_hit: bool = False
 ) -> JobResult:
     kwargs = {k: out[k] for k in _PAYLOAD_FIELDS if k in out}
     return JobResult(
-        spec=spec,
+        spec=request,
         status=out.get("status", "ok"),
         attempts=attempts,
         cache_hit=cache_hit,
@@ -168,7 +222,7 @@ def _result_from_payload_dict(
 
 
 class Scheduler:
-    """Fan a batch of job specs out over worker processes, cache-first.
+    """Fan a batch of solve requests out over worker processes, cache-first.
 
     Parameters
     ----------
@@ -280,7 +334,7 @@ class Scheduler:
     # ------------------------------------------------------------------ #
 
     def _resolve_sources(
-        self, specs: list[JobSpec]
+        self, requests: list[SolveRequest]
     ) -> dict[GraphSource, ResolvedSource | Exception]:
         """Resolve each distinct source once into a :class:`ResolvedSource`.
 
@@ -295,13 +349,13 @@ class Scheduler:
         store.  Either way the jobs then ship only the store key.
         """
         resolved: dict[GraphSource, ResolvedSource | Exception] = {}
-        for spec in specs:
-            if spec.source in resolved:
+        for request in requests:
+            if request.source in resolved:
                 continue
             try:
-                resolved[spec.source] = self._resolve_one(spec.source)
+                resolved[request.source] = self._resolve_one(request.source)
             except Exception as exc:  # structured parent-side failure
-                resolved[spec.source] = exc
+                resolved[request.source] = exc
         return resolved
 
     def _resolve_one(self, source: GraphSource) -> ResolvedSource:
@@ -341,12 +395,21 @@ class Scheduler:
     # Batch execution
     # ------------------------------------------------------------------ #
 
-    def run(self, specs: list[JobSpec]) -> BatchResult:
-        """Execute a batch; returns results aligned with ``specs`` order."""
+    def run(self, requests: list[SolveRequest]) -> BatchResult:
+        """Execute a batch; returns results aligned with ``requests`` order.
+
+        Every request names its input by ``source``; one without raises
+        ``ValueError`` before any job runs.
+        """
+        sourceless = [i for i, r in enumerate(requests) if r.source is None]
+        if sourceless:
+            raise ValueError(
+                f"batch requests need a source; requests {sourceless} have none"
+            )
         t0 = time.perf_counter()
-        stats = BatchStats(total=len(specs), workers=self.workers)
-        results: list[JobResult | None] = [None] * len(specs)
-        resolved = self._resolve_sources(specs)
+        stats = BatchStats(total=len(requests), workers=self.workers)
+        results: list[JobResult | None] = [None] * len(requests)
+        resolved = self._resolve_sources(requests)
         for res in resolved.values():
             if isinstance(res, ResolvedSource) and res.store_root is not None:
                 if res.store_hit:
@@ -356,17 +419,17 @@ class Scheduler:
 
         pending: list[int] = []
         keys: dict[int, str] = {}
-        for idx, spec in enumerate(specs):
-            res = resolved[spec.source]
+        for idx, request in enumerate(requests):
+            res = resolved[request.source]
             if isinstance(res, Exception):
                 results[idx] = JobResult(
-                    spec=spec,
+                    spec=request,
                     status="error",
                     error_type=type(res).__name__,
                     error_message=f"input resolution failed: {res}",
                 )
                 continue
-            keys[idx] = spec.cache_key(res.fingerprint)
+            keys[idx] = request.cache_key(res.fingerprint)
             t_lookup = time.perf_counter()
             hit = self.cache.get(keys[idx]) if self.cache is not None else None
             lookup_time = time.perf_counter() - t_lookup
@@ -381,7 +444,7 @@ class Scheduler:
                     "lookup_time": lookup_time,
                 }
                 results[idx] = _result_from_payload_dict(
-                    spec, job, attempts=0, cache_hit=True
+                    request, job, attempts=0, cache_hit=True
                 )
                 stats.cache_hits += 1
                 METRICS.inc("runtime.cache.hits")
@@ -392,10 +455,10 @@ class Scheduler:
                 pending.append(idx)
 
         if pending:
-            self._run_pool(specs, resolved, keys, pending, results, stats)
+            self._run_pool(requests, resolved, keys, pending, results, stats)
 
         final = [r for r in results if r is not None]
-        assert len(final) == len(specs), "scheduler dropped a job"
+        assert len(final) == len(requests), "scheduler dropped a job"
         for r in final:
             if r.status == "ok":
                 stats.ok += 1
@@ -408,7 +471,7 @@ class Scheduler:
 
     def _run_pool(
         self,
-        specs: list[JobSpec],
+        requests: list[SolveRequest],
         resolved: dict,
         keys: dict[int, str],
         pending: list[int],
@@ -418,10 +481,10 @@ class Scheduler:
         attempts = {idx: 0 for idx in pending}
 
         def make_payload(idx: int) -> dict:
-            spec = specs[idx]
-            desc: ResolvedSource = resolved[spec.source]
+            request = requests[idx]
+            desc: ResolvedSource = resolved[request.source]
             payload = {
-                "spec": spec.to_dict(),
+                "spec": request.to_dict(),
                 "fingerprint": desc.fingerprint,
                 "timeout": self.timeout,
                 "trace": self.trace,
@@ -451,7 +514,7 @@ class Scheduler:
                 queue = []
                 for idx, exc in submit_failed:
                     results[idx] = JobResult(
-                        spec=specs[idx],
+                        spec=requests[idx],
                         status="error",
                         attempts=attempts[idx] + 1,
                         error_type=type(exc).__name__,
@@ -460,7 +523,7 @@ class Scheduler:
                 for fut in as_completed(futures):
                     idx = futures[fut]
                     attempts[idx] += 1
-                    spec = specs[idx]
+                    request = requests[idx]
                     try:
                         out = fut.result()
                     except Exception as exc:
@@ -482,7 +545,7 @@ class Scheduler:
                         continue
                     # Failure payloads may predate graph loading in the
                     # worker; the parent resolved the input, so report it.
-                    desc = resolved[spec.source]
+                    desc = resolved[request.source]
                     out.setdefault("graph_n", desc.n)
                     out.setdefault("graph_m", desc.m)
                     if not out.get("fingerprint"):
@@ -492,7 +555,7 @@ class Scheduler:
                         stats.store_fallbacks += 1
                         METRICS.inc("store.fallbacks")
                     results[idx] = _result_from_payload_dict(
-                        spec, out, attempts=attempts[idx]
+                        request, out, attempts=attempts[idx]
                     )
                     if out.get("status") == "ok" and self.cache is not None:
                         self._store(keys[idx], results[idx], out)
@@ -506,7 +569,7 @@ class Scheduler:
 
     def _store(self, key: str, result: JobResult, out: dict) -> None:
         job = result.to_dict()
-        job.pop("spec", None)  # cache is content-addressed, not spec-addressed
+        job.pop("spec", None)  # the cache is content-addressed
         job.pop("attempts", None)
         job.pop("cache_hit", None)
         self.cache.put(

@@ -1,7 +1,8 @@
 """Named workload suites: reusable scenario batches for the runtime.
 
 A :class:`WorkloadSuite` is a named, lazily-built list of
-:class:`~repro.runtime.spec.JobSpec`s.  Suites are what ``repro batch
+:class:`~repro.api.SolveRequest`s, each naming its input by a
+:class:`~repro.graphs.source.GraphSource`.  Suites are what ``repro batch
 --suite <name>`` and the throughput benchmarks consume; registering one is
 one :func:`register_suite` call, so downstream experiments can add their
 own without touching this module.
@@ -34,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..api import REGISTRY
-from .spec import GraphSource, JobSpec, runtime_problem_name
+from ..api import REGISTRY, SolveRequest
+from ..graphs.source import GraphSource
 
 __all__ = [
     "WorkloadSuite",
@@ -52,13 +53,13 @@ class WorkloadSuite:
 
     name: str
     description: str
-    builder: Callable[[], list[JobSpec]]
+    builder: Callable[[], list[SolveRequest]]
 
-    def build(self) -> list[JobSpec]:
-        specs = self.builder()
-        if not specs:
+    def build(self) -> list[SolveRequest]:
+        requests = self.builder()
+        if not requests:
             raise ValueError(f"suite {self.name!r} built an empty job list")
-        return specs
+        return requests
 
 
 _REGISTRY: dict[str, WorkloadSuite] = {}
@@ -78,7 +79,7 @@ def get_suite(name: str) -> WorkloadSuite:
         raise KeyError(f"unknown suite {name!r}; known suites: {known}") from None
 
 
-def build_suite(name: str) -> list[JobSpec]:
+def build_suite(name: str) -> list[SolveRequest]:
     return get_suite(name).build()
 
 
@@ -91,67 +92,70 @@ def list_suites() -> list[WorkloadSuite]:
 # ---------------------------------------------------------------------- #
 
 
-def _scaling_sweep() -> list[JobSpec]:
-    specs = []
+def _scaling_sweep() -> list[SolveRequest]:
+    requests = []
     for n in (200, 400, 800, 1600, 3200):
         for seed in (0, 1):
             src = GraphSource.generator("gnp_random_graph", n=n, p=8.0 / n, seed=seed)
             for problem in ("mis", "matching"):
-                specs.append(
-                    JobSpec(problem, src, tag=f"{problem}-gnp-n{n}-s{seed}")
+                requests.append(
+                    SolveRequest(
+                        problem, source=src, tag=f"{problem}-gnp-n{n}-s{seed}"
+                    )
                 )
-    return specs
+    return requests
 
 
-def _degree_regime() -> list[JobSpec]:
+def _degree_regime() -> list[SolveRequest]:
     # With eps = 0.5 and n = 512 the dispatch rule Delta^2 + 1 <= S flips
     # around Delta ~ 26, so this degree ladder crosses the boundary.
     n = 512
-    specs = []
+    requests = []
     for d in (4, 8, 16, 32, 64):
         src = GraphSource.generator("random_regular_graph", n=n, d=d, seed=11)
         for problem in ("mis", "matching"):
-            specs.append(JobSpec(problem, src, tag=f"{problem}-reg-d{d}"))
+            requests.append(
+                SolveRequest(problem, source=src, tag=f"{problem}-reg-d{d}")
+            )
     # Pinned paths on a mid-ladder graph: both algorithms on the same input.
     src = GraphSource.generator("random_regular_graph", n=n, d=8, seed=11)
     for problem in ("mis", "matching"):
         for force in ("lowdeg", "general"):
-            specs.append(
-                JobSpec(problem, src, force=force, tag=f"{problem}-reg-d8-{force}")
+            requests.append(
+                SolveRequest(
+                    problem, source=src, force=force,
+                    tag=f"{problem}-reg-d8-{force}",
+                )
             )
-    return specs
+    return requests
 
 
-def _derived_problems() -> list[JobSpec]:
+def _derived_problems() -> list[SolveRequest]:
     inputs = [
         ("gnp", GraphSource.generator("gnp_random_graph", n=300, p=0.02, seed=5)),
         ("plaw", GraphSource.generator("power_law_graph", n=250, attach=2, seed=5)),
         ("tree", GraphSource.generator("random_tree", n=400, seed=5)),
     ]
-    specs = [
-        JobSpec("vc", src, tag=f"vc-{label}") for label, src in inputs
+    requests = [
+        SolveRequest("vc", source=src, tag=f"vc-{label}") for label, src in inputs
     ]
     # Coloring builds a product graph with n * (Delta + 1) nodes; keep the
-    # inputs degree-bounded so the suite stays interactive.
+    # inputs degree-bounded so the suite stays interactive.  2-ruling set
+    # squares the graph (degree <= Delta^2), so it reuses these inputs.
     color_inputs = [
         ("reg4", GraphSource.generator("random_regular_graph", n=150, d=4, seed=3)),
         ("grid", GraphSource.generator("grid_graph", rows=12, cols=12)),
         ("cycle", GraphSource.generator("cycle_graph", n=200)),
     ]
-    specs += [
-        JobSpec("coloring", src, tag=f"coloring-{label}")
-        for label, src in color_inputs
-    ]
-    # 2-ruling set squares the graph (degree <= Delta^2), so reuse the
-    # degree-bounded coloring inputs.
-    specs += [
-        JobSpec("ruling2", src, tag=f"ruling2-{label}")
-        for label, src in color_inputs
-    ]
-    return specs
+    for problem in ("coloring", "ruling2"):
+        requests += [
+            SolveRequest(problem, source=src, tag=f"{problem}-{label}")
+            for label, src in color_inputs
+        ]
+    return requests
 
 
-def _cross_model() -> list[JobSpec]:
+def _cross_model() -> list[SolveRequest]:
     # Inputs stay small: the CONGEST bill scales with BFS depth and the
     # engine run moves real messages, so this suite is about breadth of
     # models, not input size.  The model axis is *enumerated from the
@@ -162,41 +166,38 @@ def _cross_model() -> list[JobSpec]:
         ("reg6", GraphSource.generator("random_regular_graph", n=200, d=6, seed=9)),
         ("grid", GraphSource.generator("grid_graph", rows=14, cols=14)),
     ]
-    problems = [
-        runtime_problem_name("mis", model) for model in REGISTRY.models("mis")
-    ] + ["ruling2"]
-    specs = []
-    for label, src in inputs:
-        for problem in problems:
-            specs.append(JobSpec(problem, src, tag=f"{problem}-{label}"))
-    return specs
+    pairs = [("mis", model) for model in REGISTRY.models("mis")]
+    pairs.append(("ruling2", "simulated"))
+    return [
+        SolveRequest(problem, model, source=src, tag=f"{problem}-{model}-{label}")
+        for label, src in inputs
+        for problem, model in pairs
+    ]
 
 
-def _registry_matrix() -> list[JobSpec]:
+def _registry_matrix() -> list[SolveRequest]:
     # One job per registry entry on one small shared input: the quickest
     # end-to-end exercise of the full problem x model surface (and a live
     # demonstration that registering a solver makes it batch-runnable).
     src = GraphSource.generator("gnp_random_graph", n=120, p=0.05, seed=13)
     return [
-        JobSpec(
-            runtime_problem_name(e.problem, e.model),
-            src,
-            tag=f"{e.problem}-{e.model}",
-        )
+        SolveRequest(e.problem, e.model, source=src, tag=f"{e.problem}-{e.model}")
         for e in REGISTRY.entries()
     ]
 
 
-def _throughput_micro() -> list[JobSpec]:
-    specs = []
+def _throughput_micro() -> list[SolveRequest]:
+    requests = []
     for seed in range(10):
         src = GraphSource.generator("gnp_random_graph", n=240, p=8.0 / 240, seed=seed)
         for problem in ("mis", "matching"):
-            specs.append(JobSpec(problem, src, tag=f"{problem}-micro-s{seed}"))
-    return specs
+            requests.append(
+                SolveRequest(problem, source=src, tag=f"{problem}-micro-s{seed}")
+            )
+    return requests
 
 
-def _large_sweep() -> list[JobSpec]:
+def _large_sweep() -> list[SolveRequest]:
     # The out-of-core regime: inputs sized 10^5..10^6 nodes at constant
     # average degree 8.  These use the streaming-native block-sampled
     # G(n, p) generator, so with a graph store configured
@@ -205,11 +206,11 @@ def _large_sweep() -> list[JobSpec]:
     # shards — without a store, the in-memory generator still works but
     # needs RAM proportional to the edge list.  MIS only: the matching
     # reduction builds a line graph (m nodes), which is its own frontier.
-    specs = []
+    requests = []
     for n in (100_000, 300_000, 1_000_000):
         src = GraphSource.generator("gnp_block_graph", n=n, p=8.0 / n, seed=1)
-        specs.append(JobSpec("mis", src, tag=f"mis-gnp-n{n}"))
-    return specs
+        requests.append(SolveRequest("mis", source=src, tag=f"mis-gnp-n{n}"))
+    return requests
 
 
 register_suite(

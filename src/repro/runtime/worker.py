@@ -7,9 +7,8 @@ caught and returned as a structured payload, so a failing job never takes
 the pool down.  Timeouts use ``SIGALRM`` (POSIX), which interrupts the solve
 inside the worker instead of leaving an orphaned computation behind.
 
-Dispatch goes through the :data:`repro.api.REGISTRY` facade: the spec's
-runtime problem name maps to a ``(problem, model)`` registry key
-(:func:`~repro.runtime.spec.runtime_entry`), one :func:`repro.api.solve`
+Dispatch goes through the :data:`repro.api.REGISTRY` facade: the job is
+the :class:`~repro.api.SolveRequest` itself, one :func:`repro.api.solve`
 call produces the unified :class:`~repro.api.SolveResult`, and
 :func:`payload_from_solve_result` flattens it into the worker payload the
 scheduler and cache consume.  There is no per-problem branching here —
@@ -18,10 +17,11 @@ registering a new solver makes it batch-runnable with no worker change.
 The input graph arrives one of three ways: a ``graph_store`` root plus
 fingerprint (the worker mmaps the store's CSR shards read-only — zero-copy,
 page-cache bounded; any open failure falls back to regenerating from the
-spec with a structured ``store_fallback`` warning in the result meta, never
-a job failure), pickled-npz bytes (packed once by the scheduler, so N jobs
-on the same graph ship one buffer each without re-generating), or a bare
-:class:`~repro.runtime.spec.GraphSource` to resolve locally.
+request's source with a structured ``store_fallback`` warning in the result
+meta, never a job failure), pickled-npz bytes (packed once by the
+scheduler, so N jobs on the same graph ship one buffer each without
+re-generating), or neither, and the request's
+:class:`~repro.graphs.source.GraphSource` is resolved locally.
 Scheduler-packed buffers include the CSR adjacency arrays, so
 ``graph_from_npz_bytes`` takes the ``Graph.from_csr_arrays`` fast path and
 workers never re-run the O(m log m) adjacency build per job.
@@ -40,10 +40,8 @@ from ..graphs.io import graph_fingerprint, graph_from_npz_bytes
 from ..graphs.store import open_stored_graph
 from ..obs import trace as _obs
 from ..obs.metrics import METRICS
-from .spec import JobSpec, runtime_entry
 
 __all__ = [
-    "execute_spec",
     "load_job_graph",
     "payload_from_solve_result",
     "run_job",
@@ -96,36 +94,15 @@ def payload_from_solve_result(result: SolveResult) -> dict:
     return out
 
 
-def execute_spec(spec: JobSpec, graph: Graph) -> dict:
-    """Solve one spec on a resolved graph; returns the success payload parts.
-
-    Raises on failure — :func:`run_job` is the layer that converts
-    exceptions into structured failure payloads.
-    """
-    problem, model = runtime_entry(spec.problem)
-    request = SolveRequest(
-        problem=problem,
-        model=model,
-        graph=graph,
-        eps=spec.eps,
-        params=spec.make_params(),
-        force=spec.force,
-        paper_rule=spec.paper_rule,
-        tag=spec.tag,
-    )
-    result = solve(request)
-    out: dict = {"graph_n": graph.n, "graph_m": graph.m}
-    out.update(payload_from_solve_result(result))
-    return out
-
-
-def load_job_graph(spec: JobSpec, payload: dict) -> tuple[Graph, dict | None]:
+def load_job_graph(
+    request: SolveRequest, payload: dict
+) -> tuple[Graph, dict | None]:
     """Load a job's input per the payload's shipping mode.
 
-    Returns ``(graph, fallback)`` where ``fallback`` is a
-    structured ``store_fallback`` record when a store-backed open failed and
-    the graph was regenerated from the spec instead — the degraded path is
-    a warning in the result meta, not a job failure.
+    Returns ``(graph, fallback)`` where ``fallback`` is a structured
+    ``store_fallback`` record when a store-backed open failed and the graph
+    was regenerated from the request's source instead — the degraded path
+    is a warning in the result meta, not a job failure.
     """
     store_root = payload.get("graph_store")
     npz = payload.get("graph_npz")
@@ -141,20 +118,20 @@ def load_job_graph(spec: JobSpec, payload: dict) -> tuple[Graph, dict | None]:
                 "error_type": type(exc).__name__,
                 "error_message": str(exc),
             }
-            return spec.source.resolve(), fallback
+            return request.source.resolve(), fallback
     if npz is not None:
         return graph_from_npz_bytes(npz), None
-    return spec.source.resolve(), None
+    return request.source.resolve(), None
 
 
 def run_job(payload: dict) -> dict:
     """Pool entry point: execute one job described by ``payload``.
 
-    ``payload`` keys: ``spec`` (JobSpec dict), one of ``graph_store`` (store
-    root; mmap by ``fingerprint``) / ``graph_npz`` (bytes) / neither
-    (resolve the source locally), ``timeout`` (seconds or None).  Always
-    returns a dict with a ``status`` of ``"ok"``, ``"error"`` or
-    ``"timeout"`` — never raises.
+    ``payload`` keys: ``spec`` (a :meth:`SolveRequest.to_dict`), one of
+    ``graph_store`` (store root; mmap by ``fingerprint``) / ``graph_npz``
+    (bytes) / neither (resolve the source locally), ``timeout`` (seconds
+    or None).  Always returns a dict with a ``status`` of ``"ok"``,
+    ``"error"`` or ``"timeout"`` — never raises.
     """
     t0 = time.perf_counter()
     out: dict = {"status": "ok", "worker_pid": os.getpid(), "fingerprint": ""}
@@ -165,19 +142,21 @@ def run_job(payload: dict) -> dict:
         old_handler = signal.signal(signal.SIGALRM, _raise_timeout)
         signal.setitimer(signal.ITIMER_REAL, float(timeout))
     try:
-        spec = JobSpec.from_dict(payload["spec"])
-        graph, fallback = load_job_graph(spec, payload)
+        request = SolveRequest.from_dict(payload["spec"])
+        graph, fallback = load_job_graph(request, payload)
         out["fingerprint"] = payload.get("fingerprint") or graph_fingerprint(graph)
+        out["graph_n"], out["graph_m"] = graph.n, graph.m
         if payload.get("trace"):
             # Capture regardless of the worker's environment; solve()
             # attaches the span subtree to the result, which
             # payload_from_solve_result ships back through result_meta.
             with _obs.trace_capture():
-                out.update(execute_spec(spec, graph))
+                result = solve(request, graph=graph)
         else:
-            out.update(execute_spec(spec, graph))
+            result = solve(request, graph=graph)
+        out.update(payload_from_solve_result(result))
         if fallback is not None:
-            # Merge, don't clobber: execute_spec may have set trace meta.
+            # Merge, don't clobber: the solve may have set trace meta.
             out["meta"] = {**out.get("meta", {}), "store_fallback": fallback}
     except JobTimeout:
         out["status"] = "timeout"

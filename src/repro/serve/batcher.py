@@ -2,7 +2,7 @@
 
 The batcher is the bridge between the service's asyncio front and the
 synchronous :class:`~repro.runtime.scheduler.Scheduler`: requests are
-enqueued as ``(spec, future)`` items, and a single consumer task groups
+enqueued as ``(request, future)`` items, and a single consumer task groups
 them into batches — it takes the first item, then keeps collecting until
 either ``max_batch`` items are pending or ``max_delay`` seconds have
 passed since the batch opened — and runs each batch through
@@ -29,8 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..obs.metrics import METRICS
-from ..runtime.scheduler import Scheduler
-from ..runtime.spec import JobResult, JobSpec
+from ..api import SolveRequest
+from ..runtime.scheduler import JobResult, Scheduler
 
 __all__ = ["BatcherStats", "MicroBatcher"]
 
@@ -59,10 +59,10 @@ class BatcherStats:
 
 
 class _Item:
-    __slots__ = ("spec", "future")
+    __slots__ = ("request", "future")
 
-    def __init__(self, spec: JobSpec, future: asyncio.Future) -> None:
-        self.spec = spec
+    def __init__(self, request: SolveRequest, future: asyncio.Future) -> None:
+        self.request = request
         self.future = future
 
 
@@ -108,13 +108,13 @@ class MicroBatcher:
                 self._consume(), name="repro-serve-batcher"
             )
 
-    async def submit(self, spec: JobSpec) -> JobResult:
+    async def submit(self, request: SolveRequest) -> JobResult:
         """Enqueue one job; resolves with its :class:`JobResult`."""
         if self._closing:
             raise RuntimeError("batcher is draining; not accepting jobs")
         if self._consumer is None or self._consumer.done():
             raise RuntimeError("batcher not started (call start() first)")
-        item = _Item(spec, asyncio.get_running_loop().create_future())
+        item = _Item(request, asyncio.get_running_loop().create_future())
         self._outstanding += 1
         self._drained.clear()
         await self._queue.put(item)
@@ -159,7 +159,7 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         while True:
             batch = await self._collect()
-            specs = [item.spec for item in batch]
+            requests = [item.request for item in batch]
             self.stats.jobs += len(batch)
             self.stats.batches += 1
             self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
@@ -168,7 +168,7 @@ class MicroBatcher:
             METRICS.observe("serve.batch.size", len(batch))
             try:
                 result = await loop.run_in_executor(
-                    self.executor, self.scheduler.run, specs
+                    self.executor, self.scheduler.run, requests
                 )
                 for item, job_result in zip(batch, result.results):
                     if not item.future.done():

@@ -4,9 +4,9 @@ One request is one JSON object — the same shape whether it arrives as an
 HTTP ``POST /solve`` body or as a JSON line on stdin::
 
     {
-      "problem": "mis",                  # runtime job name, or problem+model
-      "model": "cclique",                # optional; folds into the job name
-      "source": {"kind": "generator",    # a runtime GraphSource dict
+      "problem": "mis",
+      "model": "cclique",                # optional; default "simulated"
+      "source": {"kind": "generator",    # a GraphSource dict
                  "name": "gnp_random_graph",
                  "args": {"n": 300, "p": 0.03, "seed": 0}},
       "eps": 0.5, "force": null, "paper_rule": false,
@@ -16,16 +16,19 @@ HTTP ``POST /solve`` body or as a JSON line on stdin::
       "id": "r-17"                       # optional correlation id (echoed)
     }
 
-The body deliberately *is* a :class:`~repro.runtime.spec.JobSpec` plus
-transport extras: specs are already hashable, JSON-round-trippable solve
-descriptions, the batch runtime executes them unchanged, and their digest
-(:meth:`~repro.runtime.spec.JobSpec.solve_digest`) is the params half of both the
-result-cache key and the coalescer key — so "same request" means the same
-thing on the wire, in flight, and on disk.
+The body *is* a :class:`~repro.api.SolveRequest` dict
+(:meth:`~repro.api.SolveRequest.to_dict`) plus transport extras, so the
+record the service parses is the one ``solve()`` and the batch runtime
+take, with the same construction checks: a ``(problem, model)`` pair the
+registry does not hold, or an ``overrides`` key that is not a ``Params``
+field, is a 400 naming it.  Its digest
+(:meth:`~repro.api.SolveRequest.solve_digest`) is the params half of both
+the result-cache key and the coalescer key — so "same request" means the
+same thing on the wire, in flight, and on disk.
 
 Responses are JSON objects too: ``ok`` / ``status`` / ``coalesced`` /
-``cache_hit`` plus the full :class:`~repro.runtime.spec.JobResult` dict
-under ``result`` (structured solver failures ride back with HTTP 200 — the
+``cache_hit`` plus the full :class:`~repro.runtime.JobResult` dict under
+``result`` (structured solver failures ride back with HTTP 200 — the
 *transport* succeeded; 4xx/5xx are reserved for protocol errors and
 admission control).
 """
@@ -36,8 +39,8 @@ import hashlib
 import json
 from dataclasses import fields
 
-from ..core.params import Params
-from ..runtime.spec import JobResult, JobSpec, runtime_problem_name
+from ..api import SolveRequest
+from ..runtime.scheduler import JobResult
 
 __all__ = [
     "ProtocolError",
@@ -48,29 +51,14 @@ __all__ = [
     "solve_payload",
 ]
 
+#: Request fields the wire accepts: all but the in-process ``graph`` and
+#: ``options``, which no entry declares keys for, so a mistyped option
+#: would solve with defaults.
+_REQUEST_KEYS = frozenset(f.name for f in fields(SolveRequest)) - {"graph", "options"}
+
 #: Top-level keys a solve request may carry; anything else is rejected so
 #: a typo ("overides") fails loudly instead of silently solving defaults.
-_SOLVE_KEYS = frozenset(
-    {
-        "op",
-        "id",
-        "problem",
-        "model",
-        "source",
-        "eps",
-        "force",
-        "paper_rule",
-        "overrides",
-        "tag",
-        "timeout",
-        "include_solution",
-    }
-)
-
-
-#: Keys ``overrides`` may carry: the ``Params`` fields, less ``eps``, which
-#: has its own top-level key.  Anything else would only fail on the worker.
-_OVERRIDE_KEYS = frozenset(f.name for f in fields(Params)) - {"eps"}
+_SOLVE_KEYS = _REQUEST_KEYS | {"op", "id", "timeout", "include_solution"}
 
 
 class ProtocolError(ValueError):
@@ -82,13 +70,13 @@ class ProtocolError(ValueError):
 
 
 class ServeJob:
-    """One parsed solve request: the spec plus its transport extras."""
+    """One parsed solve request: the request plus its transport extras."""
 
     __slots__ = ("spec", "timeout", "include_solution", "request_id")
 
     def __init__(
         self,
-        spec: JobSpec,
+        spec: SolveRequest,
         *,
         timeout: float | None = None,
         include_solution: bool = False,
@@ -110,16 +98,7 @@ def parse_solve(obj: object) -> ServeJob:
     problem = obj.get("problem")
     if not isinstance(problem, str) or not problem:
         raise ProtocolError("request needs a 'problem' string")
-    model = obj.get("model")
-    if model is not None:
-        if not isinstance(model, str):
-            raise ProtocolError("'model' must be a string")
-        try:
-            problem = runtime_problem_name(problem, model)
-        except KeyError as exc:
-            raise ProtocolError(str(exc)) from None
-    source = obj.get("source")
-    if not isinstance(source, dict):
+    if not isinstance(obj.get("source"), dict):
         raise ProtocolError("request needs a 'source' object (GraphSource dict)")
     timeout = obj.get("timeout")
     if timeout is not None:
@@ -132,37 +111,24 @@ def parse_solve(obj: object) -> ServeJob:
     if request_id is not None and not isinstance(request_id, (str, int)):
         raise ProtocolError("'id' must be a string or integer")
     try:
-        spec = JobSpec.from_dict(
-            {
-                "problem": problem,
-                "source": source,
-                "eps": obj.get("eps", 0.5),
-                "force": obj.get("force"),
-                "paper_rule": obj.get("paper_rule", False),
-                "overrides": obj.get("overrides", {}),
-                "tag": str(obj.get("tag", "")),
-            }
+        # A null value stands for the field's default.
+        request = SolveRequest.from_dict(
+            {k: v for k, v in obj.items() if k in _REQUEST_KEYS and v is not None}
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid solve request: {exc}") from None
-    unknown = sorted({k for k, _ in spec.overrides} - _OVERRIDE_KEYS)
-    if unknown:
-        raise ProtocolError(
-            f"unknown overrides keys: {unknown} (overrides take the Params "
-            f"fields other than eps)"
-        )
     return ServeJob(
-        spec,
+        request,
         timeout=timeout,
         include_solution=bool(obj.get("include_solution", False)),
         request_id=request_id,
     )
 
 
-def coalesce_key(spec: JobSpec) -> str:
+def coalesce_key(request: SolveRequest) -> str:
     """In-flight identity: source identity x answer digest.
 
-    The params half is :meth:`~repro.runtime.spec.JobSpec.solve_digest` — the
+    The params half is :meth:`~repro.api.SolveRequest.solve_digest` — the
     same digest the result-cache key uses — so two requests coalesce
     exactly when they would share a cache entry.  The input half is the
     *source description* (canonical JSON of the GraphSource) rather than
@@ -172,8 +138,8 @@ def coalesce_key(spec: JobSpec) -> str:
     the same graph miss the coalescer but still meet in the
     content-addressed cache, which keys on the resolved fingerprint.
     """
-    src = json.dumps(spec.source.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(f"{src}:{spec.solve_digest()}".encode()).hexdigest()
+    src = json.dumps(request.source.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(f"{src}:{request.solve_digest()}".encode()).hexdigest()
 
 
 def solve_payload(

@@ -9,9 +9,9 @@ One :class:`SolverService` owns the whole request path::
       -> process pool        (persistent workers; cache-first, store-aware)
 
 Every solver the :data:`repro.api.REGISTRY` knows is remotely callable by
-its runtime job name with zero per-solver service code — the wire body is
-a :class:`~repro.runtime.spec.JobSpec`, and the runtime already dispatches
-those through the facade.
+its ``(problem, model)`` pair with zero per-solver service code — the wire
+body is a :class:`~repro.api.SolveRequest`, and the runtime already
+dispatches those through the facade.
 
 Observability is first-class: each request runs under a ``serve.request``
 root span, the service increments ``serve.*`` counters / gauges /
@@ -36,8 +36,7 @@ from ..api.registry import REGISTRY
 from ..obs import trace as _obs
 from ..obs.metrics import METRICS
 from ..runtime.cache import ResultCache
-from ..runtime.scheduler import Scheduler
-from ..runtime.spec import JobResult, runtime_problem_name
+from ..runtime.scheduler import JobResult, Scheduler
 from .batcher import MicroBatcher
 from .coalesce import Coalescer
 from .protocol import (
@@ -51,7 +50,7 @@ from .protocol import (
 
 __all__ = ["SolverService", "stdio_streams"]
 
-#: Largest accepted HTTP body / stdio line (a JobSpec is tiny; anything
+#: Largest accepted HTTP body / stdio line (a request is tiny; anything
 #: bigger is a client bug or abuse).
 MAX_BODY_BYTES = 1 << 20
 
@@ -215,12 +214,12 @@ class SolverService:
         return METRICS.to_prometheus()
 
     def solvers(self) -> list[dict]:
-        """Every registry entry, with the job name the wire accepts."""
+        """Every registry entry: the ``(problem, model)`` pairs the wire
+        accepts."""
         return [
             {
                 "problem": e.problem,
                 "model": e.model,
-                "name": runtime_problem_name(e.problem, e.model),
                 "capabilities": e.capabilities.flags(),
                 "description": e.description,
             }
@@ -285,6 +284,7 @@ class SolverService:
             with buf_ctx, _obs.span(
                 "serve.request",
                 problem=job.spec.problem,
+                model=job.spec.model,
                 source=job.spec.source.label(),
             ) as sp:
                 code, payload = await self._solve_admitted(job)

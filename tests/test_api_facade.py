@@ -17,8 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
-    MODELS,
-    PROBLEMS,
     REGISTRY,
     SolveRequest,
     SolveResult,
@@ -28,9 +26,9 @@ from repro.cclique.mis_cc import cc_maximal_matching, cc_mis
 from repro.congest.mis_congest import congest_maximal_matching, congest_mis
 from repro.core.api import maximal_independent_set, maximal_matching
 from repro.core.params import Params
-from repro.graphs import gnp_random_graph
+from repro.graphs import GraphSource, gnp_random_graph
 from repro.models.ledger import ModelSnapshot
-from repro.runtime import JobResult, runtime_entry, runtime_problem_name
+from repro.runtime import JobResult
 
 
 def small_graph(seed: int = 3, n: int = 60, p: float = 0.1):
@@ -52,8 +50,8 @@ def test_registry_has_the_expected_matrix():
     assert ("matching", "congest") in keys
     for problem in ("vc", "coloring", "ruling2"):
         assert (problem, "simulated") in keys
-    assert REGISTRY.models("mis") == sorted(MODELS)
-    assert set(REGISTRY.problems()) == set(PROBLEMS)
+    assert REGISTRY.models("mis") == ["cclique", "congest", "mpc-engine", "simulated"]
+    assert REGISTRY.problems() == ["coloring", "matching", "mis", "ruling2", "vc"]
 
 
 def test_registry_get_unknown_raises_with_catalog():
@@ -66,8 +64,31 @@ def test_request_validation():
         SolveRequest(problem="tsp")
     with pytest.raises(ValueError, match="unknown model"):
         SolveRequest(problem="mis", model="pram")
+    # Both axes known, the pair unregistered: the message names the pair.
+    with pytest.raises(ValueError, match=r"\('vc', 'cclique'\)"):
+        SolveRequest(problem="vc", model="cclique")
     with pytest.raises(ValueError, match="needs a graph"):
         solve(SolveRequest(problem="mis"))
+
+
+def test_solve_resolves_a_request_source():
+    src = GraphSource.generator("gnp_random_graph", n=60, p=0.1, seed=3)
+    by_source = solve(SolveRequest(problem="mis", source=src))
+    by_graph = solve(SolveRequest(problem="mis", graph=small_graph()))
+    assert np.array_equal(by_source.solution, by_graph.solution)
+    assert by_source.rounds == by_graph.rounds
+
+
+def test_traced_solve_span_records_the_request_eps():
+    """eps has one source, so the root span records the eps the solve ran."""
+    from repro.obs import trace_capture
+
+    g = gnp_random_graph(300, 0.03, seed=0)
+    with trace_capture() as buf:
+        res = solve(SolveRequest(problem="mis", graph=g, eps=0.2))
+    (root,) = [sp for sp in buf.spans if sp["name"] == "solve"]
+    assert root["attrs"]["eps"] == 0.2
+    assert res.rounds == maximal_independent_set(g, eps=0.2).rounds
 
 
 def test_registry_completeness_every_entry_solves_and_round_trips():
@@ -105,35 +126,6 @@ def test_registry_completeness_every_entry_solves_and_round_trips():
             assert getattr(again, field_name) == getattr(res, field_name), field_name
         if res.snapshot is not None:
             assert again.snapshot == res.snapshot
-
-
-def test_runtime_names_cover_the_registry_bijectively():
-    seen = set()
-    for entry in REGISTRY.entries():
-        name = runtime_problem_name(entry.problem, entry.model)
-        assert runtime_entry(name) == (entry.problem, entry.model)
-        seen.add(name)
-    assert len(seen) == len(REGISTRY)
-
-
-def test_runtime_entry_prefix_collisions_resolve_via_registry():
-    """A simulated problem named like a model-prefixed job resolves to
-    itself; a name valid under both readings is rejected, not guessed."""
-    from repro.api import SolverEntry
-
-    noop = SolverEntry(problem="cc_greedy", model="simulated", fn=lambda *a: None)
-    REGISTRY.register(noop)
-    try:
-        assert runtime_entry("cc_greedy") == ("cc_greedy", "simulated")
-        assert runtime_entry("cc_mis") == ("mis", "cclique")
-        REGISTRY.register(
-            SolverEntry(problem="greedy", model="cclique", fn=lambda *a: None)
-        )
-        with pytest.raises(ValueError, match="ambiguous runtime problem"):
-            runtime_entry("cc_greedy")
-    finally:
-        REGISTRY._entries.pop(("cc_greedy", "simulated"), None)
-        REGISTRY._entries.pop(("greedy", "cclique"), None)
 
 
 # ---------------------------------------------------------------------- #
@@ -354,7 +346,7 @@ def test_congest_pipeline_seed_fix_same_mis_fewer_rounds():
             problem="mis",
             model="congest",
             graph=g,
-            params=Params(congest_pipeline_seed_fix=True),
+            overrides={"congest_pipeline_seed_fix": True},
         )
     )
     # Identical deterministic output; only the round bill changes.
@@ -402,12 +394,14 @@ def test_congest_pipeline_charge_formula():
 
 
 def test_new_registry_problems_are_batch_runnable():
-    """cc_matching / congest_matching exist purely because the registry
-    enumerates them — no worker or spec change was needed."""
-    from repro.runtime import GraphSource, JobSpec, Scheduler
+    """matching under cclique / congest runs in a batch purely because the
+    registry holds the pairs — no worker or request change was needed."""
+    from repro.runtime import Scheduler
 
     src = GraphSource.generator("gnp_random_graph", n=50, p=0.1, seed=3)
-    specs = [JobSpec("cc_matching", src), JobSpec("congest_matching", src)]
+    specs = [
+        SolveRequest("matching", model, source=src) for model in ("cclique", "congest")
+    ]
     batch = Scheduler(workers=1).run(specs)
     assert batch.all_ok
     assert all(r.verified for r in batch.results)
@@ -420,7 +414,7 @@ def test_registry_matrix_suite_covers_every_entry():
 
     specs = build_suite("registry-matrix")
     assert len(specs) == len(REGISTRY)
-    assert {runtime_entry(s.problem) for s in specs} == {
+    assert {(s.problem, s.model) for s in specs} == {
         (e.problem, e.model) for e in REGISTRY.entries()
     }
 
@@ -431,7 +425,7 @@ def test_register_new_problem_is_instantly_batch_runnable():
     table edits anywhere."""
     from repro.api import SolverEntry
     from repro.api.registry import SolverRegistry
-    from repro.runtime import GraphSource, JobSpec, Scheduler
+    from repro.runtime import Scheduler
 
     # A scratch registry accepts arbitrary axes.
     scratch = SolverRegistry()
@@ -466,9 +460,10 @@ def test_register_new_problem_is_instantly_batch_runnable():
         g = small_graph(seed=11, n=30, p=0.05)
         res = solve(SolveRequest(problem="isolated", graph=g))
         assert res.rounds == 1
-        # Late-registered problems pass JobSpec validation and run.
-        spec = JobSpec(
-            "isolated", GraphSource.generator("gnp_random_graph", n=30, p=0.05, seed=11)
+        # Late-registered problems pass request validation and run.
+        spec = SolveRequest(
+            "isolated",
+            source=GraphSource.generator("gnp_random_graph", n=30, p=0.05, seed=11),
         )
         batch = Scheduler(workers=1).run([spec])
         assert batch.all_ok
@@ -486,11 +481,12 @@ def test_cmd_solve_unknown_problem_is_friendly(capsys):
 
 def test_worker_payload_round_trips_jobresult():
     from repro.graphs.io import graph_to_npz_bytes
-    from repro.runtime import JobSpec, GraphSource
     from repro.runtime.worker import run_job
 
-    spec = JobSpec(
-        "cc_mis", GraphSource.generator("gnp_random_graph", n=40, p=0.1, seed=2)
+    spec = SolveRequest(
+        "mis",
+        "cclique",
+        source=GraphSource.generator("gnp_random_graph", n=40, p=0.1, seed=2),
     )
     g = spec.source.resolve()
     out = run_job(

@@ -228,7 +228,7 @@ class TestStreamingBitIdentity:
         assert np.array_equal(a, b)
 
     def test_gnp_block_graph_is_a_registered_generator(self):
-        from repro.runtime.spec import GENERATOR_NAMES, GraphSource
+        from repro.graphs.source import GENERATOR_NAMES, GraphSource
 
         assert "gnp_block_graph" in GENERATOR_NAMES
         src = GraphSource.generator("gnp_block_graph", n=64, p=0.1, seed=2)

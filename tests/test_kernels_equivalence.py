@@ -449,9 +449,10 @@ def test_stage_search_reports_certified_slacks():
 def test_scheduler_cache_hits_with_csr_payloads(tmp_path):
     from repro.runtime.cache import ResultCache
     from repro.runtime.scheduler import Scheduler
-    from repro.runtime.spec import GraphSource, JobSpec
+    from repro.api import SolveRequest
+    from repro.graphs import GraphSource
 
-    spec = JobSpec(
+    spec = SolveRequest(
         problem="mis",
         source=GraphSource.generator("gnp_random_graph", n=40, p=0.15, seed=3),
     )

@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 
 from repro.__main__ import main
-from repro.runtime import GraphSource, JobSpec, ResultCache, Scheduler
-from repro.runtime.spec import JobResult
+from repro.api import SolveRequest
+from repro.graphs import GraphSource
+from repro.runtime import JobResult, ResultCache, Scheduler
 
 
-def gnp_spec(problem="mis", n=50, seed=3, **kw) -> JobSpec:
-    return JobSpec(
+def gnp_spec(problem="mis", n=50, seed=3, **kw) -> SolveRequest:
+    return SolveRequest(
         problem,
-        GraphSource.generator("gnp_random_graph", n=n, p=0.1, seed=seed),
+        source=GraphSource.generator("gnp_random_graph", n=n, p=0.1, seed=seed),
         **kw,
     )
 

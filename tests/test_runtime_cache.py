@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from repro.core import result_to_payload
-from repro.core.api import maximal_independent_set
-from repro.graphs import gnp_random_graph, graph_fingerprint
-from repro.runtime import GraphSource, JobSpec, ResultCache, Scheduler
+from repro.api import SolveRequest, solve
+from repro.graphs import GraphSource, gnp_random_graph, graph_fingerprint
+from repro.runtime import ResultCache, Scheduler
 
 from test_runtime_spec import subprocess_env
 
@@ -95,23 +95,28 @@ def test_index_stays_bounded_under_warm_only_reads(tmp_path):
 
 
 def test_full_result_payload_round_trip_through_cache(tmp_path):
+    """A stored SolveResult envelope comes back whole, down to the raw
+    result's per-iteration records."""
     g = gnp_random_graph(60, 0.1, seed=3)
-    res = maximal_independent_set(g)
-    meta, arrays = result_to_payload(res)
+    res = solve(SolveRequest(problem="mis", graph=g))
+    meta, arrays = res.to_payload()
     cache = ResultCache(tmp_path)
     cache.put("k", job={"status": "ok"}, arrays=arrays, result_meta=meta)
     loaded = cache.get("k").load_result()
-    assert np.array_equal(loaded.independent_set, res.independent_set)
-    assert loaded.records == res.records
-    assert loaded.rounds == res.rounds
+    assert np.array_equal(loaded.solution, res.solution)
+    assert (loaded.rounds, loaded.words_moved) == (res.rounds, res.words_moved)
+    assert loaded.snapshot == res.snapshot
+    assert np.array_equal(loaded.raw.independent_set, res.raw.independent_set)
+    assert loaded.raw.records == res.raw.records
+    assert loaded.raw.rounds == res.raw.rounds
 
 
 @pytest.mark.parametrize("problem", ["mis", "matching"])
 def test_cached_result_identical_across_processes(tmp_path, problem):
     """Store via the scheduler here; a fresh process must read back the
     byte-identical solution for the same spec."""
-    spec = JobSpec(
-        problem, GraphSource.generator("gnp_random_graph", n=80, p=0.08, seed=5)
+    spec = SolveRequest(
+        problem, source=GraphSource.generator("gnp_random_graph", n=80, p=0.08, seed=5)
     )
     cache = ResultCache(tmp_path / "cache")
     batch = Scheduler(workers=1, cache=cache).run([spec])
@@ -120,11 +125,12 @@ def test_cached_result_identical_across_processes(tmp_path, problem):
     local = cache.get(key).arrays()["solution"]
 
     script = (
-        "import sys, hashlib\n"
-        "from repro.runtime import JobSpec, ResultCache\n"
+        "import sys, hashlib, json\n"
+        "from repro.api import SolveRequest\n"
+        "from repro.runtime import ResultCache\n"
         "from repro.graphs import graph_fingerprint\n"
         "cache_dir, spec_json = sys.argv[1], sys.stdin.read()\n"
-        "spec = JobSpec.from_json(spec_json)\n"
+        "spec = SolveRequest.from_dict(json.loads(spec_json))\n"
         "cache = ResultCache(cache_dir)\n"
         "key = spec.cache_key(graph_fingerprint(spec.source.resolve()))\n"
         "arr = cache.get(key).arrays()['solution']\n"
@@ -133,7 +139,7 @@ def test_cached_result_identical_across_processes(tmp_path, problem):
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "cache")],
-        input=spec.to_json(),
+        input=json.dumps(spec.to_dict()),
         capture_output=True,
         text=True,
         check=True,

@@ -7,9 +7,9 @@ import signal
 import numpy as np
 import pytest
 
+from repro.api import SolveRequest
+from repro.graphs import GraphSource
 from repro.runtime import (
-    GraphSource,
-    JobSpec,
     ResultCache,
     Scheduler,
     build_suite,
@@ -19,10 +19,10 @@ from repro.runtime import (
 from repro.verify import verify_mis_nodes
 
 
-def gnp_spec(problem="mis", n=60, seed=3, **kw) -> JobSpec:
-    return JobSpec(
+def gnp_spec(problem="mis", n=60, seed=3, **kw) -> SolveRequest:
+    return SolveRequest(
         problem,
-        GraphSource.generator("gnp_random_graph", n=n, p=0.1, seed=seed),
+        source=GraphSource.generator("gnp_random_graph", n=n, p=0.1, seed=seed),
         **kw,
     )
 
@@ -59,8 +59,26 @@ def test_worker_exception_is_structured_failure_not_pool_crash():
     assert sched.run([gnp_spec(seed=9)]).all_ok
 
 
+def test_unknown_override_key_is_refused_before_the_batch():
+    """A key that is not a ``Params`` field fails at construction, naming
+    it, on the batch path as on the wire; no job is ever built for it."""
+    with pytest.raises(ValueError, match=r"unknown overrides keys: \['charge_mode'\]"):
+        gnp_spec("mis", model="cclique", overrides={"charge_mode": "chps"})
+    # The model switch is an option, not an override, and runs.
+    chps = gnp_spec("mis", model="cclique", options={"charge_mode": "chps"})
+    assert Scheduler(workers=1).run([chps]).all_ok
+
+
+def test_run_refuses_requests_without_a_source():
+    g = GraphSource.generator("path_graph", n=5).resolve()
+    with pytest.raises(ValueError, match=r"need a source; requests \[1\]"):
+        Scheduler(workers=1).run([gnp_spec(), SolveRequest("mis", graph=g)])
+
+
 def test_unresolvable_source_is_structured_failure(tmp_path):
-    spec = JobSpec("mis", GraphSource.from_file(str(tmp_path / "missing.edges")))
+    spec = SolveRequest(
+        "mis", source=GraphSource.from_file(str(tmp_path / "missing.edges"))
+    )
     batch = Scheduler(workers=1).run([spec])
     (res,) = batch.results
     assert res.status == "error"
@@ -130,7 +148,7 @@ def test_cache_rerun_hits_without_recompute(tmp_path):
 
 def test_shared_source_resolved_once_still_all_jobs_run():
     src = GraphSource.generator("gnp_random_graph", n=50, p=0.1, seed=0)
-    specs = [JobSpec("mis", src), JobSpec("matching", src), JobSpec("vc", src)]
+    specs = [SolveRequest(p, source=src) for p in ("mis", "matching", "vc")]
     batch = Scheduler(workers=2).run(specs)
     assert batch.all_ok
     fps = {r.fingerprint for r in batch.results}
@@ -152,7 +170,7 @@ def test_suite_registry_and_sizes():
 
 def test_derived_problems_run_through_scheduler():
     src = GraphSource.generator("random_regular_graph", n=60, d=4, seed=2)
-    specs = [JobSpec("vc", src), JobSpec("coloring", src), JobSpec("ruling2", src)]
+    specs = [SolveRequest(p, source=src) for p in ("vc", "coloring", "ruling2")]
     batch = Scheduler(workers=1).run(specs)
     assert batch.all_ok
     assert all(r.verified for r in batch.results)
@@ -169,7 +187,9 @@ def test_cached_model_jobs_load_result_with_snapshot(tmp_path):
 
     cache = ResultCache(tmp_path / "cache")
     src = GraphSource.generator("gnp_random_graph", n=50, p=0.1, seed=7)
-    specs = [JobSpec(p, src) for p in ("cc_mis", "congest_mis", "engine_mis")]
+    specs = [
+        SolveRequest("mis", m, source=src) for m in ("cclique", "congest", "mpc-engine")
+    ]
     batch = Scheduler(workers=1, cache=cache).run(specs)
     assert batch.all_ok
     fp = graph_fingerprint(src.resolve())
@@ -182,48 +202,20 @@ def test_cached_model_jobs_load_result_with_snapshot(tmp_path):
         assert res.rounds == res.snapshot.rounds
 
 
-def test_old_cache_formats_still_load(tmp_path):
-    """Pre-facade cache entries (bare records / tagged snapshots) load."""
-    import numpy as np
-
-    from repro.core import result_to_payload
-    from repro.core.api import maximal_independent_set
-    from repro.graphs import gnp_random_graph
-    from repro.models import ModelSnapshot
-    from repro.runtime import ResultCache
-
-    cache = ResultCache(tmp_path / "cache")
-    g = gnp_random_graph(40, 0.1, seed=1)
-    res = maximal_independent_set(g)
-    meta, arrays = result_to_payload(res)
-    cache.put("a" * 64, job={"status": "ok"}, arrays=arrays, result_meta=meta)
-    loaded = cache.get("a" * 64).load_result()
-    assert np.array_equal(loaded.independent_set, res.independent_set)
-
-    snap = ModelSnapshot(model="congest", rounds=7, words_moved=3)
-    cache.put(
-        "b" * 64,
-        job={"status": "ok"},
-        arrays={"solution": np.arange(3)},
-        result_meta={"kind": "model_snapshot", "model_snapshot": snap.to_dict()},
-    )
-    assert cache.get("b" * 64).load_result() == snap
-
-
 def test_cross_model_problems_run_through_scheduler():
     """One input billed under every model through the runtime."""
     src = GraphSource.generator("gnp_random_graph", n=80, p=0.06, seed=5)
     specs = [
-        JobSpec(problem, src, tag=problem)
-        for problem in ("mis", "cc_mis", "congest_mis", "engine_mis")
+        SolveRequest("mis", model, source=src, tag=model)
+        for model in ("simulated", "cclique", "congest", "mpc-engine")
     ]
     batch = Scheduler(workers=2).run(specs)
     assert batch.all_ok
     by_tag = {r.spec.tag: r for r in batch.results}
     assert all(r.verified for r in batch.results)
-    assert by_tag["cc_mis"].path == "congested-clique"
-    assert by_tag["congest_mis"].path == "congest"
-    assert by_tag["engine_mis"].path == "mpc-engine"
+    assert by_tag["cclique"].path == "congested-clique"
+    assert by_tag["congest"].path == "congest"
+    assert by_tag["mpc-engine"].path == "mpc-engine"
     # CONGEST pays the tree cost; the clique run is O(log Delta) rounds
-    assert by_tag["congest_mis"].rounds > by_tag["cc_mis"].rounds
-    assert by_tag["engine_mis"].space_limit > 0
+    assert by_tag["congest"].rounds > by_tag["cclique"].rounds
+    assert by_tag["mpc-engine"].space_limit > 0

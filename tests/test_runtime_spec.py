@@ -1,4 +1,5 @@
-"""JobSpec / JobResult serialization, digests, and fingerprint determinism."""
+"""SolveRequest as a batch job: serialization, digests, JobResult round
+trips, and fingerprint determinism."""
 
 from __future__ import annotations
 
@@ -13,16 +14,18 @@ import pytest
 
 import repro
 
+from repro.api import SolveRequest
 from repro.core import result_from_payload, result_to_payload
 from repro.core.api import maximal_independent_set, maximal_matching
 from repro.graphs import (
+    GraphSource,
     gnp_random_graph,
     graph_fingerprint,
     graph_from_npz_bytes,
     graph_to_npz_bytes,
     write_edge_list,
 )
-from repro.runtime import GraphSource, JobResult, JobSpec
+from repro.runtime import JobResult
 
 
 def subprocess_env() -> dict:
@@ -33,7 +36,7 @@ def subprocess_env() -> dict:
     return env
 
 
-def make_spec(**kw) -> JobSpec:
+def make_spec(**kw) -> SolveRequest:
     base = dict(
         problem="mis",
         source=GraphSource.generator("gnp_random_graph", n=60, p=0.1, seed=3),
@@ -41,31 +44,37 @@ def make_spec(**kw) -> JobSpec:
         tag="t",
     )
     base.update(kw)
-    return JobSpec(**base)
+    return SolveRequest(**base)
+
+
+def json_round_trip(request: SolveRequest) -> SolveRequest:
+    return SolveRequest.from_dict(json.loads(json.dumps(request.to_dict())))
 
 
 # ---------------------------------------------------------------------- #
-# JobSpec
+# SolveRequest as a job spec
 # ---------------------------------------------------------------------- #
 
 
 def test_jobspec_json_round_trip():
     spec = make_spec(
+        model="cclique",
         force="lowdeg",
         paper_rule=True,
         overrides={"c": 2, "strategy": "best_of"},
+        options={"charge_mode": "chps"},
     )
-    again = JobSpec.from_json(spec.to_json())
+    again = json_round_trip(spec)
     assert again == spec
     assert hash(again) == hash(spec)
-    assert again.digest() == spec.digest()
+    assert again.solve_digest() == spec.solve_digest()
 
 
 def test_jobspec_file_source_round_trip(tmp_path):
     path = tmp_path / "g.edges"
     write_edge_list(gnp_random_graph(30, 0.2, seed=1), path)
-    spec = JobSpec("matching", GraphSource.from_file(str(path)))
-    again = JobSpec.from_json(spec.to_json())
+    spec = SolveRequest("matching", source=GraphSource.from_file(str(path)))
+    again = json_round_trip(spec)
     assert again == spec
     assert again.source.resolve() == spec.source.resolve()
 
@@ -77,14 +86,33 @@ def test_jobspec_rejects_unknown_problem_and_generator():
         GraphSource.generator("no_such_generator", n=3)
 
 
+def test_request_refuses_unregistered_pairs_and_unknown_override_keys():
+    """Construction names the culprit, so a batch, the wire and ``solve``
+    all refuse the same request before any graph is built."""
+    with pytest.raises(ValueError, match=r"\('vc', 'cclique'\).*mis/cclique"):
+        make_spec(problem="vc", model="cclique")
+    for bad in ({"charge_mode": "chps"}, {"eps": 0.3}, {"check_invariants": True}):
+        with pytest.raises(ValueError, match="unknown overrides keys") as info:
+            make_spec(overrides=bad)
+        assert str(sorted(bad)) in str(info.value)
+    with pytest.raises(ValueError, match="graph or a source"):
+        make_spec(graph=gnp_random_graph(10, 0.2, seed=1))
+    # Values are checked where the solve runs, not at construction.
+    assert make_spec(eps=-1.0, overrides={"c": 3}).eps == -1.0
+
+
 def test_solve_digest_ignores_source_but_not_params():
     a = make_spec()
-    b = make_spec(source=GraphSource.generator("path_graph", n=9))
-    assert a.solve_digest() == b.solve_digest()  # source excluded
-    assert a.digest() != b.digest()  # full digest differs
+    b = make_spec(source=GraphSource.generator("path_graph", n=9), tag="other")
+    assert a.solve_digest() == b.solve_digest()  # source and tag excluded
+    assert a != b
     assert a.solve_digest() != make_spec(eps=0.6).solve_digest()
     assert a.solve_digest() != make_spec(force="general").solve_digest()
     assert a.solve_digest() != make_spec(overrides={"c": 2}).solve_digest()
+    assert a.solve_digest() != make_spec(model="cclique").solve_digest()
+    cc = make_spec(model="cclique")
+    chps = make_spec(model="cclique", options={"charge_mode": "chps"})
+    assert cc.solve_digest() != chps.solve_digest()
 
 
 def test_cache_key_is_content_addressed(tmp_path):
@@ -154,14 +182,14 @@ def test_fingerprint_byte_identical_across_processes():
     local_fp = graph_fingerprint(spec.source.resolve())
     script = (
         "import sys, json\n"
-        "from repro.runtime import JobSpec\n"
+        "from repro.api import SolveRequest\n"
         "from repro.graphs import graph_fingerprint\n"
-        "spec = JobSpec.from_json(sys.stdin.read())\n"
+        "spec = SolveRequest.from_dict(json.loads(sys.stdin.read()))\n"
         "print(graph_fingerprint(spec.source.resolve()))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        input=spec.to_json(),
+        input=json.dumps(spec.to_dict()),
         capture_output=True,
         text=True,
         check=True,
@@ -201,18 +229,29 @@ def test_result_payload_json_round_trip(kind):
 
 
 def test_request_digest_is_the_solve_digest():
-    """``JobSpec.solve_digest`` keeps its historical formula, so existing
-    on-disk caches (and the serve coalescer, which keys on the same
-    digest) keep their addresses."""
+    """``SolveRequest.solve_digest`` is pinned: the sha256 of the canonical
+    JSON of the answer-determining fields.  The result-cache key and the
+    serve coalescer both key on it, so a change here moves every cache
+    address."""
     import hashlib
 
-    spec = make_spec(eps=0.6, overrides={"b": 2, "a": 1})
+    spec = make_spec(
+        model="cclique",
+        eps=0.6,
+        overrides={"strategy": "best_of", "c": 2},
+        options={"charge_mode": "chps"},
+    )
     payload = {
-        "problem": spec.problem,
-        "eps": spec.eps,
-        "force": spec.force,
-        "paper_rule": spec.paper_rule,
-        "overrides": {k: v for k, v in spec.overrides},
+        "problem": "mis",
+        "model": "cclique",
+        "eps": 0.6,
+        "force": None,
+        "paper_rule": False,
+        "overrides": {"c": 2, "strategy": "best_of"},
+        "options": {"charge_mode": "chps"},
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert spec.solve_digest() == hashlib.sha256(canonical.encode()).hexdigest()
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    assert spec.solve_digest() == digest
+    fp = "ab" * 32
+    assert spec.cache_key(fp) == hashlib.sha256(f"{fp}:{digest}".encode()).hexdigest()

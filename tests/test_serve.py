@@ -20,8 +20,9 @@ import urllib.request
 
 import pytest
 
-from repro.runtime.scheduler import BatchResult, BatchStats
-from repro.runtime.spec import JobResult, JobSpec
+from repro.api import SolveRequest
+from repro.obs.metrics import METRICS
+from repro.runtime.scheduler import BatchResult, BatchStats, JobResult
 from repro.serve import (
     Coalescer,
     MicroBatcher,
@@ -57,7 +58,7 @@ class FakeScheduler:
         self.persistent = True
         self.delay = delay
         self.fail = fail
-        self.calls: list[list[JobSpec]] = []
+        self.calls: list[list[SolveRequest]] = []
         self.closed = False
 
     def warm_up(self) -> None:
@@ -66,7 +67,7 @@ class FakeScheduler:
     def close(self) -> None:
         self.closed = True
 
-    def run(self, specs: list[JobSpec]) -> BatchResult:
+    def run(self, specs: list[SolveRequest]) -> BatchResult:
         self.calls.append(list(specs))
         time.sleep(self.delay)
         if self.fail:
@@ -107,8 +108,13 @@ def run_async(coro):
 
 def test_parse_solve_round_trip():
     job = parse_solve(solve_body(seed=3, timeout=2.5, id="r-1"))
-    assert job.spec.problem == "cc_mis"  # model folded into the job name
+    assert (job.spec.problem, job.spec.model) == ("mis", "cclique")
     assert job.spec.source.name == "gnp_random_graph"
+    # model defaults to "simulated"; null stands for a field's default
+    body = dict(solve_body(), model=None, force=None)
+    assert parse_solve(body).spec.model == "simulated"
+    del body["model"]
+    assert parse_solve(body).spec.model == "simulated"
     assert job.timeout == 2.5
     assert job.request_id == "r-1"
     assert not job.include_solution
@@ -135,7 +141,7 @@ def test_unknown_overrides_keys_are_400_naming_them():
     has its own key) fails at parse time, before any graph is resolved."""
     assert parse_solve(solve_body(overrides={"c": 2})).spec.overrides == (("c", 2),)
     bads = ({"bogus": 1}, {"seed_chunk": 4, "seed_scan_workers": 2}, {"eps": 0.3})
-    for bad in bads:
+    for bad in bads + ({"charge_mode": "chps"},):
         with pytest.raises(ProtocolError) as info:
             parse_solve(solve_body(overrides=bad))
         assert info.value.code == 400
@@ -152,6 +158,31 @@ def test_unknown_overrides_keys_are_400_naming_them():
 
     code, payload = run_async(scenario())
     assert code == 400 and "seed_chunk" in payload["error"]["message"]
+    assert sched.jobs_run == 0
+
+
+def test_job_names_and_unregistered_pairs_are_400_listing_the_pairs():
+    """The wire names an entry by ``(problem, model)`` only: a job name
+    such as ``cc_mis``, or a pair the registry does not hold, is refused
+    at parse time with the registered pairs in the message."""
+    sched = FakeScheduler()
+    bodies = (
+        dict(solve_body(), problem="cc_mis", model=None),
+        dict(solve_body(), problem="cc_mis"),
+        dict(solve_body(), problem="vc", model="cclique"),
+    )
+
+    async def scenario():
+        svc = make_service(sched)
+        await svc.start()
+        replies = [await svc.handle(body) for body in bodies]
+        await svc.drain()
+        return replies
+
+    for code, payload in run_async(scenario()):
+        assert code == 400 and payload["error"]["type"] == "ProtocolError"
+        assert "registered pairs: " in payload["error"]["message"]
+        assert "mis/cclique" in payload["error"]["message"]
     assert sched.jobs_run == 0
 
 
@@ -396,6 +427,8 @@ def test_http_end_to_end(tmp_path):
         server = await svc.start_http(port=0)
         base = f"http://127.0.0.1:{server.sockets[0].getsockname()[1]}"
         loop = asyncio.get_running_loop()
+        # METRICS is process-global: count this test's requests only.
+        requests_before = METRICS.counters_snapshot().get("serve.requests", 0)
 
         def in_thread(fn, *a):
             return loop.run_in_executor(None, fn, *a)
@@ -415,15 +448,14 @@ def test_http_end_to_end(tmp_path):
         assert code == 200 and health["state"] == "serving"
         code, text = await in_thread(http_get, base, "/metrics")
         assert code == 200
-        assert "serve_requests 2" in text
+        assert f"\nserve_requests {requests_before + 2}\n" in text
         assert "# TYPE serve_latency_s summary" in text
         code, text = await in_thread(http_get, base, "/solvers")
         solvers = json.loads(text)["solvers"]
         assert code == 200
-        assert any(
-            s["problem"] == "mis" and s["model"] == "cclique" and s["name"] == "cc_mis"
-            for s in solvers
-        )
+        assert any(s["problem"] == "mis" and s["model"] == "cclique" for s in solvers)
+        assert all(set(s) == {"problem", "model", "capabilities", "description"}
+                   for s in solvers)
 
         code, payload = await in_thread(
             http_post, base, {"problem": "mis", "nope": 1}

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Params
+from repro.core.params import SLACK_ESCALATION
 from repro.core.stage import MachineGroupSpec, StageSearchOutcome, run_stage_seed_search
 from repro.derand.estimators import certified_slacks
 from repro.derand.strategies import select_seed_batch
@@ -76,9 +77,9 @@ def rescan_stage_seed_search(
             break
         METRICS.inc("stage.slack_escalations")
         fidelity.append(
-            f"stage slack escalated to kappa={kappa * params.slack_escalation:.3f}"
+            f"stage slack escalated to kappa={kappa * SLACK_ESCALATION:.3f}"
         )
-        kappa *= params.slack_escalation
+        kappa *= SLACK_ESCALATION
     outcome = StageSearchOutcome(
         seed=chosen.seed,
         kappa=kappa,

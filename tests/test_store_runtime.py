@@ -20,11 +20,10 @@ import os
 
 import pytest
 
-from repro.graphs import GraphStore
+from repro.api import SolveRequest
+from repro.graphs import GraphSource, GraphStore
 from repro.obs.metrics import METRICS
 from repro.runtime import (
-    GraphSource,
-    JobSpec,
     ResolvedSource,
     Scheduler,
     build_suite,
@@ -33,12 +32,12 @@ from repro.runtime import (
 from repro.runtime.worker import run_job
 
 
-def _small_specs() -> list[JobSpec]:
+def _small_specs() -> list[SolveRequest]:
     specs = []
     for seed in (0, 1):
         src = GraphSource.generator("gnp_random_graph", n=120, p=0.05, seed=seed)
         for problem in ("mis", "matching"):
-            specs.append(JobSpec(problem, src, tag=f"{problem}-s{seed}"))
+            specs.append(SolveRequest(problem, source=src, tag=f"{problem}-s{seed}"))
     return specs
 
 
@@ -71,7 +70,9 @@ class TestStoreBackedParity:
     def test_non_streaming_source_goes_through_store(self, tmp_path):
         # grid_graph has no streaming variant: resolved in-memory, put into
         # the store, still dispatched by key.
-        spec = JobSpec("mis", GraphSource.generator("grid_graph", rows=8, cols=8))
+        spec = SolveRequest(
+            "mis", source=GraphSource.generator("grid_graph", rows=8, cols=8)
+        )
         store = GraphStore(tmp_path)
         batch = Scheduler(store=store).run([spec])
         assert batch.all_ok
@@ -84,7 +85,8 @@ class TestDispatchVolume:
         # store path ships 8 key strings.
         src = GraphSource.generator("gnp_random_graph", n=400, p=0.03, seed=5)
         specs = [
-            JobSpec("mis", src, eps=0.5 + i / 100, tag=f"j{i}") for i in range(8)
+            SolveRequest("mis", source=src, eps=0.5 + i / 100, tag=f"j{i}")
+            for i in range(8)
         ]
         base = Scheduler().run(specs)
         store = Scheduler(store=GraphStore(tmp_path)).run(specs)
