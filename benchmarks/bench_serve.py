@@ -5,13 +5,14 @@ worker pool, result cache, live HTTP socket):
 
 1. **coalesce** (hard acceptance, not baseline-relative): K identical
    concurrent ``POST /solve`` requests must all succeed while the
-   scheduler executes **exactly one** job — the micro-batcher's job
-   counter is the ground truth, since followers never reach it.  The
-   ISSUE-level contract is K >= 4 requests resolved by one solve.
+   scheduler executes **exactly one** job — the service runs on a
+   scheduler that counts the jobs ``Scheduler.run`` receives, which
+   followers never reach.  The contract is K >= 4 requests resolved by
+   one solve.
 2. **throughput** (gated vs baseline): with the cache warmed, a sustained
    burst of requests from concurrent clients measures the service
-   overhead path — HTTP parse, admission, coalesce lookup, micro-batch,
-   cache hit, response — as requests/second plus p95 latency.  The gate
+   overhead path — HTTP parse, admission, coalesce lookup, scheduler
+   call, cache hit, response — as requests/second plus p95 latency.  The gate
    catches a serve-layer slowdown without re-measuring solver speed
    (solver regressions have their own benches).
 
@@ -36,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import emit_json  # noqa: E402
 
+from repro.runtime import ResultCache, Scheduler  # noqa: E402
 from repro.serve import SolverService  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_serve_baseline.json"
@@ -49,6 +51,22 @@ COALESCE_FLOOR = 4
 #: before the gate trips.
 THROUGHPUT_FACTOR = 3.0
 LATENCY_FACTOR = 3.0
+
+
+class CountingScheduler(Scheduler):
+    """The service's persistent scheduler, counting the jobs ``run`` gets."""
+
+    def __init__(self, **kw) -> None:
+        super().__init__(persistent=True, **kw)
+        self.batches: list[int] = []  # list.append is thread-safe
+
+    @property
+    def jobs(self) -> int:
+        return sum(self.batches)
+
+    def run(self, requests):
+        self.batches.append(len(requests))
+        return super().run(requests)
 
 
 def _body(seed: int, n: int) -> dict:
@@ -103,12 +121,12 @@ async def _post(host: str, port: int, body: dict) -> dict:
 async def _coalesce_case(
     svc: SolverService, host: str, port: int, k: int, n: int
 ) -> dict:
-    jobs_before = svc.batcher.stats.jobs
+    jobs_before = svc.scheduler.jobs
     body = _body(seed=999, n=n)
     t0 = time.perf_counter()
     replies = await asyncio.gather(*(_post(host, port, body) for _ in range(k)))
     wall = time.perf_counter() - t0
-    scheduler_jobs = svc.batcher.stats.jobs - jobs_before
+    scheduler_jobs = svc.scheduler.jobs - jobs_before
     return {
         "requests": k,
         "ok": sum(1 for r in replies if r["ok"]),
@@ -162,7 +180,8 @@ async def _run_async(mode: str) -> dict:
         k, n_coalesce = 8, 600
         distinct, requests, n_tp = 8, 240, 80
     with tempfile.TemporaryDirectory(prefix="bench-serve-") as tmp:
-        svc = SolverService(workers=1, cache=tmp + "/cache", batch_delay=0.05)
+        scheduler = CountingScheduler(workers=1, cache=ResultCache(tmp + "/cache"))
+        svc = SolverService(scheduler=scheduler)
         await svc.start()
         server = await svc.start_http(port=0)
         host, port = "127.0.0.1", server.sockets[0].getsockname()[1]

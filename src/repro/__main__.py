@@ -49,7 +49,8 @@ _RUN_REPORT_ENTRIES = (("mis", "simulated"), ("matching", "simulated"))
 
 def _requests(args) -> list[SolveRequest]:
     """The solves ``repro solve`` runs: one, or one per registered model
-    with ``--model all``.
+    with ``--model all``, which hands ``--force`` / ``--paper-rule`` and
+    each option flag only to the entries that read them.
 
     Raises ``ValueError`` / ``OSError`` for a usage error, before anything
     is solved.
@@ -79,19 +80,26 @@ def _requests(args) -> list[SolveRequest]:
         if args.input
         else gnp_random_graph(args.n, args.p, seed=args.seed)
     )
-    requests = [
-        SolveRequest(
-            problem=args.problem,
-            model=model,
-            graph=g,
-            eps=args.eps,
-            force=args.force,
-            paper_rule=args.paper_rule,
-            overrides=overrides,
-            options=options,
+    requests = []
+    for model in models:
+        force, paper_rule, opts = args.force, args.paper_rule, options
+        if every:  # each entry gets only the flags it reads
+            entry = REGISTRY.get(args.problem, model)
+            if not entry.capabilities.force_path:
+                force, paper_rule = None, False
+            opts = {k: v for k, v in options.items() if k in entry.options}
+        requests.append(
+            SolveRequest(
+                problem=args.problem,
+                model=model,
+                graph=g,
+                eps=args.eps,
+                force=force,
+                paper_rule=paper_rule,
+                overrides=overrides,
+                options=opts,
+            )
         )
-        for model in models
-    ]
     for request in requests:
         request.make_params()
     return requests

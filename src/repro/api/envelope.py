@@ -64,8 +64,11 @@ class SolveRequest:
     coloring).
 
     Construction checks names: the ``(problem, model)`` pair must be in
-    the registry, and every ``overrides`` key must be a ``Params`` field
-    other than ``eps``.  Values are checked by :meth:`make_params` where
+    the registry, every ``overrides`` key must be a ``Params`` field other
+    than ``eps``, and the request may set only what its entry reads —
+    ``force`` (``"general"`` or ``"lowdeg"``) and ``paper_rule`` need the
+    entry's ``force_path`` capability, and ``options`` keys must be ones
+    the entry declares.  Values are checked by :meth:`make_params` where
     the solve runs, so in a batch a bad value is a structured job failure.
     """
 
@@ -98,6 +101,25 @@ class SolveRequest:
             raise ValueError(
                 f"unknown overrides keys: {unknown} (overrides take the "
                 f"Params fields other than eps)"
+            )
+        if self.force not in (None, "general", "lowdeg"):
+            raise ValueError(
+                f"force must be None, 'general' or 'lowdeg', got {self.force!r}"
+            )
+        entry = REGISTRY.get(self.problem, self.model)
+        name = f"{self.problem}/{self.model}"
+        pinned = {"force": self.force, "paper_rule": self.paper_rule}
+        for key, value in pinned.items():
+            if value and not entry.capabilities.force_path:
+                raise ValueError(
+                    f"{name} does not read {key} (only entries with the "
+                    f"force_path capability do)"
+                )
+        unknown = sorted({k for k, _ in self.options} - set(entry.options))
+        if unknown:
+            raise ValueError(
+                f"unknown options keys: {unknown} ({name} reads "
+                f"{list(entry.options)})"
             )
 
     def make_params(self) -> Params:

@@ -35,7 +35,7 @@ class SolverCapabilities:
 
     snapshot: bool = False  # returns a ModelSnapshot round/word bill
     certificate: bool = True  # result is verified against the input graph
-    force_path: bool = False  # honors force="general" | "lowdeg"
+    force_path: bool = False  # reads force ("general" | "lowdeg") and paper_rule
     trace_records: bool = False  # raw result carries per-iteration records
 
     def flags(self) -> str:
@@ -63,6 +63,7 @@ class SolverEntry:
     capabilities: SolverCapabilities = field(default_factory=SolverCapabilities)
     description: str = ""
     legacy_entry: str = ""  # dotted name of the shimmed historical entry point
+    options: tuple[str, ...] = ()  # the SolveRequest.options keys fn reads
     #: Declared symbolic cost model: sympy-parseable expressions over the
     #: shared symbol vocabulary of :mod:`repro.analysis.symbolic` (``n``, ``m``,
     #: ``delta``, ``depth``, ``gamma``, ``seed_bits``, ``machines``,
@@ -147,6 +148,7 @@ def register_solver(
     capabilities: SolverCapabilities | None = None,
     description: str = "",
     legacy_entry: str = "",
+    options: tuple[str, ...] = (),
     cost_model: dict | None = None,
     registry: SolverRegistry | None = None,
 ):
@@ -172,6 +174,7 @@ def register_solver(
                 capabilities=capabilities or SolverCapabilities(),
                 description=description,
                 legacy_entry=legacy_entry,
+                options=tuple(options),
                 cost_model=cost_model,
             )
         )

@@ -223,6 +223,7 @@ def _solve_vc_simulated(
     capabilities=_DERIVED_CAPS,
     description="(Delta+1)-coloring via MIS on G x K_{Delta+1}",
     legacy_entry="repro.core.derived.deterministic_coloring",
+    options=("num_colors",),
     cost_model={
         "rounds": "log(delta) + loglog(n)",
         "words_moved": "m * delta",
@@ -422,6 +423,7 @@ def _solve_mis_engine(
     capabilities=_MODEL_CAPS,
     description="O(log Delta)-round CONGESTED CLIQUE MIS (Corollary 2)",
     legacy_entry="repro.cclique.mis_cc.cc_mis",
+    options=("charge_mode",),
     cost_model={
         "rounds": "log(delta)",
         "words_moved": "n * log(delta)",
@@ -469,6 +471,7 @@ def _solve_mis_cclique(
     capabilities=_MODEL_CAPS,
     description="O(log Delta)-round CONGESTED CLIQUE maximal matching",
     legacy_entry="repro.cclique.mis_cc.cc_maximal_matching",
+    options=("charge_mode",),
     cost_model={
         "rounds": "log(delta)",
         "words_moved": "n * log(delta)",
@@ -520,6 +523,7 @@ def _solve_matching_cclique(
     capabilities=_MODEL_CAPS,
     description="CONGEST MIS with BFS-tree seed broadcast accounting",
     legacy_entry="repro.congest.mis_congest.congest_mis",
+    options=("mode",),
     cost_model={
         "rounds": "depth * seed_bits * log(delta)",
         "words_moved": "n * seed_bits * log(delta)",
@@ -572,6 +576,7 @@ def _solve_mis_congest(
     capabilities=_MODEL_CAPS,
     description="CONGEST maximal matching via MIS on the line graph",
     legacy_entry="repro.congest.mis_congest.congest_maximal_matching",
+    options=("mode",),
     cost_model={
         "rounds": "depth * seed_bits * log(delta)",
         "words_moved": "m * seed_bits * log(delta)",

@@ -21,12 +21,11 @@ object writes are atomic renames (``.json.tmp`` / ``.npz.tmp`` →
 are *tolerant* — a torn or foreign meta file counts as a miss instead of
 raising — and the in-process state is guarded by an ``RLock`` so one
 ``ResultCache`` instance can be shared across threads (the service's
-batcher thread and its event loop).  Cross-process, any number of readers
+solve threads and its event loop).  Cross-process, any number of readers
 are safe alongside writers; multiple writers degrade gracefully
 (last-put-wins on identical content-addressed keys, torn index lines are
 skipped on replay), though routing writes through one scheduler per
-directory — what the serve layer's micro-batcher does — keeps the LRU log
-tight.
+directory — what the serve layer does — keeps the LRU log tight.
 """
 
 from __future__ import annotations

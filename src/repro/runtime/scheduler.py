@@ -3,8 +3,9 @@
 The scheduler owns the whole batch lifecycle:
 
 1. **Resolve** each distinct graph source once in the parent.  Without a
-   graph store this means generate/read, fingerprint, and pack to npz bytes
-   — N jobs on the same input ship one buffer, never re-generate per
+   graph store this means generate/read and fingerprint; the npz buffer is
+   packed only when a job on that source misses the cache, once per run —
+   N jobs on the same input ship one buffer, never re-generate per
    worker.  With a :class:`~repro.graphs.store.GraphStore` configured
    (``store=`` or ``REPRO_GRAPH_STORE``), resolution instead *ensures the
    graph exists on disk* — streaming-capable generators build mmap-ready
@@ -30,12 +31,14 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ..api import SolveRequest
+from ..graphs.graph import Graph
 from ..graphs.io import graph_fingerprint, graph_to_npz_bytes
 from ..graphs.source import GraphSource
 from ..graphs.store import GraphStore, StoredGraphInfo
@@ -96,12 +99,15 @@ class JobResult:
         return JobResult.from_dict(json.loads(s))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ResolvedSource:
     """One distinct input, resolved: identity + how workers will load it.
 
     Exactly one of ``npz`` (pickled buffer rides in each payload) or
-    ``store_root`` (workers mmap shards from the store) is set.
+    ``store_root`` (workers mmap shards from the store) is used.  An npz
+    resolution keeps the resolved ``graph`` and packs it on the first
+    payload that needs it (:meth:`packed`), so a run whose jobs all hit
+    the cache never compresses its input.
     """
 
     fingerprint: str
@@ -110,13 +116,21 @@ class ResolvedSource:
     npz: bytes | None = None
     store_root: str | None = None
     store_hit: bool = False
+    graph: Graph | None = field(default=None, repr=False, compare=False)
+
+    def packed(self) -> bytes:
+        """The npz buffer (CSR included), packed from ``graph`` once."""
+        if self.npz is None:
+            self.npz = graph_to_npz_bytes(self.graph, include_csr=True)
+            self.graph = None
+        return self.npz
 
     @property
     def payload_bytes(self) -> int:
         """Graph bytes shipped per job payload under this resolution."""
-        if self.npz is not None:
-            return len(self.npz)
-        return len(self.store_root or "") + len(self.fingerprint)
+        if self.store_root is not None:
+            return len(self.store_root) + len(self.fingerprint)
+        return len(self.packed())
 
 #: JobResult fields the worker payload / cache entry carries verbatim.
 _PAYLOAD_FIELDS = (
@@ -250,11 +264,15 @@ class Scheduler:
     persistent:
         ``True`` keeps one ``ProcessPoolExecutor`` alive across ``run``
         calls instead of forking a fresh pool per batch — the always-on
-        service mode, where ``run`` is called once per micro-batch and
-        per-call pool startup would dominate small batches.  Call
-        :meth:`close` (or use the scheduler as a context manager) to shut
-        the pool down; a pool broken by a hard worker crash is discarded
-        and replaced on the next batch.
+        service mode, where ``run`` is called once per request and
+        per-call pool startup would dominate.  Call :meth:`close` (or use
+        the scheduler as a context manager) to shut the pool down; a pool
+        broken by a hard worker crash is discarded and replaced on the
+        next batch.
+
+    ``run`` may be called from several threads at once: concurrent calls
+    share the one persistent pool, and graph-store writes are serialized
+    so the store keeps a single writer.
     """
 
     def __init__(
@@ -285,6 +303,8 @@ class Scheduler:
         self.store = store
         self.persistent = persistent
         self._pool: ProcessPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
+        self._store_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Pool lifecycle
@@ -294,13 +314,15 @@ class Scheduler:
         """``(pool, owned)`` — owned pools are shut down after the batch."""
         if not self.persistent:
             return ProcessPoolExecutor(max_workers=self.workers), True
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool, False
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            return self._pool, False
 
     def _discard_broken_pool(self, pool: ProcessPoolExecutor) -> None:
-        if self.persistent and self._pool is pool:
-            self._pool = None
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
         pool.shutdown(wait=False, cancel_futures=True)
 
     def warm_up(self) -> None:
@@ -319,9 +341,10 @@ class Scheduler:
 
     def close(self) -> None:
         """Shut down a persistent pool (no-op otherwise / when already closed)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -346,7 +369,9 @@ class Scheduler:
         With a store, generator sources with streaming variants build CSR
         shards straight to disk (never materialising the edge list in this
         process); other sources materialise once and are put into the
-        store.  Either way the jobs then ship only the store key.
+        store.  Either way the jobs then ship only the store key.  Store
+        resolution holds the scheduler's store lock, so concurrent runs
+        never write the store at once.
         """
         resolved: dict[GraphSource, ResolvedSource | Exception] = {}
         for request in requests:
@@ -360,36 +385,26 @@ class Scheduler:
 
     def _resolve_one(self, source: GraphSource) -> ResolvedSource:
         if self.store is not None:
-            root = os.fspath(self.store.root)
-            if source.kind == "generator" and source.name in STREAMING_GENERATORS:
-                info = self.store.ensure_generator(
-                    source.name, dict(source.args), label=source.label()
-                )
-            else:
-                g = source.resolve()
-                hit = graph_fingerprint(g) in self.store
-                put = self.store.put_graph(g, source=source.label())
-                info = StoredGraphInfo(
-                    fingerprint=put.fingerprint,
-                    n=put.n,
-                    m=put.m,
-                    nbytes=put.nbytes,
-                    hit=hit,
-                )
+            with self._store_lock:
+                info = self._store_source(source)
             return ResolvedSource(
                 fingerprint=info.fingerprint,
                 n=info.n,
                 m=info.m,
-                store_root=root,
+                store_root=os.fspath(self.store.root),
                 store_hit=info.hit,
             )
         g = source.resolve()
-        return ResolvedSource(
-            fingerprint=graph_fingerprint(g),
-            n=g.n,
-            m=g.m,
-            npz=graph_to_npz_bytes(g, include_csr=True),
-        )
+        return ResolvedSource(fingerprint=graph_fingerprint(g), n=g.n, m=g.m, graph=g)
+
+    def _store_source(self, source: GraphSource) -> StoredGraphInfo:
+        if source.kind == "generator" and source.name in STREAMING_GENERATORS:
+            return self.store.ensure_generator(
+                source.name, dict(source.args), label=source.label()
+            )
+        g = source.resolve()
+        hit = graph_fingerprint(g) in self.store
+        return replace(self.store.put_graph(g, source=source.label()), hit=hit)
 
     # ------------------------------------------------------------------ #
     # Batch execution
@@ -492,7 +507,7 @@ class Scheduler:
             if desc.store_root is not None:
                 payload["graph_store"] = desc.store_root
             else:
-                payload["graph_npz"] = desc.npz
+                payload["graph_npz"] = desc.packed()
             shipped = desc.payload_bytes
             stats.bytes_shipped += shipped
             METRICS.inc("runtime.bytes_shipped", shipped)

@@ -3,9 +3,9 @@
 A long-running asyncio front door over the :data:`repro.api.REGISTRY`:
 every registered ``(problem, model)`` solver is remotely callable over
 HTTP (``POST /solve``) or a stdio JSON-lines transport, with in-flight
-request coalescing, deadline-flushed micro-batching into the persistent
-process-pool :class:`~repro.runtime.scheduler.Scheduler`, explicit
-admission control (429/503 backpressure), and graceful drain.
+request coalescing, one persistent process-pool
+:class:`~repro.runtime.scheduler.Scheduler` call per coalesced request,
+explicit admission control (503 backpressure), and graceful drain.
 
 Start one from the CLI (``repro serve``) or embed the pieces::
 
@@ -16,7 +16,6 @@ Start one from the CLI (``repro serve``) or embed the pieces::
     await service.drain()
 """
 
-from .batcher import BatcherStats, MicroBatcher
 from .coalesce import Coalescer, CoalesceStats
 from .protocol import (
     ProtocolError,
@@ -29,10 +28,8 @@ from .protocol import (
 from .server import SolverService, stdio_streams
 
 __all__ = [
-    "BatcherStats",
     "CoalesceStats",
     "Coalescer",
-    "MicroBatcher",
     "ProtocolError",
     "ServeJob",
     "SolverService",

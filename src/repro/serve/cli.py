@@ -41,10 +41,7 @@ def _build_service(args) -> SolverService:
         cache=cache,
         store=args.store_dir,  # None -> follow REPRO_GRAPH_STORE
         max_inflight=args.max_inflight,
-        batch_max=args.batch_max,
-        batch_delay=args.batch_delay,
         request_timeout=args.request_timeout,
-        reject_code=args.reject_code,
     )
 
 
@@ -181,15 +178,9 @@ def add_serve_parser(sub) -> None:
                    help="out-of-core graph store directory "
                         "(default: REPRO_GRAPH_STORE if set)")
     p.add_argument("--max-inflight", type=int, default=64,
-                   help="admission bound before 503/429 (default 64)")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="micro-batch size cap (default 16)")
-    p.add_argument("--batch-delay", type=float, default=0.01,
-                   help="micro-batch flush deadline in seconds (default 0.01)")
+                   help="admission bound before 503 (default 64)")
     p.add_argument("--request-timeout", type=float, default=None,
                    help="default per-request budget in seconds (504 past it)")
-    p.add_argument("--reject-code", type=int, choices=[429, 503], default=503,
-                   help="status for queue-full rejections (default 503)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="graceful-drain budget in seconds (default 30)")
     p.set_defaults(fn=cmd_serve)

@@ -3,7 +3,7 @@
 The coalescer is a map from :func:`~repro.serve.protocol.coalesce_key` to
 the shared :class:`asyncio.Future` of the solve currently in flight under
 that key.  The first request to arrive under a key is the **leader** — it
-owns actually producing the result (submitting to the micro-batcher) and
+owns actually producing the result (one ``Scheduler.run`` call) and
 resolving the future; every request that arrives while the future is
 unresolved is a **follower** and simply awaits it.  When the leader
 finishes (result *or* failure), the key is released, so a later identical

@@ -10,7 +10,7 @@ HTTP ``POST /solve`` body or as a JSON line on stdin::
                  "name": "gnp_random_graph",
                  "args": {"n": 300, "p": 0.03, "seed": 0}},
       "eps": 0.5, "force": null, "paper_rule": false,
-      "overrides": {}, "tag": "",
+      "overrides": {}, "options": {}, "tag": "",
       "timeout": 30.0,                   # optional per-request budget (s)
       "include_solution": false,         # ship the solution array back
       "id": "r-17"                       # optional correlation id (echoed)
@@ -20,8 +20,10 @@ The body *is* a :class:`~repro.api.SolveRequest` dict
 (:meth:`~repro.api.SolveRequest.to_dict`) plus transport extras, so the
 record the service parses is the one ``solve()`` and the batch runtime
 take, with the same construction checks: a ``(problem, model)`` pair the
-registry does not hold, or an ``overrides`` key that is not a ``Params``
-field, is a 400 naming it.  Its digest
+registry does not hold, an ``overrides`` key that is not a ``Params``
+field, or a ``force`` / ``paper_rule`` / ``options`` key the entry does
+not read, is a 400 naming it.  A reply's ``result.spec`` can be posted
+back as it is.  Its digest
 (:meth:`~repro.api.SolveRequest.solve_digest`) is the params half of both
 the result-cache key and the coalescer key — so "same request" means the
 same thing on the wire, in flight, and on disk.
@@ -51,10 +53,8 @@ __all__ = [
     "solve_payload",
 ]
 
-#: Request fields the wire accepts: all but the in-process ``graph`` and
-#: ``options``, which no entry declares keys for, so a mistyped option
-#: would solve with defaults.
-_REQUEST_KEYS = frozenset(f.name for f in fields(SolveRequest)) - {"graph", "options"}
+#: Request fields the wire accepts: all but the in-process ``graph``.
+_REQUEST_KEYS = frozenset(f.name for f in fields(SolveRequest)) - {"graph"}
 
 #: Top-level keys a solve request may carry; anything else is rejected so
 #: a typo ("overides") fails loudly instead of silently solving defaults.

@@ -3,9 +3,9 @@
 One :class:`SolverService` owns the whole request path::
 
     transport (HTTP / stdio JSON-lines)
-      -> admission control   (bounded in-flight requests; 429/503 + Retry-After)
+      -> admission control   (bounded in-flight requests; 503 + Retry-After)
       -> coalescer           (in-flight dedup by source x solve digest)
-      -> micro-batcher       (deadline-flushed grouping into Scheduler.run)
+      -> Scheduler.run       (one call per leader, on the service's threads)
       -> process pool        (persistent workers; cache-first, store-aware)
 
 Every solver the :data:`repro.api.REGISTRY` knows is remotely callable by
@@ -20,7 +20,7 @@ histograms in :data:`repro.obs.METRICS`, and the HTTP side exposes
 
 Shutdown is graceful by contract: :meth:`SolverService.drain` flips the
 service to *draining* (new solves are refused with 503), waits for every
-in-flight request to complete, drains the batcher, and closes the
+in-flight request and every leader's solve to complete, and closes the
 persistent worker pool.  The CLI wires SIGTERM/SIGINT to exactly that.
 """
 
@@ -30,6 +30,7 @@ import asyncio
 import json
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 from ..api.registry import REGISTRY
@@ -37,7 +38,6 @@ from ..obs import trace as _obs
 from ..obs.metrics import METRICS
 from ..runtime.cache import ResultCache
 from ..runtime.scheduler import JobResult, Scheduler
-from .batcher import MicroBatcher
 from .coalesce import Coalescer
 from .protocol import (
     ProtocolError,
@@ -64,7 +64,6 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -72,29 +71,24 @@ _REASONS = {
 
 
 class SolverService:
-    """Coalescing, micro-batching, backpressured front door to the registry.
+    """Coalescing, backpressured front door to the registry.
 
     Parameters
     ----------
     workers / job_timeout / retries / cache / store:
         Forwarded to the owned :class:`~repro.runtime.scheduler.Scheduler`
-        (created ``persistent=True`` so micro-batches reuse one worker
+        (created ``persistent=True`` so every request reuses one worker
         pool).  Pass a ready ``scheduler=`` instead to control everything.
     max_inflight:
         Admission bound: requests admitted and not yet answered.  At the
-        bound, new solves are refused immediately with ``reject_code``
-        and a ``Retry-After`` hint — loaded services must say no fast,
-        not queue without bound.
-    batch_max / batch_delay:
-        Micro-batcher knobs: flush when ``batch_max`` jobs are pending or
-        ``batch_delay`` seconds after the first, whichever comes first.
+        bound, new solves are refused immediately with 503 and a
+        ``Retry-After`` hint — loaded services must say no fast, not
+        queue without bound.  It also sizes the thread pool each
+        coalesced leader runs ``Scheduler.run`` on: there are never more
+        leaders than admitted requests, so no leader waits for a thread.
     request_timeout:
         Default per-request wall budget (a request may lower/raise its
         own via ``timeout``); ``None`` = wait as long as the job takes.
-    reject_code:
-        HTTP status for queue-full rejections: 503 (default; matches
-        draining) or 429 when the deployment wants "client should back
-        off" distinguishable from "instance going away".
     """
 
     def __init__(
@@ -107,15 +101,10 @@ class SolverService:
         store=None,
         scheduler: Scheduler | None = None,
         max_inflight: int = 64,
-        batch_max: int = 16,
-        batch_delay: float = 0.01,
         request_timeout: float | None = None,
-        reject_code: int = 503,
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if reject_code not in (429, 503):
-            raise ValueError("reject_code must be 429 or 503")
         if isinstance(cache, (str,)) or hasattr(cache, "__fspath__"):
             cache = ResultCache(cache)
         if scheduler is None:
@@ -130,13 +119,16 @@ class SolverService:
         self.scheduler = scheduler
         self.cache = scheduler.cache
         self.coalescer = Coalescer()
-        self.batcher = MicroBatcher(
-            scheduler, max_batch=batch_max, max_delay=batch_delay
+        # A dedicated executor, never the loop's default: solves must not
+        # queue behind whatever the embedding application runs there
+        # (starving the solve path deadlocks every waiter).
+        self.executor = ThreadPoolExecutor(
+            max_workers=max_inflight, thread_name_prefix="repro-serve-solve"
         )
         self.max_inflight = max_inflight
         self.request_timeout = request_timeout
-        self.reject_code = reject_code
         self._active = 0
+        self._leaders: set[asyncio.Task] = set()
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
@@ -151,14 +143,11 @@ class SolverService:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
-        """Start the batcher and pre-fork the persistent worker pool."""
-        self.batcher.start()
+        """Pre-fork the persistent worker pool."""
         # Fork workers now, from a thread-light process, rather than on the
         # first request (when executor threads exist and latency matters).
-        # Uses the batcher's dedicated thread, never the loop's default
-        # executor (which the embedding application may be saturating).
         await asyncio.get_running_loop().run_in_executor(
-            self.batcher.executor, self.scheduler.warm_up
+            self.executor, self.scheduler.warm_up
         )
 
     @property
@@ -169,24 +158,30 @@ class SolverService:
     async def drain(self, timeout: float | None = None) -> bool:
         """Refuse new solves, finish in-flight ones, release the pool.
 
-        Returns ``True`` when everything completed inside ``timeout``
-        (``None`` = wait indefinitely); on ``False`` the pool is still
-        shut down, abandoning whatever was left.
+        Waits for every admitted request and every leader's solve — also
+        one whose requester already got a 504, since that solve still
+        fills the cache.  Returns ``True`` when everything completed
+        inside ``timeout`` (``None`` = wait indefinitely); on ``False``
+        the pool is still shut down, abandoning whatever was left.
         """
         self._draining = True
         completed = True
-        if self._active:
-            try:
-                await asyncio.wait_for(self._idle.wait(), timeout)
-            except asyncio.TimeoutError:
-                completed = False
-        if completed:
-            await self.batcher.drain()
-        # The pool is idle by now (the batcher is drained or abandoned), so
-        # the synchronous shutdown is a quick process join — not worth a
-        # thread hop on a path where the loop is about to stop anyway.
+        try:
+            await asyncio.wait_for(self._settle(), timeout)
+        except asyncio.TimeoutError:
+            completed = False
+        self.executor.shutdown(wait=completed, cancel_futures=not completed)
+        # Every leader is done by now (or abandoned), so the synchronous
+        # shutdown is a quick process join — not worth a thread hop on a
+        # path where the loop is about to stop anyway.
         self.scheduler.close()
         return completed
+
+    async def _settle(self) -> None:
+        # Draining admits nothing, so once idle no new leader can start.
+        await self._idle.wait()
+        if self._leaders:
+            await asyncio.wait(self._leaders)
 
     # ------------------------------------------------------------------ #
     # Introspection payloads
@@ -205,7 +200,6 @@ class SolverService:
             "requests": self.requests,
             "rejected": self.rejected,
             "coalesce": self.coalescer.stats.to_dict(),
-            "batch": self.batcher.stats.to_dict(),
         }
 
     def metrics_text(self) -> str:
@@ -256,8 +250,8 @@ class SolverService:
         if self._active >= self.max_inflight:
             self.rejected += 1
             METRICS.inc("serve.rejected")
-            return self.reject_code, error_payload(
-                self.reject_code,
+            return 503, error_payload(
+                503,
                 "QueueFull",
                 f"at the {self.max_inflight}-request admission bound",
                 request_id=request_id,
@@ -302,9 +296,11 @@ class SolverService:
         key = coalesce_key(job.spec)
         fut, leader = self.coalescer.admit(key)
         if leader:
-            asyncio.get_running_loop().create_task(
+            task = asyncio.get_running_loop().create_task(
                 self._lead(key, job, fut), name=f"repro-serve-lead-{key[:8]}"
             )
+            self._leaders.add(task)
+            task.add_done_callback(self._leaders.discard)
         else:
             METRICS.inc("serve.coalesced")
         timeout = job.timeout if job.timeout is not None else self.request_timeout
@@ -322,7 +318,7 @@ class SolverService:
                 f"still complete and populate the cache)",
                 request_id=job.request_id,
             )
-        except Exception as exc:  # noqa: BLE001 - batcher/scheduler plumbing
+        except Exception as exc:  # noqa: BLE001 - scheduler plumbing
             METRICS.inc("serve.internal_errors")
             return 500, error_payload(
                 500, type(exc).__name__, str(exc), request_id=job.request_id
@@ -339,9 +335,11 @@ class SolverService:
 
     async def _lead(self, key: str, job: ServeJob, fut: asyncio.Future) -> None:
         try:
-            result = await self.batcher.submit(job.spec)
+            batch = await asyncio.get_running_loop().run_in_executor(
+                self.executor, self.scheduler.run, [job.spec]
+            )
             if not fut.done():
-                fut.set_result(result)
+                fut.set_result(batch.results[0])
         except Exception as exc:  # noqa: BLE001 - propagate to all waiters
             if not fut.done():
                 fut.set_exception(exc)
@@ -503,7 +501,7 @@ class SolverService:
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n"
         )
-        if code in (429, 503):
+        if code == 503:
             head += "Retry-After: 1\r\n"
         writer.write(head.encode("latin-1") + b"\r\n" + body)
         await writer.drain()

@@ -163,6 +163,25 @@ def test_model_all_rows_share_params(monkeypatch, capsys):
     assert len(params) == 1 and params.pop().congest_pipeline_seed_fix
 
 
+def test_model_all_hands_each_flag_only_to_its_readers(monkeypatch, capsys):
+    seen = _spy_solves(monkeypatch)
+    rc = main(["solve", "--problem", "mis", "--model", "all", "--n", "70",
+               "--p", "0.08", "--force", "general", "--paper-rule",
+               "--charge-mode", "chps", "--mode", "voting", "--json", "-"])
+    assert rc == 0
+    got = {
+        request.model: (request.force, request.paper_rule, dict(request.options))
+        for request, _ in seen
+    }
+    assert got == {
+        "cclique": (None, False, {"charge_mode": "chps"}),
+        "congest": (None, False, {"mode": "voting"}),
+        "mpc-engine": (None, False, {}),
+        "simulated": ("general", True, {}),
+    }
+    assert all(row["verified"] for row in _json_stdout(capsys))
+
+
 # --------------------------------------------------------------------- #
 # --json - prints only JSON
 # --------------------------------------------------------------------- #
@@ -217,6 +236,18 @@ def test_solve_model_all_unknown_problem_is_usage_error(capsys):
     assert "unknown problem" in _usage_error(
         capsys, "--problem", "bogus", "--model", "all"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--model", "cclique", "--force", "general"], "force"),
+        (["--model", "congest", "--paper-rule"], "paper_rule"),
+        (["--model", "simulated", "--charge-mode", "chps"], "charge_mode"),
+    ],
+)
+def test_solve_flag_the_model_does_not_read_is_usage_error(capsys, argv, field):
+    assert field in _usage_error(capsys, "--problem", "mis", *argv)
 
 
 def test_solve_model_all_rejects_out(tmp_path, capsys):

@@ -28,14 +28,12 @@ def as_int64(solution) -> np.ndarray:
 
 
 def wire_body(request: SolveRequest) -> dict:
-    """The request as a ``repro serve`` body (the wire takes no options)."""
-    body = request.to_dict()
-    assert body.pop("options") == {}
-    return {**body, "include_solution": True}
+    """The request as a ``repro serve`` body: its dict, as it is."""
+    return {**request.to_dict(), "include_solution": True}
 
 
 async def serve_all(requests: list[SolveRequest], cache_dir: str) -> list:
-    svc = SolverService(workers=1, cache=cache_dir, batch_delay=0.01)
+    svc = SolverService(workers=1, cache=cache_dir)
     await svc.start()
     try:
         return await asyncio.gather(*(svc.handle(wire_body(r)) for r in requests))

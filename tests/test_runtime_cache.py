@@ -176,7 +176,7 @@ def test_put_leaves_no_tmp_files(tmp_path):
 
 
 def test_concurrent_threads_share_one_cache_instance(tmp_path):
-    """The serve batcher thread and event loop share one ResultCache; a
+    """The serve solve threads and event loop share one ResultCache; a
     storm of interleaved get/put from many threads must neither raise nor
     corrupt entries."""
     import threading

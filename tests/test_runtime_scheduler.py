@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import repro.runtime.scheduler as scheduler_module
 from repro.api import SolveRequest
-from repro.graphs import GraphSource
+from repro.graphs import GraphSource, GraphStore
 from repro.runtime import (
     ResultCache,
     Scheduler,
@@ -144,6 +147,75 @@ def test_cache_rerun_hits_without_recompute(tmp_path):
         )
     # cached results skipped the pool entirely
     assert all(r.attempts == 0 for r in warm.results)
+
+
+def test_warm_rerun_packs_no_graph(tmp_path, monkeypatch):
+    """The npz buffer is packed only for a job that misses the cache, once
+    per source per run: a warm re-run never compresses its inputs."""
+    packed = []
+    pack = scheduler_module.graph_to_npz_bytes
+
+    def spy(g, **kw):
+        packed.append(g.n)
+        return pack(g, **kw)
+
+    monkeypatch.setattr(scheduler_module, "graph_to_npz_bytes", spy)
+    src = GraphSource.generator("gnp_random_graph", n=50, p=0.1, seed=0)
+    specs = [SolveRequest(p, source=src) for p in ("mis", "matching")]
+    sched = Scheduler(workers=1, cache=ResultCache(tmp_path))
+    assert sched.run(specs).all_ok
+    assert packed == [50]  # two misses on one source: one buffer
+    warm = sched.run(specs)
+    assert warm.stats.cache_hits == 2 and warm.stats.bytes_shipped == 0
+    assert packed == [50]
+
+
+def test_concurrent_runs_share_one_pool_and_one_store_writer(tmp_path, monkeypatch):
+    """``Scheduler.run`` from 8 threads at once on one persistent scheduler:
+    results stay aligned, the threads share one pool, and the store gets
+    one object for the shared source, with no leftover build directory."""
+    pools = []
+    make_pool = scheduler_module.ProcessPoolExecutor
+
+    def counting_pool(*args, **kw):
+        pools.append(make_pool(*args, **kw))
+        return pools[-1]
+
+    monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", counting_pool)
+    store = GraphStore(tmp_path / "store")
+    src = GraphSource.generator("gnp_random_graph", n=60, p=0.1, seed=5)
+    problems = ("mis", "matching", "vc", "ruling2")
+    requests = [
+        SolveRequest(problems[i % 4], source=src, eps=0.5 + i / 100, tag=f"r{i}")
+        for i in range(8)
+    ]
+    sched = Scheduler(workers=2, store=store, persistent=True)
+    start = threading.Barrier(len(requests))
+    batches = [None] * len(requests)
+
+    def one(i: int) -> None:
+        start.wait()
+        batches[i] = sched.run([requests[i]])
+
+    threads = [threading.Thread(target=one, args=(i,)) for i in range(len(requests))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' check-then-act
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    sched.close()
+    assert not any(t.is_alive() for t in threads)
+    assert len(pools) == 1 and sched._pool is None
+    for request, batch in zip(requests, batches):
+        (res,) = batch.results
+        assert res.ok and res.spec == request, (request.tag, res.error_message)
+        assert batch.stats.store_fallbacks == 0
+    objects = [p.name for p in store.objects_dir.iterdir()]
+    assert objects == [res.fingerprint]
 
 
 def test_shared_source_resolved_once_still_all_jobs_run():

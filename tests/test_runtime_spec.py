@@ -14,7 +14,7 @@ import pytest
 
 import repro
 
-from repro.api import SolveRequest
+from repro.api import REGISTRY, SolveRequest
 from repro.core import result_from_payload, result_to_payload
 from repro.core.api import maximal_independent_set, maximal_matching
 from repro.graphs import (
@@ -57,17 +57,14 @@ def json_round_trip(request: SolveRequest) -> SolveRequest:
 
 
 def test_jobspec_json_round_trip():
-    spec = make_spec(
-        model="cclique",
-        force="lowdeg",
-        paper_rule=True,
-        overrides={"c": 2, "strategy": "best_of"},
-        options={"charge_mode": "chps"},
-    )
-    again = json_round_trip(spec)
-    assert again == spec
-    assert hash(again) == hash(spec)
-    assert again.solve_digest() == spec.solve_digest()
+    for spec in (
+        make_spec(force="lowdeg", paper_rule=True, overrides={"strategy": "best_of"}),
+        make_spec(model="cclique", overrides={"c": 2}, options={"charge_mode": "chps"}),
+    ):
+        again = json_round_trip(spec)
+        assert again == spec
+        assert hash(again) == hash(spec)
+        assert again.solve_digest() == spec.solve_digest()
 
 
 def test_jobspec_file_source_round_trip(tmp_path):
@@ -99,6 +96,38 @@ def test_request_refuses_unregistered_pairs_and_unknown_override_keys():
         make_spec(graph=gnp_random_graph(10, 0.2, seed=1))
     # Values are checked where the solve runs, not at construction.
     assert make_spec(eps=-1.0, overrides={"c": 3}).eps == -1.0
+
+
+@pytest.mark.parametrize(
+    "kw, field",
+    [
+        (dict(model="cclique", force="general"), "force"),
+        (dict(problem="vc", paper_rule=True), "paper_rule"),
+        (dict(force="bogus"), "force"),
+        (dict(model="cclique", options={"charge_mod": "chps"}), "charge_mod"),
+        (dict(model="congest", options={"charge_mode": "chps"}), "charge_mode"),
+        (dict(options={"mode": "voting"}), "mode"),
+    ],
+)
+def test_request_refuses_what_its_entry_does_not_read(kw, field):
+    """``force`` and ``paper_rule`` need the entry's ``force_path``
+    capability, ``force`` takes only the two path names, and ``options``
+    keys must be ones the entry declares; each refusal names the field."""
+    with pytest.raises(ValueError, match=field):
+        make_spec(**kw)
+
+
+def test_entries_declare_the_options_they_read():
+    declared = {e.key: e.options for e in REGISTRY.entries() if e.options}
+    assert declared == {
+        ("coloring", "simulated"): ("num_colors",),
+        ("matching", "cclique"): ("charge_mode",),
+        ("matching", "congest"): ("mode",),
+        ("mis", "cclique"): ("charge_mode",),
+        ("mis", "congest"): ("mode",),
+    }
+    forced = {e.key for e in REGISTRY.entries() if e.capabilities.force_path}
+    assert forced == {("matching", "simulated"), ("mis", "simulated")}
 
 
 def test_solve_digest_ignores_source_but_not_params():

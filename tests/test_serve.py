@@ -1,4 +1,4 @@
-"""repro.serve: coalescing, micro-batching, backpressure, drain, transports.
+"""repro.serve: coalescing, per-request solves, backpressure, drain, transports.
 
 The service-logic tests run against a fake scheduler (deterministic, no
 process pool) so they can assert scheduler-level facts — "K identical
@@ -21,11 +21,11 @@ import urllib.request
 import pytest
 
 from repro.api import SolveRequest
+from repro.graphs import GraphSource
 from repro.obs.metrics import METRICS
 from repro.runtime.scheduler import BatchResult, BatchStats, JobResult
 from repro.serve import (
     Coalescer,
-    MicroBatcher,
     ProtocolError,
     SolverService,
     coalesce_key,
@@ -50,26 +50,40 @@ def solve_body(seed: int = 0, n: int = 40, **extra) -> dict:
 
 
 class FakeScheduler:
-    """Scheduler stand-in: records every batch, sleeps, answers ok."""
+    """Scheduler stand-in: records every batch, sleeps, answers ok.
 
-    def __init__(self, delay: float = 0.05, fail: bool = False) -> None:
+    ``delay`` is seconds per batch, or a map from a source's generator
+    seed to its seconds.  ``events`` logs each run's start and end and the
+    close, in order.
+    """
+
+    def __init__(self, delay: float | dict = 0.05, fail: bool = False) -> None:
         self.workers = 1
         self.cache = None
         self.persistent = True
         self.delay = delay
         self.fail = fail
         self.calls: list[list[SolveRequest]] = []
+        self.events: list[str] = []
         self.closed = False
 
     def warm_up(self) -> None:
         pass
 
     def close(self) -> None:
+        self.events.append("close")
         self.closed = True
+
+    def seconds(self, spec: SolveRequest) -> float:
+        if isinstance(self.delay, dict):
+            return self.delay[dict(spec.source.args)["seed"]]
+        return self.delay
 
     def run(self, specs: list[SolveRequest]) -> BatchResult:
         self.calls.append(list(specs))
-        time.sleep(self.delay)
+        self.events.append("run")
+        time.sleep(max(self.seconds(s) for s in specs))
+        self.events.append("ran")
         if self.fail:
             raise RuntimeError("scheduler exploded")
         results = [
@@ -93,7 +107,6 @@ class FakeScheduler:
 
 
 def make_service(sched: FakeScheduler, **kw) -> SolverService:
-    kw.setdefault("batch_delay", 0.02)
     return SolverService(scheduler=sched, **kw)
 
 
@@ -161,6 +174,49 @@ def test_unknown_overrides_keys_are_400_naming_them():
     assert sched.jobs_run == 0
 
 
+#: Requests that set what their entry does not read, and the field each
+#: refusal must name.
+UNREAD = (
+    (dict(problem="mis", model="cclique", force="general"), "force"),
+    (dict(problem="vc", paper_rule=True), "paper_rule"),
+    (dict(problem="mis", force="bogus"), "force"),
+    (dict(problem="mis", model="cclique", options={"charge_mod": "chps"}), "charge_mod"),
+)
+
+
+def test_reply_spec_posts_back_as_it_is():
+    """``parse_solve(request.to_dict())`` is the request again, options and
+    all, so a reply's ``result.spec`` can be sent back unchanged."""
+    src = GraphSource.generator("gnp_random_graph", n=40, p=0.1, seed=0)
+    for request in (
+        SolveRequest("mis", "cclique", source=src),
+        SolveRequest("mis", "cclique", source=src, options={"charge_mode": "chps"}),
+        SolveRequest("coloring", source=src, options={"num_colors": 9}),
+        SolveRequest("matching", source=src, force="lowdeg", paper_rule=True),
+    ):
+        assert parse_solve(request.to_dict()).spec == request
+
+
+def test_fields_the_entry_does_not_read_are_400_naming_them():
+    sched = FakeScheduler()
+    bodies = [{**solve_body(), "model": "simulated", **kw} for kw, _ in UNREAD]
+    for body, (_, field) in zip(bodies, UNREAD):
+        with pytest.raises(ProtocolError) as info:
+            parse_solve(body)
+        assert info.value.code == 400 and field in str(info.value)
+
+    async def scenario():
+        svc = make_service(sched)
+        await svc.start()
+        replies = [await svc.handle(body) for body in bodies]
+        await svc.drain()
+        return replies
+
+    for (code, payload), (_, field) in zip(run_async(scenario()), UNREAD):
+        assert code == 400 and field in payload["error"]["message"]
+    assert sched.jobs_run == 0
+
+
 def test_job_names_and_unregistered_pairs_are_400_listing_the_pairs():
     """The wire names an entry by ``(problem, model)`` only: a job name
     such as ``cc_mis``, or a pair the registry does not hold, is refused
@@ -219,7 +275,7 @@ def test_coalescer_leader_then_followers_then_release():
 
 
 # ---------------------------------------------------------------------- #
-# Coalescing + micro-batching through the service
+# Coalescing and per-request solves through the service
 # ---------------------------------------------------------------------- #
 
 
@@ -243,41 +299,49 @@ def test_identical_concurrent_requests_one_scheduler_job():
     assert sum(1 for _, p in replies if p["coalesced"]) == 5
 
 
-def test_distinct_requests_micro_batch_together():
-    sched = FakeScheduler(delay=0.05)
+def test_fast_request_is_answered_while_another_solve_runs():
+    """Each leader runs its own ``Scheduler.run``: a quick request does not
+    wait for an unrelated slow solve that is still on the pool."""
+    sched = FakeScheduler(delay={1: 0.6, 2: 0.0})
 
     async def scenario():
-        svc = make_service(sched, batch_delay=0.3)
+        svc = make_service(sched)
         await svc.start()
-        replies = await asyncio.gather(
-            *(svc.handle(solve_body(seed=s)) for s in range(4))
-        )
+        slow = asyncio.ensure_future(svc.handle(solve_body(seed=1)))
+        await asyncio.sleep(0.05)  # the slow solve is running
+        t0 = time.perf_counter()
+        code, payload = await svc.handle(solve_body(seed=2))
+        fast_s = time.perf_counter() - t0
+        slow_running = not slow.done()
+        slow_code, _ = await slow
         await svc.drain()
-        return replies
+        return code, payload, fast_s, slow_running, slow_code
 
-    replies = run_async(scenario())
-    assert all(code == 200 for code, _ in replies)
-    assert sched.jobs_run == 4
-    assert len(sched.calls) == 1  # one deadline-flushed batch, not 4 pools
-    assert not any(p["coalesced"] for _, p in replies)  # distinct keys
+    code, payload, fast_s, slow_running, slow_code = run_async(scenario())
+    assert code == 200 and payload["ok"] and slow_code == 200
+    assert slow_running
+    assert fast_s < 0.3, f"the fast reply took {fast_s:.2f}s"
 
 
 def test_batch_failure_propagates_to_all_waiters():
+    """A scheduler exception answers 500 to each leader and to every
+    follower coalesced onto it."""
     sched = FakeScheduler(fail=True)
 
     async def scenario():
         svc = make_service(sched)
         await svc.start()
         replies = await asyncio.gather(
-            *(svc.handle(solve_body(seed=s)) for s in range(3))
+            *(svc.handle(solve_body(seed=s)) for s in (0, 0, 1, 1, 2, 2))
         )
-        svc._draining = True  # the batcher consumer died with the batch;
-        await svc.drain()  # drain without resubmitting
-        return replies
+        completed = await svc.drain()
+        return replies, completed
 
-    replies = run_async(scenario())
-    assert [code for code, _ in replies] == [500] * 3
+    replies, completed = run_async(scenario())
+    assert [code for code, _ in replies] == [500] * 6
     assert all(p["error"]["type"] == "RuntimeError" for _, p in replies)
+    assert sched.jobs_run == 3  # one per leader; followers shared its failure
+    assert completed
 
 
 # ---------------------------------------------------------------------- #
@@ -306,22 +370,6 @@ def test_backpressure_rejects_beyond_max_inflight():
     assert svc.rejected == 4 and svc.requests == 6
 
 
-def test_reject_code_429():
-    sched = FakeScheduler(delay=0.3)
-
-    async def scenario():
-        svc = make_service(sched, max_inflight=1, reject_code=429)
-        await svc.start()
-        replies = await asyncio.gather(
-            *(svc.handle(solve_body(seed=s)) for s in range(2))
-        )
-        await svc.drain()
-        return replies
-
-    codes = sorted(code for code, _ in run_async(scenario()))
-    assert codes == [200, 429]
-
-
 def test_graceful_drain_completes_inflight_then_refuses():
     sched = FakeScheduler(delay=0.25)
 
@@ -342,6 +390,26 @@ def test_graceful_drain_completes_inflight_then_refuses():
     assert all(code == 200 and p["ok"] for code, p in replies)  # finished
     assert late_code == 503 and late["error"]["type"] == "Draining"
     assert sched.closed  # worker pool released
+
+
+def test_drain_waits_for_a_timed_out_leader_then_closes():
+    """A 504 answers the requester, but the shielded solve goes on and
+    fills the cache: drain returns only after it, and closes the pool
+    last."""
+    sched = FakeScheduler(delay=0.4)
+
+    async def scenario():
+        svc = make_service(sched)
+        await svc.start()
+        code, _ = await svc.handle(solve_body(seed=1, timeout=0.05))
+        events_at_504 = list(sched.events)
+        completed = await svc.drain(timeout=10)
+        return code, events_at_504, completed
+
+    code, events_at_504, completed = run_async(scenario())
+    assert code == 504 and "ran" not in events_at_504  # still solving
+    assert completed
+    assert sched.events == ["run", "ran", "close"]
 
 
 def test_per_request_timeout_504():
@@ -376,21 +444,6 @@ def test_protocol_error_is_400_and_does_not_occupy_a_slot():
     assert sched.jobs_run == 0
 
 
-def test_batcher_rejects_after_drain():
-    sched = FakeScheduler()
-
-    async def scenario():
-        batcher = MicroBatcher(sched, max_delay=0.01)
-        batcher.start()
-        spec = parse_solve(solve_body()).spec
-        await batcher.submit(spec)
-        await batcher.drain()
-        with pytest.raises(RuntimeError):
-            await batcher.submit(spec)
-
-    run_async(scenario())
-
-
 # ---------------------------------------------------------------------- #
 # End to end: HTTP
 # ---------------------------------------------------------------------- #
@@ -420,9 +473,7 @@ def http_get(base: str, path: str) -> tuple[int, str]:
 
 def test_http_end_to_end(tmp_path):
     async def scenario():
-        svc = SolverService(
-            workers=1, cache=str(tmp_path / "cache"), batch_delay=0.02
-        )
+        svc = SolverService(workers=1, cache=str(tmp_path / "cache"))
         await svc.start()
         server = await svc.start_http(port=0)
         base = f"http://127.0.0.1:{server.sockets[0].getsockname()[1]}"
