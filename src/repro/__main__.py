@@ -216,12 +216,14 @@ def cmd_batch(args) -> int:
             timeout=args.timeout,
             retries=args.retries,
             cache=cache,
-            store=args.store_dir,  # None -> follow REPRO_GRAPH_STORE
+            store=args.store_dir,  # None -> REPRO_GRAPH_STORE, else private
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    batch = sched.run(specs)
+    with sched:
+        batch = sched.run(specs)
+        store_root = sched.store.root
     st = batch.stats
     for r in batch.results:
         mark = "HIT " if r.cache_hit else ("ok  " if r.ok else r.status[:4])
@@ -236,13 +238,10 @@ def cmd_batch(args) -> int:
     print(f"  wall time: {st.wall_time:.3f}s ({st.jobs_per_second:.1f} jobs/s)")
     print(f"  cache hits: {st.cache_hits}/{st.total} "
           f"({st.cache_hit_rate:.0%})")
-    print(f"  shipped: {st.bytes_shipped} bytes to workers")
-    if sched.store is not None:
-        line = (f"  store: {st.store_hits} hits, {st.store_misses} built "
-                f"({sched.store.root})")
-        if st.store_fallbacks:
-            line += f", {st.store_fallbacks} shard fallbacks (!)"
-        print(line)
+    line = f"  store: {st.store_hits} hits, {st.store_misses} built ({store_root})"
+    if st.store_fallbacks:
+        line += f", {st.store_fallbacks} shard fallbacks (!)"
+    print(line)
 
     if args.out:
         with open(args.out, "w") as fh:
@@ -405,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--no-cache", action="store_true",
                        help="disable the result cache for this run")
     batch.add_argument("--store-dir", type=str, default=None,
-                       help="out-of-core graph store directory; workers mmap "
-                            "CSR shards instead of receiving pickled npz "
-                            "buffers (default: REPRO_GRAPH_STORE if set)")
+                       help="out-of-core graph store directory workers mmap "
+                            "CSR shards from (default: REPRO_GRAPH_STORE if "
+                            "set, else a temporary store removed at exit)")
     batch.add_argument("--out", type=str, default=None,
                        help="write per-job JobResult JSONL to a file")
     batch.add_argument("--json", type=str, default=None,

@@ -37,8 +37,6 @@ from .coloring import (
 from .io import (
     graph_fingerprint,
     graph_fingerprint_stream,
-    graph_from_npz_bytes,
-    graph_to_npz_bytes,
     read_edge_list,
     write_edge_list,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "gnp_random_graph",
     "graph_fingerprint",
     "graph_fingerprint_stream",
-    "graph_from_npz_bytes",
-    "graph_to_npz_bytes",
     "grid_graph",
     "hop_pattern",
     "hypercube_graph",

@@ -189,12 +189,11 @@ class Graph:
     ) -> "Graph":
         """Rebuild a graph from previously exported canonical + CSR arrays.
 
-        This is the zero-copy fast path used when CSR buffers round-trip
-        through npz (see :mod:`repro.graphs.io`): it skips the O(m log m)
-        canonicalisation sort that :meth:`from_edges` performs.  With
-        ``validate=True`` (default) the buffers are checked for structural
-        consistency in O(n + m); pass ``validate=False`` only for buffers
-        this library itself produced.
+        This is the zero-copy fast path :meth:`from_mmap` opens stored
+        graphs through: it skips the O(m log m) canonicalisation sort that
+        :meth:`from_edges` performs.  With ``validate=True`` (default) the
+        buffers are checked for structural consistency in O(n + m); pass
+        ``validate=False`` only for buffers this library itself produced.
         """
         u = _owned_int64(edges_u)
         v = _owned_int64(edges_v)

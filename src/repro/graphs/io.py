@@ -1,18 +1,16 @@
-"""Graph I/O: edge lists, npz packing, and content fingerprints.
+"""Graph I/O: edge lists and content fingerprints.
 
 Plain-text edge lists (one ``u v`` pair per line, ``#`` comments) are the
-de-facto SNAP/DIMACS-lite interchange format.  The npz helpers pack a graph's
-canonical arrays into a byte buffer for shipping to worker processes, and
-:func:`graph_fingerprint` derives a stable content digest from the same
-canonical arrays — two graphs with identical edge sets hash identically
-regardless of how they were constructed, which is what makes the runtime's
-result cache content-addressed.
+de-facto SNAP/DIMACS-lite interchange format.  :func:`graph_fingerprint`
+derives a stable content digest from a graph's canonical edge arrays — two
+graphs with identical edge sets hash identically regardless of how they
+were constructed, which is what makes the runtime's result cache and the
+graph store content-addressed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +20,6 @@ from .graph import Graph
 __all__ = [
     "graph_fingerprint",
     "graph_fingerprint_stream",
-    "graph_from_npz_bytes",
-    "graph_to_npz_bytes",
     "packed_arc_plane",
     "read_edge_list",
     "write_edge_list",
@@ -78,51 +74,6 @@ def graph_fingerprint_stream(n: int, u_chunks, v_chunks) -> str:
     for chunk in v_chunks:
         h.update(np.ascontiguousarray(chunk, dtype="<i8").tobytes())
     return h.hexdigest()
-
-
-def graph_to_npz_bytes(g: Graph, *, include_csr: bool = False) -> bytes:
-    """Pack a graph into compressed npz bytes (for worker shipping / caching).
-
-    With ``include_csr=True`` the CSR adjacency buffers ride along, so the
-    receiving side reconstructs the graph through the
-    :meth:`Graph.from_csr_arrays` fast path instead of re-running the
-    O(m log m) canonicalisation sort per job.  The fingerprint is unaffected
-    (it is content-addressed on the canonical edge arrays only).
-    """
-    buf = io.BytesIO()
-    arrays = {
-        "n": np.asarray(g.n, dtype=np.int64),
-        "edges_u": g.edges_u,
-        "edges_v": g.edges_v,
-    }
-    if include_csr:
-        arrays["indptr"] = g.indptr
-        arrays["indices"] = g.indices
-        arrays["arc_edge_ids"] = g.arc_edge_ids
-    np.savez_compressed(buf, **arrays)
-    return buf.getvalue()
-
-
-def graph_from_npz_bytes(data: bytes) -> Graph:
-    """Inverse of :func:`graph_to_npz_bytes`.
-
-    Buffers that carry CSR arrays take the validated
-    :meth:`Graph.from_csr_arrays` fast path; plain edge-list buffers
-    rebuild adjacency via :meth:`Graph.from_edges`.
-    """
-    with np.load(io.BytesIO(data)) as z:
-        n = int(z["n"])
-        if "indptr" in z.files:
-            return Graph.from_csr_arrays(
-                n,
-                z["edges_u"],
-                z["edges_v"],
-                z["indptr"],
-                z["indices"],
-                z["arc_edge_ids"],
-            )
-        edges = np.stack([z["edges_u"], z["edges_v"]], axis=1)
-    return Graph.from_edges(n, edges)
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

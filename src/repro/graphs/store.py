@@ -1,13 +1,11 @@
 """Out-of-core graph store: disk-backed, memory-mapped CSR shards.
 
-The runtime's batch suites were capped around ``n ~ 3200`` because every
-job regenerated its input in RAM and the scheduler pickled full npz buffers
-into each worker payload.  This module is the other half of the paper's
-low-space story applied to the harness itself: graphs are built *once*,
-shard by row range, into plain ``.npy`` files that workers open with
-``np.load(mmap_mode="r")`` — so an n = 10^6 sweep ships a fingerprint
-instead of a buffer, and peak RSS is bounded by the OS page cache, not the
-materialised edge list.
+This module is the other half of the paper's low-space story applied to
+the harness itself: no process needs to hold a whole input.  Graphs are
+built *once*, shard by row range, into plain ``.npy`` files that workers
+open with ``np.load(mmap_mode="r")`` — every runtime job ships a
+fingerprint instead of a buffer, and peak RSS is bounded by the OS page
+cache, not the materialised edge list.
 
 Layout under ``root`` (content-addressed, mirroring
 :class:`~repro.runtime.cache.ResultCache` conventions)::
@@ -578,6 +576,16 @@ class GraphStore:
             nbytes=self._lru[key],
         )
 
+    def lookup(self, key: str) -> StoredGraphInfo | None:
+        """``key``'s info as a hit, refreshed as most recently used; ``None``
+        when the store does not hold it (nothing is built either way)."""
+        if key not in self._lru or not self._meta_path(key).exists():
+            return None
+        info = replace(self.info(key), hit=True)
+        self._lru.move_to_end(key)
+        self._append({"op": "touch", "key": key})
+        return info
+
     def open(self, key: str, *, validate: bool = False) -> Graph:
         """Open a stored graph (mmap) and refresh its LRU position."""
         if key not in self._lru:
@@ -684,12 +692,10 @@ class GraphStore:
             )
         )
         key = self._sources.get(digest)
-        if key is not None and key in self._lru and self._meta_path(key).exists():
+        info = self.lookup(key) if key is not None else None
+        if info is not None:
             METRICS.inc("store.shard_hits")
-            info = self.info(key)
-            self._lru.move_to_end(key)
-            self._append({"op": "touch", "key": key})
-            return replace(info, hit=True)
+            return info
         METRICS.inc("store.shard_misses")
         blocks = stream_blocks(name, **args)
         info = self.put_stream(

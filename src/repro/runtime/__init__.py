@@ -16,7 +16,7 @@ included, runs in one worker process.
 """
 
 from .cache import CacheEntry, CacheStats, ResultCache
-from .scheduler import BatchResult, BatchStats, JobResult, ResolvedSource, Scheduler
+from .scheduler import BatchResult, BatchStats, JobResult, Scheduler
 from .suites import (
     WorkloadSuite,
     build_suite,
@@ -32,7 +32,6 @@ __all__ = [
     "CacheEntry",
     "CacheStats",
     "JobResult",
-    "ResolvedSource",
     "ResultCache",
     "Scheduler",
     "WorkloadSuite",

@@ -2,16 +2,14 @@
 
 The scheduler owns the whole batch lifecycle:
 
-1. **Resolve** each distinct graph source once in the parent.  Without a
-   graph store this means generate/read and fingerprint; the npz buffer is
-   packed only when a job on that source misses the cache, once per run —
-   N jobs on the same input ship one buffer, never re-generate per
-   worker.  With a :class:`~repro.graphs.store.GraphStore` configured
-   (``store=`` or ``REPRO_GRAPH_STORE``), resolution instead *ensures the
-   graph exists on disk* — streaming-capable generators build mmap-ready
-   CSR shards without materialising the edge list in this process — and
-   jobs ship a store key; workers mmap the shards directly, so per-job
-   dispatch cost drops from O(m) pickled bytes to O(1).
+1. **Resolve** each distinct graph source once in the parent into the
+   :class:`~repro.graphs.store.GraphStore`: the directory ``store=`` or
+   ``REPRO_GRAPH_STORE`` names, or else a private temporary store that
+   :meth:`Scheduler.close` removes.  Resolution *ensures the graph exists
+   on disk* — streaming-capable generators build mmap-ready CSR shards
+   without materialising the edge list in this process, and a source
+   already stored builds nothing.  Every job ships the store key
+   ``(graph_store, fingerprint)``, and workers mmap the shards directly.
 2. **Serve from cache**: jobs whose ``cache_key`` (graph fingerprint x solve
    digest) is already stored come back instantly as ``cache_hit`` results.
 3. **Fan out** the misses over a ``ProcessPoolExecutor``; each worker call
@@ -31,15 +29,15 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..api import SolveRequest
-from ..graphs.graph import Graph
-from ..graphs.io import graph_fingerprint, graph_to_npz_bytes
+from ..graphs.io import graph_fingerprint
 from ..graphs.source import GraphSource
 from ..graphs.store import GraphStore, StoredGraphInfo
 from ..graphs.streaming import STREAMING_GENERATORS
@@ -48,7 +46,11 @@ from ..obs.metrics import METRICS
 from .cache import ResultCache
 from .worker import run_job, warm_worker
 
-__all__ = ["BatchResult", "BatchStats", "JobResult", "ResolvedSource", "Scheduler"]
+__all__ = ["BatchResult", "BatchStats", "JobResult", "Scheduler"]
+
+#: Disk budget of a private store (a scheduler given no store directory).
+#: It bounds a long-lived service: a fresh n <= 1000 graph takes 80-200 KB.
+PRIVATE_STORE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -99,39 +101,6 @@ class JobResult:
         return JobResult.from_dict(json.loads(s))
 
 
-@dataclass
-class ResolvedSource:
-    """One distinct input, resolved: identity + how workers will load it.
-
-    Exactly one of ``npz`` (pickled buffer rides in each payload) or
-    ``store_root`` (workers mmap shards from the store) is used.  An npz
-    resolution keeps the resolved ``graph`` and packs it on the first
-    payload that needs it (:meth:`packed`), so a run whose jobs all hit
-    the cache never compresses its input.
-    """
-
-    fingerprint: str
-    n: int
-    m: int
-    npz: bytes | None = None
-    store_root: str | None = None
-    store_hit: bool = False
-    graph: Graph | None = field(default=None, repr=False, compare=False)
-
-    def packed(self) -> bytes:
-        """The npz buffer (CSR included), packed from ``graph`` once."""
-        if self.npz is None:
-            self.npz = graph_to_npz_bytes(self.graph, include_csr=True)
-            self.graph = None
-        return self.npz
-
-    @property
-    def payload_bytes(self) -> int:
-        """Graph bytes shipped per job payload under this resolution."""
-        if self.store_root is not None:
-            return len(self.store_root) + len(self.fingerprint)
-        return len(self.packed())
-
 #: JobResult fields the worker payload / cache entry carries verbatim.
 _PAYLOAD_FIELDS = (
     "wall_time",
@@ -166,9 +135,6 @@ class BatchStats:
     retries_used: int = 0
     wall_time: float = 0.0
     workers: int = 1
-    #: Graph payload bytes handed to the pool across all submissions
-    #: (npz buffers, or store key strings when a graph store is active).
-    bytes_shipped: int = 0
     #: Distinct sources served from / built into the graph store.
     store_hits: int = 0
     store_misses: int = 0
@@ -196,7 +162,6 @@ class BatchStats:
             "wall_time": self.wall_time,
             "jobs_per_second": self.jobs_per_second,
             "workers": self.workers,
-            "bytes_shipped": self.bytes_shipped,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
             "store_fallbacks": self.store_fallbacks,
@@ -256,11 +221,12 @@ class Scheduler:
         rides inside the result payload, so it lands next to the cached
         arrays); ``None`` follows the parent's ``REPRO_TRACE`` setting.
     store:
-        Optional out-of-core graph store: a :class:`GraphStore`, a
-        directory path, or ``None`` to follow ``REPRO_GRAPH_STORE``
-        (unset = npz shipping, the historical path).  When active, distinct
-        sources resolve to on-disk CSR shards once and every job ships a
-        store key instead of a pickled buffer.
+        The out-of-core graph store every job's graph reaches its worker
+        through: a :class:`GraphStore`, a directory path, or ``None`` to
+        follow ``REPRO_GRAPH_STORE``.  With that unset too, the scheduler
+        keeps a private store in a ``repro-graphs-*`` temporary directory
+        (under ``TMPDIR``) with a :data:`PRIVATE_STORE_BYTES` budget, and
+        :meth:`close` removes it.
     persistent:
         ``True`` keeps one ``ProcessPoolExecutor`` alive across ``run``
         calls instead of forking a fresh pool per batch — the always-on
@@ -298,7 +264,11 @@ class Scheduler:
         if store is None:
             # The deployment's store directory; empty means unset.
             store = os.environ.get("REPRO_GRAPH_STORE") or None
-        if store is not None and not isinstance(store, GraphStore):
+        self._private_dir: tempfile.TemporaryDirectory | None = None
+        if store is None:
+            self._private_dir = tempfile.TemporaryDirectory(prefix="repro-graphs-")
+            store = GraphStore(self._private_dir.name, max_bytes=PRIVATE_STORE_BYTES)
+        elif not isinstance(store, GraphStore):
             store = GraphStore(store)
         self.store = store
         self.persistent = persistent
@@ -340,11 +310,14 @@ class Scheduler:
             fut.result()
 
     def close(self) -> None:
-        """Shut down a persistent pool (no-op otherwise / when already closed)."""
+        """End the scheduler: shut down a persistent pool and remove a
+        private store (idempotent)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+        if self._private_dir is not None:
+            self._private_dir.cleanup()
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -358,22 +331,9 @@ class Scheduler:
 
     def _resolve_sources(
         self, requests: list[SolveRequest]
-    ) -> dict[GraphSource, ResolvedSource | Exception]:
-        """Resolve each distinct source once into a :class:`ResolvedSource`.
-
-        Without a store, the npz payload carries the CSR adjacency buffers,
-        so every worker reconstructs the graph through the validated
-        :meth:`~repro.graphs.graph.Graph.from_csr_arrays` fast path instead
-        of re-sorting the edge list once per job.
-
-        With a store, generator sources with streaming variants build CSR
-        shards straight to disk (never materialising the edge list in this
-        process); other sources materialise once and are put into the
-        store.  Either way the jobs then ship only the store key.  Store
-        resolution holds the scheduler's store lock, so concurrent runs
-        never write the store at once.
-        """
-        resolved: dict[GraphSource, ResolvedSource | Exception] = {}
+    ) -> dict[GraphSource, StoredGraphInfo | Exception]:
+        """Resolve each distinct source once into the store."""
+        resolved: dict[GraphSource, StoredGraphInfo | Exception] = {}
         for request in requests:
             if request.source in resolved:
                 continue
@@ -383,28 +343,24 @@ class Scheduler:
                 resolved[request.source] = exc
         return resolved
 
-    def _resolve_one(self, source: GraphSource) -> ResolvedSource:
-        if self.store is not None:
-            with self._store_lock:
-                info = self._store_source(source)
-            return ResolvedSource(
-                fingerprint=info.fingerprint,
-                n=info.n,
-                m=info.m,
-                store_root=os.fspath(self.store.root),
-                store_hit=info.hit,
-            )
-        g = source.resolve()
-        return ResolvedSource(fingerprint=graph_fingerprint(g), n=g.n, m=g.m, graph=g)
+    def _resolve_one(self, source: GraphSource) -> StoredGraphInfo:
+        """The stored graph of ``source``, built only when the store lacks it.
 
-    def _store_source(self, source: GraphSource) -> StoredGraphInfo:
-        if source.kind == "generator" and source.name in STREAMING_GENERATORS:
-            return self.store.ensure_generator(
-                source.name, dict(source.args), label=source.label()
+        Generators with streaming variants build CSR shards straight to disk
+        (never materialising the edge list here), and a repeat call is a
+        source-map lookup that generates nothing.  Other sources are
+        resolved and fingerprinted, then built only on a store miss.  The
+        store lock keeps one writer while concurrent runs resolve.
+        """
+        with self._store_lock:
+            if source.kind == "generator" and source.name in STREAMING_GENERATORS:
+                return self.store.ensure_generator(
+                    source.name, dict(source.args), label=source.label()
+                )
+            g = source.resolve()
+            return self.store.lookup(graph_fingerprint(g)) or self.store.put_graph(
+                g, source=source.label()
             )
-        g = source.resolve()
-        hit = graph_fingerprint(g) in self.store
-        return replace(self.store.put_graph(g, source=source.label()), hit=hit)
 
     # ------------------------------------------------------------------ #
     # Batch execution
@@ -426,8 +382,8 @@ class Scheduler:
         results: list[JobResult | None] = [None] * len(requests)
         resolved = self._resolve_sources(requests)
         for res in resolved.values():
-            if isinstance(res, ResolvedSource) and res.store_root is not None:
-                if res.store_hit:
+            if isinstance(res, StoredGraphInfo):
+                if res.hit:
                     stats.store_hits += 1
                 else:
                     stats.store_misses += 1
@@ -494,24 +450,17 @@ class Scheduler:
         stats: BatchStats,
     ) -> None:
         attempts = {idx: 0 for idx in pending}
+        store_root = os.fspath(self.store.root)
 
         def make_payload(idx: int) -> dict:
             request = requests[idx]
-            desc: ResolvedSource = resolved[request.source]
-            payload = {
+            return {
                 "spec": request.to_dict(),
-                "fingerprint": desc.fingerprint,
+                "graph_store": store_root,
+                "fingerprint": resolved[request.source].fingerprint,
                 "timeout": self.timeout,
                 "trace": self.trace,
             }
-            if desc.store_root is not None:
-                payload["graph_store"] = desc.store_root
-            else:
-                payload["graph_npz"] = desc.packed()
-            shipped = desc.payload_bytes
-            stats.bytes_shipped += shipped
-            METRICS.inc("runtime.bytes_shipped", shipped)
-            return payload
 
         pool, owned = self._acquire_pool()
         broken = False

@@ -200,12 +200,11 @@ def _throughput_micro() -> list[SolveRequest]:
 def _large_sweep() -> list[SolveRequest]:
     # The out-of-core regime: inputs sized 10^5..10^6 nodes at constant
     # average degree 8.  These use the streaming-native block-sampled
-    # G(n, p) generator, so with a graph store configured
-    # (``REPRO_GRAPH_STORE=...`` or ``repro batch --store-dir``) the edge
-    # list is never materialised in the scheduler and workers mmap the CSR
-    # shards — without a store, the in-memory generator still works but
-    # needs RAM proportional to the edge list.  MIS only: the matching
-    # reduction builds a line graph (m nodes), which is its own frontier.
+    # G(n, p) generator, so the edge list is never materialised in the
+    # scheduler and workers mmap the CSR shards; a named store
+    # (``REPRO_GRAPH_STORE=...`` or ``repro batch --store-dir``) keeps them
+    # built across runs.  MIS only: the matching reduction builds a line
+    # graph (m nodes), which is its own frontier.
     requests = []
     for n in (100_000, 300_000, 1_000_000):
         src = GraphSource.generator("gnp_block_graph", n=n, p=8.0 / n, seed=1)

@@ -14,17 +14,12 @@ call produces the unified :class:`~repro.api.SolveResult`, and
 scheduler and cache consume.  There is no per-problem branching here —
 registering a new solver makes it batch-runnable with no worker change.
 
-The input graph arrives one of three ways: a ``graph_store`` root plus
-fingerprint (the worker mmaps the store's CSR shards read-only — zero-copy,
-page-cache bounded; any open failure falls back to regenerating from the
-request's source with a structured ``store_fallback`` warning in the result
-meta, never a job failure), pickled-npz bytes (packed once by the
-scheduler, so N jobs on the same graph ship one buffer each without
-re-generating), or neither, and the request's
-:class:`~repro.graphs.source.GraphSource` is resolved locally.
-Scheduler-packed buffers include the CSR adjacency arrays, so
-``graph_from_npz_bytes`` takes the ``Graph.from_csr_arrays`` fast path and
-workers never re-run the O(m log m) adjacency build per job.
+The input graph arrives as a ``graph_store`` root plus fingerprint: the
+worker mmaps the store's CSR shards read-only (zero-copy, page-cache
+bounded, no O(m log m) adjacency build per job).  Any open failure falls
+back to regenerating from the request's
+:class:`~repro.graphs.source.GraphSource`, with a structured
+``store_fallback`` warning in the result meta — never a job failure.
 """
 
 from __future__ import annotations
@@ -36,10 +31,8 @@ import traceback
 
 from ..api import SolveRequest, SolveResult, solve
 from ..graphs.graph import Graph
-from ..graphs.io import graph_fingerprint, graph_from_npz_bytes
 from ..graphs.store import open_stored_graph
 from ..obs import trace as _obs
-from ..obs.metrics import METRICS
 
 __all__ = [
     "load_job_graph",
@@ -97,41 +90,37 @@ def payload_from_solve_result(result: SolveResult) -> dict:
 def load_job_graph(
     request: SolveRequest, payload: dict
 ) -> tuple[Graph, dict | None]:
-    """Load a job's input per the payload's shipping mode.
+    """Open a job's input from the graph store the payload names.
 
     Returns ``(graph, fallback)`` where ``fallback`` is a structured
-    ``store_fallback`` record when a store-backed open failed and the graph
-    was regenerated from the request's source instead — the degraded path
-    is a warning in the result meta, not a job failure.
+    ``store_fallback`` record when the open failed and the graph was
+    regenerated from the request's source instead — the degraded path is a
+    warning in the result meta, not a job failure.  The parent counts it
+    (``store.fallbacks``) when the result comes back.
     """
-    store_root = payload.get("graph_store")
-    npz = payload.get("graph_npz")
-    if store_root is not None:
-        try:
-            graph = open_stored_graph(store_root, payload["fingerprint"])
-            return graph, None
-        except Exception as exc:  # noqa: BLE001 - corrupt/missing shard
-            METRICS.inc("store.fallbacks")
-            fallback = {
-                "fingerprint": payload.get("fingerprint", ""),
-                "store_root": str(store_root),
-                "error_type": type(exc).__name__,
-                "error_message": str(exc),
-            }
-            return request.source.resolve(), fallback
-    if npz is not None:
-        return graph_from_npz_bytes(npz), None
-    return request.source.resolve(), None
+    store_root, fingerprint = payload["graph_store"], payload["fingerprint"]
+    try:
+        return open_stored_graph(store_root, fingerprint), None
+    except JobTimeout:
+        raise  # the job's budget ran out mid-open: a timeout, not a bad shard
+    except Exception as exc:  # noqa: BLE001 - corrupt/missing shard
+        fallback = {
+            "fingerprint": fingerprint,
+            "store_root": str(store_root),
+            "error_type": type(exc).__name__,
+            "error_message": str(exc),
+        }
+        return request.source.resolve(), fallback
 
 
 def run_job(payload: dict) -> dict:
     """Pool entry point: execute one job described by ``payload``.
 
-    ``payload`` keys: ``spec`` (a :meth:`SolveRequest.to_dict`), one of
-    ``graph_store`` (store root; mmap by ``fingerprint``) / ``graph_npz``
-    (bytes) / neither (resolve the source locally), ``timeout`` (seconds
-    or None).  Always returns a dict with a ``status`` of ``"ok"``,
-    ``"error"`` or ``"timeout"`` — never raises.
+    ``payload`` keys: ``spec`` (a :meth:`SolveRequest.to_dict`),
+    ``graph_store`` (the store root) and ``fingerprint`` (the graph's key
+    in it), ``timeout`` (seconds or None) and ``trace``.  Always returns a
+    dict with a ``status`` of ``"ok"``, ``"error"`` or ``"timeout"`` —
+    never raises.
     """
     t0 = time.perf_counter()
     out: dict = {"status": "ok", "worker_pid": os.getpid(), "fingerprint": ""}
@@ -144,7 +133,7 @@ def run_job(payload: dict) -> dict:
     try:
         request = SolveRequest.from_dict(payload["spec"])
         graph, fallback = load_job_graph(request, payload)
-        out["fingerprint"] = payload.get("fingerprint") or graph_fingerprint(graph)
+        out["fingerprint"] = payload["fingerprint"]
         out["graph_n"], out["graph_m"] = graph.n, graph.m
         if payload.get("trace"):
             # Capture regardless of the worker's environment; solve()

@@ -9,7 +9,7 @@ Three modes off one flag set:
 ``repro serve --stdio``
     Speak JSON lines on stdin/stdout instead — the embedding shape
     (drive the service as a subprocess without opening a port).  EOF on
-    stdin drains and exits.
+    stdin, SIGTERM or SIGINT drains and exits.
 ``repro serve --demo``
     Start on an ephemeral port, fire a few identical concurrent requests
     at itself over real HTTP, print what came back (including how many
@@ -39,15 +39,29 @@ def _build_service(args) -> SolverService:
         job_timeout=args.job_timeout,
         retries=args.retries,
         cache=cache,
-        store=args.store_dir,  # None -> follow REPRO_GRAPH_STORE
+        store=args.store_dir,  # None -> REPRO_GRAPH_STORE, else private
         max_inflight=args.max_inflight,
         request_timeout=args.request_timeout,
     )
 
 
+def _on_signals(callback) -> None:
+    """Run ``callback`` on SIGTERM / SIGINT.
+
+    Install it after ``service.start()`` has forked the worker pool, so the
+    workers keep the default disposition, and before the service is
+    announced, so a signal sent on the ready line already drains.
+    """
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(sig, callback)
+
+
 async def _serve_http(args) -> int:
     service = _build_service(args)
     await service.start()
+    stop = asyncio.Event()
+    _on_signals(stop.set)
     server = await service.start_http(args.host, args.port)
     port = server.sockets[0].getsockname()[1]
     print(
@@ -56,10 +70,6 @@ async def _serve_http(args) -> int:
         f"solvers={len(service.solvers())})",
         flush=True,
     )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(sig, stop.set)
     await stop.wait()
     print("repro serve: draining ...", flush=True)
     server.close()
@@ -77,6 +87,9 @@ async def _serve_stdio(args) -> int:
     service = _build_service(args)
     await service.start()
     reader, writer = await stdio_streams()
+    # A signal ends the read loop the way EOF on stdin does: the service
+    # answers what it admitted, then drains.
+    _on_signals(reader.feed_eof)
     await service.serve_stdio(reader, writer, drain_timeout=args.drain_timeout)
     return 0
 
@@ -175,8 +188,9 @@ def add_serve_parser(sub) -> None:
     p.add_argument("--no-cache", action="store_true",
                    help="disable the result cache")
     p.add_argument("--store-dir", type=str, default=None,
-                   help="out-of-core graph store directory "
-                        "(default: REPRO_GRAPH_STORE if set)")
+                   help="out-of-core graph store directory (default: "
+                        "REPRO_GRAPH_STORE if set, else a temporary store "
+                        "removed on drain)")
     p.add_argument("--max-inflight", type=int, default=64,
                    help="admission bound before 503 (default 64)")
     p.add_argument("--request-timeout", type=float, default=None,

@@ -13,6 +13,7 @@ HTTP ``POST /solve`` body or as a JSON line on stdin::
       "overrides": {}, "options": {}, "tag": "",
       "timeout": 30.0,                   # optional per-request budget (s)
       "include_solution": false,         # ship the solution array back
+                                         # (needs the result cache)
       "id": "r-17"                       # optional correlation id (echoed)
     }
 

@@ -259,6 +259,12 @@ class SolverService:
             )
         try:
             job = parse_solve(obj)
+            if job.include_solution and self.cache is None:
+                # Solutions are read back from the cache entry the solve wrote.
+                raise ProtocolError(
+                    "'include_solution' needs the result cache, and this "
+                    "service runs without one (--no-cache)"
+                )
         except ProtocolError as exc:
             self.protocol_errors += 1
             METRICS.inc("serve.protocol_errors")
@@ -348,7 +354,7 @@ class SolverService:
 
     def _load_solution(self, job: ServeJob, result: JobResult) -> list | None:
         """Solution array for ``include_solution`` requests (cache-backed)."""
-        if self.cache is None or not result.ok or not result.fingerprint:
+        if not result.ok or not result.fingerprint:
             return None
         entry = self.cache.get(job.spec.cache_key(result.fingerprint))
         if entry is None:
@@ -568,10 +574,24 @@ def _json_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
+class _StdinReader(asyncio.StreamReader):
+    """Stdin as a stream.  Ending it early (``repro serve --stdio`` feeds
+    EOF on SIGTERM / SIGINT) also stops reading the pipe, so input that
+    arrives during the drain stays unread instead of being fed after EOF."""
+
+    def set_transport(self, transport) -> None:
+        super().set_transport(transport)
+        self._pipe = transport
+
+    def feed_eof(self) -> None:
+        super().feed_eof()
+        self._pipe.pause_reading()
+
+
 async def stdio_streams() -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     """Wrap this process's stdin/stdout as asyncio streams (CLI plumbing)."""
     loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
+    reader = _StdinReader()
     await loop.connect_read_pipe(
         lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
     )

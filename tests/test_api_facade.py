@@ -479,8 +479,8 @@ def test_cmd_solve_unknown_problem_is_friendly(capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
-def test_worker_payload_round_trips_jobresult():
-    from repro.graphs.io import graph_to_npz_bytes
+def test_worker_payload_round_trips_jobresult(tmp_path):
+    from repro.graphs import GraphStore
     from repro.runtime.worker import run_job
 
     spec = SolveRequest(
@@ -489,10 +489,18 @@ def test_worker_payload_round_trips_jobresult():
         source=GraphSource.generator("gnp_random_graph", n=40, p=0.1, seed=2),
     )
     g = spec.source.resolve()
+    fingerprint = GraphStore(tmp_path).put_graph(g).fingerprint
     out = run_job(
-        {"spec": spec.to_dict(), "graph_npz": graph_to_npz_bytes(g), "timeout": None}
+        {
+            "spec": spec.to_dict(),
+            "graph_store": str(tmp_path),
+            "fingerprint": fingerprint,
+            "timeout": None,
+            "trace": False,
+        }
     )
     assert out["status"] == "ok"
+    assert "store_fallback" not in out.get("meta", {})
     assert out["result_meta"]["kind"] == "solve_result"
     res = SolveResult.from_payload(out["result_meta"], out["arrays"])
     legacy = cc_mis(g)

@@ -282,7 +282,13 @@ def test_batch_requires_suite(capsys):
 
 
 def test_batch_runs_suite_and_caches(tmp_path, capsys, monkeypatch):
+    import tempfile
+
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_GRAPH_STORE", raising=False)
+    # The directory TMPDIR names: the run's private graph store goes there.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
     cache_dir = str(tmp_path / "cache")
     json_path = str(tmp_path / "batch.json")
     args = ["batch", "--suite", "throughput-micro", "--workers", "2",
@@ -292,6 +298,8 @@ def test_batch_runs_suite_and_caches(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "20/20 ok" in out
     assert "cache hits: 0/20" in out
+    assert "store: 0 hits, 10 built" in out
+    assert list((tmp_path / "tmp").glob("repro-graphs-*")) == []
 
     import json as _json
 

@@ -1,17 +1,11 @@
-"""CSR adjacency backend: lazy build, cache/invalidation, npz round-trip."""
+"""CSR adjacency backend: lazy build, cache/invalidation, CSR-array rebuild."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.graphs import (
-    Graph,
-    gnp_random_graph,
-    graph_fingerprint,
-    graph_from_npz_bytes,
-    graph_to_npz_bytes,
-)
+from repro.graphs import Graph, gnp_random_graph
 
 
 @pytest.fixture
@@ -142,41 +136,3 @@ def test_from_csr_arrays_empty_graph():
         5, e.edges_u, e.edges_v, e.indptr, e.indices, e.arc_edge_ids
     )
     assert h == e
-
-
-# --------------------------------------------------------------------- #
-# npz round-trip of CSR buffers
-# --------------------------------------------------------------------- #
-
-
-def test_npz_round_trip_with_csr(g):
-    blob = graph_to_npz_bytes(g, include_csr=True)
-    h = graph_from_npz_bytes(blob)
-    assert h == g
-    assert np.array_equal(h.indptr, g.indptr)
-    assert np.array_equal(h.indices, g.indices)
-    assert np.array_equal(h.arc_edge_ids, g.arc_edge_ids)
-
-
-def test_npz_round_trip_without_csr(g):
-    h = graph_from_npz_bytes(graph_to_npz_bytes(g))
-    assert h == g
-
-
-def test_npz_csr_payload_is_larger_but_same_fingerprint(g):
-    plain = graph_to_npz_bytes(g)
-    with_csr = graph_to_npz_bytes(g, include_csr=True)
-    assert len(with_csr) > len(plain)
-    assert graph_fingerprint(graph_from_npz_bytes(plain)) == graph_fingerprint(
-        graph_from_npz_bytes(with_csr)
-    )
-
-
-def test_npz_csr_round_trip_solves_identically(g):
-    from repro.baselines.luby import luby_mis_randomized
-
-    h = graph_from_npz_bytes(graph_to_npz_bytes(g, include_csr=True))
-    a = luby_mis_randomized(g, 5)
-    b = luby_mis_randomized(h, 5)
-    assert np.array_equal(a.solution, b.solution)
-    assert a.edge_trace == b.edge_trace

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.graphs.store as store_module
 import repro.runtime.scheduler as scheduler_module
 from repro.api import SolveRequest
 from repro.graphs import GraphSource, GraphStore
@@ -150,24 +151,32 @@ def test_cache_rerun_hits_without_recompute(tmp_path):
 
 
 def test_warm_rerun_packs_no_graph(tmp_path, monkeypatch):
-    """The npz buffer is packed only for a job that misses the cache, once
-    per source per run: a warm re-run never compresses its inputs."""
-    packed = []
-    pack = scheduler_module.graph_to_npz_bytes
+    """With no store directory named, the scheduler keeps a private store:
+    a source's shards are built once, a warm re-run resolves every source
+    as a store hit and builds nothing, and ``close()`` removes the store."""
+    monkeypatch.delenv("REPRO_GRAPH_STORE", raising=False)
+    built = []
+    build = store_module.build_csr_shards
 
-    def spy(g, **kw):
-        packed.append(g.n)
-        return pack(g, **kw)
+    def spy(out_dir, n, blocks, **kw):
+        built.append(n)
+        return build(out_dir, n, blocks, **kw)
 
-    monkeypatch.setattr(scheduler_module, "graph_to_npz_bytes", spy)
+    monkeypatch.setattr(store_module, "build_csr_shards", spy)
     src = GraphSource.generator("gnp_random_graph", n=50, p=0.1, seed=0)
     specs = [SolveRequest(p, source=src) for p in ("mis", "matching")]
-    sched = Scheduler(workers=1, cache=ResultCache(tmp_path))
-    assert sched.run(specs).all_ok
-    assert packed == [50]  # two misses on one source: one buffer
-    warm = sched.run(specs)
-    assert warm.stats.cache_hits == 2 and warm.stats.bytes_shipped == 0
-    assert packed == [50]
+    with Scheduler(workers=1, cache=ResultCache(tmp_path)) as sched:
+        root = sched.store.root
+        assert root.name.startswith("repro-graphs-")
+        cold = sched.run(specs)
+        assert cold.all_ok
+        assert built == [50]  # two misses on one source: one build
+        assert (cold.stats.store_hits, cold.stats.store_misses) == (0, 1)
+        warm = sched.run(specs)
+    assert warm.stats.cache_hits == 2
+    assert (warm.stats.store_hits, warm.stats.store_misses) == (1, 0)
+    assert built == [50]
+    assert not root.exists()
 
 
 def test_concurrent_runs_share_one_pool_and_one_store_writer(tmp_path, monkeypatch):

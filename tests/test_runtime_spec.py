@@ -21,8 +21,6 @@ from repro.graphs import (
     GraphSource,
     gnp_random_graph,
     graph_fingerprint,
-    graph_from_npz_bytes,
-    graph_to_npz_bytes,
     write_edge_list,
 )
 from repro.runtime import JobResult
@@ -187,7 +185,7 @@ def test_jobresult_json_round_trip():
 
 
 # ---------------------------------------------------------------------- #
-# Graph fingerprint + npz packing
+# Graph fingerprint
 # ---------------------------------------------------------------------- #
 
 
@@ -196,13 +194,6 @@ def test_fingerprint_distinguishes_graphs():
     b = gnp_random_graph(60, 0.1, seed=4)
     assert graph_fingerprint(a) != graph_fingerprint(b)
     assert graph_fingerprint(a) == graph_fingerprint(gnp_random_graph(60, 0.1, seed=3))
-
-
-def test_npz_round_trip_preserves_graph_and_fingerprint():
-    g = gnp_random_graph(80, 0.08, seed=9)
-    again = graph_from_npz_bytes(graph_to_npz_bytes(g))
-    assert again == g
-    assert graph_fingerprint(again) == graph_fingerprint(g)
 
 
 def test_fingerprint_byte_identical_across_processes():

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -444,6 +446,27 @@ def test_protocol_error_is_400_and_does_not_occupy_a_slot():
     assert sched.jobs_run == 0
 
 
+def test_include_solution_without_a_cache_is_400():
+    """The solution is read back from the cache entry the solve wrote: a
+    service without a cache refuses the request instead of answering 200
+    without the solution."""
+    sched = FakeScheduler()  # cache=None, like `repro serve --no-cache`
+
+    async def scenario():
+        svc = make_service(sched)
+        await svc.start()
+        refused = await svc.handle(solve_body(include_solution=True))
+        plain = await svc.handle(solve_body())
+        await svc.drain()
+        return refused, plain
+
+    (code, payload), (plain_code, _) = run_async(scenario())
+    assert code == 400 and payload["error"]["type"] == "ProtocolError"
+    assert "--no-cache" in payload["error"]["message"]
+    assert plain_code == 200
+    assert sched.jobs_run == 1  # only the plain request ran
+
+
 # ---------------------------------------------------------------------- #
 # End to end: HTTP
 # ---------------------------------------------------------------------- #
@@ -560,3 +583,105 @@ def test_stdio_end_to_end(tmp_path):
     )
     assert any(r.get("state") == "serving" for r in replies)  # the ping
     assert any("solvers" in r for r in replies)
+
+
+# ---------------------------------------------------------------------- #
+# Signals: every mode drains, and nothing outlives the service
+# ---------------------------------------------------------------------- #
+
+
+def _group_is_gone(pgid: int, timeout: float = 10.0) -> bool:
+    """True once no process is left in process group ``pgid``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def _finish(proc: subprocess.Popen) -> tuple[int, bool, str, str]:
+    """``(exit code, group emptied, stdout, stderr)`` of a ``repro serve``
+    subprocess told to stop.  Whatever its group left behind is killed
+    before the pipes are read: a leftover pool worker holds them open."""
+    try:
+        code = proc.wait(timeout=60)
+        emptied = _group_is_gone(proc.pid)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    out, err = proc.communicate()
+    return code, emptied, out, err
+
+
+def test_stdio_sigterm_drains_and_leaves_nothing(tmp_path):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--stdio",
+         "--cache-dir", str(tmp_path / "cache")],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**subprocess_env(), "TMPDIR": str(tmpdir)},
+        start_new_session=True,
+    )
+    line = json.dumps(solve_body(seed=4, n=30, id="a")) + "\n"
+    proc.stdin.write(line)
+    proc.stdin.flush()
+    answered = json.loads(proc.stdout.readline())
+    proc.send_signal(signal.SIGTERM)
+    try:  # input arriving during the drain must not be fed after EOF
+        proc.stdin.write(line)
+        proc.stdin.flush()
+    except BrokenPipeError:
+        pass
+    code, emptied, _, err = _finish(proc)
+    assert answered["ok"]
+    assert code == 0, err
+    assert emptied
+    assert "feed_data after feed_eof" not in err
+    assert list(tmpdir.glob("repro-graphs-*")) == []
+
+
+#: A ``repro serve`` whose module-level ``print`` sends SIGTERM to its own
+#: process the moment it prints the ready line.
+_TERM_ON_READY = """
+import builtins, os, signal, sys
+import repro.serve.cli as cli
+from repro.__main__ import main
+
+def print_then_term(*args, **kw):
+    builtins.print(*args, **kw)
+    if args and str(args[0]).startswith("repro serve: http://"):
+        os.kill(os.getpid(), signal.SIGTERM)
+
+cli.print = print_then_term
+sys.exit(main(["serve", "--port", "0", "--cache-dir", sys.argv[1]]))
+"""
+
+
+def test_http_sigterm_on_the_ready_line_drains(tmp_path):
+    """The handlers are installed before the ready line is printed, so a
+    SIGTERM sent as soon as it is read drains instead of killing the
+    process (and orphaning its pool worker)."""
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _TERM_ON_READY, str(tmp_path / "cache")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**subprocess_env(), "TMPDIR": str(tmpdir)},
+        start_new_session=True,
+    )
+    code, emptied, out, err = _finish(proc)
+    assert code == 0, err
+    assert "drained (clean)" in out
+    assert emptied
+    assert list(tmpdir.glob("repro-graphs-*")) == []

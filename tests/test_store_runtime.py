@@ -1,14 +1,13 @@
 """Store-backed dispatch through the batch runtime.
 
-Three contracts:
+Every job reaches its worker as a graph-store key.  Three contracts:
 
-* **Parity** — a store-backed batch produces identical results (fingerprint,
-  solution size, verification) to the historical pickled-npz path, across
-  the whole registry matrix at small n.
-* **Dispatch volume** — store keys instead of buffers: per-job shipped bytes
-  drop by far more than the 2x the bench gate asserts, and the counters
-  (``bytes_shipped``, ``store_hits`` / ``store_misses``) land in
-  ``BatchStats.to_payload``.
+* **Parity** — a batch on the scheduler's private store and one on a named
+  store both produce what ``solve()`` produces (fingerprint, solution size,
+  rounds, verification), across the whole registry matrix at small n.
+* **Dispatch** — each distinct source is built into the store once; later
+  runs resolve it as a store hit, and the counters (``store_hits`` /
+  ``store_misses``) land in ``BatchStats.to_payload``.
 * **Robustness** — a corrupt or missing shard degrades to regenerate-and-
   warn (``store_fallback`` in ``JobResult.meta``, ``store_fallbacks``
   counter), never a job failure.
@@ -17,18 +16,17 @@ Three contracts:
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
-from repro.api import SolveRequest
-from repro.graphs import GraphSource, GraphStore
+import repro.graphs.store as store_mod
+import repro.runtime.scheduler as scheduler_module
+import repro.runtime.worker as worker_module
+from repro.api import SolveRequest, solve
+from repro.graphs import GraphSource, GraphStore, graph_fingerprint
 from repro.obs.metrics import METRICS
-from repro.runtime import (
-    ResolvedSource,
-    Scheduler,
-    build_suite,
-    get_suite,
-)
+from repro.runtime import Scheduler, build_suite, get_suite
 from repro.runtime.worker import run_job
 
 
@@ -41,31 +39,35 @@ def _small_specs() -> list[SolveRequest]:
     return specs
 
 
-def _assert_batches_match(a, b):
-    assert a.all_ok, [r.error_message for r in a.failures()]
-    assert b.all_ok, [r.error_message for r in b.failures()]
-    for ra, rb in zip(a.results, b.results):
-        assert ra.fingerprint == rb.fingerprint, ra.spec.tag
-        assert ra.solution_size == rb.solution_size, ra.spec.tag
-        assert ra.rounds == rb.rounds, ra.spec.tag
-        assert ra.verified == rb.verified, ra.spec.tag
+def _assert_batch_matches_solve(batch):
+    assert batch.all_ok, [r.error_message for r in batch.failures()]
+    for r in batch.results:
+        direct = solve(r.spec)
+        assert r.fingerprint == graph_fingerprint(r.spec.source.resolve()), r.spec.tag
+        assert r.solution_size == direct.solution_size, r.spec.tag
+        assert r.rounds == direct.rounds, r.spec.tag
+        assert r.verified == direct.verified, r.spec.tag
 
 
 class TestStoreBackedParity:
-    def test_same_results_as_npz_path(self, tmp_path):
+    def test_same_results_as_npz_path(self, tmp_path, monkeypatch):
+        # The private store (no directory named) and a named one are the
+        # same path: both must give what solve() gives.
+        monkeypatch.delenv("REPRO_GRAPH_STORE", raising=False)
         specs = _small_specs()
-        base = Scheduler(workers=2).run(specs)
-        store = Scheduler(workers=2, store=GraphStore(tmp_path)).run(specs)
-        _assert_batches_match(base, store)
+        _assert_batch_matches_solve(Scheduler(workers=2).run(specs))
+        named = Scheduler(workers=2, store=GraphStore(tmp_path)).run(specs)
+        _assert_batch_matches_solve(named)
 
-    def test_registry_matrix_parity(self, tmp_path):
+    def test_registry_matrix_parity(self, tmp_path, monkeypatch):
         # Every (problem, model) entry — including the engine rows, whose
-        # arc plane is derived worker-side on the store path — must agree
-        # with the npz path bit for bit.
+        # arc plane is derived worker-side from the mmap'd shards — must
+        # agree with solve() on the in-memory graph.
+        monkeypatch.delenv("REPRO_GRAPH_STORE", raising=False)
         specs = build_suite("registry-matrix")
-        base = Scheduler(workers=2).run(specs)
-        store = Scheduler(workers=2, store=GraphStore(tmp_path)).run(specs)
-        _assert_batches_match(base, store)
+        _assert_batch_matches_solve(Scheduler(workers=2).run(specs))
+        named = Scheduler(workers=2, store=GraphStore(tmp_path)).run(specs)
+        _assert_batch_matches_solve(named)
 
     def test_non_streaming_source_goes_through_store(self, tmp_path):
         # grid_graph has no streaming variant: resolved in-memory, put into
@@ -78,26 +80,30 @@ class TestStoreBackedParity:
         assert batch.all_ok
         assert batch.results[0].fingerprint in store
 
+    def test_stored_non_streaming_source_is_not_rebuilt(self, tmp_path, monkeypatch):
+        # random_tree has no streaming variant: the second run finds its
+        # fingerprint in the store and builds no shards.
+        built = []
+        build = store_mod.build_csr_shards
+
+        def spy(out_dir, n, blocks, **kw):
+            built.append(n)
+            return build(out_dir, n, blocks, **kw)
+
+        monkeypatch.setattr(store_mod, "build_csr_shards", spy)
+        spec = SolveRequest(
+            "mis", source=GraphSource.generator("random_tree", n=300, seed=1)
+        )
+        first = Scheduler(store=GraphStore(tmp_path)).run([spec])
+        second = Scheduler(store=GraphStore(tmp_path)).run([spec])
+        assert first.all_ok and second.all_ok
+        assert built == [300]
+        assert (first.stats.store_hits, first.stats.store_misses) == (0, 1)
+        assert (second.stats.store_hits, second.stats.store_misses) == (1, 0)
+        assert second.results[0].solution_size == first.results[0].solution_size
+
 
 class TestDispatchVolume:
-    def test_store_ships_fraction_of_npz_bytes(self, tmp_path):
-        # 8 jobs on one source: the npz path ships the buffer 8 times, the
-        # store path ships 8 key strings.
-        src = GraphSource.generator("gnp_random_graph", n=400, p=0.03, seed=5)
-        specs = [
-            SolveRequest("mis", source=src, eps=0.5 + i / 100, tag=f"j{i}")
-            for i in range(8)
-        ]
-        base = Scheduler().run(specs)
-        store = Scheduler(store=GraphStore(tmp_path)).run(specs)
-        _assert_batches_match(base, store)
-        assert base.stats.bytes_shipped > 8 * 1024
-        assert store.stats.bytes_shipped * 2 < base.stats.bytes_shipped
-        payload = store.stats.to_payload()
-        assert payload["bytes_shipped"] == store.stats.bytes_shipped
-        assert payload["store_misses"] == 1
-        assert payload["store_hits"] == 0
-
     def test_second_batch_hits_store(self, tmp_path):
         specs = _small_specs()
         before = METRICS.counters_snapshot()
@@ -108,15 +114,20 @@ class TestDispatchVolume:
         assert second.stats.store_misses == 0
         assert delta.get("store.shard_hits", 0) >= 2
         assert delta.get("store.shard_misses", 0) >= 2
-        assert delta.get("runtime.bytes_shipped", 0) > 0
+        payload = second.stats.to_payload()
+        assert (payload["store_hits"], payload["store_misses"]) == (2, 0)
 
     def test_env_var_opt_in(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_STORE", str(tmp_path))
-        sched = Scheduler()
-        assert sched.store is not None
-        assert os.fspath(sched.store.root) == str(tmp_path)
+        with Scheduler() as sched:
+            assert os.fspath(sched.store.root) == str(tmp_path)
+        assert tmp_path.exists()  # a named store outlives the scheduler
         monkeypatch.delenv("REPRO_GRAPH_STORE")
-        assert Scheduler().store is None
+        with Scheduler() as sched:
+            private = sched.store.root
+            assert private.name.startswith("repro-graphs-")
+            assert sched.store.max_bytes == scheduler_module.PRIVATE_STORE_BYTES
+        assert not private.exists()
 
 
 class TestShardFallback:
@@ -148,7 +159,7 @@ class TestShardFallback:
         assert batch.stats.store_fallbacks == 1
         assert batch.stats.to_payload()["store_fallbacks"] == 1
         delta = METRICS.delta(before, METRICS.counters_snapshot())
-        assert delta.get("store.fallbacks", 0) >= 1
+        assert delta.get("store.fallbacks", 0) == 1  # counted once, by the parent
 
     def test_missing_object_entirely(self, tmp_path):
         # Worker pointed at a store that lost the whole object directory.
@@ -166,9 +177,38 @@ class TestShardFallback:
             "timeout": None,
             "trace": False,
         }
+        before = METRICS.counters_snapshot()
         out = run_job(payload)
         assert out["status"] == "ok"
         assert out["meta"]["store_fallback"]["error_type"] == "StoreMissError"
+        # The worker reports the fallback; only the parent counts it.
+        delta = METRICS.delta(before, METRICS.counters_snapshot())
+        assert delta.get("store.fallbacks", 0) == 0
+
+    @pytest.mark.skipif(
+        not hasattr(worker_module.signal, "SIGALRM"),
+        reason="per-job timeout needs SIGALRM",
+    )
+    def test_timeout_during_open_is_a_timeout_not_a_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        spec = _small_specs()[0]
+
+        def slow_open(root, fingerprint):
+            time.sleep(5)
+
+        monkeypatch.setattr(worker_module, "open_stored_graph", slow_open)
+        out = run_job(
+            {
+                "spec": spec.to_dict(),
+                "graph_store": os.fspath(tmp_path),
+                "fingerprint": "f" * 64,
+                "timeout": 0.05,
+                "trace": False,
+            }
+        )
+        assert out["status"] == "timeout" and out["error_type"] == "JobTimeout"
+        assert "store_fallback" not in out.get("meta", {})
 
     def test_fallback_meta_merges_with_trace_meta(self, tmp_path):
         # Tracing sets meta["trace_spans"]; a fallback must merge, not
@@ -194,9 +234,3 @@ class TestLargeSweepSuite:
             assert spec.source.kind == "generator"
             assert spec.source.name in STREAMING_GENERATORS
         assert max(dict(s.source.args)["n"] for s in specs) == 1_000_000
-
-    def test_resolved_source_payload_bytes(self):
-        npz = ResolvedSource(fingerprint="f" * 64, n=10, m=5, npz=b"x" * 100)
-        key = ResolvedSource(fingerprint="f" * 64, n=10, m=5, store_root="/s")
-        assert npz.payload_bytes == 100
-        assert key.payload_bytes == 64 + 2
