@@ -28,7 +28,7 @@ import numpy as np
 
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
-from ..graphs.linegraph import line_graph
+from ..graphs.linegraph import line_graph, line_graph_ball2_sizes
 from ..hashing.families import make_color_family, make_product_family
 from ..models.ledger import ModelSnapshot
 from ..models.phase import NodePhase
@@ -63,6 +63,7 @@ def congest_mis(
     max_scan_trials: int = 512,
     max_phases: int = 10_000,
     pipeline_seed_fix: bool = False,
+    ball2_sizes: np.ndarray | None = None,
 ) -> CongestMISResult:
     """Deterministic MIS with CONGEST round accounting.
 
@@ -71,7 +72,8 @@ def congest_mis(
     Theta(D log Delta)/phase after O(log* n) preprocessing).
     ``pipeline_seed_fix`` bills the BFS-pipelined ``O(D + seed_bits)``
     seed broadcast instead of the sequential ``2 D seed_bits`` charge
-    (ablation).
+    (ablation).  ``ball2_sizes`` are ``graph``'s r = 2 ball sizes for the
+    distance-2 coloring, counted there unless the caller has them.
 
     .. note:: Prefer ``repro.api.solve(SolveRequest(problem="mis",
        model="congest", graph=g))``; this entry point stays as a
@@ -83,7 +85,7 @@ def congest_mis(
 
     colors = None
     if mode == "color-compressed" and graph.m > 0:
-        coloring = distance2_coloring(graph)
+        coloring = distance2_coloring(graph, sizes=ball2_sizes)
         ctx.charge("coloring", max(1, coloring.iterations))
         family = make_color_family(coloring.num_colors)
         colors = coloring.colors.astype(np.int64)
@@ -174,4 +176,7 @@ def congest_maximal_matching(
         mode=mode,
         max_scan_trials=max_scan_trials,
         pipeline_seed_fix=pipeline_seed_fix,
+        ball2_sizes=(
+            line_graph_ball2_sizes(graph) if mode == "color-compressed" else None
+        ),
     )

@@ -34,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.power import square_graph
-from .api import maximal_independent_set, maximal_matching
+from ..graphs.power import ball_sizes, square_graph
+from .api import maximal_independent_set, maximal_matching, uses_lowdeg_path
+from .lowdeg import lowdeg_mis
+from .mis import deterministic_mis
 from .params import Params
 from .records import MISResult, MatchingResult
 
@@ -139,33 +141,18 @@ def is_ruling_set(g: Graph, nodes: np.ndarray) -> bool:
     sel = np.asarray(nodes, dtype=np.int64)
     if sel.size:
         chosen[sel] = True
-    if g.n == 0:
-        return True
     # within1[v]: v is chosen or adjacent to a chosen vertex
-    within1 = chosen.copy()
-    if g.m:
-        np.logical_or.at(within1, g.edges_u, chosen[g.edges_v])
-        np.logical_or.at(within1, g.edges_v, chosen[g.edges_u])
-    within2 = within1.copy()
-    if g.m:
-        np.logical_or.at(within2, g.edges_u, within1[g.edges_v])
-        np.logical_or.at(within2, g.edges_v, within1[g.edges_u])
+    chosen_nbrs = g.degrees_toward(chosen)
+    within1 = chosen | (chosen_nbrs > 0)
+    within2 = within1 | (g.degrees_toward(within1) > 0)
     if not bool(within2.all()):
         return False
     # Independence at distance >= 3.  A chosen pair at distance 1 is an
     # edge with both endpoints chosen; a chosen pair at distance 2 shares a
     # middle vertex, which then has two distinct chosen neighbours.  So the
-    # set is distance->=3 independent iff no chosen-chosen edge exists and
-    # no vertex counts two chosen neighbours.
-    if g.m:
-        if bool(np.any(chosen[g.edges_u] & chosen[g.edges_v])):
-            return False
-        chosen_nbrs = np.zeros(g.n, dtype=np.int64)
-        np.add.at(chosen_nbrs, g.edges_u, chosen[g.edges_v].astype(np.int64))
-        np.add.at(chosen_nbrs, g.edges_v, chosen[g.edges_u].astype(np.int64))
-        if bool(np.any(chosen_nbrs >= 2)):
-            return False
-    return True
+    # set is distance->=3 independent iff no chosen vertex has a chosen
+    # neighbour and no vertex counts two chosen neighbours.
+    return not bool(np.any(chosen & (chosen_nbrs > 0)) or np.any(chosen_nbrs >= 2))
 
 
 @dataclass(frozen=True)
@@ -188,22 +175,104 @@ def _product_graph(g: Graph, k: int) -> Graph:
 
     Edges: {(v,c),(v,c')} for c != c' (each node picks one color) and
     {(u,c),(v,c)} for {u,v} in E (adjacent nodes cannot share a color).
+
+    The five arrays are written in closed form, equal to what
+    ``Graph.from_edges`` builds and with no sort.  Row ``(v, c)`` is
+    ``[v k + c' for c' > c] ++ [w k + c for w in G's row v] ++
+    [v k + c' for c' < c]``: ids ascending above the node, then below it,
+    because G's row lists the upper neighbours before the lower ones.  The
+    canonical edges come in groups ``(v, c)`` by id, each the clique tail
+    ``c' > c`` and then ``w k + c`` for G's upper neighbours ``w``, so group
+    ``(v, c)`` holds ``k - 1 - c + up(v)`` edges and starts at
+    ``C(k, 2) v + k first(v) + c (k - 1) - C(c, 2) + c up(v)``, with
+    ``up(v)`` the number of ``v``'s upper neighbours and ``first(v)`` G's
+    first edge id whose lower endpoint is ``v``.
     """
     n, m = g.n, g.m
-    # Same-node cliques.
-    cs = np.triu_indices(k, k=1)
-    base = np.arange(n, dtype=np.int64)[:, None] * k
-    clique_u = (base + cs[0][None, :]).ravel()
-    clique_v = (base + cs[1][None, :]).ravel()
-    # Cross edges per color.
-    col = np.arange(k, dtype=np.int64)
-    cross_u = (g.edges_u[:, None] * k + col[None, :]).ravel()
-    cross_v = (g.edges_v[:, None] * k + col[None, :]).ravel()
-    edges = np.stack(
-        [np.concatenate([clique_u, cross_u]), np.concatenate([clique_v, cross_v])],
-        axis=1,
+    nodes = np.arange(n, dtype=np.int64)
+    deg = np.diff(g.indptr)
+    up = np.bincount(g.edges_u, minlength=n)
+    first = np.cumsum(up) - up
+    pairs = k * (k - 1) // 2
+    m_prod = n * pairs + k * m
+    # Every row of v has k - 1 + deg v arcs.
+    indptr = np.zeros(n * k + 1, dtype=np.int64)
+    np.cumsum(np.repeat(k - 1 + deg, k), out=indptr[1:])
+    indices = np.empty(2 * m_prod, dtype=np.int64)
+    arc_edge_ids = np.empty(2 * m_prod, dtype=np.int64)
+    edges_v = np.empty(m_prod, dtype=np.int64)
+
+    def row_start(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """First arc of row ``(x, c)``: nodes ``x`` down, colors ``c`` across."""
+        out = c * (k - 1 + deg[x])[:, None]
+        out += indptr[x * k][:, None]
+        return out
+
+    def group_start(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """First edge id of group ``(x, c)``, shaped as in ``row_start``."""
+        out = c * up[x][:, None]
+        out += c * (k - 1) - c * (c - 1) // 2
+        out += (x * pairs + k * first[x])[:, None]
+        return out
+
+    # Clique edges {(v, a), (v, b)}, a < b: the upper arc sits in row (v, a)
+    # at offset b - a - 1, the lower arc in row (v, b) after its cross arcs.
+    a, b = (t.astype(np.int64) for t in np.triu_indices(k, k=1))
+    eid = group_start(nodes, a)
+    eid += b - a - 1
+    copy = nodes[:, None] * k
+    pos = row_start(nodes, a)
+    pos += b - a - 1
+    indices[pos] = copy + b
+    arc_edge_ids[pos] = eid
+    edges_v[eid] = copy + b
+    pos = row_start(nodes, b)
+    pos += k - 1 - b + a
+    pos += deg[:, None]
+    indices[pos] = copy + a
+    arc_edge_ids[pos] = eid
+    del eid, copy, pos
+
+    # Cross edges {(u, c), (w, c)}, u < w: one arc per G arc and color, at
+    # the arc's offset j in G's row after the k - 1 - c clique-tail arcs.
+    c = np.arange(k, dtype=np.int64)
+    src = np.repeat(nodes, deg)
+    j = np.arange(src.size, dtype=np.int64) - g.indptr[src]
+    e = g.arc_edge_ids
+    lo = g.edges_u[e]
+    pos = row_start(src, c)
+    pos += (k - 1 - c) + j[:, None]
+    eid = group_start(lo, c)
+    eid += (k - 1 - c) + (e - first[lo])[:, None]
+    dst = g.indices[:, None] * k + c
+    indices[pos] = dst
+    arc_edge_ids[pos] = eid
+    upper = src == lo
+    edges_v[eid[upper]] = dst[upper]
+
+    edges_u = np.repeat(
+        np.arange(n * k, dtype=np.int64), ((k - 1 - c) + up[:, None]).ravel()
     )
-    return Graph.from_edges(n * k, edges)
+    return Graph(
+        n=n * k,
+        edges_u=edges_u,
+        edges_v=edges_v,
+        indptr=indptr,
+        indices=indices,
+        arc_edge_ids=arc_edge_ids,
+    )
+
+
+def _product_ball2_sizes(g: Graph, k: int) -> np.ndarray:
+    """``ball_sizes(G x K_k, 2)`` from ``G``'s own r = 2 count.
+
+    ``dist((v, c), (w, c')) = dist_G(v, w) + [c != c']``, so the ball of
+    ``(v, c)`` holds ``(w, c)`` for ``1 <= dist_G(v, w) <= 2`` and
+    ``(w, c')``, ``c' != c``, for ``w`` in ``N[v]``: the same size for
+    every color.
+    """
+    sizes = ball_sizes(g, 2) + (k - 1) * (1 + g.degrees())
+    return np.repeat(sizes, k)
 
 
 def deterministic_coloring(
@@ -215,26 +284,33 @@ def deterministic_coloring(
 ) -> ColoringViaMISResult:
     """Proper coloring with ``Delta + 1`` colors via MIS on ``G x K_{Δ+1}``.
 
-    Any MIS of the product graph hits every node-clique exactly once
-    (at least once by maximality -- a completely unhit clique could accept
-    any of its members, all of whose product-neighbours outside the clique
-    are unhit copies... more precisely, maximality forces a chosen copy or
-    a chosen conflicting neighbour copy *of the same color*; a standard
-    argument shows every node receives exactly one color).
+    An MIS of the product holds exactly one copy of every node.  At most
+    one, since a node's copies form a clique.  At least one, by
+    pigeonhole: if no copy of ``v`` were chosen, maximality would give each
+    of the ``Delta + 1`` copies ``(v, c)`` a chosen neighbour, which must be
+    a same-color copy ``(w, c)`` of a neighbour ``w``; each of ``v``'s
+    ``<= Delta`` neighbours has at most one chosen copy, so at most
+    ``Delta`` colors are covered.  Adjacent nodes never share a color, as
+    ``(u, c)`` and ``(w, c)`` are adjacent.
+
+    On the Section-5 path the product's r = 2 ball sizes come from
+    ``G``'s own count (:func:`_product_ball2_sizes`).
     """
     k = num_colors if num_colors is not None else graph.max_degree() + 1
     if k < 1:
         k = 1
+    params = params or Params(eps=eps)
     prod = _product_graph(graph, k)
-    mis = maximal_independent_set(prod, eps=eps, params=params)
+    if uses_lowdeg_path(prod, params):
+        mis = lowdeg_mis(prod, params, ball2_sizes=_product_ball2_sizes(graph, k))
+    else:
+        mis = deterministic_mis(prod, params)
     colors = np.full(graph.n, -1, dtype=np.int64)
-    for node_id in mis.independent_set.tolist():
-        v, c = divmod(int(node_id), k)
-        colors[v] = c
+    v, c = np.divmod(mis.independent_set, k)
+    colors[v] = c
     if np.any(colors < 0):
-        # With k = Delta + 1 this cannot happen (a node with all copies
-        # unchosen and some color unused by neighbours contradicts
-        # maximality); guard for caller-supplied smaller k.
+        # With k = Delta + 1 this cannot happen (see above); guard for a
+        # caller-supplied smaller k.
         raise ValueError(
             f"{int((colors < 0).sum())} nodes uncolored; "
             f"k={k} colors insufficient for this graph"

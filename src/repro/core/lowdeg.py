@@ -33,7 +33,7 @@ import numpy as np
 
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
-from ..graphs.linegraph import line_graph
+from ..graphs.linegraph import line_graph, line_graph_ball2_sizes
 from ..graphs.power import BallTooLargeError, ball_sizes
 from ..hashing.families import make_color_family
 from ..models.phase import NodePhase, a_set
@@ -58,8 +58,14 @@ def lowdeg_mis(
     *,
     ctx: MPCContext | None = None,
     max_phases: int | None = None,
+    ball2_sizes: np.ndarray | None = None,
 ) -> MISResult:
-    """Deterministic MIS in ``O(log Delta + log log n)`` charged rounds."""
+    """Deterministic MIS in ``O(log Delta + log log n)`` charged rounds.
+
+    ``ball2_sizes`` are the r = 2 ball sizes of ``graph``
+    (``ball_sizes(graph, 2)``), counted here unless the caller derived them
+    from the base graph of a line graph or product graph.
+    """
     params = params or Params()
     ctx = ctx or MPCContext.for_graph(graph, params)
     fidelity: list[str] = []
@@ -83,7 +89,8 @@ def lowdeg_mis(
     # ---------------- preprocessing (O(log log n) rounds) ---------------- #
     # The r = 2 ball sizes, counted once; the coloring reads Delta(G^2)
     # from them and builds G^2's pattern only if Linial takes a step.
-    ball2_sizes = ball_sizes(graph, 2)
+    if ball2_sizes is None:
+        ball2_sizes = ball_sizes(graph, 2)
     coloring = distance2_coloring(graph, sizes=ball2_sizes)
     # Linial rounds exchange current colors over every edge (both directions).
     ctx.charge(
@@ -240,7 +247,9 @@ def lowdeg_maximal_matching(
     # Build L(G) by sorting both arc orientations by endpoint.
     ctx.charge_sort("line_graph", words=2 * graph.m)
     sub_ctx = MPCContext.for_graph(lg, params)
-    sub = lowdeg_mis(lg, params, ctx=sub_ctx)
+    sub = lowdeg_mis(
+        lg, params, ctx=sub_ctx, ball2_sizes=line_graph_ball2_sizes(graph)
+    )
     matched_eids = sub.independent_set
     pairs = np.stack(
         [graph.edges_u[matched_eids], graph.edges_v[matched_eids]], axis=1

@@ -158,10 +158,9 @@ class Graph:
         dst = np.concatenate([v, u])
         eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
         order = np.argsort(src, kind="stable")
-        src, dst, eid = src[order], dst[order], eid[order]
+        dst, eid = dst[order], eid[order]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return Graph(
             n=n,
             edges_u=u,
@@ -357,10 +356,9 @@ class Graph:
         mask = np.asarray(edge_mask, dtype=bool)
         if mask.shape != (self.m,):
             raise ValueError("edge_mask must have shape (m,)")
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edges_u[mask], 1)
-        np.add.at(deg, self.edges_v[mask], 1)
-        return deg
+        return np.bincount(self.edges_u[mask], minlength=self.n) + np.bincount(
+            self.edges_v[mask], minlength=self.n
+        )
 
     def degrees_toward(self, node_mask: np.ndarray) -> np.ndarray:
         """int64[n]: for each v, #neighbours u with ``node_mask[u]``.
@@ -370,6 +368,8 @@ class Graph:
         mask = np.asarray(node_mask, dtype=bool)
         if mask.shape != (self.n,):
             raise ValueError("node_mask must have shape (n,)")
+        # np.add.at, unlike in the unweighted counts: its integer fast path
+        # beats compacting the edges by the mask for a bincount.
         counts = np.zeros(self.n, dtype=np.int64)
         inc_u = mask[self.edges_v].astype(np.int64)  # v-side in mask -> u gains
         inc_v = mask[self.edges_u].astype(np.int64)
@@ -386,20 +386,49 @@ class Graph:
 
         All edges touching a masked vertex are removed.  Used after each
         Luby iteration to delete ``I ∪ N(I)`` (MIS) or matched nodes
-        (matching) while keeping ids stable.
+        (matching) while keeping ids stable.  The surviving arcs keep their
+        order within each row, so the result equals the graph
+        :meth:`from_edges` would build from the surviving edges.
         """
         mask = np.asarray(node_mask, dtype=bool)
         if mask.shape != (self.n,):
             raise ValueError("node_mask must have shape (n,)")
-        keep = ~(mask[self.edges_u] | mask[self.edges_v])
-        return Graph._from_canonical(self.n, self.edges_u[keep], self.edges_v[keep])
+        return self._filtered(~(mask[self.edges_u] | mask[self.edges_v]))
 
     def keep_edges(self, edge_mask: np.ndarray) -> "Graph":
-        """Graph on the same vertex set containing only the masked edges."""
+        """Graph on the same vertex set containing only the masked edges
+        (arc order kept, as in :meth:`remove_vertices`)."""
         mask = np.asarray(edge_mask, dtype=bool)
         if mask.shape != (self.m,):
             raise ValueError("edge_mask must have shape (m,)")
-        return Graph._from_canonical(self.n, self.edges_u[mask], self.edges_v[mask])
+        return self._filtered(mask)
+
+    def _filtered(self, keep: np.ndarray) -> "Graph":
+        """The graph of the edges ``keep`` marks, filtered out of the CSR.
+
+        A subsequence of the canonical edge list is still sorted, and each
+        row's surviving arcs are still its upper arcs by edge id, then its
+        lower ones, so no re-sort is needed: the kept arcs stay in place,
+        edge ids are renumbered by a cumsum over ``keep``, and ``indptr``
+        is the cumsum of the kept edges' endpoint counts.
+        """
+        u, v = self.edges_u[keep], self.edges_v[keep]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n),
+            out=indptr[1:],
+        )
+        arc_keep = keep[self.arc_edge_ids]
+        new_id = np.cumsum(keep, dtype=np.int64)
+        new_id -= 1
+        return Graph(
+            n=self.n,
+            edges_u=u,
+            edges_v=v,
+            indptr=indptr,
+            indices=self.indices[arc_keep],
+            arc_edge_ids=new_id[self.arc_edge_ids[arc_keep]],
+        )
 
     def relabel(self, new_ids: np.ndarray, new_n: int) -> "Graph":
         """Graph with vertex ``v`` renamed ``new_ids[v]`` (must be injective

@@ -9,16 +9,20 @@ The paper uses the classical reduction in two places:
 
 ``L(G)`` has one vertex per edge of ``G`` and an edge between every pair of
 ``G``-edges sharing an endpoint, so ``|E(L(G))| = sum_v C(d(v), 2)``; we guard
-against accidental quadratic blowups with an explicit cap.
+against accidental quadratic blowups with an explicit cap.  The r = 2 ball
+sizes Section 5 needs of ``L(G)`` are counted on ``G`` itself
+(:func:`line_graph_ball2_sizes`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph
+from .power import adjacency_matrix, product_blocks
 
-__all__ = ["line_graph", "line_graph_size"]
+__all__ = ["line_graph", "line_graph_ball2_sizes", "line_graph_size"]
 
 
 def line_graph_size(g: Graph) -> int:
@@ -46,3 +50,29 @@ def line_graph(g: Graph, *, max_edges: int | None = 50_000_000) -> Graph:
     step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
     eids = g.arc_edge_ids
     return Graph.from_edges(g.m, np.stack([eids[first], eids[first + step]], axis=1))
+
+
+def line_graph_ball2_sizes(g: Graph) -> np.ndarray:
+    """int64[m]: ``ball_sizes(line_graph(g), 2)``, counted on ``g``.
+
+    For an edge ``e = {u, v}``, ``B_2(e)`` together with ``e`` is the set of
+    edges with an endpoint in ``N(u) | N(v)``.  With ``E`` the edge->endpoint
+    incidence and ``B`` the node->edge incidence (whose CSR is ``g``'s
+    ``(indptr, arc_edge_ids)``), row ``e`` of ``E A`` is ``N(u) | N(v)``, so
+    ``|B_2(e)|`` is the row count of ``E A B`` minus one.  The product runs
+    in row blocks of at most ``_BLOCK_WALKS`` walks per step, as
+    ``ball_sizes`` does.
+    """
+    m = g.m
+    sizes = np.zeros(m, dtype=np.int64)
+    if m == 0:
+        return sizes
+    flags = np.ones(2 * m, dtype=bool)
+    endpoints = np.stack([g.edges_u, g.edges_v], axis=1).ravel()
+    ends = sp.csr_matrix(
+        (flags, endpoints, np.arange(0, 2 * m + 1, 2)), shape=(m, g.n)
+    )
+    incidence = sp.csr_matrix((flags, g.arc_edge_ids, g.indptr), shape=(g.n, m))
+    for lo, block in product_blocks(ends, [adjacency_matrix(g), incidence]):
+        sizes[lo : lo + block.shape[0]] = np.diff(block.indptr) - 1
+    return sizes

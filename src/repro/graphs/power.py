@@ -1,10 +1,12 @@
 """Graph powers and r-hop neighbourhood (ball) extraction.
 
-Everything here walks one row-block iterator over ``A (A + I)^(r-1)``, the
-boolean product that reaches every node within ``r`` hops (and, for
-``r >= 2``, each non-isolated node itself, out and back).  Blocks are cut so
-that no product step expands more than ``_BLOCK_WALKS`` walks, so the
-iterator holds the graph plus one block, never all of ``G^r``:
+Everything here walks one row-block iterator (``product_blocks``) over
+``A (A + I)^(r-1)``, the boolean product that reaches every node within
+``r`` hops (and, for ``r >= 2``, each non-isolated node itself, out and
+back).  Blocks are cut so that no product step expands more than
+``_BLOCK_WALKS`` walks, so the iterator holds the graph plus one block,
+never all of ``G^r``.  The line graph's r = 2 count walks the same iterator
+over ``G``'s incidences (``linegraph.line_graph_ball2_sizes``).
 
 * ``ball_sizes`` keeps only the row counts ``|B_r(v)|``.  They are what the
   Section-5 space accounting (``Delta^r <= n^{delta}``) checks, and at
@@ -65,27 +67,36 @@ def budget_slices(weights: np.ndarray, budget: int) -> Iterator[tuple[int, int]]
         i = j
 
 
-def _reach_blocks(g: Graph, r: int) -> Iterator[tuple[int, sp.csr_matrix]]:
-    """``(lo, block)`` for consecutive row blocks of ``A (A + I)^(r-1)``.
+def product_blocks(
+    start: sp.csr_matrix, steps: list[sp.csr_matrix]
+) -> Iterator[tuple[int, sp.csr_matrix]]:
+    """``(lo, block)`` for consecutive row blocks of the boolean product
+    ``start @ steps[0] @ steps[1] ...``.
 
-    ``block`` holds rows ``lo:lo + block.shape[0]`` as a boolean CSR, the
-    diagonal kept and rows unsorted.  Before each product step a block is
-    cut by its rows' walk counts (a row ``v`` of ``R`` expands
-    ``sum_{u in R[v]} (deg u + 1)`` walks), so every step stays within
-    ``_BLOCK_WALKS``; at ``r = 2`` the count is ``sum_{u ~ v} (deg u + 1)``.
+    ``block`` holds rows ``lo:lo + block.shape[0]`` as a boolean CSR with
+    unsorted rows.  Before each product step a block is cut by its rows'
+    walk counts (row ``v`` of ``R`` expands ``sum_{u in R[v]} nnz(step[u])``
+    walks), so every step stays within ``_BLOCK_WALKS``.
     """
-    a = adjacency_matrix(g)
-    step = a + sp.identity(g.n, dtype=bool, format="csr")
-    fan_out = np.diff(step.indptr)
 
-    def expand(reach: sp.csr_matrix, lo: int, steps: int):
-        if steps == 0:
+    def expand(reach: sp.csr_matrix, lo: int, rest: list[sp.csr_matrix]):
+        if not rest:
             yield lo, reach
             return
+        step, fan_out = rest[0], np.diff(rest[0].indptr)
         for i, j in budget_slices(reach @ fan_out, _BLOCK_WALKS):
-            yield from expand(reach[i:j] @ step, lo + i, steps - 1)
+            yield from expand(reach[i:j] @ step, lo + i, rest[1:])
 
-    yield from expand(a, 0, r - 1)
+    yield from expand(start, 0, steps)
+
+
+def _reach_blocks(g: Graph, r: int) -> Iterator[tuple[int, sp.csr_matrix]]:
+    """``(lo, block)`` for consecutive row blocks of ``A (A + I)^(r-1)``,
+    the diagonal kept; at ``r = 2`` row ``v`` expands
+    ``sum_{u ~ v} (deg u + 1)`` walks."""
+    a = adjacency_matrix(g)
+    step = a + sp.identity(g.n, dtype=bool, format="csr")
+    return product_blocks(a, [step] * (r - 1))
 
 
 def ball_sizes(g: Graph, r: int, *, max_ball: int | None = None) -> np.ndarray:

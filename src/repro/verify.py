@@ -44,13 +44,7 @@ def is_maximal_independent_set(g: Graph, node_mask: np.ndarray) -> bool:
 
 def is_matching(g: Graph, edge_mask: np.ndarray) -> bool:
     """No two selected edges share an endpoint."""
-    mask = np.asarray(edge_mask, dtype=bool)
-    if mask.shape != (g.m,):
-        raise ValueError("edge_mask must have shape (m,)")
-    used = np.zeros(g.n, dtype=np.int64)
-    np.add.at(used, g.edges_u[mask], 1)
-    np.add.at(used, g.edges_v[mask], 1)
-    return bool(np.all(used <= 1))
+    return bool(np.all(g.degrees_within(edge_mask) <= 1))
 
 
 def is_maximal_matching(g: Graph, edge_mask: np.ndarray) -> bool:

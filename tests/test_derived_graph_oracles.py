@@ -1,0 +1,197 @@
+"""Reference oracles for Section 5's derived graphs, built from the base graph.
+
+``_product_graph`` writes the five arrays of ``G x K_k`` in closed form,
+``Graph.remove_vertices`` / ``keep_edges`` filter the live CSR, and
+``degrees_within`` counts with ``np.bincount``.  Each is pinned here against
+the body it replaced: ``Graph.from_edges`` over the product's edge list, a
+re-sort of the surviving edges through the argsort build, and ``np.add.at``
+(``degrees_toward``'s reference too).  All five arrays must be equal, dtypes
+included.  The r = 2 ball sizes of ``G x K_k`` and ``L(G)``, derived from
+``G``, must equal ``ball_sizes`` on the materialised graph.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import repro.graphs.power as power
+from repro.core.derived import _product_ball2_sizes, _product_graph
+from repro.graphs import CSR_ARRAY_FILES, Graph, ball_sizes, line_graph
+from repro.graphs.linegraph import line_graph_ball2_sizes
+from repro.graphs.streaming import gnp_block_graph
+from test_transform_oracles import graph_families
+
+ARRAYS = ("edges_u", "edges_v", "indptr", "indices", "arc_edge_ids")
+
+
+def product_graph_reference(g: Graph, k: int) -> Graph:
+    """``G x K_k`` through ``Graph.from_edges``: the clique edges of every
+    node, then one cross edge per G edge and color."""
+    n = g.n
+    cs = np.triu_indices(k, k=1)
+    base = np.arange(n, dtype=np.int64)[:, None] * k
+    clique_u = (base + cs[0][None, :]).ravel()
+    clique_v = (base + cs[1][None, :]).ravel()
+    col = np.arange(k, dtype=np.int64)
+    cross_u = (g.edges_u[:, None] * k + col[None, :]).ravel()
+    cross_v = (g.edges_v[:, None] * k + col[None, :]).ravel()
+    edges = np.stack(
+        [np.concatenate([clique_u, cross_u]), np.concatenate([clique_v, cross_v])],
+        axis=1,
+    )
+    return Graph.from_edges(n * k, edges)
+
+
+def from_canonical_reference(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """CSR of canonical edges by a stable argsort of both arc orientations."""
+    m = u.size
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
+    order = np.argsort(src, kind="stable")
+    src, dst, eid = src[order], dst[order], eid[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return Graph(n=n, edges_u=u, edges_v=v, indptr=indptr, indices=dst, arc_edge_ids=eid)
+
+
+def remove_vertices_reference(g: Graph, node_mask: np.ndarray) -> Graph:
+    keep = ~(node_mask[g.edges_u] | node_mask[g.edges_v])
+    return from_canonical_reference(g.n, g.edges_u[keep], g.edges_v[keep])
+
+
+def keep_edges_reference(g: Graph, edge_mask: np.ndarray) -> Graph:
+    return from_canonical_reference(g.n, g.edges_u[edge_mask], g.edges_v[edge_mask])
+
+
+def degrees_within_reference(g: Graph, edge_mask: np.ndarray) -> np.ndarray:
+    deg = np.zeros(g.n, dtype=np.int64)
+    np.add.at(deg, g.edges_u[edge_mask], 1)
+    np.add.at(deg, g.edges_v[edge_mask], 1)
+    return deg
+
+
+def degrees_toward_reference(g: Graph, node_mask: np.ndarray) -> np.ndarray:
+    counts = np.zeros(g.n, dtype=np.int64)
+    np.add.at(counts, g.edges_u, node_mask[g.edges_v].astype(np.int64))
+    np.add.at(counts, g.edges_v, node_mask[g.edges_u].astype(np.int64))
+    return counts
+
+
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    assert got.n == want.n
+    for name in ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is np.ndarray and a.dtype == np.int64, name
+        assert b.dtype == np.int64, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.fixture(scope="module")
+def mmap_root():
+    with tempfile.TemporaryDirectory() as root:
+        yield Path(root)
+
+
+def opened_from_mmap(g: Graph, root: Path) -> Graph:
+    """``g`` written as :data:`CSR_ARRAY_FILES` and reopened memory-mapped."""
+    directory = Path(tempfile.mkdtemp(dir=root))
+    for name, attr in zip(CSR_ARRAY_FILES, ARRAYS):
+        np.save(directory / name, getattr(g, attr))
+    return Graph.from_mmap(g.n, directory, validate=True)
+
+
+@st.composite
+def base_graphs(draw, root: Path) -> Graph:
+    g = draw(graph_families())
+    return opened_from_mmap(g, root) if draw(st.booleans()) else g
+
+
+def draw_mask(data, size: int) -> np.ndarray:
+    kind = data.draw(st.sampled_from(["nothing", "everything", "random"]))
+    if kind == "nothing":
+        return np.zeros(size, dtype=bool)
+    if kind == "everything":
+        return np.ones(size, dtype=bool)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    return rng.random(size) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+
+
+@given(data=st.data())
+def test_product_graph_equals_from_edges(mmap_root, data):
+    g = data.draw(base_graphs(mmap_root))
+    delta = g.max_degree()
+    k = data.draw(st.sampled_from([1, 2, delta + 1, delta + 3]))
+    assert_same_graph(_product_graph(g, k), product_graph_reference(g, k))
+
+
+@given(data=st.data())
+def test_product_ball2_sizes_count_the_product(mmap_root, data):
+    g = data.draw(base_graphs(mmap_root))
+    k = data.draw(st.sampled_from([1, 2, g.max_degree() + 1, g.max_degree() + 3]))
+    want = ball_sizes(product_graph_reference(g, k), 2)
+    got = _product_ball2_sizes(g, k)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@given(data=st.data())
+def test_line_graph_ball2_sizes_count_the_line_graph(mmap_root, data):
+    g = data.draw(base_graphs(mmap_root))
+    want = ball_sizes(line_graph(g), 2)
+    walks = data.draw(st.sampled_from([1, 3, power._BLOCK_WALKS]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(power, "_BLOCK_WALKS", walks)  # down to a row per block
+        got = line_graph_ball2_sizes(g)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@given(data=st.data())
+def test_remove_vertices_filters_the_csr(mmap_root, data):
+    g = data.draw(base_graphs(mmap_root))
+    mask = draw_mask(data, g.n)
+    assert_same_graph(g.remove_vertices(mask), remove_vertices_reference(g, mask))
+
+
+@given(data=st.data())
+def test_keep_edges_filters_the_csr(mmap_root, data):
+    g = data.draw(base_graphs(mmap_root))
+    mask = draw_mask(data, g.m)
+    assert_same_graph(g.keep_edges(mask), keep_edges_reference(g, mask))
+
+
+@given(data=st.data())
+def test_degree_counts_equal_add_at(mmap_root, data):
+    g = data.draw(base_graphs(mmap_root))
+    edge_mask, node_mask = draw_mask(data, g.m), draw_mask(data, g.n)
+    for got, want in (
+        (g.degrees_within(edge_mask), degrees_within_reference(g, edge_mask)),
+        (g.degrees_toward(node_mask), degrees_toward_reference(g, node_mask)),
+    ):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_derived_graphs_at_benchmark_size():
+    """The ``transforms`` coloring input's size: the product, its balls,
+    L(G)'s balls and a chain of removals all match their references."""
+    g = gnp_block_graph(2000, 8 / 2000, 1)
+    k = g.max_degree() + 1
+    prod = _product_graph(g, k)
+    assert_same_graph(prod, product_graph_reference(g, k))
+    assert np.array_equal(_product_ball2_sizes(g, k), ball_sizes(prod, 2))
+    assert np.array_equal(line_graph_ball2_sizes(g), ball_sizes(line_graph(g), 2))
+    rng = np.random.default_rng(0)
+    cur = want = prod
+    while cur.m:
+        mask = rng.random(cur.n) < 0.05
+        cur, want = cur.remove_vertices(mask), remove_vertices_reference(want, mask)
+        assert_same_graph(cur, want)

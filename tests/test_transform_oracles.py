@@ -8,6 +8,8 @@ graphs, many small components and relabelled copies, also under tiny block
 budgets.  The low-degree and colour-compressed drivers are pinned to count
 ``G^2``'s rows once per solve, to build its two-hop pattern only when Linial
 takes a reduction step (then once), and the canonical ``G^2`` graph never.
+On a line graph or a product graph that count comes from the base graph, so
+no ``ball_sizes`` call runs on the derived graph.
 """
 
 from __future__ import annotations
@@ -21,11 +23,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.congest.mis_congest as mis_congest
+import repro.core.derived as derived
 import repro.core.lowdeg as lowdeg
 import repro.graphs.coloring as coloring
 import repro.graphs.power as power
-from repro.congest import bfs_depth, congest_mis
-from repro.core import Params, lowdeg_maximal_matching, lowdeg_mis, phases_per_stage
+from repro.congest import bfs_depth, congest_maximal_matching, congest_mis
+from repro.core import (
+    Params,
+    deterministic_coloring,
+    lowdeg_maximal_matching,
+    lowdeg_mis,
+    phases_per_stage,
+)
+from repro.core.api import uses_lowdeg_path
 from repro.graphs import (
     Graph,
     ball_sizes,
@@ -273,7 +283,7 @@ def transform_calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    for mod in (power, coloring, lowdeg, mis_congest):
+    for mod in (power, coloring, lowdeg, mis_congest, derived):
         for name in ("square_graph", "distance2_coloring"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
@@ -283,11 +293,33 @@ def transform_calls(monkeypatch) -> Counter:
     return calls
 
 
+@pytest.fixture
+def ball_graphs(monkeypatch) -> Counter:
+    """``(n, r)`` of the graph of every ``ball_sizes`` call, through every
+    binding."""
+    seen: Counter = Counter()
+
+    def counted(fn):
+        def wrapper(g, r, **kwargs):
+            seen[(g.n, r)] += 1
+            return fn(g, r, **kwargs)
+
+        return wrapper
+
+    for mod in (power, coloring, lowdeg, mis_congest, derived):
+        if hasattr(mod, "ball_sizes"):
+            monkeypatch.setattr(mod, "ball_sizes", counted(mod.ball_sizes))
+    return seen
+
+
 #: G^2's row counts feed the coloring; when Linial needs no reduction step
 #: (q^2 >= n), neither the two-hop pattern nor a canonical G^2 is built.
 NO_PATTERN = Counter({"ball_sizes(r=2)": 1, "distance2_coloring": 1})
 #: A reduction step builds the two-hop pattern exactly once, from the counts.
 ONE_PATTERN = NO_PATTERN + Counter({"hop_pattern(r=2)": 1})
+#: On L(G) the r = 2 counts come from G (``line_graph_ball2_sizes``), so no
+#: ``ball_sizes`` call runs at all.
+LINE_GRAPH_NO_PATTERN = Counter({"distance2_coloring": 1})
 
 
 def test_lowdeg_mis_builds_no_square_pattern(transform_calls):
@@ -300,6 +332,25 @@ def test_lowdeg_mis_builds_no_square_pattern(transform_calls):
 def test_lowdeg_matching_builds_no_square_pattern(transform_calls):
     g = gnp_random_graph(300, 0.02, seed=2)
     assert verify_matching_pairs(g, lowdeg_maximal_matching(g).pairs)
+    assert transform_calls == LINE_GRAPH_NO_PATTERN
+
+
+def test_congest_matching_builds_no_square_pattern(transform_calls):
+    g = gnp_random_graph(300, 0.02, seed=2)
+    res = congest_maximal_matching(g, mode="color-compressed")
+    pairs = np.stack([g.edges_u, g.edges_v], axis=1)[res.independent_set]
+    assert verify_matching_pairs(g, pairs)
+    assert transform_calls == LINE_GRAPH_NO_PATTERN
+
+
+def test_coloring_counts_no_product_balls(transform_calls, ball_graphs):
+    g = gnp_random_graph(300, 0.02, seed=4)
+    k = g.max_degree() + 1
+    assert uses_lowdeg_path(derived._product_graph(g, k), Params())
+    res = deterministic_coloring(g)
+    assert np.all(res.colors[g.edges_u] != res.colors[g.edges_v])
+    # The product's r = 2 balls come from G's own count, once.
+    assert ball_graphs == Counter({(g.n, 2): 1})
     assert transform_calls == NO_PATTERN
 
 
