@@ -13,9 +13,6 @@ Cases
 ``stage_scan``      full-budget stage goodness scan (the Sections-3.2/4.2
                     all-machines-good search) -- the acceptance case: the
                     full run must show >= 5x at n=10k
-``stage_cond_exp``  conditional-expectation descent over an enumerable
-                    family on the same goodness objective
-``stage_best_of``   best-of-prefix on the same objective
 ``lowdeg_e2e``      end-to-end ``lowdeg_mis`` with stressed targets (every
                     phase exhausts its scan budget, so seed scanning
                     dominates), ``DEFAULT_SEED_CHUNK`` set to 1 vs the
@@ -80,13 +77,11 @@ def _case(name, scalar_fn, batched_fn, same_fn, repeats, meta):
     )
 
 
-def _make_stage_goodness(
-    n: int, avg_deg: float, seed: int, k: int = 4, min_q: int = 257
-):
+def _make_stage_goodness(n: int, avg_deg: float, seed: int):
     """A realistic stage search instance: type-A machine goodness on a gnp."""
     g = gnp_random_graph(n, avg_deg / n, seed=seed)
     params = Params()
-    family = make_family(n, k=k, min_q=min_q)
+    family = make_family(n, k=4)
     eids = np.arange(g.m, dtype=np.int64) % family.q
     spec = MachineGroupSpec(
         name="A",
@@ -107,7 +102,6 @@ def _make_stage_goodness(
 def _stage_scan_case(n, avg_deg, seed, max_trials, repeats):
     family, goodness, total, meta = _make_stage_goodness(n, avg_deg, seed)
     kw = dict(
-        strategy="scan",
         target=total + 1.0,  # unreachable: the scan runs its full budget
         max_trials=max_trials,
         start=1,
@@ -129,32 +123,6 @@ def _stage_scan_case(n, avg_deg, seed, max_trials, repeats):
         lambda a, b: a == b,
         repeats,
         {**meta, "trials": max_trials},
-    )
-
-
-def _stage_enum_case(name, strategy, n, avg_deg, seed, repeats, **extra):
-    # Enumerable family (k=2 over a small field) for the literal
-    # Section-2.4 descent / best-of ablations.
-    family, goodness, total, meta = _make_stage_goodness(
-        n, avg_deg, seed, k=2, min_q=5
-    )
-    kw = dict(strategy=strategy, target=total + 1.0, **extra)
-
-    def run(chunk):
-        return select_seed_batch(
-            family.size,
-            lambda s: goodness.counts(s, (1.0,))[0],  # a one-rung ladder
-            chunk_size=chunk,
-            **kw,
-        )
-
-    return _case(
-        name,
-        lambda: run(1),
-        lambda: run(None),
-        lambda a, b: a == b,
-        repeats,
-        meta,
     )
 
 
@@ -193,27 +161,12 @@ def _lowdeg_e2e_case(n, repeats):
 def run(mode: str, seed: int) -> dict:
     if mode == "smoke":
         n, avg_deg, trials, repeats = 400, 10, 256, 3
-        n_enum, n_lowdeg = 60, 400
     else:
         n, avg_deg, trials, repeats = 10_000, 8, 512, 3
-        n_enum, n_lowdeg = 150, 10_000
     cases = dict(
         [
             _stage_scan_case(n, avg_deg, seed, trials, repeats),
-            _stage_enum_case(
-                "stage_cond_exp",
-                "conditional_expectation",
-                n_enum,
-                10,
-                seed,
-                repeats,
-                enumeration_cap=1 << 17,
-            ),
-            _stage_enum_case(
-                "stage_best_of", "best_of", n_enum, 10, seed, repeats,
-                best_of_k=512,
-            ),
-            _lowdeg_e2e_case(n_lowdeg, repeats),
+            _lowdeg_e2e_case(n, repeats),
         ]
     )
     return {"mode": mode, "cases": cases}

@@ -66,6 +66,8 @@ def solve(request: SolveRequest, *, graph: Graph | None = None) -> SolveResult:
     ``request.source`` resolved here; the settings are
     :meth:`SolveRequest.make_params`.
     """
+    entry = REGISTRY.get(request.problem, request.model)
+    params = request.make_params()  # a bad value fails before any graph work
     g = graph if graph is not None else request.graph
     if g is None:
         if request.source is None:
@@ -74,8 +76,6 @@ def solve(request: SolveRequest, *, graph: Graph | None = None) -> SolveResult:
                 "or graph=)"
             )
         g = request.source.resolve()
-    entry = REGISTRY.get(request.problem, request.model)
-    params = request.make_params()
     if not _trace._TRACING:
         # Parity contract: with tracing off this is byte-for-byte the
         # pre-observability solve path.

@@ -102,7 +102,6 @@ def cc_mis(
         # family, so deep phases still cover every seed before giving up.
         _, i_mask = luby.select(
             objective,
-            strategy="scan",
             target=0.01 * w_a,
             max_trials=max_scan_trials,
             start=1 + (phase - 1) * max_scan_trials,
@@ -182,7 +181,6 @@ def cc_maximal_matching(
 
         _, mm = luby.select(
             objective,
-            strategy="scan",
             target=float(g.m) / 109.0,
             max_trials=max_scan_trials,
             start=1 + (phase - 1) * max_scan_trials,

@@ -117,7 +117,6 @@ def congest_mis(
         # Phase-disjoint offsets; the scan wraps around the family.
         _, i_mask = luby.select(
             objective,
-            strategy="scan",
             target=g.m / 120.0,  # conservative Luby-constant target
             max_trials=max_scan_trials,
             start=1 + (phase - 1) * max_scan_trials,

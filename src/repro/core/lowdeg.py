@@ -147,10 +147,8 @@ def lowdeg_mis(
         target = params.mis_target(w_a)
         sel, i_mask = luby.select(
             lambda i_masks: (luby.kill(i_masks) @ deg_sel).astype(np.float64),
-            strategy="scan" if params.strategy != "best_of" else "best_of",
             target=target,
             max_trials=params.max_scan_trials,
-            best_of_k=params.best_of_k,
             # Phase-disjoint offsets into the canonical scan order, which
             # wraps around the family.
             start=1 + (phase - 1) * params.max_scan_trials,

@@ -15,9 +15,9 @@ machines, so one more derandomization step selects:
 
 z-values come from a *pairwise* product family over ids (wide range, so ties
 are negligible; residual ties break by id, which can only merge in favour of
-lower ids and never breaks matching/independence).  The strategy
-``conditional_expectation`` swaps in a small single-field family so the whole
-family is enumerable -- the literal Section-2.4 machinery.
+lower ids and never breaks matching/independence).  Each step fixes its seed
+with the one scan of :mod:`repro.derand.strategies`, against the lemma's
+bound times ``target_safety``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import numpy as np
 from ..derand.strategies import SeedSelection
 from ..graphs.graph import Graph
 from ..graphs.kernels import SegmentTable, arcs_toward, group_order_indptr
-from ..hashing.families import ProductHashFamily, make_product_family
-from ..hashing.kwise import KWiseHashFamily, make_family
+from ..hashing.families import make_product_family
 from ..models.phase import EdgePhase, NodePhase
 from ..mpc.context import MPCContext
 from .good_nodes import GoodNodesMatching, GoodNodesMIS
@@ -47,36 +46,6 @@ class LubyStepInfo:
     target: float
     seed_bits: int
     family_size: int
-
-
-def _choose_z_family(
-    universe: int, params: Params
-) -> ProductHashFamily | KWiseHashFamily:
-    """Pairwise z-value family; enumerable variant for cond.-expectation."""
-    if params.strategy == "conditional_expectation":
-        fam = make_family(universe=max(universe, 2), k=2, min_q=5)
-        if fam.size > params.enumeration_cap:
-            raise ValueError(
-                f"conditional_expectation needs an enumerable family; "
-                f"universe {universe} gives {fam.size} seeds "
-                f"(> cap {params.enumeration_cap}) -- use a smaller input or "
-                f"strategy='scan'"
-            )
-        return fam
-    return make_product_family(max(universe, 2), k=2, min_q=params.min_q)
-
-
-def _select(
-    luby: EdgePhase | NodePhase, objective, params: Params, target: float
-) -> tuple[SeedSelection, np.ndarray]:
-    return luby.select(
-        objective,
-        strategy=params.strategy,
-        target=target,
-        max_trials=params.max_scan_trials,
-        enumeration_cap=params.enumeration_cap,
-        best_of_k=params.best_of_k,
-    )
 
 
 def first_k_arcs(
@@ -137,7 +106,7 @@ def luby_matching_step(
         "luby_gather", words=int(two_hop[b_ids].sum()) if b_ids.size else 0
     )
 
-    family = _choose_z_family(g.m, params)
+    family = make_product_family(max(g.m, 2), k=2, min_q=params.min_q)
     # Local-minimum keys z * (m + 1) + edge_id must not wrap.
     if family.range * (g.m + 1) >= 2**62:
         raise ValueError("key space too large; reduce m or field size")
@@ -156,7 +125,9 @@ def luby_matching_step(
         )
 
     target = params.matching_target(good.weight_b)
-    sel, matched = _select(luby, objective, params, target)
+    sel, matched = luby.select(
+        objective, target=target, max_trials=params.max_scan_trials
+    )
     ctx.charge_seed_fix(family.seed_bits, "luby_seed")
     if not sel.satisfied:
         fidelity.append(
@@ -214,7 +185,7 @@ def luby_mis_step(
         "luby_gather", words=int(words[b_ids].sum()) if b_ids.size else 0
     )
 
-    family = _choose_z_family(g.n, params)
+    family = make_product_family(max(g.n, 2), k=2, min_q=params.min_q)
     if family.range * (g.n + 1) >= 2**62:
         raise ValueError("key space too large; reduce n or field size")
     # Minima over the Q'-internal adjacency (the only conflicts for I);
@@ -228,7 +199,9 @@ def luby_mis_step(
         return np.where(sel_mask, deg[None, :], 0.0).sum(axis=1)
 
     target = params.mis_target(good.weight_b)
-    sel, i_mask = _select(luby, objective, params, target)
+    sel, i_mask = luby.select(
+        objective, target=target, max_trials=params.max_scan_trials
+    )
     ctx.charge_seed_fix(family.seed_bits, "luby_seed")
     if not sel.satisfied:
         fidelity.append(

@@ -10,7 +10,8 @@ The paper's knobs and how we expose them:
 * ``c`` -- independence of the sparsification hash family ("sufficiently
   large constant c"; Lemma 9 needs even ``c >= 4``; ``c = 2`` with Chebyshev
   slack is available for ablations).
-* seed-selection strategy and its budgets (see :mod:`repro.derand`).
+* ``max_scan_trials`` -- the budget of every seed scan, the one seed
+  selector (see :mod:`repro.derand`).
 * ``congest_pipeline_seed_fix`` -- the CONGEST ablation that bills the
   BFS-pipelined ``O(D + seed_bits)`` seed broadcast (charging only; the
   MIS is unchanged).
@@ -18,21 +19,25 @@ The paper's knobs and how we expose them:
   progress ``>= W_B / 109`` (matching, Lemma 13,
   :data:`MATCHING_STEP_FRACTION`) and ``>= 0.01 delta W_B`` (MIS, Lemma 21,
   :data:`MIS_STEP_FRACTION_PER_DELTA`) where ``W_B = sum_{v in B} d(v)``;
-  the ``scan`` strategy uses ``target_safety`` times these as its stopping
-  threshold.
+  a Luby step's seed scan stops at ``target_safety`` times these.
 * the stage slack ladder ``kappa_0 * SLACK_ESCALATION^j``,
   ``j <= max_slack_escalations``.
 
 ``Params`` is the only settings record a solve reads.  How the simulator
 batches a seed scan is not a parameter: scans ramp their seed blocks up to
 :data:`repro.derand.strategies.DEFAULT_SEED_CHUNK`, and no block size
-changes which seed is picked.
+changes which seed is picked.  Every field is checked at construction,
+so a bad value (an ``overrides`` entry over the wire included) is a
+``ValueError`` naming the field before any graph work.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+
+from ..hashing.kwise import MAX_FIELD
 
 __all__ = [
     "MATCHING_STEP_FRACTION",
@@ -52,6 +57,14 @@ MIS_STEP_FRACTION_PER_DELTA = 0.01
 SLACK_ESCALATION = 1.5
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Params:
     """Tunable constants for the deterministic MPC algorithms."""
@@ -59,10 +72,7 @@ class Params:
     eps: float = 0.5
     delta: float | None = None  # defaults to eps / 8
     c: int = 4  # sparsification family independence (2 or even >= 4)
-    strategy: str = "scan"  # seed selection: scan | conditional_expectation | best_of
-    max_scan_trials: int = 512
-    best_of_k: int = 64
-    enumeration_cap: int = 1 << 16
+    max_scan_trials: int = 512  # seeds one scan may evaluate
     congest_pipeline_seed_fix: bool = False  # CONGEST O(D + seed_bits) ablation
     target_safety: float = 1.0  # multiplies the paper's progress constants
     space_factor: float = 32.0
@@ -75,10 +85,20 @@ class Params:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         if self.delta is not None and not 0 < self.delta <= self.eps:
             raise ValueError("delta must be in (0, eps]")
-        if self.c != 2 and (self.c < 4 or self.c % 2 != 0):
-            raise ValueError("c must be 2 or an even integer >= 4")
-        if self.strategy not in ("scan", "conditional_expectation", "best_of"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not _is_int(self.c) or (self.c != 2 and (self.c < 4 or self.c % 2)):
+            raise ValueError(f"c must be 2 or an even integer >= 4, got {self.c!r}")
+        for name, low in (("max_scan_trials", 1), ("max_slack_escalations", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+        for name in ("target_safety", "space_factor", "total_factor"):
+            value = getattr(self, name)
+            if not _is_real(value) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not _is_int(self.min_q) or not 2 <= self.min_q <= MAX_FIELD:
+            raise ValueError(
+                f"min_q must be an int in [2, {MAX_FIELD}], got {self.min_q!r}"
+            )
 
     # ------------------------------------------------------------------ #
     # Derived quantities

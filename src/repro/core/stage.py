@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..derand.estimators import certified_slacks
-from ..derand.strategies import SeedSelection, select_seed_batch
+from ..derand.strategies import SeedSelection, pick_seed, select_seed_batch
 from ..hashing.kwise import KWiseHashFamily
 from ..mpc.partition import MachineGrouping
 from ..obs import trace as _obs
@@ -412,26 +412,6 @@ class StageGoodness:
         return good
 
 
-def _rescan(
-    seeds: np.ndarray, values: np.ndarray, target: float, scanned: SeedSelection
-) -> SeedSelection:
-    """The selection a scan of ``seeds`` with these values would return:
-    the first seed meeting ``target``, else the first best seed -- the scan
-    rules of ``select_seed_batch``, on values already computed.  With no
-    seeds evaluated it is the rung-0 scan's own outcome."""
-    if not seeds.size:
-        return scanned
-    hits = np.flatnonzero(values >= target)
-    i = int(hits[0]) if hits.size else int(np.argmax(values))
-    return SeedSelection(
-        seed=int(seeds[i]),
-        value=float(values[i]),
-        trials=i + 1 if hits.size else int(seeds.size),
-        strategy="scan",
-        satisfied=bool(hits.size),
-    )
-
-
 def run_stage_seed_search(
     family: KWiseHashFamily,
     prob: float,
@@ -455,9 +435,10 @@ def run_stage_seed_search(
     The slack ladder is ``kappa_0 * SLACK_ESCALATION^j`` for
     ``j <= max_slack_escalations``.  One scan at ``kappa_0`` evaluates each
     seed once, at every rung (see :class:`StageGoodness`).  When it finds no
-    all-good seed, each escalation picks, from the values already computed,
-    the seed a re-scan of the same seeds at its rung would pick; ``trials``
-    counts the seeds evaluated.
+    all-good seed, each escalation applies the scan's own rule
+    (:func:`~repro.derand.strategies.pick_seed`) to the values already
+    computed at its rung, so it picks the seed a re-scan of the same seeds
+    would; ``trials`` counts the seeds evaluated.
     """
     threshold = family.threshold(prob)
     p_real = threshold / family.range
@@ -493,7 +474,6 @@ def run_stage_seed_search(
     scanned = select_seed_batch(
         family.size,
         rung0,
-        strategy="scan",
         target=target,
         max_trials=params.max_scan_trials,
         start=max(1, scan_start),  # >= 1 skips the constant-zero hash
@@ -501,8 +481,7 @@ def run_stage_seed_search(
     sel = best = scanned
     level = 0
     if not sel.satisfied:
-        seeds = np.concatenate(seen) if seen else np.empty(0, dtype=np.int64)
-        values = np.concatenate(rungs, axis=1) if rungs else np.empty((len(kappas), 0))
+        seeds, values = np.concatenate(seen), np.concatenate(rungs, axis=1)
     while not sel.satisfied:
         # Degraded modes are never silent: one count per rung whose seeds
         # hold no all-good one, one per slack escalation.
@@ -516,7 +495,7 @@ def run_stage_seed_search(
         level += 1
         METRICS.inc("stage.slack_escalations")
         fidelity.append(f"stage slack escalated to kappa={kappas[level]:.3f}")
-        sel = _rescan(seeds, values[level], target, scanned)
+        sel = pick_seed(seeds, values[level], target)
         if sel.value > best.value:
             best = sel
 

@@ -17,8 +17,9 @@ Each phase builds one :class:`~repro.graphs.kernels.SegmentTable` per
 adjacency, shared by the min and the any reduction, and evaluates whole
 seed blocks at once.  What differs per call site stays there: the key
 source (ids or colours), the objective and its target, the scan start and
-strategy, and what the phase costs, which the model's
-:class:`~repro.models.ledger.RoundLedger` charges.
+budget, and what the phase costs, which the model's
+:class:`~repro.models.ledger.RoundLedger` charges.  Every phase fixes its
+seed with the one scan of :mod:`repro.derand.strategies`.
 
 Keys are ``z * (N + 1) + id`` for ids in ``[0, N)``: a strict total order
 that breaks hash ties by id.  They are uint32 when every key fits below
@@ -88,11 +89,14 @@ class _LubyPhase:
         z = self.family.evaluate_batch(seeds, self._xs).astype(self.dtype, copy=False)
         return z * self._stride + self._ids[None, :]
 
-    def select(self, objective, **search) -> tuple[SeedSelection, np.ndarray]:
-        """Fix a seed by ``objective(masks) -> float64[S]``; return its mask.
+    def select(
+        self, objective, *, target: float, max_trials: int, start: int = 0
+    ) -> tuple[SeedSelection, np.ndarray]:
+        """Scan for a seed whose ``objective(masks) -> float64[S]`` meets
+        ``target``; return the selection and its mask.
 
-        ``search`` goes to :func:`~repro.derand.strategies.select_seed_batch`
-        (strategy, target, budgets, start).  Blocks ramp up to
+        The scan is :func:`~repro.derand.strategies.select_seed_batch` with
+        ``max_trials`` and ``start``.  Blocks ramp up to
         ``DEFAULT_SEED_CHUNK`` seeds, read at call time, clamped so one
         block gathers at most ``_SEED_BLOCK_BYTES``; no block size changes
         the selection.
@@ -104,8 +108,10 @@ class _LubyPhase:
         sel = select_seed_batch(
             self.family.size,
             lambda seeds: objective(self.masks(seeds)),
+            target=target,
+            max_trials=max_trials,
+            start=start,
             chunk_size=chunk,
-            **search,
         )
         return sel, self.masks(np.array([sel.seed], dtype=np.int64))[0]
 

@@ -30,7 +30,7 @@ from repro.cclique.model import CongestedCliqueContext
 from repro.congest.mis_congest import CongestMISResult
 from repro.congest.model import CongestContext
 from repro.core.lowdeg import phases_per_stage
-from repro.core.luby_step import LubyStepInfo, _choose_z_family, first_k_arcs
+from repro.core.luby_step import LubyStepInfo, first_k_arcs
 from repro.core.params import Params
 from repro.core.records import IterationRecord, MISResult
 from repro.derand import strategies as _strategies
@@ -264,10 +264,8 @@ def lowdeg_mis_oracle(graph: Graph, params: Params | None = None) -> MISResult:
         sel = select_seed_batch(
             family.size,
             batch_objective,
-            strategy="scan" if params.strategy != "best_of" else "best_of",
             target=target,
             max_trials=params.max_scan_trials,
-            best_of_k=params.best_of_k,
             start=start,
             chunk_size=chunk,
         )
@@ -333,11 +331,8 @@ def _select(family_size, batch_objective, params: Params, target: float):
     return select_seed_batch(
         family_size,
         batch_objective,
-        strategy=params.strategy,
         target=target,
         max_trials=params.max_scan_trials,
-        enumeration_cap=params.enumeration_cap,
-        best_of_k=params.best_of_k,
     )
 
 
@@ -359,7 +354,7 @@ def luby_matching_step_oracle(g, e_star_mask, good, params, ctx, fidelity):
         "luby_gather", words=int(two_hop[b_ids].sum()) if b_ids.size else 0
     )
 
-    family = _choose_z_family(g.m, params)
+    family = make_product_family(max(g.m, 2), k=2, min_q=params.min_q)
     stride = np.uint64(g.m + 1)
     if family.range * (g.m + 1) >= 2**62:
         raise ValueError("key space too large; reduce m or field size")
@@ -432,7 +427,7 @@ def luby_mis_step_oracle(g, q_prime_mask, good, params, ctx, fidelity):
         "luby_gather", words=int(words[b_ids].sum()) if b_ids.size else 0
     )
 
-    family = _choose_z_family(g.n, params)
+    family = make_product_family(max(g.n, 2), k=2, min_q=params.min_q)
     stride = np.uint64(g.n + 1)
     if family.range * (g.n + 1) >= 2**62:
         raise ValueError("key space too large; reduce n or field size")
@@ -523,7 +518,6 @@ def cc_mis_oracle(
         sel = select_seed_batch(
             family.size,
             batch_objective,
-            strategy="scan",
             target=target,
             max_trials=max_scan_trials,
             start=start,
@@ -608,7 +602,6 @@ def cc_maximal_matching_oracle(
         sel = select_seed_batch(
             family.size,
             batch_objective,
-            strategy="scan",
             target=target,
             max_trials=max_scan_trials,
             start=start,
@@ -710,7 +703,6 @@ def congest_mis_oracle(
         sel = select_seed_batch(
             fam_size,
             batch_objective,
-            strategy="scan",
             target=g.m / 120.0,
             max_trials=max_scan_trials,
             start=start,

@@ -45,9 +45,32 @@ def test_params_rejects_odd_c():
         Params(c=5)
 
 
-def test_params_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        Params(strategy="mystery")
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c", 4.0),
+        ("c", "4"),
+        ("max_scan_trials", -5),
+        ("max_scan_trials", 0),
+        ("max_scan_trials", 2.5),
+        ("max_slack_escalations", -1),
+        ("max_slack_escalations", True),
+        ("target_safety", float("nan")),
+        ("target_safety", 0.0),
+        ("space_factor", -1.0),
+        ("space_factor", float("inf")),
+        ("total_factor", 0),
+        ("total_factor", "16"),
+        ("min_q", 1),
+        ("min_q", 2**31),
+        ("min_q", 257.0),
+    ],
+)
+def test_params_rejects_bad_values(field, value):
+    """A value the solvers cannot run with is refused at construction,
+    naming its field, not met mid-solve or run with silently."""
+    with pytest.raises(ValueError, match=field):
+        Params(**{field: value})
 
 
 def test_params_with_update():

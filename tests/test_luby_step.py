@@ -196,16 +196,41 @@ def test_mis_step_deterministic():
     assert np.array_equal(run(), run())
 
 
-def test_conditional_expectation_strategy_small_graph():
-    """The literal Section-2.4 strategy end-to-end on a small instance."""
-    g = gnp_random_graph(24, 0.3, seed=10)
-    params = Params(strategy="conditional_expectation", enumeration_cap=1 << 16)
-    good = good_nodes_mis(g, params)
-    ctx = MPCContext(n=g.n, m=g.m)
-    fid: list[str] = []
-    spars = sparsify_nodes(g, good, params, ctx, fid)
-    i_mask, info = luby_mis_step(g, spars.q_prime_mask, good, params, ctx, fid)
-    assert is_independent_set(g, i_mask)
-    assert info.selection.strategy == "conditional_expectation"
-    # The probabilistic-method guarantee: chosen value >= family mean.
-    assert info.selection.value >= info.selection.family_mean - 1e-9
+@pytest.mark.parametrize("problem, n", [("mis", 200), ("matching", 64)])
+def test_scan_targets_meet_the_existence_argument(problem, n, monkeypatch):
+    """Where the family can be enumerated, every Luby step's target is at
+    most its objective's exact mean over all seeds, so some seed meets it.
+
+    The steps hash with the pairwise family over the smallest field
+    (``make_family(u, k=2, min_q=5)``, at most 251^2 seeds here: the mis
+    universe is n = 200 ids, the matching one m <= 247 edge ids).
+    """
+    import repro.core.luby_step as luby_step
+    import repro.models.phase as phase
+    from repro.api import SolveRequest, solve
+    from repro.graphs.streaming import gnp_block_graph
+    from repro.hashing.kwise import make_family
+
+    monkeypatch.setattr(
+        luby_step,
+        "make_product_family",
+        lambda universe, k, min_q: make_family(universe, k=2, min_q=5),
+    )
+    captured = []
+    select = phase.select_seed_batch
+
+    def spy(family_size, objective, **search):
+        captured.append((family_size, objective, search["target"]))
+        return select(family_size, objective, **search)
+
+    monkeypatch.setattr(phase, "select_seed_batch", spy)
+    g = gnp_block_graph(n, 8 / n, 1)
+    assert solve(SolveRequest(problem, graph=g, force="general")).verified
+    assert captured
+    for family_size, objective, target in captured:
+        assert family_size <= 251**2
+        total = sum(
+            objective(np.arange(lo, min(lo + 4096, family_size), dtype=np.int64)).sum()
+            for lo in range(0, family_size, 4096)
+        )
+        assert total / family_size >= target

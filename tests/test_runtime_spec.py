@@ -56,7 +56,7 @@ def json_round_trip(request: SolveRequest) -> SolveRequest:
 
 def test_jobspec_json_round_trip():
     for spec in (
-        make_spec(force="lowdeg", paper_rule=True, overrides={"strategy": "best_of"}),
+        make_spec(force="lowdeg", paper_rule=True, overrides={"max_scan_trials": 64}),
         make_spec(model="cclique", overrides={"c": 2}, options={"charge_mode": "chps"}),
     ):
         again = json_round_trip(spec)
@@ -86,7 +86,15 @@ def test_request_refuses_unregistered_pairs_and_unknown_override_keys():
     all refuse the same request before any graph is built."""
     with pytest.raises(ValueError, match=r"\('vc', 'cclique'\).*mis/cclique"):
         make_spec(problem="vc", model="cclique")
-    for bad in ({"charge_mode": "chps"}, {"eps": 0.3}, {"check_invariants": True}):
+    for bad in (
+        {"charge_mode": "chps"},
+        {"eps": 0.3},
+        {"check_invariants": True},
+        # The removed seed selectors' keys.
+        {"strategy": "best_of"},
+        {"best_of_k": 8},
+        {"enumeration_cap": 1},
+    ):
         with pytest.raises(ValueError, match="unknown overrides keys") as info:
             make_spec(overrides=bad)
         assert str(sorted(bad)) in str(info.value)
@@ -258,7 +266,7 @@ def test_request_digest_is_the_solve_digest():
     spec = make_spec(
         model="cclique",
         eps=0.6,
-        overrides={"strategy": "best_of", "c": 2},
+        overrides={"max_scan_trials": 64, "c": 2},
         options={"charge_mode": "chps"},
     )
     payload = {
@@ -267,7 +275,7 @@ def test_request_digest_is_the_solve_digest():
         "eps": 0.6,
         "force": None,
         "paper_rule": False,
-        "overrides": {"c": 2, "strategy": "best_of"},
+        "overrides": {"c": 2, "max_scan_trials": 64},
         "options": {"charge_mode": "chps"},
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

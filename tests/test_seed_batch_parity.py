@@ -1,10 +1,9 @@
 """Seed-block parity and wrap-around scans.
 
-The contract under test: the seed-search engine returns a *bit-identical*
+The contract under test: the seed scan returns a *bit-identical*
 :class:`~repro.derand.strategies.SeedSelection` -- same seed, value, trial
-count, ``satisfied`` flag and ``family_mean`` -- whatever its block size,
-for every strategy and every call site, for arbitrary family sizes, starts
-and targets.  ``chunk_size=1`` (one lazy objective evaluation per trial)
+count and ``satisfied`` flag -- whatever its block size, at every call
+site, for arbitrary family sizes, starts and targets.  ``chunk_size=1`` (one lazy objective evaluation per trial)
 is the reference every drawn chunk size is compared with: blocks only
 change how many seeds are evaluated per objective call, never which seed
 wins.
@@ -19,11 +18,7 @@ from repro.congest.mis_congest import congest_mis
 from repro.core import Params, lowdeg_mis
 from repro.core.api import maximal_independent_set, maximal_matching
 from repro.derand import strategies as derand_strategies
-from repro.derand.strategies import (
-    ConditionalExpectationError,
-    scan_regions,
-    select_seed_batch,
-)
+from repro.derand.strategies import scan_regions, select_seed_batch
 from repro.graphs import cycle_graph, gnp_random_graph
 from repro.graphs.kernels import SegmentTable, group_order_indptr
 from repro.hashing.families import make_product_family
@@ -48,7 +43,7 @@ def _vector_objective(values: np.ndarray):
 
 
 # --------------------------------------------------------------------- #
-# Strategy-level parity (hypothesis)
+# Scan-level parity (hypothesis)
 # --------------------------------------------------------------------- #
 
 
@@ -65,55 +60,9 @@ def _vector_objective(values: np.ndarray):
 )
 def test_scan_parity_all_fields(values, start, target, max_trials, chunk, data):
     vals = np.array(values)
-    kw = dict(strategy="scan", target=target, max_trials=max_trials, start=start)
+    kw = dict(target=target, max_trials=max_trials, start=start)
     a = select_seed_batch(vals.size, _vector_objective(vals), chunk_size=1, **kw)
     b = select_seed_batch(vals.size, _vector_objective(vals), chunk_size=chunk, **kw)
-    assert a == b
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    values=st.lists(
-        st.floats(-100, 100, allow_nan=False), min_size=1, max_size=64
-    ),
-    chunk=st.integers(1, 64),
-)
-def test_cond_exp_parity(values, chunk):
-    vals = np.array(values)
-    a = select_seed_batch(
-        vals.size,
-        _vector_objective(vals),
-        strategy="conditional_expectation",
-        chunk_size=1,
-    )
-    b = select_seed_batch(
-        vals.size,
-        _vector_objective(vals),
-        strategy="conditional_expectation",
-        chunk_size=chunk,
-    )
-    assert a == b
-    assert a.family_mean == b.family_mean
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    values=st.lists(
-        st.floats(-100, 100, allow_nan=False), min_size=1, max_size=64
-    ),
-    k=st.integers(1, 80),
-    chunk=st.integers(1, 64),
-)
-def test_best_of_parity(values, k, chunk):
-    vals = np.array(values)
-    a = select_seed_batch(
-        vals.size, _vector_objective(vals), strategy="best_of", best_of_k=k,
-        chunk_size=1,
-    )
-    b = select_seed_batch(
-        vals.size, _vector_objective(vals), strategy="best_of", best_of_k=k,
-        chunk_size=chunk,
-    )
     assert a == b
 
 
@@ -127,7 +76,7 @@ def test_scalar_adapter_matches_batch_engine():
         calls.append(seeds.tolist())
         return _vector_objective(values)(seeds)
 
-    kw = dict(strategy="scan", target=9.0, start=2)
+    kw = dict(target=9.0, start=2)
     a = select_seed_batch(8, one_at_a_time, chunk_size=1, **kw)
     b = select_seed_batch(8, _vector_objective(values), **kw)
     assert a == b
@@ -144,7 +93,7 @@ def test_scan_start_past_end_wraps():
     # Now the scan covers the whole wrapped order [1, size).
     values = [100.0, 0.0, 0.0, 7.0, 0.0]
     sel = select_seed_batch(
-        5, _vector_objective(values), strategy="scan", target=7.0, start=9
+        5, _vector_objective(values), target=7.0, start=9
     )
     assert sel.satisfied and sel.seed == 3
 
@@ -153,7 +102,7 @@ def test_scan_wraps_to_cover_prefix():
     # start=3: scans 3, 4, then wraps to 1, 2 (seed 0 stays skipped).
     values = [50.0, 8.0, 0.0, 0.0, 0.0]
     sel = select_seed_batch(
-        5, _vector_objective(values), strategy="scan", target=8.0, start=3
+        5, _vector_objective(values), target=8.0, start=3
     )
     assert sel.satisfied and sel.seed == 1
     assert sel.trials == 3  # seeds 3, 4, 1
@@ -162,7 +111,7 @@ def test_scan_wraps_to_cover_prefix():
 def test_scan_wrap_skips_seed_zero():
     values = [10.0, 0.0, 0.0]
     sel = select_seed_batch(
-        3, _vector_objective(values), strategy="scan", target=10.0, start=1
+        3, _vector_objective(values), target=10.0, start=1
     )
     assert not sel.satisfied  # seed 0 (the constant-zero hash) never scanned
     assert sel.trials == 2
@@ -171,18 +120,18 @@ def test_scan_wrap_skips_seed_zero():
 def test_scan_start_zero_covers_everything():
     values = [1.0, 2.0, 3.0]
     sel = select_seed_batch(
-        3, _vector_objective(values), strategy="scan", target=3.0, start=0
+        3, _vector_objective(values), target=3.0, start=0
     )
     assert sel.satisfied and sel.seed == 2 and sel.trials == 3
 
 
 def test_scan_regions_normalises_start():
-    regions, first = scan_regions(10, 12)
-    assert first == 1 + (12 - 1) % 9
+    regions = scan_regions(10, 12)
+    assert regions[0][0] == 1 + (12 - 1) % 9
     covered = [s for lo, hi in regions for s in range(lo, hi)]
     assert sorted(covered) == list(range(1, 10))
     # family of {0} with a skip request still scans seed 0
-    assert scan_regions(1, 1) == ([(0, 1)], 0)
+    assert scan_regions(1, 1) == [(0, 1)]
 
 
 def test_scan_trials_capped_by_wrapped_family():
@@ -190,7 +139,6 @@ def test_scan_trials_capped_by_wrapped_family():
     sel = select_seed_batch(
         6,
         lambda seeds: calls.extend(seeds.tolist()) or np.zeros(seeds.size),
-        strategy="scan",
         target=1.0,
         max_trials=100,
         start=4,
@@ -198,19 +146,6 @@ def test_scan_trials_capped_by_wrapped_family():
     assert not sel.satisfied
     assert sel.trials == 5  # seeds 4, 5, 1, 2, 3 -- never seed 0, never twice
     assert calls == [4, 5, 1, 2, 3]
-
-
-# --------------------------------------------------------------------- #
-# Conditional-expectation invariant raises (not assert)
-# --------------------------------------------------------------------- #
-
-
-def test_cond_exp_invariant_error_is_real_exception():
-    with pytest.raises(ConditionalExpectationError):
-        select_seed_batch(
-            4, lambda seeds: np.full(seeds.size, np.nan),
-            strategy="conditional_expectation",
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -376,8 +311,9 @@ def test_lowdeg_backend_parity(graph_fn, monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        # best_of evaluates every one of its k seeds, so blocks fill up
-        lambda g: lowdeg_mis(g, Params(strategy="best_of", best_of_k=20)),
+        # exhausted scans evaluate every seed of their budget, so blocks
+        # fill up
+        lambda g: lowdeg_mis(g, Params(target_safety=2000.0, max_scan_trials=20)),
         cc_mis,
         cc_maximal_matching,
         lambda g: congest_mis(g, mode="voting"),

@@ -155,7 +155,14 @@ def test_unknown_overrides_keys_are_400_naming_them():
     """An ``overrides`` key that is not a Params field (or is ``eps``, which
     has its own key) fails at parse time, before any graph is resolved."""
     assert parse_solve(solve_body(overrides={"c": 2})).spec.overrides == (("c", 2),)
-    bads = ({"bogus": 1}, {"seed_chunk": 4, "seed_scan_workers": 2}, {"eps": 0.3})
+    bads = (
+        {"bogus": 1},
+        {"seed_chunk": 4, "seed_scan_workers": 2},
+        {"eps": 0.3},
+        {"strategy": "best_of"},
+        {"best_of_k": 8},
+        {"enumeration_cap": 1},
+    )
     for bad in bads + ({"charge_mode": "chps"},):
         with pytest.raises(ProtocolError) as info:
             parse_solve(solve_body(overrides=bad))

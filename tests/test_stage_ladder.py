@@ -54,7 +54,6 @@ def rescan_stage_seed_search(
             lambda seeds: reference_counts(
                 family, threshold, groups, mus, base_slacks, kap, seeds
             ),
-            strategy="scan",
             target=float(total_machines),
             max_trials=params.max_scan_trials,
             start=max(1, scan_start),

@@ -105,7 +105,7 @@ def test_luby_expected_progress_under_pairwise():
 
 
 def test_scan_finds_good_seed_quickly_on_average():
-    """The O(1)-expected-trials claim behind the scan strategy: the
+    """The O(1)-expected-trials claim behind the seed scan: the
     median first index achieving half the mean objective is tiny."""
     g = gnp_random_graph(200, 0.05, seed=10)
     fam = make_product_family(g.m, k=2)
