@@ -24,19 +24,39 @@ from .mis import deterministic_mis
 from .params import Params
 from .records import MatchingResult, MISResult
 
-__all__ = ["maximal_independent_set", "maximal_matching", "uses_lowdeg_path"]
+__all__ = [
+    "lowdeg_path_rule",
+    "maximal_independent_set",
+    "maximal_matching",
+    "uses_lowdeg_path",
+]
 
 
 def uses_lowdeg_path(
     graph: Graph, params: Params, *, paper_rule: bool = False, for_matching: bool = False
 ) -> bool:
     """True iff the Section-5 path will be taken for this input."""
-    delta_max = graph.max_degree()
+    return lowdeg_path_rule(
+        graph.n, graph.max_degree(), params,
+        paper_rule=paper_rule, for_matching=for_matching,
+    )
+
+
+def lowdeg_path_rule(
+    n: int,
+    delta_max: int,
+    params: Params,
+    *,
+    paper_rule: bool = False,
+    for_matching: bool = False,
+) -> bool:
+    """:func:`uses_lowdeg_path` for an ``n``-node input of maximum degree
+    ``delta_max``: a derived graph's path, decided before it is built."""
     if delta_max == 0:
         return True
     if paper_rule:
-        return delta_max <= params.low_degree_threshold(graph.n)
-    s = MPCContext.for_graph(graph, params).S
+        return delta_max <= params.low_degree_threshold(n)
+    s = MPCContext.for_size(n, 0, params).S
     eff = 2 * delta_max - 2 if for_matching else delta_max  # line-graph degree
     return max(eff, 1) ** 2 + 1 <= s
 

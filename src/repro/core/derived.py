@@ -35,7 +35,7 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.power import ball_sizes, square_graph
-from .api import maximal_independent_set, maximal_matching, uses_lowdeg_path
+from .api import lowdeg_path_rule, maximal_independent_set, maximal_matching
 from .lowdeg import lowdeg_mis
 from .mis import deterministic_mis
 from .params import Params
@@ -294,17 +294,25 @@ def deterministic_coloring(
     ``(u, c)`` and ``(w, c)`` are adjacent.
 
     On the Section-5 path the product's r = 2 ball sizes come from
-    ``G``'s own count (:func:`_product_ball2_sizes`).
+    ``G``'s own count (:func:`_product_ball2_sizes`).  The product's size
+    and maximum degree (``Delta + k - 1``) have closed forms, so the path is
+    chosen before the product is built, and the product goes to the solver
+    with no reference kept here: ``lowdeg_mis`` drops it once its
+    preprocessing ends.
     """
-    k = num_colors if num_colors is not None else graph.max_degree() + 1
+    delta = graph.max_degree()
+    k = num_colors if num_colors is not None else delta + 1
     if k < 1:
         k = 1
     params = params or Params(eps=eps)
-    prod = _product_graph(graph, k)
-    if uses_lowdeg_path(prod, params):
-        mis = lowdeg_mis(prod, params, ball2_sizes=_product_ball2_sizes(graph, k))
+    product_n = graph.n * k
+    product_m = graph.n * (k * (k - 1) // 2) + k * graph.m
+    if lowdeg_path_rule(product_n, delta + k - 1 if graph.n else 0, params):
+        mis = lowdeg_mis(
+            _product_graph(graph, k), params, ball2_sizes=_product_ball2_sizes(graph, k)
+        )
     else:
-        mis = deterministic_mis(prod, params)
+        mis = deterministic_mis(_product_graph(graph, k), params)
     colors = np.full(graph.n, -1, dtype=np.int64)
     v, c = np.divmod(mis.independent_set, k)
     colors[v] = c
@@ -319,6 +327,6 @@ def deterministic_coloring(
         colors=colors,
         num_colors=k,
         mis=mis,
-        product_n=prod.n,
-        product_m=prod.m,
+        product_n=product_n,
+        product_m=product_m,
     )

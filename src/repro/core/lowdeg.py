@@ -33,7 +33,7 @@ import numpy as np
 
 from ..graphs.coloring import distance2_coloring
 from ..graphs.graph import Graph
-from ..graphs.linegraph import line_graph, line_graph_ball2_sizes
+from ..graphs.linegraph import line_graph, line_graph_ball2_sizes, line_graph_size
 from ..graphs.power import BallTooLargeError, ball_sizes
 from ..hashing.families import make_color_family
 from ..models.phase import NodePhase, a_set
@@ -65,6 +65,10 @@ def lowdeg_mis(
     ``ball2_sizes`` are the r = 2 ball sizes of ``graph``
     (``ball_sizes(graph, 2)``), counted here unless the caller derived them
     from the base graph of a line graph or product graph.
+
+    Once preprocessing ends, the phase loop holds only its residual graph:
+    a caller that passes a derived graph without keeping it (as the line
+    graph and product callers do) lets it go before the first phase.
     """
     params = params or Params()
     ctx = ctx or MPCContext.for_graph(graph, params)
@@ -120,11 +124,12 @@ def lowdeg_mis(
     # ---------------- phases grouped into stages ------------------------- #
     in_mis = np.zeros(n, dtype=bool)
     removed = np.zeros(n, dtype=bool)
-    g = graph
     phase = 0
     cap = max_phases if max_phases is not None else 64 + 16 * max(
         1, int(np.ceil(np.log2(max(graph.m, 2))))
     )
+    g = graph
+    del graph, ball2_sizes, sizes
 
     while g.m > 0:
         phase += 1
@@ -241,12 +246,13 @@ def lowdeg_maximal_matching(
             space_limit=ctx.S,
             records=tuple(),
         )
-    lg = line_graph(graph)
-    # Build L(G) by sorting both arc orientations by endpoint.
+    # Build L(G) by sorting both arc orientations by endpoint.  L(G) goes to
+    # lowdeg_mis with no reference kept here, so it is dropped once
+    # preprocessing ends; its size has a closed form.
     ctx.charge_sort("line_graph", words=2 * graph.m)
-    sub_ctx = MPCContext.for_graph(lg, params)
+    sub_ctx = MPCContext.for_size(graph.m, line_graph_size(graph), params)
     sub = lowdeg_mis(
-        lg, params, ctx=sub_ctx, ball2_sizes=line_graph_ball2_sizes(graph)
+        line_graph(graph), params, ctx=sub_ctx, ball2_sizes=line_graph_ball2_sizes(graph)
     )
     matched_eids = sub.independent_set
     pairs = np.stack(

@@ -26,7 +26,7 @@ algebra, the caller can derive per-node bounds directly from the realised
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,8 +78,11 @@ class MachineGroupSpec:
     def __post_init__(self) -> None:
         if self.unit_ids.shape[0] != self.grouping.num_items:
             raise ValueError(f"group {self.name}: unit_ids/grouping size mismatch")
-        if self.weights is not None and self.weights.shape != self.unit_ids.shape:
-            raise ValueError(f"group {self.name}: weights shape mismatch")
+        if self.weights is not None:
+            if self.weights.shape != self.unit_ids.shape:
+                raise ValueError(f"group {self.name}: weights shape mismatch")
+            if self.weights.size and self.weights.min() < 0:
+                raise ValueError(f"group {self.name}: weights must be non-negative")
 
     def node_twin(self, name: str) -> MachineGroupSpec:
         """The node-level twin of this chunk group: the same items, weights
@@ -131,12 +134,73 @@ class StageSearchOutcome:
     certified_lambdas: tuple[np.ndarray, ...] = ()
 
 
-#: A weighted machine's sparse-product sum decides its window verdict only
-#: when it clears the bound by this multiple of the rounding bound
-#: ``gamma_k * W``; cells inside the band are re-summed the reference way.
-#: Two sums each within ``gamma_k * W`` of the exact one differ by at most
-#: twice that, so 4 leaves a factor-2 safety margin.
-_ROUNDING_BAND = 4.0
+#: A weighted machine's float32 product decides its window verdict only when
+#: it clears the bound by this multiple of ``(gamma32_{k+1} + gamma64_k) W``;
+#: cells inside the band are re-summed the reference way.  The product and
+#: the reference sum lie within ``gamma32_{k+1} W`` and ``gamma64_k W`` of
+#: the exact sum, so they differ by at most the sum of the two, and 2 leaves
+#: a factor-2 safety margin.
+_ROUNDING_BAND = 2.0
+
+#: The signed types a counted block may sum in, narrowest first.
+_COUNT_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _count_type(loads: np.ndarray) -> type:
+    """The narrowest signed integer type that holds every row's load."""
+    top = int(loads.max(initial=0))
+    return next(t for t in _COUNT_TYPES if top <= np.iinfo(t).max)
+
+
+def _gamma(k: np.ndarray, u: float) -> np.ndarray:
+    """``gamma_k = k u / (1 - k u)``: any summation order of ``k`` terms
+    lands within ``gamma_k * sum|w|`` of the exact sum (``k``, not ``k - 1``:
+    a hair wider than the textbook bound).  Infinite once ``k u >= 1``."""
+    ku = k * u
+    return np.divide(ku, 1.0 - ku, out=np.full_like(ku, np.inf), where=ku < 1.0)
+
+
+def _to_float32(x: np.ndarray, toward: float) -> np.ndarray:
+    """``x`` rounded to float32 in the direction of ``toward`` (``-inf`` or
+    ``inf``), so the narrow bound never lies past the wide one."""
+    with np.errstate(over="ignore"):
+        y = x.astype(np.float32)
+    past = y > x if toward < 0 else y < x
+    y[past] = np.nextafter(y[past], np.float32(toward))
+    return y
+
+
+def _outside(
+    got: np.ndarray, hi: np.ndarray, lo: np.ndarray, up: bool, low: bool
+) -> np.ndarray:
+    """``got > hi or got < lo``, skipping a side that cannot bind."""
+    bad = got > hi if up else None
+    if low:
+        below = got < lo
+        bad = below if bad is None else np.logical_or(bad, below, out=bad)
+    return np.zeros(got.shape, dtype=bool) if bad is None else bad
+
+
+class _Block(NamedTuple):
+    """One block of a stack's rows (its chunk rows, or its node rows) under
+    one slack ladder: the rows that can fail and their window bounds.
+
+    ``rows`` indexes the block; every other row is good at every rung for
+    every seed.  ``hi`` / ``lo`` are the ``(L, rows)`` bounds at every rung
+    (in the block's dtype for counted rows, float64 for summed ones),
+    ``first`` the ``(hi, lo)`` columns a block's totals are first filtered
+    by, ``last`` the ``(hi, lo)`` window outside which a summed cell fails
+    at every rung (``None`` for counted rows), and ``up`` / ``low`` whether
+    any row can fail above / below its window.
+    """
+
+    rows: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    first: tuple
+    last: tuple | None
+    up: bool
+    low: bool
 
 
 class _MachineStack:
@@ -144,12 +208,19 @@ class _MachineStack:
 
     Rows are the chunk groups' machines, then the node twins' machines.
     ``matrix`` is the sparse ``(chunk machines, distinct ids)`` incidence --
-    int32 ones for counted groups, the item weights for summed ones -- so
-    one product with a seed block's ``(ids, S)`` indicator yields every
-    chunk machine's sampled total.  ``merge`` is the ``(twin machines,
-    chunk machines)`` 0/1 incidence of each node's chunk machines: one more
+    ones for counted groups, the item weights for summed ones -- so one
+    product with a seed block's ``(ids, S)`` indicator yields every chunk
+    machine's sampled total.  Its rows list each machine's items in the
+    grouping's stable machine order, so it is written as CSR directly.
+    ``merge`` is the ``(twin machines, chunk machines)`` 0/1 incidence of
+    each node's chunk machines, one run of chunk rows per node: one more
     product sums the chunk rows into the node rows.  ``mu`` / ``base`` and
     the ``up`` / ``lo`` window flags are concatenated per row.
+
+    A counted block sums in the narrowest signed integer type that holds
+    every one of its rows' loads (int8 while chunk loads are <= 127), so its
+    counts are exact.  A summed stack takes float32 weights and products, a
+    filter in front of the float64 reference sums (see :meth:`ladder`).
     """
 
     def __init__(self, parts: list, n_ids: int, weighted: bool) -> None:
@@ -165,146 +236,186 @@ class _MachineStack:
         for g, *_ in twins:
             if id(g.twin_of) not in chunk_row:
                 raise ValueError(f"group {g.name}: its chunk group is not in the stage")
-        rows = np.concatenate(
-            [g.grouping.machine_of_item + off for (g, *_), off in zip(direct, offsets)]
-        )
-        dtype = np.float64 if weighted else np.int32
-        data = (
-            np.concatenate([g.weights for g, *_ in direct], dtype=np.float64)
-            if weighted
-            else np.ones(rows.size, dtype=np.int32)
-        )
-        self.matrix = sp.csr_matrix(
-            (data, (rows, np.concatenate([c for _, c, _, _ in direct]))),
-            shape=(self.split, n_ids),
-        )
+        loads = np.concatenate([g.grouping.loads for g in self.groups])
+        # Chunk row x holds items indptr[x] to indptr[x + 1] - 1 of the chunk
+        # groups' items in machine order.
+        indptr = np.zeros(self.split + 1, dtype=np.int64)
+        np.cumsum(loads[: self.split], out=indptr[1:])
+        cols = np.concatenate([c[g.grouping.item_order] for g, c, _, _ in direct])
+        if weighted:
+            self.dtypes = (np.float32, np.float32)
+            weights = np.concatenate(
+                [g.weights[g.grouping.item_order] for g, *_ in direct], dtype=np.float64
+            )
+            data = weights.astype(np.float32)
+        else:
+            self.dtypes = (
+                _count_type(loads[: self.split]), _count_type(loads[self.split :])
+            )
+            data = np.ones(cols.size, dtype=self.dtypes[0])
+        self.matrix = sp.csr_matrix((data, cols, indptr), shape=(self.split, n_ids))
+        # runs[i][k]: node k of twin i sums chunk rows runs[i][k] to
+        # runs[i][k + 1] - 1.
+        runs = [
+            g.twin_of.grouping.group_runs() + chunk_row[id(g.twin_of)] for g, *_ in twins
+        ]
         self.merge = None
         if twins:
-            node_of, chunk_of = [], []
-            for (g, *_), off in zip(twins, offsets[len(direct):]):
-                runs = g.twin_of.grouping.group_runs()
-                node_of.append(np.repeat(np.arange(runs.size - 1), np.diff(runs)) + off)
-                chunk_of.append(np.arange(runs[-1]) + chunk_row[id(g.twin_of)])
-            node_of = np.concatenate(node_of) - self.split
-            ones = np.ones(node_of.size, dtype=dtype)
+            sizes = np.concatenate([np.diff(r) for r in runs])
             self.merge = sp.csr_matrix(
-                (ones, (node_of, np.concatenate(chunk_of))),
+                (
+                    np.ones(int(sizes.sum()), dtype=self.dtypes[1]),
+                    np.concatenate([np.arange(r[0], r[-1]) for r in runs]),
+                    np.concatenate([[0], np.cumsum(sizes)]),
+                ),
                 shape=(int(offsets[-1]) - self.split, self.split),
             )
         self.mu = np.concatenate([mu for _, _, mu, _ in direct + twins])
         self.base = np.concatenate([base for _, _, _, base in direct + twins])
         self.up = np.repeat([g.check_upper for g in self.groups], machines)
         self.lo = np.repeat([g.check_lower for g in self.groups], machines)
-        self.any_up, self.any_lo = bool(self.up.any()), bool(self.lo.any())
         self._ladders: dict = {}
+        # The largest value a row's product can take (the smallest is 0).
+        self.reach = loads
         if weighted:
-            # Any summation order of k terms lands within gamma * sum|w| of
-            # the exact sum, gamma = k u / (1 - k u) (k, not k - 1: a hair
-            # wider than the textbook bound, and nonzero for k = 1).  A node
-            # row sums its chunk rows, so it is one more such order.
-            ku = np.concatenate([g.grouping.loads for g in self.groups]) * 2.0**-53
-            w_abs = np.bincount(rows, weights=np.abs(data), minlength=self.split)
-            if self.merge is not None:
-                w_abs = np.concatenate([w_abs, self.merge @ w_abs])
-            self.margin = _ROUNDING_BAND * ku / (1.0 - ku) * w_abs
-            self._direct = direct
-            self._segments = None
+            # The product sums float32-rounded weights in float32 (gamma32,
+            # one more term for rounding each weight), the reference sums
+            # the float64 weights (gamma64); a node row's sum of its chunk
+            # sums is one more summation order of its items.
+            w = np.concatenate([g.weight_totals() for g in self.groups])
+            k = loads.astype(np.float64)
+            gap = _gamma(k + 1, 2.0**-24) + _gamma(k, 2.0**-53)
+            self.margin = _ROUNDING_BAND * gap * w
+            self.reach = w + self.margin
+            # The reference sum of a row reads its items as one segment of
+            # the machine-ordered items; a node row's is its chunk rows' run.
+            self._items = (weights, cols)
+            self._segments = (
+                np.concatenate([indptr[:-1]] + [indptr[r[:-1]] for r in runs]),
+                np.concatenate([indptr[1:]] + [indptr[r[1:]] for r in runs]),
+            )
 
-    def ladder(self, kappas: tuple) -> tuple:
-        """Window bounds of every rung, computed once per stage.
+    def _bounds(self, kappas: tuple, rows: np.ndarray) -> tuple:
+        """``(L, rows)`` window bounds of ``rows`` at every rung: float64 for
+        summed rows; for counted rows clipped into ``[0, load]``, where every
+        count lies, with an upper bound of -1 for a row whose lower bound
+        exceeds its load (bad under every seed)."""
+        lam = np.multiply.outer(kappas, self.base[rows])
+        hi = np.where(self.up[rows], self.mu[rows] + lam + 1e-9, np.inf)
+        lo = np.where(self.lo[rows], self.mu[rows] - lam - 1e-9, -np.inf)
+        if not self.weighted:
+            reach = self.reach[rows]
+            lo = np.ceil(lo)
+            hopeless = lo > reach
+            lo = np.clip(lo, 0, reach)
+            hi = np.clip(np.floor(hi), -1, reach)
+            hi[hopeless] = -1
+        return hi, lo
 
-        Returns ``(hi, lo, first, last)``: ``(L, machines)`` upper and lower
-        bounds (int32 for counted rows, float64 for summed ones) and the two
-        windows a block is first filtered by.  A counted block keeps the
-        cells outside rung 0 (``first``).  A summed block keeps the cells
-        outside rung 0 shrunk by the margin (``first``: inside it the
-        reference sum passes at every rung) and drops those outside the top
-        rung grown by it (``last``: beyond it the reference sum fails at
-        every rung).  Each edge is rounded outward, so the float arithmetic
-        cannot eat into the margin.
+    def ladder(self, kappas: tuple) -> tuple[_Block, ...]:
+        """The chunk block and the node block under a slack ladder, computed
+        once per stage.
+
+        A counted block keeps the cells outside rung 0 (``first``).  A
+        summed block keeps the cells outside rung 0 shrunk by the margin
+        (inside it the reference sum passes at every rung) and drops those
+        outside the top rung grown by it (``last``: beyond it the reference
+        sum fails at every rung).  Each edge is rounded outward, in float64
+        and again to float32, so the float arithmetic cannot eat into the
+        margin.  A row whose ``first`` window holds every value its total
+        can take (``[0, reach]``) is never kept, so only the rows that can
+        fail get bounds at all.
         """
         got = self._ladders.get(kappas)
         if got is not None:
             return got
         if any(b < a for a, b in zip(kappas, kappas[1:])):
             raise ValueError(f"slack ladder must not decrease: {kappas}")
-        hi, lo = [], []
-        for kappa in kappas:
-            lam = kappa * self.base
+        blocks = []
+        spans = (np.arange(self.split), np.arange(self.split, self.mu.size))
+        for span, dtype in zip(spans, self.dtypes):
+            hi, lo = self._bounds(kappas[:1], span)
+            first = (hi[0], lo[0])
             if self.weighted:
-                hi.append(np.where(self.up, self.mu + lam + 1e-9, np.inf))
-                lo.append(np.where(self.lo, self.mu - lam - 1e-9, -np.inf))
+                m = self.margin[span]
+                first = (
+                    _to_float32(np.nextafter(hi[0] - m, -np.inf), -np.inf),
+                    _to_float32(np.nextafter(lo[0] + m, np.inf), np.inf),
+                )
+            up, low = first[0] < self.reach[span], first[1] > 0
+            rows = np.flatnonzero(up | low)
+            hi, lo = self._bounds(kappas, span[rows])
+            last = None
+            if self.weighted:
+                m = self.margin[span[rows]]
+                last = (
+                    _to_float32(np.nextafter(hi[-1] + m, np.inf), np.inf),
+                    _to_float32(np.nextafter(lo[-1] - m, -np.inf), -np.inf),
+                )
             else:
-                hi.append(np.where(
-                    self.up, np.floor(self.mu + lam + 1e-9), np.iinfo(np.int32).max
-                ).astype(np.int32))
-                lo.append(np.where(
-                    self.lo, np.ceil(self.mu - lam - 1e-9), np.iinfo(np.int32).min
-                ).astype(np.int32))
-        hi, lo = np.array(hi), np.array(lo)
-        first, last = (hi[0], lo[0]), None
-        if self.weighted:
-            m = self.margin
-            first = (np.nextafter(hi[0] - m, -np.inf), np.nextafter(lo[0] + m, np.inf))
-            last = (np.nextafter(hi[-1] + m, np.inf), np.nextafter(lo[-1] - m, -np.inf))
-        got = self._ladders[kappas] = (hi, lo, first, last)
+                hi, lo = hi.astype(dtype), lo.astype(dtype)
+            blocks.append(_Block(
+                rows, hi, lo,
+                tuple(f[rows, None].astype(dtype) for f in first),
+                last, bool(up.any()), bool(low.any()),
+            ))
+        got = self._ladders[kappas] = tuple(blocks)
         return got
 
-    def outside(self, got: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        """``got > hi or got < lo``, skipping a side no machine of the stack
-        checks (its bounds are all infinite)."""
-        bad = got > hi if self.any_up else None
-        if self.any_lo:
-            below = got < lo
-            bad = below if bad is None else np.logical_or(bad, below, out=bad)
-        return np.zeros(got.shape, dtype=bool) if bad is None else bad
+    def totals(self, operand: np.ndarray) -> list[np.ndarray]:
+        """Every row's sampled total under each seed: the chunk block
+        ``(chunk machines, S)``, then the node block if the stack has twins.
 
-    def bad_counts(self, sampled: np.ndarray, kappas: tuple) -> np.ndarray:
+        ``operand`` is the seed block's bool indicator transposed to C-order
+        ``(ids, S)``: a counted stack reads it as int8 in place, a summed
+        one widens it to float32.
+        """
+        chunk = self.matrix @ (
+            operand.astype(np.float32) if self.weighted else operand.view(np.int8)
+        )
+        return [chunk] if self.merge is None else [chunk, self.merge @ chunk]
+
+    def bad_counts(self, operand: np.ndarray, kappas: tuple) -> np.ndarray:
         """int64 ``(L, S)`` machines outside their window at each rung.
 
-        Windows only widen up the ladder, so a cell good at one rung is good
-        at every later one: each rung re-judges only the cells still bad.
+        ``operand`` is the seed block's ``(ids, S)`` indicator (see
+        :meth:`totals`).  Windows only widen up the ladder, so a cell good
+        at one rung is good at every later one: each rung re-judges only the
+        cells still bad.
         """
-        seeds = sampled.shape[0]
+        seeds = operand.shape[1]
         out = np.zeros((len(kappas), seeds), dtype=np.int64)
-        hi, lo, first, last = self.ladder(kappas)
-        # (machines, S) totals.  The indicator is transposed as bytes and
-        # then widened: cheaper than a strided widening copy, and a C-order
-        # operand keeps scipy from ravel-copying it again.
-        chunk = self.matrix @ np.ascontiguousarray(sampled.T).astype(self.matrix.dtype)
-        blocks = [(chunk, 0)]
-        if self.merge is not None:
-            blocks.append((self.merge @ chunk, self.split))
-        for got, off in blocks:
-            at = slice(off, off + got.shape[0])
-            cells = np.flatnonzero(
-                self.outside(got, first[0][at, None], first[1][at, None])
-            )
-            rows, cols = np.divmod(cells, seeds)
-            rows += off
+        for got, b, off in zip(self.totals(operand), self.ladder(kappas), (0, self.split)):
+            if not b.rows.size:
+                continue
+            if b.rows.size < got.shape[0]:
+                got = got[b.rows]
+            cells = np.flatnonzero(_outside(got, *b.first, b.up, b.low))
+            at, cols = np.divmod(cells, seeds)  # at indexes b.rows
             vals = got.ravel()[cells]
             if self.weighted:
-                dead = self.outside(vals, last[0][rows], last[1][rows])
+                dead = _outside(vals, b.last[0][at], b.last[1][at], b.up, b.low)
                 out += np.bincount(cols[dead], minlength=seeds)
-                rows, cols, vals = rows[~dead], cols[~dead], vals[~dead]
-                if rows.size:
-                    vals = self.reference_sums(rows, cols, sampled)
+                at, cols = at[~dead], cols[~dead]
+                if at.size:
+                    vals = self.reference_sums(b.rows[at] + off, cols, operand)
                 judged = 0
             else:
                 out[0] += np.bincount(cols, minlength=seeds)  # all outside rung 0
                 judged = 1
             for j in range(judged, len(kappas)):
-                if not rows.size:
+                if not at.size:
                     break
-                keep = self.outside(vals, hi[j][rows], lo[j][rows])
-                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+                keep = _outside(vals, b.hi[j][at], b.lo[j][at], b.up, b.low)
+                at, cols, vals = at[keep], cols[keep], vals[keep]
                 out[j] += np.bincount(cols, minlength=seeds)
         return out
 
     def reference_sums(
-        self, rows: np.ndarray, cols: np.ndarray, sampled: np.ndarray
+        self, rows: np.ndarray, cols: np.ndarray, operand: np.ndarray
     ) -> np.ndarray:
-        """Sampled weight of machine ``rows[i]`` under block seed ``cols[i]``.
+        """Sampled weight of machine ``rows[i]`` under block seed ``cols[i]``
+        of the ``(ids, S)`` indicator ``operand``.
 
         Summed exactly as the per-item reference does: the machine's items
         in stable machine order, unsampled items contributing ``0.0``, one
@@ -313,31 +424,13 @@ class _MachineStack:
         node row's items are the run of its chunk machines' items, so the
         chunk groups' item orders (kept by their groupings) serve both.
         """
-        if self._segments is None:
-            w_sorted, c_sorted, seg_lo, seg_hi = [], [], [], []
-            first_item, base = {}, 0
-            for g, item_cols, _, _ in self._direct:
-                order = g.grouping.item_order
-                w_sorted.append(g.weights[order])
-                c_sorted.append(item_cols[order])
-                indptr = base + np.concatenate([[0], np.cumsum(g.grouping.loads)])
-                first_item[id(g)] = indptr
-                seg_lo.append(indptr[:-1])
-                seg_hi.append(indptr[1:])
-                base = int(indptr[-1])
-            for g in self.groups[len(self._direct):]:
-                indptr = first_item[id(g.twin_of)][g.twin_of.grouping.group_runs()]
-                seg_lo.append(indptr[:-1])
-                seg_hi.append(indptr[1:])
-            self._segments = tuple(
-                np.concatenate(a) for a in (w_sorted, c_sorted, seg_lo, seg_hi)
-            )
-        w_sorted, c_sorted, seg_lo, seg_hi = self._segments
+        weights, item_cols = self._items
+        seg_lo, seg_hi = self._segments
         lo = seg_lo[rows]
         sizes = seg_hi[rows] - lo
         starts = np.cumsum(sizes) - sizes
         pos = np.arange(int(sizes.sum())) - np.repeat(starts - lo, sizes)
-        values = w_sorted[pos] * sampled[np.repeat(cols, sizes), c_sorted[pos]]
+        values = weights[pos] * operand[item_cols[pos], np.repeat(cols, sizes)]
         sums = np.zeros(rows.size, dtype=np.float64)
         nonempty = sizes > 0
         if values.size:
@@ -357,16 +450,19 @@ class StageGoodness:
     much smaller, product).  One block is judged at every rung of the
     slack ladder at once.
 
-    Counted groups are exact int32 counts against integer window bounds.
-    Weighted groups (the type-B retention windows) sum float64; their
-    verdicts are defined by the per-machine ``reduceat`` order, which the
-    products do not follow.  Both sums lie within ``gamma_k * W`` of the
-    exact one, so a product sum farther than :data:`_ROUNDING_BAND` times
-    that from each checked bound gives the reference verdict; the few
-    cells the band cannot decide are re-summed the reference way.  Counts
-    are therefore bit-identical to hashing and reducing every item per
-    machine (pinned by the oracle tests), and rows reduce independently,
-    so a single-seed call equals the matching column of a block call.
+    Counted groups are exact counts, in the narrowest integer type their
+    loads fit, against integer window bounds.  Weighted groups (the type-B
+    retention windows) sum float32 weights in float32 as a filter; their
+    verdicts are defined by the per-machine float64 ``reduceat`` sum, whose
+    order and precision the products do not follow.  The two sums lie
+    within ``gamma32_{k+1} W`` and ``gamma64_k W`` of the exact one, so a
+    product farther than :data:`_ROUNDING_BAND` times their sum from each
+    checked bound gives the reference verdict; the few cells the band
+    cannot decide are re-summed the reference way.  Rows whose window holds
+    every total they can reach are never judged.  Counts are therefore
+    bit-identical to hashing and reducing every item per machine (pinned by
+    the oracle tests), and rows reduce independently, so a single-seed call
+    equals the matching column of a block call.
     """
 
     def __init__(
@@ -406,9 +502,10 @@ class StageGoodness:
         kappas = tuple(float(k) for k in kappas)
         good = np.full((len(kappas), seeds.size), float(self.machines))
         sampled = self.family.indicator_batch(seeds, self.ids, self.threshold)
+        operand = np.ascontiguousarray(sampled.T)
         for stack in (self.counted, self.summed):
             if stack is not None:
-                good -= stack.bad_counts(sampled, kappas)
+                good -= stack.bad_counts(operand, kappas)
         return good
 
 

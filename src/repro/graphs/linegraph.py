@@ -34,6 +34,18 @@ def line_graph_size(g: Graph) -> int:
 def line_graph(g: Graph, *, max_edges: int | None = 50_000_000) -> Graph:
     """Construct ``L(G)``.  Vertex ``e`` of the result is edge id ``e`` of g.
 
+    ``L(G)``'s canonical edge list is written in closed form, with no sort.
+    For an edge ``a = {u, v}``, ``u < v``, the larger ids among its
+    neighbours in ``L(G)`` are two tails in ascending edge-id order: the
+    edges after ``a`` in ``u``'s incident-edge list, then those after ``a``
+    in ``v``'s.  The first all lie in ``u``'s block of edge ids (the edges
+    whose lower endpoint is ``u``) and the second in later blocks, so row
+    ``a`` is sorted and duplicate-free, and the rows in order are the
+    canonical list.  ``G``'s CSR row ``x`` holds ``x``'s block, then the
+    lower edges of ``x`` by id, so ``u``'s tail is the rest of ``u``'s
+    block and ``v``'s tail is the rest of ``v``'s lower edges, then all of
+    ``v``'s block: three runs of ``arc_edge_ids``.
+
     Raises ``ValueError`` if the result would exceed ``max_edges`` edges.
     """
     expected = line_graph_size(g)
@@ -42,14 +54,25 @@ def line_graph(g: Graph, *, max_edges: int | None = 50_000_000) -> Graph:
             f"line graph would have {expected} edges (> cap {max_edges}); "
             "raise max_edges explicitly if intended"
         )
-    # Pair every arc with each later arc of its CSR row, all rows in one
-    # pass: the edge-id pairs meeting at that row's node.
-    arcs = np.arange(g.indices.size, dtype=np.int64)
-    later = np.repeat(g.indptr[1:], np.diff(g.indptr)) - arcs - 1
-    first = np.repeat(arcs, later)
-    step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
-    eids = g.arc_edge_ids
-    return Graph.from_edges(g.m, np.stack([eids[first], eids[first + step]], axis=1))
+    n, m = g.n, g.m
+    indptr, eids = g.indptr, g.arc_edge_ids
+    u, v = g.edges_u, g.edges_v
+    block = np.bincount(u, minlength=n)  # row x opens with its block's arcs
+    ids = np.arange(m, dtype=np.int64)
+    at_u = indptr[u] + ids - (np.cumsum(block) - block)[u]  # a's arc in row u
+    # a's arc in row v: the lower arcs are each row's arcs past its block.
+    arcs = np.arange(eids.size, dtype=np.int64)
+    lower = arcs - np.repeat(indptr[:-1] + block, np.diff(indptr)) >= 0
+    at_v = np.empty(m, dtype=np.int64)
+    at_v[eids[lower]] = arcs[lower]
+    del arcs, lower
+    starts = np.stack([at_u + 1, at_v + 1, indptr[v]], axis=1).ravel()
+    lens = np.stack(
+        [indptr[u] + block[u] - at_u - 1, indptr[v + 1] - at_v - 1, block[v]], axis=1
+    )
+    pos = np.repeat(starts - (np.cumsum(lens) - lens.ravel()), lens.ravel())
+    pos += np.arange(pos.size, dtype=np.int64)
+    return Graph._from_canonical(m, np.repeat(ids, lens.sum(axis=1)), eids[pos])
 
 
 def line_graph_ball2_sizes(g: Graph) -> np.ndarray:

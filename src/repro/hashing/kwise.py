@@ -242,11 +242,13 @@ class KWiseHashFamily:
     ) -> np.ndarray:
         """``(S, N)`` bool block: ``evaluate_batch(seeds, xs) < threshold``.
 
-        For contiguous seed runs the hash rows live in two rotating row
-        buffers and only the boolean indicator is materialised -- the hash
-        matrix itself (8 bytes/cell) never touches memory, which is what
-        makes threshold-sampling scans bandwidth-proportional to the 1-bit
-        output.  Bit-identical to comparing :meth:`evaluate_batch`.
+        For contiguous seed runs the hash rows live in two rotating uint32
+        row buffers and only the boolean indicator is materialised -- the
+        hash matrix itself (8 bytes/cell) never touches memory, which is
+        what makes threshold-sampling scans bandwidth-proportional to the
+        1-bit output.  Hash values and ids are below ``q <= MAX_FIELD <
+        2**31``, so a step's ``h + x`` stays below ``2**32``.  Bit-identical
+        to comparing :meth:`evaluate_batch`.
         """
         seed_arr = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
         x = np.atleast_1d(_as_uint64(xs))
@@ -260,11 +262,12 @@ class KWiseHashFamily:
             s0, count = int(seed_arr[0]), S
             if not (0 <= s0 and s0 + count <= self.size):
                 raise ValueError(f"seed run [{s0}, {s0 + count}) out of range")
-            q = np.uint64(self.q)
-            step = x if self.k >= 2 else np.ones_like(x)
+            q = np.uint32(self.q)
+            t = np.uint32(min(threshold, self.q))  # every value is below q
+            step = x.astype(np.uint32) if self.k >= 2 else np.ones(x.size, np.uint32)
             out = np.empty((count, x.size), dtype=bool)
-            prev = np.empty(x.size, dtype=np.uint64)
-            tmp = np.empty(x.size, dtype=np.uint64)
+            prev = np.empty(x.size, dtype=np.uint32)
+            tmp = np.empty(x.size, dtype=np.uint32)
             i = 0
             while i < count:
                 s = s0 + i

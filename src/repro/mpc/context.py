@@ -76,9 +76,15 @@ class MPCContext(RoundLedger):
     @classmethod
     def for_graph(cls, graph: Graph, params: Params) -> MPCContext:
         """The context a solve of ``graph`` under ``params`` bills against."""
+        return cls.for_size(graph.n, graph.m, params)
+
+    @classmethod
+    def for_size(cls, n: int, m: int, params: Params) -> MPCContext:
+        """:meth:`for_graph` of an ``n``-node, ``m``-edge graph, which a
+        derived graph's caller knows in closed form before building it."""
         return cls(
-            n=graph.n,
-            m=graph.m,
+            n=n,
+            m=m,
             eps=params.eps,
             space_factor=params.space_factor,
             total_factor=params.total_factor,

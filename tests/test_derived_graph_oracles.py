@@ -1,13 +1,15 @@
 """Reference oracles for Section 5's derived graphs, built from the base graph.
 
 ``_product_graph`` writes the five arrays of ``G x K_k`` in closed form,
+``line_graph`` writes ``L(G)``'s canonical edge list in closed form,
 ``Graph.remove_vertices`` / ``keep_edges`` filter the live CSR, and
 ``degrees_within`` counts with ``np.bincount``.  Each is pinned here against
-the body it replaced: ``Graph.from_edges`` over the product's edge list, a
-re-sort of the surviving edges through the argsort build, and ``np.add.at``
-(``degrees_toward``'s reference too).  All five arrays must be equal, dtypes
-included.  The r = 2 ball sizes of ``G x K_k`` and ``L(G)``, derived from
-``G``, must equal ``ball_sizes`` on the materialised graph.
+the body it replaced: ``Graph.from_edges`` over the product's edge list and
+over every pair of arcs meeting at a node, a re-sort of the surviving edges
+through the argsort build, and ``np.add.at`` (``degrees_toward``'s
+reference too).  All five arrays must be equal, dtypes included.  The
+r = 2 ball sizes of ``G x K_k`` and ``L(G)``, derived from ``G``, must
+equal ``ball_sizes`` on the materialised graph.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ def product_graph_reference(g: Graph, k: int) -> Graph:
         axis=1,
     )
     return Graph.from_edges(n * k, edges)
+
+
+def line_graph_reference(g: Graph) -> Graph:
+    """``L(G)`` through ``Graph.from_edges``: every pair of arcs of one CSR
+    row, the edge-id pairs meeting at that row's node."""
+    arcs = np.arange(g.indices.size, dtype=np.int64)
+    later = np.repeat(g.indptr[1:], np.diff(g.indptr)) - arcs - 1
+    first = np.repeat(arcs, later)
+    step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
+    eids = g.arc_edge_ids
+    return Graph.from_edges(g.m, np.stack([eids[first], eids[first + step]], axis=1))
 
 
 def from_canonical_reference(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
@@ -143,6 +156,12 @@ def test_product_ball2_sizes_count_the_product(mmap_root, data):
 
 
 @given(data=st.data())
+def test_line_graph_equals_from_edges(mmap_root, data):
+    g = data.draw(base_graphs(mmap_root))
+    assert_same_graph(line_graph(g), line_graph_reference(g))
+
+
+@given(data=st.data())
 def test_line_graph_ball2_sizes_count_the_line_graph(mmap_root, data):
     g = data.draw(base_graphs(mmap_root))
     want = ball_sizes(line_graph(g), 2)
@@ -181,14 +200,16 @@ def test_degree_counts_equal_add_at(mmap_root, data):
 
 
 def test_derived_graphs_at_benchmark_size():
-    """The ``transforms`` coloring input's size: the product, its balls,
-    L(G)'s balls and a chain of removals all match their references."""
+    """The ``transforms`` coloring input's size: the product, L(G), their
+    balls and a chain of removals all match their references."""
     g = gnp_block_graph(2000, 8 / 2000, 1)
     k = g.max_degree() + 1
     prod = _product_graph(g, k)
     assert_same_graph(prod, product_graph_reference(g, k))
     assert np.array_equal(_product_ball2_sizes(g, k), ball_sizes(prod, 2))
-    assert np.array_equal(line_graph_ball2_sizes(g), ball_sizes(line_graph(g), 2))
+    lg = line_graph(g)
+    assert_same_graph(lg, line_graph_reference(g))
+    assert np.array_equal(line_graph_ball2_sizes(g), ball_sizes(lg, 2))
     rng = np.random.default_rng(0)
     cur = want = prod
     while cur.m:

@@ -22,7 +22,7 @@ from repro.derand.strategies import scan_regions, select_seed_batch
 from repro.graphs import cycle_graph, gnp_random_graph
 from repro.graphs.kernels import SegmentTable, group_order_indptr
 from repro.hashing.families import make_product_family
-from repro.hashing.kwise import make_family
+from repro.hashing.kwise import MAX_FIELD, KWiseHashFamily, make_family
 
 
 def segment_min_2d(values: np.ndarray, indptr: np.ndarray, fill) -> np.ndarray:
@@ -189,6 +189,20 @@ def test_evaluate_batch_rejects_out_of_range_run():
         fam.evaluate_batch(bad, np.arange(5))
     with pytest.raises(ValueError):
         fam.indicator_batch(bad, np.arange(5), 3)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_indicator_batch_at_the_largest_field(k):
+    """At ``q = MAX_FIELD``, with ids just below ``q`` and a contiguous run
+    across a digit-0 rollover, the uint32 step ``h + x`` must not wrap."""
+    q = MAX_FIELD
+    fam = KWiseHashFamily(q=q, k=k)
+    xs = np.array([0, 1, 2, q // 2, q // 2 + 1, q - 3, q - 2, q - 1], dtype=np.int64)
+    seeds = np.arange(5 * q - 6, 5 * q + 6, dtype=np.int64)
+    block = fam.evaluate_batch(seeds, xs)
+    assert int(block.max()) > 2**31 - 2**20  # the run reaches values near q
+    for t in (0, 1, q // 3, q - 2, q - 1, q):
+        assert np.array_equal(fam.indicator_batch(seeds, xs, t), block < np.uint64(t))
 
 
 def test_evaluate_batch_arbitrary_seed_order():

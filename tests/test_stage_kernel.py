@@ -1,14 +1,15 @@
 """The sparse stage-goodness kernel against the per-item reference it replaced.
 
 :class:`repro.core.stage.StageGoodness` hashes each distinct unit id once per
-seed block, counts chunk machines with sparse products, sums each node
-twin's chunk rows, and judges every rung of a slack ladder in one call;
-weighted windows go through a rounding filter with an exact ``reduceat``
-fallback.  The oracle below is the straightforward kernel: hash every item,
-sort items by machine, and reduce each machine's segment (integer counts
-for unweighted groups, a float64 ``reduceat`` for weighted ones), once per
-slack.  Good-machine counts must agree exactly for every seed block and
-every rung.
+seed block, counts chunk machines with sparse products in the narrowest
+integer type their loads fit, sums each node twin's chunk rows, judges only
+the rows that can fail, and judges every rung of a slack ladder in one
+call; weighted windows go through a float32 filter with an exact float64
+``reduceat`` fallback.  The oracle below is the straightforward kernel: hash
+every item, sort items by machine, and reduce each machine's segment
+(integer counts for unweighted groups, a float64 ``reduceat`` for weighted
+ones), once per slack.  Good-machine counts must agree exactly for every
+seed block and every rung.
 """
 
 from __future__ import annotations
@@ -151,18 +152,13 @@ def seed_blocks(rng, family):
     return [b.astype(np.int64) for b in blocks if b.size]
 
 
-def check_against_reference(rng, k, kappas) -> int:
-    """Assert the kernel matches the oracle on every block kind and rung.
-
-    Returns the number of weighted (machine, seed) cells evaluated.
-    """
-    family, groups, mus, bases = random_stage(rng, k)
-    goodness = StageGoodness(family, THRESHOLD, groups, mus, bases)
-    weighted = sum(g.grouping.num_machines for g in groups if g.weights is not None)
-    cells = 0
-    for seeds in seed_blocks(rng, family):
+def assert_counts_match(family, threshold, groups, mus, bases, kappas, blocks):
+    """Assert the kernel matches the oracle on every block and rung, and
+    return the kernel."""
+    goodness = StageGoodness(family, threshold, groups, mus, bases)
+    for seeds in blocks:
         want = np.array([
-            reference_counts(family, THRESHOLD, groups, mus, bases, kappa, seeds)
+            reference_counts(family, threshold, groups, mus, bases, kappa, seeds)
             for kappa in kappas
         ])
         got = goodness.counts(seeds, kappas)
@@ -170,8 +166,19 @@ def check_against_reference(rng, k, kappas) -> int:
         assert np.array_equal(got, want)
         # Rows reduce independently: one seed equals its column of the block.
         assert np.array_equal(goodness.counts(seeds[-1:], kappas)[:, 0], want[:, -1])
-        cells += weighted * (seeds.size + 1)
-    return cells
+    return goodness
+
+
+def check_against_reference(rng, k, kappas) -> int:
+    """Assert the kernel matches the oracle on every block kind and rung.
+
+    Returns the number of weighted (machine, seed) cells evaluated.
+    """
+    family, groups, mus, bases = random_stage(rng, k)
+    blocks = seed_blocks(rng, family)
+    assert_counts_match(family, THRESHOLD, groups, mus, bases, kappas, blocks)
+    weighted = sum(g.grouping.num_machines for g in groups if g.weights is not None)
+    return sum(weighted * (seeds.size + 1) for seeds in blocks)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -195,9 +202,9 @@ def test_exact_fallback_matches_reference(seed, k):
     seen = []
     original = stage_mod._MachineStack.reference_sums
 
-    def spy(self, rows, cols, sampled):
+    def spy(self, rows, cols, operand):
         seen.append(rows.size)
-        return original(self, rows, cols, sampled)
+        return original(self, rows, cols, operand)
 
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -205,6 +212,74 @@ def test_exact_fallback_matches_reference(seed, k):
         mp.setattr(stage_mod._MachineStack, "reference_sums", spy)
         cells = check_against_reference(rng, k, random_ladder(rng))
     assert sum(seen) == cells
+
+
+def filtered_rows(goodness, kappas):
+    """``(rows that can fail, rows)`` of every block of both stacks."""
+    out = []
+    for stack in (goodness.counted, goodness.summed):
+        if stack is not None:
+            sizes = (stack.split, stack.mu.size - stack.split)
+            blocks = stack.ladder(tuple(kappas))
+            out += [(b.rows.size, size) for b, size in zip(blocks, sizes)]
+    return out
+
+
+@given(st.integers(0, 2**31), st.sampled_from([1, 2, 4]))
+@settings(max_examples=15)
+def test_stages_where_every_row_or_no_row_can_fail(seed, k):
+    """Zero slack: every row's rung-0 window misses a value its total can
+    take, so every row is filtered.  A huge slack: no row can fail, none is
+    filtered, and every machine is good under every seed."""
+    rng = np.random.default_rng(seed)
+    family, groups, mus, bases = random_stage(rng, k)
+    kappas = random_ladder(rng)
+    blocks = seed_blocks(rng, family)
+    zero = [np.zeros_like(b) for b in bases]
+    goodness = assert_counts_match(family, THRESHOLD, groups, mus, zero, kappas, blocks)
+    assert all(rows == size for rows, size in filtered_rows(goodness, kappas))
+    huge = [np.full_like(b, 1e6) for b in bases]
+    goodness = assert_counts_match(family, THRESHOLD, groups, mus, huge, kappas, blocks)
+    assert all(rows == 0 for rows, _ in filtered_rows(goodness, kappas))
+    for seeds in blocks:
+        assert np.all(goodness.counts(seeds, kappas) == goodness.machines)
+
+
+@pytest.mark.parametrize("threshold", [THRESHOLD, Q - 1, Q])
+@pytest.mark.parametrize("mu_scale", [1.0, 2.0])
+@pytest.mark.parametrize(
+    "chunk, node_items, dtypes",
+    [
+        (127, 300, (np.int8, np.int16)),  # the largest int8 chunk load
+        (128, 300, (np.int16, np.int16)),
+        (100, 33_000, (np.int8, np.int32)),  # a node load past int16
+    ],
+)
+def test_counted_dtypes_switch_at_the_loads_they_hold(
+    chunk, node_items, dtypes, mu_scale, threshold
+):
+    """A counted block sums in the narrowest signed type its loads fit.
+
+    One node fills chunk machines of exactly ``chunk`` items, another holds
+    ``node_items``.  At ``threshold = q`` every item is sampled, so a count
+    equals its load; ``mu_scale = 2`` with a threshold near ``q`` puts lower
+    bounds above the loads (bad under every seed)."""
+    rng = np.random.default_rng(chunk + node_items)
+    nodes = np.repeat(np.arange(3), [node_items, chunk, 5])
+    spec = MachineGroupSpec(
+        name="A", grouping=chunk_items_by_group(nodes, chunk),
+        unit_ids=rng.integers(0, Q, size=nodes.size),
+    )
+    groups = [spec, spec.node_twin("A/node")]
+    mus = [mu_scale * threshold / Q * g.weight_totals() for g in groups]
+    bases = [np.full(g.grouping.num_machines, 0.5) for g in groups]
+    family = KWiseHashFamily(q=Q, k=2)
+    blocks = [np.arange(250, 280, dtype=np.int64), np.array([3, 90, 41], dtype=np.int64)]
+    goodness = assert_counts_match(
+        family, threshold, groups, mus, bases, ladder(1.0, 9), blocks
+    )
+    assert goodness.counted.dtypes == dtypes
+    assert goodness.counted.matrix.dtype == dtypes[0]
 
 
 def test_ladder_must_not_decrease():
@@ -265,16 +340,17 @@ def test_reference_sums_are_the_reduceat_sums_bit_for_bit(seed, k):
         want = np.concatenate(want, axis=1)
         rows, cols = np.nonzero(np.ones(want.T.shape, dtype=bool))
         got = goodness.summed.reference_sums(
-            rows, cols, family.indicator_batch(seeds, goodness.ids, THRESHOLD)
+            rows, cols, family.indicator_batch(seeds, goodness.ids, THRESHOLD).T
         )
         assert got.tobytes() == want.T[rows, cols].tobytes()
 
 
 def straddling_machine(rng, family, seeds, n=64):
     """One weighted machine, a seed and a ``mu`` whose lower bound lies
-    strictly between the product's sum and the reference sum, more than an
-    ulp from either: the verdicts differ unless the band sends the cell to
-    the exact fallback."""
+    strictly between the reference sum (below it) and the kernel's float32
+    product (above it), more than an ulp from either: the product alone
+    would pass a machine the reference fails, unless the band sends the
+    cell to the exact fallback."""
     units = np.arange(n)[::-1].copy()  # the product sums in the other order
     grouping = chunk_items_by_group(np.zeros(n, dtype=np.int64), n)
     for _ in range(100):
@@ -286,13 +362,14 @@ def straddling_machine(rng, family, seeds, n=64):
         zero = [np.zeros(1)]
         goodness = StageGoodness(family, THRESHOLD, [spec], zero, zero)
         sampled = family.indicator_batch(seeds, goodness.ids, THRESHOLD)
-        product = (goodness.summed.matrix @ sampled.T.astype(np.float64))[0]
+        product = goodness.summed.totals(np.ascontiguousarray(sampled.T))[0][0]
+        assert product.dtype == np.float32
         reference = segment_sum_2d(
             weights[None, :] * family.indicator_batch(seeds, units, THRESHOLD),
             np.array([0, n]),
         )[:, 0]
-        for j in np.nonzero(product != reference)[0]:
-            low, high = sorted((product[j], reference[j]))
+        for j in np.nonzero(product > reference)[0]:
+            low, high = reference[j], float(product[j])
             mu = high + 1e-9
             for _ in range(64):  # the bound is mu - lam - 1e-9 with lam = 0
                 bound = mu - 0.0 - 1e-9
