@@ -121,7 +121,7 @@ def congest_mis(
             max_trials=max_scan_trials,
             start=1 + (phase - 1) * max_scan_trials,
         )
-        kill = luby.kill(i_mask[None, :])[0]
+        kill = luby.winner_kill()
         in_mis |= i_mask
         removed |= kill
         g = g.remove_vertices(kill)

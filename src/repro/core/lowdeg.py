@@ -164,7 +164,7 @@ def lowdeg_mis(
                 f"(best {sel.value:.2f})"
             )
 
-        kill = luby.kill(i_mask[None, :])[0]
+        kill = luby.winner_kill()
         # Drop this phase's padded table before the graph shrinks and the
         # next phase builds its own.
         del luby

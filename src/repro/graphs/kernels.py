@@ -142,8 +142,10 @@ def _padded_table(
     if w_max == 0 or w_max * m > PAD_FACTOR * max(cols.size, 1):
         return None
     table = np.full((m, w_max), sentinel, dtype=np.int64)
-    rank = np.arange(cols.size, dtype=np.int64) - np.repeat(indptr[:-1], sizes)
-    table[np.repeat(np.arange(m, dtype=np.int64), sizes), rank] = cols
+    # Arc a of row i lands in flat cell i * w_max + (a - indptr[i]).
+    flat = np.arange(cols.size, dtype=np.int64)
+    flat += np.repeat(np.arange(m, dtype=np.int64) * w_max - indptr[:-1], sizes)
+    table.ravel()[flat] = cols
     return table
 
 

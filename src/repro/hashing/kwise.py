@@ -10,8 +10,10 @@ For uniformly random coefficients, the values ``h(x_1), ..., h(x_k)`` at any
 guarantee Definition 5 asks for, with seed length ``k * ceil(log2 q)`` bits,
 matching Lemma 6's ``k * max{a, b}`` random bits.
 
-Evaluation is fully vectorised (Horner's rule over ``uint64``); the field size
-is capped below ``2**31`` so intermediate products fit in 64 bits.
+Evaluation is fully vectorised: Horner's rule steps in signed ``int64`` and
+reduces with ``h - (h // q) * q``; the field size is capped below ``2**31``
+so every intermediate stays below ``2**62``.  Values are returned as
+``uint64``.
 
 The paper's family maps ``[n^3] -> [n^3]`` purely so that additive ``1/n^3``
 error terms vanish asymptotically.  We keep the field size a parameter
@@ -29,8 +31,8 @@ import numpy as np
 
 from .primes import is_prime, next_prime
 
-#: Largest permitted field size: keeps ``(q-1)**2 + (q-1) < 2**63`` so Horner
-#: steps never overflow uint64.
+#: Largest permitted field size: keeps ``(q-1)**2 + (q-1) < 2**62`` so Horner
+#: steps never overflow int64.
 MAX_FIELD = 2**31 - 1
 
 
@@ -143,12 +145,18 @@ class KWiseHashFamily:
         x = _as_uint64(xs)
         if x.size and int(x.max(initial=0)) >= self.q:
             raise ValueError("hash input outside field domain; reduce ids first")
-        q = np.uint64(self.q)
+        x = x.view(np.int64)  # values below q < 2**31 read the same
+        q = np.int64(self.q)
         # Horner: h = (((a_{k-1} x + a_{k-2}) x + ...) x + a_0)
-        h = np.full_like(x, np.uint64(coeffs[-1]))
+        h = np.full_like(x, coeffs[-1])
+        t = np.empty_like(h)
         for a in reversed(coeffs[:-1]):
-            h = (h * x + np.uint64(a)) % q
-        return h
+            h *= x
+            h += a
+            np.floor_divide(h, q, out=t)
+            t *= q
+            h -= t
+        return h.view(np.uint64)
 
     def evaluate_batch(self, seeds: np.ndarray, xs: np.ndarray | int) -> np.ndarray:
         """Evaluate ``S`` functions at ``N`` points: returns ``(S, N)`` uint64.
@@ -177,13 +185,19 @@ class KWiseHashFamily:
             np.all(np.diff(seed_arr) == 1)
         ):
             return self._evaluate_contiguous(int(seed_arr[0]), S, x)
-        q = np.uint64(self.q)
-        coeffs = self._stacked_coefficients(seed_arr)
-        h = np.empty((S, x.size), dtype=np.uint64)
+        q = np.int64(self.q)
+        x = x.view(np.int64)
+        coeffs = self._stacked_coefficients(seed_arr).view(np.int64)
+        h = np.empty((S, x.size), dtype=np.int64)
         h[:] = coeffs[self.k - 1][:, None]
+        t = np.empty_like(h)
         for j in range(self.k - 2, -1, -1):
-            h = (h * x[None, :] + coeffs[j][:, None]) % q
-        return h
+            h *= x[None, :]
+            h += coeffs[j][:, None]
+            np.floor_divide(h, q, out=t)
+            t *= q
+            h -= t
+        return h.view(np.uint64)
 
     def _evaluate_contiguous(self, s0: int, count: int, x: np.ndarray) -> np.ndarray:
         """Incremental evaluation of the contiguous seed run ``[s0, s0+count)``.

@@ -15,11 +15,13 @@ lemma's target.  This module is that phase's one implementation:
 
 Each phase builds one :class:`~repro.graphs.kernels.SegmentTable` per
 adjacency, shared by the min and the any reduction, and evaluates whole
-seed blocks at once.  What differs per call site stays there: the key
-source (ids or colours), the objective and its target, the scan start and
-budget, and what the phase costs, which the model's
-:class:`~repro.models.ledger.RoundLedger` charges.  Every phase fixes its
-seed with the one scan of :mod:`repro.derand.strategies`.
+seed blocks at once.  The winner's mask, and in the node form its kill
+mask, is its row of the last block the scan evaluated, so a phase whose
+scan stops in that block evaluates its winner once.  What differs per call
+site stays there: the key source (ids or colours), the objective and its
+target, the scan start and budget, and what the phase costs, which the
+model's :class:`~repro.models.ledger.RoundLedger` charges.  Every phase
+fixes its seed with the one scan of :mod:`repro.derand.strategies`.
 
 Keys are ``z * (N + 1) + id`` for ids in ``[0, N)``: a strict total order
 that breaks hash ties by id.  They are uint32 when every key fits below
@@ -28,6 +30,8 @@ family and ids make them and adds no range check (uint64 keys may wrap).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +69,23 @@ def a_set(g: Graph) -> tuple[np.ndarray, float]:
     return a_mask, float(deg[a_mask].sum())
 
 
+@dataclass
+class _Block:
+    """The seed block a scan evaluated last, with the node form's kill
+    mask once the objective has computed it on these masks."""
+
+    seeds: np.ndarray
+    masks: np.ndarray
+    kill: np.ndarray | None = None
+
+
 class _LubyPhase:
     """Keys, seed blocks and selection shared by both forms."""
+
+    _block: _Block | None = None
+    #: The winner of the last :meth:`select`: its mask and, when the
+    #: objective computed it, its kill mask.
+    _winner: tuple[np.ndarray, np.ndarray | None]
 
     def __init__(
         self, family, xs: np.ndarray, ids: np.ndarray, universe: int,
@@ -99,21 +118,38 @@ class _LubyPhase:
         ``max_trials`` and ``start``.  Blocks ramp up to
         ``DEFAULT_SEED_CHUNK`` seeds, read at call time, clamped so one
         block gathers at most ``_SEED_BLOCK_BYTES``; no block size changes
-        the selection.
+        the selection.  The mask is the winner's row of the last block the
+        scan evaluated; only an unsatisfied scan whose best seed lies in an
+        earlier block evaluates it again.
         """
         chunk = min(
             _strategies.DEFAULT_SEED_CHUNK,
             max(1, _SEED_BLOCK_BYTES // self.seed_bytes),
         )
+
+        def evaluate(seeds: np.ndarray) -> np.ndarray:
+            self._block = None  # let the previous block go first
+            self._block = _Block(seeds, self.masks(seeds))
+            return objective(self._block.masks)
+
         sel = select_seed_batch(
             self.family.size,
-            lambda seeds: objective(self.masks(seeds)),
+            evaluate,
             target=target,
             max_trials=max_trials,
             start=start,
             chunk_size=chunk,
         )
-        return sel, self.masks(np.array([sel.seed], dtype=np.int64))[0]
+        block, self._block = self._block, None
+        rows = np.flatnonzero(block.seeds == sel.seed)
+        if rows.size:
+            row = int(rows[0])
+            kill = None if block.kill is None else block.kill[row].copy()
+            self._winner = (block.masks[row].copy(), kill)
+        else:
+            seeds = np.array([sel.seed], dtype=np.int64)
+            self._winner = (self.masks(seeds)[0], None)
+        return sel, self._winner[0]
 
 
 class NodePhase(_LubyPhase):
@@ -148,7 +184,19 @@ class NodePhase(_LubyPhase):
 
     def kill(self, i_mask: np.ndarray) -> np.ndarray:
         """bool ``(S, n)``: the joining vertices and their neighbours."""
-        return i_mask | self.table.any(i_mask)
+        out = i_mask | self.table.any(i_mask)
+        if self._block is not None and i_mask is self._block.masks:
+            self._block.kill = out
+        return out
+
+    def winner_kill(self) -> np.ndarray:
+        """bool ``(n,)``: the kill mask of the seed :meth:`select` returned.
+
+        It is the winner's row of the kill the objective computed on the
+        scan's last block, and is evaluated here only when there is none.
+        """
+        mask, kill = self._winner
+        return self.kill(mask[None, :])[0] if kill is None else kill
 
 
 class EdgePhase(_LubyPhase):

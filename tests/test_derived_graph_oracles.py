@@ -1,11 +1,13 @@
 """Reference oracles for Section 5's derived graphs, built from the base graph.
 
+``Graph._from_canonical`` builds the CSR by a counting transpose,
 ``_product_graph`` writes the five arrays of ``G x K_k`` in closed form,
 ``line_graph`` writes ``L(G)``'s canonical edge list in closed form,
 ``Graph.remove_vertices`` / ``keep_edges`` filter the live CSR, and
 ``degrees_within`` counts with ``np.bincount``.  Each is pinned here against
-the body it replaced: ``Graph.from_edges`` over the product's edge list and
-over every pair of arcs meeting at a node, a re-sort of the surviving edges
+the body it replaced: the stable argsort of both arc orientations, a
+canonicalising sort plus that argsort over the product's edge list and over
+every pair of arcs meeting at a node, a re-sort of the surviving edges
 through the argsort build, and ``np.add.at`` (``degrees_toward``'s
 reference too).  All five arrays must be equal, dtypes included.  The
 r = 2 ball sizes of ``G x K_k`` and ``L(G)``, derived from ``G``, must
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 import repro.graphs.power as power
 from repro.core.derived import _product_ball2_sizes, _product_graph
 from repro.graphs import CSR_ARRAY_FILES, Graph, ball_sizes, line_graph
+from repro.graphs.graph import _canonicalise_edges
 from repro.graphs.linegraph import line_graph_ball2_sizes
 from repro.graphs.streaming import gnp_block_graph
 from test_transform_oracles import graph_families
@@ -33,7 +36,7 @@ ARRAYS = ("edges_u", "edges_v", "indptr", "indices", "arc_edge_ids")
 
 
 def product_graph_reference(g: Graph, k: int) -> Graph:
-    """``G x K_k`` through ``Graph.from_edges``: the clique edges of every
+    """``G x K_k`` through the argsort build: the clique edges of every
     node, then one cross edge per G edge and color."""
     n = g.n
     cs = np.triu_indices(k, k=1)
@@ -47,18 +50,19 @@ def product_graph_reference(g: Graph, k: int) -> Graph:
         [np.concatenate([clique_u, cross_u]), np.concatenate([clique_v, cross_v])],
         axis=1,
     )
-    return Graph.from_edges(n * k, edges)
+    return from_edges_reference(n * k, edges)
 
 
 def line_graph_reference(g: Graph) -> Graph:
-    """``L(G)`` through ``Graph.from_edges``: every pair of arcs of one CSR
+    """``L(G)`` through the argsort build: every pair of arcs of one CSR
     row, the edge-id pairs meeting at that row's node."""
     arcs = np.arange(g.indices.size, dtype=np.int64)
     later = np.repeat(g.indptr[1:], np.diff(g.indptr)) - arcs - 1
     first = np.repeat(arcs, later)
     step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
     eids = g.arc_edge_ids
-    return Graph.from_edges(g.m, np.stack([eids[first], eids[first + step]], axis=1))
+    pairs = np.stack([eids[first], eids[first + step]], axis=1)
+    return from_edges_reference(g.m, pairs)
 
 
 def from_canonical_reference(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
@@ -68,11 +72,16 @@ def from_canonical_reference(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     dst = np.concatenate([v, u])
     eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
     order = np.argsort(src, kind="stable")
-    src, dst, eid = src[order], dst[order], eid[order]
+    dst, eid = dst[order], eid[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n=n, edges_u=u, edges_v=v, indptr=indptr, indices=dst, arc_edge_ids=eid)
+
+
+def from_edges_reference(n: int, edges: np.ndarray) -> Graph:
+    """``Graph.from_edges`` through the argsort build."""
+    u, v = _canonicalise_edges(n, edges[:, 0], edges[:, 1])
+    return from_canonical_reference(n, u, v)
 
 
 def remove_vertices_reference(g: Graph, node_mask: np.ndarray) -> Graph:
@@ -135,6 +144,34 @@ def draw_mask(data, size: int) -> np.ndarray:
         return np.ones(size, dtype=bool)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     return rng.random(size) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+
+
+@given(data=st.data())
+def test_from_canonical_equals_the_argsort_build(mmap_root, data):
+    g = data.draw(base_graphs(mmap_root))
+    u, v = g.edges_u, g.edges_v
+    want = from_canonical_reference(g.n, u, v)
+    assert_same_graph(Graph._from_canonical(g.n, u, v), want)
+
+
+@pytest.mark.parametrize("u, v", [([0], [3]), ([0], [-1]), ([0, 1], [2])])
+def test_from_canonical_refuses_what_the_transpose_cannot_index(u, v):
+    """Out-of-range or unpaired endpoints raise before the native transpose
+    runs, never write past its buffers."""
+    with pytest.raises(ValueError):
+        Graph._from_canonical(3, np.array(u), np.array(v))
+
+
+def test_line_graph_csr_at_the_transforms_input():
+    """L(G) of the ``transforms`` n = 8000 input (workload seed 1's first
+    draw with max degree 21): the counting transpose equals the argsort
+    build, and the arrays pass a validating round trip, which checks the
+    canonical arc order."""
+    lg = line_graph(gnp_block_graph(8000, 8 / 8000, 1_000_004))
+    assert lg.m == 254_073
+    assert_same_graph(lg, from_canonical_reference(lg.n, lg.edges_u, lg.edges_v))
+    arrays = [getattr(lg, name) for name in ARRAYS]
+    assert_same_graph(Graph.from_csr_arrays(lg.n, *arrays, validate=True), lg)
 
 
 @given(data=st.data())

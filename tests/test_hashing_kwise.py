@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hashing import KWiseHashFamily, make_family
+from repro.hashing.kwise import MAX_FIELD
 
 
 def test_family_metadata():
@@ -69,6 +70,38 @@ def test_evaluation_matches_horner():
     got = fam.evaluate(seed, xs)
     want = (42 * xs**2 + 17 * xs + 5) % 101
     assert np.array_equal(got.astype(np.int64), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_horner_at_the_largest_field(k):
+    """At ``q = MAX_FIELD``, with ids up to ``q - 1`` and the family's top
+    seed (every coefficient ``q - 1``), ``evaluate`` and the general branch
+    of ``evaluate_batch`` equal Horner in Python ints: no int64 step may
+    overflow."""
+    q = MAX_FIELD
+    fam = KWiseHashFamily(q=q, k=k)
+    xs = np.array([0, 1, 2, q // 2, q - 2, q - 1], dtype=np.int64)
+
+    def horner(seed: int) -> list[int]:
+        out = []
+        for x in xs.tolist():
+            h = 0
+            for a in reversed(fam.coefficients(seed)):
+                h = (h * x + a) % q
+            out.append(h)
+        return out
+
+    top = fam.size - 1
+    assert fam.coefficients(top) == (q - 1,) * k
+    for seed in (top, top - 1, 1):
+        got = fam.evaluate(seed, xs)
+        assert got.dtype == np.uint64 and got.tolist() == horner(seed)
+    # A non-contiguous block takes the general branch; seeds must fit int64.
+    big = min(top, 2**63 - 1)
+    seeds = np.array([big, 1, big - 7], dtype=np.int64)
+    block = fam.evaluate_batch(seeds, xs)
+    assert block.dtype == np.uint64
+    assert block.tolist() == [horner(int(s)) for s in seeds]
 
 
 def test_evaluate_rejects_out_of_domain():

@@ -32,6 +32,8 @@ from repro.graphs import (
     star_graph,
 )
 from repro.graphs.streaming import gnp_block_graph
+from repro.hashing.families import make_product_family
+from repro.models.phase import EdgePhase, NodePhase
 
 
 def _union(*parts: Graph, isolated: int = 0) -> Graph:
@@ -161,3 +163,81 @@ def test_one_padded_table_per_phase():
         res = lowdeg_mis(g, Params())
     assert len(built) == res.iterations
     assert any(built)
+
+
+def _kth_seed_wins(k: int, phase: NodePhase | EdgePhase):
+    """An objective worth 1.0 at the ``k``-th seed the scan visits and 0.0
+    elsewhere; the node form also computes the block's kill, as the
+    solvers' objectives do."""
+    seen = [0]
+
+    def objective(masks: np.ndarray) -> np.ndarray:
+        if isinstance(phase, NodePhase):
+            phase.kill(masks)
+        values = np.zeros(masks.shape[0])
+        if 0 <= k - seen[0] < masks.shape[0]:
+            values[k - seen[0]] = 1.0
+        seen[0] += masks.shape[0]
+        return values
+
+    return objective
+
+
+def _counted(phase, name: str) -> list[int]:
+    """Count the calls of ``phase.<name>`` (rows evaluated per call)."""
+    calls: list[int] = []
+    method = getattr(phase, name)
+
+    def wrapper(arg):
+        calls.append(arg.shape[0])
+        return method(arg)
+
+    setattr(phase, name, wrapper)
+    return calls
+
+
+#: case -> (k, target, max_trials, the offset of the first seed of the
+#: winner's block, the seeds per ``masks`` call).  Blocks ramp 1, 2, 4, 8,
+#: ... seeds, so the scan's 6th seed (k = 5) is row 2 of the third block,
+#: and a 20-trial scan ends in a block of 5 (seeds 15..19) while its best
+#: seed (k = 4) is row 1 of the third block and is evaluated again.
+WINNER_CASES = {
+    "first one-seed block": (0, 1.0, 64, 0, [1]),
+    "later multi-seed block": (5, 1.0, 64, 3, [1, 2, 4]),
+    "unsatisfied, best in an earlier block": (4, 2.0, 20, 3, [1, 2, 4, 8, 5, 1]),
+}
+
+
+@pytest.mark.parametrize("form", ["node", "edge"])
+@pytest.mark.parametrize("case", sorted(WINNER_CASES))
+def test_select_reuses_the_winners_row(form, case):
+    """The mask ``select`` returns, and the node form's kill, are the
+    winner's own: equal to a fresh evaluation of the selected seed, and
+    evaluated again only when the winner lies outside the last block."""
+    k, target, max_trials, block_start, mask_calls = WINNER_CASES[case]
+    recompute = target > 1.0
+    g = gnp_random_graph(60, 0.1, seed=3)
+    family = make_product_family(g.n, k=2)
+    phase = NodePhase(g, family) if form == "node" else EdgePhase(g, family)
+    start = 7
+    masks = _counted(phase, "masks")
+    kills = _counted(phase, "kill") if form == "node" else []
+    sel, mask = phase.select(
+        _kth_seed_wins(k, phase), target=target, max_trials=max_trials, start=start
+    )
+    assert (sel.seed, sel.satisfied) == (start + k, not recompute)
+    assert masks == mask_calls
+    fresh = phase.masks(np.array([sel.seed], dtype=np.int64))[0]
+    assert mask.dtype == bool and np.array_equal(mask, fresh)
+    # The first seed of the winner's block has another mask, so reading
+    # the wrong row of the block cannot pass.
+    if k != block_start:
+        other = phase.masks(np.array([start + block_start], dtype=np.int64))[0]
+        assert not np.array_equal(other, fresh)
+    if form == "node":
+        assert kills == mask_calls[: len(mask_calls) - recompute]
+        kill = phase.winner_kill()
+        # The objective's kill row is reused unless the winner was
+        # evaluated again.
+        assert kills == mask_calls
+        assert np.array_equal(kill, phase.kill(fresh[None, :])[0])
