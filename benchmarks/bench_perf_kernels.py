@@ -74,4 +74,4 @@ def test_kernel_sparsify_stage(benchmark):
         return sparsify_edges(g, good, params, ctx, [])
 
     res = benchmark(one_sparsification)
-    assert res.num_edges > 0
+    assert res.mask.any()

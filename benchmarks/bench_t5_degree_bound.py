@@ -38,9 +38,9 @@ def run():
 
         good_m = good_nodes_matching(g, params)
         res_e = sparsify_edges(g, good_m, params, ctx, [])
-        d_star = g.degrees_within(res_e.e_star_mask)
+        d_star = g.degrees_within(res_e.mask)
         two_hop = np.zeros(g.n, dtype=np.int64)
-        eids = np.nonzero(res_e.e_star_mask)[0]
+        eids = np.nonzero(res_e.mask)[0]
         np.add.at(two_hop, g.edges_u[eids], d_star[g.edges_v[eids]] + 1)
         np.add.at(two_hop, g.edges_v[eids], d_star[g.edges_u[eids]] + 1)
         rows.append(
@@ -50,8 +50,8 @@ def run():
 
         good_i = good_nodes_mis(g, params)
         res_n = sparsify_nodes(g, good_i, params, ctx, [])
-        d_q = g.degrees_toward(res_n.q_prime_mask)
-        dq_max = int(d_q[res_n.q_prime_mask].max(initial=0))
+        d_q = g.degrees_toward(res_n.mask)
+        dq_max = int(d_q[res_n.mask].max(initial=0))
         # words for N_v gather: chunk * (1 + max internal degree)
         words = min(params.chunk_size(g.n), dq_max or 1) * (1 + dq_max)
         rows.append((name, "Q'", dq_max, round(cap, 1), words, ctx.S))

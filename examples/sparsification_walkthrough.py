@@ -55,7 +55,7 @@ def main() -> None:
             f"(kappa {s.slack_kappa:.2f}, {s.escalations} escalations); "
             f"all good = {s.all_good}"
         )
-    d_star = g.degrees_within(spars.e_star_mask)
+    d_star = g.degrees_within(spars.mask)
     print(
         f"  => max degree in E*: {int(d_star.max())} "
         f"(cap 2 n^(4 delta) = {params.degree_cap(g.n):.1f}); "
@@ -63,7 +63,7 @@ def main() -> None:
     )
 
     # -- step 3: Luby selection ----------------------------------------- #
-    eids, info = luby_matching_step(g, spars.e_star_mask, good, params, ctx, fidelity)
+    eids, info = luby_matching_step(g, spars.mask, good, params, ctx, fidelity)
     covered = np.unique(np.concatenate([g.edges_u[eids], g.edges_v[eids]]))
     print("step 3 -- derandomized Luby step (Lemma 13):")
     print(f"  matching of {eids.size} edges found with seed {info.selection.seed} ({info.seed_bits}-bit)")

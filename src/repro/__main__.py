@@ -332,7 +332,8 @@ def cmd_store(args) -> int:
           f"disk: {stats['disk_bytes'] / 1e6:.1f} MB  budget: {budget}")
     for obj in stats["objects"]:
         shards = obj["shards"]
-        print(f"  {obj['fingerprint'][:16]}..  n={obj['n']:<9} m={obj['m']:<10} "
+        n, m = ("?" if v is None else v for v in (obj["n"], obj["m"]))
+        print(f"  {obj['fingerprint'][:16]}..  n={n:<9} m={m:<10} "
               f"{obj['bytes'] / 1e6:8.1f} MB  {shards:3d} shard"
               f"{'s' if shards != 1 else ''}  {obj['source']}")
     return 0

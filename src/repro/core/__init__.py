@@ -30,12 +30,12 @@ from .records import (
     result_from_payload,
     result_to_payload,
 )
-from .sparsify_edges import EdgeSparsifyResult, sparsify_edges
-from .sparsify_nodes import NodeSparsifyResult, sparsify_nodes
+from .sparsify_edges import sparsify_edges
+from .sparsify_nodes import sparsify_nodes
+from .stage import SparsifyResult
 
 __all__ = [
     "ColoringViaMISResult",
-    "EdgeSparsifyResult",
     "RulingSetResult",
     "VertexCoverResult",
     "deterministic_coloring",
@@ -49,8 +49,8 @@ __all__ = [
     "LubyStepInfo",
     "MISResult",
     "MatchingResult",
-    "NodeSparsifyResult",
     "Params",
+    "SparsifyResult",
     "StageRecord",
     "degree_class_of",
     "deterministic_maximal_matching",

@@ -65,15 +65,8 @@ def deterministic_maximal_matching(
         ctx.charge_prefix_sum("good_nodes")
 
         spars = sparsify_edges(g, good, params, ctx, fidelity)
-        e_star = spars.e_star_mask
-        if not e_star.any():
-            # Guarded fallback (cannot happen when B is non-empty, which
-            # Corollary 8 guarantees; kept as defensive insurance).
-            fidelity.append("E* empty; falling back to E0")
-            e_star = good.e0_mask
-
         matched_eids, info = luby_matching_step(
-            g, e_star, good, params, ctx, fidelity
+            g, spars.mask, good, params, ctx, fidelity
         )
         if matched_eids.size == 0:
             # A strict-local-minimum edge always exists in a non-empty E*.

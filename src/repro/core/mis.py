@@ -68,12 +68,7 @@ def deterministic_mis(
         ctx.charge_prefix_sum("good_nodes")
 
         spars = sparsify_nodes(g, good, params, ctx, fidelity)
-        q_prime = spars.q_prime_mask
-        if not q_prime.any():
-            fidelity.append("Q' empty; falling back to Q0")
-            q_prime = good.q0_mask
-
-        i_mask, info = luby_mis_step(g, q_prime, good, params, ctx, fidelity)
+        i_mask, info = luby_mis_step(g, spars.mask, good, params, ctx, fidelity)
         if not i_mask.any():
             raise AssertionError("Luby MIS step returned an empty set")
 

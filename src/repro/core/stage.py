@@ -11,7 +11,10 @@ the same skeleton per stage ``j``:
 3. deterministically find a seed making **all** machines good;
 4. keep the sampled items.
 
-This module implements steps 2-3 generically.  The slack is
+:func:`sparsify` runs the stages over one item set; each section supplies
+only its item view (which ids are hashed, which arcs go to the degree and
+retention machines, how a degree is counted).  :func:`run_stage_seed_search`
+is step 3.  The slack is
 ``lambda_x = kappa * (sqrt(e_x) + 1)`` with ``kappa`` starting at the
 paper's nominal ``n^{0.1 delta}`` and escalating by a fixed factor if no
 all-good seed is found within the scan budget (each escalation is recorded
@@ -19,31 +22,35 @@ as a fidelity event; see DESIGN.md "Concentration slack").  One scan judges
 every seed at every rung of that ladder, so an escalation re-reads the
 seeds already evaluated instead of scanning them again.  Because goodness
 of all machines *implies* the stage invariants by the Lemma 10/11/17/18
-algebra, the caller can derive per-node bounds directly from the realised
+algebra, the stage loop derives per-node bounds directly from the realised
 ``(mu_x, lambda_x)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..derand.estimators import certified_slacks
 from ..derand.strategies import SeedSelection, pick_seed, select_seed_batch
-from ..hashing.kwise import KWiseHashFamily
-from ..mpc.partition import MachineGrouping
+from ..graphs.graph import Graph
+from ..hashing.kwise import KWiseHashFamily, make_family
+from ..mpc.context import MPCContext
+from ..mpc.partition import MachineGrouping, chunk_items_by_group
 from ..obs import trace as _obs
 from ..obs.metrics import METRICS
 from .params import SLACK_ESCALATION, Params
+from .records import StageRecord
 
 __all__ = [
     "MachineGroupSpec",
+    "SparsifyResult",
     "StageGoodness",
     "StageSearchOutcome",
     "run_stage_seed_search",
+    "sparsify",
 ]
 
 
@@ -127,11 +134,6 @@ class StageSearchOutcome:
     # expectation mu_x and slack lambda_x under the chosen kappa.
     mus: tuple[np.ndarray, ...]
     lambdas: tuple[np.ndarray, ...]
-    # Per group: the slack the pairwise Chebyshev bound *certifies* for an
-    # E[#bad] < 1 budget at these finite loads (vectorised per machine; see
-    # repro.derand.estimators).  Reporting/diagnostics only -- the search
-    # window itself uses the paper's nominal-kappa schedule above.
-    certified_lambdas: tuple[np.ndarray, ...] = ()
 
 
 #: A weighted machine's float32 product decides its window verdict only when
@@ -548,9 +550,6 @@ def run_stage_seed_search(
         np.sqrt(g.grouping.loads.astype(np.float64)) + 1.0 for g in groups
     ]
     mus = [p_real * t for t in totals]
-    certified = tuple(
-        certified_slacks(g.grouping.loads, p_real) for g in groups
-    )
 
     goodness = StageGoodness(family, threshold, groups, mus, base_slacks)
     kappas = [float(max(n, 2) ** (0.1 * params.delta_value))]
@@ -607,7 +606,6 @@ def run_stage_seed_search(
         selection=chosen,
         mus=tuple(mus),
         lambdas=tuple(kappas[level] * b for b in base_slacks),
-        certified_lambdas=certified,
     )
     if _obs._TRACING:
         _obs.record_span(
@@ -623,3 +621,176 @@ def run_stage_seed_search(
             },
         )
     return outcome
+
+
+@dataclass(frozen=True)
+class SparsifyResult:
+    """The sparsified item set (``E*`` or ``Q'``) plus the per-stage trace."""
+
+    mask: np.ndarray  # bool over the item ids
+    stages: tuple[StageRecord, ...]
+
+    @property
+    def num_stages(self) -> int:
+        return len(self.stages)
+
+
+def sparsify(
+    g: Graph,
+    mask: np.ndarray,
+    num_stages: int,
+    *,
+    kind: str,
+    degree_type: str,
+    degree_lower: bool,
+    machines: Callable[[np.ndarray], tuple],
+    degrees: Callable[[np.ndarray], np.ndarray],
+    retention0: np.ndarray,
+    scale: float,
+    params: Params,
+    ctx: MPCContext,
+    fidelity: list[str],
+) -> SparsifyResult:
+    """Subsample the items in ``mask`` over ``num_stages`` stages.
+
+    Stage ``j`` keeps the items a seed's hash samples at rate ``n^{-delta}``,
+    the seed found so that every machine of four goodness groups is good:
+    the degree machines (type ``degree_type``, upper window, and the lower
+    one too when ``degree_lower``), the type-B retention machines (lower
+    window) and the node twins of both.  The item view is data:
+
+    * ``machines(mask)`` -- the current items' degree arcs ``(groups,
+      units)`` then retention arcs ``(groups, units, weights)``: group is
+      the node a machine serves, unit the hashed item id, weights ``None``
+      for a counted retention;
+    * ``degrees(mask)`` -- each node's degree toward the items;
+    * ``retention0`` -- each B node's stage-0 retention in unscaled units
+      (0 off B), and ``scale`` the factor the retention weights carry.
+
+    ``kind`` (``"edges"`` / ``"nodes"``) labels the stage records.  A stage
+    whose seed samples no item is recorded and the previous set kept, so
+    the result is empty only when ``mask`` is.
+    """
+    mask = mask.copy()
+    if num_stages <= 0 or not mask.any():
+        return SparsifyResult(mask, ())
+
+    family = make_family(universe=max(mask.size, 2), k=params.c, min_q=params.min_q)
+    prob = params.sample_prob(g.n)
+    chunk = params.chunk_size(g.n)
+    noun = kind[:-1]
+    deg0 = degrees(mask).astype(np.float64)
+    stages: list[StageRecord] = []
+    for j in range(1, num_stages + 1):
+        items = np.flatnonzero(mask)
+        groups_d, units_d, groups_r, units_r, weights_r = machines(mask)
+        grouping_d = chunk_items_by_group(groups_d, chunk)
+        grouping_r = chunk_items_by_group(groups_r, chunk)
+
+        # Distribution volume: one word per arc shipped to its group machine.
+        ctx.charge_sort(
+            "sparsify_distribute", words=int(groups_d.size + groups_r.size)
+        )
+        ctx.observe_loads(grouping_d.loads, f"type-{degree_type} {noun} distribution")
+        ctx.observe_loads(grouping_r.loads, f"type-B {noun} distribution")
+
+        spec_d = MachineGroupSpec(
+            name=degree_type, grouping=grouping_d, unit_ids=units_d,
+            check_upper=True, check_lower=degree_lower,
+        )
+        spec_r = MachineGroupSpec(
+            name="B", grouping=grouping_r, unit_ids=units_r,
+            weights=weights_r, check_upper=False, check_lower=True,
+        )
+        # Node-level windows: the per-node invariant the machine windows
+        # are a proxy for (non-vacuous at finite sizes; see MachineGroupSpec).
+        specs = [
+            spec_d, spec_r, spec_d.node_twin(f"{degree_type}/node"),
+            spec_r.node_twin("B/node"),
+        ]
+        outcome = run_stage_seed_search(
+            family, prob, specs, params, g.n, fidelity,
+            scan_start=1 + (j - 1) * params.max_scan_trials,
+        )
+        ctx.charge_seed_fix(family.seed_bits, "sparsify_seed")
+
+        new_mask = np.zeros(mask.size, dtype=bool)
+        new_mask[items[family.sample_indicator(outcome.seed, items, prob)]] = True
+        ctx.charge_broadcast("sparsify_apply")
+
+        # ---- invariant measurements -------------------------------------- #
+        # The node twins (specs[2] / [3]) give the per-node implied bounds
+        # directly; one virtual machine per node.
+        deg_j = degrees(new_mask).astype(np.float64)
+        bound_deg = np.bincount(
+            specs[2].grouping.group_of_machine,
+            weights=outcome.mus[2] + outcome.lambdas[2],
+            minlength=g.n,
+        )
+        active = bound_deg > 0
+        degree_bound_ratio = (
+            float(np.max(deg_j[active] / bound_deg[active])) if active.any() else 0.0
+        )
+
+        # Retained weight per B node (scaled units).
+        keep = new_mask[units_r]
+        retained = np.bincount(
+            groups_r[keep],
+            weights=None if weights_r is None else weights_r[keep],
+            minlength=g.n,
+        ).astype(np.float64)
+        lower = np.bincount(
+            specs[3].grouping.group_of_machine,
+            weights=np.maximum(outcome.mus[3] - outcome.lambdas[3], 0.0),
+            minlength=g.n,
+        )
+        lb_active = lower > 0
+        retention_bound_ratio = (
+            float(np.min(retained[lb_active] / lower[lb_active]))
+            if lb_active.any()
+            else float("inf")
+        )
+
+        ideal = outcome.p_real**j
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dz = deg0 > 0
+            decay_meas = float(np.mean(deg_j[dz] / deg0[dz])) if dz.any() else 0.0
+            rz = retention0 > 0
+            ret_meas = (
+                float(np.mean((retained[rz] / scale) / retention0[rz]))
+                if rz.any()
+                else 0.0
+            )
+
+        stages.append(
+            StageRecord(
+                stage=j,
+                kind=kind,
+                items_before=int(items.size),
+                items_after=int(new_mask.sum()),
+                sample_prob=outcome.p_real,
+                num_machines=grouping_d.num_machines + grouping_r.num_machines,
+                max_load=max(grouping_d.max_load(), grouping_r.max_load()),
+                seed=outcome.seed,
+                trials=outcome.trials,
+                slack_kappa=outcome.kappa,
+                escalations=outcome.escalations,
+                all_good=outcome.all_good,
+                degree_bound_ratio=degree_bound_ratio,
+                degree_decay_measured=decay_meas,
+                degree_decay_ideal=ideal,
+                retention_bound_ratio=retention_bound_ratio,
+                retention_decay_measured=ret_meas,
+                retention_decay_ideal=ideal,
+            )
+        )
+
+        if not new_mask.any():
+            fidelity.append(
+                f"{noun} sparsification stage {j} emptied the set; "
+                f"keeping stage {j - 1} set"
+            )
+            break
+        mask = new_mask
+
+    return SparsifyResult(mask, tuple(stages))

@@ -28,7 +28,6 @@ __all__ = [
     "arcs_toward",
     "group_order_indptr",
     "neighbor_min",
-    "segment_count_2d",
     "segment_min",
     "segment_sum",
 ]
@@ -76,26 +75,6 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 # ``axis=1`` reduces every seed row independently in one pass, so row ``i``
 # of each 2-D kernel is bit-identical to the 1-D kernel applied to row ``i``.
 # ---------------------------------------------------------------------- #
-
-
-def segment_count_2d(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """int32[S, n]: per-segment count of True along axis 1 (0 when empty).
-
-    Exact integer sums via a per-row prefix sum plus boundary differences
-    -- one contiguous pass over the block instead of a ``reduceat`` per
-    segment start, which matters when segments are small and numerous
-    (machine groups, neighbourhood lists).
-    """
-    s, width = mask.shape
-    n = indptr.size - 1
-    if width == 0 or n == 0:
-        return np.zeros((s, n), dtype=np.int32)
-    # Contiguous cumsum (the fast path), then gather the prefix value at
-    # every segment boundary: prefix(j) = cum[:, j-1] with prefix(0) = 0.
-    cum = np.cumsum(mask, axis=1, dtype=np.int32)
-    bounds = cum[:, np.maximum(indptr - 1, 0)]
-    bounds[:, indptr == 0] = 0
-    return bounds[:, 1:] - bounds[:, :-1]
 
 
 def group_order_indptr(
@@ -192,7 +171,11 @@ class SegmentTable:
                 [mask, np.zeros((mask.shape[0], 1), dtype=bool)], axis=1
             )
             return ext[:, self.table].any(axis=2)
-        return segment_count_2d(mask[:, self.cols], self.indptr) > 0
+        # Prefix counts: cum[:, j] is the number of True among the first j
+        # arcs, so a segment holds one iff the count rises across it.
+        cum = np.zeros((mask.shape[0], self.cols.size + 1), dtype=np.int32)
+        np.cumsum(mask[:, self.cols], axis=1, out=cum[:, 1:])
+        return cum[:, self.indptr[1:]] > cum[:, self.indptr[:-1]]
 
 
 def arcs_toward(g: Graph, src_mask: np.ndarray, dst_mask: np.ndarray):

@@ -35,7 +35,9 @@ Integrity: writes build in a temp directory and ``os.rename`` into place
 open path (:func:`open_stored_graph`) does O(1) structural checks only —
 checksumming 100 MB of shards per job would defeat the mmap — and the
 runtime worker falls back to regenerating from the spec on *any* open
-failure, so a corrupt shard degrades to a warning, not a failed job.
+failure, so a corrupt shard degrades to a warning, not a failed job.  An
+unreadable ``meta.json`` is a miss: :meth:`GraphStore.lookup` drops the
+entry and the caller rebuilds it.
 
 Single-writer semantics, like the result cache: concurrent readers are
 safe; one scheduler should own writes to a store directory at a time.
@@ -379,12 +381,18 @@ def _dir_bytes(obj_dir: Path) -> int:
 
 
 def read_meta(root: str | Path, fingerprint: str) -> dict:
-    obj_dir = Path(root) / "objects" / fingerprint
-    meta_path = obj_dir / "meta.json"
+    """``meta.json`` of a stored object; :class:`StoreCorruptError` when it
+    does not parse as a JSON object holding ``n`` and ``m`` (a torn write)."""
+    meta_path = Path(root) / "objects" / fingerprint / "meta.json"
     if not meta_path.exists():
         raise StoreMissError(fingerprint)
-    with meta_path.open() as fh:
-        return json.load(fh)
+    try:
+        meta = json.loads(meta_path.read_bytes())
+    except ValueError as exc:
+        raise StoreCorruptError(f"{fingerprint}: meta.json unreadable ({exc})") from exc
+    if not isinstance(meta, dict) or not {"n", "m"} <= meta.keys():
+        raise StoreCorruptError(f"{fingerprint}: meta.json unreadable (no n and m)")
+    return meta
 
 
 def open_stored_graph(
@@ -578,10 +586,17 @@ class GraphStore:
 
     def lookup(self, key: str) -> StoredGraphInfo | None:
         """``key``'s info as a hit, refreshed as most recently used; ``None``
-        when the store does not hold it (nothing is built either way)."""
+        when the store does not hold it (nothing is built either way).  An
+        entry whose ``meta.json`` is unreadable is dropped from the index,
+        so the caller rebuilds it as a miss."""
         if key not in self._lru or not self._meta_path(key).exists():
             return None
-        info = replace(self.info(key), hit=True)
+        try:
+            info = replace(self.info(key), hit=True)
+        except StoreCorruptError:
+            del self._lru[key]
+            self._append({"op": "evict", "key": key})
+            return None
         self._lru.move_to_end(key)
         self._append({"op": "touch", "key": key})
         return info
@@ -729,7 +744,10 @@ class GraphStore:
 
     def verify(self, key: str) -> list[str]:
         """Checksum every array file of ``key``; returns problems (empty = ok)."""
-        meta = self.meta(key)
+        try:
+            meta = self.meta(key)
+        except StoreCorruptError:
+            return ["meta.json unreadable"]
         obj_dir = self._object_dir(key)
         problems = []
         for name in ARRAY_FILES:
@@ -792,8 +810,10 @@ class GraphStore:
         for key, nbytes in self._lru.items():
             try:
                 meta = read_meta(self.root, key)
-            except (StoreMissError, json.JSONDecodeError):
+            except StoreMissError:
                 meta = {}
+            except StoreCorruptError:
+                meta = {"source": "meta.json unreadable"}
             entries.append(
                 {
                     "fingerprint": key,

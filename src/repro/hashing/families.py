@@ -18,7 +18,6 @@ Two constructions on top of :class:`~repro.hashing.kwise.KWiseHashFamily`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -69,9 +68,6 @@ class ProductHashFamily:
     def seed_bits(self) -> int:
         return max(1, (self.size - 1).bit_length())
 
-    def seeds(self) -> Iterator[int]:
-        return iter(range(self.size))
-
     def split_seed(self, seed: int) -> tuple[int, int]:
         if not 0 <= seed < self.size:
             raise ValueError(f"seed {seed} out of range [0, {self.size})")
@@ -114,15 +110,6 @@ class ProductHashFamily:
             return np.atleast_1d(v1_row)[None, :] * np.uint64(self.f0.q) + v0
         v1 = self.f1.evaluate_batch(s1, xs)
         return v1 * np.uint64(self.f0.q) + v0
-
-    def threshold(self, prob: float) -> int:
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {prob}")
-        return min(self.range, int(prob * self.range))
-
-    def sample_indicator(self, seed: int, xs: np.ndarray, prob: float) -> np.ndarray:
-        t = self.threshold(prob)
-        return self.evaluate(seed, xs) < np.uint64(t)
 
 
 def make_product_family(universe: int, k: int, *, min_q: int = 257) -> ProductHashFamily:

@@ -25,7 +25,6 @@ independent copies when a wide, collision-free value range is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -126,10 +125,6 @@ class KWiseHashFamily:
             coeffs[idx] = s % self.q
             s //= self.q
         return tuple(coeffs)
-
-    def seeds(self) -> Iterator[int]:
-        """Iterate over every seed in a fixed (canonical) order."""
-        return iter(range(self.size))
 
     # ------------------------------------------------------------------ #
     # Evaluation

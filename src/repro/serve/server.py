@@ -30,6 +30,8 @@ import asyncio
 import json
 import sys
 import time
+import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -353,7 +355,9 @@ class SolverService:
             self.coalescer.finish(key)
 
     def _load_solution(self, job: ServeJob, result: JobResult) -> list | None:
-        """Solution array for ``include_solution`` requests (cache-backed)."""
+        """Solution array for ``include_solution`` requests (cache-backed);
+        ``None`` when the entry is gone or its npz is unreadable (a torn
+        write), as for any missing entry."""
         if not result.ok or not result.fingerprint:
             return None
         entry = self.cache.get(job.spec.cache_key(result.fingerprint))
@@ -361,7 +365,7 @@ class SolverService:
             return None
         try:
             return entry.arrays()["solution"].tolist()
-        except (OSError, KeyError, ValueError):
+        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error):
             return None
 
     # ------------------------------------------------------------------ #
@@ -525,8 +529,10 @@ class SolverService:
     ) -> None:
         """JSON-lines loop for embedding: one request per line, one
         response per line (correlate with ``id`` — responses may
-        interleave, since each line is handled concurrently).  EOF drains
-        the service and returns.
+        interleave, since each line is handled concurrently).  Every line
+        that parses is answered: an exception from :meth:`handle` is a
+        500 carrying the line's ``id``, as over HTTP.  EOF drains the
+        service and returns.
         """
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
@@ -538,7 +544,13 @@ class SolverService:
                 await writer.drain()
 
         async def _one(obj: object) -> None:
-            _, payload = await self.handle(obj)
+            try:
+                _, payload = await self.handle(obj)
+            except Exception as exc:  # noqa: BLE001 - the line gets an answer
+                request_id = obj.get("id") if isinstance(obj, dict) else None
+                payload = error_payload(
+                    500, type(exc).__name__, str(exc), request_id=request_id
+                )
             await _write(payload)
 
         while True:

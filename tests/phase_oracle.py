@@ -11,9 +11,10 @@ reference the phase kernel is compared with: every solution, bill, record
 and trace must come out the same.
 
 Only what ``src/`` keeps is imported; the deleted helpers -- the two
-block reducers with their own padded tables, the clique/CONGEST kernel
-class, the two ``A``-set copies and the ``B -> Q'`` arc helper -- are
-carried here as plain-numpy copies.  The Section-5 colour family was a
+block reducers with their own padded tables and the prefix counter
+behind one of them, the clique/CONGEST kernel class, the two ``A``-set
+copies and the ``B -> Q'`` arc helper -- are carried here as plain-numpy
+copies.  The Section-5 colour family was a
 renaming wrapper around the pairwise family ``make_color_family`` returns
 now; its ``evaluate_colors_batch`` is that family's ``evaluate_batch``.
 """
@@ -37,7 +38,7 @@ from repro.derand import strategies as _strategies
 from repro.derand.strategies import select_seed_batch
 from repro.graphs.coloring import distance2_coloring
 from repro.graphs.graph import Graph
-from repro.graphs.kernels import PAD_FACTOR, group_order_indptr, segment_count_2d
+from repro.graphs.kernels import PAD_FACTOR, group_order_indptr
 from repro.graphs.power import BallTooLargeError, ball_sizes
 from repro.hashing.families import make_color_family, make_product_family
 from repro.mpc.context import MPCContext
@@ -49,6 +50,19 @@ _SEED_BLOCK_BYTES = 1 << 28
 # ---------------------------------------------------------------------- #
 # Deleted helpers
 # ---------------------------------------------------------------------- #
+
+
+def segment_count_2d(mask, indptr):
+    """int32[S, n]: per-segment count of True along axis 1 (0 when empty),
+    by a per-row prefix sum and boundary differences."""
+    s, width = mask.shape
+    n = indptr.size - 1
+    if width == 0 or n == 0:
+        return np.zeros((s, n), dtype=np.int32)
+    cum = np.cumsum(mask, axis=1, dtype=np.int32)
+    bounds = cum[:, np.maximum(indptr - 1, 0)]
+    bounds[:, indptr == 0] = 0
+    return bounds[:, 1:] - bounds[:, :-1]
 
 
 def _padded_table(cols, indptr, sentinel):

@@ -101,7 +101,7 @@ def test_slack_escalation_records_fidelity_events():
     ctx = MPCContext(n=g.n, m=g.m, eps=params.eps, space_factor=params.space_factor)
     fid: list[str] = []
     res = sparsify_edges(g, good, params, ctx, fid)
-    assert res.num_edges > 0  # still produces a usable E*
+    assert res.mask.any()  # still produces a usable E*
     assert any("escalat" in e for e in fid)
 
 

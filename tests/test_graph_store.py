@@ -460,3 +460,55 @@ class TestGraphStore:
         info = store.put_graph(Graph.empty(7))
         g = store.open(info.fingerprint, validate=True)
         assert g.n == 7 and g.m == 0
+
+
+class TestUnreadableMeta:
+    """A torn ``meta.json`` is a store miss, never a crash."""
+
+    ARGS = dict(n=80, p=0.05, seed=3)
+
+    def _tear(self, tmp_path) -> tuple[GraphStore, str]:
+        store = GraphStore(tmp_path)
+        fp = store.ensure_generator("gnp_random_graph", self.ARGS).fingerprint
+        meta = store._meta_path(fp)
+        meta.write_bytes(meta.read_bytes()[:40])
+        return GraphStore(tmp_path), fp
+
+    def test_read_meta_raises_corrupt(self, tmp_path):
+        _, fp = self._tear(tmp_path)
+        with pytest.raises(StoreCorruptError, match="meta.json unreadable"):
+            store_mod.read_meta(tmp_path, fp)
+        with pytest.raises(StoreCorruptError):
+            open_stored_graph(tmp_path, fp)
+
+    def test_meta_without_n_and_m_is_unreadable(self, tmp_path):
+        store = GraphStore(tmp_path)
+        fp = store.ensure_generator("gnp_random_graph", self.ARGS).fingerprint
+        store._meta_path(fp).write_text('{"n": 80}')
+        with pytest.raises(StoreCorruptError, match="meta.json unreadable"):
+            store_mod.read_meta(tmp_path, fp)
+        assert store.lookup(fp) is None and fp not in store
+
+    def test_lookup_drops_the_entry_and_the_next_resolve_rebuilds(self, tmp_path):
+        store, fp = self._tear(tmp_path)
+        assert store.lookup(fp) is None
+        assert fp not in store
+        assert fp not in GraphStore(tmp_path)  # the drop is in the index log
+        rebuilt = store.ensure_generator("gnp_random_graph", self.ARGS)
+        assert not rebuilt.hit and rebuilt.fingerprint == fp
+        assert store.verify(fp) == []
+        assert GraphStore(tmp_path).lookup(fp).hit
+
+    def test_verify_and_stats_report_it(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        store, fp = self._tear(tmp_path)
+        assert store.verify(fp) == ["meta.json unreadable"]
+        (obj,) = store.stats()["objects"]
+        assert obj["fingerprint"] == fp and obj["n"] is None
+        assert main(["store", "verify", "--store-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"CORRUPT {fp[:16]}..: meta.json unreadable" in out
+        assert main(["store", "stats", "--store-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"{fp[:16]}..  n=?" in out and "meta.json unreadable" in out

@@ -62,15 +62,6 @@ def test_product_pairwise_independence_exact_tiny():
     assert np.all(counts == fam.size // (r * r))
 
 
-def test_product_threshold_and_indicator():
-    fam = make_product_family(50, k=2, min_q=53)
-    xs = np.arange(50, dtype=np.int64)
-    mask = fam.sample_indicator(7, xs, 0.5)
-    assert mask.dtype == bool
-    t = fam.threshold(0.5)
-    assert np.array_equal(mask, fam.evaluate(7, xs) < np.uint64(t))
-
-
 def test_color_family_seed_bits_scale_with_colors():
     small = make_color_family(16)
     big = make_color_family(4096)
@@ -92,7 +83,7 @@ def test_color_family_pairwise_on_colors():
     fam = make_color_family(5)
     q = fam.q
     counts = np.zeros((q, q), dtype=np.int64)
-    for seed in fam.seeds():
+    for seed in range(fam.size):
         v = fam.evaluate(seed, np.array([1, 4]))
         counts[int(v[0]), int(v[1])] += 1
     assert np.all(counts == fam.size // (q * q))

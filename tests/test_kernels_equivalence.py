@@ -12,8 +12,6 @@ seeded random graphs; targeted cases cover the engine and the runtime cache.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -399,46 +397,6 @@ def test_engine_word_size_counts_arrays():
     assert word_size(np.empty(0, dtype=np.int64)) == 0
     assert word_size((1, 2, 3)) == 3
     assert word_size(5) == 1
-
-
-# --------------------------------------------------------------------- #
-# Vectorised estimator accounting
-# --------------------------------------------------------------------- #
-
-
-def slack_for_failure(c: int, t: float, fail_prob: float, *, p=None) -> float:
-    """Scalar reference for ``slack_for_failure_array``: the minimal slack
-    whose Chebyshev (``c = 2``) or Bellare-Rompel (even ``c >= 4``) tail
-    is at most ``fail_prob`` for ``t`` items."""
-    if t <= 0:
-        return 0.0
-    if c == 2:
-        var = t * p * (1.0 - p) if p is not None else t / 4.0
-        return math.sqrt(var / fail_prob)
-    return math.sqrt(c * t) * (2.0 / fail_prob) ** (1.0 / c)
-
-
-def test_stage_search_reports_certified_slacks():
-    from repro.core.stage import MachineGroupSpec, run_stage_seed_search
-    from repro.mpc.partition import chunk_items_by_group
-
-    group_of = np.repeat(np.arange(10, dtype=np.int64), 5)
-    units = np.arange(50, dtype=np.int64)
-    # One machine per node: a chunk larger than any group.
-    grouping = chunk_items_by_group(group_of, 51)
-    spec = MachineGroupSpec("certified-test", grouping, units)
-    family = make_family(universe=64, k=2)
-    outcome = run_stage_seed_search(family, 0.5, [spec], Params(), 64, [])
-    assert len(outcome.certified_lambdas) == 1
-    cert = outcome.certified_lambdas[0]
-    assert cert.shape == outcome.lambdas[0].shape
-    assert np.all(cert > 0)
-    # The array solver must agree with the scalar inversion per machine.
-    loads = spec.grouping.loads
-    share = min(1.0, 1.0 / loads.size)
-    p_real = outcome.p_real
-    expect = [slack_for_failure(2, float(t), share, p=p_real) for t in loads]
-    assert np.allclose(cert, expect)
 
 
 # --------------------------------------------------------------------- #

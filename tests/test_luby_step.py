@@ -71,7 +71,7 @@ def test_first_k_arcs_empty():
 def test_matching_step_returns_valid_matching(seed):
     g = gnp_random_graph(80, 0.1, seed=seed)
     good, spars, ctx, fid, params = setup_matching(g)
-    eids, info = luby_matching_step(g, spars.e_star_mask, good, params, ctx, fid)
+    eids, info = luby_matching_step(g, spars.mask, good, params, ctx, fid)
     mask = np.zeros(g.m, dtype=bool)
     mask[eids] = True
     assert is_matching(g, mask)
@@ -82,7 +82,7 @@ def test_matching_step_meets_paper_target():
     """Lemma 13: achievable weight >= W_B / 109 (scan target satisfied)."""
     g = gnp_random_graph(80, 0.1, seed=4)
     good, spars, ctx, fid, params = setup_matching(g)
-    _, info = luby_matching_step(g, spars.e_star_mask, good, params, ctx, fid)
+    _, info = luby_matching_step(g, spars.mask, good, params, ctx, fid)
     assert info.selection.satisfied
     assert info.selection.value >= info.target
 
@@ -90,8 +90,8 @@ def test_matching_step_meets_paper_target():
 def test_matching_step_matched_edges_in_e_star():
     g = gnp_random_graph(60, 0.15, seed=5)
     good, spars, ctx, fid, params = setup_matching(g)
-    eids, _ = luby_matching_step(g, spars.e_star_mask, good, params, ctx, fid)
-    assert np.all(spars.e_star_mask[eids])
+    eids, _ = luby_matching_step(g, spars.mask, good, params, ctx, fid)
+    assert np.all(spars.mask[eids])
 
 
 def test_matching_step_rejects_empty_estar():
@@ -105,7 +105,7 @@ def test_matching_step_charges_gather_and_seed():
     g = gnp_random_graph(60, 0.15, seed=7)
     good, spars, ctx, fid, params = setup_matching(g)
     before = dict(ctx.by_category)
-    luby_matching_step(g, spars.e_star_mask, good, params, ctx, fid)
+    luby_matching_step(g, spars.mask, good, params, ctx, fid)
     assert ctx.by_category["luby_gather"] > before.get("luby_gather", 0)
     assert ctx.by_category["luby_seed"] > before.get("luby_seed", 0)
 
@@ -133,7 +133,7 @@ def test_matching_step_deterministic():
 
 def _sel_args(g):
     good, spars, ctx, fid, params = setup_matching(g)
-    return spars.e_star_mask, good, params, ctx, fid
+    return spars.mask, good, params, ctx, fid
 
 
 # --------------------------------------------------------------------- #
@@ -145,7 +145,7 @@ def _sel_args(g):
 def test_mis_step_returns_independent_set(seed):
     g = gnp_random_graph(80, 0.1, seed=seed)
     good, spars, ctx, fid, params = setup_mis(g)
-    i_mask, info = luby_mis_step(g, spars.q_prime_mask, good, params, ctx, fid)
+    i_mask, info = luby_mis_step(g, spars.mask, good, params, ctx, fid)
     assert is_independent_set(g, i_mask)
     assert i_mask.any()
 
@@ -153,15 +153,15 @@ def test_mis_step_returns_independent_set(seed):
 def test_mis_step_i_subset_of_q_prime():
     g = gnp_random_graph(60, 0.15, seed=4)
     good, spars, ctx, fid, params = setup_mis(g)
-    i_mask, _ = luby_mis_step(g, spars.q_prime_mask, good, params, ctx, fid)
-    assert np.all(~i_mask | spars.q_prime_mask)
+    i_mask, _ = luby_mis_step(g, spars.mask, good, params, ctx, fid)
+    assert np.all(~i_mask | spars.mask)
 
 
 def test_mis_step_meets_paper_target():
     """Lemma 21: achievable covered weight >= 0.01 delta W_B."""
     g = gnp_random_graph(80, 0.1, seed=5)
     good, spars, ctx, fid, params = setup_mis(g)
-    _, info = luby_mis_step(g, spars.q_prime_mask, good, params, ctx, fid)
+    _, info = luby_mis_step(g, spars.mask, good, params, ctx, fid)
     assert info.selection.satisfied
     assert info.selection.value >= info.target
 
@@ -191,7 +191,7 @@ def test_mis_step_deterministic():
 
     def run():
         good, spars, ctx, fid, params = setup_mis(g)
-        return luby_mis_step(g, spars.q_prime_mask, good, params, ctx, fid)[0]
+        return luby_mis_step(g, spars.mask, good, params, ctx, fid)[0]
 
     assert np.array_equal(run(), run())
 

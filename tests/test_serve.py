@@ -593,6 +593,101 @@ def test_stdio_end_to_end(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
+# Every request gets an answer: a torn cache object, a raising handler
+# ---------------------------------------------------------------------- #
+
+
+def _tear_cached_npz(cache_dir) -> None:
+    """Cut the cache's one solution npz in half (a torn write)."""
+    (npz,) = (cache_dir / "objects").glob("*.npz")
+    data = npz.read_bytes()
+    npz.write_bytes(data[: len(data) // 2])
+
+
+def test_include_solution_on_a_torn_npz_over_http(tmp_path):
+    """A cache hit whose npz is unreadable is answered like a missing
+    entry: a 200 without ``solution``, not a 500."""
+    cache_dir = tmp_path / "cache"
+    body = solve_body(seed=5, include_solution=True, id="torn")
+
+    async def scenario():
+        svc = SolverService(workers=1, cache=str(cache_dir))
+        await svc.start()
+        server = await svc.start_http(port=0)
+        base = f"http://127.0.0.1:{server.sockets[0].getsockname()[1]}"
+        loop = asyncio.get_running_loop()
+        first = await loop.run_in_executor(None, http_post, base, body)
+        _tear_cached_npz(cache_dir)
+        second = await loop.run_in_executor(None, http_post, base, body)
+        server.close()
+        await server.wait_closed()
+        assert await svc.drain(30)
+        return first, second
+
+    (code, payload), (torn_code, torn) = run_async(scenario())
+    assert code == 200 and len(payload["solution"]) == payload["result"]["solution_size"]
+    assert torn_code == 200 and torn["ok"] and torn["cache_hit"]
+    assert torn["id"] == "torn" and "solution" not in torn
+    assert torn["result"]["solution_size"] == payload["result"]["solution_size"]
+
+
+def test_include_solution_on_a_torn_npz_over_stdio(tmp_path):
+    from repro.runtime import ResultCache, Scheduler
+
+    cache_dir = tmp_path / "cache"
+    body = dict(solve_body(seed=5, include_solution=True), op="solve", id="torn")
+    with Scheduler(cache=ResultCache(cache_dir)) as sched:
+        assert sched.run([parse_solve(body).spec]).all_ok
+    _tear_cached_npz(cache_dir)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--stdio", "--cache-dir", str(cache_dir)],
+        input=json.dumps(body) + "\n",
+        capture_output=True,
+        text=True,
+        timeout=180,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    (reply,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert reply["id"] == "torn" and reply["ok"] and reply["cache_hit"]
+    assert "solution" not in reply
+
+
+class _Lines:
+    """A stdio writer stand-in collecting what the loop writes."""
+
+    def __init__(self) -> None:
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+
+def test_stdio_answers_a_line_whose_handling_raises():
+    async def scenario():
+        svc = make_service(FakeScheduler())
+        await svc.start()
+
+        async def boom(obj):
+            raise RuntimeError("handler exploded")
+
+        svc.handle = boom
+        reader = asyncio.StreamReader()
+        reader.feed_data(json.dumps(dict(solve_body(), id="x")).encode() + b"\n")
+        reader.feed_eof()
+        out = _Lines()
+        await svc.serve_stdio(reader, out)
+        return [json.loads(line) for line in out.data.splitlines()]
+
+    (reply,) = run_async(scenario())
+    assert reply["id"] == "x" and reply["code"] == 500 and not reply["ok"]
+    assert reply["error"] == {"type": "RuntimeError", "message": "handler exploded"}
+
+
+# ---------------------------------------------------------------------- #
 # Signals: every mode drains, and nothing outlives the service
 # ---------------------------------------------------------------------- #
 

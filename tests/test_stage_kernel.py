@@ -24,10 +24,12 @@ from repro.core import stage as stage_mod
 from repro.core.matching import deterministic_maximal_matching
 from repro.core.stage import MachineGroupSpec, StageGoodness
 from repro.graphs import gnp_random_graph
-from repro.graphs.kernels import group_order_indptr, segment_count_2d
+from repro.graphs.kernels import group_order_indptr
 from repro.hashing.kwise import KWiseHashFamily
 from repro.mpc.partition import chunk_items_by_group
 from repro.obs.metrics import METRICS
+
+from phase_oracle import segment_count_2d
 
 Q = 257  # digit 0 of the seed rolls over every 257 seeds
 THRESHOLD = 77

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core import Params
 from repro.core.params import SLACK_ESCALATION
 from repro.core.stage import MachineGroupSpec, StageSearchOutcome, run_stage_seed_search
-from repro.derand.estimators import certified_slacks
 from repro.derand.strategies import select_seed_batch
 from repro.hashing.kwise import KWiseHashFamily
 from repro.mpc.partition import chunk_items_by_group
@@ -42,7 +41,6 @@ def rescan_stage_seed_search(
     totals = [g.weight_totals() for g in groups]
     base_slacks = [np.sqrt(g.grouping.loads.astype(np.float64)) + 1.0 for g in groups]
     mus = [p_real * t for t in totals]
-    certified = tuple(certified_slacks(g.grouping.loads, p_real) for g in groups)
 
     kappa = float(max(n, 2) ** (0.1 * params.delta_value))
     escalations = trials_total = rescanned = 0
@@ -89,7 +87,6 @@ def rescan_stage_seed_search(
         selection=chosen,
         mus=tuple(mus),
         lambdas=tuple(kappa * b for b in base_slacks),
-        certified_lambdas=certified,
     )
     return outcome, rescanned
 
@@ -148,7 +145,7 @@ def compare_searches(seed: int, max_trials: int, max_escalations: int) -> str:
     )
     assert got.selection == want.selection
     assert got.p_real == want.p_real
-    for name in ("mus", "lambdas", "certified_lambdas"):
+    for name in ("mus", "lambdas"):
         a, b = getattr(got, name), getattr(want, name)
         assert len(a) == len(b)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b)), name

@@ -223,6 +223,26 @@ class TestShardFallback:
         assert "store_fallback" in r.meta and "trace_spans" in r.meta
 
 
+    def test_unreadable_meta_rebuilds_as_a_store_miss(self, tmp_path):
+        # A torn meta.json fails no job: the parent drops the entry,
+        # rebuilds the graph and counts a store miss.
+        spec = _small_specs()[0]
+        store = GraphStore(tmp_path)
+        first = Scheduler(store=store).run([spec])
+        meta = store._meta_path(first.results[0].fingerprint)
+        meta.write_bytes(meta.read_bytes()[:40])
+        before = METRICS.counters_snapshot()
+        batch = Scheduler(store=GraphStore(tmp_path)).run([spec])
+        r = batch.results[0]
+        assert r.ok, r.error_message
+        assert r.solution_size == first.results[0].solution_size
+        assert (batch.stats.store_hits, batch.stats.store_misses) == (0, 1)
+        assert batch.stats.store_fallbacks == 0
+        delta = METRICS.delta(before, METRICS.counters_snapshot())
+        assert delta.get("store.shard_misses", 0) == 1
+        assert GraphStore(tmp_path).verify(r.fingerprint) == []
+
+
 class TestLargeSweepSuite:
     def test_registered_and_store_ready(self):
         suite = get_suite("large-sweep")
