@@ -16,8 +16,10 @@ seed selection.  Two seed-selection pipelines are provided:
   compression paying off in a third model.  This is precisely the
   "useful for the CONGEST model" extension the conclusion anticipates.
 
-Both produce identical (deterministic) independent sets; only the round
-bill differs.
+Each mode is deterministic, and ``repro.api.solve`` verifies the maximal
+independent set either returns; but the two sets generally differ: the
+modes hash different inputs (ids, or distance-2 colours) with different
+families, so they fix different seeds.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ cache, not the materialised edge list.
 Layout under ``root`` (content-addressed, mirroring
 :class:`~repro.runtime.cache.ResultCache` conventions)::
 
-    index.jsonl               op log: {"op": "put"|"touch"|"evict", "key", ...}
     sources.jsonl             generator-call digest -> fingerprint map
     objects/<fingerprint>/
-        meta.json             n, m, shard table, per-file sha256 checksums
+        meta.json             n, m, shard table, per-file sha256 checksums;
+                              its mtime is the object's last use
         edges_u.npy           int64[m]   canonical edge endpoints (u < v)
         edges_v.npy           int64[m]
         indptr.npy            int64[n+1] CSR row pointers
@@ -39,8 +39,12 @@ failure, so a corrupt shard degrades to a warning, not a failed job.  An
 unreadable ``meta.json`` is a miss: :meth:`GraphStore.lookup` drops the
 entry and the caller rebuilds it.
 
-Single-writer semantics, like the result cache: concurrent readers are
-safe; one scheduler should own writes to a store directory at a time.
+The objects directory is the index, for the store and the result cache
+alike: :func:`mark_used` stamps an object's meta file on every put, hit and
+open, and :func:`by_last_use` lists meta files least recently used first,
+which is how an opener rebuilds its LRU order.  So processes sharing a
+directory cannot lose each other's objects; each evicts from the objects
+it knows (those listed when it opened, plus its own puts).
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ __all__ = [
     "StoreMissError",
     "StoredGraphInfo",
     "build_csr_shards",
+    "by_last_use",
+    "mark_used",
     "open_stored_graph",
 ]
 
@@ -375,8 +381,32 @@ def _dir_bytes(obj_dir: Path) -> int:
     return sum(p.stat().st_size for p in obj_dir.iterdir() if p.is_file())
 
 
+def mark_used(path: Path) -> None:
+    """Stamp ``path``'s mtime with the wall clock in nanoseconds: the last
+    use of the object it describes.  (``os.utime(path)`` alone takes the
+    kernel's coarse file clock, which can equal the stamp of the write just
+    before it.)  A path removed meanwhile is left alone."""
+    t = time.time_ns()
+    try:
+        os.utime(path, ns=(t, t))
+    except OSError:
+        pass
+
+
+def by_last_use(paths) -> list[Path]:
+    """``paths`` least recently used first: by mtime, ties by name.  A path
+    that does not exist (removed meanwhile) is skipped."""
+    stamped = []
+    for path in paths:
+        try:
+            stamped.append((path.stat().st_mtime_ns, os.fspath(path)))
+        except OSError:
+            continue
+    return [Path(name) for _, name in sorted(stamped)]
+
+
 # --------------------------------------------------------------------- #
-# Read path (worker-safe: no index writes)
+# Read path (worker-safe: writes nothing)
 # --------------------------------------------------------------------- #
 
 
@@ -451,8 +481,8 @@ class GraphStore:
     """Content-addressed, LRU disk-budgeted store of mmap-ready CSR graphs.
 
     ``max_bytes`` bounds the object payload on disk (None = unbounded);
-    eviction is least-recently-*opened*, recorded through the same
-    append-only JSONL op-log discipline as the result cache.  The
+    eviction is least recently used, by each object's ``meta.json`` mtime
+    (:func:`mark_used`, :func:`by_last_use`) as in the result cache.  The
     ``sources.jsonl`` map remembers which generator call produced which
     fingerprint, so :meth:`ensure_generator` can answer "is G(n, p, seed)
     already on disk?" without generating anything.
@@ -465,42 +495,27 @@ class GraphStore:
             raise ValueError("max_bytes must be >= 1 (or None)")
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
-        self.index_path = self.root / "index.jsonl"
         self.sources_path = self.root / "sources.jsonl"
         self.max_bytes = max_bytes
         self._lru: OrderedDict[str, int] = OrderedDict()  # key -> bytes
         self._sources: dict[str, str] = {}
-        self._ops_replayed = 0
         self.objects_dir.mkdir(parents=True, exist_ok=True)
-        self._replay()
+        for meta_path in by_last_use(
+            child / "meta.json"
+            for child in self.objects_dir.iterdir()
+            if not child.name.startswith(".")  # a build in progress
+        ):
+            try:
+                self._lru[meta_path.parent.name] = _dir_bytes(meta_path.parent)
+            except OSError:
+                continue  # evicted by another process meanwhile
+        self._read_sources()
 
     # ------------------------------------------------------------------ #
-    # Index / sources logs
+    # Sources map
     # ------------------------------------------------------------------ #
 
-    def _replay(self) -> None:
-        if self.index_path.exists():
-            with self.index_path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        op = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn tail write
-                    self._ops_replayed += 1
-                    key = op.get("key", "")
-                    kind = op.get("op")
-                    if kind == "put":
-                        self._lru[key] = int(op.get("bytes", 0))
-                        self._lru.move_to_end(key)
-                    elif kind == "touch" and key in self._lru:
-                        self._lru.move_to_end(key)
-                    elif kind == "evict":
-                        self._lru.pop(key, None)
-        for key in [k for k in self._lru if not self._meta_path(k).exists()]:
-            del self._lru[key]
+    def _read_sources(self) -> None:
         if self.sources_path.exists():
             with self.sources_path.open() as fh:
                 for line in fh:
@@ -512,21 +527,6 @@ class GraphStore:
                     except json.JSONDecodeError:
                         continue
                     self._sources[rec["source"]] = rec["fingerprint"]
-
-    def _append(self, op: dict) -> None:
-        with self.index_path.open("a") as fh:
-            fh.write(json.dumps(op, sort_keys=True) + "\n")
-        self._ops_replayed += 1
-        if self._ops_replayed > 4 * max(len(self._lru), 1) + 64:
-            tmp = self.index_path.with_suffix(".jsonl.tmp")
-            with tmp.open("w") as fh:
-                for key, nbytes in self._lru.items():
-                    fh.write(
-                        json.dumps({"op": "put", "key": key, "bytes": nbytes})
-                        + "\n"
-                    )
-            tmp.replace(self.index_path)
-            self._ops_replayed = len(self._lru)
 
     def _record_source(self, source_digest: str, fingerprint: str) -> None:
         if self._sources.get(source_digest) == fingerprint:
@@ -587,18 +587,18 @@ class GraphStore:
     def lookup(self, key: str) -> StoredGraphInfo | None:
         """``key``'s info as a hit, refreshed as most recently used; ``None``
         when the store does not hold it (nothing is built either way).  An
-        entry whose ``meta.json`` is unreadable is dropped from the index,
-        so the caller rebuilds it as a miss."""
+        entry whose ``meta.json`` is unreadable is removed, directory and
+        all, so the caller rebuilds it as a miss."""
         if key not in self._lru or not self._meta_path(key).exists():
             return None
         try:
             info = replace(self.info(key), hit=True)
         except StoreCorruptError:
             del self._lru[key]
-            self._append({"op": "evict", "key": key})
+            shutil.rmtree(self._object_dir(key), ignore_errors=True)
             return None
         self._lru.move_to_end(key)
-        self._append({"op": "touch", "key": key})
+        mark_used(self._meta_path(key))
         return info
 
     def open(self, key: str, *, validate: bool = False) -> Graph:
@@ -608,7 +608,7 @@ class GraphStore:
         t0 = _obs.clock()
         g = open_stored_graph(self.root, key, validate=validate)
         self._lru.move_to_end(key)
-        self._append({"op": "touch", "key": key})
+        mark_used(self._meta_path(key))
         if _obs._TRACING:
             _obs.record_span(
                 "store.open", t0, {"fingerprint": key[:16], "n": g.n, "m": g.m}
@@ -644,23 +644,14 @@ class GraphStore:
             final = self._object_dir(fingerprint)
             if fingerprint in self._lru and self._meta_path(fingerprint).exists():
                 shutil.rmtree(tmp)
-                self._lru.move_to_end(fingerprint)
-                self._append({"op": "touch", "key": fingerprint})
             else:
                 if final.exists():  # orphan from a dead writer; replace
                     shutil.rmtree(final)
                 os.rename(tmp, final)
                 self._lru[fingerprint] = nbytes
-                self._lru.move_to_end(fingerprint)
-                self._append(
-                    {
-                        "op": "put",
-                        "key": fingerprint,
-                        "bytes": nbytes,
-                        "at": meta["created_unix"],
-                    }
-                )
-                self._evict_over_budget()
+            self._lru.move_to_end(fingerprint)
+            mark_used(self._meta_path(fingerprint))
+            self._evict_over_budget()
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
@@ -727,7 +718,7 @@ class GraphStore:
     # ------------------------------------------------------------------ #
 
     def disk_usage(self) -> int:
-        """Total stored object bytes (from the index, no filesystem walk)."""
+        """Total stored object bytes (from the LRU table, no filesystem walk)."""
         return sum(self._lru.values())
 
     def _evict_over_budget(self) -> list[str]:
@@ -737,7 +728,6 @@ class GraphStore:
         while len(self._lru) > 1 and self.disk_usage() > self.max_bytes:
             victim, _ = self._lru.popitem(last=False)
             shutil.rmtree(self._object_dir(victim), ignore_errors=True)
-            self._append({"op": "evict", "key": victim})
             METRICS.inc("store.evictions")
             evicted.append(victim)
         return evicted
@@ -768,18 +758,20 @@ class GraphStore:
         """Drop orphaned build debris and enforce a disk budget.
 
         Removes stale ``.tmp-put-*`` directories (dead writers), object
-        directories the index no longer references, and — when a budget is
+        directories without a readable ``meta.json``, and — when a budget is
         given (argument overrides the construction-time one) — evicts LRU
         entries until under it.  Returns a summary dict.
         """
         removed_tmp = removed_orphans = 0
         for child in self.objects_dir.iterdir():
             if child.name.startswith(".tmp-put-"):
-                shutil.rmtree(child, ignore_errors=True)
                 removed_tmp += 1
-            elif child.is_dir() and child.name not in self._lru:
-                shutil.rmtree(child, ignore_errors=True)
+            elif child.is_dir() and not _readable_meta(self.root, child.name):
+                self._lru.pop(child.name, None)
                 removed_orphans += 1
+            else:
+                continue
+            shutil.rmtree(child, ignore_errors=True)
         budget = self.max_bytes if max_bytes is None else max_bytes
         evicted: list[str] = []
         if budget is not None:
@@ -831,6 +823,14 @@ class GraphStore:
             "max_bytes": self.max_bytes,
             "objects": entries,
         }
+
+
+def _readable_meta(root: Path, fingerprint: str) -> bool:
+    try:
+        read_meta(root, fingerprint)
+    except (StoreMissError, StoreCorruptError):
+        return False
+    return True
 
 
 def _source_digest_raw(text: str) -> str:

@@ -7,7 +7,7 @@ The substrate for serving many solves efficiently.  A job is a
 * :mod:`~repro.runtime.scheduler` — process-pool fan-out with per-job
   timeout, retry, and structured failure capture (:class:`JobResult`);
 * :mod:`~repro.runtime.cache` — content-addressed result store (graph
-  fingerprint x solve digest), persisted as npz + JSONL;
+  fingerprint x solve digest), one JSON and one npz file per entry;
 * :mod:`~repro.runtime.suites` — the named workload-suite registry behind
   ``repro batch``.
 
@@ -15,7 +15,7 @@ Parallelism here is across jobs only: each solve, its seed scans
 included, runs in one worker process.
 """
 
-from .cache import CacheEntry, CacheStats, ResultCache
+from .cache import CacheEntry, ResultCache
 from .scheduler import BatchResult, BatchStats, JobResult, Scheduler
 from .suites import (
     WorkloadSuite,
@@ -30,7 +30,6 @@ __all__ = [
     "BatchResult",
     "BatchStats",
     "CacheEntry",
-    "CacheStats",
     "JobResult",
     "ResultCache",
     "Scheduler",

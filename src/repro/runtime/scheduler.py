@@ -167,10 +167,6 @@ class BatchStats:
             "store_fallbacks": self.store_fallbacks,
         }
 
-    def to_payload(self) -> dict:
-        """JSON-safe view (alias of :meth:`to_dict` for payload call sites)."""
-        return self.to_dict()
-
 
 @dataclass
 class BatchResult:

@@ -357,15 +357,18 @@ class SolverService:
     def _load_solution(self, job: ServeJob, result: JobResult) -> list | None:
         """Solution array for ``include_solution`` requests (cache-backed);
         ``None`` when the entry is gone or its npz is unreadable (a torn
-        write), as for any missing entry."""
+        write), as for any missing entry.  An unreadable entry is
+        discarded, so the next request solves and stores it afresh."""
         if not result.ok or not result.fingerprint:
             return None
-        entry = self.cache.get(job.spec.cache_key(result.fingerprint))
+        key = job.spec.cache_key(result.fingerprint)
+        entry = self.cache.get(key)
         if entry is None:
             return None
         try:
             return entry.arrays()["solution"].tolist()
         except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error):
+            self.cache.discard(key)
             return None
 
     # ------------------------------------------------------------------ #

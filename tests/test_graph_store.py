@@ -10,6 +10,7 @@ additionally forced through multi-shard plans via a tiny shard target.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -34,7 +35,12 @@ from repro.graphs.generators import (
     random_regular_graph,
 )
 from repro.graphs.io import graph_fingerprint_stream
-from repro.graphs.store import NpyAppendWriter, build_csr_shards
+from repro.graphs.store import (
+    NpyAppendWriter,
+    build_csr_shards,
+    by_last_use,
+    mark_used,
+)
 from repro.graphs.streaming import (
     STREAMING_GENERATORS,
     _triu_pair_of_flat,
@@ -411,7 +417,7 @@ class TestGraphStore:
         store.gc(max_bytes=2 * per + per // 2)
         kept = store.keys()
         assert fps[0] in kept and len(kept) == 2
-        # A fresh instance replays index.jsonl to the same state.
+        # A fresh instance lists the objects directory to the same state.
         again = GraphStore(tmp_path)
         assert again.keys() == kept
         assert again.disk_usage() == store.disk_usage()
@@ -434,18 +440,6 @@ class TestGraphStore:
         res = store.gc()
         assert res["removed_tmp"] == 1 and res["removed_orphans"] == 1
         assert len(store) == 1
-
-    def test_index_compaction(self, tmp_path):
-        store = GraphStore(tmp_path)
-        fp = store.put_graph(gnp_random_graph(30, 0.1, seed=0)).fingerprint
-        for _ in range(200):
-            store.open(fp)
-        ops = [
-            json.loads(line)
-            for line in store.index_path.read_text().splitlines()
-        ]
-        assert len(ops) < 200  # compaction rewrote the log
-        assert GraphStore(tmp_path).keys() == [fp]
 
     def test_stats_shape(self, tmp_path):
         store = GraphStore(tmp_path)
@@ -493,7 +487,7 @@ class TestUnreadableMeta:
         store, fp = self._tear(tmp_path)
         assert store.lookup(fp) is None
         assert fp not in store
-        assert fp not in GraphStore(tmp_path)  # the drop is in the index log
+        assert fp not in GraphStore(tmp_path)  # its directory went with it
         rebuilt = store.ensure_generator("gnp_random_graph", self.ARGS)
         assert not rebuilt.hit and rebuilt.fingerprint == fp
         assert store.verify(fp) == []
@@ -512,3 +506,51 @@ class TestUnreadableMeta:
         assert main(["store", "stats", "--store-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert f"{fp[:16]}..  n=?" in out and "meta.json unreadable" in out
+
+
+class TestDirectoryIndex:
+    """The objects directory is the index: a ``meta.json``'s mtime is its
+    graph's last use, so an opener lists every object in LRU order."""
+
+    def test_mark_used_stamps_the_wall_clock_in_ns(self, tmp_path, monkeypatch):
+        path = tmp_path / "meta.json"
+        path.write_text("{}")
+        monkeypatch.setattr(store_mod.time, "time_ns", lambda: 1_700_000_000_123_456_789)
+        mark_used(path)
+        assert path.stat().st_mtime_ns == 1_700_000_000_123_456_789
+        mark_used(tmp_path / "gone")  # removed meanwhile: left alone
+
+    def test_by_last_use_orders_by_mtime_then_name_and_skips_the_missing(self, tmp_path):
+        a, b, c = (tmp_path / name for name in "abc")
+        for path, t in ((a, 7), (b, 5), (c, 5)):
+            path.write_text("")
+            os.utime(path, ns=(t, t))
+        assert by_last_use([a, c, tmp_path / "gone", b]) == [b, c, a]
+
+    def test_two_writers_on_one_directory_lose_nothing(self, tmp_path):
+        one, two = GraphStore(tmp_path), GraphStore(tmp_path)
+        fps = []
+        for s in range(2):
+            for store, seed in ((one, 2 * s), (two, 2 * s + 1)):
+                g = gnp_random_graph(30, 0.1, seed=seed)
+                fps.append(store.put_graph(g).fingerprint)
+        for _ in range(100):
+            one.open(fps[0])
+        fresh = GraphStore(tmp_path)
+        assert fresh.keys() == fps[1:] + fps[:1]  # least recently used first
+        assert all(fresh.lookup(fp).hit for fp in fps)
+        res = GraphStore(tmp_path).gc()
+        assert res["removed_orphans"] == 0 and res["entries"] == 4
+        assert sorted(p.name for p in (tmp_path / "objects").iterdir()) == sorted(fps)
+
+    def test_an_old_index_log_is_ignored(self, tmp_path):
+        store = GraphStore(tmp_path)
+        fps = [
+            store.put_graph(gnp_random_graph(30, 0.1, seed=s)).fingerprint
+            for s in range(3)
+        ]
+        log = {"op": "put", "key": fps[1], "bytes": 1}
+        (tmp_path / "index.jsonl").write_text(json.dumps(log) + "\n")
+        again = GraphStore(tmp_path)
+        assert again.keys() == fps
+        assert all(again.lookup(fp).hit for fp in fps)

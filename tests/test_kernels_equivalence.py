@@ -434,4 +434,4 @@ def test_cache_lru_touch_protects_recently_read(tmp_path):
     cache.put("k3", job={"status": "ok"}, arrays=arrays)  # evicts k2, not k1
     assert cache.keys() == ["k1", "k3"]
     assert cache.get("k2") is None
-    assert cache.stats.evictions == 1
+    assert len(cache) == 2 and "k2" not in cache

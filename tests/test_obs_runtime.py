@@ -103,7 +103,7 @@ def test_batch_stats_counts_misses_and_payload(tmp_path):
     sched = Scheduler(workers=1, cache=cache)
     stats = sched.run([gnp_spec(seed=1), gnp_spec(seed=2)]).stats
     assert stats.cache_misses == 2 and stats.cache_hits == 0
-    payload = sched.run([gnp_spec(seed=1), gnp_spec(seed=3)]).stats.to_payload()
+    payload = sched.run([gnp_spec(seed=1), gnp_spec(seed=3)]).stats.to_dict()
     assert payload["cache_hits"] == 1
     assert payload["cache_misses"] == 1
     assert json.loads(json.dumps(payload)) == payload

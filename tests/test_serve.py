@@ -631,6 +631,30 @@ def test_include_solution_on_a_torn_npz_over_http(tmp_path):
     assert torn["result"]["solution_size"] == payload["result"]["solution_size"]
 
 
+def test_a_torn_npz_is_discarded_and_the_next_request_solves_afresh(tmp_path):
+    """The request that finds the npz torn answers without a solution and
+    drops the entry; the next one solves and stores it again."""
+    cache_dir = tmp_path / "cache"
+    body = solve_body(seed=5, include_solution=True)
+
+    async def scenario():
+        svc = SolverService(workers=1, cache=str(cache_dir))
+        await svc.start()
+        first = await svc.handle(body)
+        _tear_cached_npz(cache_dir)
+        after = [await svc.handle(body) for _ in range(3)]
+        assert await svc.drain(30)
+        return first, after
+
+    (code, payload), after = run_async(scenario())
+    assert code == 200 and not payload["cache_hit"]
+    assert [c for c, _ in after] == [200, 200, 200]
+    (_, torn), (_, fresh), (_, hit) = after
+    assert torn["cache_hit"] and "solution" not in torn
+    assert not fresh["cache_hit"] and fresh["solution"] == payload["solution"]
+    assert hit["cache_hit"] and hit["solution"] == payload["solution"]
+
+
 def test_include_solution_on_a_torn_npz_over_stdio(tmp_path):
     from repro.runtime import ResultCache, Scheduler
 

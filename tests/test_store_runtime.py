@@ -7,7 +7,7 @@ Every job reaches its worker as a graph-store key.  Three contracts:
   rounds, verification), across the whole registry matrix at small n.
 * **Dispatch** — each distinct source is built into the store once; later
   runs resolve it as a store hit, and the counters (``store_hits`` /
-  ``store_misses``) land in ``BatchStats.to_payload``.
+  ``store_misses``) land in ``BatchStats.to_dict``.
 * **Robustness** — a corrupt or missing shard degrades to regenerate-and-
   warn (``store_fallback`` in ``JobResult.meta``, ``store_fallbacks``
   counter), never a job failure.
@@ -114,7 +114,7 @@ class TestDispatchVolume:
         assert second.stats.store_misses == 0
         assert delta.get("store.shard_hits", 0) >= 2
         assert delta.get("store.shard_misses", 0) >= 2
-        payload = second.stats.to_payload()
+        payload = second.stats.to_dict()
         assert (payload["store_hits"], payload["store_misses"]) == (2, 0)
 
     def test_env_var_opt_in(self, tmp_path, monkeypatch):
@@ -157,7 +157,7 @@ class TestShardFallback:
         assert warn["error_type"] == "StoreCorruptError"
         assert warn["error_message"]
         assert batch.stats.store_fallbacks == 1
-        assert batch.stats.to_payload()["store_fallbacks"] == 1
+        assert batch.stats.to_dict()["store_fallbacks"] == 1
         delta = METRICS.delta(before, METRICS.counters_snapshot())
         assert delta.get("store.fallbacks", 0) == 1  # counted once, by the parent
 
