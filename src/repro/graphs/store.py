@@ -10,7 +10,8 @@ cache, not the materialised edge list.
 Layout under ``root`` (content-addressed, mirroring
 :class:`~repro.runtime.cache.ResultCache` conventions)::
 
-    sources.jsonl             generator-call digest -> fingerprint map
+    sources/<call digest>     the fingerprint that generator call produced
+                              (a miss once that object is gone)
     objects/<fingerprint>/
         meta.json             n, m, shard table, per-file sha256 checksums;
                               its mtime is the object's last use
@@ -39,12 +40,15 @@ failure, so a corrupt shard degrades to a warning, not a failed job.  An
 unreadable ``meta.json`` is a miss: :meth:`GraphStore.lookup` drops the
 entry and the caller rebuilds it.
 
-The objects directory is the index, for the store and the result cache
-alike: :func:`mark_used` stamps an object's meta file on every put, hit and
-open, and :func:`by_last_use` lists meta files least recently used first,
-which is how an opener rebuilds its LRU order.  So processes sharing a
-directory cannot lose each other's objects; each evicts from the objects
-it knows (those listed when it opened, plus its own puts).
+The disk is the only index, for the store and the result cache alike: an
+object exists while its meta file does, every read opens that file, and
+:func:`mark_used` stamps it on every put, hit and open.  So processes
+sharing a directory see each other's objects as soon as they land, and a
+build that finds another writer's object in place keeps it (a dedup hit).
+An instance counts the bytes of its last listing plus its puts since; past
+the budget a put lists the objects (:func:`by_last_use`), evicts the least
+recently used down to a sixteenth below the budget, and drops the
+``sources/`` files naming what it removed.
 """
 
 from __future__ import annotations
@@ -56,8 +60,7 @@ import shutil
 import struct
 import tempfile
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,7 @@ __all__ = [
     "by_last_use",
     "mark_used",
     "open_stored_graph",
+    "write_atomic",
 ]
 
 #: The array files of one stored graph, in on-disk (and hash) order —
@@ -116,7 +120,6 @@ class StoredGraphInfo:
     fingerprint: str
     n: int
     m: int
-    nbytes: int
     hit: bool = False
 
 
@@ -378,7 +381,13 @@ def _fingerprint_of_files(n: int, obj_dir: Path) -> str:
 
 
 def _dir_bytes(obj_dir: Path) -> int:
-    return sum(p.stat().st_size for p in obj_dir.iterdir() if p.is_file())
+    """Bytes of the files in ``obj_dir``; 0 once another process removed it.
+    ``os.scandir`` costs half of ``Path.iterdir`` here, paid per object."""
+    try:
+        with os.scandir(obj_dir) as entries:
+            return sum(e.stat().st_size for e in entries if e.is_file())
+    except OSError:
+        return 0
 
 
 def mark_used(path: Path) -> None:
@@ -405,6 +414,21 @@ def by_last_use(paths) -> list[Path]:
     return [Path(name) for _, name in sorted(stamped)]
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` by renaming a temp file over it.  The temp
+    file is this writer's own (dot-prefixed, ``.tmp``-suffixed, in the same
+    directory), so a reader sees the old file or the whole new one, and two
+    writers of one path never share one."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 # --------------------------------------------------------------------- #
 # Read path (worker-safe: writes nothing)
 # --------------------------------------------------------------------- #
@@ -414,10 +438,10 @@ def read_meta(root: str | Path, fingerprint: str) -> dict:
     """``meta.json`` of a stored object; :class:`StoreCorruptError` when it
     does not parse as a JSON object holding ``n`` and ``m`` (a torn write)."""
     meta_path = Path(root) / "objects" / fingerprint / "meta.json"
-    if not meta_path.exists():
-        raise StoreMissError(fingerprint)
     try:
         meta = json.loads(meta_path.read_bytes())
+    except FileNotFoundError:
+        raise StoreMissError(fingerprint) from None
     except ValueError as exc:
         raise StoreCorruptError(f"{fingerprint}: meta.json unreadable ({exc})") from exc
     if not isinstance(meta, dict) or not {"n", "m"} <= meta.keys():
@@ -482,10 +506,10 @@ class GraphStore:
 
     ``max_bytes`` bounds the object payload on disk (None = unbounded);
     eviction is least recently used, by each object's ``meta.json`` mtime
-    (:func:`mark_used`, :func:`by_last_use`) as in the result cache.  The
-    ``sources.jsonl`` map remembers which generator call produced which
-    fingerprint, so :meth:`ensure_generator` can answer "is G(n, p, seed)
-    already on disk?" without generating anything.
+    (:func:`mark_used`, :func:`by_last_use`) as in the result cache.  One
+    small file per generator call, ``sources/<call digest>``, names the
+    fingerprint that call produced, so :meth:`ensure_generator` can answer
+    "is G(n, p, seed) already on disk?" without generating anything.
     """
 
     def __init__(
@@ -495,50 +519,12 @@ class GraphStore:
             raise ValueError("max_bytes must be >= 1 (or None)")
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
-        self.sources_path = self.root / "sources.jsonl"
+        self.sources_dir = self.root / "sources"
         self.max_bytes = max_bytes
-        self._lru: OrderedDict[str, int] = OrderedDict()  # key -> bytes
-        self._sources: dict[str, str] = {}
         self.objects_dir.mkdir(parents=True, exist_ok=True)
-        for meta_path in by_last_use(
-            child / "meta.json"
-            for child in self.objects_dir.iterdir()
-            if not child.name.startswith(".")  # a build in progress
-        ):
-            try:
-                self._lru[meta_path.parent.name] = _dir_bytes(meta_path.parent)
-            except OSError:
-                continue  # evicted by another process meanwhile
-        self._read_sources()
-
-    # ------------------------------------------------------------------ #
-    # Sources map
-    # ------------------------------------------------------------------ #
-
-    def _read_sources(self) -> None:
-        if self.sources_path.exists():
-            with self.sources_path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    self._sources[rec["source"]] = rec["fingerprint"]
-
-    def _record_source(self, source_digest: str, fingerprint: str) -> None:
-        if self._sources.get(source_digest) == fingerprint:
-            return
-        self._sources[source_digest] = fingerprint
-        with self.sources_path.open("a") as fh:
-            fh.write(
-                json.dumps(
-                    {"source": source_digest, "fingerprint": fingerprint}
-                )
-                + "\n"
-            )
+        self.sources_dir.mkdir(exist_ok=True)
+        # Bytes at the last listing, plus this instance's puts since.
+        self._bytes = 0 if max_bytes is None else self.disk_usage()
 
     # ------------------------------------------------------------------ #
     # Paths / dunder
@@ -551,18 +537,25 @@ class GraphStore:
         return self._object_dir(key) / "meta.json"
 
     def __contains__(self, key: str) -> bool:
-        return key in self._lru
+        return self._meta_path(key).exists()
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self.keys())
 
     def keys(self) -> list[str]:
-        """Fingerprints in LRU order (oldest first)."""
-        return list(self._lru)
+        """Fingerprints in LRU order (oldest first), listed from disk."""
+        return [
+            meta_path.parent.name
+            for meta_path in by_last_use(
+                child / "meta.json"
+                for child in self.objects_dir.iterdir()
+                if not child.name.startswith(".")  # a build in progress
+            )
+        ]
 
     def __repr__(self) -> str:
         return (
-            f"GraphStore({os.fspath(self.root)!r}, entries={len(self._lru)}, "
+            f"GraphStore({os.fspath(self.root)!r}, entries={len(self)}, "
             f"max_bytes={self.max_bytes})"
         )
 
@@ -571,43 +564,27 @@ class GraphStore:
     # ------------------------------------------------------------------ #
 
     def meta(self, key: str) -> dict:
-        if key not in self._lru:
-            raise StoreMissError(key)
         return read_meta(self.root, key)
 
-    def info(self, key: str) -> StoredGraphInfo:
-        meta = self.meta(key)
-        return StoredGraphInfo(
-            fingerprint=key,
-            n=int(meta["n"]),
-            m=int(meta["m"]),
-            nbytes=self._lru[key],
-        )
-
     def lookup(self, key: str) -> StoredGraphInfo | None:
-        """``key``'s info as a hit, refreshed as most recently used; ``None``
-        when the store does not hold it (nothing is built either way).  An
-        entry whose ``meta.json`` is unreadable is removed, directory and
-        all, so the caller rebuilds it as a miss."""
-        if key not in self._lru or not self._meta_path(key).exists():
-            return None
+        """``key``'s info as a hit, stamped most recently used; ``None`` when
+        the store does not hold it (nothing is built either way).  An object
+        whose ``meta.json`` is unreadable is removed, directory and all, so
+        the caller rebuilds it as a miss."""
         try:
-            info = replace(self.info(key), hit=True)
+            meta = self.meta(key)
+        except StoreMissError:
+            return None
         except StoreCorruptError:
-            del self._lru[key]
             shutil.rmtree(self._object_dir(key), ignore_errors=True)
             return None
-        self._lru.move_to_end(key)
         mark_used(self._meta_path(key))
-        return info
+        return StoredGraphInfo(key, int(meta["n"]), int(meta["m"]), hit=True)
 
     def open(self, key: str, *, validate: bool = False) -> Graph:
-        """Open a stored graph (mmap) and refresh its LRU position."""
-        if key not in self._lru:
-            raise StoreMissError(key)
+        """Open a stored graph (mmap) and stamp it most recently used."""
         t0 = _obs.clock()
         g = open_stored_graph(self.root, key, validate=validate)
-        self._lru.move_to_end(key)
         mark_used(self._meta_path(key))
         if _obs._TRACING:
             _obs.record_span(
@@ -621,8 +598,10 @@ class GraphStore:
         """Build shards from an edge-block iterator; returns the stored info.
 
         Content-addressed writes are deduplicating: if the streamed graph
-        hashes to an existing key, the fresh build is discarded and the
-        existing entry touched.
+        hashes to an object that has a readable ``meta.json``, whichever
+        writer renamed it into place and whenever, the fresh build is
+        discarded and that object stamped.  A directory in the way without
+        one is a dead writer's debris and is replaced.
         """
         t0 = _obs.clock()
         tmp = Path(
@@ -640,35 +619,34 @@ class GraphStore:
             }
             meta_tmp = tmp / "meta.json"
             meta_tmp.write_text(json.dumps(meta, indent=1, sort_keys=True))
-            nbytes = _dir_bytes(tmp)
             final = self._object_dir(fingerprint)
-            if fingerprint in self._lru and self._meta_path(fingerprint).exists():
-                shutil.rmtree(tmp)
-            else:
-                if final.exists():  # orphan from a dead writer; replace
-                    shutil.rmtree(final)
+            try:
                 os.rename(tmp, final)
-                self._lru[fingerprint] = nbytes
-            self._lru.move_to_end(fingerprint)
+                landed = True
+            except OSError:  # a directory is in the way
+                landed = not _readable_meta(self.root, fingerprint)
+                if landed:
+                    shutil.rmtree(final, ignore_errors=True)
+                    os.rename(tmp, final)
+                else:
+                    shutil.rmtree(tmp)
             mark_used(self._meta_path(fingerprint))
-            self._evict_over_budget()
+            if landed and self.max_bytes is not None:
+                self._bytes += _dir_bytes(final)
+                if self._bytes > self.max_bytes and self._evict(
+                    self.max_bytes, self.max_bytes // 16
+                ):
+                    self._drop_dangling_source_files()
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
-        if source is not None:
-            self._record_source(_source_digest_raw(source), fingerprint)
         if _obs._TRACING:
             _obs.record_span(
                 "store.build",
                 t0,
                 {"fingerprint": fingerprint[:16], "n": n, "m": meta["m"]},
             )
-        return StoredGraphInfo(
-            fingerprint=fingerprint,
-            n=int(meta["n"]),
-            m=int(meta["m"]),
-            nbytes=self._lru[fingerprint],
-        )
+        return StoredGraphInfo(fingerprint, int(meta["n"]), int(meta["m"]))
 
     def put_graph(self, g: Graph, *, source: str | None = None) -> StoredGraphInfo:
         """Store an already-materialised graph (small inputs, file sources)."""
@@ -681,26 +659,30 @@ class GraphStore:
         assert info.fingerprint == graph_fingerprint(g)
         return info
 
+    def _source_path(self, name: str, args: dict) -> Path:
+        call = {"kind": "generator", "name": name, "args": args}
+        digest = hashlib.sha256(json.dumps(call, sort_keys=True, separators=(",", ":")).encode())
+        return self.sources_dir / digest.hexdigest()
+
+    def generated(self, name: str, args: dict) -> StoredGraphInfo | None:
+        """A generator call's stored graph as a hit (counted in
+        ``store.shard_hits``), or ``None``; reads files and builds nothing."""
+        try:
+            info = self.lookup(self._source_path(name, args).read_text())
+        except FileNotFoundError:
+            return None
+        if info is not None:
+            METRICS.inc("store.shard_hits")
+        return info
+
     def ensure_generator(
         self, name: str, args: dict, *, label: str = ""
     ) -> StoredGraphInfo:
-        """The graph of a generator call, building shards only on first use.
-
-        A hit resolves through the sources map without generating anything;
-        a miss streams the generator's edge blocks into a new object.
-        Counts ``store.shard_hits`` / ``store.shard_misses``.
-        """
-        digest = _source_digest_raw(
-            json.dumps(
-                {"kind": "generator", "name": name, "args": args},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-        key = self._sources.get(digest)
-        info = self.lookup(key) if key is not None else None
+        """The graph of a generator call: :meth:`generated`, or on a miss
+        (counted in ``store.shard_misses``) a stream build of the generator's
+        edge blocks, then the call's ``sources/<digest>`` file."""
+        info = self.generated(name, args)
         if info is not None:
-            METRICS.inc("store.shard_hits")
             return info
         METRICS.inc("store.shard_misses")
         blocks = stream_blocks(name, **args)
@@ -710,7 +692,7 @@ class GraphStore:
             source=label or name,
             est_edges=edge_count_upper_bound(name, args),
         )
-        self._record_source(digest, info.fingerprint)
+        write_atomic(self._source_path(name, args), info.fingerprint.encode())
         return info
 
     # ------------------------------------------------------------------ #
@@ -718,19 +700,36 @@ class GraphStore:
     # ------------------------------------------------------------------ #
 
     def disk_usage(self) -> int:
-        """Total stored object bytes (from the LRU table, no filesystem walk)."""
-        return sum(self._lru.values())
+        """Total stored object bytes, listed from disk."""
+        return sum(_dir_bytes(self._object_dir(key)) for key in self.keys())
 
-    def _evict_over_budget(self) -> list[str]:
+    def _evict(self, budget: int, slack: int = 0) -> list[str]:
+        """List the objects and, past ``budget`` bytes, remove the least
+        recently used, never the most recent, until the rest fit in
+        ``budget - slack``."""
+        sized = [(key, _dir_bytes(self._object_dir(key))) for key in self.keys()]
+        self._bytes = sum(nbytes for _, nbytes in sized)
         evicted = []
-        if self.max_bytes is None:
+        if self._bytes <= budget:
             return evicted
-        while len(self._lru) > 1 and self.disk_usage() > self.max_bytes:
-            victim, _ = self._lru.popitem(last=False)
-            shutil.rmtree(self._object_dir(victim), ignore_errors=True)
+        for key, nbytes in sized[:-1]:
+            if self._bytes <= budget - slack:
+                break
+            shutil.rmtree(self._object_dir(key), ignore_errors=True)
             METRICS.inc("store.evictions")
-            evicted.append(victim)
+            self._bytes -= nbytes
+            evicted.append(key)
         return evicted
+
+    def _drop_dangling_source_files(self) -> None:
+        """Remove the ``sources/`` files naming no object, skipping writes in
+        progress and files that another process removes first."""
+        for path in self.sources_dir.iterdir():
+            try:
+                if not path.name.startswith(".") and path.read_text() not in self:
+                    path.unlink(missing_ok=True)
+            except FileNotFoundError:
+                continue
 
     def verify(self, key: str) -> list[str]:
         """Checksum every array file of ``key``; returns problems (empty = ok)."""
@@ -760,46 +759,33 @@ class GraphStore:
         Removes stale ``.tmp-put-*`` directories (dead writers), object
         directories without a readable ``meta.json``, and — when a budget is
         given (argument overrides the construction-time one) — evicts LRU
-        entries until under it.  Returns a summary dict.
+        entries until under it; then the ``sources/`` files that name no
+        object.  Returns a summary dict.
         """
         removed_tmp = removed_orphans = 0
         for child in self.objects_dir.iterdir():
             if child.name.startswith(".tmp-put-"):
                 removed_tmp += 1
             elif child.is_dir() and not _readable_meta(self.root, child.name):
-                self._lru.pop(child.name, None)
                 removed_orphans += 1
             else:
                 continue
             shutil.rmtree(child, ignore_errors=True)
         budget = self.max_bytes if max_bytes is None else max_bytes
-        evicted: list[str] = []
-        if budget is not None:
-            saved = self.max_bytes
-            self.max_bytes = budget
-            evicted = self._evict_over_budget()
-            self.max_bytes = saved
-        # Drop source-map rows whose fingerprint no longer exists.
-        live = {d: f for d, f in self._sources.items() if f in self._lru}
-        if len(live) != len(self._sources):
-            self._sources = live
-            with self.sources_path.open("w") as fh:
-                for d, f in live.items():
-                    fh.write(
-                        json.dumps({"source": d, "fingerprint": f}) + "\n"
-                    )
+        evicted = [] if budget is None else self._evict(budget)
+        self._drop_dangling_source_files()
         return {
             "removed_tmp": removed_tmp,
             "removed_orphans": removed_orphans,
             "evicted": evicted,
-            "entries": len(self._lru),
+            "entries": len(self),
             "disk_bytes": self.disk_usage(),
         }
 
     def stats(self) -> dict:
         """Disk usage, entry count, and a per-fingerprint size table."""
         entries = []
-        for key, nbytes in self._lru.items():
+        for key in self.keys():
             try:
                 meta = read_meta(self.root, key)
             except StoreMissError:
@@ -811,15 +797,15 @@ class GraphStore:
                     "fingerprint": key,
                     "n": meta.get("n"),
                     "m": meta.get("m"),
-                    "bytes": nbytes,
+                    "bytes": _dir_bytes(self._object_dir(key)),
                     "shards": len(meta.get("shards", [])),
                     "source": meta.get("source", ""),
                 }
             )
         return {
             "root": os.fspath(self.root),
-            "entries": len(self._lru),
-            "disk_bytes": self.disk_usage(),
+            "entries": len(entries),
+            "disk_bytes": sum(obj["bytes"] for obj in entries),
             "max_bytes": self.max_bytes,
             "objects": entries,
         }
@@ -831,7 +817,3 @@ def _readable_meta(root: Path, fingerprint: str) -> bool:
     except (StoreMissError, StoreCorruptError):
         return False
     return True
-
-
-def _source_digest_raw(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()

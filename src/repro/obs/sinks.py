@@ -33,7 +33,7 @@ def read_jsonl(path: str | Path) -> list[dict]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError:
-                continue  # torn tail write; ignore like the cache index does
+                continue  # torn tail write
             if isinstance(rec, dict) and "name" in rec:
                 spans.append(rec)
     return spans

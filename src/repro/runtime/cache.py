@@ -10,39 +10,36 @@ The key is ``sha256(graph_fingerprint : solve_digest)`` (see
 :meth:`~repro.api.SolveRequest.cache_key`, built on
 :meth:`~repro.api.SolveRequest.solve_digest`), so identical inputs solved
 with identical requests hit the same entry no matter how the graph was
-produced or which process stored it.  The objects directory is the index:
-every put and hit stamps the entry's meta file
-(:func:`~repro.graphs.store.mark_used`), and opening a cache lists the meta
-files least recently used first (:func:`~repro.graphs.store.by_last_use`)
-to rebuild the LRU order.
+produced or which process stored it.
 
-Concurrency: the serve layer makes concurrent access the norm, so the
-cache is safe under it by construction rather than by convention.  All
-object writes are atomic renames (``.json.tmp`` / ``.npz.tmp`` →
-``os.replace``), so a reader never observes a half-written object; reads
-are *tolerant* — a torn or foreign meta file counts as a miss instead of
-raising — and the in-process state is guarded by an ``RLock`` so one
-``ResultCache`` instance can be shared across threads (the service's
-solve threads and its event loop).  Cross-process, any number of readers
-and writers may share a directory: last put wins on identical
-content-addressed keys, no process can lose the record of another's
-entries, and each evicts from the entries it knows (those listed when it
-opened, plus its own puts).
+The objects directory is the only index, and the serve layer makes
+concurrent access the norm.  An entry exists while its meta file does and
+every read opens that file, so an instance hits what another process
+stored after it opened and misses cleanly what another removed; a torn or
+foreign meta file is a miss, never an exception.  Each object file lands by
+atomic rename from its writer's own temp file (``write_atomic``), and an
+``RLock`` lets threads (the service's solve threads and its event loop)
+share one instance.  Puts and hits stamp the meta file (``mark_used``).  An
+instance counts the entries of its last listing plus its puts since; past
+``max_entries`` a put lists the meta files (``by_last_use``, all three in
+:mod:`repro.graphs.store`) outside the lock and evicts the least recently
+used down to ``max_entries - max_entries // 16``, so a full cache of 4096
+entries lists once per 256 puts.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..api import SolveResult
-from ..graphs.store import by_last_use, mark_used
+from ..graphs.store import by_last_use, mark_used, write_atomic
 
 __all__ = ["CacheEntry", "ResultCache"]
 
@@ -86,9 +83,7 @@ class ResultCache:
         self.max_entries = max_entries
         self._lock = threading.RLock()
         self.objects_dir.mkdir(parents=True, exist_ok=True)
-        self._lru: OrderedDict[str, None] = OrderedDict.fromkeys(
-            path.stem for path in by_last_use(self.objects_dir.glob("*.json"))
-        )
+        self._entries = len(self._metas())  # at the last listing, plus puts since
 
     # ------------------------------------------------------------------ #
     # Paths
@@ -100,37 +95,40 @@ class ResultCache:
     def _npz_path(self, key: str) -> Path:
         return self.objects_dir / f"{key}.npz"
 
+    def _metas(self) -> list[Path]:
+        return list(self.objects_dir.glob("*.json"))
+
     # ------------------------------------------------------------------ #
     # Core API
     # ------------------------------------------------------------------ #
 
     def __contains__(self, key: str) -> bool:
-        return key in self._lru
+        return self._meta_path(key).exists()
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._metas())
 
     def get(self, key: str) -> CacheEntry | None:
-        """Look up a key; a hit refreshes its LRU position.
+        """Look up a key; a hit stamps it most recently used.
 
         Tolerant by contract: a vanished, torn, or foreign object file is a
-        *miss* (and the entry is discarded), never an exception — concurrent
-        writers and crash debris must not take a serving process down.
+        *miss* (and a torn entry is discarded), never an exception —
+        concurrent writers and crash debris must not take a serving process
+        down.
         """
         with self._lock:
-            if key not in self._lru:
-                return None
             meta_path = self._meta_path(key)
             try:
                 with meta_path.open() as fh:
                     stored = json.load(fh)
                 job = stored["job"]
+            except FileNotFoundError:
+                return None  # never stored, or removed by another process
             except (OSError, json.JSONDecodeError, KeyError, TypeError):
-                # Evicted by another process, or torn (crash mid-write
-                # predating atomic renames, out-of-band tampering).
+                # Torn (crash mid-write predating atomic renames,
+                # out-of-band tampering).
                 self.discard(key)
                 return None
-            self._lru.move_to_end(key)
             mark_used(meta_path)
             return CacheEntry(
                 key=key,
@@ -150,43 +148,58 @@ class ResultCache:
 
         Both object files land via atomic rename — npz first, meta second —
         so a concurrent reader either sees the complete entry or (from the
-        meta's absence) a clean miss, never a torn one.
+        meta's absence) a clean miss, never a torn one.  A temp file that a
+        concurrent :meth:`clear` removed drops the put: the clear wins.
         """
         with self._lock:
             stored = {"key": key, "job": job, "result_meta": result_meta}
-            npz_path = self._npz_path(key)
-            npz_tmp = npz_path.with_suffix(".npz.tmp")
-            with npz_tmp.open("wb") as fh:
-                np.savez_compressed(fh, **arrays)
-            npz_tmp.replace(npz_path)
+            npz = io.BytesIO()
+            np.savez_compressed(npz, **arrays)
             meta_path = self._meta_path(key)
-            tmp = meta_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(stored, sort_keys=True))
-            tmp.replace(meta_path)
+            try:
+                write_atomic(self._npz_path(key), npz.getvalue())
+                write_atomic(meta_path, json.dumps(stored, sort_keys=True).encode())
+            except FileNotFoundError:
+                return
             mark_used(meta_path)
-            self._lru[key] = None
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.max_entries:
-                self.discard(next(iter(self._lru)))  # least recently used
+            self._entries += 1
+            if self._entries <= self.max_entries:
+                return
+            self._entries = 0  # the listing recounts; puts meanwhile add on
+        self._evict()
+
+    def _evict(self) -> None:
+        """List the meta files and, past ``max_entries``, discard the least
+        recently used down to ``max_entries - max_entries // 16``."""
+        metas = by_last_use(self._metas())
+        keep = len(metas)
+        if keep > self.max_entries:
+            keep = self.max_entries - self.max_entries // 16
+        for meta_path in metas[: len(metas) - keep]:
+            self.discard(meta_path.stem)
+        with self._lock:
+            self._entries += keep
 
     def discard(self, key: str) -> None:
-        """Drop ``key`` and unlink its files (eviction, or an entry found
-        unreadable, so that the next request solves it afresh)."""
+        """Unlink ``key``'s files (eviction, or an entry found unreadable,
+        so that the next request solves it afresh)."""
         with self._lock:
-            self._lru.pop(key, None)
             self._meta_path(key).unlink(missing_ok=True)
             self._npz_path(key).unlink(missing_ok=True)
 
     def clear(self) -> int:
-        """Remove every entry; returns how many were dropped."""
+        """Remove every file under ``objects/``, crash debris included;
+        returns how many entries (meta files) were dropped."""
         with self._lock:
-            keys = list(self._lru)
-            for key in keys:
-                self.discard(key)
-            return len(keys)
+            dropped = 0
+            for path in self.objects_dir.iterdir():
+                dropped += path.suffix == ".json"
+                path.unlink(missing_ok=True)
+            self._entries = 0
+            return dropped
 
     def disk_usage(self) -> int:
-        """Total bytes of the stored objects."""
+        """Total bytes of the files under ``objects/``."""
         total = 0
         for p in self.objects_dir.iterdir():
             try:
@@ -197,11 +210,10 @@ class ResultCache:
 
     def keys(self) -> list[str]:
         """Keys in LRU order (oldest first)."""
-        with self._lock:
-            return list(self._lru)
+        return [meta_path.stem for meta_path in by_last_use(self._metas())]
 
     def __repr__(self) -> str:
         return (
-            f"ResultCache({os.fspath(self.dir)!r}, entries={len(self._lru)}, "
+            f"ResultCache({os.fspath(self.dir)!r}, entries={len(self)}, "
             f"max_entries={self.max_entries})"
         )

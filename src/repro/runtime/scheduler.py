@@ -343,18 +343,23 @@ class Scheduler:
         """The stored graph of ``source``, built only when the store lacks it.
 
         Generators with streaming variants build CSR shards straight to disk
-        (never materialising the edge list here), and a repeat call is a
-        source-map lookup that generates nothing.  Other sources are
-        resolved and fingerprinted, then built only on a store miss.  The
-        store lock keeps one writer while concurrent runs resolve.
+        (never materialising the edge list here), and a repeat call reads the
+        store's file for that call and generates nothing.  Other sources are
+        resolved and fingerprinted, then built only on a store miss.  Hits
+        take no lock, so a build (and its eviction) stalls only other builds.
         """
+        if source.kind == "generator" and source.name in STREAMING_GENERATORS:
+            name, args = source.name, dict(source.args)
+            if info := self.store.generated(name, args):
+                return info
+            with self._store_lock:
+                return self.store.ensure_generator(name, args, label=source.label())
+        g = source.resolve()
+        fingerprint = graph_fingerprint(g)
+        if info := self.store.lookup(fingerprint):
+            return info
         with self._store_lock:
-            if source.kind == "generator" and source.name in STREAMING_GENERATORS:
-                return self.store.ensure_generator(
-                    source.name, dict(source.args), label=source.label()
-                )
-            g = source.resolve()
-            return self.store.lookup(graph_fingerprint(g)) or self.store.put_graph(
+            return self.store.lookup(fingerprint) or self.store.put_graph(
                 g, source=source.label()
             )
 

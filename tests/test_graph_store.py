@@ -9,6 +9,7 @@ additionally forced through multi-shard plans via a tiny shard target.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -46,6 +47,7 @@ from repro.graphs.streaming import (
     _triu_pair_of_flat,
     stream_blocks,
 )
+from repro.obs.metrics import METRICS
 
 ARRAYS = ("edges_u", "edges_v", "indptr", "indices", "arc_edge_ids")
 
@@ -413,7 +415,7 @@ class TestGraphStore:
             for s in range(4)
         ]
         store.open(fps[0])  # refresh: seed-0 becomes most recent
-        per = store._lru[fps[0]]
+        per = max(obj["bytes"] for obj in store.stats()["objects"])
         store.gc(max_bytes=2 * per + per // 2)
         kept = store.keys()
         assert fps[0] in kept and len(kept) == 2
@@ -424,11 +426,42 @@ class TestGraphStore:
 
     def test_constructor_budget_evicts_on_put(self, tmp_path):
         g0 = gnp_random_graph(60, 0.1, seed=0)
-        probe = GraphStore(tmp_path / "probe").put_graph(g0)
-        store = GraphStore(tmp_path / "s", max_bytes=probe.nbytes + 10)
+        probe = GraphStore(tmp_path / "probe")
+        probe.put_graph(g0)
+        store = GraphStore(tmp_path / "s", max_bytes=probe.disk_usage() + 10)
         store.put_graph(g0)
         fp1 = store.put_graph(gnp_random_graph(60, 0.1, seed=1)).fingerprint
         assert store.keys() == [fp1]
+
+    def test_an_evicting_put_frees_a_sixteenth_beyond_the_excess(self, tmp_path):
+        """The put that passes ``max_bytes`` evicts down to ``max_bytes -
+        max_bytes // 16``, here two objects' worth below the budget (an
+        eviction down to the budget itself stops within one object of it)."""
+        graphs = [gnp_random_graph(60, 0.1, seed=s) for s in range(40)]
+        probe = GraphStore(tmp_path / "probe")
+        for g in graphs:
+            probe.put_graph(g)
+        budget = 32 * max(obj["bytes"] for obj in probe.stats()["objects"])
+        store = GraphStore(tmp_path / "s", max_bytes=budget)
+        before = METRICS.counters_snapshot()
+        for g in graphs:
+            store.put_graph(g)
+            if METRICS.delta(before, METRICS.counters_snapshot()).get("store.evictions"):
+                break
+        assert 1 < len(store) < len(graphs)
+        assert store.disk_usage() <= budget - budget // 16
+
+    def test_eviction_drops_the_sources_files_of_what_it_evicted(self, tmp_path):
+        probe = GraphStore(tmp_path / "probe")
+        probe.ensure_generator("gnp_random_graph", dict(n=80, p=0.05, seed=0))
+        store = GraphStore(tmp_path / "s", max_bytes=probe.disk_usage() * 3 // 2)
+        for seed in range(4):
+            fp = store.ensure_generator(
+                "gnp_random_graph", dict(n=80, p=0.05, seed=seed)
+            ).fingerprint
+        assert store.keys() == [fp]
+        sources = list(store.sources_dir.iterdir())
+        assert [path.read_text() for path in sources] == [fp]
 
     def test_gc_removes_orphans_and_tmp(self, tmp_path):
         store = GraphStore(tmp_path)
@@ -554,3 +587,117 @@ class TestDirectoryIndex:
         again = GraphStore(tmp_path)
         assert again.keys() == fps
         assert all(again.lookup(fp).hit for fp in fps)
+
+    def test_an_old_sources_log_is_ignored(self, tmp_path):
+        """A ``sources.jsonl`` from an older version is not read: the call
+        builds once more, dedups onto its existing object and hits after."""
+        args = dict(n=80, p=0.05, seed=3)
+        fp = GraphStore(tmp_path).put_graph(gnp_random_graph(**args)).fingerprint
+        call = {"kind": "generator", "name": "gnp_random_graph", "args": args}
+        digest = hashlib.sha256(
+            json.dumps(call, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        row = {"source": digest, "fingerprint": fp}
+        (tmp_path / "sources.jsonl").write_text(json.dumps(row) + "\n")
+        store = GraphStore(tmp_path)
+        assert store.lookup(fp).hit
+        before = METRICS.counters_snapshot()
+        assert store.ensure_generator("gnp_random_graph", args).fingerprint == fp
+        assert store.ensure_generator("gnp_random_graph", args).hit
+        delta = METRICS.delta(before, METRICS.counters_snapshot())
+        assert (delta.get("store.shard_misses", 0), delta.get("store.shard_hits", 0)) == (1, 1)
+        assert store.keys() == [fp]
+
+
+class TestSharedDirectory:
+    """Every read consults the disk: two instances on one directory see
+    each other's objects without a reopen."""
+
+    ARGS = dict(n=80, p=0.05, seed=3)
+
+    def test_an_open_instance_hits_what_another_stored(self, tmp_path):
+        a, b = GraphStore(tmp_path), GraphStore(tmp_path)
+        fp = b.ensure_generator("gnp_random_graph", self.ARGS).fingerprint
+        assert fp in a and a.keys() == [fp] and len(a) == 1
+        assert a.lookup(fp).hit
+        assert a.meta(fp)["n"] == 80
+        assert_same_graph(gnp_random_graph(**self.ARGS), a.open(fp))
+        before = METRICS.counters_snapshot()
+        info = a.ensure_generator("gnp_random_graph", self.ARGS)
+        delta = METRICS.delta(before, METRICS.counters_snapshot())
+        assert info.hit and info.fingerprint == fp
+        assert delta.get("store.shard_hits", 0) == 1
+        assert delta.get("store.shard_misses", 0) == 0
+
+    def test_an_open_instance_misses_what_another_removed(self, tmp_path):
+        a, b = GraphStore(tmp_path), GraphStore(tmp_path)
+        old = b.ensure_generator("gnp_random_graph", self.ARGS).fingerprint
+        new = b.put_graph(gnp_random_graph(80, 0.05, seed=4)).fingerprint
+        assert a.lookup(old).hit
+        b.open(new)  # new is now the most recently used
+        assert b.gc(max_bytes=1)["evicted"] == [old]
+        assert a.lookup(old) is None and old not in a and a.keys() == [new]
+        with pytest.raises(StoreMissError):
+            a.open(old)
+        with pytest.raises(StoreMissError):
+            a.meta(old)
+        rebuilt = a.ensure_generator("gnp_random_graph", self.ARGS)
+        assert not rebuilt.hit and rebuilt.fingerprint == old
+
+    def test_gc_skips_sources_files_another_instance_removed(
+        self, tmp_path, monkeypatch
+    ):
+        """``b`` removes the ``sources/`` files that ``a.gc()`` has listed
+        but not read yet: ``a`` skips them instead of raising."""
+        a, b = GraphStore(tmp_path), GraphStore(tmp_path)
+        fp = b.ensure_generator("gnp_random_graph", self.ARGS).fingerprint
+        iterdir = type(a.sources_dir).iterdir
+
+        def listed_then_removed(path):
+            listed = list(iterdir(path))
+            if path == a.sources_dir:
+                for source in listed:
+                    source.unlink()
+            return iter(listed)
+
+        monkeypatch.setattr(type(a.sources_dir), "iterdir", listed_then_removed)
+        assert a.gc()["entries"] == 1
+        monkeypatch.undo()
+        assert a.keys() == [fp] and list(a.sources_dir.iterdir()) == []
+
+    def test_concurrent_builds_of_one_graph(self, tmp_path):
+        """Two instances build the same 20 graphs at once from their own
+        threads: no call raises, each graph is one object, and both
+        instances name the same fingerprint for it."""
+        import sys
+        import threading
+
+        stores = [GraphStore(tmp_path), GraphStore(tmp_path)]
+        fps: list[list[str]] = [[], []]
+        errors: list[Exception] = []
+
+        def build(i: int) -> None:
+            for seed in range(20):
+                args = {"n": 3000, "p": 8 / 3000, "seed": seed}
+                try:
+                    info = stores[i].ensure_generator("gnp_block_graph", args)
+                    fps[i].append(info.fingerprint)
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two builds' renames
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert fps[0] == fps[1] and len(set(fps[0])) == 20
+        objects = sorted(p.name for p in stores[0].objects_dir.iterdir())
+        assert objects == sorted(fps[0])
+        assert all(stores[1].verify(fp) == [] for fp in fps[0])

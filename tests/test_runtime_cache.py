@@ -53,6 +53,54 @@ def test_lru_eviction(tmp_path):
     assert not (tmp_path / "objects" / "k2.npz").exists()
 
 
+def test_reputting_keys_under_the_budget_evicts_nothing(tmp_path):
+    """Re-puts overcount the entries an instance holds; the listing they
+    trigger finds the cache under budget and discards nothing."""
+    cache = ResultCache(tmp_path, max_entries=5)
+    for key in ("k1", "k2", "k3") * 2:
+        put_dummy(cache, key)
+    assert cache.keys() == ["k1", "k2", "k3"]
+
+
+def test_a_full_cache_evicts_a_sixteenth_beyond_the_excess(tmp_path):
+    """The put that passes ``max_entries`` frees ``max_entries // 16`` more
+    entries, least recently used first, so the next puts list nothing."""
+    cache = ResultCache(tmp_path, max_entries=32)
+    keys = [f"k{i:02d}" for i in range(35)]
+    for key in keys[:33]:
+        put_dummy(cache, key)
+    assert cache.keys() == keys[3:33]
+    for key in keys[33:]:
+        put_dummy(cache, key)
+    assert cache.keys() == keys[3:]
+
+
+def test_a_get_is_not_blocked_by_an_eviction_listing(tmp_path, monkeypatch):
+    """Another thread's ``get`` completes while a put lists the directory
+    to evict."""
+    import threading
+
+    import repro.runtime.cache as cache_module
+
+    cache = ResultCache(tmp_path, max_entries=2)
+    put_dummy(cache, "k1")
+    put_dummy(cache, "k2")
+    hits: list[bool] = []
+    listing = cache_module.by_last_use
+
+    def listing_meanwhile_a_get(paths):
+        reader = threading.Thread(target=lambda: hits.append(cache.get("k2") is not None))
+        reader.start()
+        reader.join(timeout=5)
+        return listing(paths)
+
+    monkeypatch.setattr(cache_module, "by_last_use", listing_meanwhile_a_get)
+    put_dummy(cache, "k3")
+    assert hits == [True]
+    monkeypatch.undo()
+    assert cache.keys() == ["k3", "k2"]  # the get stamped k2 most recently used
+
+
 def test_persistence_across_instances(tmp_path):
     first = ResultCache(tmp_path)
     put_dummy(first, "k1")
@@ -252,3 +300,110 @@ def test_an_old_index_log_is_ignored(tmp_path):
     again = ResultCache(tmp_path)
     assert again.keys() == ["k1", "k2", "k3"]
     assert all(again.get(key) is not None for key in ("k1", "k2", "k3"))
+
+
+# ---------------------------------------------------------------------- #
+# Every read consults the disk
+# ---------------------------------------------------------------------- #
+
+
+def test_an_open_instance_sees_another_instances_puts_and_removals(tmp_path):
+    """Without a reopen, ``a`` hits what ``b`` puts and misses cleanly what
+    ``b`` discards, evicts or clears."""
+    a, b = ResultCache(tmp_path), ResultCache(tmp_path, max_entries=2)
+    put_dummy(b, "k1")
+    assert "k1" in a and len(a) == 1 and a.keys() == ["k1"]
+    entry = a.get("k1")
+    assert entry is not None
+    assert np.array_equal(entry.arrays()["solution"], np.arange(4))
+    b.discard("k1")
+    assert a.get("k1") is None and "k1" not in a and len(a) == 0
+    for key in ("k2", "k3", "k4"):  # b's third put evicts k2
+        put_dummy(b, key)
+    assert a.get("k2") is None and a.keys() == ["k3", "k4"]
+    assert b.clear() == 2
+    assert a.get("k3") is None and a.get("k4") is None and len(a) == 0
+
+
+def test_two_writers_of_one_key_share_no_temp_file(tmp_path):
+    """Two instances put one key 300 times each from their own threads: no
+    put raises, one readable entry is left, and no temp file survives."""
+    import threading
+
+    errors: list[Exception] = []
+
+    def writer(cache: ResultCache) -> None:
+        for _ in range(300):
+            try:
+                put_dummy(cache, "k")
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+    threads = [
+        threading.Thread(target=writer, args=(ResultCache(tmp_path),))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    fresh = ResultCache(tmp_path)
+    assert fresh.keys() == ["k"]
+    assert np.array_equal(fresh.get("k").arrays()["solution"], np.arange(4))
+    assert sorted(p.name for p in fresh.objects_dir.iterdir()) == ["k.json", "k.npz"]
+
+
+def test_a_put_racing_another_instances_clear_does_not_raise(tmp_path):
+    """``b.clear()`` in a loop removes the temp files of ``a``'s puts in
+    flight; each such put is dropped (the clear wins) instead of raising,
+    and a put after the last clear lands whole."""
+    import threading
+
+    a, b = ResultCache(tmp_path), ResultCache(tmp_path)
+    errors: list[Exception] = []
+    done = threading.Event()
+
+    def writer() -> None:
+        try:
+            for i in range(300):
+                try:
+                    put_dummy(a, f"k{i % 7}")
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+        finally:
+            done.set()
+
+    def clearer() -> None:
+        while not done.is_set():
+            b.clear()
+
+    threads = [threading.Thread(target=writer), threading.Thread(target=clearer)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the clears with the renames
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    b.clear()
+    put_dummy(a, "k0")
+    assert np.array_equal(b.get("k0").arrays()["solution"], np.arange(4))
+
+
+def test_clear_removes_crash_debris(tmp_path):
+    """An npz whose meta never landed and dead writers' temp files go too;
+    only the entry with a meta file is counted."""
+    cache = ResultCache(tmp_path)
+    put_dummy(cache, "k1")
+    (cache.objects_dir / "k2.npz").write_bytes(b"orphan")
+    (cache.objects_dir / "k3.npz.tmp").write_bytes(b"torn")
+    (cache.objects_dir / ".k4.json.x1y2.tmp").write_bytes(b"torn")
+    assert cache.clear() == 1
+    assert list(cache.objects_dir.iterdir()) == []
+    assert cache.disk_usage() == 0

@@ -117,6 +117,31 @@ class TestDispatchVolume:
         payload = second.stats.to_dict()
         assert (payload["store_hits"], payload["store_misses"]) == (2, 0)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            GraphSource.generator("gnp_random_graph", n=80, p=0.05, seed=3),
+            GraphSource.generator("grid_graph", rows=8, cols=8),
+        ],
+        ids=["streaming", "non-streaming"],
+    )
+    def test_a_store_hit_takes_no_store_lock(self, tmp_path, source):
+        """A hit resolves while another thread holds the store lock (a build
+        and its eviction in progress)."""
+        import threading
+
+        with Scheduler(store=GraphStore(tmp_path)) as sched:
+            built = sched._resolve_one(source)
+            resolved = []
+            with sched._store_lock:
+                reader = threading.Thread(
+                    target=lambda: resolved.append(sched._resolve_one(source))
+                )
+                reader.start()
+                reader.join(timeout=5)
+                assert [info.fingerprint for info in resolved] == [built.fingerprint]
+            assert resolved[0].hit
+
     def test_env_var_opt_in(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_STORE", str(tmp_path))
         with Scheduler() as sched:
