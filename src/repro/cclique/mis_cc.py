@@ -107,6 +107,8 @@ def cc_mis(
             start=1 + (phase - 1) * max_scan_trials,
         )
         kill = luby.winner_kill()
+        # Drop this phase before the residual graph and the next phase.
+        del luby, objective
         in_mis |= i_mask
         removed |= kill
         g = g.remove_vertices(kill)
@@ -185,6 +187,7 @@ def cc_maximal_matching(
             max_trials=max_scan_trials,
             start=1 + (phase - 1) * max_scan_trials,
         )
+        del luby, objective
         eid_sel = np.nonzero(mm)[0]
         pairs.append(np.stack([eu[eid_sel], ev[eid_sel]], axis=1))
         kill = np.zeros(graph.n, dtype=bool)

@@ -124,6 +124,8 @@ def congest_mis(
             start=1 + (phase - 1) * max_scan_trials,
         )
         kill = luby.winner_kill()
+        # Drop this phase before the residual graph and the next phase.
+        del luby, objective
         in_mis |= i_mask
         removed |= kill
         g = g.remove_vertices(kill)

@@ -165,8 +165,7 @@ def lowdeg_mis(
             )
 
         kill = luby.winner_kill()
-        # Drop this phase's padded table before the graph shrinks and the
-        # next phase builds its own.
+        # Drop this phase before the residual graph and the next phase.
         del luby
         in_mis |= i_mask
         removed |= kill

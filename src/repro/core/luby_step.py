@@ -192,7 +192,7 @@ def luby_mis_step(
     # the objective reads the "any N_v member joined" flag over the N_v arcs.
     luby = NodePhase(g.remove_vertices(~q_mask), family, live=q_ids)
     nb_order, nb_indptr = group_order_indptr(nb_groups, g.n)
-    nb_table = SegmentTable(nb_units[nb_order], nb_indptr, g.n)
+    nb_table = SegmentTable(nb_units[nb_order], nb_indptr)
 
     def objective(i_masks: np.ndarray) -> np.ndarray:
         sel_mask = nb_table.any(i_masks) & good.b_mask[None, :]

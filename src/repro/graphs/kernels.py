@@ -4,9 +4,9 @@ The per-iteration primitives every Luby-style solver needs -- neighbour
 minima, alive-edge degrees, "k-th live incident edge" lookups -- and the
 seed-block reductions of the batched seed search are expressed here as
 whole-array operations over a :class:`Graph`'s CSR arrays:
-``np.minimum.reduceat`` / ``np.add.reduceat`` over the arc arrays (an order
-of magnitude faster than ``np.minimum.at`` scatters on large inputs), and
-padded gather tables for blocks of seeds.
+``reduceat`` over the arc arrays (an order of magnitude faster than
+``np.minimum.at`` scatters on large inputs), one seed row at a time for
+blocks of seeds.
 
 All kernels are *exact*: they use only integer arithmetic and order-free
 reductions (min / integer sum), so solvers built on them return the same
@@ -71,9 +71,9 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 #
 # The batched seed-search engine evaluates a whole block of hash seeds at
 # once, producing ``(S, T)`` value grids whose columns are grouped by the
-# same CSR-style ``indptr`` as the 1-D kernels above.  ``reduceat`` along
-# ``axis=1`` reduces every seed row independently in one pass, so row ``i``
-# of each 2-D kernel is bit-identical to the 1-D kernel applied to row ``i``.
+# same CSR-style ``indptr`` as the 1-D kernels above.  ``SegmentTable``
+# reduces every seed row on its own over the arcs, so row ``i`` of each
+# 2-D reduction is bit-identical to the 1-D kernel applied to row ``i``.
 # ---------------------------------------------------------------------- #
 
 
@@ -98,84 +98,38 @@ def group_order_indptr(
     return order, indptr
 
 
-#: Padded-table kernels are used while the padded grid is at most this many
-#: times the number of arcs; beyond that (high degree skew) the per-row
-#: scatter fallback wins on memory traffic.
-PAD_FACTOR = 4
-
-
-def _padded_table(
-    cols: np.ndarray, indptr: np.ndarray, sentinel: int
-) -> np.ndarray | None:
-    """(M, w_max) table of ``cols`` positions per segment, or None if too wide.
-
-    Row ``i`` lists ``cols[indptr[i]:indptr[i+1]]`` padded with ``sentinel``.
-    Turning ragged segments into a fixed-width gather lets per-segment
-    min/any reductions run as one contiguous ``.min(axis=2)`` /
-    ``.any(axis=2)`` over the seed block -- the layout numpy actually
-    vectorises, unlike ``reduceat`` with many short segments.
-    """
-    m = indptr.size - 1
-    sizes = np.diff(indptr)
-    w_max = int(sizes.max(initial=0))
-    if w_max == 0 or w_max * m > PAD_FACTOR * max(cols.size, 1):
-        return None
-    table = np.full((m, w_max), sentinel, dtype=np.int64)
-    # Arc a of row i lands in flat cell i * w_max + (a - indptr[i]).
-    flat = np.arange(cols.size, dtype=np.int64)
-    flat += np.repeat(np.arange(m, dtype=np.int64) * w_max - indptr[:-1], sizes)
-    table.ravel()[flat] = cols
-    return table
-
-
 class SegmentTable:
     """Per-segment min / any over the columns of ``(S, width)`` seed blocks.
 
-    Segment ``i`` reads ``cols[indptr[i]:indptr[i+1]]``.  One table serves
-    both reductions, so a Luby phase that takes neighbour minima and then
-    the "any neighbour joined" flag over the same adjacency gathers through
-    one padded table.  When padding would exceed :data:`PAD_FACTOR` times
-    the arc count, the min falls back to a per-row scatter and the any to
-    a prefix-count.  Empty segments yield ``fill`` / False; row ``s`` equals
-    the scalar per-seed reduction bit-for-bit.
+    Segment ``i`` reads ``cols[indptr[i]:indptr[i+1]]``.  Each seed row is
+    gathered at the arcs and reduced at the non-empty segment starts, as
+    :func:`segment_min` does, so a row costs its arcs whatever the degree
+    skew.  Empty segments yield ``fill`` / False; row ``s`` equals the
+    scalar per-seed reduction bit-for-bit.
     """
 
-    def __init__(self, cols: np.ndarray, indptr: np.ndarray, width: int) -> None:
+    def __init__(self, cols: np.ndarray, indptr: np.ndarray) -> None:
         self.cols = cols
-        self.indptr = indptr
-        self.table = _padded_table(cols, indptr, width)
+        self._nonempty = indptr[:-1] < indptr[1:]
+        self._starts = indptr[:-1][self._nonempty]
 
     @property
     def cells(self) -> int:
-        """Values one seed row gathers: padded table cells, else arcs."""
-        return self.cols.size if self.table is None else self.table.size
+        """Values one seed row gathers: the arc count."""
+        return self.cols.size
 
-    def min(self, values: np.ndarray, fill) -> np.ndarray:
-        s = values.shape[0]
-        if self.table is not None:
-            ext = np.concatenate(
-                [values, np.full((s, 1), fill, dtype=values.dtype)], axis=1
-            )
-            return ext[:, self.table].min(axis=2)
-        m = self.indptr.size - 1
-        owners = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.indptr))
-        out = np.full((s, m), fill, dtype=values.dtype)
-        gathered = values[:, self.cols]
-        for row in range(s):
-            np.minimum.at(out[row], owners, gathered[row])
+    def _reduce(self, ufunc: np.ufunc, values: np.ndarray, fill) -> np.ndarray:
+        out = np.full((values.shape[0], self._nonempty.size), fill, dtype=values.dtype)
+        if self._starts.size:
+            for row, vals in zip(out, values):
+                row[self._nonempty] = ufunc.reduceat(vals[self.cols], self._starts)
         return out
 
+    def min(self, values: np.ndarray, fill) -> np.ndarray:
+        return self._reduce(np.minimum, values, fill)
+
     def any(self, mask: np.ndarray) -> np.ndarray:
-        if self.table is not None:
-            ext = np.concatenate(
-                [mask, np.zeros((mask.shape[0], 1), dtype=bool)], axis=1
-            )
-            return ext[:, self.table].any(axis=2)
-        # Prefix counts: cum[:, j] is the number of True among the first j
-        # arcs, so a segment holds one iff the count rises across it.
-        cum = np.zeros((mask.shape[0], self.cols.size + 1), dtype=np.int32)
-        np.cumsum(mask[:, self.cols], axis=1, out=cum[:, 1:])
-        return cum[:, self.indptr[1:]] > cum[:, self.indptr[:-1]]
+        return self._reduce(np.logical_or, mask, False)
 
 
 def arcs_toward(g: Graph, src_mask: np.ndarray, dst_mask: np.ndarray):

@@ -30,8 +30,10 @@ graph — computed by a chunked second pass over the written endpoint files —
 which is what makes store keys interchangeable with the result cache's
 content addressing.
 
-Integrity: writes build in a temp directory and ``os.rename`` into place
-(atomic on POSIX), ``meta.json`` records a sha256 per array file, and
+Integrity: writes build in a temp directory named after the writer's pid,
+``objects/.tmp-put-<pid>-*``, and ``os.rename`` into place (atomic on
+POSIX); ``repro store gc`` removes such a directory only once its writer
+has exited.  ``meta.json`` records a sha256 per array file, and
 :meth:`GraphStore.verify` / ``repro store gc`` recheck them.  The per-job
 open path (:func:`open_stored_graph`) does O(1) structural checks only —
 checksumming 100 MB of shards per job would defeat the mmap — and the
@@ -101,6 +103,9 @@ MAX_SHARDS = 512
 _HASH_CHUNK = 1 << 22
 
 _META_VERSION = 1
+
+#: A build is ``objects/.tmp-put-<writer pid>-*`` until its rename.
+_BUILD_PREFIX = ".tmp-put-"
 
 
 class StoreMissError(KeyError):
@@ -604,9 +609,8 @@ class GraphStore:
         one is a dead writer's debris and is replaced.
         """
         t0 = _obs.clock()
-        tmp = Path(
-            tempfile.mkdtemp(prefix=".tmp-put-", dir=self.objects_dir)
-        )
+        prefix = f"{_BUILD_PREFIX}{os.getpid()}-"
+        tmp = Path(tempfile.mkdtemp(prefix=prefix, dir=self.objects_dir))
         try:
             meta = build_csr_shards(tmp, n, blocks, est_edges=est_edges)
             fingerprint = _fingerprint_of_files(n, tmp)
@@ -756,15 +760,17 @@ class GraphStore:
     def gc(self, *, max_bytes: int | None = None) -> dict:
         """Drop orphaned build debris and enforce a disk budget.
 
-        Removes stale ``.tmp-put-*`` directories (dead writers), object
-        directories without a readable ``meta.json``, and — when a budget is
-        given (argument overrides the construction-time one) — evicts LRU
-        entries until under it; then the ``sources/`` files that name no
-        object.  Returns a summary dict.
+        Removes the ``.tmp-put-*`` build directories of exited writers,
+        object directories without a readable ``meta.json``, and — when a
+        budget is given (argument overrides the construction-time one) —
+        evicts LRU entries until under it; then the ``sources/`` files that
+        name no object.  Returns a summary dict.
         """
         removed_tmp = removed_orphans = 0
         for child in self.objects_dir.iterdir():
-            if child.name.startswith(".tmp-put-"):
+            if child.name.startswith(_BUILD_PREFIX):
+                if _writer_running(child.name):  # a build in progress
+                    continue
                 removed_tmp += 1
             elif child.is_dir() and not _readable_meta(self.root, child.name):
                 removed_orphans += 1
@@ -809,6 +815,21 @@ class GraphStore:
             "max_bytes": self.max_bytes,
             "objects": entries,
         }
+
+
+def _writer_running(build_dir: str) -> bool:
+    """Whether the process named by a ``.tmp-put-<pid>-*`` build directory
+    is running; False for a name without a pid (older builds' debris)."""
+    pid, sep, _ = build_dir[len(_BUILD_PREFIX):].partition("-")
+    if not (sep and pid.isdigit()):
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # running, as another user
+        pass
+    return True
 
 
 def _readable_meta(root: Path, fingerprint: str) -> bool:

@@ -13,15 +13,18 @@ lemma's target.  This module is that phase's one implementation:
 * :func:`a_set` -- the ``A`` set of Corollary 15 that the Section-5 and
   CONGESTED CLIQUE objectives weigh.
 
-Each phase builds one :class:`~repro.graphs.kernels.SegmentTable` per
+Each phase reads one :class:`~repro.graphs.kernels.SegmentTable` per
 adjacency, shared by the min and the any reduction, and evaluates whole
-seed blocks at once.  The winner's mask, and in the node form its kill
-mask, is its row of the last block the scan evaluated, so a phase whose
-scan stops in that block evaluates its winner once.  What differs per call
-site stays there: the key source (ids or colours), the objective and its
-target, the scan start and budget, and what the phase costs, which the
-model's :class:`~repro.models.ledger.RoundLedger` charges.  Every phase
-fixes its seed with the one scan of :mod:`repro.derand.strategies`.
+seed blocks at once.  Besides its keys a phase holds no more than its arcs:
+the adjacency's own CSR, remapped only for an edge subset.  The winner's
+mask, and in the node form its kill mask, is its row of the last block the
+scan evaluated, so a phase whose scan stops in that block evaluates its
+winner once.  What differs per call site stays there: the key source (ids
+or colours), the objective and its target, the scan start and budget, and
+what the phase costs, which the model's
+:class:`~repro.models.ledger.RoundLedger` charges.  Every phase fixes its
+seed with the one scan of :mod:`repro.derand.strategies`, and is dropped
+before the residual graph and the next phase are built.
 
 Keys are ``z * (N + 1) + id`` for ids in ``[0, N)``: a strict total order
 that breaks hash ties by id.  They are uint32 when every key fits below
@@ -47,8 +50,8 @@ __all__ = ["EdgePhase", "NodePhase", "a_set"]
 MAXKEY = np.uint64(2**63 - 1)
 
 #: Bytes one seed block of a phase may gather.  A block reads its keys
-#: through the padded table plus as many flags, so the seed chunk is clamped
-#: to keep one block under this.
+#: at the table's arcs plus as many flags, so the seed chunk is clamped to
+#: keep one block under this.
 _SEED_BLOCK_BYTES = 1 << 28
 
 
@@ -172,7 +175,7 @@ class NodePhase(_LubyPhase):
         if live is None:
             live = np.flatnonzero(adjacency.degrees() > 0)
         self.live = live
-        table = SegmentTable(adjacency.indices, adjacency.indptr, n)
+        table = SegmentTable(adjacency.indices, adjacency.indptr)
         xs = live if colors is None else colors[live]
         super().__init__(family, xs, live, n, table, n)
 
@@ -200,21 +203,26 @@ class NodePhase(_LubyPhase):
 
 
 class EdgePhase(_LubyPhase):
-    """Edge form over the edges ``eids`` of ``g`` (default: all of them)."""
+    """Edge form over the edges ``eids`` of ``g`` (default: all of them).
+
+    Per-node minima read ``g``'s CSR rows, for a subset restricted to the
+    arcs of ``eids`` as positions into ``eids``.
+    """
 
     def __init__(self, g: Graph, family, eids: np.ndarray | None = None) -> None:
         if eids is None:
             eids = np.arange(g.m, dtype=np.int64)
-        self.us, self.vs = g.edges_u[eids], g.edges_v[eids]
-        # Per-node minima over incident edges read the CSR rows of g,
-        # restricted to the arcs of eids, as positions into eids.
-        pos = np.full(g.m, -1, dtype=np.int64)
-        pos[eids] = np.arange(eids.size, dtype=np.int64)
-        arc_pos = pos[g.arc_edge_ids]
-        kept = arc_pos >= 0
-        indptr = np.zeros(g.n + 1, dtype=np.int64)
-        np.cumsum(segment_sum(kept.astype(np.int64), g.indptr), out=indptr[1:])
-        table = SegmentTable(arc_pos[kept], indptr, eids.size)
+            self.us, self.vs = g.edges_u, g.edges_v
+            table = SegmentTable(g.arc_edge_ids, g.indptr)
+        else:
+            self.us, self.vs = g.edges_u[eids], g.edges_v[eids]
+            pos = np.full(g.m, -1, dtype=np.int64)
+            pos[eids] = np.arange(eids.size, dtype=np.int64)
+            arc_pos = pos[g.arc_edge_ids]
+            kept = arc_pos >= 0
+            indptr = np.zeros(g.n + 1, dtype=np.int64)
+            np.cumsum(segment_sum(kept.astype(np.int64), g.indptr), out=indptr[1:])
+            table = SegmentTable(arc_pos[kept], indptr)
         super().__init__(family, eids, eids, g.m, table, eids.size)
 
     def masks(self, seeds: np.ndarray) -> np.ndarray:

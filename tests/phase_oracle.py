@@ -11,12 +11,13 @@ reference the phase kernel is compared with: every solution, bill, record
 and trace must come out the same.
 
 Only what ``src/`` keeps is imported; the deleted helpers -- the two
-block reducers with their own padded tables and the prefix counter
-behind one of them, the clique/CONGEST kernel class, the two ``A``-set
-copies and the ``B -> Q'`` arc helper -- are carried here as plain-numpy
-copies.  The Section-5 colour family was a
-renaming wrapper around the pairwise family ``make_color_family`` returns
-now; its ``evaluate_colors_batch`` is that family's ``evaluate_batch``.
+block reducers with their own padded tables, the padded table itself and
+its ``PAD_FACTOR`` bound, the prefix counter behind one of the reducers,
+the clique/CONGEST kernel class, the two ``A``-set copies and the
+``B -> Q'`` arc helper -- are carried here as plain-numpy copies.  The
+Section-5 colour family was a renaming wrapper around the pairwise family
+``make_color_family`` returns now; its ``evaluate_colors_batch`` is that
+family's ``evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -38,13 +39,16 @@ from repro.derand import strategies as _strategies
 from repro.derand.strategies import select_seed_batch
 from repro.graphs.coloring import distance2_coloring
 from repro.graphs.graph import Graph
-from repro.graphs.kernels import PAD_FACTOR, group_order_indptr
+from repro.graphs.kernels import group_order_indptr
 from repro.graphs.power import BallTooLargeError, ball_sizes
 from repro.hashing.families import make_color_family, make_product_family
 from repro.mpc.context import MPCContext
 
 MAXKEY = np.uint64(2**63 - 1)
 _SEED_BLOCK_BYTES = 1 << 28
+#: The padded tables were used while the padded grid was at most this many
+#: times the number of arcs; beyond that the scatter fallback ran.
+PAD_FACTOR = 4
 
 
 # ---------------------------------------------------------------------- #

@@ -665,6 +665,63 @@ class TestSharedDirectory:
         monkeypatch.undo()
         assert a.keys() == [fp] and list(a.sources_dir.iterdir()) == []
 
+    def test_gc_spares_a_build_in_progress(self, tmp_path):
+        """``b.gc()`` runs while ``a.put_stream`` waits mid-stream in a
+        thread: the build directory is left alone and the build lands."""
+        import threading
+
+        a, b = GraphStore(tmp_path), GraphStore(tmp_path)
+        g = gnp_random_graph(**self.ARGS)
+        edges = g.edge_array()
+        streaming, release = threading.Event(), threading.Event()
+        result: dict = {}
+
+        def blocks():
+            yield edges[: g.m // 2]
+            streaming.set()
+            release.wait(timeout=30)
+            yield edges[g.m // 2 :]
+
+        def build() -> None:
+            try:
+                result["info"] = a.put_stream(g.n, blocks(), est_edges=g.m)
+            except Exception as exc:  # pragma: no cover - failure path
+                result["error"] = exc
+
+        thread = threading.Thread(target=build)
+        thread.start()
+        try:
+            assert streaming.wait(timeout=30)
+            building = [p.name for p in a.objects_dir.iterdir()]
+            assert [name.split("-")[2] for name in building] == [str(os.getpid())]
+            summary = b.gc()
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert summary["removed_tmp"] == 0
+        assert "error" not in result
+        fp = result["info"].fingerprint
+        assert b.keys() == [fp]
+        assert_same_graph(g, b.open(fp))
+
+    def test_gc_removes_the_build_dirs_of_dead_writers(self, tmp_path):
+        """A build directory whose writer has exited, or whose name carries
+        no pid (older builds' debris), is removed; a running writer's is
+        kept."""
+        import subprocess
+        import sys
+
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid names no process
+        store = GraphStore(tmp_path)
+        dead = store.objects_dir / f".tmp-put-{child.pid}-x"
+        bare = store.objects_dir / ".tmp-put-x"
+        live = store.objects_dir / f".tmp-put-{os.getpid()}-x"
+        for path in (dead, bare, live):
+            path.mkdir()
+        assert store.gc()["removed_tmp"] == 2
+        assert not dead.exists() and not bare.exists() and live.is_dir()
+
     def test_concurrent_builds_of_one_graph(self, tmp_path):
         """Two instances build the same 20 graphs at once from their own
         threads: no call raises, each graph is one object, and both

@@ -10,6 +10,8 @@ field, ``edge_trace``, fidelity events and the model snapshot.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -17,9 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phase_oracle as oracle
+import repro.cclique.mis_cc as mis_cc
+import repro.congest.mis_congest as mis_congest
+import repro.core.lowdeg as lowdeg_mod
 import repro.core.matching as matching_mod
 import repro.core.mis as mis_mod
-import repro.graphs.kernels as kernels
 from repro.cclique.mis_cc import cc_maximal_matching, cc_mis
 from repro.congest.mis_congest import congest_mis
 from repro.core import Params, lowdeg_mis
@@ -31,7 +35,6 @@ from repro.graphs import (
     gnp_random_graph,
     star_graph,
 )
-from repro.graphs.streaming import gnp_block_graph
 from repro.hashing.families import make_product_family
 from repro.models.phase import EdgePhase, NodePhase
 
@@ -147,22 +150,58 @@ def test_phase_kernel_matches_oracle(case, g, params):
     assert_same_record(new(g, params), old(g, params))
 
 
-def test_one_padded_table_per_phase():
-    """The node form's minima and kill mask read one table: each Section-5
-    phase builds exactly one padded table."""
-    built = []
-    padded = kernels._padded_table
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(), height=st.sampled_from([1, 4]), first=st.integers(0, 200))
+def test_all_edges_phase_matches_the_explicit_subset(g, height, first):
+    """Over all of ``g``'s edges the edge form reads ``g``'s own CSR rows;
+    naming every edge as a subset remaps them, with the same masks."""
+    family = make_product_family(max(g.m, 2), k=2)
+    seeds = (first + np.arange(height, dtype=np.int64)) % family.size
+    whole = EdgePhase(g, family)
+    subset = EdgePhase(g, family, np.arange(g.m, dtype=np.int64))
+    assert np.array_equal(whole.masks(seeds), subset.masks(seeds))
 
-    def counted(*args):
-        table = padded(*args)
-        built.append(table is not None)
-        return table
 
-    g = gnp_block_graph(500, 8 / 500, 1)
-    with mock.patch.object(kernels, "_padded_table", counted):
-        res = lowdeg_mis(g, Params())
-    assert len(built) == res.iterations
-    assert any(built)
+def _phases_alive_at_build(monkeypatch, module, name: str) -> list[int]:
+    """Replace ``module.<name>`` with a subclass that records, as each phase
+    is built, how many phases built before it are still alive."""
+    refs: list[weakref.ref] = []
+    alive: list[int] = []
+    base = getattr(module, name)
+
+    class Tracked(base):
+        def __init__(self, *args, **kwargs) -> None:
+            alive.append(sum(ref() is not None for ref in refs))
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(module, name, Tracked)
+    return alive
+
+
+LIFETIME_CASES = {
+    "cc_mis": (mis_cc, "NodePhase", cc_mis),
+    "cc_maximal_matching": (mis_cc, "EdgePhase", cc_maximal_matching),
+    "congest_mis": (mis_congest, "NodePhase", congest_mis),
+    "lowdeg_mis": (lowdeg_mod, "NodePhase", lambda g: lowdeg_mis(g, Params())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFETIME_CASES))
+def test_each_phase_is_collected_before_the_next_is_built(case, monkeypatch):
+    """A solver drops a finished phase before it builds the next one, so it
+    never holds two phases' keys and tables at once.  Reference cycles are
+    not left to the collector: it is off while the solver runs."""
+    module, name, run = LIFETIME_CASES[case]
+    alive = _phases_alive_at_build(monkeypatch, module, name)
+    g = gnp_random_graph(300, 0.1, seed=4)  # two phases or more in each
+    gc.disable()
+    try:
+        run(g)
+    finally:
+        gc.enable()
+    assert len(alive) >= 2
+    assert alive == [0] * len(alive)
 
 
 def _kth_seed_wins(k: int, phase: NodePhase | EdgePhase):

@@ -19,7 +19,7 @@ from repro.core import Params, lowdeg_mis
 from repro.core.api import maximal_independent_set, maximal_matching
 from repro.derand import strategies as derand_strategies
 from repro.derand.strategies import scan_regions, select_seed_batch
-from repro.graphs import cycle_graph, gnp_random_graph
+from repro.graphs import cycle_graph, gnp_random_graph, star_graph
 from repro.graphs.kernels import SegmentTable, group_order_indptr
 from repro.hashing.families import make_product_family
 from repro.hashing.kwise import MAX_FIELD, KWiseHashFamily, make_family
@@ -215,45 +215,57 @@ def test_evaluate_batch_arbitrary_seed_order():
 
 
 # --------------------------------------------------------------------- #
-# Block-kernel parity (padded table vs scatter fallback)
+# Block-kernel parity (per-row reductions over the arcs, every layout)
 # --------------------------------------------------------------------- #
 
 
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_segment_table_min_matches_reference(data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    m = data.draw(st.integers(1, 12))
-    sizes = rng.integers(0, 6, m)
+#: Seed rows per block: one seed (every phase that stops at its first
+#: seed), two, and a ragged five.
+HEIGHTS = (1, 2, 5)
+
+
+def _draw_layout(data, rng) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(cols, indptr, width)``: random segments, no segments at all,
+    segments that are all empty (no arcs), or a star's CSR rows, one
+    segment far wider than the rest (where a padded table would not fit)."""
+    kind = data.draw(st.sampled_from(["random", "no segments", "all empty", "star"]))
+    if kind == "star":
+        g = star_graph(data.draw(st.integers(2, 40)))
+        return g.indices, g.indptr, g.n
+    m = 0 if kind == "no segments" else data.draw(st.integers(1, 12))
+    sizes = rng.integers(0, 6, m) if kind == "random" else np.zeros(m, dtype=np.int64)
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     width = 30
-    cols = rng.integers(0, width, indptr[-1])
-    vals = rng.integers(0, 1000, (3, width)).astype(np.uint64)
+    return rng.integers(0, width, indptr[-1]), indptr, width
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), height=st.sampled_from(HEIGHTS))
+def test_segment_table_min_matches_reference(data, height):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    cols, indptr, width = _draw_layout(data, rng)
+    vals = rng.integers(0, 1000, (height, width)).astype(np.uint64)
     fill = np.uint64(2**63 - 1)
     ref = segment_min_2d(vals[:, cols], indptr, fill)
-    got = SegmentTable(cols, indptr, width).min(vals, fill)
-    assert np.array_equal(ref, got)
+    got = SegmentTable(cols, indptr).min(vals, fill)
+    assert got.dtype == vals.dtype and np.array_equal(ref, got)
 
 
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_segment_table_any_matches_reference(data):
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), height=st.sampled_from(HEIGHTS))
+def test_segment_table_any_matches_reference(data, height):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    m = data.draw(st.integers(1, 12))
-    sizes = rng.integers(0, 6, m)
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    width = 30
-    cols = rng.integers(0, width, indptr[-1])
-    mask = rng.random((3, width)) < 0.3
-    ref = np.zeros((3, m), dtype=bool)
+    cols, indptr, width = _draw_layout(data, rng)
+    m = indptr.size - 1
+    mask = rng.random((height, width)) < 0.3
+    ref = np.zeros((height, m), dtype=bool)
     for i in range(m):
         seg = cols[indptr[i] : indptr[i + 1]]
         if seg.size:
             ref[:, i] = mask[:, seg].any(axis=1)
-    got = SegmentTable(cols, indptr, width).any(mask)
-    assert np.array_equal(ref, got)
+    got = SegmentTable(cols, indptr).any(mask)
+    assert got.dtype == bool and np.array_equal(ref, got)
 
 
 def test_group_order_indptr_monotone_fast_path():
